@@ -51,7 +51,6 @@ WATCHED = [
     (r"^BM_TraceReplayThroughput$", "shadow_peak_bytes", -1),
     (r"^BM_ShardedReplay/", "items_per_second", +1),
     (r"^BM_ParallelDecode/", "items_per_second", +1),
-    (r"^BM_SegmentedReplay/", "items_per_second", +1),
     (r"^BM_ServerQueryThroughput/", "items_per_second", +1),
 ]
 

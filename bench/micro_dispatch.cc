@@ -23,7 +23,6 @@
 
 #include "cg/cg_tool.hh"
 #include "core/checkpoint.hh"
-#include "core/segment_engine.hh"
 #include "core/sigil_profiler.hh"
 #include "server/client.hh"
 #include "server/server.hh"
@@ -382,24 +381,18 @@ BENCHMARK(BM_TraceReplayProfiled)
     ->ArgsProduct({{0, 1, 2}, {0, 1}, {0, 6}});
 
 /**
- * Frame-parallel decode, parsing cost only: a zero-copy
- * BinaryReplaySession over the in-memory trace with decodeThreads
- * workers CRC-verifying and decoding frames ahead of the consumer.
- * Args: {decodeThreads, format: 2 SGB2, 3 SGB3}. Threads=1 is the
- * serial inline decoder — the baseline the sweep is judged against
- * (acceptance: >= 2.5x items/sec at 4 threads on a >= 4-core host).
- * Real time: past threads=1 the decode happens on the workers.
+ * Frame decode, parsing cost only: a zero-copy BinaryReplaySession
+ * over the in-memory trace, CRC-verifying, decompressing (SGB3) and
+ * decoding each frame inline. Arg: format, 2 SGB2 or 3 SGB3.
  */
 void
 BM_ParallelDecode(benchmark::State &state)
 {
-    int format = static_cast<int>(state.range(1));
+    int format = static_cast<int>(state.range(0));
     const std::string &trace = recordedTrace(format);
     std::uint64_t events = 0;
     for (auto _ : state) {
-        vg::GuestConfig gc;
-        gc.decodeThreads = static_cast<unsigned>(state.range(0));
-        vg::Guest g("bench", gc);
+        vg::Guest g("bench");
         vg::BinaryReplaySession session(std::string_view(trace), g);
         while (session.step()) {
         }
@@ -410,25 +403,21 @@ BM_ParallelDecode(benchmark::State &state)
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations() * trace.size()));
 }
-BENCHMARK(BM_ParallelDecode)
-    ->ArgsProduct({{1, 2, 4, 8}, {2, 3}})->UseRealTime();
+BENCHMARK(BM_ParallelDecode)->Arg(2)->Arg(3)->UseRealTime();
 
 /**
- * The same sweep end to end: parallel decode feeding a batched-guest
- * Sigil profiler. Delivery is serialized through the guest, so this
- * shows how much of the profiled pipeline the decode stage was —
- * and that SGB3 decompression stays <= 5% behind SGB2 once decode
- * overlaps analysis. Args as BM_ParallelDecode.
+ * The same decode end to end, feeding a batched-guest Sigil profiler:
+ * shows how much of the profiled pipeline the decode stage is, and
+ * what SGB3 decompression costs over SGB2. Arg as BM_ParallelDecode.
  */
 void
 BM_ParallelDecodeProfiled(benchmark::State &state)
 {
-    int format = static_cast<int>(state.range(1));
+    int format = static_cast<int>(state.range(0));
     const std::string &trace = recordedTrace(format);
     for (auto _ : state) {
         vg::GuestConfig gc;
         gc.batchEvents = true;
-        gc.decodeThreads = static_cast<unsigned>(state.range(0));
         vg::Guest g("bench", gc);
         core::SigilProfiler prof;
         g.addTool(&prof);
@@ -443,8 +432,7 @@ BM_ParallelDecodeProfiled(benchmark::State &state)
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations() * trace.size()));
 }
-BENCHMARK(BM_ParallelDecodeProfiled)
-    ->ArgsProduct({{1, 2, 4, 8}, {2, 3}})->UseRealTime();
+BENCHMARK(BM_ParallelDecodeProfiled)->Arg(2)->Arg(3)->UseRealTime();
 
 /**
  * Checkpointed replay smoke benchmark: the full SGB2 + profiler replay
@@ -621,56 +609,6 @@ BM_ShardedReplay(benchmark::State &state)
 }
 BENCHMARK(BM_ShardedReplay)
     ->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-/**
- * Segment-parallel profiled replay: the same trace and full-fidelity
- * profiler as BM_ShardedReplay, but parallelized across the *time*
- * axis — the trace is cut at seek-indexed frame boundaries and each
- * segment replays concurrently against a speculative shadow, with an
- * ordered resolution merge reconciling unknown producers afterwards.
- * Arg: segment count; Arg(1) is the serial chained scan, the baseline
- * the sweep is judged against (acceptance: >= 2.0x items/sec at
- * Arg(4) on a >= 4-core host — a 1-CPU container still records the
- * sweep, the workers just time-slice). Real time, since the segment
- * workers run concurrently. The scan_pct counter shows the serial
- * control-scan share of the run — the Amdahl bound on segment scaling.
- */
-void
-BM_SegmentedReplay(benchmark::State &state)
-{
-    const std::string &trace = shardedTrace();
-    core::SigilConfig cfg; // defaults: re-use tracking on
-    double speculative = 0;
-    double segments_used = 0;
-    double scan_pct = 0;
-    for (auto _ : state) {
-        vg::Guest g("bench");
-        core::SigilProfiler prof(cfg);
-        g.addTool(&prof);
-        core::SegmentOptions so;
-        so.segments = static_cast<unsigned>(state.range(0));
-        core::SegmentResult res =
-            core::replaySegmented(trace, g, prof, so);
-        speculative = res.speculative ? 1 : 0;
-        segments_used = static_cast<double>(res.segmentsUsed);
-        std::uint64_t total =
-            res.timing.planNs + res.timing.scanNs + res.timing.resolveNs;
-        for (std::uint64_t ns : res.timing.workerNs)
-            total += ns;
-        scan_pct = total != 0 ? 100.0 *
-                                    static_cast<double>(res.timing.scanNs) /
-                                    static_cast<double>(total)
-                              : 0;
-        benchmark::DoNotOptimize(prof.aggregates(0).readBytes);
-    }
-    state.counters["speculative"] = speculative;
-    state.counters["segments_used"] = segments_used;
-    state.counters["scan_pct"] = scan_pct;
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            kShardWorkloadIters);
-}
-BENCHMARK(BM_SegmentedReplay)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 /**
  * One sigild instance shared by every BM_ServerQueryThroughput run:

@@ -17,22 +17,18 @@
 #
 # BENCH_dispatch.json includes the BM_ShardedReplay shard sweep
 # (Arg 0 = the async single-analysis-thread baseline; Args 1/2/4/8 =
-# shard worker counts), the BM_ParallelDecode{,Profiled} decode
-# sweeps (decodeThreads 1/2/4/8 x SGB2/SGB3; parse-only and profiled
-# end to end), and the BM_SegmentedReplay segment sweep (Arg =
-# segment count; Arg 1 = the serial chained baseline), plus the
-# BM_ServerQueryThroughput sigild sweep (Arg = concurrent query
-# clients over the daemon's Unix-domain socket; items/sec is
-# end-to-end requests per second through framing, dispatch, catalog
-# rendering, and the socket round-trip). The replay
-# families scale with physical cores: the >= 2x shard target at 4
-# workers, the >= 2.5x parse-only decode target at decodeThreads=4,
-# and the >= 2x segment target at 4 segments each need a >= 4-core
-# host. On fewer cores the sweeps still run (the differential tests
-# keep the output bit-identical) but measure scheduling overhead, not
-# parallelism — the JSON context carries a machine manifest
-# ("num_cpus", "cpu_model", "kernel") and compare_bench.py refuses a
-# baseline recorded on different hardware.
+# shard worker counts), the BM_ParallelDecode{,Profiled} serial frame
+# decode of SGB2 and SGB3 (Arg = format; parse-only and profiled end
+# to end), and the BM_ServerQueryThroughput sigild sweep (Arg =
+# concurrent query clients over the daemon's Unix-domain socket;
+# items/sec is end-to-end requests per second through framing,
+# dispatch, catalog rendering, and the socket round-trip). The shard
+# sweep scales with physical cores: its >= 2x target at 4 workers
+# needs a >= 4-core host. On fewer cores it still runs (the
+# differential tests keep the output bit-identical) but measures
+# scheduling overhead, not parallelism — the JSON context carries a
+# machine manifest ("num_cpus", "cpu_model", "kernel") and
+# compare_bench.py refuses a baseline recorded on different hardware.
 #
 # Usage: bench/run_benches.sh [build-dir] [extra benchmark args...]
 set -eu

@@ -60,9 +60,9 @@ def run(*argv):
 def main():
     full = [
         bench("BM_ShadowSpanStride/64", bytes_per_second=1e9),
-        bench("BM_SegmentedReplay/4", items_per_second=2e6),
+        bench("BM_ShardedReplay/4", items_per_second=2e6),
     ]
-    without_segmented = [
+    without_sharded = [
         bench("BM_ShadowSpanStride/64", bytes_per_second=1e9),
     ]
     failures = []
@@ -77,10 +77,10 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         base_full = write(tmp, "base_full.json", doc(full))
         base_missing = write(tmp, "base_missing.json",
-                             doc(without_segmented))
+                             doc(without_sharded))
         fresh_full = write(tmp, "fresh_full.json", doc(full))
         fresh_missing = write(tmp, "fresh_missing.json",
-                              doc(without_segmented))
+                              doc(without_sharded))
 
         # Self-compare passes strict and check-only.
         rc, out = run(base_full, fresh_full)
@@ -93,20 +93,20 @@ def main():
         # prints the same diagnostic.
         rc, out = run(base_full, fresh_missing)
         check("missing-from-fresh strict fails",
-              rc != 0 and "BM_SegmentedReplay" in out
+              rc != 0 and "BM_ShardedReplay" in out
               and "missing from" in out, out)
         rc, out = run("--check-only", base_full, fresh_missing)
         check("missing-from-fresh check-only warns but passes",
-              rc == 0 and "BM_SegmentedReplay" in out, out)
+              rc == 0 and "BM_ShardedReplay" in out, out)
 
         # Fresh suite missing from the baseline: no silent pass.
         rc, out = run(base_missing, fresh_full)
         check("missing-from-baseline strict fails",
-              rc != 0 and "BM_SegmentedReplay" in out
+              rc != 0 and "BM_ShardedReplay" in out
               and "no baseline" in out, out)
         rc, out = run("--check-only", base_missing, fresh_full)
         check("missing-from-baseline check-only warns but passes",
-              rc == 0 and "BM_SegmentedReplay" in out, out)
+              rc == 0 and "BM_ShardedReplay" in out, out)
 
         # A nameless benchmark entry is a clean diagnostic, never a
         # KeyError traceback.

@@ -7,19 +7,12 @@
  * configuration (line granularity) to show one collection feeding a
  * different analysis mode.
  *
- * With --segments N (N > 1) the phase-3 replay runs segment-parallel:
- * the trace is cut at seek-indexed frame boundaries and replayed by
- * concurrent speculative workers, with a per-segment timing breakdown
- * printed alongside the replay report. The analysis output is
- * bit-identical to the serial replay either way.
- *
  * Every phase that reads a file checks the structured error channel:
  * an unreadable or corrupt input ends the run with a non-zero exit
  * code and the TraceError message on stderr, never with a report
  * rendered over partial state.
  *
- * Usage: example_offline_postprocess [--segments N] [workload]
- *                                    [output_dir]
+ * Usage: example_offline_postprocess [workload] [output_dir]
  *        example_offline_postprocess --replay TRACE
  *
  * The second form skips collection and replays an existing trace file
@@ -29,7 +22,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -42,7 +34,6 @@
 #include "cg/cg_tool.hh"
 #include "core/profile_diff.hh"
 #include "core/profile_io.hh"
-#include "core/segment_engine.hh"
 #include "core/sigil_profiler.hh"
 #include "critpath/critical_path.hh"
 #include "support/logging.hh"
@@ -101,24 +92,12 @@ replayOnly(const char *trace_path)
 int
 main(int argc, char **argv)
 {
-    unsigned segments = 1;
     std::vector<const char *> positional;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--segments") == 0 && i + 1 < argc) {
-            segments = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-        } else if (std::strncmp(argv[i], "--segments=", 11) == 0) {
-            segments = static_cast<unsigned>(
-                std::strtoul(argv[i] + 11, nullptr, 10));
-        } else if (std::strcmp(argv[i], "--replay") == 0 &&
-                   i + 1 < argc) {
+        if (std::strcmp(argv[i], "--replay") == 0 && i + 1 < argc)
             return replayOnly(argv[++i]);
-        } else {
-            positional.push_back(argv[i]);
-        }
+        positional.push_back(argv[i]);
     }
-    if (segments == 0)
-        segments = 1;
     const char *name = positional.size() >= 1 ? positional[0] : "dedup";
     std::string dir =
         positional.size() >= 2 ? positional[1] : "/tmp/sigil_out";
@@ -230,41 +209,16 @@ main(int argc, char **argv)
     // ends in a clean-shutdown trailer.
     {
         vg::GuestConfig gcfg;
-        // The speculative segment workers rebuild guests from
-        // snapshots, which needs per-event dispatch.
-        gcfg.batchEvents = segments <= 1;
+        gcfg.batchEvents = true;
         vg::Guest guest(w->name, gcfg);
         core::SigilConfig cfg;
         cfg.granularityShift = 6; // line mode this time
         core::SigilProfiler profiler(cfg);
         guest.addTool(&profiler);
-        vg::ReplayReport report;
-        if (segments > 1) {
-            core::SegmentOptions sopt;
-            sopt.segments = segments;
-            sopt.replay.policy = vg::ReplayPolicy::Salvage;
-            core::SegmentResult seg = core::replaySegmentedFile(
-                trace_path, guest, profiler, sopt);
-            report = seg.report;
-            std::printf("\nsegment-parallel salvage replay: %u segments "
-                        "(%s path, cuts from %s)\n",
-                        seg.segmentsUsed,
-                        seg.speculative ? "speculative" : "chained",
-                        seg.usedSeekIndex ? "seek index" : "chain scan");
-            std::printf("  plan %.2f ms, control scan %.2f ms, "
-                        "resolve merge %.2f ms\n",
-                        seg.timing.planNs / 1e6, seg.timing.scanNs / 1e6,
-                        seg.timing.resolveNs / 1e6);
-            for (std::size_t i = 0; i < seg.timing.workerNs.size(); ++i) {
-                std::printf("  segment %zu replay %.2f ms\n", i,
-                            seg.timing.workerNs[i] / 1e6);
-            }
-            std::printf("  report: %s\n", report.toString().c_str());
-        } else {
-            vg::ReplayOptions ropt;
-            ropt.policy = vg::ReplayPolicy::Salvage;
-            report = vg::replayTraceFile(trace_path, guest, ropt);
-        }
+        vg::ReplayOptions ropt;
+        ropt.policy = vg::ReplayPolicy::Salvage;
+        vg::ReplayReport report =
+            vg::replayTraceFile(trace_path, guest, ropt);
         // Salvage tolerates damage it can skip past, but a replay
         // that stopped on an unrecoverable TraceError (unreadable
         // file, bad magic) produced no usable profile — fail instead
@@ -275,9 +229,7 @@ main(int argc, char **argv)
                          report.error->message().c_str());
             return 1;
         }
-        if (segments <= 1)
-            std::printf("\nsalvage replay: %s\n",
-                        report.toString().c_str());
+        std::printf("\nsalvage replay: %s\n", report.toString().c_str());
         core::SigilProfile lines = profiler.takeProfile();
         std::printf("replayed %llu events in 64B-line mode: line "
                     "re-use breakdown\n",

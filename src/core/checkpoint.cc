@@ -1,5 +1,6 @@
 #include "checkpoint.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <istream>
@@ -32,20 +33,37 @@ slurpStream(std::istream &is)
     return data;
 }
 
-} // namespace
-
-namespace detail {
-
-TraceBinding
-TraceBinding::of(std::string_view trace)
+/**
+ * Identity of the trace a checkpoint belongs to: its size plus a CRC
+ * of its preamble. Resuming against a different trace is refused.
+ */
+struct TraceBinding
 {
-    TraceBinding b;
-    b.traceBytes = trace.size();
-    b.preambleCrc =
-        crc32c(trace.data(), std::min(trace.size(), kBindingBytes));
-    return b;
-}
+    std::uint64_t traceBytes = 0;
+    std::uint32_t preambleCrc = 0;
 
+    static TraceBinding
+    of(std::string_view trace)
+    {
+        TraceBinding b;
+        b.traceBytes = trace.size();
+        b.preambleCrc =
+            crc32c(trace.data(), std::min(trace.size(), kBindingBytes));
+        return b;
+    }
+
+    bool
+    operator==(const TraceBinding &o) const
+    {
+        return traceBytes == o.traceBytes && preambleCrc == o.preambleCrc;
+    }
+};
+
+/**
+ * Atomically replace the checkpoint at `path`, rotating the previous
+ * one to "<path>.prev". Returns the bytes written, 0 on failure (a
+ * failed write never destroys the existing checkpoint).
+ */
 std::uint64_t
 writeCheckpointFile(const std::string &path, const std::string &payload)
 {
@@ -85,6 +103,7 @@ writeCheckpointFile(const std::string &path, const std::string &payload)
     return header.size() + payload.size();
 }
 
+/** Load and validate one checkpoint file; nullopt when unusable. */
 std::optional<std::string>
 loadCheckpointFile(const std::string &path)
 {
@@ -111,6 +130,7 @@ loadCheckpointFile(const std::string &path)
     return payload;
 }
 
+/** Serialize the complete replay state (binding + guest + tool + reader). */
 std::string
 buildSnapshot(const TraceBinding &binding, vg::Guest &guest,
               SigilProfiler &profiler, vg::BinaryReplaySession &session)
@@ -124,6 +144,7 @@ buildSnapshot(const TraceBinding &binding, vg::Guest &guest,
     return sink.take();
 }
 
+/** Inverse of buildSnapshot(); false when the payload does not match. */
 bool
 restoreSnapshot(const std::string &payload, const TraceBinding &binding,
                 vg::Guest &guest, SigilProfiler &profiler,
@@ -139,11 +160,28 @@ restoreSnapshot(const std::string &payload, const TraceBinding &binding,
            session.restoreReaderState(src) && src.ok();
 }
 
-} // namespace detail
-
-namespace {
-
-using namespace detail;
+/**
+ * Whether restoreSnapshot() accepts the payload, tried on scratch
+ * copies of the replay state. The restores write as they parse, so a
+ * payload rejected part-way (a foreign profiler body version, another
+ * configuration) would otherwise leave the caller's guest or profiler
+ * half-restored — and a replay that falls back to the start must
+ * begin from pristine state.
+ */
+bool
+snapshotRestores(const std::string &payload, const TraceBinding &binding,
+                 std::string_view data, const vg::Guest &guest,
+                 const SigilProfiler &profiler,
+                 const vg::ReplayOptions &options)
+{
+    // Declared so the guest is destroyed before the tool it holds.
+    SigilProfiler scratch_profiler(profiler.config());
+    vg::Guest scratch_guest(guest.programName(), guest.config());
+    scratch_guest.addTool(&scratch_profiler);
+    vg::BinaryReplaySession scratch_session(data, scratch_guest, options);
+    return restoreSnapshot(payload, binding, scratch_guest,
+                           scratch_profiler, scratch_session);
+}
 
 /**
  * Shared core: checkpointed replay directly over a byte view (an
@@ -168,17 +206,18 @@ replayViewWithCheckpoints(std::string_view data, vg::Guest &guest,
 
     // Resume from the newest valid checkpoint that matches this trace
     // and configuration; a corrupt or torn newest file falls back to
-    // the rotated previous one. Restore failure part-way through can
-    // leave guest/profiler partially written, but the caller handed us
-    // freshly constructed ones and both restores re-assign (never
-    // merge), so the later attempt starts clean.
+    // the rotated previous one. A candidate is restored into the real
+    // replay state only once a scratch restore has accepted it, so a
+    // rejected candidate never leaves that state half-written.
     if (!config.path.empty()) {
         for (const std::string &candidate :
              {config.path, config.path + ".prev"}) {
             auto payload = loadCheckpointFile(candidate);
             if (!payload)
                 continue;
-            if (restoreSnapshot(*payload, binding, guest, profiler,
+            if (snapshotRestores(*payload, binding, data, guest, profiler,
+                                 options) &&
+                restoreSnapshot(*payload, binding, guest, profiler,
                                 session)) {
                 st.resumed = true;
                 st.resumeBlocks = session.blocksProcessed();

@@ -32,7 +32,7 @@
  *
  * Sharded replays (GuestConfig::shardCount > 1) fold their
  * shard-partial state before every snapshot, so the profiler body is
- * engine-independent (version 2 merely records the shard count,
+ * engine-independent (it merely records the shard count,
  * docs/FORMATS.md §5.1): snapshots restore across engines and shard
  * counts in both directions, still bit-identically.
  */
@@ -42,17 +42,11 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <string>
-#include <string_view>
 
 #include "core/sigil_profiler.hh"
 #include "vg/guest.hh"
 #include "vg/trace_error.hh"
-
-namespace sigil::vg {
-class BinaryReplaySession;
-}
 
 namespace sigil::core {
 
@@ -115,56 +109,6 @@ replayFileWithCheckpoints(const std::string &tracePath, vg::Guest &guest,
                           const vg::ReplayOptions &options,
                           const CheckpointConfig &config,
                           CheckpointStats *stats = nullptr);
-
-/**
- * Building blocks of the checkpoint file format, exported for other
- * replay drivers (the segment engine writes snapshots at segment cut
- * boundaries with the same file format, rotation, and trace binding,
- * so serial and segmented replays can resume each other's files).
- */
-namespace detail {
-
-/**
- * Identity of the trace a checkpoint belongs to: its size plus a CRC
- * of its preamble. Resuming against a different trace is refused.
- */
-struct TraceBinding
-{
-    std::uint64_t traceBytes = 0;
-    std::uint32_t preambleCrc = 0;
-
-    static TraceBinding of(std::string_view trace);
-
-    bool
-    operator==(const TraceBinding &o) const
-    {
-        return traceBytes == o.traceBytes && preambleCrc == o.preambleCrc;
-    }
-};
-
-/**
- * Atomically replace the checkpoint at `path`, rotating the previous
- * one to "<path>.prev". Returns the bytes written, 0 on failure (a
- * failed write never destroys the existing checkpoint).
- */
-std::uint64_t writeCheckpointFile(const std::string &path,
-                                  const std::string &payload);
-
-/** Load and validate one checkpoint file; nullopt when unusable. */
-std::optional<std::string> loadCheckpointFile(const std::string &path);
-
-/** Serialize the complete replay state (binding + guest + tool + reader). */
-std::string buildSnapshot(const TraceBinding &binding, vg::Guest &guest,
-                          SigilProfiler &profiler,
-                          vg::BinaryReplaySession &session);
-
-/** Inverse of buildSnapshot(); false when the payload does not match. */
-bool restoreSnapshot(const std::string &payload,
-                     const TraceBinding &binding, vg::Guest &guest,
-                     SigilProfiler &profiler,
-                     vg::BinaryReplaySession &session);
-
-} // namespace detail
 
 } // namespace sigil::core
 

@@ -93,7 +93,7 @@ SigilProfiler::attach(const vg::Guest &guest)
 void
 SigilProfiler::fnEnter(vg::ContextId ctx, vg::CallNum call)
 {
-    if (collecting_ && mode_ != Mode::kControlScan)
+    if (collecting_)
         ++row(ctx).calls;
     if (!config_.collectEvents)
         return;
@@ -152,7 +152,7 @@ void
 SigilProfiler::writeAccess(vg::Addr addr, unsigned size,
                            vg::ContextId ctx, vg::CallNum call)
 {
-    if (collecting_ && mode_ != Mode::kControlScan) {
+    if (collecting_) {
         row(ctx).writeBytes += size;
         if (config_.collectObjects) {
             tables_.objectSlot(guest_->allocationOf(addr)).writeBytes +=
@@ -163,9 +163,6 @@ SigilProfiler::writeAccess(vg::Addr addr, unsigned size,
     if (state.open)
         ++state.segment.writes;
     std::uint64_t seq = state.open ? state.segment.seq : 0;
-
-    if (mode_ == Mode::kControlScan)
-        return;
 
     if (engine_) {
         AccessStamp a;
@@ -184,32 +181,6 @@ SigilProfiler::writeAccess(vg::Addr addr, unsigned size,
     // One producer identity per access: intern it once, stamp the id.
     const shadow::StampId ws = shadow_.internWriter(
         shadow::WriterStamp{seq, ctx, currentTid_});
-    if (mode_ == Mode::kSegmentWorker) {
-        // Speculative walk: the first overwrite of a unit this worker
-        // never wrote must finalize the *predecessor's* pending re-use
-        // run, which lives in the merged shadow the resolution pass
-        // folds segments into — log a termination and take ownership.
-        // Units already owned behave exactly like the serial span path.
-        shadow_.span(first, last, /*want_cold=*/false,
-                     [&](shadow::ShadowMemory::Run run) {
-            for (std::size_t i = 0; i < run.count; ++i) {
-                shadow::ShadowHot &hot = run.hot[i];
-                if (hot.writer == 0 ||
-                    shadow::StampTable::isUnresolved(hot.writer)) {
-                    BoundaryOp op;
-                    op.kind = BoundaryOp::Kind::kTerminate;
-                    op.unit = run.firstUnit + i;
-                    boundaryLog_.push_back(op);
-                } else if (reuseEnabled_ && run.cold != nullptr &&
-                           hot.reader != 0) {
-                    commFinalizeRun(tables_, reuseEnabled_,
-                                    shadow_.stamps(), hot, run.cold + i);
-                }
-                hot = shadow::ShadowHot{ws, 0};
-            }
-        });
-        return;
-    }
     if (config_.referenceShadowPath) {
         // Reference path: resolve the chunk once per unit.
         for (std::uint64_t u = first; u <= last; ++u) {
@@ -249,14 +220,11 @@ void
 SigilProfiler::readAccess(vg::Addr addr, unsigned size, vg::ContextId ctx,
                           vg::CallNum call, vg::Tick now)
 {
-    if (collecting_ && mode_ != Mode::kControlScan)
+    if (collecting_)
         row(ctx).readBytes += size;
     SegState &state = seg();
     if (state.open)
         ++state.segment.reads;
-
-    if (mode_ == Mode::kControlScan)
-        return;
 
     if (engine_) {
         std::int32_t alloc_idx = -1;
@@ -302,61 +270,6 @@ SigilProfiler::readAccess(vg::Addr addr, unsigned size, vg::ContextId ctx,
     const shadow::StampId rs = shadow_.internReader(
         shadow::ReaderStamp{reuseEnabled_ ? call : 0, ctx});
     const bool want_cold = readWantsCold();
-    if (mode_ == Mode::kSegmentWorker) {
-        // Speculative walk: a unit this worker ever wrote is *owned* —
-        // its whole local history is known, so the serial kernel runs
-        // as-is. A unit it never wrote has an unknown producer: mark
-        // it with an unresolved placeholder stamp and log the read;
-        // the resolution pass replays the log in order against the
-        // merged predecessor shadow, classifying with real producers.
-        // Every unit touch takes an epoch so edge first-occurrence
-        // order survives the split between the two table sets.
-        shadow_.span(first, last, want_cold,
-                     [&](shadow::ShadowMemory::Run run) {
-            for (std::size_t i = 0; i < run.count; ++i) {
-                std::uint64_t u = run.firstUnit + i;
-                std::uint64_t w = unit_bytes;
-                if (u == first || u == last) {
-                    std::uint64_t unit_lo = u << shift;
-                    std::uint64_t unit_hi = unit_lo + unit_bytes;
-                    std::uint64_t lo =
-                        std::max<std::uint64_t>(addr, unit_lo);
-                    std::uint64_t hi =
-                        std::min<std::uint64_t>(addr + size, unit_hi);
-                    w = hi - lo;
-                }
-                a.epoch = ++epochCounter_;
-                shadow::ShadowHot &hot = run.hot[i];
-                if (hot.writer == 0 ||
-                    shadow::StampTable::isUnresolved(hot.writer)) {
-                    if (hot.writer == 0) {
-                        hot.writer =
-                            shadow_.internUnresolved(shadow::UnresolvedStamp{
-                                segmentIndex_, a.segSeq});
-                    }
-                    BoundaryOp op;
-                    op.kind = BoundaryOp::Kind::kRead;
-                    op.collecting = collecting_;
-                    op.wantCold = want_cold;
-                    op.unit = u;
-                    op.w = w;
-                    op.localReader = rs;
-                    op.ctx = ctx;
-                    op.tick = now;
-                    op.tid = currentTid_;
-                    op.segSeq = a.segSeq;
-                    op.epoch = a.epoch;
-                    boundaryLog_.push_back(op);
-                } else {
-                    commReadUnit(tables_, env, shadow_.stamps(), hot,
-                                 run.cold ? run.cold + i : nullptr, w, a,
-                                 rs, &state.xfers,
-                                 unique_bytes_this_access);
-                }
-            }
-        });
-        return;
-    }
     if (config_.referenceShadowPath) {
         // Reference path: resolve the chunk and compute the covered
         // byte width from scratch for every unit.
@@ -419,11 +332,9 @@ SigilProfiler::opAt(std::uint64_t iops, std::uint64_t flops,
         return;
     if (ctx == vg::kInvalidContext)
         panic("SigilProfiler: op outside any function");
-    if (mode_ != Mode::kControlScan) {
-        CommAggregates &r = row(ctx);
-        r.iops += iops;
-        r.flops += flops;
-    }
+    CommAggregates &r = row(ctx);
+    r.iops += iops;
+    r.flops += flops;
     SegState &state = seg();
     if (state.open) {
         state.segment.iops += iops;
@@ -552,26 +463,7 @@ SigilProfiler::flushSegment(SegState &state)
     bool has_work = segment.iops || segment.flops || segment.reads ||
                     segment.writes;
     if (collecting_ && (has_work || !state.xfers.empty())) {
-        if (mode_ == Mode::kSegmentWorker) {
-            // Workers never emit records — the control scan already
-            // wrote this segment's C record and placeholder. Bank the
-            // locally observed transfers (comm-kernel entries for
-            // owned units plus the restored/barrier ordering entries)
-            // for the resolution pass to fold in stream order.
-            auto &dst = workerSegXfers_[segment.seq];
-            for (const auto &[src, bytes] : state.xfers)
-                dst[src] += bytes;
-        } else if (mode_ == Mode::kControlScan) {
-            // Control scan: emit the C record and a placeholder so the
-            // resolution fold can splice the X records (accumulated
-            // across workers and boundary replay) in front of it,
-            // exactly like the sharded fold does.
-            pendingSegs_.push_back(PendingSeg{events_.records.size(),
-                                              segment.seq, skipStamp_,
-                                              std::move(state.xfers)});
-            state.xfers = {};
-            events_.records.push_back(EventRecord::makeCompute(segment));
-        } else if (engine_) {
+        if (engine_) {
             // The segment's data transfers are still distributed over
             // the shard tables; emit the C record now and leave a
             // placeholder so the fold can splice the X records in
@@ -603,14 +495,7 @@ SigilProfiler::flushSegment(SegState &state)
     } else {
         skippedSegments_.emplace(segment.seq,
                                  SkipInfo{segment.predSeq, skipStamp_++});
-        if (mode_ == Mode::kControlScan && config_.collectEvents) {
-            // Worker- and replay-side transfers charged to this
-            // segment must be discarded at the resolution fold, as the
-            // serial path discards state.xfers here. (Workers reach
-            // the same decision — the segment counters are part of the
-            // restored control state — and drop theirs locally.)
-            discardedSeqs_.push_back(segment.seq);
-        } else if (engine_ && config_.collectEvents) {
+        if (engine_ && config_.collectEvents) {
             // Any shard-side transfers charged to this segment must be
             // discarded at the fold, as the serial path discards
             // state.xfers here.
@@ -894,12 +779,6 @@ SigilProfiler::finish()
 {
     for (SegState &state : segStates_)
         flushSegment(state);
-    if (mode_ == Mode::kControlScan) {
-        // The control scan only sequences: segment record emission and
-        // skip forwarding are final here, but every kernel-side total
-        // (and the shadow sweep) belongs to the resolution fold.
-        return;
-    }
     // The end-of-run sweep only finalizes pending re-use runs and (in
     // line mode) folds per-unit access totals: both live in the cold
     // record, so chunks that never materialized one are skipped whole.
@@ -915,91 +794,27 @@ SigilProfiler::finish()
     if (engine_) {
         needsFold_ = true;
         foldShards();
-        if (!sweep_needed)
-            return;
-        for (unsigned i = 0; i < engine_->shardCount(); ++i) {
-            shadow::ShadowMemory &sh = engine_->shadowOf(i);
-            sh.forEach(
-                [this, &sh](std::uint64_t, shadow::ShadowRef obj) {
-                    commFinalizeRun(tables_, reuseEnabled_, sh.stamps(),
-                                    obj.hot, obj.cold);
-                    if (config_.granularityShift > 0 && obj.cold &&
-                        obj.cold->totalAccesses > 0) {
-                        tables_.lineReuseBreakdown.add(
-                            obj.cold->totalAccesses - 1);
-                    }
-                },
-                filter);
-        }
-        return;
     }
-    runFinalSweep();
-}
-
-void
-SigilProfiler::runFinalSweep()
-{
-    const bool sweep_needed =
-        config_.granularityShift > 0 || reuseEnabled_;
     if (!sweep_needed)
         return;
-    const shadow::SweepFilter filter =
-        config_.granularityShift > 0 ? shadow::SweepFilter::ColdChunks
-                                     : shadow::SweepFilter::PendingRuns;
-    shadow_.forEach(
-        [this](std::uint64_t unit, shadow::ShadowRef obj) {
-            (void)unit;
-            commFinalizeRun(tables_, reuseEnabled_, shadow_.stamps(),
-                            obj.hot, obj.cold);
-            if (config_.granularityShift > 0 && obj.cold &&
-                obj.cold->totalAccesses > 0)
-                tables_.lineReuseBreakdown.add(obj.cold->totalAccesses -
-                                               1);
-        },
-        filter);
-}
-
-SigilProfiler::ControlState
-SigilProfiler::captureControlState() const
-{
-    ControlState s;
-    s.collecting = collecting_;
-    s.segStates = segStates_;
-    s.currentTid = currentTid_;
-    s.nextSeq = nextSeq_;
-    s.skippedSegments = skippedSegments_;
-    s.skipStamp = skipStamp_;
-    s.barrierPreds = barrierPreds_;
-    return s;
-}
-
-void
-SigilProfiler::restoreControlState(const ControlState &s)
-{
-    collecting_ = s.collecting;
-    segStates_ = s.segStates;
-    currentTid_ = s.currentTid;
-    nextSeq_ = s.nextSeq;
-    skippedSegments_ = s.skippedSegments;
-    skipStamp_ = s.skipStamp;
-    barrierPreds_ = s.barrierPreds;
-}
-
-void
-SigilProfiler::flushOpenSegmentsToXfers()
-{
-    // A segment spanning the cut stays open — the successor worker
-    // (or the control scan's final flush) closes it. Only its locally
-    // observed transfers move to the banked map keyed by sequence, so
-    // the resolution pass can attribute them regardless of which
-    // worker eventually flushes the segment.
-    for (SegState &s : segStates_) {
-        if (!s.open || s.xfers.empty())
-            continue;
-        auto &dst = workerSegXfers_[s.segment.seq];
-        for (const auto &[src, bytes] : s.xfers)
-            dst[src] += bytes;
-        s.xfers.clear();
+    const auto sweep = [this, filter](shadow::ShadowMemory &sh) {
+        sh.forEach(
+            [this, &sh](std::uint64_t, shadow::ShadowRef obj) {
+                commFinalizeRun(tables_, reuseEnabled_, sh.stamps(),
+                                obj.hot, obj.cold);
+                if (config_.granularityShift > 0 && obj.cold &&
+                    obj.cold->totalAccesses > 0) {
+                    tables_.lineReuseBreakdown.add(
+                        obj.cold->totalAccesses - 1);
+                }
+            },
+            filter);
+    };
+    if (engine_) {
+        for (unsigned i = 0; i < engine_->shardCount(); ++i)
+            sweep(engine_->shadowOf(i));
+    } else {
+        sweep(shadow_);
     }
 }
 
@@ -1109,6 +924,9 @@ SigilProfiler::takeProfile() const
 }
 
 namespace {
+
+/** The one SGCP profiler body version this build writes and reads. */
+constexpr std::uint8_t kStateVersion = 3;
 
 void
 putLinearHistogram(ByteSink &sink, const LinearHistogram &h)
@@ -1241,21 +1059,6 @@ getComputeEvent(ByteSource &src, ComputeEvent &c)
 void
 SigilProfiler::saveState(ByteSink &sink)
 {
-    // Version 4 is version 3 plus a segment-provenance trailer; it is
-    // only emitted when a segmented driver stamped this profiler, so
-    // serial snapshots stay byte-identical to previous releases.
-    saveStateImpl(sink, provenance_ ? 4 : 3);
-}
-
-void
-SigilProfiler::saveStateLegacy(ByteSink &sink)
-{
-    saveStateImpl(sink, engine_ ? 2 : 1);
-}
-
-void
-SigilProfiler::saveStateImpl(ByteSink &sink, std::uint8_t version)
-{
     if (engine_) {
         // Fold everything shard-side into the authoritative tables so
         // the serialized body is engine-independent (and restorable
@@ -1265,16 +1068,11 @@ SigilProfiler::saveStateImpl(ByteSink &sink, std::uint8_t version)
         mergeOpenSegXfers();
     }
 
-    // Version 2 differs from 1 only by recording the shard count of
-    // the saving run (informational); the body layout is identical.
-    // Version 3 always records the shard count (1 when serial) and
-    // replaces the per-unit identity tuples with the interned stamp
-    // table plus chunk-grouped stamp-id units.
-    sink.u8(version);
-    if (version >= 3)
-        sink.varint(engine_ ? engine_->shardCount() : 1);
-    else if (engine_)
-        sink.varint(engine_->shardCount());
+    // Version 3: the shard count of the saving run (1 when serial,
+    // informational only), then the body — the interned stamp table
+    // plus chunk-grouped stamp-id units for the shadow.
+    sink.u8(kStateVersion);
+    sink.varint(engine_ ? engine_->shardCount() : 1);
 
     // Config echo: a checkpoint is only meaningful for the identical
     // collection configuration (referenceShadowPath is excluded — the
@@ -1376,63 +1174,8 @@ SigilProfiler::saveStateImpl(ByteSink &sink, std::uint8_t version)
     sink.u64(st.evictions);
     sink.u64(st.allocFailures);
 
-    if (version < 3) {
-        // Legacy body: flat unit list in recency order, identity
-        // tuples inline (resolved back from the stamp table).
-        const auto putUnitLegacy = [&](const shadow::StampTable &table,
-                                       std::uint64_t unit,
-                                       shadow::ShadowRef obj) {
-            const shadow::WriterStamp &w = table.writer(obj.hot.writer);
-            const shadow::ReaderStamp &r = table.reader(obj.hot.reader);
-            sink.varint(unit);
-            sink.u64(w.seq);
-            sink.u64(0); // legacy writer-call slot; no consumer
-            sink.u64(r.call);
-            sink.u32(static_cast<std::uint32_t>(w.ctx));
-            sink.u32(static_cast<std::uint32_t>(r.ctx));
-            sink.u32(w.thread);
-            sink.u64(obj.cold ? obj.cold->runFirstRead : 0);
-            sink.u64(obj.cold ? obj.cold->runLastRead : 0);
-            sink.u64(obj.cold ? obj.cold->totalAccesses : 0);
-            sink.u32(obj.cold ? obj.cold->runReads : 0);
-        };
-        if (engine_) {
-            std::uint64_t unit_count = 0;
-            engine_->planner().forEachChunk(
-                [&](std::uint64_t index, bool) {
-                    engine_->shadowOf(engine_->shardOf(index))
-                        .forEachInChunk(
-                            index,
-                            [&](std::uint64_t, shadow::ShadowRef) {
-                                ++unit_count;
-                            });
-                });
-            sink.varint(unit_count);
-            engine_->planner().forEachChunk(
-                [&](std::uint64_t index, bool) {
-                    shadow::ShadowMemory &sh =
-                        engine_->shadowOf(engine_->shardOf(index));
-                    sh.forEachInChunk(
-                        index, [&](std::uint64_t unit,
-                                   shadow::ShadowRef obj) {
-                            putUnitLegacy(sh.stamps(), unit, obj);
-                        });
-                });
-        } else {
-            std::uint64_t unit_count = 0;
-            shadow_.forEachInRecencyOrder(
-                [&](std::uint64_t, shadow::ShadowRef) { ++unit_count; });
-            sink.varint(unit_count);
-            shadow_.forEachInRecencyOrder(
-                [&](std::uint64_t unit, shadow::ShadowRef obj) {
-                    putUnitLegacy(shadow_.stamps(), unit, obj);
-                });
-        }
-        return;
-    }
-
-    // Version 3 shadow body. The byte peak joins the stats (it is no
-    // longer derivable from chunksPeak once cold arrays are lazy).
+    // Shadow body. The byte peak joins the stats (it is not derivable
+    // from chunksPeak, because cold arrays are allocated lazily).
     sink.u64(st.bytesPeak);
 
     // The FULL stamp table, in id order — including tuples whose only
@@ -1535,30 +1278,18 @@ SigilProfiler::saveStateImpl(ByteSink &sink, std::uint8_t version)
                                    });
         }
     }
-
-    // Version 4 trailer: which segmented cut this snapshot was taken
-    // at. Informational — the body above is complete replay state, so
-    // serial and segmented drivers resume each other's files.
-    if (version >= 4) {
-        sink.u64(provenance_->segments);
-        sink.u64(provenance_->segmentIndex);
-        sink.u64(provenance_->cutOffset);
-    }
 }
 
 bool
 SigilProfiler::restoreState(ByteSource &src)
 {
-    std::uint8_t version = src.u8();
-    if (version < 1 || version > 4)
+    if (src.u8() != kStateVersion)
         return false;
-    if (version >= 2) {
-        // Shard count of the saving run; the body is engine-neutral,
-        // so the value is informational only.
-        (void)src.varint();
-        if (!src.ok())
-            return false;
-    }
+    // Shard count of the saving run; the body is engine-neutral, so
+    // the value is informational only.
+    (void)src.varint();
+    if (!src.ok())
+        return false;
 
     if (src.u8() != config_.granularityShift ||
         src.u64() != config_.maxShadowChunks ||
@@ -1712,8 +1443,7 @@ SigilProfiler::restoreState(ByteSource &src)
     // Re-interns a resolved identity tuple pair into whichever tables
     // the target engine uses and stores the unit. Interning (rather
     // than trusting saved ids) keeps the restore correct even if the
-    // saved id space and ours ever disagree, and lets v1/v2 bodies —
-    // which carry tuples, not ids — restore into the same machinery.
+    // saved id space and ours ever disagree.
     const auto restoreUnit = [&](std::uint64_t unit, bool has_cold,
                                  const shadow::WriterStamp &w,
                                  const shadow::ReaderStamp &r,
@@ -1724,8 +1454,8 @@ SigilProfiler::restoreState(ByteSource &src)
                                                             has_cold);
         if (engine_) {
             // Keep the sequencer's mirror table in sync so later
-            // saves can resolve shard-local ids (v3 interned the full
-            // table above already; this is a dedup no-op there).
+            // saves can resolve shard-local ids (the full table was
+            // interned above already; this is a dedup no-op).
             engine_->planner().stamps().internWriter(w);
             engine_->planner().stamps().internReader(r);
             obj.hot.writer = engine_->internWriterFor(unit, w);
@@ -1738,114 +1468,73 @@ SigilProfiler::restoreState(ByteSource &src)
             *obj.cold = cold;
     };
 
-    if (version < 3) {
-        // Legacy flat unit list with inline identity tuples. A unit
-        // gets a cold slot iff any cold field is nonzero — exactly the
-        // units the old eager-cold layout carried pending state for.
-        // bytesPeak was not recorded; restoreStats approximates it as
-        // the rebuilt live footprint.
+    st.bytesPeak = src.u64();
+
+    // Full stamp table of the saving run. Every entry is interned
+    // up front — even ones no resident unit references — so the
+    // resumed run's table growth (hence byte accounting) matches
+    // an uninterrupted run's.
+    std::uint64_t wcount = src.varint();
+    if (!src.ok() || wcount > (std::uint64_t{1} << 32))
+        return false;
+    std::vector<shadow::WriterStamp> writers(
+        static_cast<std::size_t>(wcount) + 1);
+    for (std::uint64_t i = 1; i <= wcount; ++i) {
+        shadow::WriterStamp &w = writers[i];
+        w.seq = src.u64();
+        w.ctx = static_cast<vg::ContextId>(src.u32());
+        w.thread = src.u32();
+        if (engine_)
+            engine_->planner().stamps().internWriter(w);
+        else
+            shadow_.internWriter(w);
+    }
+    std::uint64_t rcount = src.varint();
+    if (!src.ok() || rcount > (std::uint64_t{1} << 32))
+        return false;
+    std::vector<shadow::ReaderStamp> readers(
+        static_cast<std::size_t>(rcount) + 1);
+    for (std::uint64_t i = 1; i <= rcount; ++i) {
+        shadow::ReaderStamp &r = readers[i];
+        r.call = src.u64();
+        r.ctx = static_cast<vg::ContextId>(src.u32());
+        if (engine_)
+            engine_->planner().stamps().internReader(r);
+        else
+            shadow_.internReader(r);
+    }
+
+    std::uint64_t num_chunks = src.varint();
+    if (!src.ok() || num_chunks > (std::uint64_t{1} << 28))
+        return false;
+    for (std::uint64_t c = 0; c < num_chunks; ++c) {
+        std::uint64_t index = src.varint();
+        std::uint8_t has_cold = src.u8();
         std::uint64_t num_units = src.varint();
-        if (!src.ok() || num_units > (std::uint64_t{1} << 40))
+        if (!src.ok() || has_cold > 1 ||
+            num_units > shadow::ShadowMemory::kChunkUnits) {
             return false;
+        }
+        const std::uint64_t base =
+            index << shadow::ShadowMemory::kChunkShift;
         for (std::uint64_t i = 0; i < num_units; ++i) {
-            std::uint64_t unit = src.varint();
-            if (!src.ok())
+            std::uint64_t off = src.varint();
+            std::uint64_t wid = src.varint();
+            std::uint64_t rid = src.varint();
+            if (!src.ok() ||
+                off >= shadow::ShadowMemory::kChunkUnits ||
+                wid > wcount || rid > rcount) {
                 return false;
-            shadow::WriterStamp w;
-            shadow::ReaderStamp r;
+            }
             shadow::ShadowCold cold;
-            w.seq = src.u64();
-            src.u64(); // legacy writer-call slot; no consumer
-            r.call = src.u64();
-            w.ctx = static_cast<vg::ContextId>(src.u32());
-            r.ctx = static_cast<vg::ContextId>(src.u32());
-            w.thread = src.u32();
-            cold.runFirstRead = src.u64();
-            cold.runLastRead = src.u64();
-            cold.totalAccesses = src.u64();
-            cold.runReads = src.u32();
-            const bool has_cold = cold.runFirstRead != 0 ||
-                                  cold.runLastRead != 0 ||
-                                  cold.totalAccesses != 0 ||
-                                  cold.runReads != 0;
-            restoreUnit(unit, has_cold, w, r, cold);
-        }
-    } else {
-        st.bytesPeak = src.u64();
-
-        // Full stamp table of the saving run. Every entry is interned
-        // up front — even ones no resident unit references — so the
-        // resumed run's table growth (hence byte accounting) matches
-        // an uninterrupted run's.
-        std::uint64_t wcount = src.varint();
-        if (!src.ok() || wcount > (std::uint64_t{1} << 32))
-            return false;
-        std::vector<shadow::WriterStamp> writers(
-            static_cast<std::size_t>(wcount) + 1);
-        for (std::uint64_t i = 1; i <= wcount; ++i) {
-            shadow::WriterStamp &w = writers[i];
-            w.seq = src.u64();
-            w.ctx = static_cast<vg::ContextId>(src.u32());
-            w.thread = src.u32();
-            if (engine_)
-                engine_->planner().stamps().internWriter(w);
-            else
-                shadow_.internWriter(w);
-        }
-        std::uint64_t rcount = src.varint();
-        if (!src.ok() || rcount > (std::uint64_t{1} << 32))
-            return false;
-        std::vector<shadow::ReaderStamp> readers(
-            static_cast<std::size_t>(rcount) + 1);
-        for (std::uint64_t i = 1; i <= rcount; ++i) {
-            shadow::ReaderStamp &r = readers[i];
-            r.call = src.u64();
-            r.ctx = static_cast<vg::ContextId>(src.u32());
-            if (engine_)
-                engine_->planner().stamps().internReader(r);
-            else
-                shadow_.internReader(r);
-        }
-
-        std::uint64_t num_chunks = src.varint();
-        if (!src.ok() || num_chunks > (std::uint64_t{1} << 28))
-            return false;
-        for (std::uint64_t c = 0; c < num_chunks; ++c) {
-            std::uint64_t index = src.varint();
-            std::uint8_t has_cold = src.u8();
-            std::uint64_t num_units = src.varint();
-            if (!src.ok() || has_cold > 1 ||
-                num_units > shadow::ShadowMemory::kChunkUnits) {
-                return false;
+            if (has_cold != 0) {
+                cold.runFirstRead = src.u64();
+                cold.runLastRead = src.u64();
+                cold.totalAccesses = src.u64();
+                cold.runReads = src.u32();
             }
-            const std::uint64_t base =
-                index << shadow::ShadowMemory::kChunkShift;
-            for (std::uint64_t i = 0; i < num_units; ++i) {
-                std::uint64_t off = src.varint();
-                std::uint64_t wid = src.varint();
-                std::uint64_t rid = src.varint();
-                if (!src.ok() ||
-                    off >= shadow::ShadowMemory::kChunkUnits ||
-                    wid > wcount || rid > rcount) {
-                    return false;
-                }
-                shadow::ShadowCold cold;
-                if (has_cold != 0) {
-                    cold.runFirstRead = src.u64();
-                    cold.runLastRead = src.u64();
-                    cold.totalAccesses = src.u64();
-                    cold.runReads = src.u32();
-                }
-                restoreUnit(base + off, has_cold != 0, writers[wid],
-                            readers[rid], cold);
-            }
-        }
-        if (version >= 4) {
-            // Segment-provenance trailer: informational, consumed so
-            // the session reader state that follows stays aligned.
-            (void)src.u64();
-            (void)src.u64();
-            (void)src.u64();
+            restoreUnit(base + off, has_cold != 0, writers[wid],
+                        readers[rid], cold);
         }
     }
     if (engine_)

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -40,7 +39,6 @@
 namespace sigil::core {
 
 class ShardEngine;
-class SegmentEngine;
 
 /** Configuration of a profiling run. */
 struct SigilConfig
@@ -141,43 +139,14 @@ class SigilProfiler : public vg::Tool
      * constructed profiler with an *identical* SigilConfig; a config
      * mismatch or corrupt input returns false.
      *
-     * Sharded runs fold before saving, so the snapshot body is
-     * engine-independent: a checkpoint written by a sharded run (v2)
-     * restores into a serial profiler and vice versa, for any shard
-     * count.
+     * Sharded runs fold before saving, so the snapshot body (always
+     * version 3) is engine-independent: a checkpoint written by a
+     * sharded run restores into a serial profiler and vice versa, for
+     * any shard count. Any other version byte is rejected.
      */
     /// @{
     void saveState(ByteSink &sink);
     bool restoreState(ByteSource &src);
-
-    /**
-     * Where in a segment-parallel replay a snapshot was taken. When
-     * set, saveState() writes version 4 — the version-3 body plus this
-     * trailer — so a checkpoint written at a segment cut records its
-     * provenance. The trailer is informational: version-4 snapshots
-     * restore into serial and segmented replays alike.
-     */
-    struct SegmentProvenance
-    {
-        std::uint64_t segments = 0;
-        std::uint64_t segmentIndex = 0;
-        std::uint64_t cutOffset = 0;
-    };
-
-    void
-    setSegmentProvenance(const SegmentProvenance &p)
-    {
-        provenance_ = p;
-    }
-
-    /**
-     * Write the pre-stamp-table body (version 1 serial / 2 sharded):
-     * per-unit identity tuples inline, no stamp table, no byte peak.
-     * Retained so the cross-version restore path (v1/v2 snapshot into
-     * a stamp-compressed profiler) stays covered by tests; new
-     * checkpoints are always written by saveState() as version 3.
-     */
-    void saveStateLegacy(ByteSink &sink);
     /// @}
 
     /**
@@ -228,34 +197,6 @@ class SigilProfiler : public vg::Tool
     const SigilConfig &config() const { return config_; }
 
   private:
-    friend class SegmentEngine;
-
-    /**
-     * Which role this profiler plays in a segment-parallel replay
-     * (core/segment_engine.hh). kSerial is the normal standalone tool.
-     * kControlScan maintains only the control-flow state a segment
-     * worker must inherit — ROI flag, thread, segment seq chain and
-     * emit/skip decisions — and touches neither rows nor shadow.
-     * kSegmentWorker runs the full kernels against a speculative local
-     * shadow, logging reads of units it never wrote (and terminations
-     * of their pending runs) for the ordered resolution pass.
-     */
-    enum class Mode
-    {
-        kSerial,
-        kControlScan,
-        kSegmentWorker,
-    };
-
-    /** Merge each still-open segment's xfers into workerSegXfers_. */
-    void flushOpenSegmentsToXfers();
-
-    /**
-     * The serial end-of-run shadow sweep (finalize pending runs, fold
-     * line-mode access totals), callable on its own by the segment
-     * engine after the resolution merge.
-     */
-    void runFinalSweep();
     CommAggregates &
     row(vg::ContextId ctx)
     {
@@ -321,9 +262,6 @@ class SigilProfiler : public vg::Tool
         return collecting_ && classifyEnabled_ &&
                (reuseEnabled_ || config_.granularityShift > 0);
     }
-
-    /** Common body writer behind saveState()/saveStateLegacy(). */
-    void saveStateImpl(ByteSink &sink, std::uint8_t version);
 
     /**
      * Sharded mode: drain the workers and fold their partial tables —
@@ -401,84 +339,6 @@ class SigilProfiler : public vg::Tool
 
     /** Every thread's last segment at the most recent barrier. */
     std::vector<std::uint64_t> barrierPreds_;
-    /// @}
-
-    /** @name Segment-parallel engine state (core/segment_engine.hh) */
-    /// @{
-    Mode mode_ = Mode::kSerial;
-
-    /**
-     * Deep copy of the control-flow state a worker inherits at a cut:
-     * everything the event machinery reads besides guest state and the
-     * shadow. Captured by the control scan at each cut boundary and
-     * restored into the freshly constructed worker profiler.
-     */
-    struct ControlState
-    {
-        bool collecting = true;
-        std::vector<SegState> segStates;
-        vg::ThreadId currentTid = 0;
-        std::uint64_t nextSeq = 1;
-        std::unordered_map<std::uint64_t, SkipInfo> skippedSegments;
-        std::uint64_t skipStamp = 0;
-        std::vector<std::uint64_t> barrierPreds;
-    };
-
-    ControlState captureControlState() const;
-    void restoreControlState(const ControlState &s);
-
-    /**
-     * One deferred shadow operation on a unit this worker never wrote:
-     * either a read whose producer is unknown (classified during the
-     * resolution pass against the merged predecessor shadow) or the
-     * first local overwrite of such a unit (which must finalize the
-     * predecessor's pending re-use run). Replayed in log order.
-     */
-    struct BoundaryOp
-    {
-        enum class Kind : std::uint8_t
-        {
-            kRead,
-            kTerminate,
-        };
-        Kind kind = Kind::kRead;
-        bool collecting = true;
-        /** Cold-materialization decision of the originating access. */
-        bool wantCold = false;
-        std::uint64_t unit = 0;
-        /** Bytes of the access covered by this unit (reads). */
-        std::uint64_t w = 0;
-        /** Worker-local reader stamp id (remapped at resolution). */
-        shadow::StampId localReader = 0;
-        vg::ContextId ctx = vg::kInvalidContext;
-        vg::Tick tick = 0;
-        vg::ThreadId tid = 0;
-        std::uint64_t segSeq = 0;
-        /** Worker-local unit-touch epoch (orders edge creation). */
-        std::uint64_t epoch = 0;
-    };
-
-    /** Worker mode: deferred boundary operations, in access order. */
-    std::vector<BoundaryOp> boundaryLog_;
-
-    /** Worker mode: unit-touch counter tagging edge first occurrences. */
-    std::uint64_t epochCounter_ = 0;
-
-    /** Worker mode: index of the trace segment this worker replays. */
-    std::uint64_t segmentIndex_ = 0;
-
-    /**
-     * Worker mode: per consuming segment, producer segment → unique
-     * bytes from locally-owned units. Folded (with the resolution
-     * pass's boundary transfers) into the control scan's pending
-     * records.
-     */
-    std::unordered_map<std::uint64_t,
-                       std::unordered_map<std::uint64_t, std::uint64_t>>
-        workerSegXfers_;
-
-    /** Version-4 checkpoint trailer (set by the segment engine). */
-    std::optional<SegmentProvenance> provenance_;
     /// @}
 
     /** @name Sharded engine state (null ⇒ fully serial) */

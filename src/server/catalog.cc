@@ -5,17 +5,14 @@
 #include <utility>
 
 #include "core/profile_query.hh"
-#include "core/segment_engine.hh"
 #include "core/sigil_profiler.hh"
 #include "vg/guest.hh"
 #include "vg/trace_io.hh"
 
 namespace sigil::server {
 
-ProfileCatalog::ProfileCatalog(std::shared_ptr<MemoryGovernor> governor,
-                               unsigned segments)
-    : governor_(std::move(governor)),
-      segments_(segments == 0 ? 1 : segments)
+ProfileCatalog::ProfileCatalog(std::shared_ptr<MemoryGovernor> governor)
+    : governor_(std::move(governor))
 {
 }
 
@@ -41,25 +38,14 @@ ProfileCatalog::load(const std::string &name, const std::string &path)
     // The replay runs outside the catalog lock: loading a big trace
     // must not stall queries against already-resident profiles.
     vg::GuestConfig gcfg;
-    // Speculative segment workers rebuild guests from snapshots,
-    // which needs per-event dispatch.
-    gcfg.batchEvents = segments_ <= 1;
+    gcfg.batchEvents = true;
     vg::Guest guest(name, gcfg);
     core::SigilProfiler profiler{core::SigilConfig{}};
     guest.addTool(&profiler);
 
-    vg::ReplayReport report;
-    if (segments_ > 1) {
-        core::SegmentOptions sopt;
-        sopt.segments = segments_;
-        sopt.replay.policy = vg::ReplayPolicy::Salvage;
-        report = core::replaySegmentedFile(path, guest, profiler, sopt)
-                     .report;
-    } else {
-        vg::ReplayOptions ropt;
-        ropt.policy = vg::ReplayPolicy::Salvage;
-        report = vg::replayTraceFile(path, guest, ropt);
-    }
+    vg::ReplayOptions ropt;
+    ropt.policy = vg::ReplayPolicy::Salvage;
+    vg::ReplayReport report = vg::replayTraceFile(path, guest, ropt);
     if (!report.ok()) {
         status.error = report.error->message();
         return status;

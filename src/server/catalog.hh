@@ -5,8 +5,8 @@
  * The catalog decouples the expensive part of the paper's pipeline
  * (replaying a trace through the full profiler stack) from the cheap
  * part (answering queries over the resulting aggregate profile): each
- * trace is replayed exactly once at load time — segment-parallel,
- * salvage policy, so crash captures load too — and the immutable
+ * trace is replayed exactly once at load time — salvage policy, so
+ * crash captures load too — and the immutable
  * SigilProfile then serves any number of concurrent readers without
  * locking beyond a catalog-map mutex.
  *
@@ -48,12 +48,8 @@ struct LoadStatus
 class ProfileCatalog
 {
   public:
-    /**
-     * governor may be null (ungoverned catalog, never evicts).
-     * segments > 1 loads traces through the segment-parallel engine.
-     */
-    ProfileCatalog(std::shared_ptr<MemoryGovernor> governor,
-                   unsigned segments);
+    /** governor may be null (ungoverned catalog, never evicts). */
+    explicit ProfileCatalog(std::shared_ptr<MemoryGovernor> governor);
     ~ProfileCatalog();
 
     ProfileCatalog(const ProfileCatalog &) = delete;
@@ -103,7 +99,6 @@ class ProfileCatalog
     std::size_t evictOverBudgetLocked(const std::string &keep);
 
     std::shared_ptr<MemoryGovernor> governor_;
-    const unsigned segments_;
 
     mutable std::mutex mu_;
     std::vector<Entry> entries_;

@@ -48,8 +48,7 @@ ProfileQueryServer::ProfileQueryServer(ServerConfig config)
         config_.threads = 1;
     governor_ =
         std::make_shared<MemoryGovernor>(config_.memoryBudgetBytes);
-    catalog_ = std::make_unique<ProfileCatalog>(governor_,
-                                                config_.loadSegments);
+    catalog_ = std::make_unique<ProfileCatalog>(governor_);
 }
 
 ProfileQueryServer::~ProfileQueryServer()

@@ -1,6 +1,6 @@
 /**
  * @file
- * sigild — the profile-query daemon (DESIGN.md §4.9).
+ * sigild — the profile-query daemon (DESIGN.md §4.8).
  *
  * One accept thread per listener (Unix-domain always, loopback TCP
  * optionally) feeds accepted connections into a bounded queue drained
@@ -65,9 +65,6 @@ struct ServerConfig
 
     /** Worker stall deadline for the watchdog; 0 disables it. */
     unsigned stallTimeoutMs = 30000;
-
-    /** Segment-parallel width for trace loads. */
-    unsigned loadSegments = 1;
 };
 
 /**

@@ -12,12 +12,15 @@
  *
  * Usage:
  *   sigild --socket PATH [--tcp PORT] [--load NAME=TRACE]...
- *          [--threads N] [--budget-mb N] [--segments N]
+ *          [--threads N] [--budget-mb N]
  *          [--timeout-ms N] [--stall-ms N]
  */
 
 #include <cerrno>
+#include <charconv>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -49,7 +52,7 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s --socket PATH [--tcp PORT] [--load NAME=TRACE]...\n"
-        "          [--threads N] [--budget-mb N] [--segments N]\n"
+        "          [--threads N] [--budget-mb N]\n"
         "          [--timeout-ms N] [--stall-ms N]\n",
         argv0);
 }
@@ -62,20 +65,35 @@ main(int argc, char **argv)
     server::ServerConfig cfg;
     std::vector<std::pair<std::string, std::string>> loads;
 
-    auto intArg = [&](int &i, const char *what) -> long {
+    // A numeric flag takes a plain decimal in [lo, hi]: no sign, no
+    // whitespace, no trailing junk. Anything else is a usage error.
+    auto intArg = [&](int &i, const char *what, unsigned long long lo,
+                      unsigned long long hi) -> unsigned long long {
         if (i + 1 >= argc) {
             std::fprintf(stderr, "%s needs a value\n", what);
             usage(argv[0]);
             std::exit(2);
         }
-        return std::strtol(argv[++i], nullptr, 10);
+        const char *text = argv[++i];
+        const char *end = text + std::strlen(text);
+        unsigned long long v = 0;
+        auto [ptr, ec] = std::from_chars(text, end, v);
+        if (ec != std::errc() || ptr != end || ptr == text || v < lo ||
+            v > hi) {
+            std::fprintf(stderr,
+                         "%s wants an integer in [%llu, %llu], got '%s'\n",
+                         what, lo, hi, text);
+            usage(argv[0]);
+            std::exit(2);
+        }
+        return v;
     };
 
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--socket") == 0 && i + 1 < argc) {
             cfg.unixPath = argv[++i];
         } else if (std::strcmp(argv[i], "--tcp") == 0) {
-            cfg.tcpPort = static_cast<int>(intArg(i, "--tcp"));
+            cfg.tcpPort = static_cast<int>(intArg(i, "--tcp", 0, 65535));
         } else if (std::strcmp(argv[i], "--load") == 0 && i + 1 < argc) {
             std::string spec = argv[++i];
             std::size_t eq = spec.find('=');
@@ -89,20 +107,18 @@ main(int argc, char **argv)
             loads.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
         } else if (std::strcmp(argv[i], "--threads") == 0) {
             cfg.threads =
-                static_cast<unsigned>(intArg(i, "--threads"));
+                static_cast<unsigned>(intArg(i, "--threads", 1, 256));
         } else if (std::strcmp(argv[i], "--budget-mb") == 0) {
             cfg.memoryBudgetBytes =
-                static_cast<std::size_t>(intArg(i, "--budget-mb"))
+                static_cast<std::size_t>(
+                    intArg(i, "--budget-mb", 0, SIZE_MAX >> 20))
                 << 20;
-        } else if (std::strcmp(argv[i], "--segments") == 0) {
-            cfg.loadSegments =
-                static_cast<unsigned>(intArg(i, "--segments"));
         } else if (std::strcmp(argv[i], "--timeout-ms") == 0) {
             cfg.recvTimeoutMs = cfg.sendTimeoutMs =
-                static_cast<int>(intArg(i, "--timeout-ms"));
+                static_cast<int>(intArg(i, "--timeout-ms", 0, INT_MAX));
         } else if (std::strcmp(argv[i], "--stall-ms") == 0) {
-            cfg.stallTimeoutMs =
-                static_cast<unsigned>(intArg(i, "--stall-ms"));
+            cfg.stallTimeoutMs = static_cast<unsigned>(
+                intArg(i, "--stall-ms", 0, UINT_MAX));
         } else {
             std::fprintf(stderr, "unknown argument '%s'\n", argv[i]);
             usage(argv[0]);

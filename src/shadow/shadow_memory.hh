@@ -236,18 +236,6 @@ class ShadowMemory
         return id;
     }
 
-    /**
-     * Intern an unresolved placeholder (speculative segment workers).
-     * Deliberately not byte-accounted: placeholders never exist in a
-     * serial shadow, and the speculative worker's byte figures are
-     * discarded at fold time anyway.
-     */
-    StampId
-    internUnresolved(const UnresolvedStamp &s)
-    {
-        return stamps_.internUnresolved(s);
-    }
-
     const StampTable &stamps() const { return stamps_; }
     /// @}
 

@@ -84,75 +84,15 @@ struct ReaderStamp
     }
 };
 
-/**
- * Placeholder producer identity used by speculative segment replay: a
- * worker that reads a unit it has never written records *which segment
- * first observed the unknown value and at what event-segment sequence*
- * instead of a writer tuple. The resolution pass replaces every
- * occurrence with the real producer from the preceding segments' merged
- * shadow image (or the null writer if the unit was genuinely never
- * written).
- */
-struct UnresolvedStamp
-{
-    /** Trace-segment index of the speculating worker. */
-    std::uint64_t segment = 0;
-    /** Event segment seq active at the first unresolved read (0 = none). */
-    std::uint64_t firstReadSeq = 0;
-
-    bool
-    operator==(const UnresolvedStamp &o) const
-    {
-        return segment == o.segment && firstReadSeq == o.firstReadSeq;
-    }
-};
-
 /** The interning table: dense id → tuple, hash tuple → id. */
 class StampTable
 {
   public:
     StampTable();
 
-    /**
-     * Tag bit marking a writer StampId as an unresolved placeholder.
-     * The low bits index the side table of UnresolvedStamp entries.
-     * Real interned ids never reach 2^31 entries, so the bit is free.
-     */
-    static constexpr StampId kUnresolvedBit = 0x80000000u;
-
-    static bool
-    isUnresolved(StampId id)
-    {
-        return (id & kUnresolvedBit) != 0;
-    }
-
     /** Intern a tuple, returning its (possibly existing) id. */
     StampId internWriter(const WriterStamp &s);
     StampId internReader(const ReaderStamp &s);
-
-    /**
-     * Intern an unresolved placeholder, returning kUnresolvedBit | idx.
-     * Linear side table with a one-entry dedupe cache: consecutive
-     * unresolved reads in one event segment share the placeholder.
-     * Excluded from bytes() — placeholders exist only in speculative
-     * worker shadows, which are never byte-accounted against serial.
-     */
-    StampId
-    internUnresolved(const UnresolvedStamp &s)
-    {
-        if (!unresolved_.empty() && unresolved_.back() == s)
-            return kUnresolvedBit |
-                   static_cast<StampId>(unresolved_.size() - 1);
-        unresolved_.push_back(s);
-        return kUnresolvedBit |
-               static_cast<StampId>(unresolved_.size() - 1);
-    }
-
-    const UnresolvedStamp &
-    unresolved(StampId id) const
-    {
-        return unresolved_[id & ~kUnresolvedBit];
-    }
 
     /** Resolve an id back to its tuple. */
     const WriterStamp &
@@ -211,8 +151,6 @@ class StampTable
 
     std::vector<WriterStamp> writers_;
     std::vector<ReaderStamp> readers_;
-    /** Speculative placeholder lane; see internUnresolved(). */
-    std::vector<UnresolvedStamp> unresolved_;
     std::unordered_map<WriterStamp, StampId, WriterHash> writerIndex_;
     std::unordered_map<ReaderStamp, StampId, ReaderHash> readerIndex_;
 

@@ -14,8 +14,6 @@ memCategoryName(MemCategory cat)
         return "shadow";
     case MemCategory::ShardQueues:
         return "shard-queues";
-    case MemCategory::DecodeWindows:
-        return "decode-windows";
     case MemCategory::EventBuffers:
         return "event-buffers";
     case MemCategory::ProfileCatalog:

@@ -4,7 +4,7 @@
  *
  * Every subsystem that holds a non-trivial amount of heap — shadow
  * chunks (hot units, lazy cold arrays, stamp tables), shard work
- * queues, decode-pipeline frame windows, event buffers — charges its
+ * queues, event buffers, the sigild profile catalog — charges its
  * allocations against one MemoryGovernor instance owned by the Guest.
  * The governor itself never frees anything: it is a ledger plus a
  * predicate. Subsystems that *can* shed memory (the shadow's chunk
@@ -21,8 +21,8 @@
  * ungoverned runs stay bit-identical to pre-governor behaviour.
  *
  * Thread safety: charge/release/overBudget are lock-free atomics and
- * may be called from any thread (shard workers, decode workers, the
- * async writer). Peaks are maintained with CAS-max loops, so the
+ * may be called from any thread (shard workers, the async writer,
+ * sigild workers). Peaks are maintained with CAS-max loops, so the
  * reported peak is exact even under concurrent charging.
  */
 
@@ -40,10 +40,9 @@ namespace sigil {
 enum class MemCategory : unsigned {
     Shadow = 0,       ///< shadow chunks: hot units + cold arrays + stamps
     ShardQueues = 1,  ///< bounded SPSC rings feeding shard workers
-    DecodeWindows = 2, ///< in-flight decoded frames in the decode pipeline
-    EventBuffers = 3, ///< guest-side SoA event batches
-    ProfileCatalog = 4, ///< daemon-resident profiles (sigild catalog)
-    kCount = 5,
+    EventBuffers = 2, ///< guest-side SoA event batches
+    ProfileCatalog = 3, ///< daemon-resident profiles (sigild catalog)
+    kCount = 4,
 };
 
 /** Human-readable category name ("shadow", "shard-queues", ...). */

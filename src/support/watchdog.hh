@@ -2,8 +2,9 @@
  * @file
  * Stall watchdog for the parallel subsystems.
  *
- * Every long-lived worker thread — shard workers, decode workers, the
- * async analysis consumer, the background trace writer — registers
+ * Every long-lived worker thread — shard workers, sigild query
+ * workers, the async analysis consumer, the background trace writer —
+ * registers
  * itself as an entity and then reports liveness with three cheap
  * atomic operations: busy() when it picks up work, beat() as it makes
  * progress, idle() when it blocks waiting for more. A monitor thread
@@ -19,10 +20,10 @@
  * either invokes the stall handler (StallAction::Fail — the default
  * handler calls fatal(), failing the run with the report instead of
  * hanging) or logs the report and keeps running (StallAction::Degrade
- * — used by the decode pipeline, which can recover by restarting
- * itself from the consumer's position). A flagged entity re-arms as
- * soon as its beat counter moves again, so transient stalls are
- * reported once, not once per monitor tick.
+ * — used by sigild's query workers, where one slow request must not
+ * take the daemon down). A flagged entity re-arms as soon as its beat
+ * counter moves again, so transient stalls are reported once, not once
+ * per monitor tick.
  *
  * The monitor runs at a fraction of the deadline, so detection
  * latency is between one and roughly 1.25 deadlines. Heartbeats are

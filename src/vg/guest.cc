@@ -156,11 +156,6 @@ GuestConfig::validate() const
                       shardCount);
         return reject("shardCount", detail);
     }
-    if (decodeThreads == 0 || decodeThreads > 64) {
-        std::snprintf(detail, sizeof(detail),
-                      "must be in [1, 64] (got %u)", decodeThreads);
-        return reject("decodeThreads", detail);
-    }
     if (eventBufferEvents == 0)
         return reject("eventBufferEvents", "must be at least 1");
     if (asyncWriter && writerQueueFrames < 2) {

@@ -124,17 +124,6 @@ struct GuestConfig
     std::size_t shardQueueCapacity = std::size_t{1} << 15;
 
     /**
-     * Parallel trace ingestion: number of decode worker threads a
-     * BinaryReplaySession over an SGB2/SGB3 trace spins up to
-     * CRC-verify, decompress, and pre-decode frame payloads ahead of
-     * in-order delivery. 1 (the default) keeps the fully serial decode
-     * path; at most 64. Delivery to tools is bit-identical across all
-     * values — the workers only front-run pure per-frame work (see
-     * DESIGN.md §4.6). Purely advisory to the replay layer.
-     */
-    unsigned decodeThreads = 1;
-
-    /**
      * Background trace writer: a BinaryTraceRecorder attached to this
      * guest moves frame serialization — CRC32C and, for SGB3, LZ
      * compression — onto a dedicated writer thread fed by a bounded
@@ -153,7 +142,7 @@ struct GuestConfig
      * Process-wide memory budget, in bytes, enforced by the guest's
      * MemoryGovernor (support/mem_governor.hh). Accounted against it:
      * shadow chunks (hot + cold + stamp tables), shard work queues,
-     * decode-pipeline windows, and event buffers. When an allocation
+     * and event buffers. When an allocation
      * would exceed the budget the shadow evicts least-recently-used
      * chunks first and then escalates to the profiler's
      * never-descending degradation ladder instead of OOM-ing. 0 (the
@@ -164,12 +153,10 @@ struct GuestConfig
     /**
      * Stall deadline, in milliseconds, for the watchdog
      * (support/watchdog.hh) over every worker thread this guest's
-     * subsystems spawn: shard workers, decode workers, the async
-     * analysis consumer, and the background trace writer. A worker
-     * busy without progress for longer than this fails the run with a
-     * structured diagnostic report (decode workers instead degrade:
-     * the pipeline restarts from the consumer's position). 0 (the
-     * default) disables the watchdog.
+     * subsystems spawn: shard workers, the async analysis consumer,
+     * and the background trace writer. A worker busy without progress
+     * for longer than this fails the run with a structured diagnostic
+     * report. 0 (the default) disables the watchdog.
      */
     unsigned stallTimeoutMs = 0;
 

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cerrno>
 #include <charconv>
-#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
@@ -29,7 +28,6 @@
 #include "support/crc32c.hh"
 #include "support/logging.hh"
 #include "support/lz.hh"
-#include "support/mem_governor.hh"
 #include "support/watchdog.hh"
 
 namespace sigil::vg {
@@ -63,24 +61,7 @@ constexpr std::uint8_t kTagEvents = 0x02;
  * predating this tag skip it as an unknown-but-valid frame.
  */
 constexpr std::uint8_t kTagShutdown = 0x03;
-/**
- * Seek-index trailer: written by finish() after the end frame, payload
- * = varint entry count followed by one (offset delta, first event seq
- * delta, event count) varint triple per event frame. A 12-byte footer
- * ([u64le index frame offset]["SGIX"]) after the frame lets a reader
- * find it in O(1) from the file tail (docs/FORMATS.md §3.5). It sits
- * past the end frame, so replay — which stops at the end frame — never
- * visits it; salvage readers skip it as a valid frame of known length.
- */
-constexpr std::uint8_t kTagSeekIndex = 0x04;
 /// @}
-
-/** Seek-index footer magic (last 4 bytes of an indexed trace). */
-constexpr char kSeekFooterMagic[4] = {'S', 'G', 'I', 'X'};
-constexpr std::size_t kSeekFooterBytes = 12;
-
-/** Test-only decode-worker delay hook (setDecodeWorkerDelayForTesting). */
-void (*gDecodeWorkerDelayHook)(std::uint64_t block_seq) = nullptr;
 
 /**
  * SGB2 frame sync bytes. Resynchronization scans for this pattern and
@@ -319,9 +300,8 @@ struct PreEvent
 /**
  * Syntactic half of event decoding: opcode, operand varints, and the
  * value sanity caps — everything that depends only on the payload
- * bytes, so it can run on a decode worker thread. Semantic checks
- * (call depth, ROI state, function-id resolution) stay with
- * ReplayCtx::deliverEvent on the delivery thread. The split preserves
+ * bytes. Semantic checks (call depth, ROI state, function-id
+ * resolution) stay with ReplayCtx::deliverEvent. The split preserves
  * the fused decoder's error positions exactly: operand errors are
  * raised here mid-event, value-cap errors at the event's `at`.
  */
@@ -418,9 +398,8 @@ struct ReplayCtx
 
     /**
      * Semantic half of event delivery: guest-state checks and the
-     * actual tool dispatch. Always runs on the delivery thread, in
-     * stream order, regardless of how many threads decoded the frame —
-     * which is what keeps parallel replay bit-identical to serial.
+     * actual tool dispatch, in stream order, after the frame's pure
+     * syntactic decode (decodeFramePayload) has finished.
      */
     void
     deliverEvent(const PreEvent &ev, std::int64_t block)
@@ -637,7 +616,7 @@ findNextFrame(std::string_view data, std::size_t from, bool sgb3)
 
 /// @}
 
-/** @name Frame-parallel decode pipeline */
+/** @name Per-frame decode */
 /// @{
 
 /**
@@ -661,7 +640,7 @@ struct DecodeResult
  * frame says so, and syntactically decode the payload. `payload_off`
  * is the absolute file offset of the stored payload; errors inside a
  * compressed payload are positioned relative to it in the uncompressed
- * image, so they are stable across thread counts.
+ * image.
  */
 void
 decodeFramePayload(std::string_view payload, std::uint64_t payload_off,
@@ -717,358 +696,6 @@ decodeFramePayload(std::string_view payload, std::uint64_t payload_off,
         out.error = std::move(abort.err);
     }
 }
-
-/**
- * Frame-parallel decode pipeline: a lazy scanner walks the frame chain
- * ahead of the consumer and hands each syntactically located frame to
- * a worker pool, which runs decodeFramePayload concurrently. The
- * consumer asks for "the decode of the frame at offset X" and gets a
- * cached result (or computes it inline on a miss). Only pure per-frame
- * work moves off the consumer thread; every decision that touches
- * replay state — staleness, resync, accounting, delivery — stays with
- * the consumer in stream order, which is what makes the replay
- * bit-identical to serial for every thread count.
- *
- * The scanner follows exactly the chain the consumer will walk: after
- * a parsed frame it advances to that frame's end; on damage it stops
- * (strict) or probes forward with findNextFrame (salvage). If the
- * consumer ever lands somewhere the scanner did not predict, acquire()
- * discards stale work and restarts the scan from the requested offset,
- * so a miss costs only an inline decode, never correctness.
- */
-class DecodePipeline
-{
-  public:
-    DecodePipeline(std::string_view data, bool sgb3, bool salvage,
-                   unsigned workers, std::size_t start_pos,
-                   unsigned stall_timeout_ms, Watchdog *watchdog,
-                   MemoryGovernor *governor)
-        : data_(data), sgb3_(sgb3), salvage_(salvage),
-          window_(static_cast<std::size_t>(workers) * 4),
-          stallTimeoutMs_(stall_timeout_ms), dog_(watchdog),
-          gov_(governor), scanPos_(start_pos)
-    {
-        threads_.reserve(workers);
-        for (unsigned i = 0; i < workers; ++i)
-            threads_.emplace_back([this, i] { worker(i); });
-    }
-
-    ~DecodePipeline()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            stop_ = true;
-        }
-        cvWork_.notify_all();
-        cvDone_.notify_all();
-        for (auto &t : threads_)
-            t.join();
-        for (auto &job : inflight_)
-            retire(*job);
-    }
-
-    /**
-     * True after a worker held the consumer's frame past the stall
-     * deadline: the consumer decodes inline (bit-identical, slower)
-     * until tryRecover() restarts the pipeline. Consumer-thread state.
-     */
-    bool degraded() const { return degraded_; }
-
-    /**
-     * Restart a degraded pipeline from the consumer's position — the
-     * reset(pos) recovery path. Safe only once no worker still holds a
-     * job (a wedged worker writes into its Job when it finally wakes);
-     * returns false and stays degraded until then.
-     */
-    bool
-    tryRecover(std::size_t pos)
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        for (const auto &job : inflight_) {
-            if (job->taken && !job->done)
-                return false;
-        }
-        while (!inflight_.empty()) {
-            retire(*inflight_.front());
-            inflight_.pop_front();
-        }
-        ready_.clear();
-        scanPos_ = pos;
-        scanDone_ = false;
-        degraded_ = false;
-        topUp(lock);
-        cvWork_.notify_all();
-        return true;
-    }
-
-    /**
-     * Result of decoding the frame whose header parses at `pos`, or
-     * nullptr if the pipeline has no job there (caller decodes
-     * inline). The pointer stays valid until release().
-     */
-    const DecodeResult *
-    acquire(std::size_t pos)
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        // Drop jobs for frames the consumer skipped past (resync).
-        while (!inflight_.empty() && inflight_.front()->offset < pos)
-            discardFront(lock);
-        if (inflight_.empty() || inflight_.front()->offset != pos) {
-            // Scanner misprediction: restart the scan here so the
-            // window refills behind this frame.
-            while (!inflight_.empty())
-                discardFront(lock);
-            ready_.clear();
-            scanPos_ = pos;
-            scanDone_ = false;
-            topUp(lock);
-            if (inflight_.empty() || inflight_.front()->offset != pos)
-                return nullptr;
-        }
-        Job *j = inflight_.front().get();
-        if (!j->taken) {
-            // Steal: decode the head frame on the consumer thread
-            // rather than wait for a worker to reach it.
-            j->taken = true;
-            for (auto it = ready_.begin(); it != ready_.end(); ++it) {
-                if (*it == j) {
-                    ready_.erase(it);
-                    break;
-                }
-            }
-            lock.unlock();
-            runJob(*j);
-            lock.lock();
-            finishJob(*j);
-            cvDone_.notify_all();
-        } else if (stallTimeoutMs_ > 0) {
-            // Bounded wait: a worker wedged on this frame past the
-            // deadline must not wedge the replay too. Degrade to
-            // inline decoding (still bit-identical) and let the next
-            // step() attempt tryRecover().
-            bool completed = cvDone_.wait_for(
-                lock, std::chrono::milliseconds(stallTimeoutMs_),
-                [&] { return j->done || stop_; });
-            if (!completed) {
-                degraded_ = true;
-                return nullptr;
-            }
-            if (!j->done)
-                return nullptr;
-        } else {
-            cvDone_.wait(lock, [&] { return j->done || stop_; });
-            if (!j->done)
-                return nullptr;
-        }
-        topUp(lock);
-        cvWork_.notify_all();
-        return &j->result;
-    }
-
-    /** Release the job returned by the last acquire(). */
-    void
-    release()
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (!inflight_.empty()) {
-            retire(*inflight_.front());
-            inflight_.pop_front();
-        }
-    }
-
-    /** Restart scanning from `pos` (checkpoint restore). */
-    void
-    reset(std::size_t pos)
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        while (!inflight_.empty())
-            discardFront(lock);
-        ready_.clear();
-        scanPos_ = pos;
-        scanDone_ = false;
-    }
-
-  private:
-    struct Job
-    {
-        std::size_t offset = 0;
-        FrameHeader h;
-        DecodeResult result;
-        bool taken = false;
-        bool done = false;
-        /** Governor bytes held by result (0 = not charged). */
-        std::size_t chargedBytes = 0;
-    };
-
-    void
-    runJob(Job &j)
-    {
-        if (gDecodeWorkerDelayHook != nullptr)
-            gDecodeWorkerDelayHook(j.h.blockSeq);
-        std::size_t payload_off = j.offset + j.h.headerLen;
-        decodeFramePayload(
-            data_.substr(payload_off,
-                         static_cast<std::size_t>(j.h.payloadLen)),
-            payload_off, j.h,
-            static_cast<std::int64_t>(j.h.blockSeq), j.result);
-    }
-
-    /**
-     * Advance the scan until the prefetch window is full or the chain
-     * ends. Called with mu_ held; pure frame-chain walking, no replay
-     * state involved.
-     */
-    void
-    topUp(std::unique_lock<std::mutex> &)
-    {
-        while (!scanDone_ && inflight_.size() < window_) {
-            auto h = parseFrameAt(data_, scanPos_, sgb3_);
-            if (!h) {
-                if (!salvage_) {
-                    scanDone_ = true;
-                    break;
-                }
-                std::size_t next =
-                    findNextFrame(data_, scanPos_ + 1, sgb3_);
-                if (next == std::string_view::npos) {
-                    scanDone_ = true;
-                    break;
-                }
-                scanPos_ = next;
-                continue;
-            }
-            std::size_t frame_end =
-                scanPos_ + h->headerLen +
-                static_cast<std::size_t>(h->payloadLen);
-            if (frame_end > data_.size()) {
-                // Truncated frame: the consumer handles it inline; in
-                // salvage it will resync, which restarts the scan.
-                scanDone_ = true;
-                break;
-            }
-            auto job = std::make_unique<Job>();
-            job->offset = scanPos_;
-            job->h = *h;
-            inflight_.push_back(std::move(job));
-            ready_.push_back(inflight_.back().get());
-            scanPos_ = frame_end;
-            if (h->tag == kTagEnd)
-                scanDone_ = true;
-        }
-    }
-
-    /** Called with mu_ held; blocks until the front job is reusable. */
-    void
-    discardFront(std::unique_lock<std::mutex> &lock)
-    {
-        Job *j = inflight_.front().get();
-        for (auto it = ready_.begin(); it != ready_.end(); ++it) {
-            if (*it == j) {
-                ready_.erase(it);
-                break;
-            }
-        }
-        if (j->taken)
-            cvDone_.wait(lock, [&] { return j->done || stop_; });
-        retire(*j);
-        inflight_.pop_front();
-    }
-
-    /**
-     * Completion bookkeeping, with mu_ held: charge the decoded
-     * frame's footprint to the governor (released by retire()) and
-     * publish the result.
-     */
-    void
-    finishJob(Job &j)
-    {
-        if (gov_ != nullptr) {
-            j.chargedBytes =
-                j.result.events.capacity() * sizeof(PreEvent);
-            for (const auto &[id, name] : j.result.fns)
-                j.chargedBytes += sizeof(id) + name.size();
-            gov_->charge(MemCategory::DecodeWindows, j.chargedBytes);
-        }
-        framesDecoded_.fetch_add(1, std::memory_order_relaxed);
-        j.done = true;
-    }
-
-    /** Return a job's governor charge before it is destroyed. */
-    void
-    retire(Job &j)
-    {
-        if (gov_ != nullptr && j.chargedBytes != 0) {
-            gov_->release(MemCategory::DecodeWindows, j.chargedBytes);
-            j.chargedBytes = 0;
-        }
-    }
-
-    void
-    worker(unsigned index)
-    {
-        int dog_id = -1;
-        if (dog_ != nullptr) {
-            dog_id = dog_->registerEntity(
-                "decode-worker-" + std::to_string(index),
-                Watchdog::StallAction::Degrade, [this] {
-                    char buf[64];
-                    std::snprintf(buf, sizeof(buf),
-                                  "frames decoded=%llu",
-                                  static_cast<unsigned long long>(
-                                      framesDecoded_.load(
-                                          std::memory_order_relaxed)));
-                    return std::string(buf);
-                });
-        }
-        std::unique_lock<std::mutex> lock(mu_);
-        for (;;) {
-            if (dog_ != nullptr)
-                dog_->idle(dog_id);
-            cvWork_.wait(lock,
-                         [&] { return stop_ || !ready_.empty(); });
-            if (stop_)
-                break;
-            if (dog_ != nullptr)
-                dog_->busy(dog_id);
-            Job *j = ready_.front();
-            ready_.pop_front();
-            j->taken = true;
-            lock.unlock();
-            runJob(*j);
-            lock.lock();
-            finishJob(*j);
-            if (dog_ != nullptr)
-                dog_->beat(dog_id);
-            cvDone_.notify_all();
-        }
-        lock.unlock();
-        if (dog_ != nullptr)
-            dog_->unregisterEntity(dog_id);
-    }
-
-    std::string_view data_;
-    const bool sgb3_;
-    const bool salvage_;
-    const std::size_t window_;
-    const unsigned stallTimeoutMs_;
-    Watchdog *dog_;
-    MemoryGovernor *gov_;
-
-    std::mutex mu_;
-    std::condition_variable cvWork_;
-    std::condition_variable cvDone_;
-    /** Scanned frames in chain order; the front is the consumer's next. */
-    std::deque<std::unique_ptr<Job>> inflight_;
-    /** Subset of inflight_ not yet taken by any thread, chain order. */
-    std::deque<Job *> ready_;
-    std::size_t scanPos_;
-    bool scanDone_ = false;
-    bool stop_ = false;
-    /** Consumer-thread-only (guarded writes under mu_). */
-    bool degraded_ = false;
-    std::atomic<std::uint64_t> framesDecoded_{0};
-    std::vector<std::thread> threads_;
-};
 
 /// @}
 
@@ -1433,7 +1060,6 @@ BinaryTraceRecorder::attach(const Guest &guest)
     putVarint(header, name.size());
     header += name;
     os_.write(header.data(), static_cast<std::streamsize>(header.size()));
-    bytesWritten_ = header.size();
     // SGB1 has no frame boundary a writer thread could hand off at,
     // so the async knob only engages for the framed formats.
     if (guest.config().asyncWriter && format_ != TraceFormat::SGB1) {
@@ -1497,11 +1123,6 @@ BinaryTraceRecorder::writeFrame(std::uint8_t tag, std::string_view payload,
     }
     putU32le(hdr, crc32c(payload.data(), payload.size()));
     putU32le(hdr, crc32c(hdr.data(), hdr.size()));
-    // Seek-index bookkeeping happens here, on whichever thread owns
-    // frame serialization (the writer thread in async mode), so the
-    // offsets always describe the bytes actually on the stream.
-    if (tag == kTagEvents)
-        seekIndex_.push_back({bytesWritten_, first_event, event_count});
     // Publish the frame with a single stream write. Split header and
     // payload writes open a window — one write(2) retired, the other
     // not — where a crash leaves a valid frame header whose payload
@@ -1511,30 +1132,6 @@ BinaryTraceRecorder::writeFrame(std::uint8_t tag, std::string_view payload,
     // can tear.
     hdr.append(payload.data(), payload.size());
     os_.write(hdr.data(), static_cast<std::streamsize>(hdr.size()));
-    bytesWritten_ += hdr.size();
-}
-
-void
-BinaryTraceRecorder::writeSeekIndex()
-{
-    std::string payload;
-    putVarint(payload, seekIndex_.size());
-    std::uint64_t prev_off = 0;
-    std::uint64_t prev_seq = 0;
-    for (const SeekIndexEntry &e : seekIndex_) {
-        putVarint(payload, e.offset - prev_off);
-        putVarint(payload, e.firstEventSeq - prev_seq);
-        putVarint(payload, e.eventCount);
-        prev_off = e.offset;
-        prev_seq = e.firstEventSeq;
-    }
-    std::uint64_t index_off = bytesWritten_;
-    writeFrame(kTagSeekIndex, payload, events_, 0);
-    std::string footer;
-    for (int i = 0; i < 8; ++i)
-        footer.push_back(static_cast<char>(index_off >> (8 * i)));
-    footer.append(kSeekFooterMagic, 4);
-    os_.write(footer.data(), static_cast<std::streamsize>(footer.size()));
 }
 
 void
@@ -1745,11 +1342,6 @@ BinaryTraceRecorder::finish()
     }
     if (writer_)
         writer_->shutdown();
-    // The seek index covers every event frame, so it can only be
-    // assembled once the writer thread (which owns the offsets in
-    // async mode) has drained and joined.
-    if (format_ != TraceFormat::SGB1)
-        writeSeekIndex();
     os_.flush();
 }
 
@@ -1772,7 +1364,6 @@ struct BinaryReplaySession::Impl
     bool sgb3 = false;
     bool done = false;
     bool finished = false;
-    std::unique_ptr<DecodePipeline> pipeline;
 
     Impl(std::istream &is, Guest &g, const ReplayOptions &o)
         : guest(g), opts(o), ctx{g, o.policy, report, {}, 0}
@@ -1780,7 +1371,6 @@ struct BinaryReplaySession::Impl
         owned = slurp(is);
         data = owned;
         start();
-        startPipeline();
     }
 
     Impl(std::string_view view, Guest &g, const ReplayOptions &o)
@@ -1788,24 +1378,6 @@ struct BinaryReplaySession::Impl
     {
         data = view;
         start();
-        startPipeline();
-    }
-
-    /**
-     * Frame-parallel decode is worth a thread pool only for the framed
-     * formats; SGB1 is one indivisible stream. decodeThreads == 1 keeps
-     * the fully serial path (no pipeline at all).
-     */
-    void
-    startPipeline()
-    {
-        unsigned workers = guest.config().decodeThreads;
-        if (workers < 2 || sgb1 || done)
-            return;
-        pipeline = std::make_unique<DecodePipeline>(
-            data, sgb3, salvage(), workers, pos,
-            guest.config().stallTimeoutMs, guest.watchdog(),
-            guest.governor());
     }
 
     bool salvage() const { return opts.policy == ReplayPolicy::Salvage; }
@@ -1971,44 +1543,15 @@ struct BinaryReplaySession::Impl
         std::uint64_t payload_off = pos + h->headerLen;
 
         // Pure per-frame work (payload CRC, decompression, syntactic
-        // decode) comes from the worker pool when one is running; a
-        // miss — or no pipeline at all — decodes inline. Either way
-        // the result is a pure function of the frame bytes, and every
-        // stateful decision below stays on this thread in stream order.
-        DecodeResult local;
-        const DecodeResult *dec = nullptr;
-        if (pipeline) {
-            // A degraded pipeline (worker wedged past the stall
-            // deadline) is restarted from the consumer's position as
-            // soon as no worker still holds a job; until then every
-            // frame decodes inline, trading speed for progress.
-            if (pipeline->degraded())
-                pipeline->tryRecover(pos);
-            if (!pipeline->degraded())
-                dec = pipeline->acquire(pos);
-        }
-        if (dec == nullptr) {
-            decodeFramePayload(
-                data.substr(static_cast<std::size_t>(payload_off),
-                            static_cast<std::size_t>(h->payloadLen)),
-                payload_off, *h, bidx, local);
-            dec = &local;
-        }
-        // Releases the pipeline's cached result on every exit path of
-        // this frame, including the early CRC-failure return.
-        struct ReleaseGuard
-        {
-            DecodePipeline *p;
-            const DecodeResult *inlineResult;
-            const DecodeResult *dec;
-            ~ReleaseGuard()
-            {
-                if (p != nullptr && dec != inlineResult)
-                    p->release();
-            }
-        } releaseGuard{pipeline.get(), &local, dec};
+        // decode) first; every stateful decision below then consumes
+        // the result in stream order.
+        DecodeResult decoded;
+        decodeFramePayload(
+            data.substr(static_cast<std::size_t>(payload_off),
+                        static_cast<std::size_t>(h->payloadLen)),
+            payload_off, *h, bidx, decoded);
 
-        if (!dec->crcOk) {
+        if (!decoded.crcOk) {
             TraceError e;
             e.cause = TraceErrorCause::PayloadCrc;
             e.byteOffset = pos;
@@ -2040,10 +1583,10 @@ struct BinaryReplaySession::Impl
           case kTagFunctions: {
             // Records decoded before a syntactic error are exactly the
             // ones the serial decoder interned before raising it.
-            for (const auto &[id, name] : dec->fns)
+            for (const auto &[id, name] : decoded.fns)
                 ctx.fnMap[id] = guest.functions().intern(name);
-            if (dec->error.has_value())
-                fail(*dec->error);
+            if (decoded.error.has_value())
+                fail(*decoded.error);
             pos = frame_end;
             break;
           }
@@ -2070,12 +1613,12 @@ struct BinaryReplaySession::Impl
                 // the serial decoder would have delivered before it; a
                 // semantic (strict-mode) error interrupts the loop
                 // earlier, just as the fused decoder would.
-                for (const PreEvent &ev : dec->events) {
+                for (const PreEvent &ev : decoded.events) {
                     ctx.deliverEvent(ev, bidx);
                     ++delivered;
                 }
-                if (dec->error.has_value())
-                    throw TraceAbort{*dec->error};
+                if (decoded.error.has_value())
+                    throw TraceAbort{*decoded.error};
             } catch (TraceAbort &a) {
                 clean = false;
                 fail(std::move(a.err));
@@ -2098,13 +1641,6 @@ struct BinaryReplaySession::Impl
             // remnant. The end frame right after carries the trailer
             // accounting.
             report.cleanShutdown = true;
-            pos = frame_end;
-            break;
-
-          case kTagSeekIndex:
-            // Metadata for segment planning, not part of the event
-            // stream; only reachable when damage took out the end
-            // frame. Its length is trustworthy: skip it silently.
             pos = frame_end;
             break;
 
@@ -2313,10 +1849,6 @@ BinaryReplaySession::restoreReaderState(ByteSource &src)
     }
     s.pos = static_cast<std::size_t>(pos);
     s.done = false;
-    // The prefetch window was scanned for the old position; restart it
-    // where the restored replay will actually resume.
-    if (s.pipeline)
-        s.pipeline->reset(s.pos);
     // A session that already errored cannot be resumed over the error.
     return !r.error.has_value();
 }
@@ -2601,12 +2133,6 @@ DurableTraceWriter::finalize()
 }
 
 #endif // SIGIL_HAVE_MMAP
-
-void
-setDecodeWorkerDelayForTesting(void (*hook)(std::uint64_t block_seq))
-{
-    gDecodeWorkerDelayHook = hook;
-}
 
 // ---------------------------------------------------------------------
 // Replay entry points
@@ -3040,94 +2566,6 @@ scanSgb2Blocks(std::string_view trace)
             break;
     }
     return blocks;
-}
-
-std::vector<SeekIndexEntry>
-readSeekIndex(std::string_view trace)
-{
-    std::vector<SeekIndexEntry> entries;
-    if (trace.size() < kSeekFooterBytes)
-        return entries;
-    const char *tail = trace.data() + trace.size() - kSeekFooterBytes;
-    if (std::memcmp(tail + 8, kSeekFooterMagic, 4) != 0)
-        return entries;
-    std::uint64_t index_off = 0;
-    for (int i = 0; i < 8; ++i) {
-        index_off |= static_cast<std::uint64_t>(
-                         static_cast<unsigned char>(tail[i]))
-                     << (8 * i);
-    }
-    bool sgb3 = trace.size() >= 4 &&
-                std::memcmp(trace.data(), kSgb3Magic, 4) == 0;
-    if (!sgb3 && !(trace.size() >= 4 &&
-                   std::memcmp(trace.data(), kSgb2Magic, 4) == 0)) {
-        return entries;
-    }
-    if (index_off >= trace.size())
-        return entries;
-    std::optional<FrameHeader> h =
-        parseFrameAt(trace, static_cast<std::size_t>(index_off), sgb3);
-    if (!h || h->tag != kTagSeekIndex)
-        return entries;
-    std::size_t payload_off =
-        static_cast<std::size_t>(index_off) + h->headerLen;
-    if (payload_off + h->payloadLen + kSeekFooterBytes != trace.size())
-        return entries;
-    std::string_view payload =
-        trace.substr(payload_off, static_cast<std::size_t>(h->payloadLen));
-    if (crc32c(payload.data(), payload.size()) != h->payloadCrc)
-        return entries;
-    std::string raw;
-    if (h->compressed) {
-        raw.resize(static_cast<std::size_t>(h->rawLen));
-        if (!lzDecompress(payload.data(), payload.size(), raw.data(),
-                          raw.size())) {
-            return entries;
-        }
-        payload = raw;
-    }
-    const unsigned char *p =
-        reinterpret_cast<const unsigned char *>(payload.data());
-    std::size_t pos = 0;
-    std::size_t avail = payload.size();
-    auto varint = [&](std::uint64_t &out) -> bool {
-        std::uint64_t v = 0;
-        unsigned shift = 0;
-        for (;;) {
-            if (pos >= avail || shift >= 70)
-                return false;
-            std::uint8_t byte = p[pos++];
-            v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-            if (!(byte & 0x80)) {
-                out = v;
-                return true;
-            }
-            shift += 7;
-        }
-    };
-    std::uint64_t count = 0;
-    if (!varint(count) || count > trace.size())
-        return entries;
-    entries.reserve(static_cast<std::size_t>(count));
-    std::uint64_t prev_off = 0;
-    std::uint64_t prev_seq = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        std::uint64_t d_off = 0, d_seq = 0, n = 0;
-        if (!varint(d_off) || !varint(d_seq) || !varint(n))
-            return {};
-        SeekIndexEntry e;
-        e.offset = prev_off + d_off;
-        e.firstEventSeq = prev_seq + d_seq;
-        e.eventCount = n;
-        if (e.offset >= trace.size())
-            return {};
-        prev_off = e.offset;
-        prev_seq = e.firstEventSeq;
-        entries.push_back(e);
-    }
-    if (pos != avail)
-        return {};
-    return entries;
 }
 
 std::uint64_t

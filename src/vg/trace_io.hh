@@ -83,27 +83,6 @@ class TraceRecorder : public Tool
     bool finished_ = false;
 };
 
-/**
- * One event frame as described by the seek-index trailer (SGB2/SGB3):
- * where it starts and which slice of the event sequence it carries.
- * Gives segment-parallel replay its O(1) cut points (FORMATS.md §3.5).
- */
-struct SeekIndexEntry
-{
-    std::uint64_t offset = 0; ///< absolute offset of the frame sync
-    std::uint64_t firstEventSeq = 0;
-    std::uint64_t eventCount = 0;
-};
-
-/**
- * Read the seek-index trailer from a trace image. Returns one entry
- * per event frame, in stream order, or an empty vector when the trace
- * has no (intact) index — older recorders, SGB1, damaged tails. A
- * missing index is never an error: callers fall back to a sequential
- * frame-chain scan (scanSgb2Blocks).
- */
-std::vector<SeekIndexEntry> readSeekIndex(std::string_view trace);
-
 /** On-disk flavour of the binary trace. */
 enum class TraceFormat
 {
@@ -213,8 +192,6 @@ class BinaryTraceRecorder : public Tool
     void flushBlock();
     void writeFrame(std::uint8_t tag, std::string_view payload,
                     std::uint64_t first_event, std::uint64_t event_count);
-    /** Emit the seek-index trailer frame + footer (SGB2/SGB3 only). */
-    void writeSeekIndex();
     /** Route one finished frame: enqueue (async) or write (sync). */
     void emitFrame(std::uint8_t tag, std::string &payload,
                    std::uint64_t first_event, std::uint64_t event_count);
@@ -231,9 +208,6 @@ class BinaryTraceRecorder : public Tool
     std::vector<bool> emitted_;
     std::uint64_t events_ = 0;
     bool finished_ = false;
-    /** Bytes on the stream so far; owned by the frame-writing thread. */
-    std::uint64_t bytesWritten_ = 0;
-    std::vector<SeekIndexEntry> seekIndex_;
     std::unique_ptr<AsyncWriter> writer_;
 };
 
@@ -380,12 +354,8 @@ ReplayReport replayTraceFile(const std::string &path, Guest &guest,
  * a replay mid-stream. Also replays SGB1 (one step per section), but
  * without salvage or mid-stream resume.
  *
- * When the owning guest's GuestConfig::decodeThreads is greater than
- * one (and the trace is SGB2/SGB3), frame payloads are CRC-verified
- * and pre-decoded by a pool of worker threads running ahead of the
- * step() consumer; delivery order, salvage accounting, and every
- * report counter stay bit-identical to the serial decoder (see
- * DESIGN.md §4.6).
+ * Each step() CRC-verifies, decompresses (SGB3) and decodes one frame
+ * inline, then delivers its events in stream order (DESIGN.md §4.6).
  */
 class BinaryReplaySession
 {
@@ -472,15 +442,6 @@ struct Sgb2BlockInfo
  * an empty vector for input without framed blocks.
  */
 std::vector<Sgb2BlockInfo> scanSgb2Blocks(std::string_view trace);
-
-/**
- * Test hook: invoked by every decode worker at the start of each frame
- * job with the job's block sequence number. Lets the stall-recovery
- * tests wedge a worker deterministically; never set outside tests.
- * Pass nullptr to clear. Not thread-safe against running sessions —
- * set it before constructing one and clear it after destruction.
- */
-void setDecodeWorkerDelayForTesting(void (*hook)(std::uint64_t block_seq));
 
 /**
  * Convert a text trace to the binary format by replaying it through a

@@ -386,8 +386,7 @@ TEST(ReplayReportRender, ToStringAndStreamOperator)
 
     // A truncated tail must render as a crash, and operator<< must
     // match toString() byte for byte. Cut at the shutdown frame so the
-    // truncation actually removes the clean-shutdown evidence (the
-    // seek-index trailer pads the file tail past the end frame).
+    // truncation actually removes the clean-shutdown evidence.
     std::size_t cut = trace.size() - 40;
     for (const vg::Sgb2BlockInfo &b : vg::scanSgb2Blocks(trace)) {
         if (b.tag == 0x03) {

@@ -1,16 +1,17 @@
 /**
  * @file
- * Differential suite for the pipelined parallel trace-ingestion path.
+ * Differential suite for framed trace ingestion across formats and
+ * dispatch modes.
  *
  * Replays the same randomized workloads recorded as SGB2 and
- * LZ-compressed SGB3 through a SigilProfiler under decodeThreads
- * {1, 2, 4}, in per-event, asynchronous, and address-sharded dispatch,
- * and requires the serialized profiles and event traces to be bitwise
- * identical to the serial SGB2 reference. Also covers checkpoint /
- * resume driven straight from a file (mmap'd input) on compressed
- * traces with a parallel decoder, mmap-vs-stream replay equivalence,
- * and the LZ block codec itself (round-trip, incompressible fallback,
- * bounds-checked rejection of malformed streams).
+ * LZ-compressed SGB3 through a SigilProfiler in per-event,
+ * asynchronous, and address-sharded dispatch, and requires the
+ * serialized profiles and event traces to be bitwise identical to the
+ * per-event SGB2 reference. Also covers checkpoint / resume driven
+ * straight from a file (mmap'd input) on compressed traces,
+ * mmap-vs-stream replay equivalence, and the LZ block codec itself
+ * (round-trip, incompressible fallback, bounds-checked rejection of
+ * malformed streams).
  */
 
 #include <gtest/gtest.h>
@@ -186,10 +187,9 @@ struct RunResult
 /** Zero-copy replay of an in-memory trace; serialize all outputs. */
 RunResult
 replayOnce(const std::string &trace, const TraceParams &p,
-           unsigned decode_threads, Dispatch dispatch)
+           Dispatch dispatch)
 {
     vg::GuestConfig gc;
-    gc.decodeThreads = decode_threads;
     if (dispatch == Dispatch::Async)
         gc.asyncTools = true;
     else if (dispatch == Dispatch::Sharded)
@@ -238,7 +238,7 @@ TEST_P(ParallelDecodeDifferential, ThreadsFormatsDispatchMatchReference)
         any_compressed |= b.compressed;
     ASSERT_TRUE(any_compressed);
 
-    RunResult ref = replayOnce(t.sgb2, p, 1, Dispatch::PerEvent);
+    RunResult ref = replayOnce(t.sgb2, p, Dispatch::PerEvent);
     ASSERT_TRUE(ref.report.ok());
     ASSERT_TRUE(ref.report.sawTrailer);
     ASSERT_EQ(ref.report.eventsDelivered, ref.report.totalEventsRecorded);
@@ -252,21 +252,18 @@ TEST_P(ParallelDecodeDifferential, ThreadsFormatsDispatchMatchReference)
     };
     for (const Variant &v : {Variant{&t.sgb2, "SGB2"},
                              Variant{&t.sgb3, "SGB3"}}) {
-        for (unsigned threads : {1u, 2u, 4u}) {
-            for (Dispatch d : {Dispatch::PerEvent, Dispatch::Async,
-                               Dispatch::Sharded}) {
-                SCOPED_TRACE(std::string(v.format) + " decodeThreads=" +
-                             std::to_string(threads) + " dispatch=" +
-                             dispatchName(d));
-                RunResult got = replayOnce(*v.trace, p, threads, d);
-                EXPECT_TRUE(got.report.ok());
-                EXPECT_EQ(got.report.eventsDelivered,
-                          ref.report.eventsDelivered);
-                EXPECT_EQ(got.report.totalEventsRecorded,
-                          ref.report.totalEventsRecorded);
-                EXPECT_EQ(ref.profile, got.profile);
-                EXPECT_EQ(ref.events, got.events);
-            }
+        for (Dispatch d : {Dispatch::PerEvent, Dispatch::Async,
+                           Dispatch::Sharded}) {
+            SCOPED_TRACE(std::string(v.format) + " dispatch=" +
+                         dispatchName(d));
+            RunResult got = replayOnce(*v.trace, p, d);
+            EXPECT_TRUE(got.report.ok());
+            EXPECT_EQ(got.report.eventsDelivered,
+                      ref.report.eventsDelivered);
+            EXPECT_EQ(got.report.totalEventsRecorded,
+                      ref.report.totalEventsRecorded);
+            EXPECT_EQ(ref.profile, got.profile);
+            EXPECT_EQ(ref.events, got.events);
         }
     }
 }
@@ -276,7 +273,7 @@ TEST_P(ParallelDecodeDifferential, FileCheckpointResumeOnCompressedTrace)
     const TraceParams &p = GetParam();
     // Small blocks so the checkpoint interval fires many times.
     RecordedTraces t = recordTraces(p, 64);
-    RunResult ref = replayOnce(t.sgb2, p, 1, Dispatch::PerEvent);
+    RunResult ref = replayOnce(t.sgb2, p, Dispatch::PerEvent);
     ASSERT_TRUE(ref.report.sawTrailer);
     bool any_compressed = false;
     for (const vg::Sgb2BlockInfo &b : vg::scanSgb2Blocks(t.sgb3))
@@ -292,9 +289,7 @@ TEST_P(ParallelDecodeDifferential, FileCheckpointResumeOnCompressedTrace)
     std::remove((ckpt_path + ".prev").c_str());
 
     auto run = [&](core::CheckpointStats &st) {
-        vg::GuestConfig gc;
-        gc.decodeThreads = 4;
-        vg::Guest g("pardec", gc);
+        vg::Guest g("pardec");
         core::SigilProfiler prof(profilerConfig(p));
         g.addTool(&prof);
         core::CheckpointConfig cc;
@@ -320,7 +315,7 @@ TEST_P(ParallelDecodeDifferential, FileCheckpointResumeOnCompressedTrace)
     EXPECT_EQ(out1.second, ref.events);
 
     // Second run resumes mid-stream from the mmap'd compressed trace
-    // with a parallel decoder and is still bit-identical.
+    // and is still bit-identical.
     core::CheckpointStats st2;
     auto out2 = run(st2);
     EXPECT_TRUE(st2.resumed);
@@ -374,10 +369,8 @@ TEST(MappedTrace, MmapReplayMatchesStreamReplay)
         ASSERT_EQ(mapped.view().size(), trace->size());
         ASSERT_EQ(std::string(mapped.view()), *trace);
 
-        RunResult ref = replayOnce(*trace, p, 1, Dispatch::PerEvent);
-        vg::GuestConfig gc;
-        gc.decodeThreads = 4;
-        vg::Guest g("pardec", gc);
+        RunResult ref = replayOnce(*trace, p, Dispatch::PerEvent);
+        vg::Guest g("pardec");
         core::SigilProfiler prof(profilerConfig(p));
         g.addTool(&prof);
         vg::BinaryReplaySession session(mapped.view(), g);
@@ -398,7 +391,7 @@ TEST(MappedTrace, ReplayTraceFileSniffsEveryFormat)
 {
     TraceParams p{43, 0, 0, false, false, false};
     RecordedTraces t = recordTraces(p);
-    RunResult ref = replayOnce(t.sgb2, p, 1, Dispatch::PerEvent);
+    RunResult ref = replayOnce(t.sgb2, p, Dispatch::PerEvent);
 
     for (const std::string *trace : {&t.sgb2, &t.sgb3}) {
         std::string path = ::testing::TempDir() + "/pardec_sniff";

@@ -1,6 +1,6 @@
 /**
  * @file
- * sigild profile-query daemon suite (DESIGN.md §4.9).
+ * sigild profile-query daemon suite (DESIGN.md §4.8).
  *
  * The contract under test: the daemon is a transport, not an analysis
  * — every response must be byte-identical to the in-process rendering
@@ -13,7 +13,7 @@
  * catalog, and the graceful drain (Op::Shutdown and stop() both
  * answer everything in flight before the workers exit). When the
  * build exports SIGIL_SIGILD_PATH the suite also drives the installed
- * binary through a SIGTERM drain.
+ * binary through a SIGTERM drain and rejects malformed numeric flags.
  */
 
 #include <gtest/gtest.h>
@@ -454,7 +454,7 @@ TEST(ServerCatalog, GovernedCatalogEvictsLeastRecentlyQueried)
 
     // Budget fits two profiles but not three.
     auto governor = std::make_shared<MemoryGovernor>(one * 5 / 2);
-    server::ProfileCatalog catalog(governor, 1);
+    server::ProfileCatalog catalog(governor);
     ASSERT_TRUE(catalog.load("t1", trace).ok);
     ASSERT_TRUE(catalog.load("t2", trace).ok);
     EXPECT_EQ(catalog.size(), 2u);
@@ -497,7 +497,7 @@ TEST(ServerCatalog, UngovernedCatalogNeverEvicts)
     QuietLogs quiet;
     std::string trace = recordTrace(tmpStem("ungov") + ".trace", 7,
                                     1000);
-    server::ProfileCatalog catalog(nullptr, 1);
+    server::ProfileCatalog catalog(nullptr);
     for (int i = 0; i < 6; ++i) {
         ASSERT_TRUE(
             catalog.load("t" + std::to_string(i), trace).ok);
@@ -645,6 +645,63 @@ TEST(ServerBinary, SigtermDrainsAndExitsZero)
     ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
     EXPECT_TRUE(WIFEXITED(wstatus));
     EXPECT_EQ(WEXITSTATUS(wstatus), 0);
+}
+
+// Numeric flags take a fully consumed decimal inside the flag's range;
+// anything else prints usage and exits 2 before a socket is bound.
+TEST(ServerBinary, MalformedNumericFlagsExitWithUsage)
+{
+    struct BadFlag
+    {
+        const char *flag;
+        const char *value;
+    };
+    for (const BadFlag &bad : {BadFlag{"--threads", "-1"},
+                               BadFlag{"--threads", "abc"},
+                               BadFlag{"--budget-mb", "-1"},
+                               BadFlag{"--tcp", "70000"}}) {
+        SCOPED_TRACE(std::string(bad.flag) + " " + bad.value);
+        std::string sock = tmpStem("badflag") + ".sock";
+        int err_pipe[2];
+        ASSERT_EQ(::pipe(err_pipe), 0);
+        pid_t pid = ::fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0) {
+            ::dup2(err_pipe[1], STDERR_FILENO);
+            ::close(err_pipe[0]);
+            ::close(err_pipe[1]);
+            ::execl(SIGIL_SIGILD_PATH, "sigild", "--socket", sock.c_str(),
+                    bad.flag, bad.value, static_cast<char *>(nullptr));
+            _exit(127); // exec failed
+        }
+        ::close(err_pipe[1]);
+
+        // A daemon that accepted the flag would serve forever: bound
+        // the wait, and kill it if it is still running.
+        int wstatus = 0;
+        pid_t done = 0;
+        auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(20);
+        while ((done = ::waitpid(pid, &wstatus, WNOHANG)) == 0 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        if (done == 0) {
+            ::kill(pid, SIGKILL);
+            ::waitpid(pid, &wstatus, 0);
+            ADD_FAILURE() << "sigild accepted the flag and kept running";
+        }
+        std::string err;
+        char buf[512];
+        ssize_t n;
+        while ((n = ::read(err_pipe[0], buf, sizeof(buf))) > 0)
+            err.append(buf, static_cast<std::size_t>(n));
+        ::close(err_pipe[0]);
+        std::remove(sock.c_str());
+
+        EXPECT_TRUE(WIFEXITED(wstatus));
+        EXPECT_EQ(WEXITSTATUS(wstatus), 2);
+        EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+    }
 }
 #endif // SIGIL_SIGILD_PATH
 

@@ -3,7 +3,7 @@
  * Randomized property suite for the stamp-interned compressed shadow
  * memory.
  *
- * Three properties, each over many independently seeded pseudo-random
+ * Two properties, each over many independently seeded pseudo-random
  * access streams with randomized configurations (granularity, chunk
  * limit, re-use, events, ROI):
  *
@@ -16,11 +16,6 @@
  *     that is bitwise identical to the uninterrupted run, across
  *     serial and sharded engines; a save → restore → save round-trip
  *     is byte-stable.
- *  3. A legacy (v1/v2) snapshot — wide per-unit tuples, no stamp
- *     table, no byte peak — restores into the compressed layout and
- *     continues with identical communication results (the byte peak
- *     is a documented approximation for legacy snapshots and is
- *     excluded).
  */
 
 #include <gtest/gtest.h>
@@ -193,14 +188,11 @@ struct StreamResult
 };
 
 StreamResult
-serialize(core::SigilProfiler &prof, bool strip_peak = false)
+serialize(core::SigilProfiler &prof)
 {
     StreamResult out;
-    core::SigilProfile profile = prof.takeProfile();
-    if (strip_peak)
-        profile.shadowPeakBytes = 0;
     std::ostringstream pos;
-    core::writeProfile(pos, profile);
+    core::writeProfile(pos, prof.takeProfile());
     out.profile = pos.str();
     std::ostringstream eos;
     core::writeEvents(eos, prof.events());
@@ -255,8 +247,7 @@ TEST(StampShadowProperty, CompressedMatchesReferenceOn200Streams)
  */
 StreamResult
 runStreamWithCheckpoint(const StreamParams &p, int cut, int tail,
-                        unsigned shards_before, unsigned shards_after,
-                        bool legacy_body)
+                        unsigned shards_before, unsigned shards_after)
 {
     vg::GuestConfig gc;
     gc.shardCount = shards_before;
@@ -271,10 +262,7 @@ runStreamWithCheckpoint(const StreamParams &p, int cut, int tail,
 
     ByteSink sink;
     g->saveState(sink);
-    if (legacy_body)
-        prof->saveStateLegacy(sink);
-    else
-        prof->saveState(sink);
+    prof->saveState(sink);
     const std::string snapshot = sink.take();
 
     g.reset();
@@ -290,7 +278,7 @@ runStreamWithCheckpoint(const StreamParams &p, int cut, int tail,
     EXPECT_TRUE(prof2.restoreState(src));
     EXPECT_TRUE(src.ok());
 
-    if (!legacy_body && shards_before == shards_after) {
+    if (shards_before == shards_after) {
         // v3 is self-reproducing: a fresh save of the restored
         // profiler re-serializes the identical body. The body embeds
         // the current engine's shard count (informational), so this
@@ -308,7 +296,7 @@ runStreamWithCheckpoint(const StreamParams &p, int cut, int tail,
 
     driveSegment(g2, rng, p, tail, in_roi);
     driveEpilogue(g2);
-    return serialize(prof2, legacy_body);
+    return serialize(prof2);
 }
 
 TEST(StampShadowProperty, V3CheckpointResumesBitIdentically)
@@ -317,52 +305,15 @@ TEST(StampShadowProperty, V3CheckpointResumesBitIdentically)
         const StreamParams p = paramsFor(seed);
         StreamResult ref = runStream(p, false, 800);
         // Serial → serial.
-        StreamResult ss = runStreamWithCheckpoint(p, 400, 400, 1, 1,
-                                                  false);
+        StreamResult ss = runStreamWithCheckpoint(p, 400, 400, 1, 1);
         ASSERT_EQ(ref.profile, ss.profile) << "seed " << seed;
         ASSERT_EQ(ref.events, ss.events) << "seed " << seed;
         // Sharded → serial and serial → sharded (engine-independent
         // v3 body).
-        StreamResult xs = runStreamWithCheckpoint(p, 400, 400, 4, 1,
-                                                  false);
+        StreamResult xs = runStreamWithCheckpoint(p, 400, 400, 4, 1);
         ASSERT_EQ(ref.profile, xs.profile) << "seed " << seed;
-        StreamResult sx = runStreamWithCheckpoint(p, 400, 400, 1, 2,
-                                                  false);
+        StreamResult sx = runStreamWithCheckpoint(p, 400, 400, 1, 2);
         ASSERT_EQ(ref.profile, sx.profile) << "seed " << seed;
-    }
-}
-
-// Property 3: legacy v1/v2 bodies restore into the new layout. -------
-
-TEST(StampShadowProperty, LegacySnapshotResumesWithIdenticalTables)
-{
-    for (std::uint64_t seed = 401; seed <= 412; ++seed) {
-        const StreamParams p = paramsFor(seed);
-        vg::Guest g("stamp_prop");
-        core::SigilProfiler prof(profilerConfig(p));
-        g.addTool(&prof);
-        drivePrologue(g, p);
-        Rng rng(p.seed);
-        bool in_roi = true;
-        driveSegment(g, rng, p, 800, in_roi);
-        driveEpilogue(g);
-        StreamResult ref = serialize(prof, /*strip_peak=*/true);
-
-        // Serial v1 → serial, and serial v1 → sharded. The byte peak
-        // is approximated on legacy restore, so it is stripped from
-        // the comparison; everything else must match bitwise.
-        StreamResult v1s = runStreamWithCheckpoint(p, 400, 400, 1, 1,
-                                                   true);
-        ASSERT_EQ(ref.profile, v1s.profile) << "seed " << seed;
-        ASSERT_EQ(ref.events, v1s.events) << "seed " << seed;
-        StreamResult v1x = runStreamWithCheckpoint(p, 400, 400, 1, 2,
-                                                   true);
-        ASSERT_EQ(ref.profile, v1x.profile) << "seed " << seed;
-
-        // Sharded v2 → serial.
-        StreamResult v2s = runStreamWithCheckpoint(p, 400, 400, 4, 1,
-                                                   true);
-        ASSERT_EQ(ref.profile, v2s.profile) << "seed " << seed;
     }
 }
 

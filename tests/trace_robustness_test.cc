@@ -6,10 +6,9 @@
  * and back-compat with SGB1, bounds-checked decoding of adversarial
  * bytes (including CRC-valid frames with hostile payloads), salvage
  * recovery from truncation at every byte offset and from any single
- * corrupted block, the deterministic fault-injection sweep ("never
- * crash, always account"), full-report equivalence of the
- * frame-parallel decode pipeline with the serial decoder on damaged
- * SGB2 and compressed SGB3 inputs, checkpoint/resume bit-identity
+ * corrupted block (SGB2 and compressed SGB3), the deterministic
+ * fault-injection sweep ("never crash, always account"),
+ * checkpoint/resume bit-identity
  * across the shadow configurations, the shadow-pressure degradation
  * ladder, and the structured line/offset error reporting of the text
  * parsers.
@@ -26,7 +25,6 @@
 
 #include "core/checkpoint.hh"
 #include "core/profile_io.hh"
-#include "core/segment_engine.hh"
 #include "core/sigil_profiler.hh"
 #include "support/crc32c.hh"
 #include "support/logging.hh"
@@ -176,6 +174,16 @@ recordTrace(const TraceParams &p, vg::TraceFormat format,
     return bos.str();
 }
 
+/** The CRC-framed formats the salvage suite sweeps. */
+constexpr vg::TraceFormat kFramedFormats[] = {vg::TraceFormat::SGB2,
+                                              vg::TraceFormat::SGB3};
+
+std::string
+formatName(vg::TraceFormat format)
+{
+    return format == vg::TraceFormat::SGB3 ? "SGB3" : "SGB2";
+}
+
 /** Record the workload as a text trace. */
 std::string
 recordTextTrace(const TraceParams &p, int steps = 300)
@@ -195,17 +203,13 @@ struct ReplayOutcome
     std::string events;
 };
 
-/** Replay a binary trace into a fresh profiler; serialize results.
- *  decode_threads > 1 runs the frame-parallel decode pipeline, which
- *  must be indistinguishable from the serial decoder everywhere. */
+/** Replay a binary trace into a fresh profiler; serialize results. */
 ReplayOutcome
 replayBinary(const std::string &trace, const TraceParams &p,
-             vg::ReplayPolicy policy, unsigned decode_threads = 1)
+             vg::ReplayPolicy policy)
 {
     QuietLogs quiet;
-    vg::GuestConfig gc;
-    gc.decodeThreads = decode_threads;
-    vg::Guest g("robust", gc);
+    vg::Guest g("robust");
     core::SigilProfiler prof(profilerConfig(p));
     g.addTool(&prof);
     std::istringstream is(trace, std::ios::binary);
@@ -224,73 +228,11 @@ replayBinary(const std::string &trace, const TraceParams &p,
     return out;
 }
 
-/** Replay a binary trace segment-parallel into a fresh profiler; the
- *  segment engine's contract on damaged inputs is the exact serial
- *  ReplayReport and a bit-identical reconciled profile. */
-ReplayOutcome
-replaySegmentedOutcome(const std::string &trace, const TraceParams &p,
-                       vg::ReplayPolicy policy, unsigned segments)
-{
-    QuietLogs quiet;
-    vg::Guest g("robust");
-    core::SigilProfiler prof(profilerConfig(p));
-    g.addTool(&prof);
-    core::SegmentOptions so;
-    so.segments = segments;
-    so.replay.policy = policy;
-    ReplayOutcome out;
-    out.report = core::replaySegmented(trace, g, prof, so).report;
-    if (out.report.ok()) {
-        std::ostringstream pos;
-        core::writeProfile(pos, prof.takeProfile());
-        out.profile = pos.str();
-        std::ostringstream eos;
-        core::writeEvents(eos, prof.events());
-        out.events = eos.str();
-    }
-    return out;
-}
-
-/** Assert every field of two replay reports matches — the parallel
- *  decoder's contract is full-report equality, not just event totals. */
-void
-expectReportsEqual(const vg::ReplayReport &a, const vg::ReplayReport &b)
-{
-    EXPECT_EQ(a.eventsDelivered, b.eventsDelivered);
-    EXPECT_EQ(a.blocksDelivered, b.blocksDelivered);
-    EXPECT_EQ(a.eventsSkipped, b.eventsSkipped);
-    EXPECT_EQ(a.blocksSkipped, b.blocksSkipped);
-    EXPECT_EQ(a.bytesSkipped, b.bytesSkipped);
-    EXPECT_EQ(a.blocksStale, b.blocksStale);
-    EXPECT_EQ(a.resyncs, b.resyncs);
-    EXPECT_EQ(a.leavesDropped, b.leavesDropped);
-    EXPECT_EQ(a.roiDropped, b.roiDropped);
-    EXPECT_EQ(a.functionsSynthesized, b.functionsSynthesized);
-    EXPECT_EQ(a.totalEventsRecorded, b.totalEventsRecorded);
-    EXPECT_EQ(a.sawTrailer, b.sawTrailer);
-    EXPECT_EQ(a.truncated, b.truncated);
-
-    auto same = [](const vg::TraceError &x, const vg::TraceError &y) {
-        EXPECT_EQ(x.cause, y.cause);
-        EXPECT_EQ(x.byteOffset, y.byteOffset);
-        EXPECT_EQ(x.blockIndex, y.blockIndex);
-        EXPECT_EQ(x.line, y.line);
-        EXPECT_EQ(x.detail, y.detail);
-    };
-    ASSERT_EQ(a.errors.size(), b.errors.size());
-    for (std::size_t i = 0; i < a.errors.size(); ++i)
-        same(a.errors[i], b.errors[i]);
-    ASSERT_EQ(a.error.has_value(), b.error.has_value());
-    if (a.error.has_value())
-        same(*a.error, *b.error);
-}
-
 /** Total recorded events per the trailer frame of an SGB2 image. */
 std::uint64_t
 recordedTotal(const std::string &trace)
 {
-    // The end frame is followed by the seek-index trailer, so it is
-    // the last frame of tag 0x00, not the last frame outright.
+    // The end frame is the last frame of tag 0x00.
     std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(trace);
     EXPECT_FALSE(blocks.empty());
     for (auto it = blocks.rbegin(); it != blocks.rend(); ++it) {
@@ -446,14 +388,11 @@ TEST(Sgb2Format, RoundTripMatchesSgb1AndScans)
     EXPECT_GT(o2.profile.size(), 100u);
 
     // The frame scan sees every block and the trailer's event total;
-    // the seek-index frame rides after the end frame.
+    // the end frame is the last frame of the file.
     std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(b2.str());
     ASSERT_GE(blocks.size(), 5u);
-    EXPECT_EQ(blocks.back().tag, 0x04);
-    ASSERT_GE(blocks.size(), 2u);
-    EXPECT_EQ(blocks[blocks.size() - 2].tag, kTagEnd);
-    EXPECT_EQ(blocks[blocks.size() - 2].firstEventSeq,
-              r2.eventsWritten());
+    EXPECT_EQ(blocks.back().tag, kTagEnd);
+    EXPECT_EQ(blocks.back().firstEventSeq, r2.eventsWritten());
     std::uint64_t counted = 0;
     for (const vg::Sgb2BlockInfo &b : blocks)
         counted += b.eventCount;
@@ -628,92 +567,102 @@ TEST(AdversarialInput, UnknownOpcodeIsContained)
 
 TEST(SalvageRecovery, TruncationAtEveryOffsetNeverCrashes)
 {
-    TraceParams p{33, 0, 0, true, false, false};
-    std::string trace = recordTrace(p, vg::TraceFormat::SGB2, 32, 250);
-    std::uint64_t total = recordedTotal(trace);
-    ASSERT_GT(total, 100u);
+    for (vg::TraceFormat format : kFramedFormats) {
+        SCOPED_TRACE(formatName(format));
+        TraceParams p{33, 0, 0, true, false, false};
+        std::string trace = recordTrace(p, format, 32, 250);
+        std::uint64_t total = recordedTotal(trace);
+        ASSERT_GT(total, 100u);
 
-    for (std::size_t cut = 0; cut < trace.size(); ++cut) {
-        SCOPED_TRACE("cut at " + std::to_string(cut));
-        std::string t = trace.substr(0, cut);
-        QuietLogs quiet;
-        vg::Guest g("robust");
-        std::istringstream is(t, std::ios::binary);
-        vg::ReplayOptions opts;
-        opts.policy = vg::ReplayPolicy::Salvage;
-        vg::ReplayReport r = vg::replayBinaryTrace(is, g, opts);
-        EXPECT_TRUE(r.truncated || r.sawTrailer);
-        EXPECT_LE(r.eventsDelivered, total);
-        if (r.sawTrailer && !r.truncated) {
-            EXPECT_EQ(r.eventsDelivered + r.eventsSkipped, total);
+        for (std::size_t cut = 0; cut < trace.size(); ++cut) {
+            SCOPED_TRACE("cut at " + std::to_string(cut));
+            std::string t = trace.substr(0, cut);
+            QuietLogs quiet;
+            vg::Guest g("robust");
+            std::istringstream is(t, std::ios::binary);
+            vg::ReplayOptions opts;
+            opts.policy = vg::ReplayPolicy::Salvage;
+            vg::ReplayReport r = vg::replayBinaryTrace(is, g, opts);
+            EXPECT_TRUE(r.truncated || r.sawTrailer);
+            EXPECT_LE(r.eventsDelivered, total);
+            if (r.sawTrailer && !r.truncated) {
+                EXPECT_EQ(r.eventsDelivered + r.eventsSkipped, total);
+            }
         }
     }
 }
 
 TEST(SalvageRecovery, AnySingleCorruptBlockIsSkippedPrecisely)
 {
-    TraceParams p{44, 0, 0, true, false, false};
-    std::string trace = recordTrace(p, vg::TraceFormat::SGB2, 64);
-    std::uint64_t total = recordedTotal(trace);
-    std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(trace);
+    for (vg::TraceFormat format : kFramedFormats) {
+        SCOPED_TRACE(formatName(format));
+        TraceParams p{44, 0, 0, true, false, false};
+        std::string trace = recordTrace(p, format, 64);
+        std::uint64_t total = recordedTotal(trace);
+        std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(trace);
 
-    for (std::size_t vi = 0; vi < blocks.size(); ++vi) {
-        const vg::Sgb2BlockInfo &victim = blocks[vi];
-        if (victim.tag != kTagEvents)
-            continue;
-        SCOPED_TRACE("victim block " + std::to_string(vi));
-        std::string bad = trace;
-        // Flip the last payload byte: header stays valid, payload CRC
-        // must catch the damage before any event is dispatched.
-        bad[victim.offset + victim.length - 1] ^= 0x01;
+        for (std::size_t vi = 0; vi < blocks.size(); ++vi) {
+            const vg::Sgb2BlockInfo &victim = blocks[vi];
+            if (victim.tag != kTagEvents)
+                continue;
+            SCOPED_TRACE("victim block " + std::to_string(vi));
+            std::string bad = trace;
+            // Flip the last payload byte: header stays valid, payload
+            // CRC must catch the damage before any event is dispatched.
+            bad[victim.offset + victim.length - 1] ^= 0x01;
 
-        vg::ReplayReport strict =
-            replayRaw(bad, vg::ReplayPolicy::Strict);
-        ASSERT_TRUE(strict.error.has_value());
-        EXPECT_EQ(strict.error->cause, vg::TraceErrorCause::PayloadCrc);
-        EXPECT_EQ(strict.error->byteOffset, victim.offset);
-        EXPECT_EQ(strict.error->blockIndex,
-                  static_cast<std::int64_t>(vi));
+            vg::ReplayReport strict =
+                replayRaw(bad, vg::ReplayPolicy::Strict);
+            ASSERT_TRUE(strict.error.has_value());
+            EXPECT_EQ(strict.error->cause,
+                      vg::TraceErrorCause::PayloadCrc);
+            EXPECT_EQ(strict.error->byteOffset, victim.offset);
+            EXPECT_EQ(strict.error->blockIndex,
+                      static_cast<std::int64_t>(vi));
 
-        ReplayOutcome salvage =
-            replayBinary(bad, p, vg::ReplayPolicy::Salvage);
-        EXPECT_TRUE(salvage.report.ok());
-        EXPECT_TRUE(salvage.report.sawTrailer);
-        EXPECT_EQ(salvage.report.blocksSkipped, 1u);
-        EXPECT_EQ(salvage.report.eventsSkipped, victim.eventCount);
-        EXPECT_EQ(salvage.report.eventsDelivered +
-                      salvage.report.eventsSkipped,
-                  total);
-        ASSERT_EQ(salvage.report.errors.size(), 1u);
-        EXPECT_EQ(salvage.report.errors[0].cause,
-                  vg::TraceErrorCause::PayloadCrc);
-        EXPECT_FALSE(salvage.profile.empty());
+            ReplayOutcome salvage =
+                replayBinary(bad, p, vg::ReplayPolicy::Salvage);
+            EXPECT_TRUE(salvage.report.ok());
+            EXPECT_TRUE(salvage.report.sawTrailer);
+            EXPECT_EQ(salvage.report.blocksSkipped, 1u);
+            EXPECT_EQ(salvage.report.eventsSkipped, victim.eventCount);
+            EXPECT_EQ(salvage.report.eventsDelivered +
+                          salvage.report.eventsSkipped,
+                      total);
+            ASSERT_EQ(salvage.report.errors.size(), 1u);
+            EXPECT_EQ(salvage.report.errors[0].cause,
+                      vg::TraceErrorCause::PayloadCrc);
+            EXPECT_FALSE(salvage.profile.empty());
+        }
     }
 }
 
 TEST(SalvageRecovery, DamagedHeaderResynchronizesOnNextFrame)
 {
-    TraceParams p{45, 0, 0, true, false, false};
-    std::string trace = recordTrace(p, vg::TraceFormat::SGB2, 64);
-    std::uint64_t total = recordedTotal(trace);
-    std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(trace);
-    std::size_t vi = 0;
-    for (std::size_t i = 2; i < blocks.size() - 1; ++i)
-        if (blocks[i].tag == kTagEvents) {
-            vi = i;
-            break;
-        }
-    ASSERT_GT(vi, 0u);
+    for (vg::TraceFormat format : kFramedFormats) {
+        SCOPED_TRACE(formatName(format));
+        TraceParams p{45, 0, 0, true, false, false};
+        std::string trace = recordTrace(p, format, 64);
+        std::uint64_t total = recordedTotal(trace);
+        std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(trace);
+        std::size_t vi = 0;
+        for (std::size_t i = 2; i < blocks.size() - 1; ++i)
+            if (blocks[i].tag == kTagEvents) {
+                vi = i;
+                break;
+            }
+        ASSERT_GT(vi, 0u);
 
-    std::string bad = trace;
-    bad[blocks[vi].offset + 5] ^= 0x40; // inside the frame header
+        std::string bad = trace;
+        bad[blocks[vi].offset + 5] ^= 0x40; // inside the frame header
 
-    vg::ReplayReport r = replayRaw(bad, vg::ReplayPolicy::Salvage);
-    EXPECT_TRUE(r.ok());
-    EXPECT_TRUE(r.sawTrailer);
-    EXPECT_GE(r.resyncs, 1u);
-    EXPECT_EQ(r.eventsDelivered + r.eventsSkipped, total);
-    EXPECT_EQ(r.eventsSkipped, blocks[vi].eventCount);
+        vg::ReplayReport r = replayRaw(bad, vg::ReplayPolicy::Salvage);
+        EXPECT_TRUE(r.ok());
+        EXPECT_TRUE(r.sawTrailer);
+        EXPECT_GE(r.resyncs, 1u);
+        EXPECT_EQ(r.eventsDelivered + r.eventsSkipped, total);
+        EXPECT_EQ(r.eventsSkipped, blocks[vi].eventCount);
+    }
 }
 
 TEST(SalvageRecovery, DuplicatedBlockIsDroppedAsStale)
@@ -778,210 +727,6 @@ TEST(SalvageRecovery, ReorderedBlocksAreAccounted)
     EXPECT_EQ(r.blocksStale, 1u);
     EXPECT_EQ(r.eventsDelivered + r.eventsSkipped, total);
     EXPECT_EQ(r.resyncs, 0u); // no byte-level damage
-}
-
-// ---------------------------------------------------------------------
-// Parallel decode equivalence under damage: the frame-parallel
-// pipeline (decodeThreads > 1) must produce the exact ReplayReport of
-// the serial decoder on every damaged input — same salvage accounting,
-// same resyncs, same error positions — for SGB2 and compressed SGB3.
-// ---------------------------------------------------------------------
-
-TEST(ParallelDecode, TruncationSweepMatchesSerialExactly)
-{
-    for (vg::TraceFormat format :
-         {vg::TraceFormat::SGB2, vg::TraceFormat::SGB3}) {
-        TraceParams p{34, 0, 0, true, false, false};
-        std::string trace = recordTrace(p, format, 32, 200);
-        ASSERT_GT(recordedTotal(trace), 80u);
-
-        for (std::size_t cut = 0; cut < trace.size(); ++cut) {
-            SCOPED_TRACE("format " + std::to_string(int(format)) +
-                         " cut at " + std::to_string(cut));
-            std::string t = trace.substr(0, cut);
-            for (vg::ReplayPolicy policy :
-                 {vg::ReplayPolicy::Strict, vg::ReplayPolicy::Salvage}) {
-                QuietLogs quiet;
-                vg::ReplayOptions opts;
-                opts.policy = policy;
-                vg::Guest gs("robust");
-                std::istringstream is(t, std::ios::binary);
-                vg::ReplayReport serial =
-                    vg::replayBinaryTrace(is, gs, opts);
-
-                vg::GuestConfig gc;
-                gc.decodeThreads = 4;
-                vg::Guest gp("robust", gc);
-                std::istringstream ip(t, std::ios::binary);
-                vg::ReplayReport parallel =
-                    vg::replayBinaryTrace(ip, gp, opts);
-                expectReportsEqual(serial, parallel);
-            }
-        }
-    }
-}
-
-TEST(ParallelDecode, CorruptBlockSweepMatchesSerialExactly)
-{
-    for (vg::TraceFormat format :
-         {vg::TraceFormat::SGB2, vg::TraceFormat::SGB3}) {
-        TraceParams p{35, 0, 0, true, false, false};
-        std::string trace = recordTrace(p, format, 64);
-        std::vector<vg::Sgb2BlockInfo> blocks =
-            vg::scanSgb2Blocks(trace);
-        ASSERT_GT(blocks.size(), 4u);
-
-        for (std::size_t vi = 0; vi < blocks.size(); ++vi) {
-            const vg::Sgb2BlockInfo &victim = blocks[vi];
-            if (victim.tag != kTagEvents)
-                continue;
-            SCOPED_TRACE("format " + std::to_string(int(format)) +
-                         " victim block " + std::to_string(vi));
-            std::string bad = trace;
-            bad[victim.offset + victim.length - 1] ^= 0x01;
-
-            for (vg::ReplayPolicy policy :
-                 {vg::ReplayPolicy::Strict, vg::ReplayPolicy::Salvage}) {
-                ReplayOutcome serial = replayBinary(bad, p, policy, 1);
-                ReplayOutcome parallel = replayBinary(bad, p, policy, 4);
-                expectReportsEqual(serial.report, parallel.report);
-                EXPECT_EQ(serial.profile, parallel.profile);
-                EXPECT_EQ(serial.events, parallel.events);
-            }
-        }
-    }
-}
-
-TEST(ParallelDecode, DamagedHeaderResyncMatchesSerialExactly)
-{
-    for (vg::TraceFormat format :
-         {vg::TraceFormat::SGB2, vg::TraceFormat::SGB3}) {
-        TraceParams p{36, 0, 0, true, false, false};
-        std::string trace = recordTrace(p, format, 64);
-        std::vector<vg::Sgb2BlockInfo> blocks =
-            vg::scanSgb2Blocks(trace);
-        std::size_t vi = 0;
-        for (std::size_t i = 2; i + 1 < blocks.size(); ++i)
-            if (blocks[i].tag == kTagEvents) {
-                vi = i;
-                break;
-            }
-        ASSERT_GT(vi, 0u);
-        std::string bad = trace;
-        bad[blocks[vi].offset + 5] ^= 0x40; // inside the frame header
-
-        ReplayOutcome serial =
-            replayBinary(bad, p, vg::ReplayPolicy::Salvage, 1);
-        ReplayOutcome parallel =
-            replayBinary(bad, p, vg::ReplayPolicy::Salvage, 4);
-        EXPECT_TRUE(serial.report.ok());
-        EXPECT_GE(serial.report.resyncs, 1u);
-        expectReportsEqual(serial.report, parallel.report);
-        EXPECT_EQ(serial.profile, parallel.profile);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Segment-parallel salvage: exact serial equivalence on damaged traces
-// ---------------------------------------------------------------------
-
-TEST(SegmentedSalvage, TruncationSweepMatchesSerialExactly)
-{
-    // Truncation tears off the seek-index trailer, so cut planning
-    // falls back to the frame-chain scan — and the torn tail frame
-    // lands inside the last segment. Stride-sampled: every 13th byte
-    // still crosses every frame and both header/payload regions.
-    for (vg::TraceFormat format :
-         {vg::TraceFormat::SGB2, vg::TraceFormat::SGB3}) {
-        TraceParams p{37, 0, 0, true, true, false};
-        std::string trace = recordTrace(p, format, 32, 200);
-        ASSERT_GT(recordedTotal(trace), 80u);
-
-        for (std::size_t cut = 0; cut < trace.size(); cut += 13) {
-            SCOPED_TRACE("format " + std::to_string(int(format)) +
-                         " cut at " + std::to_string(cut));
-            std::string t = trace.substr(0, cut);
-            for (vg::ReplayPolicy policy :
-                 {vg::ReplayPolicy::Strict, vg::ReplayPolicy::Salvage}) {
-                ReplayOutcome serial = replayBinary(t, p, policy);
-                ReplayOutcome seg =
-                    replaySegmentedOutcome(t, p, policy, 4);
-                expectReportsEqual(serial.report, seg.report);
-                EXPECT_EQ(serial.profile, seg.profile);
-                EXPECT_EQ(serial.events, seg.events);
-            }
-        }
-    }
-}
-
-TEST(SegmentedSalvage, CorruptBlockSweepMatchesSerialExactly)
-{
-    // Payload corruption leaves the seek-index trailer intact, so the
-    // speculative path plans cuts from the index — possibly onto the
-    // corrupt frame itself — and every worker must resync around the
-    // damage exactly as the control scan did.
-    for (vg::TraceFormat format :
-         {vg::TraceFormat::SGB2, vg::TraceFormat::SGB3}) {
-        TraceParams p{38, 0, 0, true, true, false};
-        std::string trace = recordTrace(p, format, 64);
-        std::vector<vg::Sgb2BlockInfo> blocks =
-            vg::scanSgb2Blocks(trace);
-        ASSERT_GT(blocks.size(), 4u);
-
-        for (std::size_t vi = 0; vi < blocks.size(); ++vi) {
-            const vg::Sgb2BlockInfo &victim = blocks[vi];
-            if (victim.tag != kTagEvents)
-                continue;
-            SCOPED_TRACE("format " + std::to_string(int(format)) +
-                         " victim block " + std::to_string(vi));
-            std::string bad = trace;
-            bad[victim.offset + victim.length - 1] ^= 0x01;
-
-            for (vg::ReplayPolicy policy :
-                 {vg::ReplayPolicy::Strict, vg::ReplayPolicy::Salvage}) {
-                ReplayOutcome serial = replayBinary(bad, p, policy);
-                ReplayOutcome seg =
-                    replaySegmentedOutcome(bad, p, policy, 4);
-                expectReportsEqual(serial.report, seg.report);
-                EXPECT_EQ(serial.profile, seg.profile);
-                EXPECT_EQ(serial.events, seg.events);
-            }
-        }
-    }
-}
-
-TEST(SegmentedSalvage, DamagedHeaderResyncMatchesSerialExactly)
-{
-    for (vg::TraceFormat format :
-         {vg::TraceFormat::SGB2, vg::TraceFormat::SGB3}) {
-        TraceParams p{39, 0, 0, true, true, false};
-        std::string trace = recordTrace(p, format, 64);
-        std::vector<vg::Sgb2BlockInfo> blocks =
-            vg::scanSgb2Blocks(trace);
-        std::size_t vi = 0;
-        for (std::size_t i = 2; i + 1 < blocks.size(); ++i)
-            if (blocks[i].tag == kTagEvents) {
-                vi = i;
-                break;
-            }
-        ASSERT_GT(vi, 0u);
-        std::string bad = trace;
-        bad[blocks[vi].offset + 5] ^= 0x40; // inside the frame header
-
-        ReplayOutcome serial =
-            replayBinary(bad, p, vg::ReplayPolicy::Salvage);
-        ASSERT_TRUE(serial.report.ok());
-        EXPECT_GE(serial.report.resyncs, 1u);
-        for (unsigned segments : {2u, 4u, 8u}) {
-            SCOPED_TRACE("format " + std::to_string(int(format)) +
-                         " segments " + std::to_string(segments));
-            ReplayOutcome seg = replaySegmentedOutcome(
-                bad, p, vg::ReplayPolicy::Salvage, segments);
-            expectReportsEqual(serial.report, seg.report);
-            EXPECT_EQ(serial.profile, seg.profile);
-            EXPECT_EQ(serial.events, seg.events);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1336,6 +1081,48 @@ TEST(CheckpointResume2, MismatchedTraceOrConfigStartsFresh)
     EXPECT_EQ(coarse,
               replayBinary(trace_a, pa_coarse, vg::ReplayPolicy::Strict)
                   .profile);
+
+    // A profiler body with any version byte other than 3 must not
+    // resume either: re-seal a valid checkpoint around each foreign
+    // version byte and expect a fresh, uncheckpointed-identical replay.
+    std::remove(path.c_str());
+    std::remove((path + ".prev").c_str());
+    core::CheckpointStats st5;
+    run(trace_a, pa, st5);
+    ASSERT_GE(st5.checkpointsWritten, 1u);
+    std::string file;
+    {
+        std::ifstream in(path, std::ios::binary);
+        file.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+    }
+    // Envelope: "SGCP", u8 version, u64 payload length, u32 payload CRC.
+    constexpr std::size_t kEnvelope = 4 + 1 + 8 + 4;
+    ASSERT_GT(file.size(), kEnvelope);
+    ByteSource src(file.data() + kEnvelope, file.size() - kEnvelope);
+    src.u64(); // trace binding: size
+    src.u32(); // trace binding: preamble CRC
+    vg::Guest probe("robust");
+    ASSERT_TRUE(probe.restoreState(src));
+    const std::size_t body_at = kEnvelope + src.pos();
+    ASSERT_EQ(static_cast<unsigned char>(file[body_at]), 3u);
+    const std::string fresh_a =
+        replayBinary(trace_a, pa, vg::ReplayPolicy::Strict).profile;
+    for (unsigned version : {1u, 2u, 4u, 0xffu}) {
+        SCOPED_TRACE("profiler body version " + std::to_string(version));
+        std::string bad = file;
+        bad[body_at] = static_cast<char>(version);
+        const std::uint32_t crc =
+            crc32c(bad.data() + kEnvelope, bad.size() - kEnvelope);
+        for (int i = 0; i < 4; ++i)
+            bad[kEnvelope - 4 + i] = static_cast<char>(crc >> (8 * i));
+        std::remove((path + ".prev").c_str());
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << bad;
+        core::CheckpointStats st;
+        std::string got = run(trace_a, pa, st);
+        EXPECT_FALSE(st.resumed);
+        EXPECT_EQ(got, fresh_a);
+    }
 
     std::remove(path.c_str());
     std::remove((path + ".prev").c_str());
