@@ -40,18 +40,13 @@ struct RunOutput
     std::uint64_t shadowPeakBytes = 0;
 };
 
-/** Run a workload once under the given mode, timing the run.
- *  shard_count > 1 runs the Sigil profiler on the address-sharded
- *  parallel engine (bit-identical output; see DESIGN.md §4.4). */
+/** Run a workload once under the given mode, timing the run. */
 inline RunOutput
 runWorkload(const workloads::Workload &w, workloads::Scale scale,
-            Mode mode, std::size_t max_shadow_chunks = 0,
-            unsigned shard_count = 1)
+            Mode mode, std::size_t max_shadow_chunks = 0)
 {
     RunOutput out;
-    vg::GuestConfig gcfg;
-    gcfg.shardCount = shard_count;
-    vg::Guest guest(w.name, gcfg);
+    vg::Guest guest(w.name);
 
     std::unique_ptr<cg::CgTool> cg_tool;
     std::unique_ptr<core::SigilProfiler> sigil_tool;
@@ -83,8 +78,6 @@ runWorkload(const workloads::Workload &w, workloads::Scale scale,
     if (sigil_tool) {
         out.profile = sigil_tool->takeProfile();
         out.events = sigil_tool->events();
-        // Peak-of-sum across all shards (== the serial shadow's peak),
-        // not a sum of per-shard peaks.
         out.shadowPeakBytes = sigil_tool->shadowPeakBytes();
     }
     return out;

@@ -49,7 +49,7 @@ WATCHED = [
     (r"^BM_ShadowPerUnitStride/", "bytes_per_second", +1),
     (r"^BM_TraceReplayThroughput$", "items_per_second", +1),
     (r"^BM_TraceReplayThroughput$", "shadow_peak_bytes", -1),
-    (r"^BM_ShardedReplay/", "items_per_second", +1),
+    (r"^BM_WideReplay/", "items_per_second", +1),
     (r"^BM_ParallelDecode/", "items_per_second", +1),
     (r"^BM_ServerQueryThroughput/", "items_per_second", +1),
 ]

@@ -51,18 +51,5 @@ main()
                 static_cast<unsigned long long>(
                     limited.profile.shadowEvictions));
 
-    // Sharded replay must report the same footprint: the peak is the
-    // global peak-of-sum of live chunks across all shards (the shard
-    // planner's accounting), not a sum of per-shard peaks.
-    RunOutput sharded = runWorkload(
-        *dedup, workloads::Scale::SimSmall, Mode::Sigil, 8, 4);
-    std::printf("  limited, 4 shards: %.2f MB, %llu evictions "
-                "(matches serial: %s)\n",
-                static_cast<double>(sharded.shadowPeakBytes) / 1e6,
-                static_cast<unsigned long long>(
-                    sharded.profile.shadowEvictions),
-                sharded.shadowPeakBytes == limited.shadowPeakBytes
-                    ? "yes"
-                    : "NO");
     return 0;
 }

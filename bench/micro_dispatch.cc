@@ -522,14 +522,13 @@ BM_CheckpointResume(benchmark::State &state)
 BENCHMARK(BM_CheckpointResume)->Arg(16);
 
 /**
- * Memory-heavy workload over a wide (16 MiB) address window for the
- * sharded-replay sweep: at byte granularity the window spans ~4096
- * shadow chunks, so chunk-hashed sharding spreads the analysis evenly.
- * Accesses average ~144 bytes, so per-unit classification dominates
- * the sequencer's routing cost — the regime sharding targets.
+ * Memory-heavy workload over a wide (16 MiB) address window: at byte
+ * granularity the window spans ~4096 shadow chunks, and accesses
+ * average ~144 bytes, so per-unit classification dominates the replay
+ * — the regime the serial hot-path work targets.
  */
 void
-driveShardWorkload(vg::Guest &g, int iters)
+driveWideWorkload(vg::Guest &g, int iters)
 {
     Rng rng(7);
     vg::FunctionId fns[4] = {g.fn("a"), g.fn("b"), g.fn("c"), g.fn("d")};
@@ -563,41 +562,38 @@ driveShardWorkload(vg::Guest &g, int iters)
     g.finish();
 }
 
-constexpr int kShardWorkloadIters = 20000;
+constexpr int kWideWorkloadIters = 20000;
 
 const std::string &
-shardedTrace()
+wideTrace()
 {
     static const std::string trace = [] {
         std::ostringstream os(std::ios::binary);
         vg::Guest g("bench");
         vg::BinaryTraceRecorder rec(os, vg::TraceFormat::SGB2);
         g.addTool(&rec);
-        driveShardWorkload(g, kShardWorkloadIters);
+        driveWideWorkload(g, kWideWorkloadIters);
         return os.str();
     }();
     return trace;
 }
 
 /**
- * Address-sharded profiled replay: SGB2 trace into a full-fidelity
- * (re-use mode) Sigil profiler. Arg: 0 = the PR 2 async pipeline (one
- * analysis thread — the pre-sharding ceiling), N = N shard workers.
- * Real time, since the work happens on the workers. The acceptance
- * target is >= 2.0x items/sec at Arg(4) over Arg(0).
+ * Profiled replay of the wide workload: SGB2 trace into a
+ * full-fidelity (re-use mode) Sigil profiler. Arg: 0 = the async
+ * pipeline (analysis on the consumer thread), 1 = per-event dispatch
+ * on the replay thread. Real time, since with Arg 0 the work happens
+ * on the consumer.
  */
 void
-BM_ShardedReplay(benchmark::State &state)
+BM_WideReplay(benchmark::State &state)
 {
-    const std::string &trace = shardedTrace();
+    const std::string &trace = wideTrace();
     core::SigilConfig cfg; // defaults: re-use tracking on
     for (auto _ : state) {
         std::istringstream is(trace, std::ios::binary);
         vg::GuestConfig gc;
-        if (state.range(0) == 0)
-            gc.asyncTools = true;
-        else
-            gc.shardCount = static_cast<unsigned>(state.range(0));
+        gc.asyncTools = state.range(0) == 0;
         vg::Guest g("bench", gc);
         core::SigilProfiler prof(cfg);
         g.addTool(&prof);
@@ -605,14 +601,13 @@ BM_ShardedReplay(benchmark::State &state)
         benchmark::DoNotOptimize(prof.aggregates(0).readBytes);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            kShardWorkloadIters);
+                            kWideWorkloadIters);
 }
-BENCHMARK(BM_ShardedReplay)
-    ->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+BENCHMARK(BM_WideReplay)->Arg(0)->Arg(1)->UseRealTime();
 
 /**
  * One sigild instance shared by every BM_ServerQueryThroughput run:
- * the sharded trace written to a file, loaded once into the catalog,
+ * the wide trace written to a file, loaded once into the catalog,
  * served over a Unix-domain socket by an 8-worker pool. Started on
  * first use and drained at process exit so the socket file is
  * unlinked.
@@ -632,7 +627,7 @@ queryServerFixture(std::string &socket_path)
         std::string trace_path = stem + ".trace";
         {
             std::ofstream os(trace_path, std::ios::binary);
-            os << shardedTrace();
+            os << wideTrace();
         }
         f.socketPath = stem + ".sock";
         server::ServerConfig cfg;

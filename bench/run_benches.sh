@@ -15,18 +15,15 @@
 # trips when SIGIL_SYSTEM_BENCHMARK=ON picked up a debug
 # libbenchmark; compare_bench.py rejects such candidates too.
 #
-# BENCH_dispatch.json includes the BM_ShardedReplay shard sweep
-# (Arg 0 = the async single-analysis-thread baseline; Args 1/2/4/8 =
-# shard worker counts), the BM_ParallelDecode{,Profiled} serial frame
-# decode of SGB2 and SGB3 (Arg = format; parse-only and profiled end
-# to end), and the BM_ServerQueryThroughput sigild sweep (Arg =
-# concurrent query clients over the daemon's Unix-domain socket;
-# items/sec is end-to-end requests per second through framing,
-# dispatch, catalog rendering, and the socket round-trip). The shard
-# sweep scales with physical cores: its >= 2x target at 4 workers
-# needs a >= 4-core host. On fewer cores it still runs (the
-# differential tests keep the output bit-identical) but measures
-# scheduling overhead, not parallelism — the JSON context carries a
+# BENCH_dispatch.json includes BM_WideReplay (profiled replay of a
+# wide-address workload: Arg 0 = the async analysis pipeline, Arg 1 =
+# per-event dispatch on the replay thread), the
+# BM_ParallelDecode{,Profiled} serial frame decode of SGB2 and SGB3
+# (Arg = format; parse-only and profiled end to end), and the
+# BM_ServerQueryThroughput sigild sweep (Arg = concurrent query
+# clients over the daemon's Unix-domain socket; items/sec is
+# end-to-end requests per second through framing, dispatch, catalog
+# rendering, and the socket round-trip). The JSON context carries a
 # machine manifest ("num_cpus", "cpu_model", "kernel") and
 # compare_bench.py refuses a baseline recorded on different hardware.
 #

@@ -60,9 +60,9 @@ def run(*argv):
 def main():
     full = [
         bench("BM_ShadowSpanStride/64", bytes_per_second=1e9),
-        bench("BM_ShardedReplay/4", items_per_second=2e6),
+        bench("BM_WideReplay/1", items_per_second=2e6),
     ]
-    without_sharded = [
+    without_wide = [
         bench("BM_ShadowSpanStride/64", bytes_per_second=1e9),
     ]
     failures = []
@@ -77,10 +77,10 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         base_full = write(tmp, "base_full.json", doc(full))
         base_missing = write(tmp, "base_missing.json",
-                             doc(without_sharded))
+                             doc(without_wide))
         fresh_full = write(tmp, "fresh_full.json", doc(full))
         fresh_missing = write(tmp, "fresh_missing.json",
-                              doc(without_sharded))
+                              doc(without_wide))
 
         # Self-compare passes strict and check-only.
         rc, out = run(base_full, fresh_full)
@@ -93,20 +93,20 @@ def main():
         # prints the same diagnostic.
         rc, out = run(base_full, fresh_missing)
         check("missing-from-fresh strict fails",
-              rc != 0 and "BM_ShardedReplay" in out
+              rc != 0 and "BM_WideReplay" in out
               and "missing from" in out, out)
         rc, out = run("--check-only", base_full, fresh_missing)
         check("missing-from-fresh check-only warns but passes",
-              rc == 0 and "BM_ShardedReplay" in out, out)
+              rc == 0 and "BM_WideReplay" in out, out)
 
         # Fresh suite missing from the baseline: no silent pass.
         rc, out = run(base_missing, fresh_full)
         check("missing-from-baseline strict fails",
-              rc != 0 and "BM_ShardedReplay" in out
+              rc != 0 and "BM_WideReplay" in out
               and "no baseline" in out, out)
         rc, out = run("--check-only", base_missing, fresh_full)
         check("missing-from-baseline check-only warns but passes",
-              rc == 0 and "BM_ShardedReplay" in out, out)
+              rc == 0 and "BM_WideReplay" in out, out)
 
         # A nameless benchmark entry is a clean diagnostic, never a
         # KeyError traceback.

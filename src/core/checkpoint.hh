@@ -29,12 +29,6 @@
  * profiler restores shadow chunks in LRU order (reproducing future
  * eviction decisions) and SGB2 resets its address-delta chain at every
  * block boundary (so decoding resumes cleanly mid-stream).
- *
- * Sharded replays (GuestConfig::shardCount > 1) fold their
- * shard-partial state before every snapshot, so the profiler body is
- * engine-independent (it merely records the shard count,
- * docs/FORMATS.md §5.1): snapshots restore across engines and shard
- * counts in both directions, still bit-identically.
  */
 
 #ifndef SIGIL_CORE_CHECKPOINT_HH

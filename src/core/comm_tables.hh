@@ -1,22 +1,19 @@
 /**
  * @file
- * Shared communication-classification tables and kernels.
+ * Communication-classification tables and kernels.
  *
  * The paper's per-byte classification (local vs. input/output, unique
- * vs. non-unique, re-use runs) is needed by two engines: the serial
- * SigilProfiler and the address-sharded parallel engine, where every
- * shard worker maintains a private partial table that is later merged.
- * Keeping one implementation of the per-unit kernels — commReadUnit /
- * commWriteUnit / commFinalizeRun operating on a CommTables — is what
- * makes "sharded output is bit-identical to serial" true by
- * construction rather than by parallel maintenance of two copies.
+ * vs. non-unique, re-use runs) as free functions over a CommTables:
+ * commReadUnit / commWriteUnit / commFinalizeRun. SigilProfiler calls
+ * them from both of its shadow walks — the span-oriented hot path and
+ * the per-unit reference path — so the two walks share one
+ * implementation of the classification and differ only in how they
+ * reach the shadow records.
  *
- * All quantities in a CommTables are unsigned-integer sums or
- * histogram counts, so merging shard partials by addition reproduces
- * the serial totals exactly. Edge *order* is the one observable that
- * addition cannot recover; edges therefore carry the global epoch of
- * their first occurrence, and the merge re-sorts by (epoch, local
- * insertion index) to reproduce the serial first-seen order.
+ * Edges are kept in first-seen order: the edge vectors are appended on
+ * first occurrence and the key → index maps locate them afterwards,
+ * so the profile lists edges in the order the access stream created
+ * them.
  */
 
 #ifndef SIGIL_CORE_COMM_TABLES_HH
@@ -32,21 +29,6 @@
 
 namespace sigil::core {
 
-/** A communication edge plus its first-occurrence position. */
-struct OrderedCommEdge
-{
-    CommEdge edge;
-    /** Global access epoch at which the edge was first created. */
-    std::uint64_t firstEpoch = 0;
-};
-
-/** A thread edge plus its first-occurrence position. */
-struct OrderedThreadEdge
-{
-    ThreadCommEdge edge;
-    std::uint64_t firstEpoch = 0;
-};
-
 /** Per-allocation traffic; slot 0 is the "other" bucket. */
 struct ObjectTraffic
 {
@@ -55,12 +37,7 @@ struct ObjectTraffic
     std::uint64_t uniqueReadBytes = 0;
 };
 
-/**
- * Ambient state of one memory-access piece, captured by the sequencer
- * at event time. Shard workers classify against this stamp instead of
- * live guest state, which is how classification stays epoch-exact
- * while memory events execute out of band.
- */
+/** Ambient state of one memory access, as the read kernel sees it. */
 struct AccessStamp
 {
     vg::ContextId ctx = vg::kInvalidContext;
@@ -69,20 +46,15 @@ struct AccessStamp
     vg::ThreadId tid = 0;
     /** Open event-trace segment receiving the access (0 = none). */
     std::uint64_t segSeq = 0;
-    /** Position of the piece in the global access stream. */
-    std::uint64_t epoch = 0;
-    /** Allocation receiving unique-read attribution (-1 = none). */
-    std::int32_t allocIdx = -1;
     /** ROI collection flag at the time of the access. */
     bool collecting = true;
 };
 
 /**
  * Collection environment of the read kernel. The fidelity flags are
- * *references*: in the serial engine a failure-injected chunk
- * allocation can degrade fidelity in the middle of a multi-unit span,
- * and the kernel must observe the flip on the very next unit, exactly
- * as the pre-refactor member functions did.
+ * *references*: a failure-injected chunk allocation can degrade
+ * fidelity in the middle of a multi-unit span, and the kernel must
+ * observe the flip on the very next unit.
  */
 struct ClassifyEnv
 {
@@ -92,37 +64,24 @@ struct ClassifyEnv
     unsigned granularityShift = 0;
 };
 
-/**
- * One set of communication tables: either the serial profiler's single
- * authoritative copy, or a shard worker's partial awaiting the merge.
- */
+/** The profiler's communication tables. */
 struct CommTables
 {
     std::vector<CommAggregates> rows;
 
     /** (producer<<32|consumer) → edge index, no self edges. */
     std::unordered_map<std::uint64_t, std::size_t> edgeIndex;
-    std::vector<OrderedCommEdge> edges;
+    std::vector<CommEdge> edges;
 
     /** (producerTid<<32|consumerTid) → thread-edge index. */
     std::unordered_map<std::uint64_t, std::size_t> threadEdgeIndex;
-    std::vector<OrderedThreadEdge> threadEdges;
+    std::vector<ThreadCommEdge> threadEdges;
 
     BoundsHistogram unitReuseBreakdown{std::vector<std::uint64_t>{0, 9}};
     BoundsHistogram lineReuseBreakdown{
         std::vector<std::uint64_t>{9, 99, 999, 9999}};
 
     std::vector<ObjectTraffic> objectStats;
-
-    /**
-     * Shard partials only: per consuming segment, producer segment →
-     * unique bytes. The serial engine accumulates directly into the
-     * open segment's map instead; at the fold these merge into the
-     * matching pending segment records.
-     */
-    std::unordered_map<std::uint64_t,
-                       std::unordered_map<std::uint64_t, std::uint64_t>>
-        segXfers;
 
     CommAggregates &
     row(vg::ContextId ctx)
@@ -159,29 +118,6 @@ struct CommTables
     }
 };
 
-/** Add every counter of src into dst (histograms merge). */
-inline void
-mergeAggregates(CommAggregates &dst, const CommAggregates &src)
-{
-    dst.calls += src.calls;
-    dst.iops += src.iops;
-    dst.flops += src.flops;
-    dst.readBytes += src.readBytes;
-    dst.writeBytes += src.writeBytes;
-    dst.uniqueLocalBytes += src.uniqueLocalBytes;
-    dst.nonuniqueLocalBytes += src.nonuniqueLocalBytes;
-    dst.uniqueInputBytes += src.uniqueInputBytes;
-    dst.nonuniqueInputBytes += src.nonuniqueInputBytes;
-    dst.uniqueOutputBytes += src.uniqueOutputBytes;
-    dst.nonuniqueOutputBytes += src.nonuniqueOutputBytes;
-    dst.uniqueInterThreadBytes += src.uniqueInterThreadBytes;
-    dst.nonuniqueInterThreadBytes += src.nonuniqueInterThreadBytes;
-    dst.reusedUnits += src.reusedUnits;
-    dst.reuseReads += src.reuseReads;
-    dst.lifetimeSum += src.lifetimeSum;
-    dst.lifetimeHist.merge(src.lifetimeHist);
-}
-
 /**
  * Close the pending re-use run of a shadow object, folding its
  * lifetime into the last reader's statistics and its read count into
@@ -216,7 +152,7 @@ commFinalizeRun(CommTables &t, const bool &reuse_enabled,
 /**
  * Record one write into a unit's shadow state. writer_id is the
  * access's producer identity, interned once per access into the
- * owning shadow's stamp table.
+ * shadow's stamp table.
  */
 inline void
 commWriteUnit(CommTables &t, const bool &reuse_enabled,
@@ -295,12 +231,9 @@ commReadUnit(CommTables &t, const ClassifyEnv &env,
         std::uint64_t key = CommTables::edgeKey(producer, a.ctx);
         auto [it, inserted] =
             t.edgeIndex.try_emplace(key, t.edges.size());
-        if (inserted) {
-            t.edges.push_back(
-                OrderedCommEdge{CommEdge{producer, a.ctx, 0, 0},
-                                a.epoch});
-        }
-        CommEdge &edge = t.edges[it->second].edge;
+        if (inserted)
+            t.edges.push_back(CommEdge{producer, a.ctx, 0, 0});
+        CommEdge &edge = t.edges[it->second];
         if (unique)
             edge.uniqueBytes += w;
         else
@@ -319,11 +252,9 @@ commReadUnit(CommTables &t, const ClassifyEnv &env,
         std::uint64_t tkey = CommTables::threadEdgeKey(wr.thread, a.tid);
         auto [tit, tin] =
             t.threadEdgeIndex.try_emplace(tkey, t.threadEdges.size());
-        if (tin) {
-            t.threadEdges.push_back(OrderedThreadEdge{
-                ThreadCommEdge{wr.thread, a.tid, 0, 0}, a.epoch});
-        }
-        ThreadCommEdge &tedge = t.threadEdges[tit->second].edge;
+        if (tin)
+            t.threadEdges.push_back(ThreadCommEdge{wr.thread, a.tid, 0, 0});
+        ThreadCommEdge &tedge = t.threadEdges[tit->second];
         if (unique)
             tedge.uniqueBytes += w;
         else

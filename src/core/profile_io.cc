@@ -1,5 +1,6 @@
 #include "profile_io.hh"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <unordered_map>
@@ -54,32 +55,33 @@ struct LineCtx
         throw ProfileAbort{e};
     }
 
+    /**
+     * A fully consumed decimal of type T: no leading whitespace or
+     * '+', and no '-' unless T is signed. Out-of-range values reject.
+     */
+    template <typename T>
+    T
+    decimal(const std::string &s, const char *what) const
+    {
+        T v = 0;
+        const char *end = s.data() + s.size();
+        auto [ptr, ec] = std::from_chars(s.data(), end, v);
+        if (ec != std::errc() || ptr != end)
+            reject(vg::TraceErrorCause::BadRecord,
+                   std::string("bad ") + what + " value '" + s + "'");
+        return v;
+    }
+
     std::uint64_t
     u64(const std::string &s, const char *what) const
     {
-        try {
-            std::size_t consumed = 0;
-            std::uint64_t v = std::stoull(s, &consumed);
-            if (consumed == s.size())
-                return v;
-        } catch (const std::exception &) {
-        }
-        reject(vg::TraceErrorCause::BadRecord,
-               std::string("bad ") + what + " value '" + s + "'");
+        return decimal<std::uint64_t>(s, what);
     }
 
     std::int64_t
     i64(const std::string &s, const char *what) const
     {
-        try {
-            std::size_t consumed = 0;
-            std::int64_t v = std::stoll(s, &consumed);
-            if (consumed == s.size())
-                return v;
-        } catch (const std::exception &) {
-        }
-        reject(vg::TraceErrorCause::BadRecord,
-               std::string("bad ") + what + " value '" + s + "'");
+        return decimal<std::int64_t>(s, what);
     }
 };
 
@@ -205,8 +207,18 @@ parseProfile(std::istream &is)
                 at.reject(vg::TraceErrorCause::BadRecord,
                           "short row line (" + std::to_string(f.size()) +
                               " of 22 fields)");
+            // writeProfile emits rows densely (rows[i].ctx == i), so a
+            // row may only revisit or extend the table by one: memory
+            // stays bounded by the input.
+            std::int64_t ctx = at.i64(f[1], "ctx");
+            if (ctx < 0 ||
+                static_cast<std::uint64_t>(ctx) > profile.rows.size())
+                at.reject(vg::TraceErrorCause::BadRecord,
+                          "row context " + f[1] + " out of range (" +
+                              std::to_string(profile.rows.size()) +
+                              " rows so far)");
             SigilRow r;
-            r.ctx = static_cast<vg::ContextId>(at.i64(f[1], "ctx"));
+            r.ctx = static_cast<vg::ContextId>(ctx);
             r.parent =
                 static_cast<vg::ContextId>(at.i64(f[2], "parent"));
             r.fnName = f[3];
@@ -233,9 +245,9 @@ parseProfile(std::istream &is)
             a.lifetimeSum = at.u64(f[19], "lifetimeSum");
             a.uniqueInterThreadBytes = at.u64(f[20], "uit");
             a.nonuniqueInterThreadBytes = at.u64(f[21], "nit");
-            std::size_t idx = static_cast<std::size_t>(r.ctx);
-            if (idx >= profile.rows.size())
-                profile.rows.resize(idx + 1);
+            std::size_t idx = static_cast<std::size_t>(ctx);
+            if (idx == profile.rows.size())
+                profile.rows.emplace_back();
             profile.rows[idx] = std::move(r);
         } else if (tag == "hist") {
             if (f.size() < 7)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/shard_engine.hh"
 #include "support/logging.hh"
 
 namespace sigil::core {
@@ -70,24 +69,11 @@ void
 SigilProfiler::attach(const vg::Guest &guest)
 {
     Tool::attach(guest);
-    const vg::GuestConfig &gc = guest.config();
-    if (gc.shardCount > 1 && shadow_.hasAllocationFailureInjector()) {
-        // Sharded workers never consult injectors and cannot degrade;
-        // silently ignoring the injector would make a fault-injection
-        // run report clean results it never exercised.
-        fatal("SigilProfiler: allocation-failure injection is not "
-              "supported with shardCount > 1");
-    }
     // The shared handle keeps the governor alive for this profiler's
     // whole lifetime, so shadow_'s raw pointer into it cannot dangle
     // even when the guest is torn down first.
     governorHold_ = guest.governorShared();
     shadow_.setGovernor(governorHold_.get());
-    if (gc.shardCount > 1 && engine_ == nullptr) {
-        engine_ = std::make_unique<ShardEngine>(
-            config_, gc.shardCount, gc.shardQueueCapacity,
-            guest.watchdogShared(), guest.governorShared());
-    }
 }
 
 void
@@ -144,13 +130,12 @@ SigilProfiler::leaveAt(vg::ContextId resumed_ctx, vg::CallNum resumed_call,
 void
 SigilProfiler::memWrite(vg::Addr addr, unsigned size)
 {
-    writeAccess(addr, size, guest_->currentContext(),
-                guest_->currentCall());
+    writeAccess(addr, size, guest_->currentContext());
 }
 
 void
 SigilProfiler::writeAccess(vg::Addr addr, unsigned size,
-                           vg::ContextId ctx, vg::CallNum call)
+                           vg::ContextId ctx)
 {
     if (collecting_) {
         row(ctx).writeBytes += size;
@@ -163,18 +148,6 @@ SigilProfiler::writeAccess(vg::Addr addr, unsigned size,
     if (state.open)
         ++state.segment.writes;
     std::uint64_t seq = state.open ? state.segment.seq : 0;
-
-    if (engine_) {
-        AccessStamp a;
-        a.ctx = ctx;
-        a.call = call;
-        a.tid = currentTid_;
-        a.segSeq = seq;
-        a.collecting = collecting_;
-        engine_->routeAccess(true, addr, size, a);
-        needsFold_ = true;
-        return;
-    }
 
     std::uint64_t first = shadow_.unitOf(addr);
     std::uint64_t last = shadow_.lastUnitOf(addr, size);
@@ -225,25 +198,6 @@ SigilProfiler::readAccess(vg::Addr addr, unsigned size, vg::ContextId ctx,
     SegState &state = seg();
     if (state.open)
         ++state.segment.reads;
-
-    if (engine_) {
-        std::int32_t alloc_idx = -1;
-        if (collecting_ && config_.collectObjects) {
-            alloc_idx = guest_->allocationOf(addr);
-            tables_.objectSlot(alloc_idx).readBytes += size;
-        }
-        AccessStamp a;
-        a.ctx = ctx;
-        a.call = call;
-        a.tick = now;
-        a.tid = currentTid_;
-        a.segSeq = state.open ? state.segment.seq : 0;
-        a.allocIdx = alloc_idx;
-        a.collecting = collecting_;
-        engine_->routeAccess(false, addr, size, a);
-        needsFold_ = true;
-        return;
-    }
 
     std::uint64_t unique_bytes_this_access = 0;
     AccessStamp a;
@@ -379,19 +333,11 @@ SigilProfiler::threadSwitchAt(vg::ThreadId tid, vg::ContextId ctx,
 std::uint64_t
 SigilProfiler::resolvePred(std::uint64_t seq) const
 {
-    return resolvePredAt(seq, ~std::uint64_t{0});
-}
-
-std::uint64_t
-SigilProfiler::resolvePredAt(std::uint64_t seq,
-                             std::uint64_t stamp_bound) const
-{
     // Follow the forwarding chain through skipped empty segments so an
     // ordering edge never dangles on a segment absent from the trace.
     auto it = skippedSegments_.find(seq);
-    while (it != skippedSegments_.end() &&
-           it->second.stamp < stamp_bound) {
-        seq = it->second.pred;
+    while (it != skippedSegments_.end()) {
+        seq = it->second;
         it = skippedSegments_.find(seq);
     }
     return seq;
@@ -463,45 +409,22 @@ SigilProfiler::flushSegment(SegState &state)
     bool has_work = segment.iops || segment.flops || segment.reads ||
                     segment.writes;
     if (collecting_ && (has_work || !state.xfers.empty())) {
-        if (engine_) {
-            // The segment's data transfers are still distributed over
-            // the shard tables; emit the C record now and leave a
-            // placeholder so the fold can splice the X records in
-            // front of it. state.xfers carries only sequencer-side
-            // entries (barrier ordering edges, restored state).
-            pendingSegs_.push_back(PendingSeg{events_.records.size(),
-                                              segment.seq, skipStamp_,
-                                              std::move(state.xfers)});
-            state.xfers = {};
-            events_.records.push_back(EventRecord::makeCompute(segment));
-            needsFold_ = true;
-        } else {
-            // Emit incoming transfers in source order: the hash map's
-            // iteration order is not part of the observable state, and
-            // a checkpoint restore would otherwise reorder the X
-            // records.
-            std::vector<std::pair<std::uint64_t, std::uint64_t>> ordered(
-                state.xfers.begin(), state.xfers.end());
-            std::sort(ordered.begin(), ordered.end());
-            for (const auto &[src, bytes] : ordered) {
-                XferEvent x;
-                x.srcSeq = resolvePred(src);
-                x.dstSeq = segment.seq;
-                x.bytes = bytes;
-                events_.records.push_back(EventRecord::makeXfer(x));
-            }
-            events_.records.push_back(EventRecord::makeCompute(segment));
+        // Emit incoming transfers in source order: the hash map's
+        // iteration order is not part of the observable state, and a
+        // checkpoint restore would otherwise reorder the X records.
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> ordered(
+            state.xfers.begin(), state.xfers.end());
+        std::sort(ordered.begin(), ordered.end());
+        for (const auto &[src, bytes] : ordered) {
+            XferEvent x;
+            x.srcSeq = resolvePred(src);
+            x.dstSeq = segment.seq;
+            x.bytes = bytes;
+            events_.records.push_back(EventRecord::makeXfer(x));
         }
+        events_.records.push_back(EventRecord::makeCompute(segment));
     } else {
-        skippedSegments_.emplace(segment.seq,
-                                 SkipInfo{segment.predSeq, skipStamp_++});
-        if (engine_ && config_.collectEvents) {
-            // Any shard-side transfers charged to this segment must be
-            // discarded at the fold, as the serial path discards
-            // state.xfers here.
-            discardedSeqs_.push_back(segment.seq);
-            needsFold_ = true;
-        }
+        skippedSegments_.emplace(segment.seq, segment.predSeq);
     }
     state.xfers.clear();
     state.open = false;
@@ -524,8 +447,7 @@ SigilProfiler::processBatch(const vg::EventBuffer &batch)
                        calls[i], ticks[i]);
             break;
           case vg::EventKind::kWrite:
-            writeAccess(as[i], static_cast<unsigned>(bs[i]), ctxs[i],
-                        calls[i]);
+            writeAccess(as[i], static_cast<unsigned>(bs[i]), ctxs[i]);
             break;
           case vg::EventKind::kOp:
             if (collecting_)
@@ -554,227 +476,6 @@ SigilProfiler::processBatch(const vg::EventBuffer &batch)
 }
 
 void
-SigilProfiler::sync()
-{
-    foldShards();
-}
-
-void
-SigilProfiler::foldShards()
-{
-    if (engine_ == nullptr || !needsFold_)
-        return;
-    engine_->drain();
-    needsFold_ = false;
-
-    const unsigned n = engine_->shardCount();
-    std::vector<unsigned> order;
-    if (foldOrder_.size() == n) {
-        order = foldOrder_;
-    } else {
-        order.resize(n);
-        for (unsigned i = 0; i < n; ++i)
-            order[i] = i;
-    }
-
-    // Edges need their serial first-seen order back: every edge carries
-    // the global epoch of the piece that created it, epochs are unique
-    // per piece (hence per shard), and within one piece the shard's
-    // local insertion index preserves unit order — so (epoch, localIdx)
-    // totally orders the new edges exactly as the serial engine would
-    // have first seen them, independent of the shard visit order.
-    struct TaggedEdge
-    {
-        std::uint64_t epoch;
-        std::uint64_t localIdx;
-        CommEdge edge;
-    };
-    struct TaggedThreadEdge
-    {
-        std::uint64_t epoch;
-        std::uint64_t localIdx;
-        ThreadCommEdge edge;
-    };
-    std::vector<TaggedEdge> new_edges;
-    std::vector<TaggedThreadEdge> new_tedges;
-
-    // The shard tables know exactly how many edges are in flight:
-    // reserve the staging vectors and the merged indexes once from the
-    // summed sizes instead of growing them geometrically mid-fold.
-    std::size_t edge_total = 0;
-    std::size_t tedge_total = 0;
-    for (unsigned i : order) {
-        edge_total += engine_->tables(i).edges.size();
-        tedge_total += engine_->tables(i).threadEdges.size();
-    }
-    new_edges.reserve(edge_total);
-    new_tedges.reserve(tedge_total);
-    tables_.edgeIndex.reserve(tables_.edgeIndex.size() + edge_total);
-    tables_.threadEdgeIndex.reserve(tables_.threadEdgeIndex.size() +
-                                    tedge_total);
-
-    for (unsigned i : order) {
-        CommTables &st = engine_->tables(i);
-        for (std::size_t c = 0; c < st.rows.size(); ++c) {
-            mergeAggregates(tables_.row(static_cast<vg::ContextId>(c)),
-                            st.rows[c]);
-        }
-        st.rows.clear();
-        tables_.unitReuseBreakdown.merge(st.unitReuseBreakdown);
-        st.unitReuseBreakdown =
-            BoundsHistogram{std::vector<std::uint64_t>{0, 9}};
-        tables_.lineReuseBreakdown.merge(st.lineReuseBreakdown);
-        st.lineReuseBreakdown =
-            BoundsHistogram{std::vector<std::uint64_t>{9, 99, 999, 9999}};
-        for (std::size_t o = 0; o < st.objectStats.size(); ++o) {
-            ObjectTraffic &dst = tables_.objectSlot(
-                static_cast<std::int32_t>(o) - 1);
-            dst.readBytes += st.objectStats[o].readBytes;
-            dst.writeBytes += st.objectStats[o].writeBytes;
-            dst.uniqueReadBytes += st.objectStats[o].uniqueReadBytes;
-        }
-        st.objectStats.clear();
-        for (std::size_t e = 0; e < st.edges.size(); ++e) {
-            new_edges.push_back(
-                {st.edges[e].firstEpoch, e, st.edges[e].edge});
-        }
-        st.edges.clear();
-        st.edgeIndex.clear();
-        for (std::size_t e = 0; e < st.threadEdges.size(); ++e) {
-            new_tedges.push_back(
-                {st.threadEdges[e].firstEpoch, e, st.threadEdges[e].edge});
-        }
-        st.threadEdges.clear();
-        st.threadEdgeIndex.clear();
-    }
-
-    std::sort(new_edges.begin(), new_edges.end(),
-              [](const TaggedEdge &a, const TaggedEdge &b) {
-                  return a.epoch != b.epoch ? a.epoch < b.epoch
-                                            : a.localIdx < b.localIdx;
-              });
-    tables_.edges.reserve(tables_.edges.size() + new_edges.size());
-    for (const TaggedEdge &te : new_edges) {
-        std::uint64_t key =
-            CommTables::edgeKey(te.edge.producer, te.edge.consumer);
-        auto [it, inserted] =
-            tables_.edgeIndex.try_emplace(key, tables_.edges.size());
-        if (inserted) {
-            tables_.edges.push_back(OrderedCommEdge{te.edge, te.epoch});
-        } else {
-            CommEdge &dst = tables_.edges[it->second].edge;
-            dst.uniqueBytes += te.edge.uniqueBytes;
-            dst.nonuniqueBytes += te.edge.nonuniqueBytes;
-        }
-    }
-    std::sort(new_tedges.begin(), new_tedges.end(),
-              [](const TaggedThreadEdge &a, const TaggedThreadEdge &b) {
-                  return a.epoch != b.epoch ? a.epoch < b.epoch
-                                            : a.localIdx < b.localIdx;
-              });
-    tables_.threadEdges.reserve(tables_.threadEdges.size() +
-                                new_tedges.size());
-    for (const TaggedThreadEdge &te : new_tedges) {
-        std::uint64_t key = CommTables::threadEdgeKey(te.edge.producer,
-                                                      te.edge.consumer);
-        auto [it, inserted] = tables_.threadEdgeIndex.try_emplace(
-            key, tables_.threadEdges.size());
-        if (inserted) {
-            tables_.threadEdges.push_back(
-                OrderedThreadEdge{te.edge, te.epoch});
-        } else {
-            ThreadCommEdge &dst = tables_.threadEdges[it->second].edge;
-            dst.uniqueBytes += te.edge.uniqueBytes;
-            dst.nonuniqueBytes += te.edge.nonuniqueBytes;
-        }
-    }
-
-    if (!config_.collectEvents)
-        return;
-
-    for (std::uint64_t seq : discardedSeqs_) {
-        for (unsigned i = 0; i < n; ++i)
-            engine_->tables(i).segXfers.erase(seq);
-    }
-    discardedSeqs_.clear();
-
-    if (pendingSegs_.empty())
-        return;
-
-    // Pull each emitted segment's shard-side transfers into its pending
-    // record, then rebuild the record stream once, splicing the X
-    // records (raw-key sorted, flush-time predecessor resolution)
-    // before their C record — exactly where the serial engine would
-    // have written them.
-    std::size_t extra = 0;
-    for (PendingSeg &p : pendingSegs_) {
-        // Size the destination map once from the summed shard entries
-        // (an upper bound — shards may share source segments) before
-        // merging, so the merge itself never rehashes.
-        std::size_t found = 0;
-        for (unsigned i : order) {
-            auto &sx = engine_->tables(i).segXfers;
-            auto it = sx.find(p.seq);
-            if (it != sx.end())
-                found += it->second.size();
-        }
-        if (found != 0)
-            p.xfers.reserve(p.xfers.size() + found);
-        for (unsigned i : order) {
-            auto &sx = engine_->tables(i).segXfers;
-            auto it = sx.find(p.seq);
-            if (it == sx.end())
-                continue;
-            for (const auto &[src, bytes] : it->second)
-                p.xfers[src] += bytes;
-            sx.erase(it);
-        }
-        extra += p.xfers.size();
-    }
-    std::vector<EventRecord> rebuilt;
-    rebuilt.reserve(events_.records.size() + extra);
-    std::size_t next = 0;
-    for (std::size_t pos = 0; pos < events_.records.size(); ++pos) {
-        while (next < pendingSegs_.size() &&
-               pendingSegs_[next].recordPos == pos) {
-            PendingSeg &p = pendingSegs_[next];
-            std::vector<std::pair<std::uint64_t, std::uint64_t>> ordered(
-                p.xfers.begin(), p.xfers.end());
-            std::sort(ordered.begin(), ordered.end());
-            for (const auto &[src, bytes] : ordered) {
-                XferEvent x;
-                x.srcSeq = resolvePredAt(src, p.skipStamp);
-                x.dstSeq = p.seq;
-                x.bytes = bytes;
-                rebuilt.push_back(EventRecord::makeXfer(x));
-            }
-            ++next;
-        }
-        rebuilt.push_back(events_.records[pos]);
-    }
-    events_.records = std::move(rebuilt);
-    pendingSegs_.clear();
-}
-
-void
-SigilProfiler::mergeOpenSegXfers()
-{
-    for (SegState &s : segStates_) {
-        if (!s.open)
-            continue;
-        for (unsigned i = 0; i < engine_->shardCount(); ++i) {
-            auto &sx = engine_->tables(i).segXfers;
-            auto it = sx.find(s.segment.seq);
-            if (it == sx.end())
-                continue;
-            for (const auto &[src, bytes] : it->second)
-                s.xfers[src] += bytes;
-            sx.erase(it);
-        }
-    }
-}
-
-void
 SigilProfiler::finish()
 {
     for (SegState &state : segStates_)
@@ -791,31 +492,18 @@ SigilProfiler::finish()
                                      : shadow::SweepFilter::PendingRuns;
     const bool sweep_needed =
         config_.granularityShift > 0 || reuseEnabled_;
-    if (engine_) {
-        needsFold_ = true;
-        foldShards();
-    }
     if (!sweep_needed)
         return;
-    const auto sweep = [this, filter](shadow::ShadowMemory &sh) {
-        sh.forEach(
-            [this, &sh](std::uint64_t, shadow::ShadowRef obj) {
-                commFinalizeRun(tables_, reuseEnabled_, sh.stamps(),
-                                obj.hot, obj.cold);
-                if (config_.granularityShift > 0 && obj.cold &&
-                    obj.cold->totalAccesses > 0) {
-                    tables_.lineReuseBreakdown.add(
-                        obj.cold->totalAccesses - 1);
-                }
-            },
-            filter);
-    };
-    if (engine_) {
-        for (unsigned i = 0; i < engine_->shardCount(); ++i)
-            sweep(engine_->shadowOf(i));
-    } else {
-        sweep(shadow_);
-    }
+    shadow_.forEach(
+        [this](std::uint64_t, shadow::ShadowRef obj) {
+            commFinalizeRun(tables_, reuseEnabled_, shadow_.stamps(),
+                            obj.hot, obj.cold);
+            if (config_.granularityShift > 0 && obj.cold &&
+                obj.cold->totalAccesses > 0) {
+                tables_.lineReuseBreakdown.add(obj.cold->totalAccesses - 1);
+            }
+        },
+        filter);
 }
 
 const CommAggregates &
@@ -826,37 +514,8 @@ SigilProfiler::aggregates(vg::ContextId ctx) const
                  "tool state read with events pending — call "
                  "Guest::sync() first");
 #endif
-    if (engine_ != nullptr && needsFold_)
-        const_cast<SigilProfiler *>(this)->foldShards();
     std::size_t idx = static_cast<std::size_t>(ctx);
     return idx < tables_.rows.size() ? tables_.rows[idx] : kZero;
-}
-
-const EventTrace &
-SigilProfiler::events() const
-{
-    if (engine_ != nullptr && needsFold_)
-        const_cast<SigilProfiler *>(this)->foldShards();
-    return events_;
-}
-
-shadow::ShadowStats
-SigilProfiler::shadowStats() const
-{
-    return engine_ != nullptr ? engine_->planner().stats()
-                              : shadow_.stats();
-}
-
-std::uint64_t
-SigilProfiler::shadowPeakBytes() const
-{
-    return shadowStats().peakBytes();
-}
-
-void
-SigilProfiler::setFoldOrderForTesting(std::vector<unsigned> order)
-{
-    foldOrder_ = std::move(order);
 }
 
 SigilProfile
@@ -869,8 +528,6 @@ SigilProfiler::takeProfile() const
                  "tool state read with events pending — call "
                  "Guest::sync() first");
 #endif
-    if (engine_ != nullptr && needsFold_)
-        const_cast<SigilProfiler *>(this)->foldShards();
     const vg::ContextTree &ctxs = guest_->contexts();
     const vg::FunctionRegistry &fns = guest_->functions();
 
@@ -889,12 +546,8 @@ SigilProfiler::takeProfile() const
         out.path = ctxs.pathName(ctx);
         out.agg = aggregates(ctx);
     }
-    profile.edges.reserve(tables_.edges.size());
-    for (const OrderedCommEdge &e : tables_.edges)
-        profile.edges.push_back(e.edge);
-    profile.threadEdges.reserve(tables_.threadEdges.size());
-    for (const OrderedThreadEdge &e : tables_.threadEdges)
-        profile.threadEdges.push_back(e.edge);
+    profile.edges = tables_.edges;
+    profile.threadEdges = tables_.threadEdges;
     if (config_.collectObjects) {
         const auto &allocs = guest_->allocations();
         // Row i+1 of objectStats maps to allocation i; row 0 = other.
@@ -1059,20 +712,11 @@ getComputeEvent(ByteSource &src, ComputeEvent &c)
 void
 SigilProfiler::saveState(ByteSink &sink)
 {
-    if (engine_) {
-        // Fold everything shard-side into the authoritative tables so
-        // the serialized body is engine-independent (and restorable
-        // into a serial profiler or any shard count).
-        needsFold_ = true;
-        foldShards();
-        mergeOpenSegXfers();
-    }
-
-    // Version 3: the shard count of the saving run (1 when serial,
-    // informational only), then the body — the interned stamp table
-    // plus chunk-grouped stamp-id units for the shadow.
+    // Version 3: a provenance varint (always 1; restore ignores it),
+    // then the body — the interned stamp table plus chunk-grouped
+    // stamp-id units for the shadow.
     sink.u8(kStateVersion);
-    sink.varint(engine_ ? engine_->shardCount() : 1);
+    sink.varint(1);
 
     // Config echo: a checkpoint is only meaningful for the identical
     // collection configuration (referenceShadowPath is excluded — the
@@ -1094,18 +738,18 @@ SigilProfiler::saveState(ByteSink &sink)
         putAggregates(sink, a);
 
     sink.varint(tables_.edges.size());
-    for (const OrderedCommEdge &oe : tables_.edges) {
-        sink.u32(static_cast<std::uint32_t>(oe.edge.producer));
-        sink.u32(static_cast<std::uint32_t>(oe.edge.consumer));
-        sink.u64(oe.edge.uniqueBytes);
-        sink.u64(oe.edge.nonuniqueBytes);
+    for (const CommEdge &e : tables_.edges) {
+        sink.u32(static_cast<std::uint32_t>(e.producer));
+        sink.u32(static_cast<std::uint32_t>(e.consumer));
+        sink.u64(e.uniqueBytes);
+        sink.u64(e.nonuniqueBytes);
     }
     sink.varint(tables_.threadEdges.size());
-    for (const OrderedThreadEdge &oe : tables_.threadEdges) {
-        sink.u32(oe.edge.producer);
-        sink.u32(oe.edge.consumer);
-        sink.u64(oe.edge.uniqueBytes);
-        sink.u64(oe.edge.nonuniqueBytes);
+    for (const ThreadCommEdge &e : tables_.threadEdges) {
+        sink.u32(e.producer);
+        sink.u32(e.consumer);
+        sink.u64(e.uniqueBytes);
+        sink.u64(e.nonuniqueBytes);
     }
 
     putBoundsHistogram(sink, tables_.unitReuseBreakdown);
@@ -1153,10 +797,8 @@ SigilProfiler::saveState(ByteSink &sink)
     }
     sink.varint(currentTid_);
 
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> skipped;
-    skipped.reserve(skippedSegments_.size());
-    for (const auto &[seq, info] : skippedSegments_)
-        skipped.emplace_back(seq, info.pred);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> skipped(
+        skippedSegments_.begin(), skippedSegments_.end());
     std::sort(skipped.begin(), skipped.end());
     sink.varint(skipped.size());
     for (const auto &[seq, pred] : skipped) {
@@ -1167,7 +809,7 @@ SigilProfiler::saveState(ByteSink &sink)
     for (std::uint64_t seq : barrierPreds_)
         sink.u64(seq);
 
-    const shadow::ShadowStats st = shadowStats();
+    const shadow::ShadowStats &st = shadow_.stats();
     sink.u64(st.chunksAllocated);
     sink.u64(st.chunksLive);
     sink.u64(st.chunksPeak);
@@ -1182,12 +824,8 @@ SigilProfiler::saveState(ByteSink &sink)
     // holders were evicted chunks. A resumed run must not re-grow the
     // table for tuples the interrupted run already knew, or its byte
     // accounting (hence its profile) would diverge from an
-    // uninterrupted run's. Sharded runs serialize the sequencer's
-    // mirror table, whose ids are serial-equivalent by construction,
-    // making the body engine-independent; shard-local unit stamps are
-    // remapped through it below.
-    const shadow::StampTable &table =
-        engine_ ? engine_->planner().stamps() : shadow_.stamps();
+    // uninterrupted run's.
+    const shadow::StampTable &table = shadow_.stamps();
     sink.varint(table.writerCount() - 1);
     for (std::size_t i = 1; i < table.writerCount(); ++i) {
         const shadow::WriterStamp &w =
@@ -1208,9 +846,6 @@ SigilProfiler::saveState(ByteSink &sink)
     // this order reproduces the recency list, hence every future
     // eviction decision. Each group carries its cold-presence flag so
     // the restore re-materializes exactly the saved cold arrays.
-    // Sharded runs walk the planner's recency list (which *is* the
-    // serial recency order) and pull each chunk's units from its
-    // owning shard.
     struct ChunkHead
     {
         std::uint64_t index;
@@ -1218,23 +853,10 @@ SigilProfiler::saveState(ByteSink &sink)
         std::uint64_t units;
     };
     std::vector<ChunkHead> heads;
-    if (engine_) {
-        engine_->planner().forEachChunk(
-            [&](std::uint64_t index, bool has_cold) {
-                std::uint64_t units = 0;
-                engine_->shadowOf(engine_->shardOf(index))
-                    .forEachInChunk(index,
-                                    [&](std::uint64_t,
-                                        shadow::ShadowRef) { ++units; });
-                heads.push_back(ChunkHead{index, has_cold, units});
-            });
-    } else {
-        shadow_.forEachChunkInRecencyOrder(
-            [&](std::uint64_t index, bool has_cold,
-                std::uint64_t units) {
-                heads.push_back(ChunkHead{index, has_cold, units});
-            });
-    }
+    shadow_.forEachChunkInRecencyOrder(
+        [&](std::uint64_t index, bool has_cold, std::uint64_t units) {
+            heads.push_back(ChunkHead{index, has_cold, units});
+        });
     sink.varint(heads.size());
     for (const ChunkHead &head : heads) {
         sink.varint(head.index);
@@ -1242,41 +864,18 @@ SigilProfiler::saveState(ByteSink &sink)
         sink.varint(head.units);
         const std::uint64_t base = head.index
                                    << shadow::ShadowMemory::kChunkShift;
-        const auto putUnit = [&](const shadow::StampTable &local,
-                                 bool remap, std::uint64_t unit,
-                                 shadow::ShadowRef obj) {
-            sink.varint(unit - base);
-            shadow::StampId w = obj.hot.writer;
-            shadow::StampId r = obj.hot.reader;
-            if (remap) {
-                w = table.idOfWriter(local.writer(w));
-                r = table.idOfReader(local.reader(r));
-            }
-            sink.varint(w);
-            sink.varint(r);
-            if (head.hasCold) {
-                sink.u64(obj.cold->runFirstRead);
-                sink.u64(obj.cold->runLastRead);
-                sink.u64(obj.cold->totalAccesses);
-                sink.u32(obj.cold->runReads);
-            }
-        };
-        if (engine_) {
-            shadow::ShadowMemory &sh =
-                engine_->shadowOf(engine_->shardOf(head.index));
-            sh.forEachInChunk(head.index,
-                              [&](std::uint64_t unit,
-                                  shadow::ShadowRef obj) {
-                                  putUnit(sh.stamps(), true, unit, obj);
-                              });
-        } else {
-            shadow_.forEachInChunk(head.index,
-                                   [&](std::uint64_t unit,
-                                       shadow::ShadowRef obj) {
-                                       putUnit(shadow_.stamps(), false,
-                                               unit, obj);
-                                   });
-        }
+        shadow_.forEachInChunk(
+            head.index, [&](std::uint64_t unit, shadow::ShadowRef obj) {
+                sink.varint(unit - base);
+                sink.varint(obj.hot.writer);
+                sink.varint(obj.hot.reader);
+                if (head.hasCold) {
+                    sink.u64(obj.cold->runFirstRead);
+                    sink.u64(obj.cold->runLastRead);
+                    sink.u64(obj.cold->totalAccesses);
+                    sink.u32(obj.cold->runReads);
+                }
+            });
     }
 }
 
@@ -1285,8 +884,7 @@ SigilProfiler::restoreState(ByteSource &src)
 {
     if (src.u8() != kStateVersion)
         return false;
-    // Shard count of the saving run; the body is engine-neutral, so
-    // the value is informational only.
+    // Provenance varint: written as 1, carries no information.
     (void)src.varint();
     if (!src.ok())
         return false;
@@ -1304,11 +902,6 @@ SigilProfiler::restoreState(ByteSource &src)
     degradationLevel_ = src.u8();
     reuseEnabled_ = src.u8() != 0;
     classifyEnabled_ = src.u8() != 0;
-    if (engine_ && degradationLevel_ != 0) {
-        // The sharded engine runs at fixed fidelity; a degraded
-        // snapshot can only resume serially.
-        return false;
-    }
 
     std::uint64_t num_rows = src.varint();
     if (!src.ok() || num_rows > (std::uint64_t{1} << 32))
@@ -1334,7 +927,7 @@ SigilProfiler::restoreState(ByteSource &src)
         tables_.edgeIndex.emplace(
             CommTables::edgeKey(e.producer, e.consumer),
             tables_.edges.size());
-        tables_.edges.push_back(OrderedCommEdge{e, 0});
+        tables_.edges.push_back(e);
     }
     std::uint64_t num_tedges = src.varint();
     if (!src.ok() || num_tedges > (std::uint64_t{1} << 32))
@@ -1350,7 +943,7 @@ SigilProfiler::restoreState(ByteSource &src)
         tables_.threadEdgeIndex.emplace(
             CommTables::threadEdgeKey(e.producer, e.consumer),
             tables_.threadEdges.size());
-        tables_.threadEdges.push_back(OrderedThreadEdge{e, 0});
+        tables_.threadEdges.push_back(e);
     }
 
     if (!getBoundsHistogram(src, tables_.unitReuseBreakdown) ||
@@ -1420,11 +1013,10 @@ SigilProfiler::restoreState(ByteSource &src)
     if (!src.ok() || num_skipped > (std::uint64_t{1} << 32))
         return false;
     skippedSegments_.clear();
-    skipStamp_ = 0;
     for (std::uint64_t i = 0; i < num_skipped; ++i) {
         std::uint64_t seq = src.u64();
         std::uint64_t pred = src.u64();
-        skippedSegments_.emplace(seq, SkipInfo{pred, skipStamp_++});
+        skippedSegments_.emplace(seq, pred);
     }
     std::uint64_t num_bpreds = src.varint();
     if (!src.ok() || num_bpreds > (std::uint64_t{1} << 20))
@@ -1439,34 +1031,6 @@ SigilProfiler::restoreState(ByteSource &src)
     st.chunksPeak = src.u64();
     st.evictions = src.u64();
     st.allocFailures = src.u64();
-
-    // Re-interns a resolved identity tuple pair into whichever tables
-    // the target engine uses and stores the unit. Interning (rather
-    // than trusting saved ids) keeps the restore correct even if the
-    // saved id space and ours ever disagree.
-    const auto restoreUnit = [&](std::uint64_t unit, bool has_cold,
-                                 const shadow::WriterStamp &w,
-                                 const shadow::ReaderStamp &r,
-                                 shadow::ShadowCold cold) {
-        shadow::ShadowRef obj = engine_
-                                    ? engine_->restoreUnit(unit, has_cold)
-                                    : shadow_.restoreLookup(unit,
-                                                            has_cold);
-        if (engine_) {
-            // Keep the sequencer's mirror table in sync so later
-            // saves can resolve shard-local ids (the full table was
-            // interned above already; this is a dedup no-op).
-            engine_->planner().stamps().internWriter(w);
-            engine_->planner().stamps().internReader(r);
-            obj.hot.writer = engine_->internWriterFor(unit, w);
-            obj.hot.reader = engine_->internReaderFor(unit, r);
-        } else {
-            obj.hot.writer = shadow_.internWriter(w);
-            obj.hot.reader = shadow_.internReader(r);
-        }
-        if (has_cold)
-            *obj.cold = cold;
-    };
 
     st.bytesPeak = src.u64();
 
@@ -1484,10 +1048,7 @@ SigilProfiler::restoreState(ByteSource &src)
         w.seq = src.u64();
         w.ctx = static_cast<vg::ContextId>(src.u32());
         w.thread = src.u32();
-        if (engine_)
-            engine_->planner().stamps().internWriter(w);
-        else
-            shadow_.internWriter(w);
+        shadow_.internWriter(w);
     }
     std::uint64_t rcount = src.varint();
     if (!src.ok() || rcount > (std::uint64_t{1} << 32))
@@ -1498,10 +1059,7 @@ SigilProfiler::restoreState(ByteSource &src)
         shadow::ReaderStamp &r = readers[i];
         r.call = src.u64();
         r.ctx = static_cast<vg::ContextId>(src.u32());
-        if (engine_)
-            engine_->planner().stamps().internReader(r);
-        else
-            shadow_.internReader(r);
+        shadow_.internReader(r);
     }
 
     std::uint64_t num_chunks = src.varint();
@@ -1526,24 +1084,22 @@ SigilProfiler::restoreState(ByteSource &src)
                 wid > wcount || rid > rcount) {
                 return false;
             }
-            shadow::ShadowCold cold;
+            // Re-intern the resolved tuples rather than trusting the
+            // saved ids, so the restore stays correct even if the saved
+            // id space and ours ever disagree.
+            shadow::ShadowRef obj =
+                shadow_.restoreLookup(base + off, has_cold != 0);
+            obj.hot.writer = shadow_.internWriter(writers[wid]);
+            obj.hot.reader = shadow_.internReader(readers[rid]);
             if (has_cold != 0) {
-                cold.runFirstRead = src.u64();
-                cold.runLastRead = src.u64();
-                cold.totalAccesses = src.u64();
-                cold.runReads = src.u32();
+                obj.cold->runFirstRead = src.u64();
+                obj.cold->runLastRead = src.u64();
+                obj.cold->totalAccesses = src.u64();
+                obj.cold->runReads = src.u32();
             }
-            restoreUnit(base + off, has_cold != 0, writers[wid],
-                        readers[rid], cold);
         }
     }
-    if (engine_)
-        engine_->planner().restoreStats(st);
-    else
-        shadow_.restoreStats(st);
-    pendingSegs_.clear();
-    discardedSeqs_.clear();
-    needsFold_ = false;
+    shadow_.restoreStats(st);
     return src.ok();
 }
 

@@ -12,11 +12,10 @@
  * collection enabled the tool also emits the event-file representation
  * (computation segments + data-transfer edges).
  *
- * Two execution engines share the classification kernels
- * (core/comm_tables.hh): the serial path below, and an address-sharded
- * parallel path (core/shard_engine.hh) enabled by
- * vg::GuestConfig::shardCount > 1, whose merged output is bit-identical
- * to the serial path.
+ * The classification itself lives in the kernels of
+ * core/comm_tables.hh; the profiler feeds them one access at a time,
+ * whether the guest dispatches per event, in batches, or through the
+ * async pipeline.
  */
 
 #ifndef SIGIL_CORE_SIGIL_PROFILER_HH
@@ -37,8 +36,6 @@
 #include "vg/tool.hh"
 
 namespace sigil::core {
-
-class ShardEngine;
 
 /** Configuration of a profiling run. */
 struct SigilConfig
@@ -99,13 +96,6 @@ class SigilProfiler : public vg::Tool
     void finish() override;
 
     /**
-     * Sharded mode: drain the shard queues and fold every shard's
-     * partial tables into the authoritative ones (Guest::sync() calls
-     * this). No-op in serial mode.
-     */
-    void sync() override;
-
-    /**
      * Native batch consumer: reads the buffer's lanes directly instead
      * of going through the per-event virtuals and the guest's
      * ambient-state accessors. Produces bit-identical profiles.
@@ -137,12 +127,8 @@ class SigilProfiler : public vg::Tool
      * recency order, so the restore reproduces future eviction
      * decisions). restoreState() rebuilds it into a freshly
      * constructed profiler with an *identical* SigilConfig; a config
-     * mismatch or corrupt input returns false.
-     *
-     * Sharded runs fold before saving, so the snapshot body (always
-     * version 3) is engine-independent: a checkpoint written by a
-     * sharded run restores into a serial profiler and vice versa, for
-     * any shard count. Any other version byte is rejected.
+     * mismatch or corrupt input returns false. The body is always
+     * version 3; any other version byte is rejected.
      */
     /// @{
     void saveState(ByteSink &sink);
@@ -154,45 +140,29 @@ class SigilProfiler : public vg::Tool
      * ShadowMemory's pressure handler): 0 = full fidelity, 1 = re-use
      * tracking dropped (pending runs are finalized first, so existing
      * statistics keep their mass), 2 = read classification dropped
-     * (raw byte counts continue). The level only rises. Serial engine
-     * only — sharded runs do not consult failure injectors.
+     * (raw byte counts continue). The level only rises.
      */
     int degradationLevel() const { return degradationLevel_; }
 
-    /**
-     * The event trace (empty unless collectEvents). Sharded mode folds
-     * pending shard work first, like aggregates().
-     */
-    const EventTrace &events() const;
+    /** The event trace (empty unless collectEvents). */
+    const EventTrace &events() const { return events_; }
 
     const shadow::ShadowMemory &shadowMemory() const { return shadow_; }
 
     /**
      * Mutable shadow access for fault-injection harnesses (install an
-     * allocation-failure injector before driving the guest). Serial
-     * engine only: sharded runs never consult this shadow.
+     * allocation-failure injector before driving the guest).
      */
     shadow::ShadowMemory &shadowMemory() { return shadow_; }
 
-    /** True when the address-sharded parallel engine is active. */
-    bool sharded() const { return engine_ != nullptr; }
+    /** Shadow allocation statistics. */
+    const shadow::ShadowStats &shadowStats() const { return shadow_.stats(); }
 
-    /**
-     * Aggregate shadow allocation statistics: the serial shadow's, or
-     * the shard planner's (exact global peak-of-sum) when sharded.
-     */
-    shadow::ShadowStats shadowStats() const;
-
-    /** Peak host bytes of shadow state across all shards. */
-    std::uint64_t shadowPeakBytes() const;
-
-    /**
-     * Test hook: permutation in which foldShards() visits shards. The
-     * merge is order-independent by construction; the differential
-     * tests assert it stays that way. Ignored unless it is a
-     * permutation of [0, shardCount).
-     */
-    void setFoldOrderForTesting(std::vector<unsigned> order);
+    /** Peak host bytes of shadow state. */
+    std::uint64_t shadowPeakBytes() const
+    {
+        return shadow_.stats().peakBytes();
+    }
 
     const SigilConfig &config() const { return config_; }
 
@@ -212,8 +182,7 @@ class SigilProfiler : public vg::Tool
     /// @{
     void readAccess(vg::Addr addr, unsigned size, vg::ContextId ctx,
                     vg::CallNum call, vg::Tick now);
-    void writeAccess(vg::Addr addr, unsigned size, vg::ContextId ctx,
-                     vg::CallNum call);
+    void writeAccess(vg::Addr addr, unsigned size, vg::ContextId ctx);
     void opAt(std::uint64_t iops, std::uint64_t flops, vg::ContextId ctx);
     void leaveAt(vg::ContextId resumed_ctx, vg::CallNum resumed_call,
                  std::size_t depth);
@@ -234,16 +203,6 @@ class SigilProfiler : public vg::Tool
     /** Resolve a predecessor through any skipped (empty) segments. */
     std::uint64_t resolvePred(std::uint64_t seq) const;
 
-    /**
-     * resolvePred() as of an earlier moment: only skip entries with an
-     * insertion stamp below the bound are followed. The sharded fold
-     * resolves X-record sources with the stamp captured when the
-     * consuming segment was flushed, reproducing the serial flush-time
-     * resolution even when further segments were skipped since.
-     */
-    std::uint64_t resolvePredAt(std::uint64_t seq,
-                                std::uint64_t stamp_bound) const;
-
     /** Shed fidelity one rung at a time (see degradationLevel()). */
     void degrade(int failed_attempts);
 
@@ -262,21 +221,6 @@ class SigilProfiler : public vg::Tool
         return collecting_ && classifyEnabled_ &&
                (reuseEnabled_ || config_.granularityShift > 0);
     }
-
-    /**
-     * Sharded mode: drain the workers and fold their partial tables —
-     * rows, breakdowns, object stats, edges in global first-occurrence
-     * order, and per-segment transfer maps spliced into the event
-     * trace — into the authoritative state. Idempotent.
-     */
-    void foldShards();
-
-    /**
-     * Sharded checkpoint save: pull each open segment's shard-side
-     * transfer map into its sequencer SegState so the serialized body
-     * matches what a serial run would hold.
-     */
-    void mergeOpenSegXfers();
 
     SigilConfig config_;
     shadow::ShadowMemory shadow_;
@@ -325,53 +269,11 @@ class SigilProfiler : public vg::Tool
     std::vector<SegState> segStates_{1};
     vg::ThreadId currentTid_ = 0;
 
-    /** A skipped empty segment: its predecessor + insertion stamp. */
-    struct SkipInfo
-    {
-        std::uint64_t pred;
-        /** Position in the skip sequence (see resolvePredAt). */
-        std::uint64_t stamp;
-    };
-
-    /** Skipped empty segments: seq → forwarding info. */
-    std::unordered_map<std::uint64_t, SkipInfo> skippedSegments_;
-    std::uint64_t skipStamp_ = 0;
+    /** Skipped empty segments: seq → predecessor. */
+    std::unordered_map<std::uint64_t, std::uint64_t> skippedSegments_;
 
     /** Every thread's last segment at the most recent barrier. */
     std::vector<std::uint64_t> barrierPreds_;
-    /// @}
-
-    /** @name Sharded engine state (null ⇒ fully serial) */
-    /// @{
-    std::unique_ptr<ShardEngine> engine_;
-
-    /** Routed or flushed work not yet folded into tables_/events_. */
-    bool needsFold_ = false;
-
-    /**
-     * Emitted C records whose X records wait for the fold: the
-     * transfer bytes live shard-side until the queues drain.
-     */
-    struct PendingSeg
-    {
-        /** Index of the segment's C record in events_.records. */
-        std::size_t recordPos;
-        std::uint64_t seq;
-        /** skipStamp_ at flush time (see resolvePredAt). */
-        std::uint64_t skipStamp;
-        /** Sequencer-side xfers (barrier edges, restored entries). */
-        std::unordered_map<std::uint64_t, std::uint64_t> xfers;
-    };
-    std::vector<PendingSeg> pendingSegs_;
-
-    /**
-     * Segments flushed without emission (ROI off): their shard-side
-     * transfer maps are discarded at the fold, as the serial path
-     * discards state.xfers.
-     */
-    std::vector<std::uint64_t> discardedSeqs_;
-
-    std::vector<unsigned> foldOrder_;
     /// @}
 
     static const CommAggregates kZero;

@@ -1,6 +1,6 @@
 /**
  * @file
- * sigild — the profile-query daemon (DESIGN.md §4.8).
+ * sigild — the profile-query daemon (DESIGN.md §4.7).
  *
  * One accept thread per listener (Unix-domain always, loopback TCP
  * optionally) feeds accepted connections into a bounded queue drained

@@ -24,8 +24,8 @@
  * to stderr and exit non-zero.
  */
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -61,15 +61,29 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--socket") == 0 && i + 1 < argc) {
             unix_path = argv[++i];
         } else if (std::strcmp(argv[i], "--tcp") == 0 && i + 1 < argc) {
+            // PORT is a plain decimal in [1, 65535]: no sign, no
+            // whitespace, no trailing junk.
             std::string spec = argv[++i];
             std::size_t colon = spec.rfind(':');
-            if (colon == std::string::npos || colon == 0) {
-                std::fprintf(stderr, "--tcp wants HOST:PORT\n");
+            unsigned long port = 0;
+            bool ok = colon != std::string::npos && colon != 0;
+            if (ok) {
+                const char *first = spec.data() + colon + 1;
+                const char *last = spec.data() + spec.size();
+                auto [ptr, ec] = std::from_chars(first, last, port);
+                ok = ec == std::errc() && ptr == last && port >= 1 &&
+                     port <= 65535;
+            }
+            if (!ok) {
+                std::fprintf(stderr,
+                             "--tcp wants HOST:PORT with PORT in "
+                             "[1, 65535], got '%s'\n",
+                             spec.c_str());
+                usage(argv[0]);
                 return 2;
             }
             tcp_host = spec.substr(0, colon);
-            tcp_port = static_cast<std::uint16_t>(
-                std::strtoul(spec.c_str() + colon + 1, nullptr, 10));
+            tcp_port = static_cast<std::uint16_t>(port);
         } else {
             args.emplace_back(argv[i]);
         }

@@ -251,16 +251,6 @@ ShadowMemory::evictOldest()
 }
 
 void
-ShadowMemory::evictChunk(std::uint64_t index)
-{
-    auto it = directory_.find(index);
-    if (it == directory_.end())
-        panic("ShadowMemory::evictChunk: chunk %llu not resident",
-              static_cast<unsigned long long>(index));
-    evictChunkPtr(&it->second);
-}
-
-void
 ShadowMemory::evictChunkPtr(Chunk *victim)
 {
     if (evictionHandler_)
@@ -287,13 +277,6 @@ ShadowMemory::forEachInChunk(std::uint64_t index,
     if (it == directory_.end())
         return;
     visitTouched(it->second, visitor, SweepFilter::All);
-}
-
-bool
-ShadowMemory::chunkHasCold(std::uint64_t index) const
-{
-    auto it = directory_.find(index);
-    return it != directory_.end() && it->second.cold != nullptr;
 }
 
 void

@@ -347,23 +347,11 @@ class ShadowMemory
 
     /**
      * Visit the touched units of one resident chunk (ascending unit
-     * order), or do nothing if the chunk is absent. Sharded mode saves
-     * checkpoints by walking the planner's global recency list and
-     * visiting each chunk in its owning shard with this.
+     * order), or do nothing if the chunk is absent. The checkpoint
+     * writer emits each chunk's unit group with this.
      */
     void forEachInChunk(std::uint64_t index,
                         const EvictionHandler &visitor);
-
-    /** Whether a resident chunk has a cold array (false if absent). */
-    bool chunkHasCold(std::uint64_t index) const;
-
-    /**
-     * Evict one specific resident chunk (sharded mode: the sequencer's
-     * recency planner decides victims globally and commands the owning
-     * shard). Runs the eviction handler over the chunk's touched units
-     * exactly like the LRU path. Panics if the chunk is absent.
-     */
-    void evictChunk(std::uint64_t index);
 
     const ShadowStats &stats() const { return stats_; }
 
@@ -397,13 +385,6 @@ class ShadowMemory
     setPressureHandler(std::function<void(int failed_attempts)> handler)
     {
         pressureHandler_ = std::move(handler);
-    }
-
-    /** Whether a fault injector is installed (conflict detection). */
-    bool
-    hasAllocationFailureInjector() const
-    {
-        return static_cast<bool>(allocFailureInjector_);
     }
 
     /**

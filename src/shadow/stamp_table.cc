@@ -90,22 +90,4 @@ StampTable::internReader(const ReaderStamp &s)
     return it->second;
 }
 
-StampId
-StampTable::idOfWriter(const WriterStamp &s) const
-{
-    auto it = writerIndex_.find(s);
-    if (it == writerIndex_.end())
-        panic("StampTable: writer stamp not interned");
-    return it->second;
-}
-
-StampId
-StampTable::idOfReader(const ReaderStamp &s) const
-{
-    auto it = readerIndex_.find(s);
-    if (it == readerIndex_.end())
-        panic("StampTable: reader stamp not interned");
-    return it->second;
-}
-
 } // namespace sigil::shadow

@@ -18,9 +18,9 @@
  * equality; in particular "unit was never read" is `reader == 0`.
  *
  * Ids are assigned densely in first-intern order, which makes them
- * deterministic for a given access stream: two engines that intern
- * the same tuple sequence assign identical ids (the property the
- * sharded checkpoint path relies on).
+ * deterministic for a given access stream: two tables that intern
+ * the same tuple sequence assign identical ids (the property a
+ * checkpoint restore relies on to reproduce the saved table).
  */
 
 #ifndef SIGIL_SHADOW_STAMP_TABLE_HH
@@ -107,15 +107,6 @@ class StampTable
         return readers_[id];
     }
 
-    /**
-     * Id of an already-interned tuple. Panics if the tuple was never
-     * interned — callers use this where absence is an invariant
-     * violation (checkpoint save resolving shard-local stamps against
-     * the sequencer mirror table).
-     */
-    StampId idOfWriter(const WriterStamp &s) const;
-    StampId idOfReader(const ReaderStamp &s) const;
-
     /** Total entries, including the reserved null entry 0. */
     std::size_t writerCount() const { return writers_.size(); }
     std::size_t readerCount() const { return readers_.size(); }
@@ -125,8 +116,8 @@ class StampTable
      * entries beyond the two reserved null entries. Per entry this is
      * the tuple itself plus a fixed hash-index share, so two tables
      * holding the same entries report the same figure regardless of
-     * load factors — a requirement for serial and sharded runs to
-     * report bit-identical shadowPeakBytes.
+     * load factors — a requirement for a resumed run to report the
+     * same shadowPeakBytes as an uninterrupted one.
      */
     static constexpr std::size_t kIndexShareBytes = 24;
 

@@ -12,8 +12,6 @@ memCategoryName(MemCategory cat)
     switch (cat) {
     case MemCategory::Shadow:
         return "shadow";
-    case MemCategory::ShardQueues:
-        return "shard-queues";
     case MemCategory::EventBuffers:
         return "event-buffers";
     case MemCategory::ProfileCatalog:

@@ -3,13 +3,13 @@
  * Process-wide memory-budget governor.
  *
  * Every subsystem that holds a non-trivial amount of heap — shadow
- * chunks (hot units, lazy cold arrays, stamp tables), shard work
- * queues, event buffers, the sigild profile catalog — charges its
+ * chunks (hot units, lazy cold arrays, stamp tables), event buffers,
+ * the sigild profile catalog — charges its
  * allocations against one MemoryGovernor instance owned by the Guest.
  * The governor itself never frees anything: it is a ledger plus a
  * predicate. Subsystems that *can* shed memory (the shadow's chunk
  * LRU) consult overBudget() before growing and evict until the new
- * allocation fits; subsystems with fixed footprints (queues, buffers)
+ * allocation fits; subsystems with fixed footprints (event buffers)
  * only account, so the eviction pressure lands where it is cheapest
  * to shed. When nothing evictable remains and the budget is still
  * exceeded, the shadow's pressure handler drives the profiler's
@@ -21,8 +21,8 @@
  * ungoverned runs stay bit-identical to pre-governor behaviour.
  *
  * Thread safety: charge/release/overBudget are lock-free atomics and
- * may be called from any thread (shard workers, the async writer,
- * sigild workers). Peaks are maintained with CAS-max loops, so the
+ * may be called from any thread (the async analysis consumer, the
+ * async writer, sigild workers). Peaks are maintained with CAS-max loops, so the
  * reported peak is exact even under concurrent charging.
  */
 
@@ -38,14 +38,13 @@ namespace sigil {
 
 /** Accounting categories, one per governed subsystem. */
 enum class MemCategory : unsigned {
-    Shadow = 0,       ///< shadow chunks: hot units + cold arrays + stamps
-    ShardQueues = 1,  ///< bounded SPSC rings feeding shard workers
-    EventBuffers = 2, ///< guest-side SoA event batches
-    ProfileCatalog = 3, ///< daemon-resident profiles (sigild catalog)
-    kCount = 4,
+    Shadow = 0,         ///< shadow chunks: hot units + cold arrays + stamps
+    EventBuffers = 1,   ///< guest-side SoA event batches
+    ProfileCatalog = 2, ///< daemon-resident profiles (sigild catalog)
+    kCount = 3,
 };
 
-/** Human-readable category name ("shadow", "shard-queues", ...). */
+/** Human-readable category name ("shadow", "event-buffers", ...). */
 const char *memCategoryName(MemCategory cat);
 
 class MemoryGovernor

@@ -2,10 +2,9 @@
  * @file
  * Stall watchdog for the parallel subsystems.
  *
- * Every long-lived worker thread — shard workers, sigild query
- * workers, the async analysis consumer, the background trace writer —
- * registers
- * itself as an entity and then reports liveness with three cheap
+ * Every long-lived worker thread — sigild query workers, the async
+ * analysis consumer, the background trace writer — registers itself
+ * as an entity and then reports liveness with three cheap
  * atomic operations: busy() when it picks up work, beat() as it makes
  * progress, idle() when it blocks waiting for more. A monitor thread
  * samples the heartbeats and flags any entity that has been busy

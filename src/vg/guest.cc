@@ -149,13 +149,6 @@ GuestConfig::validate() const
         return GuestConfigError{knob, std::move(message)};
     };
     char detail[96];
-    if (shardCount == 0 || shardCount > 64 ||
-        (shardCount & (shardCount - 1)) != 0) {
-        std::snprintf(detail, sizeof(detail),
-                      "must be a power of two in [1, 64] (got %u)",
-                      shardCount);
-        return reject("shardCount", detail);
-    }
     if (eventBufferEvents == 0)
         return reject("eventBufferEvents", "must be at least 1");
     if (asyncWriter && writerQueueFrames < 2) {
@@ -164,8 +157,6 @@ GuestConfig::validate() const
                       writerQueueFrames);
         return reject("writerQueueFrames", detail);
     }
-    if (shardQueueCapacity == 0)
-        return reject("shardQueueCapacity", "must be at least 1");
     return std::nullopt;
 }
 
@@ -268,8 +259,6 @@ Guest::sync()
         if (pipeline_)
             pipeline_->waitIdle();
     }
-    // Tools may run their own internal concurrency (shard workers)
-    // regardless of the transport mode; give each a chance to drain.
     for (Tool *t : tools_)
         t->sync();
 }

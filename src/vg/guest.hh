@@ -63,7 +63,7 @@ struct GuestCounters
 /** One rejected GuestConfig knob (see GuestConfig::validate()). */
 struct GuestConfigError
 {
-    /** Name of the offending knob, e.g. "shardCount". */
+    /** Name of the offending knob, e.g. "eventBufferEvents". */
     std::string knob;
     /** What is wrong with it. */
     std::string message;
@@ -107,23 +107,6 @@ struct GuestConfig
     std::size_t eventBufferEvents = 4096;
 
     /**
-     * Address-sharded parallel analysis: number of shard workers a
-     * sharding-aware tool (core::SigilProfiler) may spin up, each
-     * owning a disjoint slice of the shadowed address space. 1 (the
-     * default) keeps the fully serial analysis path; must be a power
-     * of two, at most 64. Purely advisory to the tools — the guest
-     * itself only validates and carries the value.
-     */
-    unsigned shardCount = 1;
-
-    /**
-     * Capacity, in records, of each shard's bounded SPSC work queue
-     * (rounded up to a power of two by the queue). Small capacities
-     * exercise backpressure; the default absorbs routing bursts.
-     */
-    std::size_t shardQueueCapacity = std::size_t{1} << 15;
-
-    /**
      * Background trace writer: a BinaryTraceRecorder attached to this
      * guest moves frame serialization — CRC32C and, for SGB3, LZ
      * compression — onto a dedicated writer thread fed by a bounded
@@ -141,8 +124,8 @@ struct GuestConfig
     /**
      * Process-wide memory budget, in bytes, enforced by the guest's
      * MemoryGovernor (support/mem_governor.hh). Accounted against it:
-     * shadow chunks (hot + cold + stamp tables), shard work queues,
-     * and event buffers. When an allocation
+     * shadow chunks (hot + cold + stamp tables) and event buffers.
+     * When an allocation
      * would exceed the budget the shadow evicts least-recently-used
      * chunks first and then escalates to the profiler's
      * never-descending degradation ladder instead of OOM-ing. 0 (the
@@ -153,8 +136,8 @@ struct GuestConfig
     /**
      * Stall deadline, in milliseconds, for the watchdog
      * (support/watchdog.hh) over every worker thread this guest's
-     * subsystems spawn: shard workers, the async analysis consumer,
-     * and the background trace writer. A worker busy without progress
+     * subsystems spawn: the async analysis consumer and the background
+     * trace writer. A worker busy without progress
      * for longer than this fails the run with a structured diagnostic
      * report. 0 (the default) disables the watchdog.
      */
@@ -212,10 +195,10 @@ class Guest
      *
      * Tools routinely outlive the guest they were attached to (tests
      * tear the guest down first), so any subsystem that must reach the
-     * governor or watchdog from its own destructor — ShardEngine
-     * releasing its queue charge, the async trace writer unregistering
-     * its heartbeat — keeps one of these shared handles instead of the
-     * raw pointer.
+     * governor or watchdog from its own destructor — the profiler's
+     * shadow releasing its chunk charge, the async trace writer
+     * unregistering its heartbeat — keeps one of these shared handles
+     * instead of the raw pointer.
      */
     /// @{
     std::shared_ptr<sigil::MemoryGovernor> governorShared() const
@@ -421,11 +404,10 @@ class Guest
 
     /**
      * Flush buffered events to the tools and, in async mode, wait for
-     * the consumer thread to drain them; then sync() every tool so
-     * internal tool concurrency (shard workers) drains too. After
+     * the consumer thread to drain them; then sync() every tool. After
      * sync() every tool has observed every event emitted so far;
-     * required before querying tool state mid-run in batched/async or
-     * sharded mode. finish() syncs implicitly.
+     * required before querying tool state mid-run in batched/async
+     * mode. finish() syncs implicitly.
      */
     void sync();
 

@@ -94,10 +94,11 @@ class Tool
     virtual void roi(bool active) { (void)active; }
 
     /**
-     * Drain any asynchronous analysis state the tool owns (e.g. shard
-     * worker queues) so that queries observe every event delivered so
-     * far. Called by Guest::sync() and Guest::finish(); tools without
-     * internal concurrency ignore it.
+     * Drain any asynchronous state the tool owns so that queries
+     * observe every event delivered so far. Called by Guest::sync()
+     * and Guest::finish() after the guest's own buffers have drained;
+     * forwarding tools pass it on, and tools without internal
+     * concurrency ignore it.
      */
     virtual void sync() {}
 

@@ -355,7 +355,7 @@ ReplayReport replayTraceFile(const std::string &path, Guest &guest,
  * without salvage or mid-stream resume.
  *
  * Each step() CRC-verifies, decompresses (SGB3) and decodes one frame
- * inline, then delivers its events in stream order (DESIGN.md §4.6).
+ * inline, then delivers its events in stream order (DESIGN.md §4.5).
  */
 class BinaryReplaySession
 {

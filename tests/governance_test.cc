@@ -6,13 +6,10 @@
  * Governor: exact reconciliation of the ledger against ShadowStats,
  * bit-identity of governed runs whose budget covers the natural peak,
  * the peak-bound contract of tight budgets (within budget plus at most
- * one chunk of slack, shedding LRU chunks before fidelity), and the
- * serial-vs-sharded differential under the same effective shadow
- * headroom. Watchdog: stall detection with structured diagnostics,
+ * one chunk of slack, shedding LRU chunks before fidelity). Watchdog: stall detection with structured diagnostics,
  * idle workers never flagged, re-arming after recovery, the Degrade
  * action, and a wedged async-tools consumer surfacing through a custom
- * stall handler. Plus GuestConfig::validate() knob rejection and the
- * injector/sharding conflict guard.
+ * stall handler. Plus GuestConfig::validate() knob rejection.
  */
 
 #include <gtest/gtest.h>
@@ -102,19 +99,16 @@ struct GovernedRun
     std::string profile;
     std::size_t shadowPeak = 0;
     std::size_t totalPeak = 0;
-    std::size_t queuesLive = 0;
     std::uint64_t evictions = 0;
     int degradation = 0;
 };
 
 GovernedRun
-runGoverned(std::uint64_t seed, int steps, std::size_t budget,
-            unsigned shards = 1)
+runGoverned(std::uint64_t seed, int steps, std::size_t budget)
 {
     QuietLogs quiet;
     vg::GuestConfig gc;
     gc.memoryBudgetBytes = budget;
-    gc.shardCount = shards;
     vg::Guest g("governed", gc);
     core::SigilConfig cfg;
     cfg.collectReuse = true;
@@ -126,7 +120,6 @@ runGoverned(std::uint64_t seed, int steps, std::size_t budget,
     const MemoryGovernor *gov = g.governor();
     out.shadowPeak = gov->peakBytes(MemCategory::Shadow);
     out.totalPeak = gov->peakBytes();
-    out.queuesLive = gov->liveBytes(MemCategory::ShardQueues);
     out.evictions = prof.shadowStats().evictions;
     out.degradation = prof.degradationLevel();
     std::ostringstream pos;
@@ -144,7 +137,7 @@ TEST(MemoryGovernor, LedgerBasics)
     MemoryGovernor gov(1000);
     EXPECT_FALSE(gov.overBudget());
     gov.charge(MemCategory::Shadow, 600);
-    gov.charge(MemCategory::ShardQueues, 300);
+    gov.charge(MemCategory::EventBuffers, 300);
     EXPECT_EQ(gov.liveBytes(), 900u);
     EXPECT_FALSE(gov.overBudget());
     EXPECT_TRUE(gov.overBudget(200)); // headroom would exceed
@@ -152,7 +145,7 @@ TEST(MemoryGovernor, LedgerBasics)
     EXPECT_EQ(gov.liveBytes(MemCategory::Shadow), 0u);
     EXPECT_EQ(gov.peakBytes(MemCategory::Shadow), 600u);
     EXPECT_EQ(gov.peakBytes(), 900u);
-    gov.release(MemCategory::ShardQueues, 300);
+    gov.release(MemCategory::EventBuffers, 300);
     EXPECT_EQ(gov.liveBytes(), 0u);
 
     std::string text = gov.describe();
@@ -209,25 +202,6 @@ TEST(MemoryGovernor, TightBudgetBoundsPeakByOneChunk)
     EXPECT_GT(tight.evictions, 0u); // pressure landed on the LRU first
     EXPECT_LE(tight.totalPeak, budget + one_chunk);
     ASSERT_GT(tight.profile.size(), 100u); // run completed, no OOM path
-}
-
-TEST(MemoryGovernor, GovernedShardedMatchesGovernedSerial)
-{
-    // Give both modes identical *shadow* headroom: the sharded run
-    // carries its fixed queue charge on the same ledger, so its budget
-    // is raised by exactly that amount.
-    GovernedRun natural = runGoverned(304, 15000, 0);
-    std::size_t budget = natural.totalPeak / 3;
-    GovernedRun serial = runGoverned(304, 15000, budget);
-    ASSERT_GT(serial.evictions, 0u);
-
-    GovernedRun sharded_natural = runGoverned(304, 15000, 0, 4);
-    ASSERT_GT(sharded_natural.queuesLive, 0u);
-    GovernedRun sharded = runGoverned(
-        304, 15000, budget + sharded_natural.queuesLive, 4);
-    EXPECT_EQ(sharded.profile, serial.profile)
-        << "governed eviction must not depend on the execution mode";
-    EXPECT_GT(sharded.evictions, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -357,21 +331,14 @@ TEST(GuestConfigValidate, RejectsBadKnobsWithStructuredErrors)
     vg::GuestConfig good;
     EXPECT_FALSE(good.validate().has_value());
 
-    vg::GuestConfig shards;
-    shards.shardCount = 3;
-    auto err = shards.validate();
-    ASSERT_TRUE(err.has_value());
-    EXPECT_EQ(err->knob, "shardCount");
-    EXPECT_NE(err->message.find("power of two"), std::string::npos);
-    EXPECT_NE(err->describe().find("GuestConfig::shardCount"),
-              std::string::npos);
-
     vg::GuestConfig queue;
     queue.asyncWriter = true;
     queue.writerQueueFrames = 1;
-    err = queue.validate();
+    auto err = queue.validate();
     ASSERT_TRUE(err.has_value());
     EXPECT_EQ(err->knob, "writerQueueFrames");
+    EXPECT_NE(err->describe().find("GuestConfig::writerQueueFrames"),
+              std::string::npos);
     // The same queue depth is fine without the async writer.
     queue.asyncWriter = false;
     EXPECT_FALSE(queue.validate().has_value());
@@ -381,35 +348,14 @@ TEST(GuestConfigValidate, RejectsBadKnobsWithStructuredErrors)
     err = buffers.validate();
     ASSERT_TRUE(err.has_value());
     EXPECT_EQ(err->knob, "eventBufferEvents");
-
-    vg::GuestConfig cap;
-    cap.shardQueueCapacity = 0;
-    err = cap.validate();
-    ASSERT_TRUE(err.has_value());
-    EXPECT_EQ(err->knob, "shardQueueCapacity");
 }
 
 TEST(GuestConfigValidate, BadConfigDiesAtGuestConstruction)
 {
     vg::GuestConfig bad;
-    bad.shardCount = 5;
+    bad.eventBufferEvents = 0;
     EXPECT_EXIT(vg::Guest("bad", bad), ::testing::ExitedWithCode(1),
-                "shardCount");
-}
-
-TEST(GuestConfigValidate, InjectorConflictsWithSharding)
-{
-    vg::GuestConfig gc;
-    gc.shardCount = 2;
-    EXPECT_EXIT(
-        {
-            vg::Guest g("conflict", gc);
-            core::SigilProfiler prof{core::SigilConfig{}};
-            prof.shadowMemory().setAllocationFailureInjector(
-                [] { return false; });
-            g.addTool(&prof);
-        },
-        ::testing::ExitedWithCode(1), "allocation-failure injection");
+                "eventBufferEvents");
 }
 
 } // namespace

@@ -4,8 +4,8 @@
  * dispatch modes.
  *
  * Replays the same randomized workloads recorded as SGB2 and
- * LZ-compressed SGB3 through a SigilProfiler in per-event,
- * asynchronous, and address-sharded dispatch, and requires the
+ * LZ-compressed SGB3 through a SigilProfiler in per-event and
+ * asynchronous dispatch, and requires the
  * serialized profiles and event traces to be bitwise identical to the
  * per-event SGB2 reference. Also covers checkpoint / resume driven
  * straight from a file (mmap'd input) on compressed traces,
@@ -167,14 +167,12 @@ recordTraces(const TraceParams &p, std::size_t block_events = 256)
 }
 
 /** How replayed events reach the analysis tools. */
-enum class Dispatch { PerEvent, Async, Sharded };
+enum class Dispatch { PerEvent, Async };
 
 const char *
 dispatchName(Dispatch d)
 {
-    return d == Dispatch::PerEvent ? "per-event"
-           : d == Dispatch::Async  ? "async"
-                                   : "sharded";
+    return d == Dispatch::PerEvent ? "per-event" : "async";
 }
 
 struct RunResult
@@ -190,10 +188,7 @@ replayOnce(const std::string &trace, const TraceParams &p,
            Dispatch dispatch)
 {
     vg::GuestConfig gc;
-    if (dispatch == Dispatch::Async)
-        gc.asyncTools = true;
-    else if (dispatch == Dispatch::Sharded)
-        gc.shardCount = 4;
+    gc.asyncTools = dispatch == Dispatch::Async;
     vg::Guest g("pardec", gc);
     core::SigilProfiler prof(profilerConfig(p));
     g.addTool(&prof);
@@ -252,8 +247,7 @@ TEST_P(ParallelDecodeDifferential, ThreadsFormatsDispatchMatchReference)
     };
     for (const Variant &v : {Variant{&t.sgb2, "SGB2"},
                              Variant{&t.sgb3, "SGB3"}}) {
-        for (Dispatch d : {Dispatch::PerEvent, Dispatch::Async,
-                           Dispatch::Sharded}) {
+        for (Dispatch d : {Dispatch::PerEvent, Dispatch::Async}) {
             SCOPED_TRACE(std::string(v.format) + " dispatch=" +
                          dispatchName(d));
             RunResult got = replayOnce(*v.trace, p, d);

@@ -163,6 +163,37 @@ TEST(ProfileIo, GarbageValuesAreFatal)
     EXPECT_EXIT(readProfile(ss), ::testing::ExitedWithCode(1), "");
 }
 
+TEST(ProfileIo, OutOfRangeRowContextIsABadRecord)
+{
+    // A row's context indexes the row table; a negative, wrapped or
+    // far-ahead one must be a structured error, not a wild write or a
+    // huge allocation. So must a signed value in an unsigned field.
+    const std::string tail =
+        "\tf\tf\tf\t0\t0\t0\t0\t0\t0\t0\t0\t0\t0\t0\t0\t0\t0\t0"
+        "\t0\nend\n";
+    {
+        // The same row at a valid context parses.
+        std::stringstream ok(std::string("sigil-profile\t1\nrow\t0\t-1") +
+                             tail);
+        vg::TraceError e;
+        ASSERT_TRUE(tryReadProfile(ok, e).has_value());
+    }
+    for (const char *ctx : {"-1", "4294967295", "-2", "2000000000"}) {
+        SCOPED_TRACE(ctx);
+        std::stringstream ss(std::string("sigil-profile\t1\nrow\t") +
+                             ctx + "\t-1" + tail);
+        vg::TraceError e;
+        EXPECT_FALSE(tryReadProfile(ss, e).has_value());
+        EXPECT_EQ(e.cause, vg::TraceErrorCause::BadRecord);
+    }
+    std::stringstream ss(
+        "sigil-profile\t1\nrow\t0\t-1\tf\tf\tf\t-1\t0\t0\t0\t0\t0\t0"
+        "\t0\t0\t0\t0\t0\t0\t0\t0\t0\nend\n");
+    vg::TraceError e;
+    EXPECT_FALSE(tryReadProfile(ss, e).has_value());
+    EXPECT_EQ(e.cause, vg::TraceErrorCause::BadRecord);
+}
+
 TEST(ProfileIo, EventBadHeaderIsFatal)
 {
     std::stringstream ss("wrong\t1\nend\n");

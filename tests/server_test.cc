@@ -1,6 +1,6 @@
 /**
  * @file
- * sigild profile-query daemon suite (DESIGN.md §4.8).
+ * sigild profile-query daemon suite (DESIGN.md §4.7).
  *
  * The contract under test: the daemon is a transport, not an analysis
  * — every response must be byte-identical to the in-process rendering
@@ -13,7 +13,8 @@
  * catalog, and the graceful drain (Op::Shutdown and stop() both
  * answer everything in flight before the workers exit). When the
  * build exports SIGIL_SIGILD_PATH the suite also drives the installed
- * binary through a SIGTERM drain and rejects malformed numeric flags.
+ * binary through a SIGTERM drain and rejects malformed numeric flags;
+ * with SIGIL_SIGIL_QUERY_PATH it checks the client's --tcp port.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +28,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <signal.h>
@@ -704,6 +706,62 @@ TEST(ServerBinary, MalformedNumericFlagsExitWithUsage)
     }
 }
 #endif // SIGIL_SIGILD_PATH
+
+#ifdef SIGIL_SIGIL_QUERY_PATH
+// ---------------------------------------------------------------------------
+// The shipped client: --tcp HOST:PORT takes PORT as a fully consumed
+// decimal in [1, 65535]; anything else prints usage and exits 2 before
+// any connection attempt.
+// ---------------------------------------------------------------------------
+
+/** Run sigil-query --tcp SPEC ping; return (exit status, stderr). */
+std::pair<int, std::string>
+runQueryTcp(const std::string &spec)
+{
+    int err_pipe[2];
+    if (::pipe(err_pipe) != 0)
+        return {-1, "pipe failed"};
+    pid_t pid = ::fork();
+    if (pid < 0)
+        return {-1, "fork failed"};
+    if (pid == 0) {
+        ::dup2(err_pipe[1], STDERR_FILENO);
+        ::close(err_pipe[0]);
+        ::close(err_pipe[1]);
+        ::execl(SIGIL_SIGIL_QUERY_PATH, "sigil-query", "--tcp",
+                spec.c_str(), "ping", static_cast<char *>(nullptr));
+        _exit(127); // exec failed
+    }
+    ::close(err_pipe[1]);
+    std::string err;
+    char buf[512];
+    ssize_t n;
+    while ((n = ::read(err_pipe[0], buf, sizeof(buf))) > 0)
+        err.append(buf, static_cast<std::size_t>(n));
+    ::close(err_pipe[0]);
+    int wstatus = 0;
+    ::waitpid(pid, &wstatus, 0);
+    return {WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1, err};
+}
+
+TEST(ServerBinary, QueryTcpPortMustBeInRange)
+{
+    for (const char *spec :
+         {"127.0.0.1:70000", "127.0.0.1:abc", "127.0.0.1:",
+          "127.0.0.1:0", "127.0.0.1:-1", "127.0.0.1:+80",
+          "127.0.0.1: 80", "127.0.0.1:80x"}) {
+        SCOPED_TRACE(spec);
+        auto [status, err] = runQueryTcp(spec);
+        EXPECT_EQ(status, 2);
+        EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+    }
+    // A well-formed port passes parsing: with no daemon listening the
+    // client reports a connection failure, not a usage error.
+    auto [status, err] = runQueryTcp("127.0.0.1:1");
+    EXPECT_EQ(status, 1);
+    EXPECT_EQ(err.find("usage:"), std::string::npos) << err;
+}
+#endif // SIGIL_SIGIL_QUERY_PATH
 
 } // namespace
 } // namespace sigil

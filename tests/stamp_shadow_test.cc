@@ -13,9 +13,8 @@
  *     under eviction pressure, where stamp tuples outlive the units
  *     that referenced them.
  *  2. A v3 checkpoint taken mid-stream restores into a continuation
- *     that is bitwise identical to the uninterrupted run, across
- *     serial and sharded engines; a save → restore → save round-trip
- *     is byte-stable.
+ *     that is bitwise identical to the uninterrupted run; a save →
+ *     restore → save round-trip is byte-stable.
  */
 
 #include <gtest/gtest.h>
@@ -202,12 +201,9 @@ serialize(core::SigilProfiler &prof)
 
 /** One uninterrupted run of a stream. */
 StreamResult
-runStream(const StreamParams &p, bool reference_path, int steps,
-          unsigned shard_count = 1)
+runStream(const StreamParams &p, bool reference_path, int steps)
 {
-    vg::GuestConfig gc;
-    gc.shardCount = shard_count;
-    vg::Guest g("stamp_prop", gc);
+    vg::Guest g("stamp_prop");
     core::SigilProfiler prof(profilerConfig(p, reference_path));
     g.addTool(&prof);
     drivePrologue(g, p);
@@ -241,17 +237,13 @@ TEST(StampShadowProperty, CompressedMatchesReferenceOn200Streams)
 /**
  * Run a stream with a checkpoint after `cut` steps: save the guest and
  * profiler (guest first — its save syncs, catching the profiler up),
- * rebuild both from the snapshot (possibly on a different shard
- * count), and continue. Also asserts save → restore → save byte
- * stability of the profiler body.
+ * rebuild both from the snapshot, and continue. Also asserts save →
+ * restore → save byte stability of the profiler body.
  */
 StreamResult
-runStreamWithCheckpoint(const StreamParams &p, int cut, int tail,
-                        unsigned shards_before, unsigned shards_after)
+runStreamWithCheckpoint(const StreamParams &p, int cut, int tail)
 {
-    vg::GuestConfig gc;
-    gc.shardCount = shards_before;
-    auto g = std::make_unique<vg::Guest>("stamp_prop", gc);
+    auto g = std::make_unique<vg::Guest>("stamp_prop");
     auto prof = std::make_unique<core::SigilProfiler>(
         profilerConfig(p));
     g->addTool(prof.get());
@@ -268,9 +260,7 @@ runStreamWithCheckpoint(const StreamParams &p, int cut, int tail,
     g.reset();
     prof.reset();
 
-    vg::GuestConfig gc2;
-    gc2.shardCount = shards_after;
-    vg::Guest g2("stamp_prop", gc2);
+    vg::Guest g2("stamp_prop");
     core::SigilProfiler prof2(profilerConfig(p));
     g2.addTool(&prof2);
     ByteSource src(snapshot.data(), snapshot.size());
@@ -278,21 +268,16 @@ runStreamWithCheckpoint(const StreamParams &p, int cut, int tail,
     EXPECT_TRUE(prof2.restoreState(src));
     EXPECT_TRUE(src.ok());
 
-    if (shards_before == shards_after) {
-        // v3 is self-reproducing: a fresh save of the restored
-        // profiler re-serializes the identical body. The body embeds
-        // the current engine's shard count (informational), so this
-        // only holds when the engine shape is unchanged.
-        ByteSink again;
-        prof2.saveState(again);
-        ByteSource orig_src(snapshot.data(), snapshot.size());
-        // Skip the guest section to locate the profiler body.
-        vg::Guest probe("stamp_prop", gc2);
-        EXPECT_TRUE(probe.restoreState(orig_src));
-        const std::size_t body_off = orig_src.pos();
-        EXPECT_EQ(again.bytes(),
-                  snapshot.substr(body_off));
-    }
+    // v3 is self-reproducing: a fresh save of the restored profiler
+    // re-serializes the identical body.
+    ByteSink again;
+    prof2.saveState(again);
+    ByteSource orig_src(snapshot.data(), snapshot.size());
+    // Skip the guest section to locate the profiler body.
+    vg::Guest probe("stamp_prop");
+    EXPECT_TRUE(probe.restoreState(orig_src));
+    const std::size_t body_off = orig_src.pos();
+    EXPECT_EQ(again.bytes(), snapshot.substr(body_off));
 
     driveSegment(g2, rng, p, tail, in_roi);
     driveEpilogue(g2);
@@ -304,16 +289,9 @@ TEST(StampShadowProperty, V3CheckpointResumesBitIdentically)
     for (std::uint64_t seed = 301; seed <= 312; ++seed) {
         const StreamParams p = paramsFor(seed);
         StreamResult ref = runStream(p, false, 800);
-        // Serial → serial.
-        StreamResult ss = runStreamWithCheckpoint(p, 400, 400, 1, 1);
+        StreamResult ss = runStreamWithCheckpoint(p, 400, 400);
         ASSERT_EQ(ref.profile, ss.profile) << "seed " << seed;
         ASSERT_EQ(ref.events, ss.events) << "seed " << seed;
-        // Sharded → serial and serial → sharded (engine-independent
-        // v3 body).
-        StreamResult xs = runStreamWithCheckpoint(p, 400, 400, 4, 1);
-        ASSERT_EQ(ref.profile, xs.profile) << "seed " << seed;
-        StreamResult sx = runStreamWithCheckpoint(p, 400, 400, 1, 2);
-        ASSERT_EQ(ref.profile, sx.profile) << "seed " << seed;
     }
 }
 
