@@ -3,12 +3,16 @@
  * Communication-classification tables and kernels.
  *
  * The paper's per-byte classification (local vs. input/output, unique
- * vs. non-unique, re-use runs) as free functions over a CommTables:
- * commReadUnit / commWriteUnit / commFinalizeRun. SigilProfiler calls
- * them from both of its shadow walks — the span-oriented hot path and
- * the per-unit reference path — so the two walks share one
+ * vs. non-unique, re-use runs) as free functions over a CommTables.
+ * There is one kernel set, and it works on runs: commReadRun classifies
+ * a read of n consecutive units sharing one (writer, reader) stamp
+ * pair, and commFinalizeRuns closes the pending re-use runs of n units
+ * sharing one reader stamp. SigilProfiler calls them from both of its
+ * shadow walks: the span-oriented hot path splits each resolved chunk
+ * run into maximal stamp-pair runs, and the per-unit reference path
+ * calls them with n = 1 per lookup(). The two walks thus share one
  * implementation of the classification and differ only in how they
- * reach the shadow records.
+ * reach and group the shadow records.
  *
  * Edges are kept in first-seen order: the edge vectors are appended on
  * first occurrence and the key → index maps locate them afterwards,
@@ -19,6 +23,8 @@
 #ifndef SIGIL_CORE_COMM_TABLES_HH
 #define SIGIL_CORE_COMM_TABLES_HH
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -52,14 +58,15 @@ struct AccessStamp
 
 /**
  * Collection environment of the read kernel. The fidelity flags are
- * *references*: a failure-injected chunk allocation can degrade
- * fidelity in the middle of a multi-unit span, and the kernel must
- * observe the flip on the very next unit.
+ * snapshots: fidelity degrades only from the shadow's pressure handler
+ * inside a chunk resolution, never while a resolved chunk's units are
+ * being classified, so a walk takes a fresh snapshot per resolved
+ * chunk run (span walk) or per lookup (per-unit walk).
  */
 struct ClassifyEnv
 {
-    const bool &reuseEnabled;
-    const bool &classifyEnabled;
+    bool reuseEnabled = true;
+    bool classifyEnabled = true;
     bool collectEvents = false;
     unsigned granularityShift = 0;
 };
@@ -119,81 +126,93 @@ struct CommTables
 };
 
 /**
- * Close the pending re-use run of a shadow object, folding its
- * lifetime into the last reader's statistics and its read count into
- * the program-wide breakdown. A pending run can only exist on a unit
- * whose chunk has a cold array, so a null cold is a no-op.
+ * Close the pending re-use runs of n consecutive units whose hot
+ * records all carry the reader stamp `reader`, folding each run's
+ * lifetime into that reader's statistics and its read count into the
+ * program-wide breakdown. The reader stamp and its row are resolved
+ * once; consecutive units with equal run state close with one counted
+ * histogram add, which is exactly equal to one add per unit. A pending
+ * run can only exist on a unit whose chunk has a cold array, so a null
+ * cold is a no-op, as is the null reader stamp.
  */
 inline void
-commFinalizeRun(CommTables &t, const bool &reuse_enabled,
-                const shadow::StampTable &st, shadow::ShadowHot &hot,
-                shadow::ShadowCold *cold)
+commFinalizeRuns(CommTables &t, const shadow::StampTable &st,
+                 shadow::StampId reader, shadow::ShadowCold *c,
+                 std::size_t n)
 {
-    if (!reuse_enabled || cold == nullptr)
+    if (reader == 0 || c == nullptr)
         return;
-    if (hot.reader == 0 || cold->runReads == 0)
-        return;
-    const shadow::ReaderStamp &rd = st.reader(hot.reader);
+    const shadow::ReaderStamp &rd = st.reader(reader);
     if (rd.ctx == vg::kInvalidContext)
         return;
-    std::uint64_t reuse = cold->runReads - 1;
-    t.unitReuseBreakdown.add(reuse);
-    if (reuse >= 1) {
-        CommAggregates &r = t.row(rd.ctx);
-        ++r.reusedUnits;
-        r.reuseReads += reuse;
-        std::uint64_t lifetime = cold->runLastRead - cold->runFirstRead;
-        r.lifetimeSum += lifetime;
-        r.lifetimeHist.add(lifetime);
+    // Resolved lazily: a reader whose runs were never re-read must not
+    // grow the row table.
+    CommAggregates *r = nullptr;
+    for (std::size_t i = 0; i < n;) {
+        const shadow::ShadowCold head = c[i];
+        std::size_t j = i + 1;
+        while (j < n && c[j].runReads == head.runReads &&
+               c[j].runFirstRead == head.runFirstRead &&
+               c[j].runLastRead == head.runLastRead) {
+            ++j;
+        }
+        if (head.runReads != 0) {
+            const std::uint64_t k = j - i;
+            const std::uint64_t reuse = head.runReads - 1;
+            t.unitReuseBreakdown.add(reuse, k);
+            if (reuse >= 1) {
+                if (r == nullptr)
+                    r = &t.row(rd.ctx);
+                r->reusedUnits += k;
+                r->reuseReads += reuse * k;
+                std::uint64_t lifetime =
+                    head.runLastRead - head.runFirstRead;
+                r->lifetimeSum += lifetime * k;
+                r->lifetimeHist.add(lifetime, k);
+            }
+        }
+        for (; i < j; ++i)
+            c[i].runReads = 0;
     }
-    cold->runReads = 0;
 }
 
 /**
- * Record one write into a unit's shadow state. writer_id is the
- * access's producer identity, interned once per access into the
- * shadow's stamp table.
+ * Classify one read of w bytes against a run of n consecutive units
+ * that all carry the same (writer, reader) stamp pair, and update their
+ * shadow state. Every classification input is a function of that pair
+ * and of the access, so the byte counters, edges and transfers are
+ * updated once, weighted by the run's covered width w; only the re-use
+ * state is walked per unit. reader_id is the access's consumer
+ * identity (a.call, a.ctx), interned once per access. c may be null
+ * when the access does not need the cold records (the caller
+ * materializes them exactly when re-use or line mode will touch them).
+ * seg_xfers (nullable) receives producer-segment → unique-byte
+ * transfers; unique_bytes_this_access accumulates for per-object
+ * attribution.
  */
 inline void
-commWriteUnit(CommTables &t, const bool &reuse_enabled,
-              const shadow::StampTable &st, shadow::ShadowHot &hot,
-              shadow::ShadowCold *cold, shadow::StampId writer_id)
+commReadRun(CommTables &t, const ClassifyEnv &env,
+            const shadow::StampTable &st, shadow::ShadowHot *s,
+            shadow::ShadowCold *c, std::size_t n, std::uint64_t w,
+            const AccessStamp &a, shadow::StampId reader_id,
+            std::unordered_map<std::uint64_t, std::uint64_t> *seg_xfers,
+            std::uint64_t &unique_bytes_this_access)
 {
-    if (reuse_enabled)
-        commFinalizeRun(t, reuse_enabled, st, hot, cold);
-    hot.writer = writer_id;
-    hot.reader = 0;
-}
-
-/**
- * Classify one read of w bytes against a unit's shadow state and
- * update that state. reader_id is the access's consumer identity
- * (a.call, a.ctx), interned once per access. cold may be null when the
- * access does not need the cold record (the caller materializes it
- * exactly when re-use or line mode will touch it). seg_xfers
- * (nullable) receives producer-segment → unique-byte transfers;
- * unique_bytes_this_access accumulates for per-object attribution.
- */
-inline void
-commReadUnit(CommTables &t, const ClassifyEnv &env,
-             const shadow::StampTable &st, shadow::ShadowHot &s,
-             shadow::ShadowCold *c, std::uint64_t w,
-             const AccessStamp &a, shadow::StampId reader_id,
-             std::unordered_map<std::uint64_t, std::uint64_t> *seg_xfers,
-             std::uint64_t &unique_bytes_this_access)
-{
-    const shadow::WriterStamp &wr = st.writer(s.writer);
-    const bool ever_written = wr.ctx != vg::kInvalidContext;
-    vg::ContextId producer = ever_written ? wr.ctx : kUninitProducer;
-    bool unique = st.reader(s.reader).ctx != a.ctx;
-    bool local = producer == a.ctx;
+    const shadow::ShadowHot pair = s[0];
+    // All n units share the writer stamp, so recording the new reader
+    // is an 8-byte word fill.
+    auto stamp_readers = [&] {
+        std::fill(s, s + n, shadow::ShadowHot{pair.writer, reader_id});
+    };
 
     if (!a.collecting) {
         // Outside the ROI: maintain shadow state only. Clear any
         // pending run so pre-ROI reads never leak into ROI stats.
-        if (c != nullptr)
-            c->runReads = 0;
-        s.reader = reader_id;
+        if (c != nullptr) {
+            for (std::size_t i = 0; i < n; ++i)
+                c[i].runReads = 0;
+        }
+        stamp_readers();
         return;
     }
 
@@ -201,9 +220,15 @@ commReadUnit(CommTables &t, const ClassifyEnv &env,
         // Degradation level 2: raw byte totals continue, but per-class
         // aggregation stops. Reader identity is still maintained so a
         // later analysis of the shadow state remains coherent.
-        s.reader = reader_id;
+        stamp_readers();
         return;
     }
+
+    const shadow::WriterStamp &wr = st.writer(pair.writer);
+    const bool ever_written = wr.ctx != vg::kInvalidContext;
+    vg::ContextId producer = ever_written ? wr.ctx : kUninitProducer;
+    bool unique = st.reader(pair.reader).ctx != a.ctx;
+    bool local = producer == a.ctx;
 
     if (unique)
         unique_bytes_this_access += w;
@@ -270,23 +295,29 @@ commReadUnit(CommTables &t, const ClassifyEnv &env,
         // Stamp interning is injective, so id equality is exactly the
         // old (reader ctx, reader call) pair comparison. Re-use mode
         // always resolves with want_cold, so c is non-null here.
-        if (s.reader == reader_id) {
-            ++c->runReads;
-            c->runLastRead = a.tick;
+        if (pair.reader == reader_id) {
+            for (std::size_t i = 0; i < n; ++i) {
+                ++c[i].runReads;
+                c[i].runLastRead = a.tick;
+            }
         } else {
-            commFinalizeRun(t, env.reuseEnabled, st, s, c);
-            c->runReads = 1;
-            c->runFirstRead = a.tick;
-            c->runLastRead = a.tick;
+            commFinalizeRuns(t, st, pair.reader, c, n);
+            for (std::size_t i = 0; i < n; ++i) {
+                c[i].runReads = 1;
+                c[i].runFirstRead = a.tick;
+                c[i].runLastRead = a.tick;
+            }
         }
     }
 
     // Per-unit access totals only feed the line-granularity re-use
     // breakdown, so byte-mode reads skip the cold record entirely
     // unless they are tracking a re-use run.
-    if (env.granularityShift > 0)
-        ++c->totalAccesses;
-    s.reader = reader_id;
+    if (env.granularityShift > 0) {
+        for (std::size_t i = 0; i < n; ++i)
+            ++c[i].totalAccesses;
+    }
+    stamp_readers();
 }
 
 } // namespace sigil::core

@@ -14,10 +14,8 @@ SigilProfiler::SigilProfiler(const SigilConfig &config)
                                            config.maxShadowChunks})
 {
     shadow_.setEvictionHandler(
-        [this](std::uint64_t unit, shadow::ShadowRef obj) {
-            (void)unit;
-            commFinalizeRun(tables_, reuseEnabled_, shadow_.stamps(),
-                            obj.hot, obj.cold);
+        [this](const shadow::ShadowMemory::Run &run) {
+            closePendingRuns(run);
         },
         shadow::SweepFilter::PendingRuns);
     shadow_.setPressureHandler(
@@ -29,6 +27,22 @@ SigilProfiler::SigilProfiler(const SigilConfig &config)
 SigilProfiler::~SigilProfiler() = default;
 
 void
+SigilProfiler::closePendingRuns(const shadow::ShadowMemory::Run &run)
+{
+    if (!reuseEnabled_ || run.cold == nullptr)
+        return;
+    for (std::size_t i = 0; i < run.count;) {
+        const shadow::StampId reader = run.hot[i].reader;
+        std::size_t j = i + 1;
+        while (j < run.count && run.hot[j].reader == reader)
+            ++j;
+        commFinalizeRuns(tables_, shadow_.stamps(), reader, run.cold + i,
+                         j - i);
+        i = j;
+    }
+}
+
+void
 SigilProfiler::degrade(int failed_attempts)
 {
     if (degradationLevel_ == 0) {
@@ -37,9 +51,8 @@ SigilProfiler::degrade(int failed_attempts)
             // Close out every pending run before dropping the mode so
             // the statistics collected so far keep their mass.
             shadow_.forEach(
-                [this](std::uint64_t, shadow::ShadowRef obj) {
-                    commFinalizeRun(tables_, reuseEnabled_,
-                                    shadow_.stamps(), obj.hot, obj.cold);
+                [this](const shadow::ShadowMemory::Run &run) {
+                    closePendingRuns(run);
                 },
                 shadow::SweepFilter::PendingRuns);
             reuseEnabled_ = false;
@@ -149,6 +162,9 @@ SigilProfiler::writeAccess(vg::Addr addr, unsigned size,
         ++state.segment.writes;
     std::uint64_t seq = state.open ? state.segment.seq : 0;
 
+    // A zero-byte access covers no unit: it must not stamp a producer.
+    if (size == 0)
+        return;
     std::uint64_t first = shadow_.unitOf(addr);
     std::uint64_t last = shadow_.lastUnitOf(addr, size);
     // One producer identity per access: intern it once, stamp the id.
@@ -158,25 +174,16 @@ SigilProfiler::writeAccess(vg::Addr addr, unsigned size,
         // Reference path: resolve the chunk once per unit.
         for (std::uint64_t u = first; u <= last; ++u) {
             shadow::ShadowRef s = shadow_.lookup(u);
-            commWriteUnit(tables_, reuseEnabled_, shadow_.stamps(),
-                          s.hot, s.cold, ws);
+            closePendingRuns(shadow::ShadowMemory::Run{u, 1, &s.hot, s.cold});
+            s.hot = shadow::ShadowHot{ws, 0};
         }
         return;
     }
     shadow_.span(first, last, /*want_cold=*/false,
                  [&](shadow::ShadowMemory::Run run) {
-        if (reuseEnabled_ && run.cold != nullptr) {
-            // Close pending runs before the overwrite clobbers their
-            // reader identity; units with no recorded reader have
-            // nothing pending.
-            for (std::size_t i = 0; i < run.count; ++i) {
-                if (run.hot[i].reader != 0) {
-                    commFinalizeRun(tables_, reuseEnabled_,
-                                    shadow_.stamps(), run.hot[i],
-                                    run.cold + i);
-                }
-            }
-        }
+        // Close pending runs before the overwrite clobbers their
+        // reader identity, one group of equal reader stamps at a time.
+        closePendingRuns(run);
         // The stamp overwrite itself is a plain 8-byte word fill.
         std::fill(run.hot, run.hot + run.count, shadow::ShadowHot{ws, 0});
     });
@@ -199,7 +206,25 @@ SigilProfiler::readAccess(vg::Addr addr, unsigned size, vg::ContextId ctx,
     if (state.open)
         ++state.segment.reads;
 
-    std::uint64_t unique_bytes_this_access = 0;
+    // A zero-byte access covers no unit: it must not replace the last
+    // reader or touch a re-use run.
+    std::uint64_t unique_bytes_this_access =
+        size == 0 ? 0 : classifyRead(addr, size, ctx, call, now, state);
+
+    if (collecting_ && config_.collectObjects) {
+        ObjectTraffic &obj =
+            tables_.objectSlot(guest_->allocationOf(addr));
+        obj.readBytes += size;
+        obj.uniqueReadBytes += unique_bytes_this_access;
+    }
+}
+
+std::uint64_t
+SigilProfiler::classifyRead(vg::Addr addr, unsigned size, vg::ContextId ctx,
+                            vg::CallNum call, vg::Tick now,
+                            SegState &state)
+{
+    std::uint64_t unique_bytes = 0;
     AccessStamp a;
     a.ctx = ctx;
     a.call = call;
@@ -207,13 +232,23 @@ SigilProfiler::readAccess(vg::Addr addr, unsigned size, vg::ContextId ctx,
     a.tid = currentTid_;
     a.segSeq = state.open ? state.segment.seq : 0;
     a.collecting = collecting_;
-    ClassifyEnv env{reuseEnabled_, classifyEnabled_,
-                    config_.collectEvents, config_.granularityShift};
 
     std::uint64_t first = shadow_.unitOf(addr);
     std::uint64_t last = shadow_.lastUnitOf(addr, size);
     const unsigned shift = shadow_.granularityShift();
-    const std::uint64_t unit_bytes = shadow_.unitBytes();
+    // Bytes of the access covered by units [lo_unit, hi_unit).
+    auto covered = [&](std::uint64_t lo_unit, std::uint64_t hi_unit) {
+        std::uint64_t lo = std::max<std::uint64_t>(addr, lo_unit << shift);
+        std::uint64_t hi =
+            std::min<std::uint64_t>(addr + size, hi_unit << shift);
+        return hi - lo;
+    };
+    // Fidelity degrades only inside a chunk resolution, so the flags
+    // are snapshotted once per resolved run (or per lookup).
+    auto env = [&] {
+        return ClassifyEnv{reuseEnabled_, classifyEnabled_,
+                           config_.collectEvents, config_.granularityShift};
+    };
     // One consumer identity per access, and one cold-materialization
     // decision per access (so a mid-span fidelity flip cannot make the
     // two walk paths materialize differently). The call number only
@@ -229,45 +264,33 @@ SigilProfiler::readAccess(vg::Addr addr, unsigned size, vg::ContextId ctx,
         // byte width from scratch for every unit.
         for (std::uint64_t u = first; u <= last; ++u) {
             shadow::ShadowRef s = shadow_.lookup(u, want_cold);
-            std::uint64_t unit_lo = u << shift;
-            std::uint64_t unit_hi = unit_lo + unit_bytes;
-            std::uint64_t lo = std::max<std::uint64_t>(addr, unit_lo);
-            std::uint64_t hi =
-                std::min<std::uint64_t>(addr + size, unit_hi);
-            commReadUnit(tables_, env, shadow_.stamps(), s.hot, s.cold,
-                         hi - lo, a, rs, &state.xfers,
-                         unique_bytes_this_access);
+            commReadRun(tables_, env(), shadow_.stamps(), &s.hot, s.cold,
+                        1, covered(u, u + 1), a, rs, &state.xfers,
+                        unique_bytes);
         }
-    } else {
-        shadow_.span(first, last, want_cold,
-                     [&](shadow::ShadowMemory::Run run) {
-            for (std::size_t i = 0; i < run.count; ++i) {
-                // Every unit covers a full unit's worth of the access
-                // except possibly the two end units.
-                std::uint64_t u = run.firstUnit + i;
-                std::uint64_t w = unit_bytes;
-                if (u == first || u == last) {
-                    std::uint64_t unit_lo = u << shift;
-                    std::uint64_t unit_hi = unit_lo + unit_bytes;
-                    std::uint64_t lo =
-                        std::max<std::uint64_t>(addr, unit_lo);
-                    std::uint64_t hi =
-                        std::min<std::uint64_t>(addr + size, unit_hi);
-                    w = hi - lo;
-                }
-                commReadUnit(tables_, env, shadow_.stamps(), run.hot[i],
-                             run.cold ? run.cold + i : nullptr, w, a, rs,
-                             &state.xfers, unique_bytes_this_access);
+        return unique_bytes;
+    }
+    shadow_.span(first, last, want_cold,
+                 [&](shadow::ShadowMemory::Run run) {
+        const ClassifyEnv run_env = env();
+        // Split the chunk run into maximal runs of units sharing one
+        // (writer, reader) stamp pair and classify each run once, in
+        // unit order so edges keep their first-seen order.
+        for (std::size_t i = 0; i < run.count;) {
+            const shadow::ShadowHot pair = run.hot[i];
+            std::size_t j = i + 1;
+            while (j < run.count && run.hot[j].writer == pair.writer &&
+                   run.hot[j].reader == pair.reader) {
+                ++j;
             }
-        });
-    }
-
-    if (collecting_ && config_.collectObjects) {
-        ObjectTraffic &obj =
-            tables_.objectSlot(guest_->allocationOf(addr));
-        obj.readBytes += size;
-        obj.uniqueReadBytes += unique_bytes_this_access;
-    }
+            commReadRun(tables_, run_env, shadow_.stamps(), run.hot + i,
+                        run.cold ? run.cold + i : nullptr, j - i,
+                        covered(run.firstUnit + i, run.firstUnit + j), a,
+                        rs, &state.xfers, unique_bytes);
+            i = j;
+        }
+    });
+    return unique_bytes;
 }
 
 void
@@ -495,12 +518,20 @@ SigilProfiler::finish()
     if (!sweep_needed)
         return;
     shadow_.forEach(
-        [this](std::uint64_t, shadow::ShadowRef obj) {
-            commFinalizeRun(tables_, reuseEnabled_, shadow_.stamps(),
-                            obj.hot, obj.cold);
-            if (config_.granularityShift > 0 && obj.cold &&
-                obj.cold->totalAccesses > 0) {
-                tables_.lineReuseBreakdown.add(obj.cold->totalAccesses - 1);
+        [this](const shadow::ShadowMemory::Run &run) {
+            closePendingRuns(run);
+            if (config_.granularityShift == 0 || run.cold == nullptr)
+                return;
+            // Fold each group of equal access totals with one counted
+            // add.
+            for (std::size_t i = 0; i < run.count;) {
+                const std::uint64_t total = run.cold[i].totalAccesses;
+                std::size_t j = i + 1;
+                while (j < run.count && run.cold[j].totalAccesses == total)
+                    ++j;
+                if (total > 0)
+                    tables_.lineReuseBreakdown.add(total - 1, j - i);
+                i = j;
             }
         },
         filter);
@@ -865,15 +896,17 @@ SigilProfiler::saveState(ByteSink &sink)
         const std::uint64_t base = head.index
                                    << shadow::ShadowMemory::kChunkShift;
         shadow_.forEachInChunk(
-            head.index, [&](std::uint64_t unit, shadow::ShadowRef obj) {
-                sink.varint(unit - base);
-                sink.varint(obj.hot.writer);
-                sink.varint(obj.hot.reader);
-                if (head.hasCold) {
-                    sink.u64(obj.cold->runFirstRead);
-                    sink.u64(obj.cold->runLastRead);
-                    sink.u64(obj.cold->totalAccesses);
-                    sink.u32(obj.cold->runReads);
+            head.index, [&](const shadow::ShadowMemory::Run &run) {
+                for (std::size_t i = 0; i < run.count; ++i) {
+                    sink.varint(run.firstUnit + i - base);
+                    sink.varint(run.hot[i].writer);
+                    sink.varint(run.hot[i].reader);
+                    if (head.hasCold) {
+                        sink.u64(run.cold[i].runFirstRead);
+                        sink.u64(run.cold[i].runLastRead);
+                        sink.u64(run.cold[i].totalAccesses);
+                        sink.u32(run.cold[i].runReads);
+                    }
                 }
             });
     }

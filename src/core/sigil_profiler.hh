@@ -13,9 +13,10 @@
  * (computation segments + data-transfer edges).
  *
  * The classification itself lives in the kernels of
- * core/comm_tables.hh; the profiler feeds them one access at a time,
+ * core/comm_tables.hh; the profiler feeds them one access at a time —
  * whether the guest dispatches per event, in batches, or through the
- * async pipeline.
+ * async pipeline — split into runs of units that share a (writer,
+ * reader) stamp pair.
  */
 
 #ifndef SIGIL_CORE_SIGIL_PROFILER_HH
@@ -192,6 +193,22 @@ class SigilProfiler : public vg::Tool
     /// @}
 
     struct SegState;
+
+    /**
+     * The shadow walk of a read of size > 0 bytes: classify it run by
+     * run and update the shadow state. Returns the access's unique
+     * bytes (for per-object attribution).
+     */
+    std::uint64_t classifyRead(vg::Addr addr, unsigned size,
+                               vg::ContextId ctx, vg::CallNum call,
+                               vg::Tick now, SegState &state);
+
+    /**
+     * Close the pending re-use runs of a shadow run (no-op unless
+     * re-use tracking is on and the run has cold records), one group of
+     * equal reader stamps at a time.
+     */
+    void closePendingRuns(const shadow::ShadowMemory::Run &run);
 
     /** Flush a thread's open compute segment and start a new one. */
     void startSegment(SegState &state, vg::ContextId ctx,

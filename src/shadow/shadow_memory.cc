@@ -19,7 +19,7 @@ ShadowMemory::ShadowMemory(const Config &config)
 }
 
 void
-ShadowMemory::setEvictionHandler(EvictionHandler handler,
+ShadowMemory::setEvictionHandler(RunVisitor handler,
                                  SweepFilter filter)
 {
     evictionHandler_ = std::move(handler);
@@ -181,30 +181,62 @@ ShadowMemory::find(std::uint64_t unit)
 }
 
 void
-ShadowMemory::visitTouched(Chunk &chunk, const EvictionHandler &visitor,
+ShadowMemory::visitTouched(Chunk &chunk, const RunVisitor &visitor,
                            SweepFilter filter)
 {
     if (filter != SweepFilter::All && !chunk.cold)
         return;
     const bool pending_only = filter == SweepFilter::PendingRuns;
-    for (std::size_t w = 0; w < kTouchedWords; ++w) {
-        std::uint64_t bits = chunk.touched[w];
-        while (bits != 0) {
-            std::size_t i =
-                (w << 6) +
-                static_cast<std::size_t>(std::countr_zero(bits));
-            bits &= bits - 1;
-            if (pending_only && chunk.hot[i].reader == 0)
-                continue;
-            visitor(chunk.base + i,
-                    ShadowRef{chunk.hot[i],
-                              chunk.cold ? &chunk.cold[i] : nullptr});
+    auto emit = [&](std::size_t off, std::size_t n) {
+        visitor(Run{chunk.base + off, n, chunk.hot.get() + off,
+                    chunk.cold ? chunk.cold.get() + off : nullptr});
+    };
+    std::size_t w = 0;
+    std::uint64_t bits = chunk.touched[0];
+    while (true) {
+        // Start of the next touched run: the lowest set bit at or
+        // after the scan position.
+        while (bits == 0) {
+            if (++w == kTouchedWords)
+                return;
+            bits = chunk.touched[w];
         }
+        const std::size_t first =
+            (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+        // Its end: the lowest clear bit after the start.
+        std::uint64_t clear = ~chunk.touched[w] & (~0ull << (first & 63));
+        while (clear == 0 && ++w < kTouchedWords)
+            clear = ~chunk.touched[w];
+        const std::size_t end =
+            w == kTouchedWords
+                ? kChunkUnits
+                : (w << 6) + static_cast<std::size_t>(std::countr_zero(clear));
+        if (!pending_only) {
+            emit(first, end - first);
+        } else {
+            // Split at units with no recorded reader: they hold no
+            // pending run.
+            std::size_t i = first;
+            while (i < end) {
+                while (i < end && chunk.hot[i].reader == 0)
+                    ++i;
+                std::size_t j = i;
+                while (j < end && chunk.hot[j].reader != 0)
+                    ++j;
+                if (j > i)
+                    emit(i, j - i);
+                i = j;
+            }
+        }
+        if (end == kChunkUnits)
+            return;
+        w = end >> 6;
+        bits = chunk.touched[w] & (~0ull << (end & 63));
     }
 }
 
 void
-ShadowMemory::forEach(const EvictionHandler &visitor, SweepFilter filter)
+ShadowMemory::forEach(const RunVisitor &visitor, SweepFilter filter)
 {
     std::vector<Chunk *> chunks;
     chunks.reserve(directory_.size());
@@ -216,15 +248,6 @@ ShadowMemory::forEach(const EvictionHandler &visitor, SweepFilter filter)
               });
     for (Chunk *chunk : chunks)
         visitTouched(*chunk, visitor, filter);
-}
-
-void
-ShadowMemory::forEachInRecencyOrder(const EvictionHandler &visitor)
-{
-    for (Chunk *chunk = lruHead_; chunk != nullptr;
-         chunk = chunk->lruNext) {
-        visitTouched(*chunk, visitor, SweepFilter::All);
-    }
 }
 
 void
@@ -271,7 +294,7 @@ ShadowMemory::evictChunkPtr(Chunk *victim)
 
 void
 ShadowMemory::forEachInChunk(std::uint64_t index,
-                             const EvictionHandler &visitor)
+                             const RunVisitor &visitor)
 {
     auto it = directory_.find(index);
     if (it == directory_.end())

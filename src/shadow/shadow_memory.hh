@@ -177,17 +177,36 @@ class ShadowMemory
     ShadowMemory() : ShadowMemory(Config{}) {}
     explicit ShadowMemory(const Config &config);
 
-    /** Called with each touched object of a chunk about to be evicted. */
-    using EvictionHandler =
-        std::function<void(std::uint64_t unit, ShadowRef obj)>;
+    /**
+     * A contiguous run of shadow state inside one chunk: units
+     * [firstUnit, firstUnit + count) map to hot[0..count), and to
+     * cold[0..count) when the chunk has a cold array (else cold is
+     * null). span() yields the chunk-clamped runs of an access; the
+     * sweeps yield maximal runs of units matching their filter.
+     */
+    struct Run
+    {
+        std::uint64_t firstUnit;
+        std::size_t count;
+        ShadowHot *hot;
+        ShadowCold *cold;
+    };
 
     /**
-     * Install the eviction handler. The filter restricts which touched
-     * units the handler is called with; a handler that only finalizes
-     * pending re-use runs passes SweepFilter::PendingRuns so eviction
-     * skips the (typically vast) majority of units it would no-op on.
+     * Sweep visitor: called with each maximal run of touched units
+     * (matching the sweep's filter) of a chunk, in ascending unit
+     * order. The run's pointers are valid only during the call.
      */
-    void setEvictionHandler(EvictionHandler handler,
+    using RunVisitor = std::function<void(const Run &run)>;
+
+    /**
+     * Install the eviction handler, called with the touched runs of a
+     * chunk about to be evicted. The filter restricts which touched
+     * units the runs cover; a handler that only finalizes pending
+     * re-use runs passes SweepFilter::PendingRuns so eviction skips
+     * the (typically vast) majority of units it would no-op on.
+     */
+    void setEvictionHandler(RunVisitor handler,
                             SweepFilter filter = SweepFilter::All);
 
     /** Unit index covering a guest address. */
@@ -249,20 +268,6 @@ class ShadowMemory
     ShadowRef lookup(std::uint64_t unit, bool want_cold = false);
 
     /**
-     * A maximal contiguous run of shadow state inside one chunk:
-     * units [firstUnit, firstUnit + count) map to hot[0..count), and
-     * to cold[0..count) when the chunk has a cold array (else cold is
-     * null).
-     */
-    struct Run
-    {
-        std::uint64_t firstUnit;
-        std::size_t count;
-        ShadowHot *hot;
-        ShadowCold *cold;
-    };
-
-    /**
      * Span-oriented lookup: visit the shadow state of every unit in
      * [first_unit, last_unit] as chunk-clamped contiguous runs,
      * resolving each chunk exactly once. Equivalent to calling
@@ -318,40 +323,34 @@ class ShadowMemory
     ShadowRef restoreLookup(std::uint64_t unit, bool want_cold = false);
 
     /**
-     * Visit every touched shadow object (used for the end-of-run sweep
-     * that finalizes pending re-use runs). Chunks are visited in
-     * ascending base order so the sweep is deterministic run-to-run;
-     * within a chunk only units matching the filter are visited.
+     * Visit every touched shadow object as maximal runs (used for the
+     * end-of-run sweep that finalizes pending re-use runs). Chunks are
+     * visited in ascending base order so the sweep is deterministic
+     * run-to-run; within a chunk only units matching the filter are
+     * visited.
      */
-    void forEach(const EvictionHandler &visitor,
+    void forEach(const RunVisitor &visitor,
                  SweepFilter filter = SweepFilter::All);
-
-    /**
-     * Visit every touched shadow object chunk-by-chunk in recency
-     * order, least recently touched chunk first. A checkpoint saves
-     * chunks in this order so that a restore — which re-lookup()s the
-     * units in saved order — reproduces the recency list exactly, and
-     * with it every future eviction decision.
-     */
-    void forEachInRecencyOrder(const EvictionHandler &visitor);
 
     /**
      * Visit the live chunks in recency order (least recently touched
      * first) as (index, has_cold, touched_units) triples — the
      * chunk-level walk the checkpoint writer uses to frame each
-     * chunk's unit group.
+     * chunk's unit group. A checkpoint saves chunks in this order so
+     * that a restore — which re-lookup()s the units in saved order —
+     * reproduces the recency list exactly, and with it every future
+     * eviction decision.
      */
     void forEachChunkInRecencyOrder(
         const std::function<void(std::uint64_t index, bool has_cold,
                                  std::uint64_t touched_units)> &fn) const;
 
     /**
-     * Visit the touched units of one resident chunk (ascending unit
-     * order), or do nothing if the chunk is absent. The checkpoint
-     * writer emits each chunk's unit group with this.
+     * Visit the touched units of one resident chunk as maximal runs
+     * (ascending unit order), or do nothing if the chunk is absent.
+     * The checkpoint writer emits each chunk's unit group with this.
      */
-    void forEachInChunk(std::uint64_t index,
-                        const EvictionHandler &visitor);
+    void forEachInChunk(std::uint64_t index, const RunVisitor &visitor);
 
     const ShadowStats &stats() const { return stats_; }
 
@@ -448,12 +447,11 @@ class ShadowMemory
 
     /**
      * The single owner of the touched-bit scan: every sweep — the
-     * ascending and recency-ordered walks, the per-chunk checkpoint
-     * walk, and the eviction handler pass — visits a chunk's touched
-     * units through here (the eviction/sweep loop used to be
-     * duplicated per caller).
+     * ascending walk, the per-chunk checkpoint walk, and the eviction
+     * handler pass — visits a chunk's touched units through here, as
+     * maximal runs of consecutive touched units matching the filter.
      */
-    static void visitTouched(Chunk &chunk, const EvictionHandler &visitor,
+    static void visitTouched(Chunk &chunk, const RunVisitor &visitor,
                              SweepFilter filter);
 
     void
@@ -502,7 +500,7 @@ class ShadowMemory
     std::uint64_t lastChunkIndex_ = ~0ull;
     Chunk *lruHead_ = nullptr;
     Chunk *lruTail_ = nullptr;
-    EvictionHandler evictionHandler_;
+    RunVisitor evictionHandler_;
     SweepFilter evictionFilter_ = SweepFilter::All;
     std::function<bool()> allocFailureInjector_;
     std::function<void(int)> pressureHandler_;

@@ -17,6 +17,10 @@ LinearHistogram::LinearHistogram(std::uint64_t bin_width,
 void
 LinearHistogram::add(std::uint64_t value, std::uint64_t count)
 {
+    // A zero-weight sample is no sample: it must not grow the bins or
+    // raise the maximum.
+    if (count == 0)
+        return;
     std::size_t bin = static_cast<std::size_t>(value / binWidth_);
     if (bin >= maxBins_) {
         overflow_ += count;
@@ -89,6 +93,8 @@ BoundsHistogram::BoundsHistogram(std::vector<std::uint64_t> bounds)
 void
 BoundsHistogram::add(std::uint64_t value, std::uint64_t count)
 {
+    if (count == 0)
+        return;
     std::size_t bin = bounds_.size();
     for (std::size_t i = 0; i < bounds_.size(); ++i) {
         if (value <= bounds_[i]) {

@@ -37,7 +37,10 @@ class LinearHistogram
     explicit LinearHistogram(std::uint64_t bin_width = 1000,
                              std::size_t max_bins = 1 << 20);
 
-    /** Record one sample, weighted by count. */
+    /**
+     * Record one sample, weighted by count: exactly equivalent to count
+     * calls of add(value) (a no-op for count == 0).
+     */
     void add(std::uint64_t value, std::uint64_t count = 1);
 
     /** Merge another histogram with the same bin width into this one. */
@@ -96,6 +99,7 @@ class BoundsHistogram
     /** @param bounds Strictly ascending inclusive upper bounds. */
     explicit BoundsHistogram(std::vector<std::uint64_t> bounds);
 
+    /** Record count samples of value (a no-op for count == 0). */
     void add(std::uint64_t value, std::uint64_t count = 1);
     void merge(const BoundsHistogram &other);
 

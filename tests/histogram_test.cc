@@ -172,5 +172,52 @@ TEST_P(LinearProperty, BinPlacement)
 INSTANTIATE_TEST_SUITE_P(Widths, LinearProperty,
                          ::testing::Values(1, 2, 3, 10, 27));
 
+/**
+ * Property: a counted add is exactly count single adds — bins,
+ * overflow, total, sum, max and numBins() — including count 0, the
+ * overflow bin and bin edges. Run-level classification closes groups
+ * of equal re-use runs with counted adds and relies on this.
+ */
+class CountedAddProperty : public ::testing::TestWithParam<std::uint64_t>
+{};
+
+TEST_P(CountedAddProperty, CountedAddEqualsRepeatedAdds)
+{
+    Rng rng(GetParam());
+    const std::uint64_t width = 10;
+    const std::size_t max_bins = 8; // bins cover [0, 80)
+    LinearHistogram lc(width, max_bins), lr(width, max_bins);
+    BoundsHistogram bc(std::vector<std::uint64_t>{0, 9, 99});
+    BoundsHistogram br(std::vector<std::uint64_t>{0, 9, 99});
+    // Bin edges of both shapes, and values past every bin.
+    const std::uint64_t edges[] = {0, 1, 9, 10, 79, 80, 99, 100, 1000};
+    for (int i = 0; i < 400; ++i) {
+        std::uint64_t v = rng.nextBounded(3) == 0
+                              ? edges[rng.nextBounded(9)]
+                              : rng.nextBounded(120);
+        std::uint64_t n = rng.nextBounded(6);
+        lc.add(v, n);
+        bc.add(v, n);
+        for (std::uint64_t k = 0; k < n; ++k) {
+            lr.add(v);
+            br.add(v);
+        }
+        ASSERT_EQ(lc.numBins(), lr.numBins()) << "v=" << v << " n=" << n;
+        ASSERT_EQ(lc.maxValue(), lr.maxValue()) << "v=" << v << " n=" << n;
+    }
+    for (std::size_t b = 0; b < max_bins; ++b)
+        EXPECT_EQ(lc.binCount(b), lr.binCount(b)) << "bin " << b;
+    EXPECT_EQ(lc.overflowCount(), lr.overflowCount());
+    EXPECT_EQ(lc.totalCount(), lr.totalCount());
+    EXPECT_EQ(lc.totalValue(), lr.totalValue());
+    ASSERT_EQ(bc.numBins(), br.numBins());
+    for (std::size_t b = 0; b < bc.numBins(); ++b)
+        EXPECT_EQ(bc.binCount(b), br.binCount(b)) << "bin " << b;
+    EXPECT_EQ(bc.totalCount(), br.totalCount());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CountedAddProperty,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
 } // namespace
 } // namespace sigil

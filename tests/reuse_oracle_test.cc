@@ -67,7 +67,14 @@ TEST_P(ReuseOracle, RunAccountingMatchesBruteForce)
         run.reads = 0;
     };
 
-    const vg::Addr base = g.alloc(512);
+    // A 512 B pool straddling a shadow chunk boundary, with 1-64 B
+    // accesses, so equal-run groups split at chunk boundaries and in
+    // the middle of an access.
+    constexpr vg::Addr kPool = 512;
+    constexpr vg::Addr kChunk = shadow::ShadowMemory::kChunkUnits;
+    const vg::Addr heap = g.alloc(kPool + kChunk + 64);
+    const vg::Addr base =
+        (heap + kPool / 2 + kChunk - 1) / kChunk * kChunk - kPool / 2;
     const char *fns[] = {"main", "A", "B"};
     g.enter("main");
     int depth = 1;
@@ -80,31 +87,38 @@ TEST_P(ReuseOracle, RunAccountingMatchesBruteForce)
             g.leave();
             --depth;
         } else if (action < 5) {
-            vg::Addr a = base + rng.nextBounded(512);
-            g.write(a, 1);
-            finalize(runs[a]);
-            runs[a].reader = vg::kInvalidContext;
+            vg::Addr a = base + rng.nextBounded(kPool);
+            unsigned size = 1 + static_cast<unsigned>(rng.nextBounded(64));
+            g.write(a, size);
+            for (vg::Addr b = a; b < a + size; ++b) {
+                finalize(runs[b]);
+                runs[b].reader = vg::kInvalidContext;
+            }
         } else if (action < 11) {
-            // Skewed toward a hot region so runs actually build up.
+            // Skewed toward a hot region (around the chunk boundary) so
+            // runs actually build up.
             vg::Addr a = base + (rng.nextBounded(10) < 7
-                                     ? rng.nextBounded(32)
-                                     : rng.nextBounded(512));
+                                     ? kPool / 2 - 16 + rng.nextBounded(32)
+                                     : rng.nextBounded(kPool));
+            unsigned size = 1 + static_cast<unsigned>(rng.nextBounded(64));
             vg::ContextId ctx = g.currentContext();
             vg::CallNum call = g.currentCall();
-            g.read(a, 1);
+            g.read(a, size);
             vg::Tick now = g.now();
-            OracleRun &run = runs[a];
-            if (run.reads > 0 && run.reader == ctx &&
-                run.call == call) {
-                ++run.reads;
-                run.last = now;
-            } else {
-                finalize(run);
-                run.reader = ctx;
-                run.call = call;
-                run.reads = 1;
-                run.first = now;
-                run.last = now;
+            for (vg::Addr b = a; b < a + size; ++b) {
+                OracleRun &run = runs[b];
+                if (run.reads > 0 && run.reader == ctx &&
+                    run.call == call) {
+                    ++run.reads;
+                    run.last = now;
+                } else {
+                    finalize(run);
+                    run.reader = ctx;
+                    run.call = call;
+                    run.reads = 1;
+                    run.first = now;
+                    run.last = now;
+                }
             }
         } else {
             g.iop(rng.nextBounded(4));

@@ -32,6 +32,19 @@ ctxId(ShadowMemory &sm, vg::ContextId ctx)
     return sm.internWriter(ctxStamp(ctx));
 }
 
+/** Adapt a per-unit callback to the run-shaped sweep visitor. */
+template <typename Fn>
+ShadowMemory::RunVisitor
+perUnit(Fn fn)
+{
+    return [fn](const ShadowMemory::Run &run) mutable {
+        for (std::size_t i = 0; i < run.count; ++i) {
+            fn(run.firstUnit + i,
+               ShadowRef{run.hot[i], run.cold ? run.cold + i : nullptr});
+        }
+    };
+}
+
 /** The writer context recorded for a unit (kInvalidContext if never). */
 vg::ContextId
 writerCtx(const ShadowMemory &sm, const ShadowRef &o)
@@ -225,9 +238,9 @@ TEST(ShadowMemory, LruOrderSurvivesManyInterleavedTouches)
     cfg.maxChunks = 4;
     ShadowMemory sm(cfg);
     std::vector<std::uint64_t> evicted;
-    sm.setEvictionHandler([&](std::uint64_t unit, ShadowRef) {
+    sm.setEvictionHandler(perUnit([&](std::uint64_t unit, ShadowRef) {
         evicted.push_back(unit / kC);
-    });
+    }));
     const StampId w = ctxId(sm, 1);
     for (std::uint64_t c = 0; c < 4; ++c)
         sm.lookup(c * kC).hot.writer = w; // LRU order 0,1,2,3
@@ -247,9 +260,9 @@ TEST(ShadowMemory, EvictionHandlerSeesOnlyTouchedUnits)
     cfg.maxChunks = 2;
     ShadowMemory sm(cfg);
     std::set<std::uint64_t> evicted_units;
-    sm.setEvictionHandler([&](std::uint64_t unit, ShadowRef) {
+    sm.setEvictionHandler(perUnit([&](std::uint64_t unit, ShadowRef) {
         evicted_units.insert(unit);
-    });
+    }));
     sm.lookup(7).hot.writer = ctxId(sm, 1);
     sm.lookup(9); // touched but never written — still reported
     sm.lookup(ShadowMemory::kChunkUnits + 3).hot.writer = ctxId(sm, 1);
@@ -264,9 +277,9 @@ TEST(ShadowMemory, SweepFiltersSkipColdlessChunksAndIdleUnits)
     ShadowMemory sm(cfg);
     std::vector<std::uint64_t> evicted_units;
     sm.setEvictionHandler(
-        [&](std::uint64_t unit, ShadowRef) {
+        perUnit([&](std::uint64_t unit, ShadowRef) {
             evicted_units.push_back(unit);
-        },
+        }),
         SweepFilter::PendingRuns);
     // Chunk 0: no cold array — its eviction must visit nothing.
     sm.lookup(7).hot.writer = ctxId(sm, 1);
@@ -288,11 +301,48 @@ TEST(ShadowMemory, SweepFiltersSkipColdlessChunksAndIdleUnits)
     // ColdChunks: every touched unit of cold chunks, reader or not.
     std::vector<std::uint64_t> swept;
     sm.lookup(5 * ShadowMemory::kChunkUnits + 1, /*want_cold=*/true);
-    sm.forEach([&](std::uint64_t unit,
-                   ShadowRef) { swept.push_back(unit); },
+    sm.forEach(perUnit([&](std::uint64_t unit,
+                   ShadowRef) { swept.push_back(unit); }),
                SweepFilter::ColdChunks);
     EXPECT_EQ(swept, (std::vector<std::uint64_t>{
                          5 * ShadowMemory::kChunkUnits + 1}));
+}
+
+TEST(ShadowMemory, SweepsYieldMaximalTouchedRuns)
+{
+    // Touched runs inside one chunk, crossing bitmap word boundaries
+    // and ending at the chunk's last unit; a run never spans chunks.
+    constexpr std::uint64_t kC = ShadowMemory::kChunkUnits;
+    ShadowMemory sm;
+    auto touch = [&](std::uint64_t first, std::uint64_t last) {
+        sm.span(first, last, false, [](ShadowMemory::Run) {});
+    };
+    touch(0, 0);
+    touch(60, 130);
+    touch(132, 132);
+    touch(kC - 5, kC + 2);
+    std::vector<std::pair<std::uint64_t, std::size_t>> runs;
+    sm.forEach([&](const ShadowMemory::Run &run) {
+        runs.push_back({run.firstUnit, run.count});
+    });
+    EXPECT_EQ(runs, (std::vector<std::pair<std::uint64_t, std::size_t>>{
+                        {0, 1}, {60, 71}, {132, 1}, {kC - 5, 5}, {kC, 3}}));
+
+    // PendingRuns splits touched runs at units with no recorded
+    // reader.
+    ShadowMemory sc;
+    sc.span(10, 19, true, [](ShadowMemory::Run run) {
+        for (std::size_t i = 0; i < run.count; ++i)
+            run.hot[i].reader = (i == 3 || i == 4) ? 0 : 1;
+    });
+    runs.clear();
+    sc.forEach(
+        [&](const ShadowMemory::Run &run) {
+            runs.push_back({run.firstUnit, run.count});
+        },
+        SweepFilter::PendingRuns);
+    EXPECT_EQ(runs, (std::vector<std::pair<std::uint64_t, std::size_t>>{
+                        {10, 3}, {15, 5}}));
 }
 
 TEST(ShadowMemory, EvictedChunkRecreatedFresh)
@@ -316,11 +366,11 @@ TEST(ShadowMemory, ForEachVisitsOnlyTouchedUnits)
     sm.lookup(ShadowMemory::kChunkUnits + 5); // touched, default state
     std::vector<std::uint64_t> seen;
     int written = 0;
-    sm.forEach([&](std::uint64_t unit, ShadowRef o) {
+    sm.forEach(perUnit([&](std::uint64_t unit, ShadowRef o) {
         seen.push_back(unit);
         if (everWritten(o))
             ++written;
-    });
+    }));
     EXPECT_EQ(written, 2);
     EXPECT_EQ(seen, (std::vector<std::uint64_t>{
                         1, ShadowMemory::kChunkUnits + 2,
@@ -336,9 +386,9 @@ TEST(ShadowMemory, ForEachIsSortedByBaseRegardlessOfCreationOrder)
     for (std::uint64_t c : {9ull, 2ull, 31ull, 0ull, 17ull, 5ull})
         sm.lookup(c * kC + 1).hot.writer = w;
     std::vector<std::uint64_t> order;
-    sm.forEach([&](std::uint64_t unit, ShadowRef) {
+    sm.forEach(perUnit([&](std::uint64_t unit, ShadowRef) {
         order.push_back(unit);
-    });
+    }));
     std::vector<std::uint64_t> expect{1,          2 * kC + 1,  5 * kC + 1,
                                       9 * kC + 1, 17 * kC + 1, 31 * kC + 1};
     EXPECT_EQ(order, expect);
@@ -366,7 +416,7 @@ TEST(ShadowMemory, SpanYieldsChunkClampedRuns)
     EXPECT_TRUE(everWritten(sm.lookup(kC - 3)));
     EXPECT_TRUE(everWritten(sm.lookup(2 * kC + 4)));
     std::size_t visited = 0;
-    sm.forEach([&](std::uint64_t, ShadowRef) { ++visited; });
+    sm.forEach(perUnit([&](std::uint64_t, ShadowRef) { ++visited; }));
     // 3 + 4096 + 5 span units, plus unit kC-4 touched by the probe
     // lookup above (the other two probes hit already-touched units).
     EXPECT_EQ(visited, 3 + kC + 5 + 1);
@@ -393,12 +443,12 @@ TEST(ShadowMemory, SpanMatchesPerUnitLookup)
     EXPECT_EQ(a.stats().chunksAllocated, b.stats().chunksAllocated);
     EXPECT_EQ(a.liveBytes(), b.liveBytes());
     std::vector<std::pair<std::uint64_t, vg::ContextId>> va, vb;
-    a.forEach([&](std::uint64_t u, ShadowRef o) {
+    a.forEach(perUnit([&](std::uint64_t u, ShadowRef o) {
         va.push_back({u, writerCtx(a, o)});
-    });
-    b.forEach([&](std::uint64_t u, ShadowRef o) {
+    }));
+    b.forEach(perUnit([&](std::uint64_t u, ShadowRef o) {
         vb.push_back({u, writerCtx(b, o)});
-    });
+    }));
     EXPECT_EQ(va, vb);
 }
 
@@ -411,9 +461,9 @@ TEST(ShadowMemory, SpanAndPerUnitEvictIdentically)
     ShadowMemory a(cfg), b(cfg);
     std::vector<std::uint64_t> ea, eb;
     a.setEvictionHandler(
-        [&](std::uint64_t u, ShadowRef) { ea.push_back(u); });
+        perUnit([&](std::uint64_t u, ShadowRef) { ea.push_back(u); }));
     b.setEvictionHandler(
-        [&](std::uint64_t u, ShadowRef) { eb.push_back(u); });
+        perUnit([&](std::uint64_t u, ShadowRef) { eb.push_back(u); }));
     sigil::Rng rng(13);
     const StampId wa = ctxId(a, 1);
     const StampId wb = ctxId(b, 1);

@@ -4,12 +4,13 @@
  *
  * Replays randomized traces — mixed access sizes, unaligned addresses,
  * byte and line granularity, multiple threads, ROI windows, with and
- * without a shadow-memory limit — through two SigilProfiler instances:
+ * without a shadow-memory limit, per-object attribution, and a
+ * mid-trace fidelity degradation — through two SigilProfiler instances:
  * one on the span path and one on the retained per-unit reference path
  * (SigilConfig::referenceShadowPath). The serialized profiles
  * (aggregates, communication edges, thread edges, re-use breakdowns,
- * lifetime histograms, shadow stats) and event traces must be
- * bitwise identical.
+ * lifetime histograms, shadow stats, object rows, degradation level)
+ * and event traces must be bitwise identical.
  */
 
 #include <gtest/gtest.h>
@@ -33,6 +34,14 @@ struct TraceParams
     bool collectReuse;
     bool collectEvents;
     bool roiOnly;
+    /** Per-object attribution over tagged allocations of the window. */
+    bool collectObjects = false;
+    /**
+     * Inject two bursts of chunk-allocation failures, each exhausting
+     * the eviction retries: fidelity degrades to level 1 and then to
+     * level 2 in the middle of the trace.
+     */
+    bool injectFailures = false;
 };
 
 /** Drive one deterministic pseudo-random workload into the guest. */
@@ -43,6 +52,12 @@ driveTrace(vg::Guest &g, const TraceParams &p)
     const char *fns[] = {"alpha", "beta", "gamma", "delta",
                          "epsilon", "zeta", "eta", "theta"};
     vg::ThreadId threads[3] = {0, g.spawnThread(), g.spawnThread()};
+    if (p.collectObjects) {
+        // Tag the hot window (and a little beyond) as a run of
+        // allocations, so unique bytes are summed per run and object.
+        while (g.heapBytes() < (std::uint64_t{1} << 16) + 4096)
+            g.alloc(1 + rng.nextBounded(6000), "obj");
+    }
 
     g.enter("main");
     if (p.roiOnly)
@@ -132,15 +147,31 @@ runOnce(const TraceParams &p, bool reference_path, std::string &profile,
     cfg.collectReuse = p.collectReuse;
     cfg.collectEvents = p.collectEvents;
     cfg.roiOnly = p.roiOnly;
+    cfg.collectObjects = p.collectObjects;
     cfg.referenceShadowPath = reference_path;
 
     vg::Guest g("shadow_span_diff");
     core::SigilProfiler prof(cfg);
+    if (p.injectFailures) {
+        prof.shadowMemory().setAllocationFailureInjector(
+            [calls = std::uint64_t{0}]() mutable {
+                ++calls;
+                return (calls >= 150 && calls < 158) ||
+                       (calls >= 350 && calls < 358);
+            });
+    }
     g.addTool(&prof);
     driveTrace(g, p);
 
     std::ostringstream pos;
-    core::writeProfile(pos, prof.takeProfile());
+    const core::SigilProfile prof_out = prof.takeProfile();
+    core::writeProfile(pos, prof_out);
+    for (const core::SigilProfile::ObjectRow &o : prof_out.objects) {
+        pos << "object " << o.tag << ' ' << o.base << ' ' << o.size << ' '
+            << o.readBytes << ' ' << o.writeBytes << ' '
+            << o.uniqueReadBytes << '\n';
+    }
+    pos << "degradation " << prof.degradationLevel() << '\n';
     profile = pos.str();
     std::ostringstream eos;
     core::writeEvents(eos, prof.events());
@@ -162,6 +193,12 @@ TEST_P(ShadowSpanDifferential, SpanPathMatchesPerUnitReference)
     // Guard against the vacuous pass: the trace must have produced a
     // non-trivial profile.
     EXPECT_GT(ref_profile.size(), 100u);
+    if (p.collectObjects) {
+        EXPECT_NE(ref_profile.find("object obj"), std::string::npos);
+    }
+    if (p.injectFailures) {
+        EXPECT_NE(ref_profile.find("degradation 2"), std::string::npos);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -180,7 +217,11 @@ INSTANTIATE_TEST_SUITE_P(
         // ROI-gated collection with re-use.
         TraceParams{606, 0, 0, true, false, true},
         // Line mode, no re-use (line totals still collected).
-        TraceParams{707, 6, 0, false, false, false}),
+        TraceParams{707, 6, 0, false, false, false},
+        // Per-object unique bytes, summed per stamp-pair run.
+        TraceParams{808, 0, 0, true, true, false, true, false},
+        // Fidelity degrades mid-trace, inside a span.
+        TraceParams{909, 0, 0, true, true, false, false, true}),
     [](const ::testing::TestParamInfo<TraceParams> &info) {
         const TraceParams &p = info.param;
         std::string name = "seed" + std::to_string(p.seed) + "_g" +
@@ -192,6 +233,10 @@ INSTANTIATE_TEST_SUITE_P(
             name += "_events";
         if (p.roiOnly)
             name += "_roi";
+        if (p.collectObjects)
+            name += "_objects";
+        if (p.injectFailures)
+            name += "_degrade";
         return name;
     });
 

@@ -323,6 +323,74 @@ TEST(Reuse, BreakdownCountsRunsByReuse)
     EXPECT_EQ(p.unitReuseBreakdown.binCount(2), 1u);
 }
 
+TEST(Classification, ZeroByteWriteStampsNoProducer)
+{
+    Fixture f;
+    vg::Guest &g = *f.guest;
+    g.enter("main");
+    vg::Addr a = g.alloc(8);
+    g.enter("f");
+    g.write(a, 8);
+    g.leave();
+    g.enter("g");
+    g.write(a, 0); // covers no byte
+    g.leave();
+    g.enter("h");
+    g.read(a, 8);
+    g.leave();
+    g.leave();
+    g.finish();
+
+    SigilProfile p = f.profiler->takeProfile();
+    const SigilRow *fr = p.findByDisplayName("f");
+    const SigilRow *gr = p.findByDisplayName("g");
+    const SigilRow *hr = p.findByDisplayName("h");
+    ASSERT_NE(fr, nullptr);
+    ASSERT_NE(gr, nullptr);
+    ASSERT_NE(hr, nullptr);
+    EXPECT_EQ(fr->agg.uniqueOutputBytes, 8u);
+    EXPECT_EQ(gr->agg.uniqueOutputBytes, 0u);
+    EXPECT_EQ(gr->agg.writeBytes, 0u);
+    EXPECT_EQ(hr->agg.uniqueInputBytes, 8u);
+    ASSERT_EQ(p.edges.size(), 1u);
+    EXPECT_EQ(p.edges[0].producer, fr->ctx);
+    EXPECT_EQ(p.edges[0].consumer, hr->ctx);
+    EXPECT_EQ(p.edges[0].uniqueBytes, 8u);
+}
+
+TEST(Reuse, ZeroByteReadDoesNotSplitRun)
+{
+    Fixture f;
+    vg::Guest &g = *f.guest;
+    g.enter("main");
+    vg::Addr a = g.alloc(4);
+    g.write(a, 4);
+    g.enter("reader");
+    g.read(a, 4);
+    g.enter("probe");
+    g.read(a, 0); // covers no byte: neither a reader nor a re-use
+    g.leave();
+    g.read(a, 4);
+    g.leave();
+    g.leave();
+    g.finish();
+
+    SigilProfile p = f.profiler->takeProfile();
+    const SigilRow *r = p.findByDisplayName("reader");
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->agg.uniqueInputBytes, 4u);
+    EXPECT_EQ(r->agg.nonuniqueInputBytes, 4u);
+    // One run of two reads per byte.
+    EXPECT_EQ(r->agg.reusedUnits, 4u);
+    EXPECT_EQ(r->agg.reuseReads, 4u);
+    EXPECT_EQ(p.unitReuseBreakdown.binCount(0), 0u);
+    EXPECT_EQ(p.unitReuseBreakdown.binCount(1), 4u);
+    const SigilRow *probe = p.findByDisplayName("probe");
+    ASSERT_NE(probe, nullptr);
+    EXPECT_EQ(probe->agg.readBytes, 0u);
+    EXPECT_EQ(probe->agg.uniqueInputBytes, 0u);
+}
+
 TEST(LineMode, AccessesAggregatePerLine)
 {
     vg::Guest g("t");

@@ -3,8 +3,9 @@
  * Property test: Sigil's byte classification against a brute-force
  * oracle.
  *
- * A random guest trace (random call nesting, reads, writes over a small
- * address pool) is replayed through the profiler while a plain std::map
+ * A random guest trace (random call nesting, 1-64 B reads and writes
+ * over a small address pool straddling a shadow chunk boundary) is
+ * replayed through the profiler while a plain std::map
  * per byte tracks last writer and last reader. The oracle classifies
  * every read independently; the aggregates must match exactly.
  */
@@ -52,7 +53,14 @@ TEST_P(SigilOracle, AggregatesMatchBruteForce)
     std::map<std::uint64_t, OracleState> shadow;
     std::map<vg::ContextId, OracleAgg> agg;
 
-    const vg::Addr base = g.alloc(4096);
+    // A 4 KiB pool straddling a shadow chunk boundary, with 1-64 B
+    // accesses, so stamp-pair runs split both at chunk boundaries and
+    // in the middle of an access.
+    constexpr vg::Addr kPool = 4096;
+    constexpr vg::Addr kChunk = shadow::ShadowMemory::kChunkUnits;
+    const vg::Addr heap = g.alloc(kPool + kChunk + 64);
+    const vg::Addr base =
+        (heap + kPool / 2 + kChunk - 1) / kChunk * kChunk - kPool / 2;
     const char *fns[] = {"main", "A", "B", "C", "D", "E"};
 
     g.enter("main");
@@ -66,8 +74,8 @@ TEST_P(SigilOracle, AggregatesMatchBruteForce)
             g.leave();
             --depth;
         } else if (action < 6) {
-            vg::Addr a = base + rng.nextBounded(4096 - 8);
-            unsigned size = 1u << rng.nextBounded(4);
+            vg::Addr a = base + rng.nextBounded(kPool);
+            unsigned size = 1 + static_cast<unsigned>(rng.nextBounded(64));
             vg::ContextId ctx = g.currentContext();
             g.write(a, size);
             for (unsigned i = 0; i < size; ++i) {
@@ -76,8 +84,8 @@ TEST_P(SigilOracle, AggregatesMatchBruteForce)
                 s.reader = vg::kInvalidContext;
             }
         } else if (action < 9) {
-            vg::Addr a = base + rng.nextBounded(4096 - 8);
-            unsigned size = 1u << rng.nextBounded(4);
+            vg::Addr a = base + rng.nextBounded(kPool);
+            unsigned size = 1 + static_cast<unsigned>(rng.nextBounded(64));
             vg::ContextId ctx = g.currentContext();
             g.read(a, size);
             for (unsigned i = 0; i < size; ++i) {
