@@ -286,8 +286,15 @@ class SigilProfiler : public vg::Tool
     std::vector<SegState> segStates_{1};
     vg::ThreadId currentTid_ = 0;
 
-    /** Skipped empty segments: seq → predecessor. */
-    std::unordered_map<std::uint64_t, std::uint64_t> skippedSegments_;
+    /** skippedPred_ entry of a segment that was not skipped. */
+    static constexpr std::uint64_t kNotSkipped = ~std::uint64_t{0};
+
+    /**
+     * Forwarding of skipped empty segments, indexed by seq (segments
+     * are numbered densely): the predecessor a skipped segment
+     * forwards to, or kNotSkipped. Seqs past the end were not skipped.
+     */
+    std::vector<std::uint64_t> skippedPred_;
 
     /** Every thread's last segment at the most recent barrier. */
     std::vector<std::uint64_t> barrierPreds_;

@@ -1,9 +1,9 @@
 #include "chain_stats.hh"
 
-#include <unordered_map>
-#include <unordered_set>
+#include <algorithm>
 
 #include "critpath/critical_path.hh"
+#include "critpath/seq_index.hh"
 #include "support/logging.hh"
 
 namespace sigil::critpath {
@@ -12,8 +12,11 @@ ChainStats
 chainStats(const core::EventTrace &trace)
 {
     ChainStats stats;
-    std::unordered_map<std::uint64_t, std::uint64_t> incl_of;
-    std::unordered_set<std::uint64_t> has_successor;
+    // Per indexed segment (first record of each seq): inclusive cost
+    // and whether any later segment depends on it.
+    SeqIndex by_seq;
+    std::vector<std::uint64_t> incl_of;
+    std::vector<char> has_successor;
     std::vector<core::XferEvent> pending;
 
     for (const core::EventRecord &rec : trace.records) {
@@ -31,13 +34,13 @@ chainStats(const core::EventTrace &trace)
         auto dep = [&](std::uint64_t seq) {
             if (seq == 0)
                 return;
-            auto it = incl_of.find(seq);
-            if (it == incl_of.end())
+            std::size_t i = by_seq.find(seq);
+            if (i == SeqIndex::kAbsent)
                 return;
             ++preds;
-            has_successor.insert(seq);
-            if (it->second > best)
-                best = it->second;
+            has_successor[i] = 1;
+            if (incl_of[i] > best)
+                best = incl_of[i];
         };
         dep(c.predSeq);
         for (const core::XferEvent &x : pending) {
@@ -50,17 +53,17 @@ chainStats(const core::EventTrace &trace)
         if (preds == 0)
             ++stats.roots;
         std::uint64_t incl = best + self;
-        incl_of.emplace(c.seq, incl);
+        if (by_seq.add(c.seq, incl_of.size())) {
+            incl_of.push_back(incl);
+            has_successor.push_back(0);
+        }
         stats.inclCostHist.add(incl);
         if (incl > stats.criticalPath)
             stats.criticalPath = incl;
     }
 
-    for (const auto &[seq, incl] : incl_of) {
-        (void)incl;
-        if (!has_successor.count(seq))
-            ++stats.leaves;
-    }
+    stats.leaves = static_cast<std::uint64_t>(
+        std::count(has_successor.begin(), has_successor.end(), 0));
 
     stats.avgParallelism =
         stats.criticalPath == 0

@@ -1,8 +1,8 @@
 #include "critical_path.hh"
 
 #include <algorithm>
-#include <unordered_map>
 
+#include "critpath/seq_index.hh"
 #include "support/logging.hh"
 
 namespace sigil::critpath {
@@ -24,14 +24,14 @@ analyze(const core::EventTrace &trace)
     CriticalPathResult result;
 
     std::vector<ChainNode> nodes;
-    std::unordered_map<std::uint64_t, std::size_t> by_seq;
+    SeqIndex by_seq;
     std::vector<core::XferEvent> pending;
 
     auto incl_of = [&](std::uint64_t seq) -> std::uint64_t {
         if (seq == 0)
             return 0;
-        auto it = by_seq.find(seq);
-        return it == by_seq.end() ? 0 : nodes[it->second].inclCost;
+        std::size_t i = by_seq.find(seq);
+        return i == SeqIndex::kAbsent ? 0 : nodes[i].inclCost;
     };
 
     for (const core::EventRecord &rec : trace.records) {
@@ -48,7 +48,11 @@ analyze(const core::EventTrace &trace)
         result.serialLength += n.selfCost;
 
         std::uint64_t best = incl_of(c.predSeq);
-        n.bestPredSeq = c.predSeq;
+        // Only a segment already seen is a dependency: a predecessor
+        // the trace has not reached yet must not become a chain link
+        // (the walk below would follow it, possibly round a cycle).
+        n.bestPredSeq =
+            by_seq.find(c.predSeq) != SeqIndex::kAbsent ? c.predSeq : 0;
         for (const core::XferEvent &x : pending) {
             if (x.dstSeq != c.seq) {
                 warn("critpath: transfer for segment %llu seen before "
@@ -66,7 +70,7 @@ analyze(const core::EventTrace &trace)
         pending.clear();
 
         n.inclCost = best + n.selfCost;
-        by_seq.emplace(n.seq, nodes.size());
+        by_seq.add(n.seq, nodes.size());
         nodes.push_back(n);
     }
 
@@ -82,10 +86,10 @@ analyze(const core::EventTrace &trace)
         result.criticalPathLength = nodes[tip].inclCost;
         std::uint64_t seq = nodes[tip].seq;
         while (seq != 0) {
-            auto it = by_seq.find(seq);
-            if (it == by_seq.end())
+            std::size_t i = by_seq.find(seq);
+            if (i == SeqIndex::kAbsent)
                 break;
-            const ChainNode &n = nodes[it->second];
+            const ChainNode &n = nodes[i];
             result.path.push_back(n);
             seq = n.bestPredSeq;
         }
@@ -107,7 +111,8 @@ scheduleMakespan(const core::EventTrace &trace, unsigned slots)
     if (slots == 0)
         fatal("scheduleMakespan: need at least one slot");
 
-    std::unordered_map<std::uint64_t, std::uint64_t> finish_of;
+    SeqIndex by_seq;
+    std::vector<std::uint64_t> finish;
     std::vector<std::uint64_t> slot_free(slots, 0);
     std::vector<core::XferEvent> pending;
     std::uint64_t makespan = 0;
@@ -122,9 +127,9 @@ scheduleMakespan(const core::EventTrace &trace, unsigned slots)
         auto dep = [&](std::uint64_t seq) {
             if (seq == 0)
                 return;
-            auto it = finish_of.find(seq);
-            if (it != finish_of.end())
-                ready = std::max(ready, it->second);
+            std::size_t i = by_seq.find(seq);
+            if (i != SeqIndex::kAbsent)
+                ready = std::max(ready, finish[i]);
         };
         dep(c.predSeq);
         for (const core::XferEvent &x : pending) {
@@ -137,7 +142,8 @@ scheduleMakespan(const core::EventTrace &trace, unsigned slots)
         std::uint64_t start = std::max(*slot, ready);
         std::uint64_t end = start + c.iops + c.flops;
         *slot = end;
-        finish_of.emplace(c.seq, end);
+        by_seq.add(c.seq, finish.size());
+        finish.push_back(end);
         makespan = std::max(makespan, end);
     }
     return makespan;

@@ -1,11 +1,43 @@
 #include "shadow_memory.hh"
 
 #include <bit>
+#include <new>
 #include <vector>
+
+#include <sanitizer/asan_interface.h>
 
 #include "support/logging.hh"
 
 namespace sigil::shadow {
+
+namespace {
+
+/**
+ * Uninitialized storage for one chunk's worth of T. Under
+ * AddressSanitizer the whole array starts poisoned and each block is
+ * unpoisoned as it is constructed, so any read of never-constructed
+ * shadow state is reported.
+ */
+template <typename T>
+T *
+allocateBlocks()
+{
+    void *p = ::operator new(ShadowMemory::kChunkUnits * sizeof(T));
+    ASAN_POISON_MEMORY_REGION(p, ShadowMemory::kChunkUnits * sizeof(T));
+    return static_cast<T *>(p);
+}
+
+/** Value-construct block w (64 entries) of an allocateBlocks() array. */
+template <typename T>
+void
+constructBlockOf(T *array, std::size_t w)
+{
+    T *block = array + (w << 6);
+    ASAN_UNPOISON_MEMORY_REGION(block, 64 * sizeof(T));
+    std::uninitialized_value_construct_n(block, 64);
+}
+
+} // namespace
 
 ShadowMemory::ShadowMemory(const Config &config)
     : granularityShift_(config.granularityShift),
@@ -104,7 +136,7 @@ ShadowMemory::chunkFor(std::uint64_t unit)
         Chunk chunk;
         chunk.base = index << kChunkShift;
         chunk.index = index;
-        chunk.hot = std::make_unique<ShadowHot[]>(kChunkUnits);
+        chunk.hot.reset(allocateBlocks<ShadowHot>());
         it = directory_.emplace(index, std::move(chunk)).first;
         lruAppend(&it->second);
         ++stats_.chunksAllocated;
@@ -133,9 +165,23 @@ ShadowMemory::materializeCold(Chunk &chunk)
             evictOldest();
         }
     }
-    chunk.cold = std::make_unique<ShadowCold[]>(kChunkUnits);
+    chunk.cold.reset(allocateBlocks<ShadowCold>());
+    // Blocks touched before the cold array existed need their cold
+    // entries now; the rest are constructed on their first touch.
+    for (std::size_t w = 0; w < kTouchedWords; ++w) {
+        if (chunk.touched[w] != 0)
+            constructBlockOf(chunk.cold.get(), w);
+    }
     ++stats_.coldArraysLive;
     bytesAdd(chunkColdBytes());
+}
+
+void
+ShadowMemory::constructBlock(Chunk &chunk, std::size_t w)
+{
+    constructBlockOf(chunk.hot.get(), w);
+    if (chunk.cold)
+        constructBlockOf(chunk.cold.get(), w);
 }
 
 ShadowRef
@@ -145,7 +191,10 @@ ShadowMemory::lookup(std::uint64_t unit, bool want_cold)
     if (want_cold && !chunk.cold)
         materializeCold(chunk);
     std::size_t off = unit & (kChunkUnits - 1);
-    chunk.touched[off >> 6] |= std::uint64_t{1} << (off & 63);
+    std::uint64_t &word = chunk.touched[off >> 6];
+    if (word == 0)
+        constructBlock(chunk, off >> 6);
+    word |= std::uint64_t{1} << (off & 63);
     return ShadowRef{chunk.hot[off],
                      chunk.cold ? &chunk.cold[off] : nullptr};
 }
@@ -176,6 +225,8 @@ ShadowMemory::find(std::uint64_t unit)
     if (it == directory_.end())
         return ShadowPtr{};
     std::size_t off = unit & (kChunkUnits - 1);
+    if (it->second.touched[off >> 6] == 0)
+        return ShadowPtr{};
     return ShadowPtr{&it->second.hot[off],
                      it->second.cold ? &it->second.cold[off] : nullptr};
 }

@@ -22,6 +22,10 @@
  *  - a *touched bitmap*: one bit per unit ever returned to a client, so
  *    end-of-run sweeps and eviction handlers visit only units whose
  *    state can differ from the default instead of all kChunkUnits.
+ *    The bitmap is also the chunk's init map: both arrays are
+ *    allocated uninitialized, and a 64-unit block (one bitmap word) is
+ *    value-constructed the first time any unit in it is touched, so a
+ *    chunk pays only for the blocks it uses.
  *
  * Clients that walk a contiguous unit range should use span(), which
  * resolves each chunk once and yields chunk-clamped runs, instead of
@@ -273,7 +277,8 @@ class ShadowMemory
      * resolving each chunk exactly once. Equivalent to calling
      * lookup() per unit (same touch ordering, same evictions and cold
      * materializations at chunk boundaries) without the per-unit
-     * directory and recency work.
+     * directory and recency work. last_unit may be the very last unit
+     * of the address space.
      *
      * The references inside a Run are valid only during the callback:
      * the next chunk resolution may evict the chunk that backed it.
@@ -290,13 +295,16 @@ class ShadowMemory
             if (want_cold && !chunk.cold)
                 materializeCold(chunk);
             std::size_t off = first_unit & (kChunkUnits - 1);
-            chunk.touched[off >> 6] |= std::uint64_t{1} << (off & 63);
+            std::uint64_t &word = chunk.touched[off >> 6];
+            if (word == 0)
+                constructBlock(chunk, off >> 6);
+            word |= std::uint64_t{1} << (off & 63);
             fn(Run{first_unit, 1, chunk.hot.get() + off,
                    chunk.cold ? chunk.cold.get() + off : nullptr});
             return;
         }
         std::uint64_t u = first_unit;
-        while (u <= last_unit) {
+        while (true) {
             Chunk &chunk = chunkFor(u);
             if (want_cold && !chunk.cold)
                 materializeCold(chunk);
@@ -307,11 +315,19 @@ class ShadowMemory
             markTouched(chunk, off, n);
             fn(Run{u, n, chunk.hot.get() + off,
                    chunk.cold ? chunk.cold.get() + off : nullptr});
+            // Stop on the run that holds last_unit rather than testing
+            // u <= last_unit after the step: u + n wraps to 0 when
+            // last_unit is the top unit of the address space.
+            if (last_unit - u < n)
+                return;
             u += n;
         }
     }
 
-    /** Locate without creating or touching; null if chunk is absent. */
+    /**
+     * Locate without creating or touching; null if the unit's chunk is
+     * absent or its block was never touched (never constructed).
+     */
     ShadowPtr find(std::uint64_t unit);
 
     /**
@@ -423,14 +439,27 @@ class ShadowMemory
     std::uint64_t peakBytes() const { return stats_.bytesPeak; }
 
   private:
+    /** Frees raw storage from allocateBlocks() (no destructors run). */
+    struct RawDelete
+    {
+        void operator()(void *p) const { ::operator delete(p); }
+    };
+    template <typename T>
+    using BlockArray = std::unique_ptr<T[], RawDelete>;
+
     struct Chunk
     {
         std::uint64_t base = 0; // first unit index covered
         std::uint64_t index = 0;
-        std::unique_ptr<ShadowHot[]> hot;
+        /** Blocks are constructed as the touched map marks them. */
+        BlockArray<ShadowHot> hot;
         /** Lazily allocated on the first want_cold resolution. */
-        std::unique_ptr<ShadowCold[]> cold;
-        /** Bit per unit: ever returned via lookup()/span(). */
+        BlockArray<ShadowCold> cold;
+        /**
+         * Bit per unit: ever returned via lookup()/span(). A zero word
+         * means its 64-unit block of hot (and cold) entries has not
+         * been constructed yet.
+         */
         std::uint64_t touched[kTouchedWords] = {};
         /** Intrusive recency list; head = oldest, tail = newest. */
         Chunk *lruPrev = nullptr;
@@ -474,7 +503,17 @@ class ShadowMemory
                                static_cast<std::size_t>(n));
     }
 
-    /** Mark units [off, off + n) of a chunk as touched. */
+    /**
+     * Value-construct block w (units [64w, 64w + 64)) of the chunk's
+     * hot array, and of its cold array if it has one. Called on the
+     * block's touched word's 0 -> nonzero transition.
+     */
+    static void constructBlock(Chunk &chunk, std::size_t w);
+
+    /**
+     * Mark units [off, off + n) of a chunk as touched, constructing
+     * every block the range enters for the first time.
+     */
     static void
     markTouched(Chunk &chunk, std::size_t off, std::size_t n)
     {
@@ -482,6 +521,10 @@ class ShadowMemory
         std::size_t last_word = (off + n - 1) >> 6;
         std::uint64_t head = ~0ull << (off & 63);
         std::uint64_t tail = ~0ull >> (63 - ((off + n - 1) & 63));
+        for (std::size_t w = first_word; w <= last_word; ++w) {
+            if (chunk.touched[w] == 0)
+                constructBlock(chunk, w);
+        }
         if (first_word == last_word) {
             chunk.touched[first_word] |= head & tail;
             return;

@@ -386,12 +386,22 @@ Guest::stackAlloc(std::size_t bytes)
 }
 
 void
+Guest::rejectAccess(const char *kind, Addr addr, unsigned size) const
+{
+    if (thread().frames.empty())
+        panic("Guest::%s outside any function", kind);
+    panic("Guest::%s of %u bytes at %#llx wraps past the top of the "
+          "address space",
+          kind, size, static_cast<unsigned long long>(addr));
+}
+
+void
 Guest::read(Addr addr, unsigned size)
 {
     ++counters_.reads;
     counters_.readBytes += size;
-    if (thread().frames.empty())
-        panic("Guest::read outside any function");
+    if (thread().frames.empty() || accessWraps(addr, size)) [[unlikely]]
+        rejectAccess("read", addr, size);
     if (batching_) {
         appendEvent(EventKind::kRead, addr, size);
         return;
@@ -405,8 +415,8 @@ Guest::write(Addr addr, unsigned size)
 {
     ++counters_.writes;
     counters_.writeBytes += size;
-    if (thread().frames.empty())
-        panic("Guest::write outside any function");
+    if (thread().frames.empty() || accessWraps(addr, size)) [[unlikely]]
+        rejectAccess("write", addr, size);
     if (batching_) {
         appendEvent(EventKind::kWrite, addr, size);
         return;

@@ -237,6 +237,12 @@ class Guest
     /** Call number of the innermost active frame. */
     CallNum currentCall() const;
 
+    /**
+     * Call number the next enter() assigns. Calls are numbered densely
+     * from 1, so every call made so far is below it.
+     */
+    CallNum nextCall() const { return nextCall_; }
+
     /** Current call depth (of the current thread). */
     std::size_t
     callDepth() const
@@ -472,6 +478,14 @@ class Guest
 
     ThreadCtx &thread() { return threads_[currentTid_]; }
     const ThreadCtx &thread() const { return threads_[currentTid_]; }
+
+    /**
+     * Panic on an access outside any function or one whose range runs
+     * past the top of the address space. Kept out of line so the
+     * per-access checks in read()/write() stay one cheap branch.
+     */
+    [[noreturn, gnu::cold, gnu::noinline]] void
+    rejectAccess(const char *kind, Addr addr, unsigned size) const;
 
     void dispatchEnter(ContextId ctx, CallNum call);
     void dispatchLeave(ContextId ctx, CallNum call);

@@ -282,6 +282,29 @@ class Cursor
 };
 
 /**
+ * Whether a decoded read/write record is well formed: its size is
+ * reasonable and its range does not run past the top of the address
+ * space. Every replay decoder checks its access records with this and
+ * rejects the others as BadRecord, detailed by accessRecordError().
+ */
+bool
+accessRecordOk(std::uint64_t addr, std::uint64_t size)
+{
+    return size <= kMaxAccessSize && !accessWraps(addr, size);
+}
+
+/** Rejection detail of a record accessRecordOk() refuses. */
+std::string
+accessRecordError(std::uint64_t addr, std::uint64_t size)
+{
+    if (size > kMaxAccessSize)
+        return "unreasonable access size " + std::to_string(size);
+    return "access of " + std::to_string(size) + " bytes at " +
+           std::to_string(addr) +
+           " wraps past the top of the address space";
+}
+
+/**
  * One syntactically decoded event awaiting semantic delivery. The
  * decode stage resolves the address-delta chain, so `a` holds the
  * absolute address for accesses (fn id / tid / iops for the others)
@@ -316,9 +339,9 @@ decodeEvent(Cursor &c, std::uint64_t &prev_addr, std::int64_t block,
       case kOpWrite: {
         prev_addr += static_cast<std::uint64_t>(unzigzag(c.varint()));
         std::uint64_t size = c.varint();
-        if (size > kMaxAccessSize)
+        if (!accessRecordOk(prev_addr, size))
             raiseError(TraceErrorCause::BadRecord, ev.at, block,
-                       "unreasonable access size " + std::to_string(size));
+                       accessRecordError(prev_addr, size));
         ev.a = prev_addr;
         ev.b = size;
         break;
@@ -2275,11 +2298,9 @@ replayTextTrace(std::istream &is, Guest &guest,
                 break;
             }
             unsigned long size = std::strtoul(end + 1, nullptr, 10);
-            if (size > kMaxAccessSize) {
+            if (!accessRecordOk(addr, size)) {
                 ok = reject(TraceErrorCause::BadRecord,
-                            "unreasonable access size " +
-                                std::to_string(size),
-                            true);
+                            accessRecordError(addr, size), true);
                 break;
             }
             if (guest.callDepth() == 0) {

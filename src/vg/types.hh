@@ -41,6 +41,17 @@ constexpr Addr kStackBase = 0x0000700000000000ull;
  *  kStackBase + t * kThreadStackStride. */
 constexpr Addr kThreadStackStride = 0x0000000100000000ull;
 
+/**
+ * Whether the access [addr, addr + size) runs past the top of the
+ * address space. An access may end exactly at byte 2^64 - 1; its last
+ * byte, addr + size - 1, is what must not overflow.
+ */
+constexpr bool
+accessWraps(Addr addr, std::uint64_t size)
+{
+    return size != 0 && addr + (size - 1) < addr;
+}
+
 } // namespace sigil::vg
 
 #endif // SIGIL_VG_TYPES_HH

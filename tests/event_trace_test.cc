@@ -2,12 +2,16 @@
  * @file
  * Tests for the event-file representation: segment boundaries,
  * serial-predecessor links, data-transfer edges, and skipped-segment
- * forwarding.
+ * forwarding (across a checkpoint, too).
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "core/profile_io.hh"
 #include "core/sigil_profiler.hh"
+#include "support/serial.hh"
 #include "vg/guest.hh"
 
 namespace sigil::core {
@@ -172,6 +176,86 @@ TEST(EventTrace, EmptySegmentsForwardedThrough)
     // main's first segment.
     EXPECT_EQ(cs[1].iops, 5u);
     EXPECT_EQ(cs[1].predSeq, cs[0].seq);
+}
+
+/**
+ * One step of main → w1 → w2 → w3 → worker, where every wrapper
+ * segment is empty (skipped) and only main and worker retire work.
+ */
+void
+wrapperChainStep(vg::Guest &g, int step)
+{
+    switch (step) {
+      case 0: g.enter("main"); break;
+      case 1: g.iop(1); break;
+      case 2: g.enter("w1"); break;
+      case 3: g.enter("w2"); break;
+      case 4: g.enter("w3"); break;
+      case 5: g.enter("worker"); break;
+      case 6: g.iop(5); break;
+      case 7: g.leave(); break; // worker
+      case 8: g.leave(); break; // w3 (its re-occurrence is empty too)
+      case 9: g.leave(); break; // w2
+      case 10: g.leave(); break; // w1
+      case 11: g.iop(1); break;
+      case 12: g.leave(); break; // main
+    }
+}
+
+constexpr int kWrapperChainSteps = 13;
+
+TEST(EventTrace, ChainOfSkippedSegmentsSurvivesCheckpoint)
+{
+    SigilConfig cfg;
+    cfg.collectEvents = true;
+
+    std::string straight;
+    {
+        vg::Guest g("t");
+        SigilProfiler prof(cfg);
+        g.addTool(&prof);
+        for (int step = 0; step < kWrapperChainSteps; ++step)
+            wrapperChainStep(g, step);
+        g.finish();
+
+        auto cs = computes(prof.events());
+        ASSERT_EQ(cs.size(), 3u);
+        EXPECT_EQ(cs[0].iops, 1u);
+        EXPECT_EQ(cs[1].iops, 5u);
+        // worker is spawned through three skipped wrapper segments:
+        // its predecessor forwards all the way to main's first segment.
+        EXPECT_EQ(cs[1].predSeq, cs[0].seq);
+        EXPECT_GE(cs[1].seq, cs[0].seq + 4);
+        EXPECT_EQ(cs[2].predSeq, cs[0].seq);
+        std::ostringstream os;
+        writeEvents(os, prof.events());
+        straight = os.str();
+    }
+
+    // Save in the middle of the chain (w1 skipped, w2 open and empty)
+    // and finish the run on a restored guest and profiler.
+    ByteSink sink;
+    {
+        vg::Guest g("t");
+        SigilProfiler prof(cfg);
+        g.addTool(&prof);
+        for (int step = 0; step < 4; ++step)
+            wrapperChainStep(g, step);
+        g.saveState(sink);
+        prof.saveState(sink);
+    }
+    vg::Guest g("t");
+    SigilProfiler prof(cfg);
+    g.addTool(&prof);
+    ByteSource src(sink.bytes().data(), sink.bytes().size());
+    ASSERT_TRUE(g.restoreState(src));
+    ASSERT_TRUE(prof.restoreState(src));
+    for (int step = 4; step < kWrapperChainSteps; ++step)
+        wrapperChainStep(g, step);
+    g.finish();
+    std::ostringstream os;
+    writeEvents(os, prof.events());
+    EXPECT_EQ(os.str(), straight);
 }
 
 TEST(EventTrace, DisabledCollectionStaysEmpty)

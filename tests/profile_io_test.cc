@@ -1,15 +1,19 @@
 /**
  * @file
  * Round-trip and robustness tests for the profile and event-file text
- * formats.
+ * formats, and byte-identity of the buffered renderer against a
+ * reference iostream renderer.
  */
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <ostream>
 #include <sstream>
 
 #include "core/profile_io.hh"
 #include "core/sigil_profiler.hh"
+#include "support/rng.hh"
 #include "vg/traced.hh"
 
 namespace sigil::core {
@@ -204,6 +208,257 @@ TEST(ProfileIo, MissingFileIsFatal)
 {
     EXPECT_EXIT(readProfileFile("/nonexistent/path/profile.txt"),
                 ::testing::ExitedWithCode(1), "");
+}
+
+// ---------------------------------------------------------------------
+// Reference iostream renderer: the per-field `<<` formatting the
+// buffered writer must reproduce byte for byte.
+// ---------------------------------------------------------------------
+
+std::string
+refSanitize(const std::string &name)
+{
+    std::string out = name;
+    for (char &c : out) {
+        if (c == '\t' || c == '\n')
+            c = ' ';
+    }
+    return out;
+}
+
+void
+refBounds(std::ostream &os, const char *tag, const BoundsHistogram &h)
+{
+    os << "breakdown\t" << tag;
+    for (std::size_t i = 0; i < h.numBins(); ++i)
+        os << '\t' << h.binCount(i);
+    os << '\n';
+}
+
+std::string
+refProfile(const SigilProfile &profile)
+{
+    std::ostringstream os;
+    os << "sigil-profile\t1\n";
+    os << "program\t" << refSanitize(profile.program) << '\n';
+    os << "granularity\t" << profile.granularityShift << '\n';
+    os << "shadow\t" << profile.shadowPeakBytes << '\t'
+       << profile.shadowEvictions << '\n';
+    for (const SigilRow &r : profile.rows) {
+        const CommAggregates &a = r.agg;
+        os << "row\t" << r.ctx << '\t' << r.parent << '\t'
+           << refSanitize(r.fnName) << '\t' << refSanitize(r.displayName)
+           << '\t' << refSanitize(r.path) << '\t' << a.calls << '\t'
+           << a.iops << '\t' << a.flops << '\t' << a.readBytes << '\t'
+           << a.writeBytes << '\t' << a.uniqueLocalBytes << '\t'
+           << a.nonuniqueLocalBytes << '\t' << a.uniqueInputBytes << '\t'
+           << a.nonuniqueInputBytes << '\t' << a.uniqueOutputBytes << '\t'
+           << a.nonuniqueOutputBytes << '\t' << a.reusedUnits << '\t'
+           << a.reuseReads << '\t' << a.lifetimeSum << '\t'
+           << a.uniqueInterThreadBytes << '\t'
+           << a.nonuniqueInterThreadBytes << '\n';
+        const LinearHistogram &h = a.lifetimeHist;
+        if (h.totalCount() > 0) {
+            os << "hist\t" << r.ctx << '\t' << h.binWidth() << '\t'
+               << h.overflowCount() << '\t' << h.totalValue() << '\t'
+               << h.maxValue() << '\t' << h.numBins();
+            for (std::size_t i = 0; i < h.numBins(); ++i)
+                os << '\t' << h.binCount(i);
+            os << '\n';
+        }
+    }
+    for (const CommEdge &e : profile.edges) {
+        os << "edge\t" << e.producer << '\t' << e.consumer << '\t'
+           << e.uniqueBytes << '\t' << e.nonuniqueBytes << '\n';
+    }
+    for (const ThreadCommEdge &e : profile.threadEdges) {
+        os << "tedge\t" << e.producer << '\t' << e.consumer << '\t'
+           << e.uniqueBytes << '\t' << e.nonuniqueBytes << '\n';
+    }
+    refBounds(os, "unit", profile.unitReuseBreakdown);
+    refBounds(os, "line", profile.lineReuseBreakdown);
+    os << "end\n";
+    return os.str();
+}
+
+std::string
+refEvents(const EventTrace &events)
+{
+    std::ostringstream os;
+    os << "sigil-events\t1\n";
+    for (const EventRecord &r : events.records) {
+        if (r.kind == EventRecord::Kind::Compute) {
+            const ComputeEvent &c = r.compute;
+            os << "C\t" << c.seq << '\t' << c.predSeq << '\t' << c.ctx
+               << '\t' << c.call << '\t' << c.iops << '\t' << c.flops
+               << '\t' << c.reads << '\t' << c.writes << '\n';
+        } else {
+            const XferEvent &x = r.xfer;
+            os << "X\t" << x.srcSeq << '\t' << x.dstSeq << '\t' << x.bytes
+               << '\n';
+        }
+    }
+    os << "end\n";
+    return os.str();
+}
+
+/** A field value biased to the edges: 0, UINT64_MAX, small, any. */
+std::uint64_t
+edgyU64(Rng &rng)
+{
+    switch (rng.nextBounded(4)) {
+      case 0:
+        return 0;
+      case 1:
+        return std::numeric_limits<std::uint64_t>::max();
+      case 2:
+        return rng.nextBounded(1000);
+      default:
+        return rng.next();
+    }
+}
+
+/** A context id: -2 (uninitialized producer), -1, or a real one. */
+vg::ContextId
+edgyCtx(Rng &rng)
+{
+    return static_cast<vg::ContextId>(rng.nextBounded(6)) - 2;
+}
+
+/** A name that may hold tabs and newlines (rendered as spaces). */
+std::string
+edgyName(Rng &rng)
+{
+    static const char kChars[] = "ab_:<> \t\n(1)";
+    std::string name;
+    for (std::uint64_t i = rng.nextBounded(12); i > 0; --i)
+        name.push_back(kChars[rng.nextBounded(sizeof(kChars) - 1)]);
+    return name;
+}
+
+SigilProfile
+randomProfile(Rng &rng)
+{
+    SigilProfile p;
+    p.program = edgyName(rng);
+    p.granularityShift = static_cast<unsigned>(rng.nextBounded(13));
+    p.shadowPeakBytes = edgyU64(rng);
+    p.shadowEvictions = edgyU64(rng);
+    for (std::uint64_t i = 0, n = rng.nextBounded(40); i < n; ++i) {
+        SigilRow r;
+        r.ctx = static_cast<vg::ContextId>(i);
+        r.parent = edgyCtx(rng);
+        r.fnName = edgyName(rng);
+        r.displayName = edgyName(rng);
+        r.path = edgyName(rng);
+        CommAggregates &a = r.agg;
+        for (std::uint64_t *f :
+             {&a.calls, &a.iops, &a.flops, &a.readBytes, &a.writeBytes,
+              &a.uniqueLocalBytes, &a.nonuniqueLocalBytes,
+              &a.uniqueInputBytes, &a.nonuniqueInputBytes,
+              &a.uniqueOutputBytes, &a.nonuniqueOutputBytes,
+              &a.reusedUnits, &a.reuseReads, &a.lifetimeSum,
+              &a.uniqueInterThreadBytes, &a.nonuniqueInterThreadBytes}) {
+            *f = edgyU64(rng);
+        }
+        // Empty rows (no hist line), rows with bins, and rows whose
+        // only mass is the overflow count (a hist line with 0 bins).
+        switch (rng.nextBounded(3)) {
+          case 0:
+            break;
+          case 1: {
+            LinearHistogram h(1 + rng.nextBounded(100));
+            std::vector<std::uint64_t> bins(1 + rng.nextBounded(8));
+            for (std::uint64_t &b : bins)
+                b = rng.nextBounded(3) == 0 ? 0 : 1 + rng.nextBounded(50);
+            bins.back() = 1 + rng.nextBounded(1000);
+            h.restore(std::move(bins), rng.nextBounded(5), edgyU64(rng),
+                      edgyU64(rng));
+            a.lifetimeHist = std::move(h);
+            break;
+          }
+          default: {
+            LinearHistogram h(edgyU64(rng) | 1);
+            h.restore({}, 1 + rng.nextBounded(5), edgyU64(rng),
+                      edgyU64(rng));
+            a.lifetimeHist = std::move(h);
+            break;
+          }
+        }
+        p.rows.push_back(std::move(r));
+    }
+    for (std::uint64_t i = 0, n = rng.nextBounded(30); i < n; ++i) {
+        p.edges.push_back(CommEdge{edgyCtx(rng), edgyCtx(rng),
+                                   edgyU64(rng), edgyU64(rng)});
+    }
+    for (std::uint64_t i = 0, n = rng.nextBounded(5); i < n; ++i) {
+        p.threadEdges.push_back(ThreadCommEdge{
+            static_cast<vg::ThreadId>(rng.nextBounded(4)),
+            std::numeric_limits<vg::ThreadId>::max(), edgyU64(rng),
+            edgyU64(rng)});
+    }
+    for (std::uint64_t i = 0, n = rng.nextBounded(20); i < n; ++i) {
+        p.unitReuseBreakdown.add(rng.nextBounded(20));
+        p.lineReuseBreakdown.add(rng.nextBounded(20));
+    }
+    return p;
+}
+
+EventTrace
+randomEvents(Rng &rng, std::size_t n)
+{
+    EventTrace t;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (rng.nextBounded(3) == 0) {
+            t.records.push_back(EventRecord::makeXfer(
+                XferEvent{edgyU64(rng), edgyU64(rng), edgyU64(rng)}));
+            continue;
+        }
+        ComputeEvent c;
+        c.seq = edgyU64(rng);
+        c.predSeq = edgyU64(rng);
+        c.ctx = edgyCtx(rng);
+        c.call = edgyU64(rng);
+        c.iops = edgyU64(rng);
+        c.flops = edgyU64(rng);
+        c.reads = edgyU64(rng);
+        c.writes = edgyU64(rng);
+        t.records.push_back(EventRecord::makeCompute(c));
+    }
+    return t;
+}
+
+TEST(ProfileIo, BufferedProfileMatchesIostreamRendering)
+{
+    Rng rng(20131);
+    for (int i = 0; i < 200; ++i) {
+        SigilProfile p = randomProfile(rng);
+        std::ostringstream os;
+        writeProfile(os, p);
+        ASSERT_EQ(os.str(), refProfile(p)) << "profile " << i;
+    }
+    // And a real one.
+    SigilProfile real = makeProfile();
+    std::ostringstream os;
+    writeProfile(os, real);
+    EXPECT_EQ(os.str(), refProfile(real));
+}
+
+TEST(ProfileIo, BufferedEventsMatchIostreamRendering)
+{
+    Rng rng(2013);
+    // Empty, small, and several flushes' worth (> 64 KiB).
+    for (std::size_t n : {std::size_t{0}, std::size_t{7},
+                          std::size_t{20000}}) {
+        EventTrace t = randomEvents(rng, n);
+        std::ostringstream os;
+        writeEvents(os, t);
+        const std::string want = refEvents(t);
+        if (n == 20000) {
+            ASSERT_GT(want.size(), 3u * 64 * 1024);
+        }
+        ASSERT_EQ(os.str(), want) << n << " records";
+    }
 }
 
 TEST(ProfileIo, ParsedProfileDrivesPostProcessing)

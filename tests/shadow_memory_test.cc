@@ -2,13 +2,14 @@
  * @file
  * Tests for the two-level shadow memory: lazy chunk creation, the
  * lookup cache, the span API, line granularity, the LRU memory limit,
- * the touched bitmap, stamp interning, lazy cold arrays, byte
- * accounting, and eviction callbacks.
+ * the touched bitmap and touched-block init, stamp interning, lazy
+ * cold arrays, byte accounting, and eviction callbacks.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -77,6 +78,74 @@ TEST(ShadowMemory, FindDoesNotCreate)
     ASSERT_TRUE(o);
     EXPECT_EQ(sm.stamps().writer(o.hot->writer).ctx, 3);
     EXPECT_EQ(sm.stats().chunksLive, 1u);
+}
+
+TEST(ShadowMemory, FindOfUntouchedBlockIsNull)
+{
+    // Blocks of 64 units are constructed on first touch: find() must
+    // not hand out a unit whose block was never touched, even in a
+    // resident chunk.
+    ShadowMemory sm;
+    sm.lookup(100); // block 1 (units 64..127) of chunk 0
+    EXPECT_TRUE(sm.find(100));
+    ShadowPtr neighbour = sm.find(101); // same block: constructed, zero
+    ASSERT_TRUE(neighbour);
+    EXPECT_EQ(neighbour.hot->writer, 0u);
+    EXPECT_EQ(neighbour.hot->reader, 0u);
+    EXPECT_FALSE(sm.find(0));   // block 0: never touched
+    EXPECT_FALSE(sm.find(200)); // block 3: never touched
+    EXPECT_EQ(sm.stats().chunksLive, 1u);
+    sm.lookup(5);
+    ShadowPtr now = sm.find(0);
+    ASSERT_TRUE(now);
+    EXPECT_EQ(now.hot->writer, 0u);
+}
+
+TEST(ShadowMemory, LateColdArrayCoversEarlierTouchedBlocks)
+{
+    // A cold array materialized after some blocks were touched must
+    // construct their cold entries too (a sweep visits them).
+    ShadowMemory sm;
+    sm.lookup(3).hot.writer = ctxId(sm, 1);
+    sm.lookup(700);
+    ShadowRef c = sm.lookup(4000, /*want_cold=*/true);
+    ASSERT_NE(c.cold, nullptr);
+    std::uint64_t visited = 0;
+    sm.forEach(perUnit([&](std::uint64_t, const ShadowRef &o) {
+        ASSERT_NE(o.cold, nullptr);
+        EXPECT_EQ(o.cold->runReads, 0u);
+        EXPECT_EQ(o.cold->runFirstRead, 0u);
+        EXPECT_EQ(o.cold->runLastRead, 0u);
+        EXPECT_EQ(o.cold->totalAccesses, 0u);
+        ++visited;
+    }));
+    EXPECT_EQ(visited, 3u);
+    ShadowPtr early = sm.find(3);
+    ASSERT_TRUE(early);
+    ASSERT_NE(early.cold, nullptr);
+    EXPECT_EQ(writerCtx(sm, ShadowRef{*early.hot, early.cold}), 1);
+}
+
+TEST(ShadowMemory, SpanEndsAtTopOfAddressSpace)
+{
+    // The last unit of the address space: the walk must stop on the
+    // run that holds it instead of wrapping around to unit 0.
+    ShadowMemory sm;
+    const std::uint64_t top = ~std::uint64_t{0};
+    const std::uint64_t first = top - ShadowMemory::kChunkUnits - 99;
+    std::uint64_t units = 0;
+    std::uint64_t next = first;
+    sm.span(first, top, /*want_cold=*/true,
+            [&](const ShadowMemory::Run &run) {
+        EXPECT_EQ(run.firstUnit, next);
+        units += run.count;
+        next = run.firstUnit + run.count;
+    });
+    EXPECT_EQ(units, top - first + 1);
+    EXPECT_EQ(next, 0u); // one past the top unit
+    EXPECT_EQ(sm.stats().chunksLive, 2u);
+    EXPECT_TRUE(sm.find(top));
+    EXPECT_FALSE(sm.find(0));
 }
 
 TEST(ShadowMemory, StatePersistsAcrossLookups)
@@ -536,6 +605,70 @@ TEST_P(ShadowOracle, MatchesMapSemantics)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShadowOracle,
                          ::testing::Values(11, 22, 33, 44));
+
+/**
+ * Reader stamp ids against the hash map they replaced: a random
+ * stream of reads by dynamic calls (each call runs in one context;
+ * calls are numbered densely from 1) that turns re-use off and on
+ * again, so call-0 stamps keyed by context interleave with per-call
+ * ones. Halfway, the table is rebuilt the way a checkpoint restore
+ * does it — re-interning every entry in id order — and the stream
+ * continues on the copy.
+ */
+class StampTableProperty : public ::testing::TestWithParam<std::uint64_t>
+{};
+
+TEST_P(StampTableProperty, ReaderIdsMatchFirstInternMap)
+{
+    sigil::Rng rng(GetParam());
+    auto table = std::make_unique<StampTable>();
+    std::map<std::pair<vg::CallNum, vg::ContextId>, StampId> oracle;
+    oracle[{0, vg::kInvalidContext}] = 0;
+    std::vector<vg::ContextId> call_ctx{vg::kInvalidContext};
+    bool reuse = true;
+    const int steps = 20000;
+    for (int i = 0; i < steps; ++i) {
+        if (i == steps / 2) {
+            auto copy = std::make_unique<StampTable>();
+            for (std::size_t id = 1; id < table->readerCount(); ++id)
+                EXPECT_EQ(copy->internReader(table->reader(id)), id);
+            EXPECT_EQ(copy->bytes(), table->bytes());
+            table = std::move(copy);
+        }
+        if (rng.nextBounded(500) == 0)
+            reuse = !reuse;
+        if (call_ctx.size() == 1 || rng.nextBounded(4) == 0) {
+            call_ctx.push_back(
+                static_cast<vg::ContextId>(rng.nextBounded(40)));
+        }
+        // Mostly recent calls, sometimes any earlier one; now and then
+        // a read outside any function (the null stamp).
+        vg::CallNum call;
+        if (rng.nextBounded(50) == 0)
+            call = 0;
+        else if (rng.nextBounded(4) == 0)
+            call = 1 + rng.nextBounded(call_ctx.size() - 1);
+        else
+            call = call_ctx.size() - 1 - rng.nextBounded(
+                       std::min<std::size_t>(3, call_ctx.size() - 1));
+        const vg::ContextId ctx = call_ctx[call];
+        const ReaderStamp s{reuse ? call : 0, ctx};
+        auto [it, inserted] = oracle.try_emplace(
+            std::make_pair(s.call, s.ctx),
+            static_cast<StampId>(oracle.size()));
+        (void)inserted;
+        ASSERT_EQ(table->internReader(s), it->second)
+            << "step " << i << " call " << s.call << " ctx " << s.ctx;
+    }
+    EXPECT_EQ(table->readerCount(), oracle.size());
+    for (const auto &[key, id] : oracle) {
+        EXPECT_EQ(table->reader(id).call, key.first);
+        EXPECT_EQ(table->reader(id).ctx, key.second);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StampTableProperty,
+                         ::testing::Values(3, 5, 8, 13));
 
 } // namespace
 } // namespace sigil::shadow

@@ -2,10 +2,13 @@
  * @file
  * Hand-computed classification scenarios for the Sigil profiler: the
  * local/input/output and unique/non-unique axes, producer attribution,
- * overwrite invalidation, uninitialized reads, and re-use accounting.
+ * overwrite invalidation, uninitialized reads, re-use accounting, and
+ * accesses at the top of the address space.
  */
 
 #include <gtest/gtest.h>
+
+#include <tuple>
 
 #include "core/sigil_profiler.hh"
 #include "vg/traced.hh"
@@ -465,6 +468,70 @@ TEST(MemoryLimit, EvictionPreservesAggregateMass)
     EXPECT_EQ(m->agg.uniqueLocalBytes + m->agg.nonuniqueLocalBytes +
                   m->agg.uniqueInputBytes + m->agg.nonuniqueInputBytes,
               8u * 16u);
+}
+
+/**
+ * An access that ends exactly at byte 2^64 - 1 is valid. It must be
+ * shadowed and classified like any other access — by the span walk and
+ * by the per-unit reference walk, in byte and in line mode — rather
+ * than wrapping around to unit 0 (or never ending).
+ */
+class TopOfAddressSpace
+    : public ::testing::TestWithParam<std::tuple<bool, unsigned>>
+{};
+
+TEST_P(TopOfAddressSpace, ExactTopAccessClassifiesEdge)
+{
+    SigilConfig cfg;
+    cfg.collectReuse = true;
+    cfg.collectEvents = true;
+    cfg.referenceShadowPath = std::get<0>(GetParam());
+    cfg.granularityShift = std::get<1>(GetParam());
+    vg::Guest g("top");
+    SigilProfiler prof(cfg);
+    g.addTool(&prof);
+
+    const vg::Addr top16 = 0xFFFFFFFFFFFFFFF0ull;
+    g.enter("main");
+    g.enter("f");
+    g.write(top16, 16);
+    g.leave();
+    g.enter("g");
+    g.read(top16, 16);
+    g.read(top16 + 8, 8); // the last 8 bytes again: a re-read
+    g.leave();
+    g.leave();
+    g.finish();
+
+    SigilProfile p = prof.takeProfile();
+    const SigilRow *f = p.findByDisplayName("f");
+    const SigilRow *c = p.findByDisplayName("g");
+    ASSERT_NE(f, nullptr);
+    ASSERT_NE(c, nullptr);
+    EXPECT_EQ(f->agg.writeBytes, 16u);
+    EXPECT_EQ(c->agg.readBytes, 24u);
+    EXPECT_EQ(c->agg.uniqueInputBytes, 16u);
+    EXPECT_EQ(c->agg.nonuniqueInputBytes, 8u);
+    ASSERT_EQ(p.edges.size(), 1u);
+    EXPECT_EQ(p.edges[0].producer, f->ctx);
+    EXPECT_EQ(p.edges[0].consumer, c->ctx);
+    EXPECT_EQ(p.edges[0].uniqueBytes, 16u);
+    EXPECT_EQ(p.edges[0].nonuniqueBytes, 8u);
+    // Nothing landed at the bottom of the address space.
+    EXPECT_FALSE(prof.shadowMemory().find(0));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Walks, TopOfAddressSpace,
+    ::testing::Combine(::testing::Bool(), ::testing::Values(0u, 6u)));
+
+TEST(TopOfAddressSpaceDeathTest, WrappingAccessPanics)
+{
+    vg::Guest g("wrap");
+    g.enter("main");
+    EXPECT_DEATH(g.read(0xFFFFFFFFFFFFFFF8ull, 16), "wraps past the top");
+    EXPECT_DEATH(g.write(~0ull, 2), "wraps past the top");
+    g.leave();
 }
 
 } // namespace

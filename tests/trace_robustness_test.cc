@@ -543,6 +543,76 @@ TEST(AdversarialInput, CrcValidFrameWithTruncatedRecordIsContained)
     EXPECT_EQ(salvage.blocksSkipped, 1u);
 }
 
+/** Build one CRC-valid SGB3 frame holding a raw (uncompressed) payload. */
+std::string
+makeFrame3(std::uint8_t tag, std::uint64_t block_seq,
+           std::uint64_t first_event, std::uint64_t event_count,
+           const std::string &payload)
+{
+    std::string f;
+    f.push_back(static_cast<char>(0xa7));
+    f.push_back('S');
+    f.push_back('B');
+    f.push_back(static_cast<char>(0xb3));
+    f.push_back(static_cast<char>(tag));
+    putVarintS(f, block_seq);
+    putVarintS(f, first_event);
+    putVarintS(f, event_count);
+    putVarintS(f, payload.size());
+    f.push_back('\0'); // flags: stored raw
+    putVarintS(f, payload.size());
+    putU32leS(f, crc32c(payload.data(), payload.size()));
+    putU32leS(f, crc32c(f.data(), f.size()));
+    f += payload;
+    return f;
+}
+
+TEST(AdversarialInput, WrappingAccessRecordIsABadRecord)
+{
+    // An SGB3 events block: a 16-byte read ending exactly at byte
+    // 2^64 - 1 (valid), then a 16-byte read 8 bytes higher, whose range
+    // would wrap past the top of the address space.
+    std::string t = "SGB3";
+    putVarintS(t, 1);
+    putVarintS(t, 6);
+    t += "robust";
+    std::string fns;
+    putVarintS(fns, 0);
+    putVarintS(fns, 4);
+    fns += "main";
+    t += makeFrame3(kTagFunctions, 0, 0, 0, fns);
+
+    std::string events;
+    events.push_back(static_cast<char>(kOpEnter));
+    putVarintS(events, 0);
+    events.push_back(static_cast<char>(kOpRead));
+    putVarintS(events, zigzagS(-16)); // 0xfff...f0
+    putVarintS(events, 16);
+    const std::size_t evil_at = events.size();
+    events.push_back(static_cast<char>(kOpRead));
+    putVarintS(events, zigzagS(8)); // 0xfff...f8
+    putVarintS(events, 16);
+    events.push_back(static_cast<char>(kOpLeave));
+    const std::string frame = makeFrame3(kTagEvents, 1, 0, 4, events);
+    const std::size_t payload_at = t.size() + frame.size() - events.size();
+    t += frame;
+    t += makeFrame3(kTagEnd, 2, 4, 0, {});
+
+    vg::ReplayReport strict = replayRaw(t, vg::ReplayPolicy::Strict);
+    ASSERT_TRUE(strict.error.has_value());
+    EXPECT_EQ(strict.error->cause, vg::TraceErrorCause::BadRecord);
+    EXPECT_EQ(strict.error->blockIndex, 1);
+    EXPECT_EQ(strict.error->byteOffset, payload_at + evil_at);
+    EXPECT_NE(strict.error->detail.find("wraps"), std::string::npos)
+        << strict.error->detail;
+
+    vg::ReplayReport salvage = replayRaw(t, vg::ReplayPolicy::Salvage);
+    EXPECT_TRUE(salvage.ok());
+    EXPECT_EQ(salvage.blocksSkipped, 1u);
+    ASSERT_FALSE(salvage.errors.empty());
+    EXPECT_EQ(salvage.errors[0].cause, vg::TraceErrorCause::BadRecord);
+}
+
 TEST(AdversarialInput, UnknownOpcodeIsContained)
 {
     std::string evil;
@@ -850,6 +920,25 @@ TEST(TextReplay, MalformedLinePositionIsReported)
         ASSERT_EQ(r.errors.size(), 1u);
         EXPECT_EQ(r.errors[0].line, li + 1);
     }
+}
+
+TEST(TextReplay, WrappingAccessIsABadRecord)
+{
+    TraceParams p{78, 0, 0, true, false, false};
+    std::string text = recordTextTrace(p);
+    const std::size_t at = text.find("\nR\t");
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t end = text.find('\n', at + 1);
+    text.replace(at + 1, end - at - 1, "R\t18446744073709551608\t16");
+
+    vg::Guest g("robust");
+    std::istringstream is(text);
+    vg::ReplayReport r = vg::replayTrace(is, g, vg::ReplayOptions{});
+    ASSERT_TRUE(r.error.has_value());
+    EXPECT_EQ(r.error->cause, vg::TraceErrorCause::BadRecord);
+    EXPECT_EQ(r.error->byteOffset, at + 1);
+    EXPECT_NE(r.error->detail.find("wraps"), std::string::npos)
+        << r.error->detail;
 }
 
 TEST(ProfileIo, ParserReportsLineAndOffset)
