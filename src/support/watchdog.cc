@@ -96,7 +96,6 @@ Watchdog::fire(Entity &e, std::unique_lock<std::mutex> &lock)
             continue;
         report.diagnostics.emplace_back(other.name, other.diag());
     }
-    stalls_.fetch_add(1, std::memory_order_relaxed);
     lastMessage_ = report.message();
     StallHandler handler = handler_;
 
@@ -111,6 +110,9 @@ Watchdog::fire(Entity &e, std::unique_lock<std::mutex> &lock)
     } else {
         fatal("%s", report.message().c_str());
     }
+    // Counted once the consequence has run, so a caller that sees the
+    // count also sees what the handler did.
+    stalls_.fetch_add(1, std::memory_order_release);
     lock.lock();
 }
 

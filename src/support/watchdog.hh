@@ -123,10 +123,14 @@ class Watchdog
      */
     void setStallHandler(StallHandler handler);
 
-    /** Number of stalls detected so far (both actions). */
+    /**
+     * Number of stalls detected so far (both actions), each counted
+     * after its warning or handler has run: the handler's effects
+     * happen before a load that sees its count.
+     */
     std::uint64_t stallsDetected() const
     {
-        return stalls_.load(std::memory_order_relaxed);
+        return stalls_.load(std::memory_order_acquire);
     }
 
     /** Message of the most recent StallReport ("" if none). */

@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/sigil_profiler.hh"
+#include "critpath/chain_stats.hh"
+#include "critpath/critical_path.hh"
+#include "critpath/seq_index.hh"
 #include "vg/traced.hh"
 #include "workloads/workload.hh"
 
@@ -97,6 +102,100 @@ TEST(Roi, RoiOnlyEventsCoverOnlyTheRegion)
             trace_ops += r.compute.iops + r.compute.flops;
     }
     EXPECT_EQ(trace_ops, 7u);
+}
+
+/**
+ * A region of interest entered late: every segment before it uses up a
+ * seq, so the trace's seqs start high. The chain analyses give the same
+ * results as on the trace renumbered from 1, and their seq index spans
+ * the region's segments, not every seq the profiler issued.
+ */
+TEST(Roi, LateRoiChainAnalysisIsIndependentOfSeqBase)
+{
+    vg::Guest g("t");
+    SigilConfig cfg;
+    cfg.roiOnly = true;
+    cfg.collectEvents = true;
+    SigilProfiler prof(cfg);
+    g.addTool(&prof);
+
+    vg::Addr a = g.alloc(64);
+    g.enter("main");
+    for (int i = 0; i < 50000; ++i) { // long pre-ROI phase
+        g.enter("setup");
+        g.iop(1);
+        g.leave();
+    }
+    g.roiBegin();
+    for (int i = 0; i < 40; ++i) {
+        g.enter(i % 2 == 0 ? "produce" : "consume");
+        if (i % 2 == 0)
+            g.write(a + 8 * (i % 8), 8);
+        else
+            g.read(a + 8 * ((i - 1) % 8), 8);
+        g.iop(1 + i % 3);
+        g.leave();
+    }
+    g.roiEnd();
+    g.leave();
+    g.finish();
+
+    const EventTrace &trace = prof.events();
+    std::uint64_t lo = ~std::uint64_t{0}, computes = 0;
+    for (const EventRecord &r : trace.records) {
+        if (r.kind == EventRecord::Kind::Compute) {
+            lo = std::min(lo, r.compute.seq);
+            ++computes;
+        }
+    }
+    ASSERT_GT(lo, 50000u);
+    ASSERT_GE(computes, 40u);
+
+    // Renumber from 1; references to segments before the region (none
+    // of which is in the trace) become 0, which is no dependency either.
+    auto rebase = [&](std::uint64_t seq) {
+        return seq < lo ? 0 : seq - lo + 1;
+    };
+    EventTrace small = trace;
+    for (EventRecord &r : small.records) {
+        if (r.kind == EventRecord::Kind::Compute) {
+            r.compute.seq = rebase(r.compute.seq);
+            r.compute.predSeq = rebase(r.compute.predSeq);
+        } else {
+            r.xfer.srcSeq = rebase(r.xfer.srcSeq);
+            r.xfer.dstSeq = rebase(r.xfer.dstSeq);
+        }
+    }
+
+    critpath::CriticalPathResult big_r = critpath::analyze(trace);
+    critpath::CriticalPathResult small_r = critpath::analyze(small);
+    EXPECT_EQ(big_r.serialLength, small_r.serialLength);
+    EXPECT_EQ(big_r.criticalPathLength, small_r.criticalPathLength);
+    EXPECT_GT(big_r.criticalPathLength, 0u);
+    ASSERT_EQ(big_r.path.size(), small_r.path.size());
+    for (std::size_t i = 0; i < big_r.path.size(); ++i)
+        EXPECT_EQ(rebase(big_r.path[i].seq), small_r.path[i].seq);
+
+    critpath::ChainStats big_s = critpath::chainStats(trace);
+    critpath::ChainStats small_s = critpath::chainStats(small);
+    EXPECT_EQ(big_s.edges, small_s.edges);
+    EXPECT_GT(big_s.edges, 0u);
+    EXPECT_EQ(big_s.roots, small_s.roots);
+    EXPECT_EQ(big_s.leaves, small_s.leaves);
+    EXPECT_EQ(big_s.criticalPath, small_s.criticalPath);
+    for (unsigned slots : {1u, 2u, 8u})
+        EXPECT_EQ(critpath::scheduleMakespan(trace, slots),
+                  critpath::scheduleMakespan(small, slots));
+
+    // The analyses' seq index, filled as they fill it, stays the size
+    // of the region's seq range.
+    critpath::SeqIndex index;
+    std::size_t pos = 0;
+    for (const EventRecord &r : trace.records) {
+        if (r.kind == EventRecord::Kind::Compute)
+            index.add(r.compute.seq, pos++);
+    }
+    EXPECT_LE(index.windowSlots(), 4 * computes);
 }
 
 TEST(Roi, NestingAndUnderflowPanic)

@@ -338,5 +338,70 @@ TEST(StampShadowProperty, StampTuplesOutliveEvictedChunks)
     EXPECT_EQ(sink.bytes(), sink2.bytes());
 }
 
+// A checkpoint with a malformed reader table is refused. -------------
+
+TEST(StampShadowProperty, RestoreRefusesMalformedReaderTable)
+{
+    core::SigilConfig cfg;
+    cfg.collectReuse = true;
+    vg::Guest g("readers");
+    core::SigilProfiler prof(cfg);
+    g.addTool(&prof);
+    vg::Addr a = g.alloc(64);
+    g.enter("main");
+    g.write(a, 64);
+    for (int i = 0; i < 4; ++i) {
+        g.enter(i % 2 == 0 ? "f" : "g");
+        g.read(a, 8);
+        g.leave();
+    }
+    g.leave();
+    g.finish();
+    ByteSink sink;
+    prof.saveState(sink);
+    const std::string body = sink.take();
+
+    // Locate the reader table's entries (u64 call, u32 ctx each) in
+    // the body, and two entries of different calls and contexts.
+    const shadow::StampTable &stamps = prof.shadowMemory().stamps();
+    ByteSink entries;
+    std::size_t first = 0, other = 0;
+    for (std::size_t i = 1; i < stamps.readerCount(); ++i) {
+        const shadow::ReaderStamp &r = stamps.reader(i);
+        entries.u64(r.call);
+        entries.u32(static_cast<std::uint32_t>(r.ctx));
+        if (r.call == 0)
+            continue;
+        if (first == 0)
+            first = i;
+        else if (other == 0 && r.ctx != stamps.reader(first).ctx)
+            other = i;
+    }
+    ASSERT_NE(other, 0u);
+    const std::size_t at = body.find(entries.bytes());
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_EQ(body.find(entries.bytes(), at + 1), std::string::npos);
+    auto call_at = [&](std::size_t i) { return at + (i - 1) * 12; };
+    auto with_call = [&](std::size_t i, std::uint64_t call) {
+        std::string bad = body;
+        ByteSink v;
+        v.u64(call);
+        bad.replace(call_at(i), 8, v.bytes());
+        return bad;
+    };
+    auto restores = [&](const std::string &payload) {
+        core::SigilProfiler fresh(cfg);
+        ByteSource src(payload.data(), payload.size());
+        return fresh.restoreState(src) && src.ok();
+    };
+
+    ASSERT_TRUE(restores(body));
+    // One call read under two contexts.
+    EXPECT_FALSE(restores(with_call(other, stamps.reader(first).call)));
+    // A call number the reader index cannot be sized for.
+    EXPECT_FALSE(restores(with_call(first, std::uint64_t{1} << 40)));
+    EXPECT_FALSE(restores(with_call(first, ~std::uint64_t{0})));
+}
+
 } // namespace
 } // namespace sigil
