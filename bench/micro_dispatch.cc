@@ -2,10 +2,8 @@
  * @file
  * Microbenchmarks of the event transport (google-benchmark): per-event
  * virtual dispatch vs. the batched SoA transport (sync and async), and
- * text vs. binary trace replay. These back the batching design the same
- * way micro_shadow backs the span-oriented shadow path: the batch
- * transport must buy real end-to-end profiling throughput, and the
- * binary format must replay several times faster than text.
+ * SGB3 trace recording, decode and profiled replay, the "collect once,
+ * analyze many" loop.
  */
 
 #include <benchmark/benchmark.h>
@@ -215,58 +213,34 @@ BM_FullStackWorkload(benchmark::State &state)
 }
 BENCHMARK(BM_FullStackWorkload)->Arg(0)->Arg(1)->Arg(2);
 
-/** Trace format selector for the benchmark Args: 0 = text,
- *  1 = SGB1 (unframed), 2 = SGB2 (checksummed frames),
- *  3 = SGB3 (checksummed + LZ-compressed frames). */
+/** The workload recorded once as an SGB3 trace. */
 const std::string &
-recordedTrace(int format)
+recordedTrace()
 {
-    static std::string text, sgb1, sgb2, sgb3;
-    if (text.empty()) {
-        std::ostringstream tos;
-        std::ostringstream b1os(std::ios::binary);
-        std::ostringstream b2os(std::ios::binary);
-        std::ostringstream b3os(std::ios::binary);
+    static const std::string trace = [] {
+        std::ostringstream os(std::ios::binary);
         vg::Guest g("bench");
-        vg::TraceRecorder trec(tos);
-        vg::BinaryTraceRecorder b1rec(b1os, vg::TraceFormat::SGB1);
-        vg::BinaryTraceRecorder b2rec(b2os, vg::TraceFormat::SGB2);
-        vg::BinaryTraceRecorder b3rec(b3os, vg::TraceFormat::SGB3);
-        g.addTool(&trec);
-        g.addTool(&b1rec);
-        g.addTool(&b2rec);
-        g.addTool(&b3rec);
+        vg::BinaryTraceRecorder rec(os);
+        g.addTool(&rec);
         driveWorkload(g, kWorkloadIters);
-        text = tos.str();
-        sgb1 = b1os.str();
-        sgb2 = b2os.str();
-        sgb3 = b3os.str();
-    }
-    return format == 3 ? sgb3
-           : format == 2 ? sgb2
-           : format == 1 ? sgb1
-                         : text;
+        return os.str();
+    }();
+    return trace;
 }
 
 /**
- * Recording cost per format: SGB1 vs. SGB2 vs. SGB3. The SGB2 column
- * prices the robustness tax — per-block CRC32C (payload + header) and
- * the framing fields — which must stay within a few percent of SGB1.
- * The SGB3 column adds per-frame LZ compression on top; its
- * `trace_bytes` counter against SGB2's shows the size win compression
- * buys.
+ * Recording cost: per-block CRC32C (payload + header), the framing
+ * fields and per-frame LZ compression, all on the guest thread. The
+ * `trace_bytes` counter is the recorded size.
  */
 void
 BM_TraceRecordBinary(benchmark::State &state)
 {
-    auto format = state.range(0) == 1   ? vg::TraceFormat::SGB1
-                  : state.range(0) == 3 ? vg::TraceFormat::SGB3
-                                        : vg::TraceFormat::SGB2;
     std::size_t bytes = 0;
     for (auto _ : state) {
         std::ostringstream os(std::ios::binary);
         vg::Guest g("bench");
-        vg::BinaryTraceRecorder rec(os, format);
+        vg::BinaryTraceRecorder rec(os);
         g.addTool(&rec);
         driveWorkload(g, kWorkloadIters);
         bytes = os.str().size();
@@ -278,118 +252,62 @@ BM_TraceRecordBinary(benchmark::State &state)
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations() * bytes));
 }
-BENCHMARK(BM_TraceRecordBinary)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_TraceRecordBinary);
 
 /**
- * Synchronous vs. background-writer recording. Args: {format: 2 SGB2,
- * 3 SGB3} x {writer: 0 sync, 1 async}. Async moves CRC32C and (for
- * SGB3) LZ compression onto the writer thread, so the guest thread
- * only appends to the current block and enqueues finished ones; the
- * bytes are bit-identical either way (`trace_bytes` must match across
- * the writer axis). `queue_depth_peak` shows how far the guest ran
- * ahead of the writer before backpressure (capped by
- * writerQueueFrames). Real time: with the writer overlapping the
- * guest, CPU time double-counts the background work.
- */
-void
-BM_TraceRecordAsync(benchmark::State &state)
-{
-    auto format = state.range(0) == 3 ? vg::TraceFormat::SGB3
-                                      : vg::TraceFormat::SGB2;
-    bool async = state.range(1) != 0;
-    std::size_t bytes = 0;
-    std::uint64_t depth_peak = 0;
-    for (auto _ : state) {
-        std::ostringstream os(std::ios::binary);
-        vg::GuestConfig gc;
-        gc.asyncWriter = async;
-        vg::Guest g("bench", gc);
-        vg::BinaryTraceRecorder rec(os, format);
-        g.addTool(&rec);
-        driveWorkload(g, kWorkloadIters);
-        bytes = os.str().size();
-        depth_peak = rec.writerQueuePeak();
-        benchmark::DoNotOptimize(bytes);
-    }
-    state.counters["trace_bytes"] = static_cast<double>(bytes);
-    state.counters["queue_depth_peak"] = static_cast<double>(depth_peak);
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            kWorkloadIters);
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations() * bytes));
-}
-BENCHMARK(BM_TraceRecordAsync)
-    ->ArgsProduct({{2, 3}, {0, 1}})
-    ->UseRealTime();
-
-/**
- * Trace replay, parsing cost only (no tools attached): text vs. the
- * binary framings. Args: {format: 0 text, 1 SGB1, 2 SGB2, 3 SGB3}.
- * The SGB2 column includes per-block CRC verification; SGB3 adds
- * per-frame decompression.
+ * Trace replay, parsing cost only (no tools attached): per-block CRC
+ * verification, decompression and decode from a stream.
  */
 void
 BM_TraceReplayParse(benchmark::State &state)
 {
-    int format = static_cast<int>(state.range(0));
-    const std::string &trace = recordedTrace(format);
+    const std::string &trace = recordedTrace();
     std::uint64_t events = 0;
     for (auto _ : state) {
-        std::istringstream is(trace, format ? std::ios::binary
-                                            : std::ios::in);
+        std::istringstream is(trace, std::ios::binary);
         vg::Guest g("bench");
-        events = format ? vg::replayBinaryTrace(is, g)
-                        : vg::replayTrace(is, g);
+        events = vg::replayBinaryTrace(is, g);
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations() * events));
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations() * trace.size()));
 }
-BENCHMARK(BM_TraceReplayParse)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_TraceReplayParse);
 
 /**
  * Trace replay feeding a Sigil profiler — the "collect once, analyze
- * many times" loop this PR accelerates end to end. Args: {binary
- * format?, batched guest?, granularity shift}. The headline comparison
- * is {0,0,s} (text format, per-event dispatch: the pre-PR pipeline)
- * against {1,1,s} (binary format, batched dispatch).
+ * many times" loop end to end. Args: {batched guest?, granularity
+ * shift}.
  */
 void
 BM_TraceReplayProfiled(benchmark::State &state)
 {
-    int format = static_cast<int>(state.range(0));
-    const std::string &trace = recordedTrace(format);
+    const std::string &trace = recordedTrace();
     core::SigilConfig cfg;
-    cfg.granularityShift = static_cast<unsigned>(state.range(2));
+    cfg.granularityShift = static_cast<unsigned>(state.range(1));
     for (auto _ : state) {
-        std::istringstream is(trace, format ? std::ios::binary
-                                            : std::ios::in);
-        vg::Guest g("bench", modeConfig(state.range(1)));
+        std::istringstream is(trace, std::ios::binary);
+        vg::Guest g("bench", modeConfig(state.range(0)));
         core::SigilProfiler prof(cfg);
         g.addTool(&prof);
-        if (format)
-            vg::replayBinaryTrace(is, g);
-        else
-            vg::replayTrace(is, g);
+        vg::replayBinaryTrace(is, g);
         benchmark::DoNotOptimize(prof.aggregates(0).readBytes);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             kWorkloadIters);
 }
-BENCHMARK(BM_TraceReplayProfiled)
-    ->ArgsProduct({{0, 1, 2}, {0, 1}, {0, 6}});
+BENCHMARK(BM_TraceReplayProfiled)->ArgsProduct({{0, 1}, {0, 6}});
 
 /**
  * Frame decode, parsing cost only: a zero-copy BinaryReplaySession
- * over the in-memory trace, CRC-verifying, decompressing (SGB3) and
- * decoding each frame inline. Arg: format, 2 SGB2 or 3 SGB3.
+ * over the in-memory trace, CRC-verifying, decompressing and decoding
+ * each frame inline.
  */
 void
 BM_ParallelDecode(benchmark::State &state)
 {
-    int format = static_cast<int>(state.range(0));
-    const std::string &trace = recordedTrace(format);
+    const std::string &trace = recordedTrace();
     std::uint64_t events = 0;
     for (auto _ : state) {
         vg::Guest g("bench");
@@ -403,18 +321,16 @@ BM_ParallelDecode(benchmark::State &state)
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations() * trace.size()));
 }
-BENCHMARK(BM_ParallelDecode)->Arg(2)->Arg(3)->UseRealTime();
+BENCHMARK(BM_ParallelDecode)->UseRealTime();
 
 /**
  * The same decode end to end, feeding a batched-guest Sigil profiler:
- * shows how much of the profiled pipeline the decode stage is, and
- * what SGB3 decompression costs over SGB2. Arg as BM_ParallelDecode.
+ * shows how much of the profiled pipeline the decode stage is.
  */
 void
 BM_ParallelDecodeProfiled(benchmark::State &state)
 {
-    int format = static_cast<int>(state.range(0));
-    const std::string &trace = recordedTrace(format);
+    const std::string &trace = recordedTrace();
     for (auto _ : state) {
         vg::GuestConfig gc;
         gc.batchEvents = true;
@@ -432,14 +348,14 @@ BM_ParallelDecodeProfiled(benchmark::State &state)
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations() * trace.size()));
 }
-BENCHMARK(BM_ParallelDecodeProfiled)->Arg(2)->Arg(3)->UseRealTime();
+BENCHMARK(BM_ParallelDecodeProfiled)->UseRealTime();
 
 /**
- * Checkpointed replay smoke benchmark: the full SGB2 + profiler replay
- * with periodic state snapshots, against BM_TraceReplayProfiled/2/1/0
+ * Checkpointed replay smoke benchmark: the full trace + profiler replay
+ * with periodic state snapshots, against BM_TraceReplayProfiled/1/0
  * as the no-checkpoint baseline. Arg: checkpoint interval in blocks.
  */
-/** SGB2 trace with finer-grained blocks than the default, so a
+/** Trace with finer-grained blocks than the default, so a
  *  checkpoint interval of a few blocks fires many times over the
  *  50k-event workload. */
 const std::string &
@@ -448,7 +364,7 @@ checkpointTrace()
     static const std::string trace = [] {
         std::ostringstream os(std::ios::binary);
         vg::Guest g("bench");
-        vg::BinaryTraceRecorder rec(os, vg::TraceFormat::SGB2, 512);
+        vg::BinaryTraceRecorder rec(os, 512);
         g.addTool(&rec);
         driveWorkload(g, kWorkloadIters);
         return os.str();
@@ -570,7 +486,7 @@ wideTrace()
     static const std::string trace = [] {
         std::ostringstream os(std::ios::binary);
         vg::Guest g("bench");
-        vg::BinaryTraceRecorder rec(os, vg::TraceFormat::SGB2);
+        vg::BinaryTraceRecorder rec(os);
         g.addTool(&rec);
         driveWideWorkload(g, kWideWorkloadIters);
         return os.str();
@@ -579,7 +495,7 @@ wideTrace()
 }
 
 /**
- * Profiled replay of the wide workload: SGB2 trace into a
+ * Profiled replay of the wide workload: the trace into a
  * full-fidelity (re-use mode) Sigil profiler. Arg: 0 = the async
  * pipeline (analysis on the consumer thread), 1 = per-event dispatch
  * on the replay thread. Real time, since with Arg 0 the work happens

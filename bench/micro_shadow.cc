@@ -202,15 +202,20 @@ BM_ReuseDistanceAccess(benchmark::State &state)
 }
 BENCHMARK(BM_ReuseDistanceAccess);
 
-void
-BM_TraceReplayThroughput(benchmark::State &state)
+/** A fixed synthetic workload, recorded once as a trace. */
+struct RecordedTrace
 {
-    // Record a fixed synthetic trace once; replay it per iteration.
-    std::stringstream trace;
+    std::string bytes;
     std::uint64_t events = 0;
-    {
+};
+
+const RecordedTrace &
+throughputTrace()
+{
+    static const RecordedTrace trace = [] {
+        std::ostringstream os(std::ios::binary);
         vg::Guest g("bench");
-        vg::TraceRecorder recorder(trace);
+        vg::BinaryTraceRecorder recorder(os);
         g.addTool(&recorder);
         Rng rng(6);
         g.enter("main");
@@ -225,21 +230,27 @@ BM_TraceReplayThroughput(benchmark::State &state)
         }
         g.leave();
         g.finish();
-        events = recorder.eventsWritten();
-    }
-    std::string text = trace.str();
+        return RecordedTrace{os.str(), recorder.eventsWritten()};
+    }();
+    return trace;
+}
+
+void
+BM_TraceReplayThroughput(benchmark::State &state)
+{
+    const RecordedTrace &trace = throughputTrace();
     std::uint64_t peak = 0;
     for (auto _ : state) {
-        std::stringstream in(text);
+        std::istringstream in(trace.bytes, std::ios::binary);
         vg::Guest g2("bench");
         core::SigilProfiler prof;
         g2.addTool(&prof);
-        benchmark::DoNotOptimize(vg::replayTrace(in, g2));
+        benchmark::DoNotOptimize(vg::replayBinaryTrace(in, g2));
         peak = prof.shadowPeakBytes();
     }
     state.counters["shadow_peak_bytes"] = static_cast<double>(peak);
     state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() * events));
+        static_cast<std::int64_t>(state.iterations() * trace.events));
 }
 BENCHMARK(BM_TraceReplayThroughput);
 
@@ -247,39 +258,18 @@ BENCHMARK(BM_TraceReplayThroughput);
 void
 BM_TraceReplayThroughputReference(benchmark::State &state)
 {
-    std::stringstream trace;
-    std::uint64_t events = 0;
-    {
-        vg::Guest g("bench");
-        vg::TraceRecorder recorder(trace);
-        g.addTool(&recorder);
-        Rng rng(6);
-        g.enter("main");
-        for (int i = 0; i < 20000; ++i) {
-            if ((i & 15) == 0) {
-                g.enter("fn");
-                g.iop(4);
-                g.leave();
-            }
-            g.write(0x10000 + rng.nextBounded(4096), 8);
-            g.read(0x10000 + rng.nextBounded(4096), 8);
-        }
-        g.leave();
-        g.finish();
-        events = recorder.eventsWritten();
-    }
-    std::string text = trace.str();
+    const RecordedTrace &trace = throughputTrace();
     core::SigilConfig cfg;
     cfg.referenceShadowPath = true;
     for (auto _ : state) {
-        std::stringstream in(text);
+        std::istringstream in(trace.bytes, std::ios::binary);
         vg::Guest g2("bench");
         core::SigilProfiler prof(cfg);
         g2.addTool(&prof);
-        benchmark::DoNotOptimize(vg::replayTrace(in, g2));
+        benchmark::DoNotOptimize(vg::replayBinaryTrace(in, g2));
     }
     state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() * events));
+        static_cast<std::int64_t>(state.iterations() * trace.events));
 }
 BENCHMARK(BM_TraceReplayThroughputReference);
 

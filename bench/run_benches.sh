@@ -18,8 +18,8 @@
 # BENCH_dispatch.json includes BM_WideReplay (profiled replay of a
 # wide-address workload: Arg 0 = the async analysis pipeline, Arg 1 =
 # per-event dispatch on the replay thread), the
-# BM_ParallelDecode{,Profiled} serial frame decode of SGB2 and SGB3
-# (Arg = format; parse-only and profiled end to end), and the
+# BM_ParallelDecode{,Profiled} serial frame decode of the recorded SGB3
+# trace (parse-only and profiled end to end), and the
 # BM_ServerQueryThroughput sigild sweep (Arg = concurrent query
 # clients over the daemon's Unix-domain socket; items/sec is
 # end-to-end requests per second through framing, dispatch, catalog

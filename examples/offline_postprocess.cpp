@@ -114,9 +114,7 @@ main(int argc, char **argv)
     // Phase 1: the one expensive instrumented run. The trace goes
     // through a DurableTraceWriter — bytes land in `<trace>.tmp`,
     // fsync every 4 MiB, and the atomic rename in finalize() only
-    // publishes the final path once the shutdown trailer is on disk —
-    // and the compression/CRC work rides on the recorder's background
-    // writer thread instead of the guest thread.
+    // publishes the final path once the shutdown trailer is on disk.
     {
         vg::DurableTraceWriter durable(trace_path, 4u << 20);
         if (!durable.ok())
@@ -124,7 +122,6 @@ main(int argc, char **argv)
                   trace_path.c_str(), durable.errorDetail().c_str());
         vg::GuestConfig gcfg;
         gcfg.batchEvents = true;
-        gcfg.asyncWriter = true;
         vg::Guest guest(w->name, gcfg);
         vg::BinaryTraceRecorder recorder(durable.stream());
         core::SigilConfig cfg;
@@ -140,12 +137,9 @@ main(int argc, char **argv)
                   durable.errorDetail().c_str());
         core::writeProfileFile(profile_path, profiler.takeProfile());
         core::writeEventsFile(events_path, profiler.events());
-        std::printf("collected: %llu raw events (writer queue peak %llu, "
-                    "%llu fsyncs)\n",
+        std::printf("collected: %llu raw events (%llu fsyncs)\n",
                     static_cast<unsigned long long>(
                         recorder.eventsWritten()),
-                    static_cast<unsigned long long>(
-                        recorder.writerQueuePeak()),
                     static_cast<unsigned long long>(durable.syncCount()));
         std::printf("  %s\n  %s\n  %s\n", trace_path.c_str(),
                     profile_path.c_str(), events_path.c_str());
@@ -202,11 +196,12 @@ main(int argc, char **argv)
     }
 
     // Phase 3: replay the raw trace into a different profiler mode.
-    // replayTraceFile() sniffs the format, so the same call reads this
-    // binary trace or a legacy text one. Salvage mode tolerates a
-    // damaged file (a crash mid-recording, a bad sector) and the
-    // report says exactly what was recovered and whether the trace
-    // ends in a clean-shutdown trailer.
+    // replayTraceFile() maps the file and sniffs its framing, so the
+    // same call also reads an SGB2 trace recorded by an earlier
+    // release. Salvage mode tolerates a damaged file (a crash
+    // mid-recording, a bad sector) and the report says exactly what
+    // was recovered and whether the trace ends in a clean-shutdown
+    // trailer.
     {
         vg::GuestConfig gcfg;
         gcfg.batchEvents = true;

@@ -6,8 +6,8 @@
  * preemption, a crash in unrelated code — and restarting a multi-hour
  * analysis from the beginning wastes the "collect once, analyze many"
  * economics the trace format is built around. The checkpoint layer
- * drives an SGB2 replay through BinaryReplaySession and, every N event
- * blocks, snapshots the complete replay state to a file:
+ * drives an SGB2 or SGB3 replay through BinaryReplaySession and, every
+ * N event blocks, snapshots the complete replay state to a file:
  *
  *   - the guest (function registry, context tree, call stacks, virtual
  *     clock, allocations, ROI flag),
@@ -27,8 +27,8 @@
  *
  * Restored replays are bit-identical to uninterrupted ones: the
  * profiler restores shadow chunks in LRU order (reproducing future
- * eviction decisions) and SGB2 resets its address-delta chain at every
- * block boundary (so decoding resumes cleanly mid-stream).
+ * eviction decisions) and the framed formats reset their address-delta
+ * chain at every block boundary (so decoding resumes cleanly mid-stream).
  */
 
 #ifndef SIGIL_CORE_CHECKPOINT_HH
@@ -71,7 +71,7 @@ struct CheckpointStats
 };
 
 /**
- * Replay an SGB2 trace with periodic checkpoints.
+ * Replay an SGB2 or SGB3 trace with periodic checkpoints.
  *
  * The guest must be freshly constructed with the profiler attached
  * (batched/async guest configurations are not resumable and are

@@ -2,7 +2,7 @@
  * @file
  * CRC32C (Castagnoli) checksums for trace framing and checkpoints.
  *
- * The binary trace format (SGB2) protects every block payload and
+ * The framed binary trace formats protect every block payload and
  * every block header with a CRC32C so a reader can validate a block
  * before dispatching a single event from it, and checkpoint files are
  * whole-body checksummed so a torn write is detected instead of

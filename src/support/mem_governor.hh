@@ -21,9 +21,9 @@
  * ungoverned runs stay bit-identical to pre-governor behaviour.
  *
  * Thread safety: charge/release/overBudget are lock-free atomics and
- * may be called from any thread (the async analysis consumer, the
- * async writer, sigild workers). Peaks are maintained with CAS-max loops, so the
- * reported peak is exact even under concurrent charging.
+ * may be called from any thread (the async analysis consumer, sigild
+ * workers). Peaks are maintained with CAS-max loops, so the reported
+ * peak is exact even under concurrent charging.
  */
 
 #ifndef SIGIL_SUPPORT_MEM_GOVERNOR_HH

@@ -3,15 +3,14 @@
  * Stall watchdog for the parallel subsystems.
  *
  * Every long-lived worker thread — sigild query workers, the async
- * analysis consumer, the background trace writer — registers itself
- * as an entity and then reports liveness with three cheap
- * atomic operations: busy() when it picks up work, beat() as it makes
- * progress, idle() when it blocks waiting for more. A monitor thread
- * samples the heartbeats and flags any entity that has been busy
- * without advancing its beat counter for longer than the configured
- * deadline: a worker wedged inside its work, as opposed to one parked
- * on an empty queue (idle entities are never flagged — blocking for
- * input is not a stall).
+ * analysis consumer — registers itself as an entity and then reports
+ * liveness with three cheap atomic operations: busy() when it picks up
+ * work, beat() as it makes progress, idle() when it blocks waiting for
+ * more. A monitor thread samples the heartbeats and flags any entity
+ * that has been busy without advancing its beat counter for longer
+ * than the configured deadline: a worker wedged inside its work, as
+ * opposed to one parked on an empty queue (idle entities are never
+ * flagged — blocking for input is not a stall).
  *
  * On a stall the monitor assembles a structured StallReport — the
  * stalled entity, the deadline, and a diagnostic line from every

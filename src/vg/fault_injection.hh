@@ -12,8 +12,7 @@
  * never crash, always account for the loss in the ReplayReport.
  *
  * Block-targeted kinds use scanSgb2Blocks() to aim at real frame
- * boundaries; byte-level kinds work on any input (including SGB1 and
- * text traces).
+ * boundaries; byte-level kinds work on any input.
  */
 
 #ifndef SIGIL_VG_FAULT_INJECTION_HH
@@ -30,8 +29,8 @@ enum class FaultKind
     BitFlips,       ///< flip 1..8 random bits anywhere in the image
     Truncate,       ///< cut the image at a random offset
     GarbageBurst,   ///< overwrite a random run with random bytes
-    DuplicateBlock, ///< repeat one SGB2 frame (stale-block path)
-    ReorderBlocks,  ///< swap two adjacent SGB2 event frames
+    DuplicateBlock, ///< repeat one frame (stale-block path)
+    ReorderBlocks,  ///< swap two adjacent event frames
 };
 
 /** Human-readable kind name ("bit-flips", "truncate", ...). */
@@ -53,7 +52,7 @@ struct FaultPlan
     /**
      * Corrupt a trace image in place. Block-targeted kinds fall back
      * to byte-level damage when the image has no (or too few) valid
-     * SGB2 frames, so apply() always changes something on non-trivial
+     * SGB2/SGB3 frames, so apply() always changes something on non-trivial
      * input. Returns a description of what was done (for test
      * diagnostics), e.g. "bit-flips: 3 bits in [1042, 1812)".
      */

@@ -148,15 +148,8 @@ GuestConfig::validate() const
                      std::string message) -> std::optional<GuestConfigError> {
         return GuestConfigError{knob, std::move(message)};
     };
-    char detail[96];
     if (eventBufferEvents == 0)
         return reject("eventBufferEvents", "must be at least 1");
-    if (asyncWriter && writerQueueFrames < 2) {
-        std::snprintf(detail, sizeof(detail),
-                      "must be at least 2 with asyncWriter (got %zu)",
-                      writerQueueFrames);
-        return reject("writerQueueFrames", detail);
-    }
     return std::nullopt;
 }
 
@@ -169,7 +162,7 @@ Guest::Guest(std::string program_name, const GuestConfig &config)
     governor_ =
         std::make_shared<sigil::MemoryGovernor>(config.memoryBudgetBytes);
     if (config.stallTimeoutMs > 0)
-        watchdog_ = std::make_shared<sigil::Watchdog>(config.stallTimeoutMs);
+        watchdog_ = std::make_unique<sigil::Watchdog>(config.stallTimeoutMs);
     inputFn_ = functions_.intern("*input*");
     threads_.push_back(ThreadCtx{{}, kStackBase});
     batching_ = config.batchEvents || config.asyncTools;

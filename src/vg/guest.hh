@@ -107,21 +107,6 @@ struct GuestConfig
     std::size_t eventBufferEvents = 4096;
 
     /**
-     * Background trace writer: a BinaryTraceRecorder attached to this
-     * guest moves frame serialization — CRC32C and, for SGB3, LZ
-     * compression — onto a dedicated writer thread fed by a bounded
-     * frame queue. The guest thread only appends to the current block
-     * and enqueues finished blocks; when the queue is full it blocks
-     * (backpressure) rather than buffering unboundedly. The bytes
-     * written are bit-identical to synchronous recording. Purely
-     * advisory to recording tools.
-     */
-    bool asyncWriter = false;
-
-    /** Capacity of the async writer's frame queue (min 2). */
-    std::size_t writerQueueFrames = 16;
-
-    /**
      * Process-wide memory budget, in bytes, enforced by the guest's
      * MemoryGovernor (support/mem_governor.hh). Accounted against it:
      * shadow chunks (hot + cold + stamp tables) and event buffers.
@@ -135,11 +120,11 @@ struct GuestConfig
 
     /**
      * Stall deadline, in milliseconds, for the watchdog
-     * (support/watchdog.hh) over every worker thread this guest's
-     * subsystems spawn: the async analysis consumer and the background
-     * trace writer. A worker busy without progress
-     * for longer than this fails the run with a structured diagnostic
-     * report. 0 (the default) disables the watchdog.
+     * (support/watchdog.hh) over the one worker thread a guest spawns:
+     * the async analysis consumer (asyncTools). A consumer busy
+     * without progress for longer than this fails the run with a
+     * structured diagnostic report. 0 (the default) disables the
+     * watchdog.
      */
     unsigned stallTimeoutMs = 0;
 
@@ -187,30 +172,21 @@ class Guest
 
     /**
      * The guest's stall watchdog, or nullptr when stallTimeoutMs is 0.
-     * Worker threads of attached subsystems register here.
+     * The async analysis consumer registers here.
      */
     sigil::Watchdog *watchdog() const { return watchdog_.get(); }
 
-    /** @name Shared ownership of the governor and watchdog
-     *
-     * Tools routinely outlive the guest they were attached to (tests
-     * tear the guest down first), so any subsystem that must reach the
-     * governor or watchdog from its own destructor — the profiler's
-     * shadow releasing its chunk charge, the async trace writer
-     * unregistering its heartbeat — keeps one of these shared handles
-     * instead of the raw pointer.
+    /**
+     * Shared ownership of the governor. Tools routinely outlive the
+     * guest they were attached to (tests tear the guest down first),
+     * so a subsystem that must reach the governor from its own
+     * destructor — the profiler's shadow releasing its chunk charge —
+     * keeps this shared handle instead of the raw pointer.
      */
-    /// @{
     std::shared_ptr<sigil::MemoryGovernor> governorShared() const
     {
         return governor_;
     }
-
-    std::shared_ptr<sigil::Watchdog> watchdogShared() const
-    {
-        return watchdog_;
-    }
-    /// @}
 
     FunctionRegistry &functions() { return functions_; }
     const FunctionRegistry &functions() const { return functions_; }
@@ -527,10 +503,11 @@ class Guest
 
     /** Declared before pipeline_ (and destroyed after it): the
      *  pipeline's consumer thread heartbeats into the watchdog and the
-     *  governor until it is joined. Shared so subsystems that outlive
-     *  the guest (see governorShared()) keep them alive. */
+     *  governor until it is joined. The governor is shared so
+     *  subsystems that outlive the guest (see governorShared()) keep
+     *  it alive. */
     std::shared_ptr<sigil::MemoryGovernor> governor_;
-    std::shared_ptr<sigil::Watchdog> watchdog_;
+    std::unique_ptr<sigil::Watchdog> watchdog_;
     /** Event-buffer bytes charged to the governor (released in dtor). */
     std::size_t bufferBytesCharged_ = 0;
 

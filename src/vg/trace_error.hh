@@ -37,8 +37,8 @@ enum class TraceErrorCause
     BadMagic,       ///< file does not start with a known magic
     BadVersion,     ///< known magic, unsupported version
     Truncated,      ///< stream ended inside a record or block
-    HeaderCrc,      ///< block header checksum mismatch (SGB2)
-    PayloadCrc,     ///< block payload checksum mismatch (SGB2)
+    HeaderCrc,      ///< block header checksum mismatch
+    PayloadCrc,     ///< block payload checksum mismatch
     VarintOverflow, ///< varint longer than 10 bytes / 64 bits
     BoundsExceeded, ///< record claims more bytes than its block holds
     UnknownSection, ///< unrecognized section tag
@@ -93,7 +93,7 @@ struct ReplayOptions
 /**
  * Accounting of one replay: what was delivered, what was lost, and
  * why. In salvage mode `eventsDelivered + eventsSkipped` equals the
- * recorded event total whenever the trailer (or SGB2 block headers
+ * recorded event total whenever the trailer (or the block headers
  * past the damage) could be read; `truncated` flags the case where the
  * tail is simply gone and the loss cannot be bounded from the file.
  */
@@ -133,13 +133,12 @@ struct ReplayReport
     /** True when the stream ended before the end marker. */
     bool truncated = false;
     /**
-     * True when the recorder's clean-shutdown trailer frame was seen
-     * (SGB2/SGB3 only): the recording process reached finish() and
+     * True when the recorder's clean-shutdown trailer frame was seen:
+     * the recording process reached finish() and
      * flushed everything, as opposed to crashing or being killed
      * mid-run. A salvageable file without this flag is a crash
      * capture — every fully-framed event is still recovered, but the
-     * tail of the run is missing by construction. Always false for
-     * SGB1 and text traces, which predate the trailer.
+     * tail of the run is missing by construction.
      */
     bool cleanShutdown = false;
 

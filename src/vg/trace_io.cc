@@ -1,19 +1,11 @@
 #include "trace_io.hh"
 
-#include <atomic>
 #include <cerrno>
-#include <charconv>
-#include <condition_variable>
-#include <cstdio>
 #include <cstring>
-#include <deque>
 #include <fstream>
 #include <istream>
-#include <mutex>
 #include <optional>
 #include <ostream>
-#include <sstream>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -28,27 +20,17 @@
 #include "support/crc32c.hh"
 #include "support/logging.hh"
 #include "support/lz.hh"
-#include "support/watchdog.hh"
 
 namespace sigil::vg {
 
 namespace {
 
-/** Flush the text formatting buffer once it crosses this size. */
-constexpr std::size_t kTextFlushBytes = 64 * 1024;
-
-constexpr char kSgb1Magic[4] = {'S', 'G', 'B', '1'};
 constexpr char kSgb2Magic[4] = {'S', 'G', 'B', '2'};
 constexpr char kSgb3Magic[4] = {'S', 'G', 'B', '3'};
+/** The unframed format of early releases; rejected with a named error. */
+constexpr char kSgb1Magic[4] = {'S', 'G', 'B', '1'};
 
-/** @name SGB1 section tags */
-/// @{
-constexpr std::uint8_t kSecEnd = 0x00;
-constexpr std::uint8_t kSecFunction = 0x01;
-constexpr std::uint8_t kSecBlock = 0x02;
-/// @}
-
-/** @name SGB2 frame tags */
+/** @name Frame tags (SGB2 and SGB3) */
 /// @{
 constexpr std::uint8_t kTagEnd = 0x00;
 constexpr std::uint8_t kTagFunctions = 0x01;
@@ -57,7 +39,7 @@ constexpr std::uint8_t kTagEvents = 0x02;
  * Clean-shutdown trailer: written by finish() immediately before the
  * end frame, payload = varint total event count. Its presence proves
  * the recorder reached finish() and flushed everything; a salvaged
- * file without it is a crash capture (docs/FORMATS.md §3.4). Readers
+ * file without it is a crash capture (docs/FORMATS.md §3.3). Readers
  * predating this tag skip it as an unknown-but-valid frame.
  */
 constexpr std::uint8_t kTagShutdown = 0x03;
@@ -86,7 +68,7 @@ constexpr std::size_t kMinFrameBytes3 = 4 + 1 + 4 + 1 + 1 + 8;
 /** SGB3 header flags: payload stored LZ-compressed (support/lz.hh). */
 constexpr std::uint8_t kFrameFlagCompressed = 0x01;
 
-/** Payloads below this are never worth a compression attempt (SGB3). */
+/** Payloads below this are never worth a compression attempt. */
 constexpr std::size_t kMinCompressBytes = 32;
 
 inline const unsigned char *
@@ -107,7 +89,7 @@ constexpr std::uint64_t kMaxNameLen = std::uint64_t{1} << 20;
 constexpr std::uint64_t kMaxAccessSize = std::uint64_t{1} << 30;
 constexpr std::uint64_t kMaxThreads = std::uint64_t{1} << 16;
 
-/** @name Binary event opcodes (shared by SGB1 and SGB2) */
+/** @name Binary event opcodes (shared by SGB2 and SGB3) */
 /// @{
 constexpr std::uint8_t kOpRead = 1;
 constexpr std::uint8_t kOpWrite = 2;
@@ -153,15 +135,6 @@ unzigzag(std::uint64_t v)
 {
     return static_cast<std::int64_t>(v >> 1) ^
            -static_cast<std::int64_t>(v & 1);
-}
-
-void
-putUint(std::string &out, std::uint64_t v)
-{
-    char tmp[20];
-    auto [ptr, ec] = std::to_chars(tmp, tmp + sizeof(tmp), v);
-    (void)ec;
-    out.append(tmp, ptr);
 }
 
 /** Internal error transport; never escapes the public replay API. */
@@ -725,371 +698,27 @@ decodeFramePayload(std::string_view payload, std::uint64_t payload_off,
 } // namespace
 
 // ---------------------------------------------------------------------
-// Text recorder
-// ---------------------------------------------------------------------
-
-TraceRecorder::TraceRecorder(std::ostream &os) : os_(os)
-{
-    buf_.reserve(kTextFlushBytes + 256);
-}
-
-void
-TraceRecorder::attach(const Guest &guest)
-{
-    Tool::attach(guest);
-    buf_ += "sigil-trace\t1\n";
-    buf_ += "program\t";
-    buf_ += guest.programName();
-    buf_ += '\n';
-}
-
-void
-TraceRecorder::maybeFlush()
-{
-    if (buf_.size() >= kTextFlushBytes) {
-        os_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
-        buf_.clear();
-    }
-}
-
-void
-TraceRecorder::put(char tag)
-{
-    buf_ += tag;
-    buf_ += '\n';
-    ++events_;
-    maybeFlush();
-}
-
-void
-TraceRecorder::put(char tag, std::uint64_t v0)
-{
-    buf_ += tag;
-    buf_ += '\t';
-    putUint(buf_, v0);
-    buf_ += '\n';
-    ++events_;
-    maybeFlush();
-}
-
-void
-TraceRecorder::put(char tag, std::uint64_t v0, std::uint64_t v1)
-{
-    buf_ += tag;
-    buf_ += '\t';
-    putUint(buf_, v0);
-    buf_ += '\t';
-    putUint(buf_, v1);
-    buf_ += '\n';
-    ++events_;
-    maybeFlush();
-}
-
-void
-TraceRecorder::ensureFunction(FunctionId fn)
-{
-    std::size_t idx = static_cast<std::size_t>(fn);
-    if (idx >= emitted_.size())
-        emitted_.resize(idx + 1, false);
-    if (emitted_[idx])
-        return;
-    emitted_[idx] = true;
-    buf_ += "F\t";
-    putUint(buf_, static_cast<std::uint64_t>(static_cast<std::uint32_t>(fn)));
-    buf_ += '\t';
-    buf_ += guest_->functions().name(fn);
-    buf_ += '\n';
-}
-
-void
-TraceRecorder::fnEnter(ContextId ctx, CallNum call)
-{
-    (void)call;
-    FunctionId fn = guest_->contexts().function(ctx);
-    ensureFunction(fn);
-    put('E', static_cast<std::uint64_t>(static_cast<std::uint32_t>(fn)));
-}
-
-void
-TraceRecorder::fnLeave(ContextId ctx, CallNum call)
-{
-    (void)ctx;
-    (void)call;
-    put('L');
-}
-
-void
-TraceRecorder::memRead(Addr addr, unsigned size)
-{
-    put('R', addr, size);
-}
-
-void
-TraceRecorder::memWrite(Addr addr, unsigned size)
-{
-    put('W', addr, size);
-}
-
-void
-TraceRecorder::op(std::uint64_t iops, std::uint64_t flops)
-{
-    put('O', iops, flops);
-}
-
-void
-TraceRecorder::branch(bool taken)
-{
-    put('B', taken ? 1 : 0);
-}
-
-void
-TraceRecorder::threadSwitch(ThreadId tid)
-{
-    put('T', tid);
-}
-
-void
-TraceRecorder::barrier()
-{
-    put('Z');
-}
-
-void
-TraceRecorder::roi(bool active)
-{
-    put('I', active ? 1 : 0);
-}
-
-void
-TraceRecorder::processBatch(const EventBuffer &batch)
-{
-    for (std::size_t i = 0, n = batch.size(); i < n; ++i) {
-        std::uint64_t a = batch.a(i);
-        std::uint64_t b = batch.b(i);
-        switch (batch.kind(i)) {
-          case EventKind::kRead:
-            put('R', a, b);
-            break;
-          case EventKind::kWrite:
-            put('W', a, b);
-            break;
-          case EventKind::kOp:
-            put('O', a, b);
-            break;
-          case EventKind::kBranch:
-            put('B', a ? 1 : 0);
-            break;
-          case EventKind::kEnter: {
-            FunctionId fn = static_cast<FunctionId>(a);
-            ensureFunction(fn);
-            put('E', a);
-            break;
-          }
-          case EventKind::kLeave:
-            put('L');
-            break;
-          case EventKind::kThreadSwitch:
-            put('T', a);
-            break;
-          case EventKind::kBarrier:
-            put('Z');
-            break;
-          case EventKind::kRoi:
-            put('I', a ? 1 : 0);
-            break;
-        }
-    }
-}
-
-void
-TraceRecorder::finish()
-{
-    if (finished_)
-        return;
-    finished_ = true;
-    buf_ += "end\n";
-    os_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
-    buf_.clear();
-    os_.flush();
-}
-
-// ---------------------------------------------------------------------
 // Binary recorder
 // ---------------------------------------------------------------------
 
-/**
- * Background writer (GuestConfig::asyncWriter): a bounded frame queue
- * between the guest thread and one writer thread. The guest thread
- * only moves a finished block's bytes into the queue; the writer
- * thread does everything writeFrame() does — compression, both CRCs,
- * the stream writes — so in async mode it is the sole user of comp_,
- * blockSeq_, and os_ after the header. push() blocks while the queue
- * is at capacity, so a slow disk exerts backpressure on the guest
- * instead of ballooning the heap. Frames drain strictly FIFO: the
- * bytes on disk are identical to synchronous recording.
- */
-struct BinaryTraceRecorder::AsyncWriter
-{
-    struct Job
-    {
-        std::uint8_t tag = 0;
-        std::string payload;
-        std::uint64_t firstEvent = 0;
-        std::uint64_t eventCount = 0;
-    };
-
-    AsyncWriter(BinaryTraceRecorder &rec, std::size_t capacity,
-                std::shared_ptr<Watchdog> watchdog)
-        : rec_(rec), capacity_(capacity < 2 ? 2 : capacity),
-          dog_(std::move(watchdog))
-    {
-        if (dog_ != nullptr) {
-            dogId_ = dog_->registerEntity(
-                "trace-writer", Watchdog::StallAction::Fail, [this] {
-                    char buf[80];
-                    std::snprintf(
-                        buf, sizeof(buf),
-                        "queue depth=%zu, frames written=%llu",
-                        depthApprox_.load(std::memory_order_relaxed),
-                        static_cast<unsigned long long>(
-                            framesWritten_.load(
-                                std::memory_order_relaxed)));
-                    return std::string(buf);
-                });
-        }
-        thread_ = std::thread([this] { run(); });
-    }
-
-    ~AsyncWriter() { shutdown(); }
-
-    /** Enqueue one finished frame; blocks while the queue is full. */
-    void
-    push(std::uint8_t tag, std::string &&payload,
-         std::uint64_t first_event, std::uint64_t event_count)
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        cvSpace_.wait(lock,
-                      [this] { return queue_.size() < capacity_; });
-        queue_.push_back(
-            Job{tag, std::move(payload), first_event, event_count});
-        std::size_t depth = queue_.size();
-        depthApprox_.store(depth, std::memory_order_relaxed);
-        if (depth > depthPeak_.load(std::memory_order_relaxed))
-            depthPeak_.store(depth, std::memory_order_relaxed);
-        cvWork_.notify_one();
-    }
-
-    /** Drain every queued frame, then join the thread. Idempotent. */
-    void
-    shutdown()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            stop_ = true;
-        }
-        cvWork_.notify_all();
-        if (thread_.joinable())
-            thread_.join();
-        if (dog_ != nullptr) {
-            dog_->unregisterEntity(dogId_);
-            dog_ = nullptr;
-        }
-    }
-
-    std::uint64_t
-    depthPeak() const
-    {
-        return depthPeak_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    void
-    run()
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        for (;;) {
-            if (dog_ != nullptr)
-                dog_->idle(dogId_);
-            cvWork_.wait(lock,
-                         [this] { return stop_ || !queue_.empty(); });
-            if (queue_.empty()) // stop requested and fully drained
-                return;
-            if (dog_ != nullptr)
-                dog_->busy(dogId_);
-            Job job = std::move(queue_.front());
-            queue_.pop_front();
-            depthApprox_.store(queue_.size(),
-                               std::memory_order_relaxed);
-            cvSpace_.notify_one();
-            lock.unlock();
-            rec_.writeFrame(job.tag, job.payload, job.firstEvent,
-                            job.eventCount);
-            framesWritten_.fetch_add(1, std::memory_order_relaxed);
-            if (dog_ != nullptr)
-                dog_->beat(dogId_);
-            lock.lock();
-        }
-    }
-
-    BinaryTraceRecorder &rec_;
-    const std::size_t capacity_;
-    /** Shared: unregistration in shutdown() may run after the guest. */
-    std::shared_ptr<Watchdog> dog_;
-    int dogId_ = -1;
-    std::mutex mu_;
-    std::condition_variable cvWork_;
-    std::condition_variable cvSpace_;
-    std::deque<Job> queue_;
-    std::atomic<std::size_t> depthApprox_{0};
-    std::atomic<std::uint64_t> depthPeak_{0};
-    std::atomic<std::uint64_t> framesWritten_{0};
-    bool stop_ = false;
-    std::thread thread_;
-};
-
 BinaryTraceRecorder::BinaryTraceRecorder(std::ostream &os,
-                                         TraceFormat format,
                                          std::size_t block_events)
-    : os_(os), format_(format), maxBlockEvents_(block_events)
+    : os_(os), maxBlockEvents_(block_events)
 {
     if (maxBlockEvents_ == 0)
         fatal("binary trace: block size must be at least 1 event");
-}
-
-BinaryTraceRecorder::~BinaryTraceRecorder()
-{
-    // finish() is the orderly path; without it, still drain whatever
-    // was queued so the destructor never abandons a running thread.
-    if (writer_)
-        writer_->shutdown();
-}
-
-std::uint64_t
-BinaryTraceRecorder::writerQueuePeak() const
-{
-    return writer_ ? writer_->depthPeak() : 0;
 }
 
 void
 BinaryTraceRecorder::attach(const Guest &guest)
 {
     Tool::attach(guest);
-    const char *magic = format_ == TraceFormat::SGB1   ? kSgb1Magic
-                        : format_ == TraceFormat::SGB2 ? kSgb2Magic
-                                                       : kSgb3Magic;
-    std::string header(magic, 4);
+    std::string header(kSgb3Magic, 4);
     putVarint(header, 1); // version
     const std::string &name = guest.programName();
     putVarint(header, name.size());
     header += name;
     os_.write(header.data(), static_cast<std::streamsize>(header.size()));
-    // SGB1 has no frame boundary a writer thread could hand off at,
-    // so the async knob only engages for the framed formats.
-    if (guest.config().asyncWriter && format_ != TraceFormat::SGB1) {
-        writer_ = std::make_unique<AsyncWriter>(
-            *this, guest.config().writerQueueFrames,
-            guest.watchdogShared());
-    }
 }
 
 void
@@ -1101,10 +730,8 @@ BinaryTraceRecorder::ensureFunction(FunctionId fn)
     if (emitted_[idx])
         return;
     emitted_[idx] = true;
-    // SGB1 tags each record as its own section; SGB2 accumulates bare
-    // records into one function-block payload framed by flushBlock().
-    if (format_ == TraceFormat::SGB1)
-        pendingFns_.push_back(static_cast<char>(kSecFunction));
+    // Bare records accumulate into one function-block payload, framed
+    // by flushBlock() ahead of the events that reference them.
     putVarint(pendingFns_,
               static_cast<std::uint64_t>(static_cast<std::uint32_t>(fn)));
     const std::string &name = guest_->functions().name(fn);
@@ -1117,10 +744,9 @@ BinaryTraceRecorder::writeFrame(std::uint8_t tag, std::string_view payload,
                                 std::uint64_t first_event,
                                 std::uint64_t event_count)
 {
-    const bool sgb3 = format_ == TraceFormat::SGB3;
     const std::uint64_t raw_len = payload.size();
     bool compressed = false;
-    if (sgb3 && payload.size() >= kMinCompressBytes) {
+    if (payload.size() >= kMinCompressBytes) {
         // Cap at size-1: a frame is stored compressed only when that
         // actually saves bytes, so replay can reject any compressed
         // frame whose payload is not smaller than its raw length.
@@ -1133,17 +759,14 @@ BinaryTraceRecorder::writeFrame(std::uint8_t tag, std::string_view payload,
         }
     }
     std::string hdr;
-    hdr.append(reinterpret_cast<const char *>(frameSync(sgb3)), 4);
+    hdr.append(reinterpret_cast<const char *>(kFrameSync3), 4);
     hdr.push_back(static_cast<char>(tag));
     putVarint(hdr, blockSeq_++);
     putVarint(hdr, first_event);
     putVarint(hdr, event_count);
     putVarint(hdr, payload.size());
-    if (sgb3) {
-        hdr.push_back(
-            static_cast<char>(compressed ? kFrameFlagCompressed : 0));
-        putVarint(hdr, raw_len);
-    }
+    hdr.push_back(static_cast<char>(compressed ? kFrameFlagCompressed : 0));
+    putVarint(hdr, raw_len);
     putU32le(hdr, crc32c(payload.data(), payload.size()));
     putU32le(hdr, crc32c(hdr.data(), hdr.size()));
     // Publish the frame with a single stream write. Split header and
@@ -1158,45 +781,19 @@ BinaryTraceRecorder::writeFrame(std::uint8_t tag, std::string_view payload,
 }
 
 void
-BinaryTraceRecorder::emitFrame(std::uint8_t tag, std::string &payload,
-                               std::uint64_t first_event,
-                               std::uint64_t event_count)
-{
-    if (writer_) {
-        writer_->push(tag, std::move(payload), first_event, event_count);
-        payload = std::string(); // moved-from: leave it reusable
-    } else {
-        writeFrame(tag, payload, first_event, event_count);
-    }
-}
-
-void
 BinaryTraceRecorder::flushBlock()
 {
     std::uint64_t first_event = events_ - blockEvents_;
     if (!pendingFns_.empty()) {
-        if (format_ == TraceFormat::SGB1) {
-            os_.write(pendingFns_.data(),
-                      static_cast<std::streamsize>(pendingFns_.size()));
-        } else {
-            emitFrame(kTagFunctions, pendingFns_, first_event, 0);
-        }
+        writeFrame(kTagFunctions, pendingFns_, first_event, 0);
         pendingFns_.clear();
     }
     if (blockEvents_ == 0)
         return;
-    if (format_ == TraceFormat::SGB1) {
-        std::string frame;
-        frame.push_back(static_cast<char>(kSecBlock));
-        putVarint(frame, blockEvents_);
-        os_.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-        os_.write(block_.data(), static_cast<std::streamsize>(block_.size()));
-    } else {
-        emitFrame(kTagEvents, block_, first_event, blockEvents_);
-        // Each SGB2 block must decode independently (salvage can drop
-        // any predecessor), so the address delta chain restarts here.
-        prevAddr_ = 0;
-    }
+    writeFrame(kTagEvents, block_, first_event, blockEvents_);
+    // Each block must decode independently (salvage can drop any
+    // predecessor), so the address delta chain restarts here.
+    prevAddr_ = 0;
     block_.clear();
     blockEvents_ = 0;
 }
@@ -1346,25 +943,17 @@ BinaryTraceRecorder::finish()
         return;
     finished_ = true;
     flushBlock();
-    if (format_ == TraceFormat::SGB1) {
-        char end = static_cast<char>(kSecEnd);
-        os_.write(&end, 1);
-    } else {
-        // Clean-shutdown trailer: its presence tells replay the
-        // recorder reached finish() and flushed everything, so a
-        // salvageable file without it is a crash capture. A killed
-        // process never gets here, which is exactly the signal.
-        std::string shutdown;
-        putVarint(shutdown, events_);
-        emitFrame(kTagShutdown, shutdown, events_, 0);
-        // The end frame doubles as the trailer: firstEventSeq is the
-        // total event count, giving salvage replays the ground truth
-        // for their skipped-vs-delivered accounting.
-        std::string empty;
-        emitFrame(kTagEnd, empty, events_, 0);
-    }
-    if (writer_)
-        writer_->shutdown();
+    // Clean-shutdown trailer: its presence tells replay the recorder
+    // reached finish() and flushed everything, so a salvageable file
+    // without it is a crash capture. A killed process never gets
+    // here, which is exactly the signal.
+    std::string shutdown;
+    putVarint(shutdown, events_);
+    writeFrame(kTagShutdown, shutdown, events_, 0);
+    // The end frame doubles as the trailer: firstEventSeq is the total
+    // event count, giving salvage replays the ground truth for their
+    // skipped-vs-delivered accounting.
+    writeFrame(kTagEnd, {}, events_, 0);
     os_.flush();
 }
 
@@ -1383,7 +972,6 @@ struct BinaryReplaySession::Impl
     std::size_t pos = 0;       ///< offset of the next frame
     std::uint64_t streamPos = 0; ///< next expected event sequence
     std::uint64_t eventBlocks = 0;
-    bool sgb1 = false;
     bool sgb3 = false;
     bool done = false;
     bool finished = false;
@@ -1421,12 +1009,6 @@ struct BinaryReplaySession::Impl
     start()
     {
         if (data.size() >= 4 &&
-            std::memcmp(data.data(), kSgb1Magic, 4) == 0) {
-            sgb1 = true;
-            pos = 4;
-            return;
-        }
-        if (data.size() >= 4 &&
             (std::memcmp(data.data(), kSgb2Magic, 4) == 0 ||
              std::memcmp(data.data(), kSgb3Magic, 4) == 0)) {
             sgb3 = data[3] == '3';
@@ -1451,7 +1033,11 @@ struct BinaryReplaySession::Impl
         TraceError e;
         e.cause = TraceErrorCause::BadMagic;
         e.byteOffset = 0;
-        e.detail = "not a binary sigil trace";
+        e.detail = data.size() >= 4 &&
+                           std::memcmp(data.data(), kSgb1Magic, 4) == 0
+                       ? "SGB1 is a legacy trace format this reader no "
+                         "longer supports; re-record the trace"
+                       : "not an SGB2/SGB3 sigil trace";
         fail(std::move(e));
         // Salvage can still mine a damaged preamble for valid frames:
         // every frame is self-describing. With the magic gone, let the
@@ -1506,10 +1092,6 @@ struct BinaryReplaySession::Impl
     {
         if (done)
             return false;
-        if (sgb1) {
-            stepSgb1();
-            return !done;
-        }
         if (pos >= data.size()) {
             if (!report.sawTrailer) {
                 TraceError e;
@@ -1688,62 +1270,6 @@ struct BinaryReplaySession::Impl
         return !done;
     }
 
-    /**
-     * SGB1 has no frame boundaries to step or salvage by: process the
-     * entire stream in one step. Damage ends the replay at the last
-     * decodable event — reported, never fatal.
-     */
-    void
-    stepSgb1()
-    {
-        done = true;
-        Cursor c(data.data() + pos, data.size() - pos, pos, -1,
-                 TraceErrorCause::Truncated);
-        try {
-            std::uint64_t version = c.varint();
-            if (version != 1)
-                raiseError(TraceErrorCause::BadVersion, pos, -1,
-                           "unsupported version " +
-                               std::to_string(version));
-            c.bytes(c.varint()); // program name — informational
-            std::uint64_t prev_addr = 0;
-            for (;;) {
-                std::uint64_t at = c.offset();
-                std::uint8_t sec = c.u8();
-                if (sec == kSecEnd) {
-                    report.sawTrailer = true;
-                    report.totalEventsRecorded = report.eventsDelivered;
-                    break;
-                }
-                if (sec == kSecFunction) {
-                    std::uint64_t id = c.varint();
-                    ctx.fnMap[id] =
-                        guest.functions().intern(c.bytes(c.varint()));
-                    continue;
-                }
-                if (sec != kSecBlock)
-                    raiseError(TraceErrorCause::UnknownSection, at, -1,
-                               "section tag " + std::to_string(sec));
-                std::uint64_t count = c.varint();
-                if (count > c.remaining())
-                    raiseError(TraceErrorCause::Truncated, at, -1,
-                               "block claims more events than bytes "
-                               "remain");
-                for (std::uint64_t i = 0; i < count; ++i) {
-                    PreEvent ev;
-                    decodeEvent(c, prev_addr, -1, ev);
-                    ctx.deliverEvent(ev, -1);
-                }
-                ++report.blocksDelivered;
-                ++eventBlocks;
-            }
-        } catch (TraceAbort &a) {
-            report.truncated = a.err.cause == TraceErrorCause::Truncated;
-            fail(std::move(a.err));
-        }
-        pos = data.size();
-    }
-
     ReplayReport
     finishReplay()
     {
@@ -1866,7 +1392,7 @@ BinaryReplaySession::restoreReaderState(ByteSource &src)
         std::uint64_t id = src.varint();
         s.ctx.fnMap[id] = s.guest.functions().intern(src.str());
     }
-    if (!src.ok() || s.sgb1 || pos > s.data.size()) {
+    if (!src.ok() || pos > s.data.size()) {
         s.done = true;
         return false;
     }
@@ -2161,299 +1687,6 @@ DurableTraceWriter::finalize()
 // Replay entry points
 // ---------------------------------------------------------------------
 
-namespace {
-
-/**
- * Structured text replay shared by the strict legacy wrapper and the
- * fault-tolerant overload. Tracks the 1-based line number and the
- * absolute byte offset of every line so each rejection names its
- * position and the offending token.
- */
-ReplayReport
-replayTextTrace(std::istream &is, Guest &guest,
-                const ReplayOptions &opts)
-{
-    ReplayReport report;
-    ReplayCtx ctx{guest, opts.policy, report, {}, 0};
-    std::string line;
-    bool saw_header = false;
-    std::uint64_t line_no = 0;
-    std::uint64_t offset = 0;
-
-    // Returns true when the line was consumed (or skipped in salvage);
-    // false when a strict error should stop the loop.
-    auto reject = [&](TraceErrorCause cause, std::string detail,
-                      bool counts_event) {
-        TraceError e;
-        e.cause = cause;
-        e.byteOffset = offset;
-        e.line = line_no;
-        e.detail = std::move(detail);
-        if (opts.policy == ReplayPolicy::Salvage) {
-            ctx.recordError(e, opts.maxRecordedErrors);
-            if (counts_event)
-                ++report.eventsSkipped;
-            report.bytesSkipped += line.size() + 1;
-            return true;
-        }
-        report.error = std::move(e);
-        return false;
-    };
-
-    while (std::getline(is, line)) {
-        ++line_no;
-        std::uint64_t this_offset = offset;
-        offset += line.size() + 1;
-        (void)this_offset;
-        if (line.empty() || line[0] == '#')
-            continue;
-        if (!saw_header) {
-            if (line.rfind("sigil-trace\t1", 0) != 0) {
-                offset -= line.size() + 1;
-                if (!reject(TraceErrorCause::BadMagic,
-                            "not a sigil trace header: '" + line + "'",
-                            false)) {
-                    return report;
-                }
-                offset += line.size() + 1;
-                // Without a header this is not a trace at all — even
-                // salvage gives up rather than replay random text.
-                report.truncated = true;
-                return report;
-            }
-            saw_header = true;
-            continue;
-        }
-        offset -= line.size() + 1; // report positions at line start
-        char tag = line[0];
-        const char *rest = line.c_str() + (line.size() > 1 ? 2 : 1);
-        bool ok = true;
-        switch (tag) {
-          case 'p': // program line — informational
-            break;
-          case 'F': {
-            char *end = nullptr;
-            long id = std::strtol(rest, &end, 10);
-            if (end == rest || *end != '\t') {
-                ok = reject(TraceErrorCause::BadRecord,
-                            "bad function record: token '" +
-                                std::string(rest) + "'",
-                            false);
-                break;
-            }
-            ctx.fnMap[static_cast<std::uint64_t>(id)] =
-                guest.functions().intern(end + 1);
-            break;
-          }
-          case 'E': {
-            char *end = nullptr;
-            long id = std::strtol(rest, &end, 10);
-            if (end == rest) {
-                ok = reject(TraceErrorCause::BadRecord,
-                            "bad enter record: token '" +
-                                std::string(rest) + "'",
-                            true);
-                break;
-            }
-            auto it = ctx.fnMap.find(static_cast<std::uint64_t>(id));
-            if (it == ctx.fnMap.end()) {
-                if (opts.policy != ReplayPolicy::Salvage) {
-                    ok = reject(TraceErrorCause::UnknownFunction,
-                                "unknown function id " +
-                                    std::to_string(id),
-                                true);
-                    break;
-                }
-                guest.enter(ctx.resolveFunction(
-                    static_cast<std::uint64_t>(id), offset, -1));
-            } else {
-                guest.enter(it->second);
-            }
-            ++report.eventsDelivered;
-            break;
-          }
-          case 'L':
-            if (guest.callDepth() == 0) {
-                if (opts.policy == ReplayPolicy::Salvage) {
-                    ++report.leavesDropped;
-                    ++report.eventsDelivered;
-                    break;
-                }
-                ok = reject(TraceErrorCause::BadRecord,
-                            "leave with empty call stack", true);
-                break;
-            }
-            guest.leave();
-            ++report.eventsDelivered;
-            break;
-          case 'R':
-          case 'W': {
-            char *end = nullptr;
-            unsigned long long addr = std::strtoull(rest, &end, 10);
-            if (end == rest || *end != '\t') {
-                ok = reject(TraceErrorCause::BadRecord,
-                            "bad access record: token '" +
-                                std::string(rest) + "'",
-                            true);
-                break;
-            }
-            unsigned long size = std::strtoul(end + 1, nullptr, 10);
-            if (!accessRecordOk(addr, size)) {
-                ok = reject(TraceErrorCause::BadRecord,
-                            accessRecordError(addr, size), true);
-                break;
-            }
-            if (guest.callDepth() == 0) {
-                ok = reject(TraceErrorCause::BadRecord,
-                            "access outside any function", true);
-                break;
-            }
-            if (tag == 'R')
-                guest.read(static_cast<Addr>(addr),
-                           static_cast<unsigned>(size));
-            else
-                guest.write(static_cast<Addr>(addr),
-                            static_cast<unsigned>(size));
-            ++report.eventsDelivered;
-            break;
-          }
-          case 'O': {
-            char *end = nullptr;
-            unsigned long long iops = std::strtoull(rest, &end, 10);
-            if (end == rest || *end != '\t') {
-                ok = reject(TraceErrorCause::BadRecord,
-                            "bad op record: token '" +
-                                std::string(rest) + "'",
-                            true);
-                break;
-            }
-            unsigned long long flops = std::strtoull(end + 1, nullptr, 10);
-            if (guest.callDepth() == 0) {
-                ok = reject(TraceErrorCause::BadRecord,
-                            "op outside any function", true);
-                break;
-            }
-            if (iops)
-                guest.iop(iops);
-            if (flops)
-                guest.flop(flops);
-            ++report.eventsDelivered;
-            break;
-          }
-          case 'B':
-            if (guest.callDepth() == 0) {
-                ok = reject(TraceErrorCause::BadRecord,
-                            "branch outside any function", true);
-                break;
-            }
-            guest.branch(rest[0] == '1');
-            ++report.eventsDelivered;
-            break;
-          case 'T': {
-            char *end = nullptr;
-            unsigned long tid = std::strtoul(rest, &end, 10);
-            if (end == rest || tid >= kMaxThreads) {
-                ok = reject(TraceErrorCause::BadRecord,
-                            "bad thread-switch record: token '" +
-                                std::string(rest) + "'",
-                            true);
-                break;
-            }
-            while (guest.numThreads() <= tid)
-                guest.spawnThread();
-            guest.switchThread(static_cast<ThreadId>(tid));
-            ++report.eventsDelivered;
-            break;
-          }
-          case 'Z':
-            guest.barrier();
-            ++report.eventsDelivered;
-            break;
-          case 'I': {
-            bool begin = rest[0] == '1';
-            if (guest.inRoi() == begin) {
-                if (opts.policy == ReplayPolicy::Salvage) {
-                    ++report.roiDropped;
-                    ++report.eventsDelivered;
-                    break;
-                }
-                ok = reject(TraceErrorCause::BadRecord,
-                            begin ? "nested roi begin"
-                                  : "roi end outside roi",
-                            true);
-                break;
-            }
-            if (begin)
-                guest.roiBegin();
-            else
-                guest.roiEnd();
-            ++report.eventsDelivered;
-            break;
-          }
-          case 'e':
-            if (line == "end") {
-                report.sawTrailer = true;
-                break;
-            }
-            ok = reject(TraceErrorCause::BadRecord,
-                        "unknown record tag 'e' in line '" + line + "'",
-                        true);
-            break;
-          default:
-            ok = reject(TraceErrorCause::BadRecord,
-                        "unknown record tag '" + std::string(1, tag) +
-                            "'",
-                        true);
-            break;
-        }
-        offset += line.size() + 1;
-        if (!ok)
-            return report;
-        if (report.sawTrailer)
-            break;
-    }
-    if (!saw_header) {
-        TraceError e;
-        e.cause = TraceErrorCause::BadMagic;
-        e.byteOffset = 0;
-        e.line = line_no;
-        e.detail = "empty input";
-        report.error = std::move(e);
-        return report;
-    }
-    if (!report.sawTrailer) {
-        report.truncated = true;
-        if (opts.policy != ReplayPolicy::Salvage) {
-            TraceError e;
-            e.cause = TraceErrorCause::Truncated;
-            e.byteOffset = offset;
-            e.line = line_no;
-            e.detail = "missing 'end' marker";
-            report.error = std::move(e);
-            return report;
-        }
-    }
-    guest.finish();
-    return report;
-}
-
-} // namespace
-
-std::uint64_t
-replayTrace(std::istream &is, Guest &guest)
-{
-    ReplayReport report = replayTextTrace(is, guest, ReplayOptions{});
-    if (report.error.has_value())
-        fatal("trace replay: %s", report.error->message().c_str());
-    return report.eventsDelivered;
-}
-
-ReplayReport
-replayTrace(std::istream &is, Guest &guest, const ReplayOptions &options)
-{
-    return replayTextTrace(is, guest, options);
-}
-
 ReplayReport
 replayBinaryTrace(std::istream &is, Guest &guest,
                   const ReplayOptions &options)
@@ -2473,56 +1706,12 @@ replayBinaryTrace(std::istream &is, Guest &guest)
     return report.eventsDelivered;
 }
 
-namespace {
-
-bool
-hasBinaryMagic(std::string_view data)
-{
-    return data.size() >= 4 &&
-           (std::memcmp(data.data(), kSgb1Magic, 4) == 0 ||
-            std::memcmp(data.data(), kSgb2Magic, 4) == 0 ||
-            std::memcmp(data.data(), kSgb3Magic, 4) == 0);
-}
-
-/** Zero-copy istream over an existing buffer (text replay on a view). */
-struct ViewBuf : std::streambuf
-{
-    explicit ViewBuf(std::string_view v)
-    {
-        char *p = const_cast<char *>(v.data());
-        setg(p, p, p + v.size());
-    }
-};
-
-ReplayReport
-replayFromView(std::string_view data, Guest &guest,
-               const ReplayOptions &options)
-{
-    if (hasBinaryMagic(data)) {
-        BinaryReplaySession session(data, guest, options);
-        while (session.step()) {
-        }
-        return session.finish();
-    }
-    ViewBuf buf(data);
-    std::istream is(&buf);
-    return replayTrace(is, guest, options);
-}
-
-} // namespace
-
 std::uint64_t
 replayTraceFile(const std::string &path, Guest &guest)
 {
-    MappedTraceFile file(path);
-    if (!file.ok())
-        fatal("%s", file.errorDetail().c_str());
-    bool binary = hasBinaryMagic(file.view());
-    ReplayReport report =
-        replayFromView(file.view(), guest, ReplayOptions{});
+    ReplayReport report = replayTraceFile(path, guest, ReplayOptions{});
     if (report.error.has_value())
-        fatal(binary ? "binary trace: %s" : "trace replay: %s",
-              report.error->message().c_str());
+        fatal("binary trace: %s", report.error->message().c_str());
     return report.eventsDelivered;
 }
 
@@ -2539,7 +1728,10 @@ replayTraceFile(const std::string &path, Guest &guest,
         report.error = std::move(e);
         return report;
     }
-    return replayFromView(file.view(), guest, options);
+    BinaryReplaySession session(file.view(), guest, options);
+    while (session.step()) {
+    }
+    return session.finish();
 }
 
 std::vector<Sgb2BlockInfo>
@@ -2587,16 +1779,6 @@ scanSgb2Blocks(std::string_view trace)
             break;
     }
     return blocks;
-}
-
-std::uint64_t
-convertTextTraceToBinary(std::istream &text, std::ostream &bin,
-                         const std::string &program, TraceFormat format)
-{
-    Guest guest(program);
-    BinaryTraceRecorder recorder(bin, format);
-    guest.addTool(&recorder);
-    return replayTrace(text, guest);
 }
 
 } // namespace sigil::vg

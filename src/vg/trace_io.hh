@@ -2,26 +2,26 @@
  * @file
  * Raw guest-event trace recording and replay.
  *
- * TraceRecorder is a Tool that streams the primitive event sequence
- * (function enters/leaves, reads, writes, ops, branches, thread
- * switches, barriers, ROI marks) plus the function name table to a text
- * file. BinaryTraceRecorder writes the same sequence in a block-framed
- * binary format — legacy "SGB1" (varint fields, zigzag-delta addresses)
- * or the hardened "SGB2" default, which adds a per-block frame header
- * with an explicit payload length and CRC32C checksums over both the
- * header and the payload, so a reader validates every block before
- * dispatching a single event from it.
+ * BinaryTraceRecorder is a Tool that streams the primitive event
+ * sequence (function enters/leaves, reads, writes, ops, branches,
+ * thread switches, barriers, ROI marks) plus the function name table in
+ * the block-framed "SGB3" format: each block carries a frame header
+ * with an explicit payload length, CRC32C checksums over both the
+ * header and the payload, and an LZ-compressed payload whenever that
+ * is smaller, so a reader validates every block before dispatching a
+ * single event from it.
  *
- * replayTrace()/replayBinaryTrace() drive a fresh Guest — with any set
- * of analysis tools attached — through exactly the same event sequence;
- * replayTraceFile() sniffs the format. The ReplayOptions overloads add
- * fault tolerance: under ReplayPolicy::Salvage a damaged region is
- * skipped, the reader resynchronizes on the next valid SGB2 block
- * header, guest state is reconciled, and the loss is quantified in the
- * returned ReplayReport instead of killing the process. This is the
- * paper's "collect once" model taken to its limit: one expensive
- * instrumented run can feed any number of later analyses, so the
- * recorded trace is the artifact that must survive.
+ * replayBinaryTrace()/replayTraceFile() drive a fresh Guest — with any
+ * set of analysis tools attached — through exactly the same event
+ * sequence. They read SGB3 and the uncompressed "SGB2" framing that
+ * earlier releases wrote. The ReplayOptions overloads add fault
+ * tolerance: under ReplayPolicy::Salvage a damaged region is skipped,
+ * the reader resynchronizes on the next valid block header, guest
+ * state is reconciled, and the loss is quantified in the returned
+ * ReplayReport instead of killing the process. This is the paper's
+ * "collect once" model taken to its limit: one expensive instrumented
+ * run can feed any number of later analyses, so the recorded trace is
+ * the artifact that must survive.
  */
 
 #ifndef SIGIL_VG_TRACE_IO_HH
@@ -41,81 +41,20 @@
 
 namespace sigil::vg {
 
-/** Streams the raw event sequence to an output stream as text. */
-class TraceRecorder : public Tool
-{
-  public:
-    /** The stream must outlive the recorder. */
-    explicit TraceRecorder(std::ostream &os);
-
-    void attach(const Guest &guest) override;
-    void fnEnter(ContextId ctx, CallNum call) override;
-    void fnLeave(ContextId ctx, CallNum call) override;
-    void memRead(Addr addr, unsigned size) override;
-    void memWrite(Addr addr, unsigned size) override;
-    void op(std::uint64_t iops, std::uint64_t flops) override;
-    void branch(bool taken) override;
-    void threadSwitch(ThreadId tid) override;
-    void barrier() override;
-    void roi(bool active) override;
-    void finish() override;
-
-    /** Native batch consumer (avoids per-event virtual dispatch). */
-    void processBatch(const EventBuffer &batch) override;
-
-    /** Events written so far. */
-    std::uint64_t eventsWritten() const { return events_; }
-
-  private:
-    /** Emit the name-table entry for fn if not yet emitted. */
-    void ensureFunction(FunctionId fn);
-
-    /** Formatting buffer: one stream write per ~64 KiB, not per event. */
-    void put(char tag);
-    void put(char tag, std::uint64_t v0);
-    void put(char tag, std::uint64_t v0, std::uint64_t v1);
-    void maybeFlush();
-
-    std::ostream &os_;
-    std::string buf_;
-    std::vector<bool> emitted_;
-    std::uint64_t events_ = 0;
-    bool finished_ = false;
-};
-
-/** On-disk flavour of the binary trace. */
-enum class TraceFormat
-{
-    SGB1, ///< legacy unframed sections (no checksums, no lengths)
-    SGB2, ///< CRC32C-framed blocks with explicit lengths (default)
-    SGB3, ///< SGB2 framing + per-frame LZ block compression
-};
-
 /**
- * Streams the raw event sequence in a binary trace format.
+ * Streams the raw event sequence as an SGB3 trace, on the calling
+ * thread (docs/FORMATS.md §3):
  *
- * Both formats share the file preamble and the per-event encoding;
- * they differ in the block framing (see docs/FORMATS.md §3.1/§3.2):
- *
- *   SGB1:  "SGB1" magic, varint version, varint len + program name,
- *          then unframed sections: 0x01 function record, 0x02 event
- *          block (varint count + events), 0x00 end. The address delta
- *          chain persists across blocks.
- *
- *   SGB2:  "SGB2" magic, varint version, varint len + program name,
- *          then self-describing frames, each: 4 sync bytes, a tag
- *          byte, varint block sequence number, varint first event
- *          sequence, varint event count, varint payload length, the
- *          payload CRC32C, and a CRC32C over the frame header itself.
- *          The address delta chain resets at every block boundary so
- *          any block can be decoded (or skipped) independently.
- *
- *   SGB3:  SGB2 framing with distinct magic/sync bytes, a flags byte
- *          (bit 0: payload stored LZ-compressed, see support/lz.hh)
- *          and an uncompressed-length varint in each frame header.
- *          The CRCs cover the stored (possibly compressed) bytes, so
- *          frame validation never decompresses. Frames that do not
- *          shrink are stored raw. See docs/FORMATS.md §3.3.
+ *   "SGB3" magic, varint version, varint len + program name, then
+ *   self-describing frames, each: 4 sync bytes, a tag byte, varint
+ *   block sequence number, varint first event sequence, varint event
+ *   count, varint stored payload length, a flags byte (bit 0: payload
+ *   stored LZ-compressed, see support/lz.hh), varint uncompressed
+ *   length, the payload CRC32C, and a CRC32C over the frame header
+ *   itself. The CRCs cover the stored bytes, so frame validation never
+ *   decompresses; frames that do not shrink are stored raw. The
+ *   address delta chain resets at every block boundary so any block
+ *   can be decoded (or skipped) independently.
  *
  * Event encoding inside a block (one opcode byte each): reads/writes
  * carry a zigzag varint delta from the previous access address plus a
@@ -137,20 +76,8 @@ class BinaryTraceRecorder : public Tool
      *        interval granularity) at a small framing-overhead cost.
      */
     explicit BinaryTraceRecorder(std::ostream &os,
-                                 TraceFormat format = TraceFormat::SGB2,
                                  std::size_t block_events = kBlockEvents);
 
-    ~BinaryTraceRecorder() override;
-
-    /**
-     * Attaching to a guest whose GuestConfig::asyncWriter is set moves
-     * frame serialization — CRC32C and, for SGB3, LZ compression —
-     * onto a background writer thread fed by a bounded queue of
-     * finished blocks (GuestConfig::writerQueueFrames deep; a full
-     * queue blocks the guest thread as backpressure). The bytes that
-     * reach the stream are bit-identical to synchronous recording.
-     * finish() drains and joins the writer.
-     */
     void attach(const Guest &guest) override;
     void fnEnter(ContextId ctx, CallNum call) override;
     void fnLeave(ContextId ctx, CallNum call) override;
@@ -169,22 +96,7 @@ class BinaryTraceRecorder : public Tool
     /** Events written so far. */
     std::uint64_t eventsWritten() const { return events_; }
 
-    TraceFormat format() const { return format_; }
-
-    /** True when a background writer thread is active. */
-    bool asyncActive() const { return writer_ != nullptr; }
-
-    /**
-     * Deepest the async writer's frame queue ever got (0 in
-     * synchronous mode): how far the guest thread ran ahead of the
-     * writer before backpressure or the writer caught up.
-     */
-    std::uint64_t writerQueuePeak() const;
-
   private:
-    struct AsyncWriter;
-    friend struct AsyncWriter;
-
     void ensureFunction(FunctionId fn);
     void access(std::uint8_t opcode, Addr addr, unsigned size);
     void event(std::uint8_t opcode);
@@ -192,23 +104,18 @@ class BinaryTraceRecorder : public Tool
     void flushBlock();
     void writeFrame(std::uint8_t tag, std::string_view payload,
                     std::uint64_t first_event, std::uint64_t event_count);
-    /** Route one finished frame: enqueue (async) or write (sync). */
-    void emitFrame(std::uint8_t tag, std::string &payload,
-                   std::uint64_t first_event, std::uint64_t event_count);
 
     std::ostream &os_;
-    TraceFormat format_;
     std::size_t maxBlockEvents_;
     std::string block_;      ///< encoded events of the open block
     std::string pendingFns_; ///< fn records to emit before the block
-    std::string comp_;       ///< compression scratch buffer (SGB3)
+    std::string comp_;       ///< compression scratch buffer
     std::size_t blockEvents_ = 0;
-    std::uint64_t blockSeq_ = 0; ///< frames written (SGB2)
+    std::uint64_t blockSeq_ = 0; ///< frames written
     std::uint64_t prevAddr_ = 0;
     std::vector<bool> emitted_;
     std::uint64_t events_ = 0;
     bool finished_ = false;
-    std::unique_ptr<AsyncWriter> writer_;
 };
 
 /**
@@ -270,34 +177,19 @@ class DurableTraceWriter
 };
 
 /**
- * Replay a recorded text trace into a guest. The guest must be freshly
- * constructed; attach analysis tools before calling. Calls
- * guest.finish() at the trace's end.
- *
- * @return number of events replayed. fatal() on malformed input.
- */
-std::uint64_t replayTrace(std::istream &is, Guest &guest);
-
-/**
- * Fault-tolerant text replay. Strict stops (and reports) at the first
- * malformed line with its line number, byte offset, and offending
- * token; Salvage skips malformed lines and keeps replaying.
- */
-ReplayReport replayTrace(std::istream &is, Guest &guest,
-                         const ReplayOptions &options);
-
-/**
- * Replay a binary trace (SGB1 or SGB2, sniffed from the magic) into a
- * guest. fatal() on malformed input.
+ * Replay a binary trace (SGB2 or SGB3, sniffed from the magic) into a
+ * guest. The guest must be freshly constructed; attach analysis tools
+ * before calling. Calls guest.finish() at the trace's end. fatal() on
+ * malformed input; any other magic (a text trace or the legacy unframed
+ * format included) fails as TraceErrorCause::BadMagic.
  */
 std::uint64_t replayBinaryTrace(std::istream &is, Guest &guest);
 
 /**
- * Fault-tolerant binary replay. Under Salvage, SGB2 corruption is
- * skipped block-by-block (resynchronizing on the frame sync bytes) and
- * quantified in the report; SGB1 has no per-block framing to recover
- * with, so damage ends the replay at the last decodable event with the
- * loss flagged as truncation.
+ * Fault-tolerant binary replay. Strict stops (and reports) at the
+ * first error with its byte offset and block index; under Salvage,
+ * corruption is skipped block-by-block (resynchronizing on the frame
+ * sync bytes) and quantified in the report.
  */
 ReplayReport replayBinaryTrace(std::istream &is, Guest &guest,
                                const ReplayOptions &options);
@@ -340,7 +232,7 @@ class MappedTraceFile
     bool ok_ = false;
 };
 
-/** Replay from a file, sniffing text vs. binary format. */
+/** Replay a binary trace file (mapped when possible). */
 std::uint64_t replayTraceFile(const std::string &path, Guest &guest);
 
 /** Fault-tolerant variant of replayTraceFile(). */
@@ -348,11 +240,10 @@ ReplayReport replayTraceFile(const std::string &path, Guest &guest,
                              const ReplayOptions &options);
 
 /**
- * Incremental SGB2 replay: processes the trace one frame at a time so
- * a driver can interleave work between blocks — the checkpoint layer
- * uses this to snapshot replay state at block boundaries and to resume
- * a replay mid-stream. Also replays SGB1 (one step per section), but
- * without salvage or mid-stream resume.
+ * Incremental SGB2/SGB3 replay: processes the trace one frame at a
+ * time so a driver can interleave work between blocks — the
+ * checkpoint layer uses this to snapshot replay state at block
+ * boundaries and to resume a replay mid-stream.
  *
  * Each step() CRC-verifies, decompresses (SGB3) and decodes one frame
  * inline, then delivers its events in stream order (DESIGN.md §4.5).
@@ -405,7 +296,7 @@ class BinaryReplaySession
     /**
      * Serialize the reader-side replay state (position, function-id
      * map, accounting) so a checkpoint can resume mid-stream. Only
-     * meaningful at a step() boundary of an SGB2 trace.
+     * meaningful at a step() boundary.
      */
     void saveReaderState(ByteSink &sink) const;
 
@@ -442,19 +333,6 @@ struct Sgb2BlockInfo
  * an empty vector for input without framed blocks.
  */
 std::vector<Sgb2BlockInfo> scanSgb2Blocks(std::string_view trace);
-
-/**
- * Convert a text trace to the binary format by replaying it through a
- * BinaryTraceRecorder. The program name is the converted trace's header
- * (the text header's name is informational only).
- *
- * @return number of events converted.
- */
-std::uint64_t convertTextTraceToBinary(std::istream &text,
-                                       std::ostream &bin,
-                                       const std::string &program,
-                                       TraceFormat format
-                                       = TraceFormat::SGB2);
 
 } // namespace sigil::vg
 

@@ -4,14 +4,13 @@
  *
  * The centrepiece is the crash-kill sweep: a child process records a
  * trace through DurableTraceWriter and SIGKILLs itself at a
- * seed-dependent point mid-run, across SGB2/SGB3 and the synchronous
- * and async-writer paths. The parent then salvages the orphaned
+ * seed-dependent point mid-run. The parent then salvages the orphaned
  * `.tmp` file and asserts the recovery contract — every fully-framed
  * event in the file is delivered, nothing more, and the report says
- * the shutdown was not clean. Around it: async-vs-sync bit-identity
- * of the recorded bytes, the atomic tmp-file/rename publication
- * semantics of DurableTraceWriter, the clean-shutdown trailer on
- * intact traces, and ReplayReport::toString()/operator<< rendering.
+ * the shutdown was not clean. Around it: the atomic tmp-file/rename
+ * publication semantics of DurableTraceWriter, the clean-shutdown
+ * trailer on intact traces, and ReplayReport::toString()/operator<<
+ * rendering.
  */
 
 #include <gtest/gtest.h>
@@ -103,8 +102,6 @@ driveWorkload(vg::Guest &g, std::uint64_t seed, int steps,
 struct SweepParams
 {
     std::uint64_t seed;
-    vg::TraceFormat format;
-    bool async;
     int killStep;
 };
 
@@ -119,12 +116,8 @@ crashChild(const std::string &path, const SweepParams &p)
     vg::DurableTraceWriter durable(path, 1u << 14);
     if (!durable.ok())
         ::_exit(2);
-    vg::GuestConfig gc;
-    gc.asyncWriter = p.async;
-    gc.writerQueueFrames = 4;
-    vg::Guest g("crash", gc);
-    vg::BinaryTraceRecorder rec(durable.stream(), p.format,
-                                kBlockEvents);
+    vg::Guest g("crash");
+    vg::BinaryTraceRecorder rec(durable.stream(), kBlockEvents);
     g.addTool(&rec);
     driveWorkload(g, p.seed, 100000, p.killStep);
     ::_exit(3); // kill step never fired — a sweep bug, not a crash
@@ -184,9 +177,6 @@ TEST(CrashKillSweep, SalvageRecoversEveryFullyFramedEvent)
     for (int s = 0; s < kSeeds; ++s) {
         SweepParams p;
         p.seed = 7700 + static_cast<std::uint64_t>(s);
-        p.format = (s % 2 == 0) ? vg::TraceFormat::SGB2
-                                : vg::TraceFormat::SGB3;
-        p.async = (s / 2) % 2 == 0;
         // Land kills from "barely past the header" to "thousands of
         // events in", so the tail frame is cut at varied offsets.
         p.killStep = 20 + static_cast<int>(
@@ -237,40 +227,32 @@ TEST(CrashKillSweep, SalvageRecoversEveryFullyFramedEvent)
 
 TEST(DurableWriter, CleanRunPublishesFinalPathWithTrailer)
 {
-    for (vg::TraceFormat fmt :
-         {vg::TraceFormat::SGB2, vg::TraceFormat::SGB3}) {
-        std::string path = ::testing::TempDir() + "/clean_" +
-                           std::to_string(static_cast<int>(fmt)) +
-                           ".trace";
-        std::remove(path.c_str());
-        std::remove((path + ".tmp").c_str());
-        {
-            vg::DurableTraceWriter durable(path, 1u << 12);
-            ASSERT_TRUE(durable.ok()) << durable.errorDetail();
-            vg::GuestConfig gc;
-            gc.asyncWriter = true;
-            vg::Guest g("clean", gc);
-            vg::BinaryTraceRecorder rec(durable.stream(), fmt,
-                                        kBlockEvents);
-            g.addTool(&rec);
-            driveWorkload(g, 99, 3000);
-            ASSERT_TRUE(durable.finalize()) << durable.errorDetail();
-            // Idempotent: a second finalize is a no-op that succeeds.
-            EXPECT_TRUE(durable.finalize());
-            EXPECT_GE(durable.syncCount(), 2u); // interval + finalize
-        }
-        struct stat st;
-        EXPECT_EQ(::stat(path.c_str(), &st), 0);
-        EXPECT_NE(::stat((path + ".tmp").c_str(), &st), 0);
-
-        vg::ReplayReport report = salvageReplay(slurpFile(path));
-        EXPECT_TRUE(report.ok());
-        EXPECT_TRUE(report.sawTrailer);
-        EXPECT_TRUE(report.cleanShutdown);
-        EXPECT_EQ(report.eventsDelivered, report.totalEventsRecorded);
-        EXPECT_EQ(report.eventsSkipped, 0u);
-        std::remove(path.c_str());
+    std::string path = ::testing::TempDir() + "/clean.trace";
+    std::remove(path.c_str());
+    std::remove((path + ".tmp").c_str());
+    {
+        vg::DurableTraceWriter durable(path, 1u << 12);
+        ASSERT_TRUE(durable.ok()) << durable.errorDetail();
+        vg::Guest g("clean");
+        vg::BinaryTraceRecorder rec(durable.stream(), kBlockEvents);
+        g.addTool(&rec);
+        driveWorkload(g, 99, 3000);
+        ASSERT_TRUE(durable.finalize()) << durable.errorDetail();
+        // Idempotent: a second finalize is a no-op that succeeds.
+        EXPECT_TRUE(durable.finalize());
+        EXPECT_GE(durable.syncCount(), 2u); // interval + finalize
     }
+    struct stat st;
+    EXPECT_EQ(::stat(path.c_str(), &st), 0);
+    EXPECT_NE(::stat((path + ".tmp").c_str(), &st), 0);
+
+    vg::ReplayReport report = salvageReplay(slurpFile(path));
+    EXPECT_TRUE(report.ok());
+    EXPECT_TRUE(report.sawTrailer);
+    EXPECT_TRUE(report.cleanShutdown);
+    EXPECT_EQ(report.eventsDelivered, report.totalEventsRecorded);
+    EXPECT_EQ(report.eventsSkipped, 0u);
+    std::remove(path.c_str());
 }
 
 TEST(DurableWriter, NoFinalizeLeavesOnlyTmpFile)
@@ -301,67 +283,6 @@ TEST(DurableWriter, UnwritableDirectoryReportsError)
 }
 
 // ---------------------------------------------------------------------
-// Async writer: bit-identity and accounting
-// ---------------------------------------------------------------------
-
-std::string
-recordBytes(vg::TraceFormat fmt, bool async, std::uint64_t seed)
-{
-    std::ostringstream os(std::ios::binary);
-    vg::GuestConfig gc;
-    gc.asyncWriter = async;
-    gc.writerQueueFrames = 3;
-    vg::Guest g("ident", gc);
-    vg::BinaryTraceRecorder rec(os, fmt, kBlockEvents);
-    g.addTool(&rec);
-    driveWorkload(g, seed, 5000);
-    EXPECT_EQ(rec.asyncActive(), async && fmt != vg::TraceFormat::SGB1);
-    return os.str();
-}
-
-TEST(AsyncWriter, BytesBitIdenticalToSync)
-{
-    for (vg::TraceFormat fmt :
-         {vg::TraceFormat::SGB2, vg::TraceFormat::SGB3}) {
-        for (std::uint64_t seed : {11u, 12u, 13u}) {
-            std::string sync_bytes = recordBytes(fmt, false, seed);
-            std::string async_bytes = recordBytes(fmt, true, seed);
-            EXPECT_EQ(sync_bytes, async_bytes)
-                << "format " << static_cast<int>(fmt) << " seed "
-                << seed;
-        }
-    }
-}
-
-TEST(AsyncWriter, QueuePeakIsBoundedAndObserved)
-{
-    std::ostringstream os(std::ios::binary);
-    vg::GuestConfig gc;
-    gc.asyncWriter = true;
-    gc.writerQueueFrames = 3;
-    vg::Guest g("depth", gc);
-    vg::BinaryTraceRecorder rec(os, vg::TraceFormat::SGB3,
-                                kBlockEvents);
-    g.addTool(&rec);
-    driveWorkload(g, 21, 8000);
-    EXPECT_GE(rec.writerQueuePeak(), 1u);
-    EXPECT_LE(rec.writerQueuePeak(), 3u); // backpressure bound
-}
-
-TEST(AsyncWriter, Sgb1StaysSynchronous)
-{
-    std::ostringstream os(std::ios::binary);
-    vg::GuestConfig gc;
-    gc.asyncWriter = true;
-    vg::Guest g("sgb1", gc);
-    vg::BinaryTraceRecorder rec(os, vg::TraceFormat::SGB1);
-    g.addTool(&rec);
-    EXPECT_FALSE(rec.asyncActive());
-    EXPECT_EQ(rec.writerQueuePeak(), 0u);
-    driveWorkload(g, 5, 500);
-}
-
-// ---------------------------------------------------------------------
 // Report rendering
 // ---------------------------------------------------------------------
 
@@ -371,8 +292,7 @@ TEST(ReplayReportRender, ToStringAndStreamOperator)
     {
         std::ostringstream os(std::ios::binary);
         vg::Guest g("render");
-        vg::BinaryTraceRecorder rec(os, vg::TraceFormat::SGB2,
-                                    kBlockEvents);
+        vg::BinaryTraceRecorder rec(os, kBlockEvents);
         g.addTool(&rec);
         driveWorkload(g, 42, 2000);
         trace = os.str();

@@ -8,9 +8,9 @@
  * buffer (flush-boundary stress), and the asynchronous double-buffered
  * pipeline — and requires the serialized profiles and event traces to
  * be bitwise identical across all of them. Also covers the binary trace
- * format: round-trip against text recording (including text→binary
- * conversion and the replayTraceFile format sniff), and rejection of
- * garbage and truncated inputs.
+ * format: the recorder's output under batching, ROI round trips, the
+ * replayTraceFile format sniff (SGB3 as recorded and SGB2 transcoded
+ * from it), and rejection of garbage and truncated inputs.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +26,8 @@
 #include "support/rng.hh"
 #include "vg/guest.hh"
 #include "vg/trace_io.hh"
+
+#include "trace_fixtures.hh"
 
 namespace sigil {
 namespace {
@@ -280,14 +282,14 @@ TEST(EventBatch, SyncMakesToolStateCurrentMidRun)
 
 TEST(EventBatch, RecordersProduceIdenticalStreamsUnderBatching)
 {
-    // The text recorder must emit the same trace whether it sees
-    // per-event virtuals or batches (its native processBatch).
+    // The recorder must emit the same trace whether it sees per-event
+    // virtuals or batches (its native processBatch).
     auto record = [](bool batched) {
         vg::GuestConfig cfg;
         cfg.batchEvents = batched;
         vg::Guest g("recorder_diff", cfg);
-        std::ostringstream os;
-        vg::TraceRecorder rec(os);
+        std::ostringstream os(std::ios::binary);
+        vg::BinaryTraceRecorder rec(os);
         g.addTool(&rec);
         driveTrace(g, TraceParams{909, 0, 0, true, true, false});
         return os.str();
@@ -298,139 +300,74 @@ TEST(EventBatch, RecordersProduceIdenticalStreamsUnderBatching)
     EXPECT_GT(per_event.size(), 1000u);
 }
 
-/** Record one workload as both text and binary, per-event. */
-void
-recordBoth(const TraceParams &p, std::string &text, std::string &binary)
+/** Record one workload as a binary trace, per-event. */
+std::string
+recordBinary(const TraceParams &p)
 {
     vg::Guest g("trace_roundtrip");
-    std::ostringstream tos;
     std::ostringstream bos(std::ios::binary);
-    vg::TraceRecorder trec(tos);
     vg::BinaryTraceRecorder brec(bos);
-    g.addTool(&trec);
     g.addTool(&brec);
     driveTrace(g, p);
-    EXPECT_EQ(trec.eventsWritten(), brec.eventsWritten());
-    text = tos.str();
-    binary = bos.str();
-}
-
-/** Replay a trace into a profiler; serialize the profile. */
-std::string
-replayToProfile(const std::string &trace, bool binary)
-{
-    vg::Guest g("trace_roundtrip");
-    core::SigilProfiler prof;
-    g.addTool(&prof);
-    std::istringstream is(trace,
-                          binary ? std::ios::binary : std::ios::in);
-    std::uint64_t events = binary ? vg::replayBinaryTrace(is, g)
-                                  : vg::replayTrace(is, g);
-    EXPECT_GT(events, 1000u);
-    std::ostringstream pos;
-    core::writeProfile(pos, prof.takeProfile());
-    return pos.str();
-}
-
-TEST(BinaryTrace, RoundTripMatchesTextReplay)
-{
-    TraceParams p{1111, 0, 0, true, false, false};
-    std::string text, binary;
-    recordBoth(p, text, binary);
-
-    // Binary is the whole point: it must be substantially smaller.
-    EXPECT_LT(binary.size(), text.size() / 2);
-
-    std::string from_text = replayToProfile(text, false);
-    std::string from_binary = replayToProfile(binary, true);
-    EXPECT_EQ(from_text, from_binary);
-    EXPECT_GT(from_text.size(), 100u);
+    return bos.str();
 }
 
 TEST(BinaryTrace, RoiRoundTrips)
 {
-    // ROI marks survive both formats (the text format originally
-    // dropped them): an roiOnly profiler sees identical windows live,
-    // from text, and from binary.
+    // ROI marks survive the trace: an roiOnly profiler sees identical
+    // windows live and from the replayed binary trace.
     TraceParams p{2222, 0, 0, true, false, true};
 
     vg::Guest g("trace_roundtrip");
     core::SigilConfig scfg;
     scfg.roiOnly = true;
     core::SigilProfiler live(scfg);
-    std::ostringstream tos;
     std::ostringstream bos(std::ios::binary);
-    vg::TraceRecorder trec(tos);
     vg::BinaryTraceRecorder brec(bos);
     g.addTool(&live);
-    g.addTool(&trec);
     g.addTool(&brec);
     driveTrace(g, p);
 
     std::ostringstream live_pos;
     core::writeProfile(live_pos, live.takeProfile());
 
-    auto replay_roi = [](const std::string &trace, bool binary) {
-        vg::Guest rg("trace_roundtrip");
-        core::SigilConfig cfg;
-        cfg.roiOnly = true;
-        core::SigilProfiler prof(cfg);
-        rg.addTool(&prof);
-        std::istringstream is(trace, binary ? std::ios::binary
-                                            : std::ios::in);
-        if (binary)
-            vg::replayBinaryTrace(is, rg);
-        else
-            vg::replayTrace(is, rg);
-        std::ostringstream pos;
-        core::writeProfile(pos, prof.takeProfile());
-        return pos.str();
-    };
+    vg::Guest rg("trace_roundtrip");
+    core::SigilProfiler prof(scfg);
+    rg.addTool(&prof);
+    std::istringstream is(bos.str(), std::ios::binary);
+    vg::replayBinaryTrace(is, rg);
+    std::ostringstream pos;
+    core::writeProfile(pos, prof.takeProfile());
 
-    EXPECT_EQ(live_pos.str(), replay_roi(tos.str(), false));
-    EXPECT_EQ(live_pos.str(), replay_roi(bos.str(), true));
-}
-
-TEST(BinaryTrace, TextConversionMatchesDirectRecording)
-{
-    TraceParams p{3333, 6, 0, true, false, false};
-    std::string text, binary;
-    recordBoth(p, text, binary);
-
-    std::istringstream tin(text);
-    std::ostringstream bout(std::ios::binary);
-    std::uint64_t converted =
-        vg::convertTextTraceToBinary(tin, bout, "trace_roundtrip");
-    EXPECT_GT(converted, 1000u);
-
-    EXPECT_EQ(replayToProfile(binary, true),
-              replayToProfile(bout.str(), true));
+    EXPECT_EQ(live_pos.str(), pos.str());
 }
 
 TEST(BinaryTrace, FileSniffSelectsFormat)
 {
     TraceParams p{4444, 0, 0, false, false, false};
-    std::string text, binary;
-    recordBoth(p, text, binary);
+    std::string sgb3 = recordBinary(p);
+    std::string sgb2 = fixtures::sgb2FromSgb3(sgb3);
 
     std::string dir = ::testing::TempDir();
-    std::string text_path = dir + "/sniff_trace.txt";
-    std::string bin_path = dir + "/sniff_trace.sgb";
-    std::ofstream(text_path, std::ios::binary) << text;
-    std::ofstream(bin_path, std::ios::binary) << binary;
+    std::string sgb2_path = dir + "/sniff_trace.sgb2";
+    std::string sgb3_path = dir + "/sniff_trace.sgb3";
+    std::ofstream(sgb2_path, std::ios::binary) << sgb2;
+    std::ofstream(sgb3_path, std::ios::binary) << sgb3;
 
     auto replay_file = [](const std::string &path) {
         vg::Guest g("trace_roundtrip");
         core::SigilProfiler prof;
         g.addTool(&prof);
-        vg::replayTraceFile(path, g);
+        EXPECT_GT(vg::replayTraceFile(path, g), 1000u);
         std::ostringstream pos;
         core::writeProfile(pos, prof.takeProfile());
         return pos.str();
     };
-    EXPECT_EQ(replay_file(text_path), replay_file(bin_path));
-    std::remove(text_path.c_str());
-    std::remove(bin_path.c_str());
+    std::string from_sgb3 = replay_file(sgb3_path);
+    EXPECT_EQ(replay_file(sgb2_path), from_sgb3);
+    EXPECT_GT(from_sgb3.size(), 100u);
+    std::remove(sgb2_path.c_str());
+    std::remove(sgb3_path.c_str());
 }
 
 TEST(BinaryTraceDeath, RejectsGarbage)
@@ -445,8 +382,7 @@ TEST(BinaryTraceDeath, RejectsGarbage)
 TEST(BinaryTraceDeath, RejectsTruncation)
 {
     TraceParams p{5555, 0, 0, false, false, false};
-    std::string text, binary;
-    recordBoth(p, text, binary);
+    std::string binary = recordBinary(p);
     // A cut mid-block surfaces as a truncation or a corrupt record,
     // never as a silent partial replay.
     std::string truncated = binary.substr(0, binary.size() / 2);

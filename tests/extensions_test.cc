@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include "cdfg/dot_writer.hh"
@@ -231,11 +233,12 @@ TEST(TraceIo, ReplayReproducesIdenticalProfile)
     // model must reproduce the profile exactly.
     const workloads::Workload *w = workloads::findWorkload("swaptions");
 
-    std::stringstream trace;
+    std::stringstream trace(std::ios::in | std::ios::out |
+                            std::ios::binary);
     core::SigilProfile original;
     {
         vg::Guest g(w->name);
-        vg::TraceRecorder recorder(trace);
+        vg::BinaryTraceRecorder recorder(trace);
         core::SigilProfiler prof;
         g.addTool(&recorder);
         g.addTool(&prof);
@@ -247,7 +250,7 @@ TEST(TraceIo, ReplayReproducesIdenticalProfile)
     vg::Guest replayed("swaptions");
     core::SigilProfiler prof2;
     replayed.addTool(&prof2);
-    std::uint64_t events = vg::replayTrace(trace, replayed);
+    std::uint64_t events = vg::replayBinaryTrace(trace, replayed);
     EXPECT_GT(events, 1000u);
 
     core::ProfileDiff d =
@@ -259,11 +262,12 @@ TEST(TraceIo, ThreadedTraceReplaysExactly)
 {
     const workloads::Workload *w =
         workloads::findWorkload("dedup_parallel");
-    std::stringstream trace;
+    std::stringstream trace(std::ios::in | std::ios::out |
+                            std::ios::binary);
     core::SigilProfile original;
     {
         vg::Guest g(w->name);
-        vg::TraceRecorder recorder(trace);
+        vg::BinaryTraceRecorder recorder(trace);
         core::SigilProfiler prof;
         g.addTool(&recorder);
         g.addTool(&prof);
@@ -276,7 +280,7 @@ TEST(TraceIo, ThreadedTraceReplaysExactly)
     vg::Guest replayed(w->name);
     core::SigilProfiler prof2;
     replayed.addTool(&prof2);
-    vg::replayTrace(trace, replayed);
+    vg::replayBinaryTrace(trace, replayed);
     EXPECT_EQ(replayed.numThreads(), 4u);
 
     core::SigilProfile back = prof2.takeProfile();
@@ -291,37 +295,43 @@ TEST(TraceIo, ThreadedTraceReplaysExactly)
 
 TEST(TraceIo, ReplayRejectsGarbage)
 {
-    std::stringstream ss("not a trace\n");
+    // The file entry point reads only the framed binary formats; a
+    // trace in the text format of early releases is rejected as bad
+    // magic.
+    std::string path = ::testing::TempDir() + "/garbage.trace";
+    std::ofstream(path, std::ios::binary)
+        << "sigil-trace\t1\nprogram\tx\nF\t0\tmain\nE\t0\nL\nend\n";
     vg::Guest g("x");
-    EXPECT_EXIT(vg::replayTrace(ss, g), ::testing::ExitedWithCode(1),
-                "");
+    EXPECT_EXIT(vg::replayTraceFile(path, g), ::testing::ExitedWithCode(1),
+                "bad magic");
+    std::remove(path.c_str());
 }
 
 TEST(TraceIo, ReplayRejectsTruncation)
 {
-    std::stringstream full;
+    std::stringstream full(std::ios::in | std::ios::out | std::ios::binary);
     {
         vg::Guest g("t");
-        vg::TraceRecorder recorder(full);
+        vg::BinaryTraceRecorder recorder(full);
         g.addTool(&recorder);
         g.enter("main");
         g.iop(5);
         g.leave();
         g.finish();
     }
-    std::string text = full.str();
-    text.resize(text.size() - 5); // chop the "end" marker
-    std::stringstream cut(text);
+    std::string bytes = full.str();
+    bytes.resize(bytes.size() - 5); // chop into the end frame
+    std::stringstream cut(bytes, std::ios::in | std::ios::binary);
     vg::Guest g2("t");
-    EXPECT_EXIT(vg::replayTrace(cut, g2), ::testing::ExitedWithCode(1),
-                "");
+    EXPECT_EXIT(vg::replayBinaryTrace(cut, g2),
+                ::testing::ExitedWithCode(1), "");
 }
 
 TEST(TraceIo, RecorderCountsEvents)
 {
-    std::stringstream ss;
+    std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
     vg::Guest g("t");
-    vg::TraceRecorder recorder(ss);
+    vg::BinaryTraceRecorder recorder(ss);
     g.addTool(&recorder);
     g.enter("main");
     g.iop(1);
@@ -333,8 +343,12 @@ TEST(TraceIo, RecorderCountsEvents)
     g.finish();
     // enter + op + write + read + branch + leave = 6.
     EXPECT_EQ(recorder.eventsWritten(), 6u);
-    EXPECT_NE(ss.str().find("sigil-trace"), std::string::npos);
-    EXPECT_NE(ss.str().find("end"), std::string::npos);
+    EXPECT_EQ(ss.str().compare(0, 4, "SGB3"), 0);
+    // The trailer's end frame carries the same total.
+    std::vector<vg::Sgb2BlockInfo> frames = vg::scanSgb2Blocks(ss.str());
+    ASSERT_FALSE(frames.empty());
+    EXPECT_EQ(frames.back().tag, 0x00);
+    EXPECT_EQ(frames.back().firstEventSeq, 6u);
 }
 
 } // namespace

@@ -3,11 +3,12 @@
  * Differential suite for framed trace ingestion across formats and
  * dispatch modes.
  *
- * Replays the same randomized workloads recorded as SGB2 and
- * LZ-compressed SGB3 through a SigilProfiler in per-event and
- * asynchronous dispatch, and requires the
- * serialized profiles and event traces to be bitwise identical to the
- * per-event SGB2 reference. Also covers checkpoint / resume driven
+ * Replays the same randomized workloads recorded as LZ-compressed SGB3,
+ * and transcoded to the SGB2 framing of earlier releases
+ * (tests/trace_fixtures.hh), through a SigilProfiler in per-event and
+ * asynchronous dispatch, and requires the serialized profiles and
+ * event traces to be bitwise identical to the per-event SGB2
+ * reference. Also covers checkpoint / resume driven
  * straight from a file (mmap'd input) on compressed traces,
  * mmap-vs-stream replay equivalence, and the LZ block codec itself
  * (round-trip, incompressible fallback, bounds-checked rejection of
@@ -29,6 +30,8 @@
 #include "support/rng.hh"
 #include "vg/guest.hh"
 #include "vg/trace_io.hh"
+
+#include "trace_fixtures.hh"
 
 namespace sigil {
 namespace {
@@ -151,19 +154,17 @@ struct RecordedTraces
     std::string sgb3;
 };
 
-/** Record the same workload run in both framings simultaneously, so
- *  the two images carry the identical event stream. */
+/** Record the workload as SGB3 and transcode it to SGB2, so the two
+ *  images carry the identical event stream. */
 RecordedTraces
 recordTraces(const TraceParams &p, std::size_t block_events = 256)
 {
     vg::Guest g("pardec");
-    std::ostringstream o2(std::ios::binary), o3(std::ios::binary);
-    vg::BinaryTraceRecorder r2(o2, vg::TraceFormat::SGB2, block_events);
-    vg::BinaryTraceRecorder r3(o3, vg::TraceFormat::SGB3, block_events);
-    g.addTool(&r2);
+    std::ostringstream o3(std::ios::binary);
+    vg::BinaryTraceRecorder r3(o3, block_events);
     g.addTool(&r3);
     driveTrace(g, p);
-    return {o2.str(), o3.str()};
+    return {fixtures::sgb2FromSgb3(o3.str()), o3.str()};
 }
 
 /** How replayed events reach the analysis tools. */

@@ -138,11 +138,12 @@ TEST_P(StressEverything, InvariantsHoldUnderChaos)
 TEST_P(StressEverything, RecordReplayIsLossless)
 {
     Rng rng(GetParam() * 17);
-    std::stringstream trace;
+    std::stringstream trace(std::ios::in | std::ios::out |
+                            std::ios::binary);
     core::SigilProfile original;
     {
         vg::Guest g("stress");
-        vg::TraceRecorder recorder(trace);
+        vg::BinaryTraceRecorder recorder(trace);
         core::SigilProfiler prof;
         g.addTool(&recorder);
         g.addTool(&prof);
@@ -152,7 +153,7 @@ TEST_P(StressEverything, RecordReplayIsLossless)
     vg::Guest g2("stress");
     core::SigilProfiler prof2;
     g2.addTool(&prof2);
-    vg::replayTrace(trace, g2);
+    vg::replayBinaryTrace(trace, g2);
     core::ProfileDiff d = core::diffProfiles(original,
                                              prof2.takeProfile());
     EXPECT_TRUE(d.identical()) << d.describe();

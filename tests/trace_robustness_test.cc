@@ -2,15 +2,17 @@
  * @file
  * Robustness suite for the hardened trace-ingestion path.
  *
- * Exercises the ingestion contract end to end: SGB2 framing round-trips
- * and back-compat with SGB1, bounds-checked decoding of adversarial
- * bytes (including CRC-valid frames with hostile payloads), salvage
- * recovery from truncation at every byte offset and from any single
- * corrupted block (SGB2 and compressed SGB3), the deterministic
- * fault-injection sweep ("never crash, always account"),
- * checkpoint/resume bit-identity
- * across the shadow configurations, the shadow-pressure degradation
- * ladder, and the structured line/offset error reporting of the text
+ * Exercises the ingestion contract end to end: the recorded SGB3
+ * framing and the SGB2 framing of earlier releases (transcoded from the
+ * same recording, tests/trace_fixtures.hh) replay identically, legacy
+ * SGB1 and text traces fail cleanly as bad magic, bounds-checked
+ * decoding of adversarial bytes (including CRC-valid frames with
+ * hostile payloads), salvage recovery from truncation at every byte
+ * offset and from any single corrupted block, the deterministic
+ * fault-injection sweep ("never crash, always account") in both
+ * framings, checkpoint/resume bit-identity across the shadow
+ * configurations, the shadow-pressure degradation ladder, and the
+ * structured line/offset error reporting of the profile and event
  * parsers.
  */
 
@@ -34,8 +36,12 @@
 #include "vg/guest.hh"
 #include "vg/trace_io.hh"
 
+#include "trace_fixtures.hh"
+
 namespace sigil {
 namespace {
+
+using namespace fixtures;
 
 /** Silence expected warnings (salvage resyncs, frame unwinds). */
 class QuietLogs
@@ -161,39 +167,33 @@ driveTrace(vg::Guest &g, const TraceParams &p, int steps)
     g.finish();
 }
 
-/** Record the workload as a binary trace. */
+/** The framings replay reads: SGB3 as recorded, SGB2 transcoded. */
+enum class Framing
+{
+    SGB2,
+    SGB3,
+};
+
+/** The framings the salvage and fault-injection suites sweep. */
+constexpr Framing kFramedFormats[] = {Framing::SGB2, Framing::SGB3};
+
 std::string
-recordTrace(const TraceParams &p, vg::TraceFormat format,
+formatName(Framing framing)
+{
+    return framing == Framing::SGB3 ? "SGB3" : "SGB2";
+}
+
+/** Record the workload as an SGB3 trace, transcoded when asked. */
+std::string
+recordTrace(const TraceParams &p, Framing framing,
             std::size_t block_events, int steps = 1500)
 {
     vg::Guest g("robust");
     std::ostringstream bos(std::ios::binary);
-    vg::BinaryTraceRecorder rec(bos, format, block_events);
+    vg::BinaryTraceRecorder rec(bos, block_events);
     g.addTool(&rec);
     driveTrace(g, p, steps);
-    return bos.str();
-}
-
-/** The CRC-framed formats the salvage suite sweeps. */
-constexpr vg::TraceFormat kFramedFormats[] = {vg::TraceFormat::SGB2,
-                                              vg::TraceFormat::SGB3};
-
-std::string
-formatName(vg::TraceFormat format)
-{
-    return format == vg::TraceFormat::SGB3 ? "SGB3" : "SGB2";
-}
-
-/** Record the workload as a text trace. */
-std::string
-recordTextTrace(const TraceParams &p, int steps = 300)
-{
-    vg::Guest g("robust");
-    std::ostringstream tos;
-    vg::TraceRecorder rec(tos);
-    g.addTool(&rec);
-    driveTrace(g, p, steps);
-    return tos.str();
+    return framing == Framing::SGB2 ? sgb2FromSgb3(bos.str()) : bos.str();
 }
 
 struct ReplayOutcome
@@ -243,76 +243,11 @@ recordedTotal(const std::string &trace)
     return 0;
 }
 
-// ---------------------------------------------------------------------
-// Test-local SGB2 frame builder (mirrors BinaryTraceRecorder's layout)
-// ---------------------------------------------------------------------
-
-void
-putVarintS(std::string &out, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        out.push_back(static_cast<char>(v | 0x80));
-        v >>= 7;
-    }
-    out.push_back(static_cast<char>(v));
-}
-
-void
-putU32leS(std::string &out, std::uint32_t v)
-{
-    out.push_back(static_cast<char>(v));
-    out.push_back(static_cast<char>(v >> 8));
-    out.push_back(static_cast<char>(v >> 16));
-    out.push_back(static_cast<char>(v >> 24));
-}
-
-std::uint64_t
-zigzagS(std::int64_t v)
-{
-    return (static_cast<std::uint64_t>(v) << 1) ^
-           static_cast<std::uint64_t>(v >> 63);
-}
-
-/** Build one CRC-valid SGB2 frame around an arbitrary payload. */
-std::string
-makeFrame(std::uint8_t tag, std::uint64_t block_seq,
-          std::uint64_t first_event, std::uint64_t event_count,
-          const std::string &payload)
-{
-    std::string f;
-    f.push_back(static_cast<char>(0xa7));
-    f.push_back('S');
-    f.push_back('B');
-    f.push_back(static_cast<char>(0xb2));
-    f.push_back(static_cast<char>(tag));
-    putVarintS(f, block_seq);
-    putVarintS(f, first_event);
-    putVarintS(f, event_count);
-    putVarintS(f, payload.size());
-    putU32leS(f, crc32c(payload.data(), payload.size()));
-    putU32leS(f, crc32c(f.data(), f.size()));
-    f += payload;
-    return f;
-}
-
-std::string
-tracePreamble(const std::string &name)
-{
-    std::string t = "SGB2";
-    putVarintS(t, 1);
-    putVarintS(t, name.size());
-    t += name;
-    return t;
-}
-
-// Opcodes and tags as documented in docs/FORMATS.md §3.2.
+// Opcodes as documented in docs/FORMATS.md §3.
 constexpr std::uint8_t kOpRead = 1;
 constexpr std::uint8_t kOpOp = 3;
 constexpr std::uint8_t kOpEnter = 6;
 constexpr std::uint8_t kOpLeave = 7;
-constexpr std::uint8_t kTagEnd = 0x00;
-constexpr std::uint8_t kTagFunctions = 0x01;
-constexpr std::uint8_t kTagEvents = 0x02;
 
 /** A hand-built trace: fn table, one good block, one hostile block
  *  (CRC-valid), one good block, trailer. */
@@ -321,25 +256,25 @@ craftedTrace(const std::string &evil_payload, std::uint64_t evil_events)
 {
     std::string t = tracePreamble("robust");
     std::string fns;
-    putVarintS(fns, 0);
-    putVarintS(fns, 4);
+    putVarint(fns, 0);
+    putVarint(fns, 4);
     fns += "main";
     t += makeFrame(kTagFunctions, 0, 0, 0, fns);
 
     std::string good1;
     good1.push_back(static_cast<char>(kOpEnter));
-    putVarintS(good1, 0);
+    putVarint(good1, 0);
     good1.push_back(static_cast<char>(kOpRead));
-    putVarintS(good1, zigzagS(static_cast<std::int64_t>(vg::kHeapBase)));
-    putVarintS(good1, 8);
+    putVarint(good1, zigzag(static_cast<std::int64_t>(vg::kHeapBase)));
+    putVarint(good1, 8);
     t += makeFrame(kTagEvents, 1, 0, 2, good1);
 
     t += makeFrame(kTagEvents, 2, 2, evil_events, evil_payload);
 
     std::string good2;
     good2.push_back(static_cast<char>(kOpOp));
-    putVarintS(good2, 4);
-    putVarintS(good2, 1);
+    putVarint(good2, 4);
+    putVarint(good2, 1);
     good2.push_back(static_cast<char>(kOpLeave));
     t += makeFrame(kTagEvents, 3, 2 + evil_events, 2, good2);
 
@@ -359,65 +294,143 @@ replayRaw(const std::string &trace, vg::ReplayPolicy policy)
 }
 
 // ---------------------------------------------------------------------
-// SGB2 round-trip and back-compat
+// SGB2 compatibility and legacy inputs
 // ---------------------------------------------------------------------
 
-TEST(Sgb2Format, RoundTripMatchesSgb1AndScans)
+TEST(Sgb2Format, TranscodedSgb2ReplaysLikeItsSgb3Source)
 {
     TraceParams p{11, 0, 0, true, true, false};
-    vg::Guest g("robust");
-    std::ostringstream b1(std::ios::binary), b2(std::ios::binary);
-    vg::BinaryTraceRecorder r1(b1, vg::TraceFormat::SGB1, 128);
-    vg::BinaryTraceRecorder r2(b2, vg::TraceFormat::SGB2, 128);
-    g.addTool(&r1);
-    g.addTool(&r2);
-    driveTrace(g, p, 1500);
-    EXPECT_EQ(r1.eventsWritten(), r2.eventsWritten());
+    const std::string sgb3 = recordTrace(p, Framing::SGB3, 128);
+    const std::string sgb2 = sgb2FromSgb3(sgb3);
+    ASSERT_EQ(sgb3.compare(0, 4, "SGB3"), 0);
+    ASSERT_EQ(sgb2.compare(0, 4, "SGB2"), 0);
 
-    ReplayOutcome o1 =
-        replayBinary(b1.str(), p, vg::ReplayPolicy::Strict);
-    ReplayOutcome o2 =
-        replayBinary(b2.str(), p, vg::ReplayPolicy::Strict);
-    EXPECT_TRUE(o1.report.ok());
-    EXPECT_TRUE(o2.report.ok());
-    EXPECT_TRUE(o2.report.sawTrailer);
-    EXPECT_FALSE(o2.report.sawCorruption());
-    EXPECT_EQ(o2.report.eventsDelivered, o2.report.totalEventsRecorded);
-    EXPECT_EQ(o1.profile, o2.profile);
-    EXPECT_EQ(o1.events, o2.events);
-    EXPECT_GT(o2.profile.size(), 100u);
+    ReplayOutcome o3 = replayBinary(sgb3, p, vg::ReplayPolicy::Strict);
+    ReplayOutcome o2 = replayBinary(sgb2, p, vg::ReplayPolicy::Strict);
+    EXPECT_TRUE(o3.report.ok());
+    EXPECT_TRUE(o3.report.sawTrailer);
+    EXPECT_TRUE(o3.report.cleanShutdown);
+    EXPECT_FALSE(o3.report.sawCorruption());
+    EXPECT_EQ(o3.report.eventsDelivered, o3.report.totalEventsRecorded);
+    EXPECT_EQ(o2.profile, o3.profile);
+    EXPECT_EQ(o2.events, o3.events);
+    EXPECT_GT(o3.profile.size(), 100u);
+    // Every ReplayReport counter matches too: toString() renders all
+    // of them.
+    EXPECT_EQ(o2.report.toString(), o3.report.toString());
 
-    // The frame scan sees every block and the trailer's event total;
-    // the end frame is the last frame of the file.
-    std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(b2.str());
-    ASSERT_GE(blocks.size(), 5u);
-    EXPECT_EQ(blocks.back().tag, kTagEnd);
-    EXPECT_EQ(blocks.back().firstEventSeq, r2.eventsWritten());
+    // The frame scan sees the same frames in both framings, with the
+    // trailer's event total in the end frame, the last of the file.
+    // (This random workload barely compresses; ParallelDecodeDifferential
+    // covers compressed frames.)
+    std::vector<vg::Sgb2BlockInfo> b3 = vg::scanSgb2Blocks(sgb3);
+    std::vector<vg::Sgb2BlockInfo> b2 = vg::scanSgb2Blocks(sgb2);
+    ASSERT_GE(b3.size(), 5u);
+    ASSERT_EQ(b2.size(), b3.size());
+    EXPECT_EQ(b3.back().tag, kTagEnd);
+    EXPECT_EQ(b3.back().firstEventSeq, o3.report.totalEventsRecorded);
     std::uint64_t counted = 0;
-    for (const vg::Sgb2BlockInfo &b : blocks)
-        counted += b.eventCount;
-    EXPECT_EQ(counted, r2.eventsWritten());
-    // SGB1 has no frames to find.
-    EXPECT_TRUE(vg::scanSgb2Blocks(b1.str()).empty());
+    for (std::size_t i = 0; i < b3.size(); ++i) {
+        EXPECT_EQ(b2[i].tag, b3[i].tag);
+        EXPECT_EQ(b2[i].firstEventSeq, b3[i].firstEventSeq);
+        EXPECT_EQ(b2[i].eventCount, b3[i].eventCount);
+        EXPECT_EQ(b2[i].rawLen, b3[i].rawLen);
+        EXPECT_FALSE(b2[i].compressed);
+        counted += b3[i].eventCount;
+    }
+    EXPECT_EQ(counted, o3.report.totalEventsRecorded);
 }
 
-TEST(Sgb2Format, LegacySgb1EntryPointIsUnchanged)
+/** A well-formed trace in the unframed SGB1 format of early releases. */
+std::string
+legacySgb1Trace()
 {
-    TraceParams p{22, 6, 0, true, false, false};
-    std::string sgb1 = recordTrace(p, vg::TraceFormat::SGB1, 4096);
-    std::string sgb2 = recordTrace(p, vg::TraceFormat::SGB2, 4096);
+    std::string t = tracePreamble("robust", "SGB1");
+    t += '\x01'; // function record: id 0, "main"
+    putVarint(t, 0);
+    putVarint(t, 4);
+    t += "main";
+    t += '\x02'; // event block: enter main, leave
+    putVarint(t, 2);
+    t += static_cast<char>(kOpEnter);
+    putVarint(t, 0);
+    t += static_cast<char>(kOpLeave);
+    t += '\x00'; // end
+    return t;
+}
 
+/** A well-formed trace in the text format of early releases. */
+const std::string kLegacyTextTrace =
+    "sigil-trace\t1\nprogram\trobust\nF\t0\tmain\nE\t0\nL\nend\n";
+
+/** Replay an in-memory trace both from a stream and from a file. */
+std::vector<vg::ReplayReport>
+replayBothEntries(const std::string &trace, vg::ReplayPolicy policy)
+{
+    std::vector<vg::ReplayReport> reports;
+    reports.push_back(replayRaw(trace, policy));
+    std::string path = ::testing::TempDir() + "/legacy_input.trace";
+    std::ofstream(path, std::ios::binary) << trace;
+    QuietLogs quiet;
     vg::Guest g("robust");
-    core::SigilProfiler prof(profilerConfig(p));
-    g.addTool(&prof);
-    std::istringstream is(sgb1, std::ios::binary);
-    std::uint64_t events = vg::replayBinaryTrace(is, g);
-    EXPECT_GT(events, 500u);
-    std::ostringstream pos;
-    core::writeProfile(pos, prof.takeProfile());
+    vg::ReplayOptions opts;
+    opts.policy = policy;
+    reports.push_back(vg::replayTraceFile(path, g, opts));
+    std::remove(path.c_str());
+    return reports;
+}
 
-    ReplayOutcome o2 = replayBinary(sgb2, p, vg::ReplayPolicy::Strict);
-    EXPECT_EQ(pos.str(), o2.profile);
+TEST(LegacyInput, Sgb1TraceFailsAsBadMagic)
+{
+    const std::string sgb1 = legacySgb1Trace();
+    for (const vg::ReplayReport &r :
+         replayBothEntries(sgb1, vg::ReplayPolicy::Strict)) {
+        ASSERT_TRUE(r.error.has_value());
+        EXPECT_EQ(r.error->cause, vg::TraceErrorCause::BadMagic);
+        EXPECT_EQ(r.error->byteOffset, 0u);
+        EXPECT_NE(r.error->detail.find("SGB1"), std::string::npos)
+            << r.error->detail;
+        EXPECT_NE(r.error->detail.find("legacy"), std::string::npos)
+            << r.error->detail;
+        EXPECT_EQ(r.eventsDelivered, 0u);
+    }
+    for (const vg::ReplayReport &r :
+         replayBothEntries(sgb1, vg::ReplayPolicy::Salvage)) {
+        EXPECT_EQ(r.eventsDelivered, 0u);
+        EXPECT_TRUE(r.truncated);
+        EXPECT_FALSE(r.sawTrailer);
+        ASSERT_FALSE(r.errors.empty());
+        EXPECT_EQ(r.errors[0].cause, vg::TraceErrorCause::BadMagic);
+    }
+}
+
+TEST(LegacyInput, TextTraceFailsAsBadMagic)
+{
+    for (const vg::ReplayReport &r :
+         replayBothEntries(kLegacyTextTrace, vg::ReplayPolicy::Strict)) {
+        ASSERT_TRUE(r.error.has_value());
+        EXPECT_EQ(r.error->cause, vg::TraceErrorCause::BadMagic);
+        EXPECT_EQ(r.error->byteOffset, 0u);
+        EXPECT_EQ(r.eventsDelivered, 0u);
+    }
+    for (const vg::ReplayReport &r :
+         replayBothEntries(kLegacyTextTrace, vg::ReplayPolicy::Salvage)) {
+        EXPECT_EQ(r.eventsDelivered, 0u);
+        EXPECT_TRUE(r.truncated);
+        EXPECT_FALSE(r.sawTrailer);
+    }
+}
+
+TEST(LegacyInputDeathTest, FatalReplayTraceFileNamesSgb1)
+{
+    // The text-trace case of the fatal entry point is
+    // TraceIo.ReplayRejectsGarbage.
+    const std::string path = ::testing::TempDir() + "/legacy.sgb1";
+    std::ofstream(path, std::ios::binary) << legacySgb1Trace();
+    vg::Guest g("robust");
+    EXPECT_EXIT(vg::replayTraceFile(path, g), ::testing::ExitedWithCode(1),
+                "bad magic.*SGB1 is a legacy trace format");
+    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------
@@ -444,8 +457,8 @@ TEST(AdversarialInput, UnterminatedPreambleVarintIsContained)
 TEST(AdversarialInput, AbsurdNameLengthIsRejected)
 {
     std::string bad = "SGB2";
-    putVarintS(bad, 1);
-    putVarintS(bad, std::uint64_t{1} << 40); // name "length"
+    putVarint(bad, 1);
+    putVarint(bad, std::uint64_t{1} << 40); // name "length"
     bad.append(64, 'x');
     vg::ReplayReport r = replayRaw(bad, vg::ReplayPolicy::Strict);
     ASSERT_TRUE(r.error.has_value());
@@ -461,25 +474,19 @@ TEST(AdversarialInput, RandomGarbageNeverCrashesAnyParser)
         junk.reserve(len);
         for (std::size_t j = 0; j < len; ++j)
             junk.push_back(static_cast<char>(rng.nextBounded(256)));
-        // Half the buffers masquerade as SGB2 to reach the frame layer.
+        // Half the buffers masquerade as SGB2 or SGB3 to reach the
+        // frame layer.
         if (i % 2 == 0 && junk.size() > 4)
-            junk.replace(0, 4, "SGB2");
+            junk.replace(0, 4, i % 4 == 0 ? "SGB2" : "SGB3");
         for (vg::ReplayPolicy policy :
              {vg::ReplayPolicy::Strict, vg::ReplayPolicy::Salvage}) {
             QuietLogs quiet;
             vg::ReplayOptions opts;
             opts.policy = policy;
-            {
-                vg::Guest g("robust");
-                std::istringstream is(junk, std::ios::binary);
-                vg::ReplayReport r = vg::replayBinaryTrace(is, g, opts);
-                EXPECT_TRUE(r.sawCorruption() || r.sawTrailer);
-            }
-            {
-                vg::Guest g("robust");
-                std::istringstream is(junk);
-                (void)vg::replayTrace(is, g, opts);
-            }
+            vg::Guest g("robust");
+            std::istringstream is(junk, std::ios::binary);
+            vg::ReplayReport r = vg::replayBinaryTrace(is, g, opts);
+            EXPECT_TRUE(r.sawCorruption() || r.sawTrailer);
         }
         {
             vg::TraceError e;
@@ -543,55 +550,28 @@ TEST(AdversarialInput, CrcValidFrameWithTruncatedRecordIsContained)
     EXPECT_EQ(salvage.blocksSkipped, 1u);
 }
 
-/** Build one CRC-valid SGB3 frame holding a raw (uncompressed) payload. */
-std::string
-makeFrame3(std::uint8_t tag, std::uint64_t block_seq,
-           std::uint64_t first_event, std::uint64_t event_count,
-           const std::string &payload)
-{
-    std::string f;
-    f.push_back(static_cast<char>(0xa7));
-    f.push_back('S');
-    f.push_back('B');
-    f.push_back(static_cast<char>(0xb3));
-    f.push_back(static_cast<char>(tag));
-    putVarintS(f, block_seq);
-    putVarintS(f, first_event);
-    putVarintS(f, event_count);
-    putVarintS(f, payload.size());
-    f.push_back('\0'); // flags: stored raw
-    putVarintS(f, payload.size());
-    putU32leS(f, crc32c(payload.data(), payload.size()));
-    putU32leS(f, crc32c(f.data(), f.size()));
-    f += payload;
-    return f;
-}
-
 TEST(AdversarialInput, WrappingAccessRecordIsABadRecord)
 {
     // An SGB3 events block: a 16-byte read ending exactly at byte
     // 2^64 - 1 (valid), then a 16-byte read 8 bytes higher, whose range
     // would wrap past the top of the address space.
-    std::string t = "SGB3";
-    putVarintS(t, 1);
-    putVarintS(t, 6);
-    t += "robust";
+    std::string t = tracePreamble("robust", "SGB3");
     std::string fns;
-    putVarintS(fns, 0);
-    putVarintS(fns, 4);
+    putVarint(fns, 0);
+    putVarint(fns, 4);
     fns += "main";
     t += makeFrame3(kTagFunctions, 0, 0, 0, fns);
 
     std::string events;
     events.push_back(static_cast<char>(kOpEnter));
-    putVarintS(events, 0);
+    putVarint(events, 0);
     events.push_back(static_cast<char>(kOpRead));
-    putVarintS(events, zigzagS(-16)); // 0xfff...f0
-    putVarintS(events, 16);
+    putVarint(events, zigzag(-16)); // 0xfff...f0
+    putVarint(events, 16);
     const std::size_t evil_at = events.size();
     events.push_back(static_cast<char>(kOpRead));
-    putVarintS(events, zigzagS(8)); // 0xfff...f8
-    putVarintS(events, 16);
+    putVarint(events, zigzag(8)); // 0xfff...f8
+    putVarint(events, 16);
     events.push_back(static_cast<char>(kOpLeave));
     const std::string frame = makeFrame3(kTagEvents, 1, 0, 4, events);
     const std::size_t payload_at = t.size() + frame.size() - events.size();
@@ -637,7 +617,7 @@ TEST(AdversarialInput, UnknownOpcodeIsContained)
 
 TEST(SalvageRecovery, TruncationAtEveryOffsetNeverCrashes)
 {
-    for (vg::TraceFormat format : kFramedFormats) {
+    for (Framing format : kFramedFormats) {
         SCOPED_TRACE(formatName(format));
         TraceParams p{33, 0, 0, true, false, false};
         std::string trace = recordTrace(p, format, 32, 250);
@@ -664,7 +644,7 @@ TEST(SalvageRecovery, TruncationAtEveryOffsetNeverCrashes)
 
 TEST(SalvageRecovery, AnySingleCorruptBlockIsSkippedPrecisely)
 {
-    for (vg::TraceFormat format : kFramedFormats) {
+    for (Framing format : kFramedFormats) {
         SCOPED_TRACE(formatName(format));
         TraceParams p{44, 0, 0, true, false, false};
         std::string trace = recordTrace(p, format, 64);
@@ -709,7 +689,7 @@ TEST(SalvageRecovery, AnySingleCorruptBlockIsSkippedPrecisely)
 
 TEST(SalvageRecovery, DamagedHeaderResynchronizesOnNextFrame)
 {
-    for (vg::TraceFormat format : kFramedFormats) {
+    for (Framing format : kFramedFormats) {
         SCOPED_TRACE(formatName(format));
         TraceParams p{45, 0, 0, true, false, false};
         std::string trace = recordTrace(p, format, 64);
@@ -738,7 +718,7 @@ TEST(SalvageRecovery, DamagedHeaderResynchronizesOnNextFrame)
 TEST(SalvageRecovery, DuplicatedBlockIsDroppedAsStale)
 {
     TraceParams p{55, 0, 0, true, false, false};
-    std::string trace = recordTrace(p, vg::TraceFormat::SGB2, 64);
+    std::string trace = recordTrace(p, Framing::SGB3, 64);
     std::uint64_t total = recordedTotal(trace);
     ReplayOutcome ref = replayBinary(trace, p, vg::ReplayPolicy::Strict);
 
@@ -767,7 +747,7 @@ TEST(SalvageRecovery, DuplicatedBlockIsDroppedAsStale)
 TEST(SalvageRecovery, ReorderedBlocksAreAccounted)
 {
     TraceParams p{56, 0, 0, true, false, false};
-    std::string trace = recordTrace(p, vg::TraceFormat::SGB2, 64);
+    std::string trace = recordTrace(p, Framing::SGB3, 64);
     std::uint64_t total = recordedTotal(trace);
     std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(trace);
 
@@ -818,133 +798,60 @@ TEST(FaultInjection, PlansAreDeterministic)
 
 TEST(FaultInjection, TwoHundredSeedSweepNeverCrashesAlwaysAccounts)
 {
-    TraceParams p{66, 0, 0, true, false, false};
-    std::string pristine =
-        recordTrace(p, vg::TraceFormat::SGB2, 64, 800);
-    std::uint64_t total = recordedTotal(pristine);
-    int bounded = 0;
+    for (Framing format : kFramedFormats) {
+        SCOPED_TRACE(formatName(format));
+        TraceParams p{66, 0, 0, true, false, false};
+        std::string pristine = recordTrace(p, format, 64, 800);
+        std::uint64_t total = recordedTotal(pristine);
+        int bounded = 0;
 
-    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-        vg::FaultPlan plan = vg::FaultPlan::fromSeed(seed);
-        std::string t = pristine;
-        std::string what = plan.apply(t);
-        SCOPED_TRACE("seed " + std::to_string(seed) + ": " + what);
-        QuietLogs quiet;
+        for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+            vg::FaultPlan plan = vg::FaultPlan::fromSeed(seed);
+            std::string t = pristine;
+            std::string what = plan.apply(t);
+            SCOPED_TRACE("seed " + std::to_string(seed) + ": " + what);
+            QuietLogs quiet;
 
-        // Salvage: never crash, and whenever the trailer survives the
-        // loss accounting must sum to the recorded total.
-        vg::Guest g("robust");
-        core::SigilProfiler prof(profilerConfig(p));
-        g.addTool(&prof);
-        std::istringstream is(t, std::ios::binary);
-        vg::ReplayOptions opts;
-        opts.policy = vg::ReplayPolicy::Salvage;
-        vg::ReplayReport r = vg::replayBinaryTrace(is, g, opts);
-        EXPECT_TRUE(r.sawTrailer || r.truncated);
-        EXPECT_LE(r.eventsDelivered, total);
-        if (r.sawTrailer && !r.truncated) {
-            EXPECT_EQ(r.eventsDelivered + r.eventsSkipped, total);
-            ++bounded;
+            // Salvage: never crash, and whenever the trailer survives
+            // the loss accounting must sum to the recorded total.
+            vg::Guest g("robust");
+            core::SigilProfiler prof(profilerConfig(p));
+            g.addTool(&prof);
+            std::istringstream is(t, std::ios::binary);
+            vg::ReplayOptions opts;
+            opts.policy = vg::ReplayPolicy::Salvage;
+            vg::ReplayReport r = vg::replayBinaryTrace(is, g, opts);
+            EXPECT_TRUE(r.sawTrailer || r.truncated);
+            EXPECT_LE(r.eventsDelivered, total);
+            if (r.sawTrailer && !r.truncated) {
+                EXPECT_EQ(r.eventsDelivered + r.eventsSkipped, total);
+                ++bounded;
+            }
+
+            // Strict: never crash; a stopping error carries a position
+            // inside the input.
+            vg::Guest g2("robust");
+            std::istringstream is2(t, std::ios::binary);
+            vg::ReplayReport r2 =
+                vg::replayBinaryTrace(is2, g2, vg::ReplayOptions{});
+            if (r2.error.has_value()) {
+                EXPECT_LE(r2.error->byteOffset, t.size());
+            }
         }
-
-        // Strict: never crash; a stopping error carries a position
-        // inside the input.
-        vg::Guest g2("robust");
-        std::istringstream is2(t, std::ios::binary);
-        vg::ReplayReport r2 =
-            vg::replayBinaryTrace(is2, g2, vg::ReplayOptions{});
-        if (r2.error.has_value()) {
-            EXPECT_LE(r2.error->byteOffset, t.size());
-        }
+        // Most corruptions leave the trailer reachable, so the sweep
+        // really does exercise the accounting path.
+        EXPECT_GT(bounded, 100);
     }
-    // Most corruptions leave the trailer reachable, so the sweep
-    // really does exercise the accounting path.
-    EXPECT_GT(bounded, 100);
 }
 
 // ---------------------------------------------------------------------
-// Text-format structured errors (trace, profile, events)
+// Text-format structured errors (profile, events)
 // ---------------------------------------------------------------------
-
-TEST(TextReplay, MalformedLinePositionIsReported)
-{
-    TraceParams p{77, 0, 0, true, false, false};
-    std::string text = recordTextTrace(p);
-
-    std::vector<std::string> lines;
-    {
-        std::istringstream is(text);
-        std::string line;
-        while (std::getline(is, line))
-            lines.push_back(line);
-    }
-    std::size_t li = 0;
-    for (std::size_t i = 2; i < lines.size(); ++i)
-        if (lines[i].rfind("R\t", 0) == 0) {
-            li = i;
-            break;
-        }
-    ASSERT_GT(li, 0u);
-    lines[li][2] = 'x'; // corrupt the address token
-    std::uint64_t offset = 0;
-    for (std::size_t i = 0; i < li; ++i)
-        offset += lines[i].size() + 1;
-    std::string bad;
-    for (const std::string &l : lines) {
-        bad += l;
-        bad += '\n';
-    }
-
-    {
-        vg::Guest g("robust");
-        std::istringstream is(bad);
-        vg::ReplayReport r =
-            vg::replayTrace(is, g, vg::ReplayOptions{});
-        ASSERT_TRUE(r.error.has_value());
-        EXPECT_EQ(r.error->cause, vg::TraceErrorCause::BadRecord);
-        EXPECT_EQ(r.error->line, li + 1);
-        EXPECT_EQ(r.error->byteOffset, offset);
-        EXPECT_NE(r.error->detail.find("bad access record"),
-                  std::string::npos);
-    }
-    {
-        QuietLogs quiet;
-        vg::Guest g("robust");
-        std::istringstream is(bad);
-        vg::ReplayOptions opts;
-        opts.policy = vg::ReplayPolicy::Salvage;
-        vg::ReplayReport r = vg::replayTrace(is, g, opts);
-        EXPECT_TRUE(r.ok());
-        EXPECT_TRUE(r.sawTrailer);
-        EXPECT_EQ(r.eventsSkipped, 1u);
-        ASSERT_EQ(r.errors.size(), 1u);
-        EXPECT_EQ(r.errors[0].line, li + 1);
-    }
-}
-
-TEST(TextReplay, WrappingAccessIsABadRecord)
-{
-    TraceParams p{78, 0, 0, true, false, false};
-    std::string text = recordTextTrace(p);
-    const std::size_t at = text.find("\nR\t");
-    ASSERT_NE(at, std::string::npos);
-    const std::size_t end = text.find('\n', at + 1);
-    text.replace(at + 1, end - at - 1, "R\t18446744073709551608\t16");
-
-    vg::Guest g("robust");
-    std::istringstream is(text);
-    vg::ReplayReport r = vg::replayTrace(is, g, vg::ReplayOptions{});
-    ASSERT_TRUE(r.error.has_value());
-    EXPECT_EQ(r.error->cause, vg::TraceErrorCause::BadRecord);
-    EXPECT_EQ(r.error->byteOffset, at + 1);
-    EXPECT_NE(r.error->detail.find("wraps"), std::string::npos)
-        << r.error->detail;
-}
 
 TEST(ProfileIo, ParserReportsLineAndOffset)
 {
     TraceParams p{88, 0, 0, true, true, false};
-    ReplayOutcome o = replayBinary(recordTrace(p, vg::TraceFormat::SGB2,
+    ReplayOutcome o = replayBinary(recordTrace(p, Framing::SGB3,
                                                4096),
                                    p, vg::ReplayPolicy::Strict);
     ASSERT_FALSE(o.profile.empty());
@@ -1025,7 +932,7 @@ class CheckpointResume : public ::testing::TestWithParam<TraceParams>
 TEST_P(CheckpointResume, ResumedReplayIsBitIdentical)
 {
     const TraceParams &p = GetParam();
-    std::string trace = recordTrace(p, vg::TraceFormat::SGB2, 64);
+    std::string trace = recordTrace(p, Framing::SGB2, 64);
     ReplayOutcome ref = replayBinary(trace, p, vg::ReplayPolicy::Strict);
     ASSERT_TRUE(ref.report.sawTrailer);
 
@@ -1120,8 +1027,8 @@ TEST(CheckpointResume2, MismatchedTraceOrConfigStartsFresh)
 {
     TraceParams pa{121, 0, 0, true, false, false};
     TraceParams pb{122, 0, 0, true, false, false};
-    std::string trace_a = recordTrace(pa, vg::TraceFormat::SGB2, 64);
-    std::string trace_b = recordTrace(pb, vg::TraceFormat::SGB2, 64);
+    std::string trace_a = recordTrace(pa, Framing::SGB3, 64);
+    std::string trace_b = recordTrace(pb, Framing::SGB3, 64);
     std::string path = ::testing::TempDir() + "/ckpt_mismatch";
     std::remove(path.c_str());
     std::remove((path + ".prev").c_str());
