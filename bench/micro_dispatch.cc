@@ -1,9 +1,8 @@
 /**
  * @file
  * Microbenchmarks of the event transport (google-benchmark): per-event
- * virtual dispatch vs. the batched SoA transport (sync and async), and
- * SGB3 trace recording, decode and profiled replay, the "collect once,
- * analyze many" loop.
+ * virtual dispatch to the tools, and SGB3 trace recording, decode and
+ * profiled replay, the "collect once, analyze many" loop.
  */
 
 #include <benchmark/benchmark.h>
@@ -31,18 +30,6 @@
 using namespace sigil;
 
 namespace {
-
-/** Dispatch mode selector for the benchmark Args. */
-vg::GuestConfig
-modeConfig(std::int64_t mode)
-{
-    vg::GuestConfig cfg;
-    if (mode == 1)
-        cfg.batchEvents = true;
-    else if (mode == 2)
-        cfg.asyncTools = true;
-    return cfg;
-}
 
 /**
  * One deterministic mixed workload: function calls, ops, branches, and
@@ -87,8 +74,8 @@ driveWorkload(vg::Guest &g, int iters)
 
 constexpr int kWorkloadIters = 50000;
 
-/** Counts every event; the cheapest possible analysis. With the
- *  native batch consumer this isolates the transport cost itself. */
+/** Counts every event; the cheapest possible analysis, so the timing
+ *  isolates the dispatch cost itself. */
 class CountingTool : public vg::Tool
 {
   public:
@@ -99,91 +86,41 @@ class CountingTool : public vg::Tool
     void op(std::uint64_t i, std::uint64_t f) override { count_ += i + f; }
     void branch(bool) override { ++count_; }
 
-    void
-    processBatch(const vg::EventBuffer &batch) override
-    {
-        const vg::EventKind *kinds = batch.kinds();
-        const std::uint64_t *as = batch.as();
-        const std::uint64_t *bs = batch.bs();
-        std::uint64_t n = 0;
-        for (std::size_t i = 0, e = batch.size(); i < e; ++i) {
-            switch (kinds[i]) {
-              case vg::EventKind::kRead:
-              case vg::EventKind::kWrite:
-                n += bs[i];
-                break;
-              case vg::EventKind::kOp:
-                n += as[i] + bs[i];
-                break;
-              case vg::EventKind::kEnter:
-              case vg::EventKind::kLeave:
-              case vg::EventKind::kBranch:
-                ++n;
-                break;
-              default:
-                break;
-            }
-        }
-        count_ += n;
-    }
-
     std::uint64_t count() const { return count_; }
 
   private:
     std::uint64_t count_ = 0;
 };
 
-/** Same counters through the default adapter (no processBatch
- *  override): measures the compatibility path, which pays for the
- *  append AND the per-event replay. */
-class AdapterCountingTool : public CountingTool
-{
-  public:
-    void
-    processBatch(const vg::EventBuffer &batch) override
-    {
-        batch.replayTo(*this);
-    }
-};
-
-/**
- * Transport overhead alone: per-event virtuals vs. the batch lanes.
- * Args: 0 = per-event, 1 = batched native, 2 = async native,
- * 3 = batched through the default replay adapter.
- */
+/** Dispatch overhead alone: the per-event virtuals into a counter. */
 void
 BM_DispatchCountingTool(benchmark::State &state)
 {
-    bool adapter = state.range(0) == 3;
     for (auto _ : state) {
-        vg::Guest g("bench", modeConfig(adapter ? 1 : state.range(0)));
-        CountingTool native;
-        AdapterCountingTool compat;
-        vg::Tool *tool = adapter ? static_cast<vg::Tool *>(&compat)
-                                 : static_cast<vg::Tool *>(&native);
-        g.addTool(tool);
+        vg::Guest g("bench");
+        CountingTool tool;
+        g.addTool(&tool);
         driveWorkload(g, kWorkloadIters);
-        benchmark::DoNotOptimize(adapter ? compat.count()
-                                         : native.count());
+        benchmark::DoNotOptimize(tool.count());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             kWorkloadIters);
 }
-BENCHMARK(BM_DispatchCountingTool)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_DispatchCountingTool);
 
 /**
- * End-to-end Sigil profiling throughput under each dispatch mode.
- * Args: {mode, granularity shift} — shift 6 is the paper's
- * line-granularity mode, where light per-access shadow work exposes
- * the transport share of the per-event cost.
+ * End-to-end Sigil profiling throughput. Arg: granularity shift —
+ * shift 6 is the paper's line-granularity mode, where light
+ * per-access shadow work exposes the dispatch share of the per-event
+ * cost.
  */
 void
 BM_SigilWorkload(benchmark::State &state)
 {
     core::SigilConfig cfg;
-    cfg.granularityShift = static_cast<unsigned>(state.range(1));
+    cfg.granularityShift = static_cast<unsigned>(state.range(0));
     for (auto _ : state) {
-        vg::Guest g("bench", modeConfig(state.range(0)));
+        vg::Guest g("bench");
         core::SigilProfiler prof(cfg);
         g.addTool(&prof);
         driveWorkload(g, kWorkloadIters);
@@ -192,15 +129,14 @@ BM_SigilWorkload(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             kWorkloadIters);
 }
-BENCHMARK(BM_SigilWorkload)
-    ->ArgsProduct({{0, 1, 2}, {0, 6}});
+BENCHMARK(BM_SigilWorkload)->Arg(0)->Arg(6);
 
-/** Full stack (Sigil + cg cache/branch simulation) per dispatch mode. */
+/** Full stack: Sigil plus cg cache/branch simulation. */
 void
 BM_FullStackWorkload(benchmark::State &state)
 {
     for (auto _ : state) {
-        vg::Guest g("bench", modeConfig(state.range(0)));
+        vg::Guest g("bench");
         core::SigilProfiler prof;
         cg::CgTool cg_tool;
         g.addTool(&prof);
@@ -211,7 +147,7 @@ BM_FullStackWorkload(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             kWorkloadIters);
 }
-BENCHMARK(BM_FullStackWorkload)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_FullStackWorkload);
 
 /** The workload recorded once as an SGB3 trace. */
 const std::string &
@@ -277,18 +213,17 @@ BENCHMARK(BM_TraceReplayParse);
 
 /**
  * Trace replay feeding a Sigil profiler — the "collect once, analyze
- * many times" loop end to end. Args: {batched guest?, granularity
- * shift}.
+ * many times" loop end to end. Arg: granularity shift.
  */
 void
 BM_TraceReplayProfiled(benchmark::State &state)
 {
     const std::string &trace = recordedTrace();
     core::SigilConfig cfg;
-    cfg.granularityShift = static_cast<unsigned>(state.range(1));
+    cfg.granularityShift = static_cast<unsigned>(state.range(0));
     for (auto _ : state) {
         std::istringstream is(trace, std::ios::binary);
-        vg::Guest g("bench", modeConfig(state.range(0)));
+        vg::Guest g("bench");
         core::SigilProfiler prof(cfg);
         g.addTool(&prof);
         vg::replayBinaryTrace(is, g);
@@ -297,7 +232,7 @@ BM_TraceReplayProfiled(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             kWorkloadIters);
 }
-BENCHMARK(BM_TraceReplayProfiled)->ArgsProduct({{0, 1}, {0, 6}});
+BENCHMARK(BM_TraceReplayProfiled)->Arg(0)->Arg(6);
 
 /**
  * Frame decode, parsing cost only: a zero-copy BinaryReplaySession
@@ -324,17 +259,15 @@ BM_ParallelDecode(benchmark::State &state)
 BENCHMARK(BM_ParallelDecode)->UseRealTime();
 
 /**
- * The same decode end to end, feeding a batched-guest Sigil profiler:
- * shows how much of the profiled pipeline the decode stage is.
+ * The same decode end to end, feeding a Sigil profiler: shows how much
+ * of the profiled pipeline the decode stage is.
  */
 void
 BM_ParallelDecodeProfiled(benchmark::State &state)
 {
     const std::string &trace = recordedTrace();
     for (auto _ : state) {
-        vg::GuestConfig gc;
-        gc.batchEvents = true;
-        vg::Guest g("bench", gc);
+        vg::Guest g("bench");
         core::SigilProfiler prof;
         g.addTool(&prof);
         vg::BinaryReplaySession session(std::string_view(trace), g);
@@ -352,7 +285,7 @@ BENCHMARK(BM_ParallelDecodeProfiled)->UseRealTime();
 
 /**
  * Checkpointed replay smoke benchmark: the full trace + profiler replay
- * with periodic state snapshots, against BM_TraceReplayProfiled/1/0
+ * with periodic state snapshots, against BM_TraceReplayProfiled/0
  * as the no-checkpoint baseline. Arg: checkpoint interval in blocks.
  */
 /** Trace with finer-grained blocks than the default, so a
@@ -387,7 +320,7 @@ BM_CheckpointedReplay(benchmark::State &state)
         std::remove(path.c_str());
         std::remove((path + ".prev").c_str());
         std::istringstream is(trace, std::ios::binary);
-        vg::Guest g("bench", modeConfig(1));
+        vg::Guest g("bench");
         core::SigilProfiler prof;
         core::CheckpointStats st;
         core::replayWithCheckpoints(is, g, prof, {}, ck, &st);
@@ -496,10 +429,8 @@ wideTrace()
 
 /**
  * Profiled replay of the wide workload: the trace into a
- * full-fidelity (re-use mode) Sigil profiler. Arg: 0 = the async
- * pipeline (analysis on the consumer thread), 1 = per-event dispatch
- * on the replay thread. Real time, since with Arg 0 the work happens
- * on the consumer.
+ * full-fidelity (re-use mode) Sigil profiler. Real time, like the
+ * recorded baselines of this benchmark.
  */
 void
 BM_WideReplay(benchmark::State &state)
@@ -508,9 +439,7 @@ BM_WideReplay(benchmark::State &state)
     core::SigilConfig cfg; // defaults: re-use tracking on
     for (auto _ : state) {
         std::istringstream is(trace, std::ios::binary);
-        vg::GuestConfig gc;
-        gc.asyncTools = state.range(0) == 0;
-        vg::Guest g("bench", gc);
+        vg::Guest g("bench");
         core::SigilProfiler prof(cfg);
         g.addTool(&prof);
         vg::replayBinaryTrace(is, g);
@@ -519,7 +448,7 @@ BM_WideReplay(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             kWideWorkloadIters);
 }
-BENCHMARK(BM_WideReplay)->Arg(0)->Arg(1)->UseRealTime();
+BENCHMARK(BM_WideReplay)->UseRealTime();
 
 /**
  * One sigild instance shared by every BM_ServerQueryThroughput run:

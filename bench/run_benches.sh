@@ -16,8 +16,7 @@
 # libbenchmark; compare_bench.py rejects such candidates too.
 #
 # BENCH_dispatch.json includes BM_WideReplay (profiled replay of a
-# wide-address workload: Arg 0 = the async analysis pipeline, Arg 1 =
-# per-event dispatch on the replay thread), the
+# wide-address workload, re-use tracking on), the
 # BM_ParallelDecode{,Profiled} serial frame decode of the recorded SGB3
 # trace (parse-only and profiled end to end), and the
 # BM_ServerQueryThroughput sigild sweep (Arg = concurrent query

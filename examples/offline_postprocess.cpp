@@ -120,9 +120,7 @@ main(int argc, char **argv)
         if (!durable.ok())
             fatal("cannot write to %s: %s (create the directory first)",
                   trace_path.c_str(), durable.errorDetail().c_str());
-        vg::GuestConfig gcfg;
-        gcfg.batchEvents = true;
-        vg::Guest guest(w->name, gcfg);
+        vg::Guest guest(w->name);
         vg::BinaryTraceRecorder recorder(durable.stream());
         core::SigilConfig cfg;
         cfg.collectReuse = true;
@@ -203,9 +201,7 @@ main(int argc, char **argv)
     // was recovered and whether the trace ends in a clean-shutdown
     // trailer.
     {
-        vg::GuestConfig gcfg;
-        gcfg.batchEvents = true;
-        vg::Guest guest(w->name, gcfg);
+        vg::Guest guest(w->name);
         core::SigilConfig cfg;
         cfg.granularityShift = 6; // line mode this time
         core::SigilProfiler profiler(cfg);

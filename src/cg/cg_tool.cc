@@ -73,17 +73,10 @@ CgTool::fnLeave(vg::ContextId ctx, vg::CallNum call)
 void
 CgTool::memRead(vg::Addr addr, unsigned size)
 {
-    readAt(addr, size,
-           collecting_ ? guest_->currentContext() : vg::kInvalidContext);
-}
-
-void
-CgTool::readAt(vg::Addr addr, unsigned size, vg::ContextId ctx)
-{
     CacheAccessResult r = caches_.access(addr, size);
     if (!collecting_)
         return;
-    CgCounters &c = row(ctx);
+    CgCounters &c = row(guest_->currentContext());
     ++c.instructions;
     ++c.reads;
     c.readBytes += size;
@@ -94,17 +87,10 @@ CgTool::readAt(vg::Addr addr, unsigned size, vg::ContextId ctx)
 void
 CgTool::memWrite(vg::Addr addr, unsigned size)
 {
-    writeAt(addr, size,
-            collecting_ ? guest_->currentContext() : vg::kInvalidContext);
-}
-
-void
-CgTool::writeAt(vg::Addr addr, unsigned size, vg::ContextId ctx)
-{
     CacheAccessResult r = caches_.access(addr, size, true);
     if (!collecting_)
         return;
-    CgCounters &c = row(ctx);
+    CgCounters &c = row(guest_->currentContext());
     ++c.instructions;
     ++c.writes;
     c.writeBytes += size;
@@ -115,12 +101,7 @@ CgTool::writeAt(vg::Addr addr, unsigned size, vg::ContextId ctx)
 void
 CgTool::op(std::uint64_t iops, std::uint64_t flops)
 {
-    opAt(iops, flops, guest_->currentContext());
-}
-
-void
-CgTool::opAt(std::uint64_t iops, std::uint64_t flops, vg::ContextId ctx)
-{
+    vg::ContextId ctx = guest_->currentContext();
     if (collecting_) {
         CgCounters &c = row(ctx);
         c.instructions += iops + flops;
@@ -134,12 +115,7 @@ CgTool::opAt(std::uint64_t iops, std::uint64_t flops, vg::ContextId ctx)
 void
 CgTool::branch(bool taken)
 {
-    branchAt(taken, guest_->currentContext());
-}
-
-void
-CgTool::branchAt(bool taken, vg::ContextId ctx)
-{
+    vg::ContextId ctx = guest_->currentContext();
     bool mispredict = branches_.record(ctx, taken);
     if (!collecting_)
         return;
@@ -150,49 +126,9 @@ CgTool::branchAt(bool taken, vg::ContextId ctx)
         ++c.branchMispredicts;
 }
 
-void
-CgTool::processBatch(const vg::EventBuffer &batch)
-{
-    const vg::EventKind *kinds = batch.kinds();
-    const std::uint64_t *as = batch.as();
-    const std::uint64_t *bs = batch.bs();
-    const vg::ContextId *ctxs = batch.ctxs();
-    for (std::size_t i = 0, n = batch.size(); i < n; ++i) {
-        switch (kinds[i]) {
-          case vg::EventKind::kRead:
-            readAt(as[i], static_cast<unsigned>(bs[i]), ctxs[i]);
-            break;
-          case vg::EventKind::kWrite:
-            writeAt(as[i], static_cast<unsigned>(bs[i]), ctxs[i]);
-            break;
-          case vg::EventKind::kOp:
-            opAt(as[i], bs[i], ctxs[i]);
-            break;
-          case vg::EventKind::kBranch:
-            branchAt(as[i] != 0, ctxs[i]);
-            break;
-          case vg::EventKind::kEnter:
-            fnEnter(ctxs[i], batch.call(i));
-            break;
-          case vg::EventKind::kLeave:
-          case vg::EventKind::kThreadSwitch:
-          case vg::EventKind::kBarrier:
-            break;
-          case vg::EventKind::kRoi:
-            roi(as[i] != 0);
-            break;
-        }
-    }
-}
-
 const CgCounters &
 CgTool::counters(vg::ContextId ctx) const
 {
-#ifndef NDEBUG
-    SIGIL_ASSERT(guest_ == nullptr || !guest_->eventsPendingDispatch(),
-                 "tool state read with events pending — call "
-                 "Guest::sync() first");
-#endif
     std::size_t idx = static_cast<std::size_t>(ctx);
     return idx < rows_.size() ? rows_[idx] : kZero;
 }
@@ -202,11 +138,6 @@ CgTool::takeProfile() const
 {
     if (guest_ == nullptr)
         panic("CgTool::takeProfile before attach");
-#ifndef NDEBUG
-    SIGIL_ASSERT(!guest_->eventsPendingDispatch(),
-                 "tool state read with events pending — call "
-                 "Guest::sync() first");
-#endif
     const vg::ContextTree &ctxs = guest_->contexts();
     const vg::FunctionRegistry &fns = guest_->functions();
 

@@ -138,7 +138,7 @@ buildSnapshot(const TraceBinding &binding, vg::Guest &guest,
     ByteSink sink;
     sink.u64(binding.traceBytes);
     sink.u32(binding.preambleCrc);
-    guest.saveState(sink); // sync()s, so the profiler is caught up
+    guest.saveState(sink);
     profiler.saveState(sink);
     session.saveReaderState(sink);
     return sink.take();

@@ -73,12 +73,11 @@ struct CheckpointStats
 /**
  * Replay an SGB2 or SGB3 trace with periodic checkpoints.
  *
- * The guest must be freshly constructed with the profiler attached
- * (batched/async guest configurations are not resumable and are
- * rejected at resume time). If config.path holds a checkpoint that
- * matches this trace and configuration, the replay resumes from it;
- * otherwise it starts from the beginning. Either way a snapshot is
- * written every config.intervalBlocks event blocks.
+ * The guest must be freshly constructed with the profiler attached.
+ * If config.path holds a checkpoint that matches this trace and
+ * configuration, the replay resumes from it; otherwise it starts from
+ * the beginning. Either way a snapshot is written every
+ * config.intervalBlocks event blocks.
  *
  * @return the final ReplayReport (cumulative across resume).
  */

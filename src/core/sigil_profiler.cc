@@ -111,17 +111,6 @@ SigilProfiler::fnLeave(vg::ContextId ctx, vg::CallNum call)
     (void)call;
     if (!config_.collectEvents)
         return;
-    std::size_t depth = guest_->callDepth();
-    leaveAt(depth > 0 ? guest_->currentContext() : vg::kInvalidContext,
-            depth > 0 ? guest_->currentCall() : 0, depth);
-}
-
-void
-SigilProfiler::leaveAt(vg::ContextId resumed_ctx, vg::CallNum resumed_call,
-                       std::size_t depth)
-{
-    if (!config_.collectEvents)
-        return;
     SegState &state = seg();
     if (state.frameLastSeq.empty())
         panic("SigilProfiler::fnLeave with no open frame");
@@ -131,9 +120,9 @@ SigilProfiler::leaveAt(vg::ContextId resumed_ctx, vg::CallNum resumed_call,
     // for this re-occurrence of the caller, serially ordered after the
     // caller's previous segment (not after the child — functions are
     // modelled as non-blocking).
-    if (depth > 0) {
-        startSegment(state, resumed_ctx, resumed_call,
-                     state.frameLastSeq.back());
+    if (guest_->callDepth() > 0) {
+        startSegment(state, guest_->currentContext(),
+                     guest_->currentCall(), state.frameLastSeq.back());
         state.frameLastSeq.back() = state.segment.seq;
     } else {
         flushSegment(state);
@@ -143,13 +132,7 @@ SigilProfiler::leaveAt(vg::ContextId resumed_ctx, vg::CallNum resumed_call,
 void
 SigilProfiler::memWrite(vg::Addr addr, unsigned size)
 {
-    writeAccess(addr, size, guest_->currentContext());
-}
-
-void
-SigilProfiler::writeAccess(vg::Addr addr, unsigned size,
-                           vg::ContextId ctx)
-{
+    const vg::ContextId ctx = guest_->currentContext();
     if (collecting_) {
         row(ctx).writeBytes += size;
         if (config_.collectObjects) {
@@ -196,14 +179,7 @@ SigilProfiler::writeAccess(vg::Addr addr, unsigned size,
 void
 SigilProfiler::memRead(vg::Addr addr, unsigned size)
 {
-    readAccess(addr, size, guest_->currentContext(),
-               guest_->currentCall(), guest_->now());
-}
-
-void
-SigilProfiler::readAccess(vg::Addr addr, unsigned size, vg::ContextId ctx,
-                          vg::CallNum call, vg::Tick now)
-{
+    const vg::ContextId ctx = guest_->currentContext();
     if (collecting_)
         row(ctx).readBytes += size;
     SegState &state = seg();
@@ -213,7 +189,9 @@ SigilProfiler::readAccess(vg::Addr addr, unsigned size, vg::ContextId ctx,
     // A zero-byte access covers no unit: it must not replace the last
     // reader or touch a re-use run.
     std::uint64_t unique_bytes_this_access =
-        size == 0 ? 0 : classifyRead(addr, size, ctx, call, now, state);
+        size == 0 ? 0
+                  : classifyRead(addr, size, ctx, guest_->currentCall(),
+                                 guest_->now(), state);
 
     if (collecting_ && config_.collectObjects) {
         ObjectTraffic &obj =
@@ -307,18 +285,7 @@ SigilProfiler::op(std::uint64_t iops, std::uint64_t flops)
 {
     if (!collecting_)
         return;
-    opAt(iops, flops, guest_->currentContext());
-}
-
-void
-SigilProfiler::opAt(std::uint64_t iops, std::uint64_t flops,
-                    vg::ContextId ctx)
-{
-    if (!collecting_)
-        return;
-    if (ctx == vg::kInvalidContext)
-        panic("SigilProfiler: op outside any function");
-    CommAggregates &r = row(ctx);
+    CommAggregates &r = row(guest_->currentContext());
     r.iops += iops;
     r.flops += flops;
     SegState &state = seg();
@@ -330,17 +297,6 @@ SigilProfiler::opAt(std::uint64_t iops, std::uint64_t flops,
 
 void
 SigilProfiler::threadSwitch(vg::ThreadId tid)
-{
-    // At this point the guest's current thread is already tid.
-    bool active = guest_->callDepth() > 0;
-    threadSwitchAt(tid,
-                   active ? guest_->currentContext() : vg::kInvalidContext,
-                   active ? guest_->currentCall() : 0);
-}
-
-void
-SigilProfiler::threadSwitchAt(vg::ThreadId tid, vg::ContextId ctx,
-                              vg::CallNum call)
 {
     if (static_cast<std::size_t>(tid) >= segStates_.size())
         segStates_.resize(static_cast<std::size_t>(tid) + 1);
@@ -354,10 +310,15 @@ SigilProfiler::threadSwitchAt(vg::ThreadId tid, vg::ContextId ctx,
     flushSegment(seg());
     currentTid_ = tid;
     // Resume the incoming thread's current function (if any) as a new
-    // segment chained to its previous one.
+    // segment chained to its previous one. At this point the guest's
+    // current thread is already tid.
     SegState &state = seg();
     if (!state.frameLastSeq.empty()) {
-        startSegment(state, ctx, call, state.frameLastSeq.back());
+        bool active = guest_->callDepth() > 0;
+        startSegment(state,
+                     active ? guest_->currentContext() : vg::kInvalidContext,
+                     active ? guest_->currentCall() : 0,
+                     state.frameLastSeq.back());
         state.frameLastSeq.back() = state.segment.seq;
     }
 }
@@ -378,16 +339,6 @@ SigilProfiler::barrier()
 {
     if (!config_.collectEvents)
         return;
-    bool active = guest_->callDepth() > 0;
-    barrierAt(active ? guest_->currentContext() : vg::kInvalidContext,
-              active ? guest_->currentCall() : 0);
-}
-
-void
-SigilProfiler::barrierAt(vg::ContextId ctx, vg::CallNum call)
-{
-    if (!config_.collectEvents)
-        return;
     // Close every thread's open segment; everything after the barrier
     // is ordered after everything before it.
     barrierPreds_.clear();
@@ -401,7 +352,11 @@ SigilProfiler::barrierAt(vg::ContextId ctx, vg::CallNum call)
     // post-barrier work lands in a node that carries the barrier edges.
     SegState &cur = seg();
     if (!cur.frameLastSeq.empty()) {
-        startSegment(cur, ctx, call, cur.frameLastSeq.back());
+        bool active = guest_->callDepth() > 0;
+        startSegment(cur,
+                     active ? guest_->currentContext() : vg::kInvalidContext,
+                     active ? guest_->currentCall() : 0,
+                     cur.frameLastSeq.back());
         cur.frameLastSeq.back() = cur.segment.seq;
     }
 }
@@ -463,51 +418,6 @@ SigilProfiler::flushSegment(SegState &state)
 }
 
 void
-SigilProfiler::processBatch(const vg::EventBuffer &batch)
-{
-    const vg::EventKind *kinds = batch.kinds();
-    const std::uint64_t *as = batch.as();
-    const std::uint64_t *bs = batch.bs();
-    const vg::ContextId *ctxs = batch.ctxs();
-    const vg::CallNum *calls = batch.calls();
-    const vg::Tick *ticks = batch.ticks();
-    const std::uint32_t *depths = batch.depths();
-    for (std::size_t i = 0, n = batch.size(); i < n; ++i) {
-        switch (kinds[i]) {
-          case vg::EventKind::kRead:
-            readAccess(as[i], static_cast<unsigned>(bs[i]), ctxs[i],
-                       calls[i], ticks[i]);
-            break;
-          case vg::EventKind::kWrite:
-            writeAccess(as[i], static_cast<unsigned>(bs[i]), ctxs[i]);
-            break;
-          case vg::EventKind::kOp:
-            if (collecting_)
-                opAt(as[i], bs[i], ctxs[i]);
-            break;
-          case vg::EventKind::kBranch:
-            break;
-          case vg::EventKind::kEnter:
-            fnEnter(ctxs[i], calls[i]);
-            break;
-          case vg::EventKind::kLeave:
-            leaveAt(ctxs[i], calls[i], depths[i]);
-            break;
-          case vg::EventKind::kThreadSwitch:
-            threadSwitchAt(static_cast<vg::ThreadId>(as[i]), ctxs[i],
-                           calls[i]);
-            break;
-          case vg::EventKind::kBarrier:
-            barrierAt(ctxs[i], calls[i]);
-            break;
-          case vg::EventKind::kRoi:
-            roi(as[i] != 0);
-            break;
-        }
-    }
-}
-
-void
 SigilProfiler::finish()
 {
     for (SegState &state : segStates_)
@@ -549,11 +459,6 @@ SigilProfiler::finish()
 const CommAggregates &
 SigilProfiler::aggregates(vg::ContextId ctx) const
 {
-#ifndef NDEBUG
-    SIGIL_ASSERT(guest_ == nullptr || !guest_->eventsPendingDispatch(),
-                 "tool state read with events pending — call "
-                 "Guest::sync() first");
-#endif
     std::size_t idx = static_cast<std::size_t>(ctx);
     return idx < tables_.rows.size() ? tables_.rows[idx] : kZero;
 }
@@ -563,11 +468,6 @@ SigilProfiler::takeProfile() const
 {
     if (guest_ == nullptr)
         panic("SigilProfiler::takeProfile before attach");
-#ifndef NDEBUG
-    SIGIL_ASSERT(!guest_->eventsPendingDispatch(),
-                 "tool state read with events pending — call "
-                 "Guest::sync() first");
-#endif
     const vg::ContextTree &ctxs = guest_->contexts();
     const vg::FunctionRegistry &fns = guest_->functions();
 

@@ -12,8 +12,6 @@ memCategoryName(MemCategory cat)
     switch (cat) {
     case MemCategory::Shadow:
         return "shadow";
-    case MemCategory::EventBuffers:
-        return "event-buffers";
     case MemCategory::ProfileCatalog:
         return "profile-catalog";
     case MemCategory::kCount:

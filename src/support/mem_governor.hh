@@ -3,17 +3,15 @@
  * Process-wide memory-budget governor.
  *
  * Every subsystem that holds a non-trivial amount of heap — shadow
- * chunks (hot units, lazy cold arrays, stamp tables), event buffers,
- * the sigild profile catalog — charges its
- * allocations against one MemoryGovernor instance owned by the Guest.
- * The governor itself never frees anything: it is a ledger plus a
- * predicate. Subsystems that *can* shed memory (the shadow's chunk
- * LRU) consult overBudget() before growing and evict until the new
- * allocation fits; subsystems with fixed footprints (event buffers)
- * only account, so the eviction pressure lands where it is cheapest
- * to shed. When nothing evictable remains and the budget is still
- * exceeded, the shadow's pressure handler drives the profiler's
- * never-descending degradation ladder instead of OOM-ing.
+ * chunks (hot units, lazy cold arrays, stamp tables) and the sigild
+ * profile catalog — charges its allocations against one
+ * MemoryGovernor instance: the Guest's, or the daemon's. The governor
+ * itself never frees anything: it is a ledger plus a predicate.
+ * Subsystems that *can* shed memory (the shadow's chunk LRU, the
+ * catalog's LRU) consult overBudget() before growing and evict until
+ * the new allocation fits. When nothing evictable remains and the
+ * budget is still exceeded, the shadow's pressure handler drives the
+ * profiler's never-descending degradation ladder instead of OOM-ing.
  *
  * A budget of 0 (the default) disables enforcement: the ledger still
  * tracks live/peak bytes per category — useful for reconciliation
@@ -21,8 +19,7 @@
  * ungoverned runs stay bit-identical to pre-governor behaviour.
  *
  * Thread safety: charge/release/overBudget are lock-free atomics and
- * may be called from any thread (the async analysis consumer, sigild
- * workers). Peaks are maintained with CAS-max loops, so the reported
+ * may be called from any thread (sigild workers). Peaks are maintained with CAS-max loops, so the reported
  * peak is exact even under concurrent charging.
  */
 
@@ -39,12 +36,11 @@ namespace sigil {
 /** Accounting categories, one per governed subsystem. */
 enum class MemCategory : unsigned {
     Shadow = 0,         ///< shadow chunks: hot units + cold arrays + stamps
-    EventBuffers = 1,   ///< guest-side SoA event batches
-    ProfileCatalog = 2, ///< daemon-resident profiles (sigild catalog)
-    kCount = 3,
+    ProfileCatalog = 1, ///< daemon-resident profiles (sigild catalog)
+    kCount = 2,
 };
 
-/** Human-readable category name ("shadow", "event-buffers", ...). */
+/** Human-readable category name ("shadow", "profile-catalog"). */
 const char *memCategoryName(MemCategory cat);
 
 class MemoryGovernor

@@ -2,8 +2,8 @@
  * @file
  * Stall watchdog for the parallel subsystems.
  *
- * Every long-lived worker thread — sigild query workers, the async
- * analysis consumer — registers itself as an entity and then reports
+ * Every long-lived worker thread — sigild's query workers, the only
+ * ones in the system — registers itself as an entity and then reports
  * liveness with three cheap atomic operations: busy() when it picks up
  * work, beat() as it makes progress, idle() when it blocks waiting for
  * more. A monitor thread samples the heartbeats and flags any entity

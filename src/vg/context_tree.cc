@@ -14,10 +14,8 @@ ContextTree::ContextTree(const FunctionRegistry &functions,
 const ContextTree::Node &
 ContextTree::node(ContextId ctx) const
 {
-    if (ctx < 0 || static_cast<std::size_t>(ctx) >=
-                       published_.load(std::memory_order_acquire)) {
+    if (ctx < 0 || static_cast<std::size_t>(ctx) >= nodes_.size())
         panic("ContextTree: bad context id %d", ctx);
-    }
     return nodes_[static_cast<std::size_t>(ctx)];
 }
 
@@ -52,10 +50,7 @@ ContextTree::enterChild(ContextId parent, FunctionId fn)
 
     ContextId id = static_cast<ContextId>(nodes_.size());
     int d = parent == kInvalidContext ? 0 : node(parent).depth + 1;
-    if (growthBarrier_ && nodes_.size() == nodes_.capacity())
-        growthBarrier_();
     nodes_.push_back(Node{fn, parent, d});
-    published_.store(nodes_.size(), std::memory_order_release);
     byEdge_.emplace(key, id);
     if (static_cast<std::size_t>(fn) >= byFunction_.size())
         byFunction_.resize(static_cast<std::size_t>(fn) + 1);

@@ -10,8 +10,6 @@
 #ifndef SIGIL_VG_FUNCTION_REGISTRY_HH
 #define SIGIL_VG_FUNCTION_REGISTRY_HH
 
-#include <atomic>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -34,29 +32,11 @@ class FunctionRegistry
     /** Name of a registered function. */
     const std::string &name(FunctionId id) const;
 
-    std::size_t
-    size() const
-    {
-        return published_.load(std::memory_order_acquire);
-    }
-
-    /**
-     * Hook run before any reallocation of the id->name table. The async
-     * pipeline installs a drain barrier here so a concurrent reader
-     * (the tool consumer thread) never sees the storage move. Ids are
-     * published with release/acquire ordering, so lookups of any id
-     * that reached a reader are race-free.
-     */
-    void setGrowthBarrier(std::function<void()> barrier)
-    {
-        growthBarrier_ = std::move(barrier);
-    }
+    std::size_t size() const { return names_.size(); }
 
   private:
     std::vector<std::string> names_;
     std::unordered_map<std::string, FunctionId> byName_;
-    std::atomic<std::size_t> published_{0};
-    std::function<void()> growthBarrier_;
 };
 
 } // namespace sigil::vg

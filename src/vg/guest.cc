@@ -1,201 +1,20 @@
 #include "guest.hh"
 
 #include <algorithm>
-#include <condition_variable>
-#include <cstdio>
-#include <mutex>
-#include <thread>
 
 #include "support/logging.hh"
 #include "support/mem_governor.hh"
-#include "support/watchdog.hh"
 
 namespace sigil::vg {
 
-/**
- * Double-buffered hand-off between the workload thread and the tool
- * consumer thread (asyncTools mode). The guest fills one EventBuffer
- * while the consumer drains the other; submit() exchanges a filled
- * buffer for a drained one, blocking only when the consumer is still
- * behind by a full buffer.
- *
- * The hand-off mutex is also the synchronization point for the shared
- * read-mostly registries (function names, context nodes, allocations):
- * the guest calls waitIdle() before any vector reallocation of those,
- * so the consumer never observes storage being moved. Everything a
- * buffered event refers to was created before the buffer was submitted,
- * hence before the consumer could dereference it.
- */
-class AsyncToolPipeline
-{
-  public:
-    AsyncToolPipeline(Guest &guest, std::size_t capacity,
-                      sigil::Watchdog *watchdog)
-        : guest_(guest), spare_(std::make_unique<EventBuffer>(capacity)),
-          watchdog_(watchdog)
-    {
-        if (watchdog_ != nullptr) {
-            dogId_ = watchdog_->registerEntity(
-                "async-tool-consumer", sigil::Watchdog::StallAction::Fail,
-                [this] {
-                    char buf[64];
-                    std::snprintf(buf, sizeof(buf),
-                                  "batches drained=%llu",
-                                  static_cast<unsigned long long>(
-                                      batchesDrained_.load(
-                                          std::memory_order_relaxed)));
-                    return std::string(buf);
-                });
-        }
-        worker_ = std::thread([this] { run(); });
-    }
-
-    ~AsyncToolPipeline()
-    {
-        {
-            std::lock_guard<std::mutex> lock(m_);
-            stop_ = true;
-        }
-        cv_.notify_all();
-        worker_.join();
-        if (watchdog_ != nullptr)
-            watchdog_->unregisterEntity(dogId_);
-    }
-
-    /** Exchange a filled buffer for a drained one. */
-    std::unique_ptr<EventBuffer>
-    submit(std::unique_ptr<EventBuffer> filled)
-    {
-        std::unique_lock<std::mutex> lock(m_);
-        cv_.wait(lock, [this] { return spare_ != nullptr; });
-        std::unique_ptr<EventBuffer> fresh = std::move(spare_);
-        pending_ = std::move(filled);
-        cv_.notify_all();
-        return fresh;
-    }
-
-    /** Block until every submitted buffer has been fully drained. */
-    void
-    waitIdle()
-    {
-        std::unique_lock<std::mutex> lock(m_);
-        cv_.wait(lock, [this] { return pending_ == nullptr && !busy_; });
-    }
-
-    /** Non-blocking: true when no submitted buffer is in flight. */
-    bool
-    idle() const
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        return pending_ == nullptr && !busy_;
-    }
-
-  private:
-    void
-    run()
-    {
-        std::unique_lock<std::mutex> lock(m_);
-        for (;;) {
-            // Parked on an empty pipeline: not a stall.
-            if (watchdog_ != nullptr)
-                watchdog_->idle(dogId_);
-            cv_.wait(lock,
-                     [this] { return stop_ || pending_ != nullptr; });
-            if (pending_ == nullptr) // stop requested, nothing queued
-                return;
-            if (watchdog_ != nullptr)
-                watchdog_->busy(dogId_);
-            std::unique_ptr<EventBuffer> batch = std::move(pending_);
-            busy_ = true;
-            lock.unlock();
-            guest_.dispatchBatch(*batch);
-            batch->clear();
-            batchesDrained_.fetch_add(1, std::memory_order_relaxed);
-            if (watchdog_ != nullptr)
-                watchdog_->beat(dogId_);
-            lock.lock();
-            spare_ = std::move(batch);
-            busy_ = false;
-            cv_.notify_all();
-            if (stop_)
-                return;
-        }
-    }
-
-    Guest &guest_;
-    std::thread worker_;
-    mutable std::mutex m_;
-    std::condition_variable cv_;
-    std::unique_ptr<EventBuffer> pending_;
-    std::unique_ptr<EventBuffer> spare_;
-    bool busy_ = false;
-    bool stop_ = false;
-    sigil::Watchdog *watchdog_ = nullptr;
-    int dogId_ = -1;
-    std::atomic<std::uint64_t> batchesDrained_{0};
-};
-
-std::string
-GuestConfigError::describe() const
-{
-    return "GuestConfig::" + knob + ": " + message;
-}
-
-std::optional<GuestConfigError>
-GuestConfig::validate() const
-{
-    auto reject = [](const char *knob,
-                     std::string message) -> std::optional<GuestConfigError> {
-        return GuestConfigError{knob, std::move(message)};
-    };
-    if (eventBufferEvents == 0)
-        return reject("eventBufferEvents", "must be at least 1");
-    return std::nullopt;
-}
-
 Guest::Guest(std::string program_name, const GuestConfig &config)
     : programName_(std::move(program_name)), config_(config),
-      contexts_(functions_, config.maxContextDepth)
+      contexts_(functions_, config.maxContextDepth),
+      governor_(
+          std::make_shared<sigil::MemoryGovernor>(config.memoryBudgetBytes))
 {
-    if (std::optional<GuestConfigError> err = config.validate())
-        fatal("%s", err->describe().c_str());
-    governor_ =
-        std::make_shared<sigil::MemoryGovernor>(config.memoryBudgetBytes);
-    if (config.stallTimeoutMs > 0)
-        watchdog_ = std::make_unique<sigil::Watchdog>(config.stallTimeoutMs);
     inputFn_ = functions_.intern("*input*");
     threads_.push_back(ThreadCtx{{}, kStackBase});
-    batching_ = config.batchEvents || config.asyncTools;
-    if (batching_) {
-        fillBuf_ = std::make_unique<EventBuffer>(config.eventBufferEvents);
-        // Fill buffer, plus the pipeline's second (double) buffer.
-        std::size_t buffers = config.asyncTools ? 2 : 1;
-        bufferBytesCharged_ =
-            buffers * EventBuffer::footprintBytes(config.eventBufferEvents);
-        governor_->charge(sigil::MemCategory::EventBuffers,
-                          bufferBytesCharged_);
-        if (config.asyncTools) {
-            pipeline_ = std::make_unique<AsyncToolPipeline>(
-                *this, config.eventBufferEvents, watchdog_.get());
-            // The consumer dereferences registry entries while the
-            // workload thread appends new ones; stall it across the
-            // rare vector reallocation so storage never moves under a
-            // concurrent reader.
-            auto barrier = [this] { pipeline_->waitIdle(); };
-            functions_.setGrowthBarrier(barrier);
-            contexts_.setGrowthBarrier(barrier);
-        }
-    }
-}
-
-Guest::~Guest()
-{
-    // Unsynced buffered events are dropped, not dispatched: the tools
-    // (owned by the caller) may already be destroyed by now. finish()
-    // is the orderly path.
-    pipeline_.reset();
-    governor_->release(sigil::MemCategory::EventBuffers,
-                       bufferBytesCharged_);
 }
 
 void
@@ -205,55 +24,6 @@ Guest::addTool(Tool *tool)
         panic("Guest::addTool: null tool");
     tools_.push_back(tool);
     tool->attach(*this);
-}
-
-void
-Guest::appendEvent(EventKind kind, std::uint64_t a, std::uint64_t b)
-{
-    const ThreadCtx &t = thread();
-    ContextId ctx = kInvalidContext;
-    CallNum call = 0;
-    if (!t.frames.empty()) {
-        const Frame &f = t.frames.back();
-        ctx = f.ctx;
-        call = f.call;
-    }
-    fillBuf_->append(kind, a, b, ctx, call, counters_.instructions(),
-                     static_cast<std::uint32_t>(t.frames.size()));
-    if (fillBuf_->full())
-        flushFill();
-}
-
-void
-Guest::flushFill()
-{
-    if (fillBuf_->empty())
-        return;
-    if (pipeline_) {
-        fillBuf_ = pipeline_->submit(std::move(fillBuf_));
-    } else {
-        dispatchBatch(*fillBuf_);
-        fillBuf_->clear();
-    }
-}
-
-void
-Guest::dispatchBatch(const EventBuffer &batch)
-{
-    for (Tool *t : tools_)
-        t->processBatch(batch);
-}
-
-void
-Guest::sync()
-{
-    if (batching_) {
-        flushFill();
-        if (pipeline_)
-            pipeline_->waitIdle();
-    }
-    for (Tool *t : tools_)
-        t->sync();
 }
 
 void
@@ -268,14 +38,8 @@ Guest::enter(FunctionId fn)
     CallNum call = nextCall_++;
     t.frames.push_back(Frame{ctx, call, t.stackPtr});
     ++counters_.calls;
-    if (batching_) {
-        appendEvent(EventKind::kEnter,
-                    static_cast<std::uint64_t>(
-                        static_cast<std::uint32_t>(fn)),
-                    0);
-        return;
-    }
-    dispatchEnter(ctx, call);
+    for (Tool *tool : tools_)
+        tool->fnEnter(ctx, call);
 }
 
 void
@@ -287,24 +51,13 @@ Guest::leave()
     Frame f = t.frames.back();
     t.frames.pop_back();
     t.stackPtr = f.stackWatermark;
-    if (batching_) {
-        appendEvent(EventKind::kLeave,
-                    static_cast<std::uint64_t>(
-                        static_cast<std::uint32_t>(f.ctx)),
-                    f.call);
-        return;
-    }
-    dispatchLeave(f.ctx, f.call);
+    for (Tool *tool : tools_)
+        tool->fnLeave(f.ctx, f.call);
 }
 
 ContextId
 Guest::currentContext() const
 {
-    if (const DispatchCursor *c = activeDispatchCursor()) {
-        if (c->ctx == kInvalidContext)
-            panic("Guest::currentContext with empty call stack");
-        return c->ctx;
-    }
     if (thread().frames.empty())
         panic("Guest::currentContext with empty call stack");
     return thread().frames.back().ctx;
@@ -313,11 +66,6 @@ Guest::currentContext() const
 CallNum
 Guest::currentCall() const
 {
-    if (const DispatchCursor *c = activeDispatchCursor()) {
-        if (c->ctx == kInvalidContext)
-            panic("Guest::currentCall with empty call stack");
-        return c->call;
-    }
     if (thread().frames.empty())
         panic("Guest::currentCall with empty call stack");
     return thread().frames.back().call;
@@ -335,12 +83,9 @@ Guest::alloc(std::size_t bytes, std::string_view tag)
     if (heapPtr_ >= kStackBase)
         fatal("guest heap exhausted (%llu bytes allocated)",
               static_cast<unsigned long long>(heapBytes()));
-    if (pipeline_ && allocations_.size() == allocations_.capacity())
-        pipeline_->waitIdle();
     allocations_.push_back(Allocation{
         base, static_cast<std::uint64_t>(bytes),
         std::string(tag.empty() ? "anon" : tag)});
-    allocCount_.store(allocations_.size(), std::memory_order_release);
     return base;
 }
 
@@ -348,10 +93,8 @@ int
 Guest::allocationOf(Addr addr) const
 {
     // Allocations are bump-allocated, so the vector is base-sorted.
-    // The published count (not the raw vector size) bounds the search
-    // so the async consumer sees a consistent prefix.
     std::size_t lo = 0;
-    std::size_t hi = allocCount_.load(std::memory_order_acquire);
+    std::size_t hi = allocations_.size();
     while (lo < hi) {
         std::size_t mid = (lo + hi) / 2;
         if (allocations_[mid].base <= addr)
@@ -395,10 +138,6 @@ Guest::read(Addr addr, unsigned size)
     counters_.readBytes += size;
     if (thread().frames.empty() || accessWraps(addr, size)) [[unlikely]]
         rejectAccess("read", addr, size);
-    if (batching_) {
-        appendEvent(EventKind::kRead, addr, size);
-        return;
-    }
     for (Tool *t : tools_)
         t->memRead(addr, size);
 }
@@ -410,10 +149,6 @@ Guest::write(Addr addr, unsigned size)
     counters_.writeBytes += size;
     if (thread().frames.empty() || accessWraps(addr, size)) [[unlikely]]
         rejectAccess("write", addr, size);
-    if (batching_) {
-        appendEvent(EventKind::kWrite, addr, size);
-        return;
-    }
     for (Tool *t : tools_)
         t->memWrite(addr, size);
 }
@@ -422,10 +157,6 @@ void
 Guest::iop(std::uint64_t n)
 {
     counters_.iops += n;
-    if (batching_) {
-        appendEvent(EventKind::kOp, n, 0);
-        return;
-    }
     for (Tool *t : tools_)
         t->op(n, 0);
 }
@@ -434,10 +165,6 @@ void
 Guest::flop(std::uint64_t n)
 {
     counters_.flops += n;
-    if (batching_) {
-        appendEvent(EventKind::kOp, 0, n);
-        return;
-    }
     for (Tool *t : tools_)
         t->op(0, n);
 }
@@ -446,10 +173,6 @@ void
 Guest::branch(bool taken)
 {
     ++counters_.branches;
-    if (batching_) {
-        appendEvent(EventKind::kBranch, taken ? 1 : 0, 0);
-        return;
-    }
     for (Tool *t : tools_)
         t->branch(taken);
 }
@@ -514,10 +237,6 @@ Guest::switchThread(ThreadId tid)
     if (tid == currentTid_)
         return;
     currentTid_ = tid;
-    if (batching_) {
-        appendEvent(EventKind::kThreadSwitch, tid, 0);
-        return;
-    }
     for (Tool *t : tools_)
         t->threadSwitch(tid);
 }
@@ -528,10 +247,6 @@ Guest::roiBegin()
     if (roiActive_)
         panic("Guest::roiBegin: ROI already active (no nesting)");
     roiActive_ = true;
-    if (batching_) {
-        appendEvent(EventKind::kRoi, 1, 0);
-        return;
-    }
     for (Tool *t : tools_)
         t->roi(true);
 }
@@ -542,10 +257,6 @@ Guest::roiEnd()
     if (!roiActive_)
         panic("Guest::roiEnd without roiBegin");
     roiActive_ = false;
-    if (batching_) {
-        appendEvent(EventKind::kRoi, 0, 0);
-        return;
-    }
     for (Tool *t : tools_)
         t->roi(false);
 }
@@ -555,10 +266,6 @@ Guest::barrier()
 {
     if (finished_)
         panic("Guest::barrier after finish()");
-    if (batching_) {
-        appendEvent(EventKind::kBarrier, 0, 0);
-        return;
-    }
     for (Tool *t : tools_)
         t->barrier();
 }
@@ -578,25 +285,13 @@ Guest::finish()
             leave();
     }
     finished_ = true;
-    sync();
     for (Tool *t : tools_)
         t->finish();
-}
-
-bool
-Guest::eventsPendingDispatch() const
-{
-    if (!batching_)
-        return false;
-    if (fillBuf_ && !fillBuf_->empty())
-        return true;
-    return pipeline_ && !pipeline_->idle();
 }
 
 void
 Guest::saveState(ByteSink &sink)
 {
-    sync();
     sink.u8(1); // guest state version
     sink.str(programName_);
 
@@ -652,8 +347,6 @@ Guest::saveState(ByteSink &sink)
 bool
 Guest::restoreState(ByteSource &src)
 {
-    if (batching_)
-        return false;
     if (src.u8() != 1)
         return false;
     if (src.str() != programName_)
@@ -733,7 +426,6 @@ Guest::restoreState(ByteSource &src)
             return false;
         allocations_.push_back(std::move(a));
     }
-    allocCount_.store(allocations_.size(), std::memory_order_release);
 
     roiActive_ = src.u8() != 0;
     finished_ = src.u8() != 0;
@@ -747,20 +439,6 @@ Guest::restoreState(ByteSource &src)
     counters_.branches = src.u64();
     counters_.calls = src.u64();
     return src.ok();
-}
-
-void
-Guest::dispatchEnter(ContextId ctx, CallNum call)
-{
-    for (Tool *t : tools_)
-        t->fnEnter(ctx, call);
-}
-
-void
-Guest::dispatchLeave(ContextId ctx, CallNum call)
-{
-    for (Tool *t : tools_)
-        t->fnLeave(ctx, call);
 }
 
 } // namespace sigil::vg

@@ -6,7 +6,9 @@
  * and (b) Valgrind's core: it owns a synthetic guest address space, the
  * function registry and calling-context tree, a virtual clock measured in
  * retired operations, and a chain of attached tools to which it
- * dispatches every primitive event.
+ * dispatches every primitive event: one tool callback per event, as it
+ * happens, so a tool's queries of the guest's ambient state describe
+ * the event being delivered.
  *
  * Workloads are written against this facade: they allocate guest arrays,
  * route every load/store through read()/write(), account arithmetic with
@@ -18,24 +20,20 @@
 #ifndef SIGIL_VG_GUEST_HH
 #define SIGIL_VG_GUEST_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "support/serial.hh"
 #include "vg/context_tree.hh"
-#include "vg/event_buffer.hh"
 #include "vg/function_registry.hh"
 #include "vg/tool.hh"
 #include "vg/types.hh"
 
 namespace sigil {
 class MemoryGovernor;
-class Watchdog;
 } // namespace sigil
 
 namespace sigil::vg {
@@ -60,18 +58,6 @@ struct GuestCounters
     }
 };
 
-/** One rejected GuestConfig knob (see GuestConfig::validate()). */
-struct GuestConfigError
-{
-    /** Name of the offending knob, e.g. "eventBufferEvents". */
-    std::string knob;
-    /** What is wrong with it. */
-    std::string message;
-
-    /** "GuestConfig::<knob>: <message>" */
-    std::string describe() const;
-};
-
 /** Construction-time options of a guest. */
 struct GuestConfig
 {
@@ -83,62 +69,16 @@ struct GuestConfig
     unsigned maxContextDepth = 0;
 
     /**
-     * Batched event transport: buffer events into a structure-of-arrays
-     * EventBuffer and dispatch them to tools one full buffer at a time
-     * (Tool::processBatch) instead of one virtual call per event.
-     * Observably identical to per-event dispatch, except that tool
-     * state lags the guest until the buffer flushes — call sync()
-     * before querying a tool mid-run.
-     */
-    bool batchEvents = false;
-
-    /**
-     * Asynchronous analysis pipeline (implies batchEvents): a consumer
-     * thread drains filled buffers through the tools while the workload
-     * thread fills the other buffer (double buffering). sync() is the
-     * barrier that makes tool state current; finish() syncs
-     * implicitly, so end-of-run results are bit-identical to
-     * synchronous dispatch. Tools must not be destroyed before
-     * finish()/sync() has drained the pipeline.
-     */
-    bool asyncTools = false;
-
-    /** Capacity of each event buffer, in records. */
-    std::size_t eventBufferEvents = 4096;
-
-    /**
      * Process-wide memory budget, in bytes, enforced by the guest's
      * MemoryGovernor (support/mem_governor.hh). Accounted against it:
-     * shadow chunks (hot + cold + stamp tables) and event buffers.
-     * When an allocation
+     * shadow chunks (hot + cold + stamp tables). When an allocation
      * would exceed the budget the shadow evicts least-recently-used
      * chunks first and then escalates to the profiler's
      * never-descending degradation ladder instead of OOM-ing. 0 (the
      * default) disables enforcement; the governor still tracks usage.
      */
     std::size_t memoryBudgetBytes = 0;
-
-    /**
-     * Stall deadline, in milliseconds, for the watchdog
-     * (support/watchdog.hh) over the one worker thread a guest spawns:
-     * the async analysis consumer (asyncTools). A consumer busy
-     * without progress for longer than this fails the run with a
-     * structured diagnostic report. 0 (the default) disables the
-     * watchdog.
-     */
-    unsigned stallTimeoutMs = 0;
-
-    /**
-     * Validate knob ranges and reject conflicting combinations.
-     * Returns the first problem found, or nullopt when the
-     * configuration is usable. Guest's constructor calls this and
-     * fails fatally on an error; call it directly to surface
-     * configuration problems as data instead of a death.
-     */
-    std::optional<GuestConfigError> validate() const;
 };
-
-class AsyncToolPipeline;
 
 /** The instrumented guest program. */
 class Guest
@@ -149,8 +89,6 @@ class Guest
     {}
 
     Guest(std::string program_name, const GuestConfig &config);
-
-    ~Guest();
 
     Guest(const Guest &) = delete;
     Guest &operator=(const Guest &) = delete;
@@ -169,12 +107,6 @@ class Guest
      * sessions attached to this guest charge their footprints here.
      */
     sigil::MemoryGovernor *governor() const { return governor_.get(); }
-
-    /**
-     * The guest's stall watchdog, or nullptr when stallTimeoutMs is 0.
-     * The async analysis consumer registers here.
-     */
-    sigil::Watchdog *watchdog() const { return watchdog_.get(); }
 
     /**
      * Shared ownership of the governor. Tools routinely outlive the
@@ -220,13 +152,7 @@ class Guest
     CallNum nextCall() const { return nextCall_; }
 
     /** Current call depth (of the current thread). */
-    std::size_t
-    callDepth() const
-    {
-        if (const DispatchCursor *c = activeDispatchCursor())
-            return c->depth;
-        return thread().frames.size();
-    }
+    std::size_t callDepth() const { return thread().frames.size(); }
 
     /// @}
 
@@ -384,32 +310,10 @@ class Guest
     /** Finish the program: pops nothing, notifies tools. Idempotent. */
     void finish();
 
-    /**
-     * Flush buffered events to the tools and, in async mode, wait for
-     * the consumer thread to drain them; then sync() every tool. After
-     * sync() every tool has observed every event emitted so far;
-     * required before querying tool state mid-run in batched/async
-     * mode. finish() syncs implicitly.
-     */
-    void sync();
-
     /** Virtual time in retired operations. */
-    Tick
-    now() const
-    {
-        if (const DispatchCursor *c = activeDispatchCursor())
-            return c->tick;
-        return counters_.instructions();
-    }
+    Tick now() const { return counters_.instructions(); }
 
     const GuestCounters &counters() const { return counters_; }
-
-    /**
-     * True while buffered events have not yet reached every tool
-     * (batched/async mode). Tool state queried while this is true is
-     * stale; call sync() first. Always false in per-event mode.
-     */
-    bool eventsPendingDispatch() const;
 
     /** @name Checkpointing
      *
@@ -423,16 +327,15 @@ class Guest
      */
     /// @{
 
-    /** Serialize the full guest state. sync()s first in batched mode. */
+    /** Serialize the full guest state. */
     void saveState(ByteSink &sink);
 
     /**
      * Restore state saved by saveState() into a freshly constructed
      * guest with the same program name and no events delivered yet
      * (tools may be attached; their state is restored separately).
-     * Returns false — leaving the guest unusable — on corrupt input,
-     * an id mismatch, or a batching guest (checkpoint replay uses
-     * per-event dispatch).
+     * Returns false — leaving the guest unusable — on corrupt input
+     * or an id mismatch.
      */
     bool restoreState(ByteSource &src);
 
@@ -463,25 +366,6 @@ class Guest
     [[noreturn, gnu::cold, gnu::noinline]] void
     rejectAccess(const char *kind, Addr addr, unsigned size) const;
 
-    void dispatchEnter(ContextId ctx, CallNum call);
-    void dispatchLeave(ContextId ctx, CallNum call);
-
-    /** @name Batched transport */
-    /// @{
-
-    friend class AsyncToolPipeline;
-
-    /** Append one record with the current ambient state. */
-    void appendEvent(EventKind kind, std::uint64_t a, std::uint64_t b);
-
-    /** Hand the filled buffer to the tools (or the consumer thread). */
-    void flushFill();
-
-    /** Run one buffer through every attached tool, in attach order. */
-    void dispatchBatch(const EventBuffer &batch);
-
-    /// @}
-
     std::string programName_;
     GuestConfig config_;
     FunctionRegistry functions_;
@@ -494,26 +378,14 @@ class Guest
 
     Addr heapPtr_ = kHeapBase;
     std::vector<Allocation> allocations_;
-    /** Allocation count published for cross-thread allocationOf(). */
-    std::atomic<std::size_t> allocCount_{0};
 
     FunctionId inputFn_;
     bool roiActive_ = false;
     bool finished_ = false;
 
-    /** Declared before pipeline_ (and destroyed after it): the
-     *  pipeline's consumer thread heartbeats into the watchdog and the
-     *  governor until it is joined. The governor is shared so
-     *  subsystems that outlive the guest (see governorShared()) keep
-     *  it alive. */
+    /** Shared so subsystems that outlive the guest (see
+     *  governorShared()) keep it alive. */
     std::shared_ptr<sigil::MemoryGovernor> governor_;
-    std::unique_ptr<sigil::Watchdog> watchdog_;
-    /** Event-buffer bytes charged to the governor (released in dtor). */
-    std::size_t bufferBytesCharged_ = 0;
-
-    bool batching_ = false;
-    std::unique_ptr<EventBuffer> fillBuf_;
-    std::unique_ptr<AsyncToolPipeline> pipeline_;
 
     GuestCounters counters_;
 };

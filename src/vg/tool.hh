@@ -4,8 +4,10 @@
  *
  * Plays the role of Valgrind's tool API: the Guest dispatches a stream of
  * primitive events (function enter/leave, memory reads/writes, retired
- * operations, branches) to every attached tool. Tools query the Guest for
- * ambient state (current context, call number, virtual time).
+ * operations, branches) to every attached tool, one callback per event
+ * as it happens. Tools query the Guest for ambient state (current
+ * context, call number, virtual time), which always describes the event
+ * being delivered.
  */
 
 #ifndef SIGIL_VG_TOOL_HH
@@ -17,6 +19,7 @@
 
 namespace sigil::vg {
 
+/** Never defined; named only by the processBatch() shim below. */
 class EventBuffer;
 class Guest;
 
@@ -29,15 +32,8 @@ class Tool
     /** Called once when the tool is attached to a guest. */
     virtual void attach(const Guest &guest) { guest_ = &guest; }
 
-    /**
-     * A batch of buffered events (batched-transport mode). The default
-     * implementation replays the batch through the per-event virtuals
-     * below, with the guest's ambient-state accessors answering from
-     * the batch's dispatch cursor, so tools that never heard of
-     * batching behave identically. Hot tools override this and consume
-     * the buffer's lanes directly.
-     */
-    virtual void processBatch(const EventBuffer &batch);
+    // Unused; goes once perfbench/common.hh stops overriding it.
+    virtual void processBatch(const EventBuffer &) {}
 
     /** A function was entered, creating context ctx with call number. */
     virtual void fnEnter(ContextId ctx, CallNum call)
@@ -93,13 +89,7 @@ class Tool
      */
     virtual void roi(bool active) { (void)active; }
 
-    /**
-     * Drain any asynchronous state the tool owns so that queries
-     * observe every event delivered so far. Called by Guest::sync()
-     * and Guest::finish() after the guest's own buffers have drained;
-     * forwarding tools pass it on, and tools without internal
-     * concurrency ignore it.
-     */
+    // Unused; goes once perfbench/common.hh stops overriding it.
     virtual void sync() {}
 
     /** The guest program finished; flush any pending state. */

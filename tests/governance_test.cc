@@ -6,10 +6,10 @@
  * Governor: exact reconciliation of the ledger against ShadowStats,
  * bit-identity of governed runs whose budget covers the natural peak,
  * the peak-bound contract of tight budgets (within budget plus at most
- * one chunk of slack, shedding LRU chunks before fidelity). Watchdog: stall detection with structured diagnostics,
- * idle workers never flagged, re-arming after recovery, the Degrade
- * action, and a wedged async-tools consumer surfacing through a custom
- * stall handler. Plus GuestConfig::validate() knob rejection.
+ * one chunk of slack, shedding LRU chunks before fidelity). Watchdog:
+ * stall detection with structured diagnostics, idle workers never
+ * flagged, re-arming after recovery, the Degrade action, and a worker
+ * thread wedged mid-work surfacing through a custom stall handler.
  */
 
 #include <gtest/gtest.h>
@@ -31,7 +31,6 @@
 #include "support/rng.hh"
 #include "support/watchdog.hh"
 #include "vg/guest.hh"
-#include "vg/trace_io.hh"
 
 namespace sigil {
 namespace {
@@ -137,7 +136,7 @@ TEST(MemoryGovernor, LedgerBasics)
     MemoryGovernor gov(1000);
     EXPECT_FALSE(gov.overBudget());
     gov.charge(MemCategory::Shadow, 600);
-    gov.charge(MemCategory::EventBuffers, 300);
+    gov.charge(MemCategory::ProfileCatalog, 300);
     EXPECT_EQ(gov.liveBytes(), 900u);
     EXPECT_FALSE(gov.overBudget());
     EXPECT_TRUE(gov.overBudget(200)); // headroom would exceed
@@ -145,7 +144,7 @@ TEST(MemoryGovernor, LedgerBasics)
     EXPECT_EQ(gov.liveBytes(MemCategory::Shadow), 0u);
     EXPECT_EQ(gov.peakBytes(MemCategory::Shadow), 600u);
     EXPECT_EQ(gov.peakBytes(), 900u);
-    gov.release(MemCategory::EventBuffers, 300);
+    gov.release(MemCategory::ProfileCatalog, 300);
     EXPECT_EQ(gov.liveBytes(), 0u);
 
     std::string text = gov.describe();
@@ -275,77 +274,44 @@ TEST(WatchdogUnit, DegradeActionWarnsWithoutHandler)
     dog.unregisterEntity(id);
 }
 
-/** A tool that wedges inside its first batch. */
-class WedgingTool : public vg::Tool
+TEST(WatchdogUnit, WedgedThreadReachesStallHandlerWithDiagnostics)
 {
-  public:
-    void
-    processBatch(const vg::EventBuffer &batch) override
-    {
-        if (!wedged_) {
-            wedged_ = true;
-            std::this_thread::sleep_for(std::chrono::milliseconds(400));
-        }
-        events_ += batch.size();
-    }
-
-    std::uint64_t events_ = 0;
-    bool wedged_ = false;
-};
-
-TEST(WatchdogGuest, AsyncConsumerStallSurfacesStructuredReport)
-{
-    QuietLogs quiet;
-    vg::GuestConfig gc;
-    gc.asyncTools = true;
-    gc.eventBufferEvents = 64;
-    gc.stallTimeoutMs = 60;
-    vg::Guest g("stall", gc);
+    Watchdog dog(60);
     std::mutex mu;
     std::vector<std::string> messages;
-    ASSERT_NE(g.watchdog(), nullptr);
-    g.watchdog()->setStallHandler([&](const StallReport &r) {
+    dog.setStallHandler([&](const StallReport &r) {
         std::lock_guard<std::mutex> lock(mu);
         messages.push_back(r.message());
     });
-    WedgingTool tool;
-    g.addTool(&tool);
-    driveWideWorkload(g, 77, 4000);
+    std::atomic<std::uint64_t> drained{0};
+    int id = dog.registerEntity(
+        "wedged-thread", Watchdog::StallAction::Fail, [&] {
+            return "batches drained=" +
+                   std::to_string(drained.load(std::memory_order_relaxed));
+        });
+    std::atomic<bool> release{false};
+    std::thread worker([&] {
+        dog.busy(id);
+        drained.fetch_add(1, std::memory_order_relaxed);
+        dog.beat(id);
+        // Wedged: busy, and no heartbeat until released.
+        while (!release.load(std::memory_order_acquire))
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        dog.beat(id);
+        dog.idle(id);
+    });
+    for (int i = 0; i < 300 && dog.stallsDetected() == 0; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    release.store(true, std::memory_order_release);
+    worker.join();
+    dog.unregisterEntity(id);
 
-    EXPECT_GE(g.watchdog()->stallsDetected(), 1u);
+    EXPECT_GE(dog.stallsDetected(), 1u);
     std::lock_guard<std::mutex> lock(mu);
     ASSERT_FALSE(messages.empty());
-    EXPECT_NE(messages.front().find("async-tool-consumer"),
+    EXPECT_NE(messages.front().find("wedged-thread"), std::string::npos);
+    EXPECT_NE(messages.front().find("batches drained=1"),
               std::string::npos);
-    EXPECT_NE(messages.front().find("batches drained"),
-              std::string::npos);
-    EXPECT_GT(tool.events_, 0u); // the run still completed
-}
-
-// ---------------------------------------------------------------------
-// Configuration validation
-// ---------------------------------------------------------------------
-
-TEST(GuestConfigValidate, RejectsBadKnobsWithStructuredErrors)
-{
-    vg::GuestConfig good;
-    EXPECT_FALSE(good.validate().has_value());
-
-    vg::GuestConfig buffers;
-    buffers.eventBufferEvents = 0;
-    auto err = buffers.validate();
-    ASSERT_TRUE(err.has_value());
-    EXPECT_EQ(err->knob, "eventBufferEvents");
-    EXPECT_NE(err->describe().find("GuestConfig::eventBufferEvents"),
-              std::string::npos);
-}
-
-TEST(GuestConfigValidate, BadConfigDiesAtGuestConstruction)
-{
-    vg::GuestConfig bad;
-    bad.eventBufferEvents = 0;
-    EXPECT_EXIT(vg::Guest("bad", bad), ::testing::ExitedWithCode(1),
-                "eventBufferEvents");
 }
 
 } // namespace

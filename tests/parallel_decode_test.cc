@@ -1,14 +1,12 @@
 /**
  * @file
- * Differential suite for framed trace ingestion across formats and
- * dispatch modes.
+ * Differential suite for framed trace ingestion across formats.
  *
  * Replays the same randomized workloads recorded as LZ-compressed SGB3,
  * and transcoded to the SGB2 framing of earlier releases
- * (tests/trace_fixtures.hh), through a SigilProfiler in per-event and
- * asynchronous dispatch, and requires the serialized profiles and
- * event traces to be bitwise identical to the per-event SGB2
- * reference. Also covers checkpoint / resume driven
+ * (tests/trace_fixtures.hh), through a SigilProfiler, and requires the
+ * serialized profiles and event traces to be bitwise identical to the
+ * SGB2 reference. Also covers checkpoint / resume driven
  * straight from a file (mmap'd input) on compressed traces,
  * mmap-vs-stream replay equivalence, and the LZ block codec itself
  * (round-trip, incompressible fallback, bounds-checked rejection of
@@ -167,15 +165,6 @@ recordTraces(const TraceParams &p, std::size_t block_events = 256)
     return {fixtures::sgb2FromSgb3(o3.str()), o3.str()};
 }
 
-/** How replayed events reach the analysis tools. */
-enum class Dispatch { PerEvent, Async };
-
-const char *
-dispatchName(Dispatch d)
-{
-    return d == Dispatch::PerEvent ? "per-event" : "async";
-}
-
 struct RunResult
 {
     std::string profile;
@@ -185,12 +174,9 @@ struct RunResult
 
 /** Zero-copy replay of an in-memory trace; serialize all outputs. */
 RunResult
-replayOnce(const std::string &trace, const TraceParams &p,
-           Dispatch dispatch)
+replayOnce(const std::string &trace, const TraceParams &p)
 {
-    vg::GuestConfig gc;
-    gc.asyncTools = dispatch == Dispatch::Async;
-    vg::Guest g("pardec", gc);
+    vg::Guest g("pardec");
     core::SigilProfiler prof(profilerConfig(p));
     g.addTool(&prof);
 
@@ -234,7 +220,7 @@ TEST_P(ParallelDecodeDifferential, ThreadsFormatsDispatchMatchReference)
         any_compressed |= b.compressed;
     ASSERT_TRUE(any_compressed);
 
-    RunResult ref = replayOnce(t.sgb2, p, Dispatch::PerEvent);
+    RunResult ref = replayOnce(t.sgb2, p);
     ASSERT_TRUE(ref.report.ok());
     ASSERT_TRUE(ref.report.sawTrailer);
     ASSERT_EQ(ref.report.eventsDelivered, ref.report.totalEventsRecorded);
@@ -248,18 +234,14 @@ TEST_P(ParallelDecodeDifferential, ThreadsFormatsDispatchMatchReference)
     };
     for (const Variant &v : {Variant{&t.sgb2, "SGB2"},
                              Variant{&t.sgb3, "SGB3"}}) {
-        for (Dispatch d : {Dispatch::PerEvent, Dispatch::Async}) {
-            SCOPED_TRACE(std::string(v.format) + " dispatch=" +
-                         dispatchName(d));
-            RunResult got = replayOnce(*v.trace, p, d);
-            EXPECT_TRUE(got.report.ok());
-            EXPECT_EQ(got.report.eventsDelivered,
-                      ref.report.eventsDelivered);
-            EXPECT_EQ(got.report.totalEventsRecorded,
-                      ref.report.totalEventsRecorded);
-            EXPECT_EQ(ref.profile, got.profile);
-            EXPECT_EQ(ref.events, got.events);
-        }
+        SCOPED_TRACE(v.format);
+        RunResult got = replayOnce(*v.trace, p);
+        EXPECT_TRUE(got.report.ok());
+        EXPECT_EQ(got.report.eventsDelivered, ref.report.eventsDelivered);
+        EXPECT_EQ(got.report.totalEventsRecorded,
+                  ref.report.totalEventsRecorded);
+        EXPECT_EQ(ref.profile, got.profile);
+        EXPECT_EQ(ref.events, got.events);
     }
 }
 
@@ -268,7 +250,7 @@ TEST_P(ParallelDecodeDifferential, FileCheckpointResumeOnCompressedTrace)
     const TraceParams &p = GetParam();
     // Small blocks so the checkpoint interval fires many times.
     RecordedTraces t = recordTraces(p, 64);
-    RunResult ref = replayOnce(t.sgb2, p, Dispatch::PerEvent);
+    RunResult ref = replayOnce(t.sgb2, p);
     ASSERT_TRUE(ref.report.sawTrailer);
     bool any_compressed = false;
     for (const vg::Sgb2BlockInfo &b : vg::scanSgb2Blocks(t.sgb3))
@@ -364,7 +346,7 @@ TEST(MappedTrace, MmapReplayMatchesStreamReplay)
         ASSERT_EQ(mapped.view().size(), trace->size());
         ASSERT_EQ(std::string(mapped.view()), *trace);
 
-        RunResult ref = replayOnce(*trace, p, Dispatch::PerEvent);
+        RunResult ref = replayOnce(*trace, p);
         vg::Guest g("pardec");
         core::SigilProfiler prof(profilerConfig(p));
         g.addTool(&prof);
@@ -386,7 +368,7 @@ TEST(MappedTrace, ReplayTraceFileSniffsEveryFormat)
 {
     TraceParams p{43, 0, 0, false, false, false};
     RecordedTraces t = recordTraces(p);
-    RunResult ref = replayOnce(t.sgb2, p, Dispatch::PerEvent);
+    RunResult ref = replayOnce(t.sgb2, p);
 
     for (const std::string *trace : {&t.sgb2, &t.sgb3}) {
         std::string path = ::testing::TempDir() + "/pardec_sniff";

@@ -139,17 +139,15 @@ recordTrace(const std::string &path, std::uint64_t seed,
 }
 
 /**
- * The catalog's exact load recipe, in-process: batch-dispatch guest
- * named like the catalog entry, default profiler config, salvage
- * replay. The differential tests compare daemon responses against
- * renderings of this profile byte for byte.
+ * The catalog's exact load recipe, in-process: default guest named
+ * like the catalog entry, default profiler config, salvage replay.
+ * The differential tests compare daemon responses against renderings
+ * of this profile byte for byte.
  */
 core::SigilProfile
 replayInProcess(const std::string &name, const std::string &path)
 {
-    vg::GuestConfig gcfg;
-    gcfg.batchEvents = true;
-    vg::Guest guest(name, gcfg);
+    vg::Guest guest(name);
     core::SigilProfiler profiler{core::SigilConfig{}};
     guest.addTool(&profiler);
     vg::ReplayOptions ropt;

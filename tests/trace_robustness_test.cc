@@ -13,7 +13,9 @@
  * framings, checkpoint/resume bit-identity across the shadow
  * configurations, the shadow-pressure degradation ladder, and the
  * structured line/offset error reporting of the profile and event
- * parsers.
+ * parsers. Also the binary round trips: ROI marks survive recording,
+ * replayTraceFile() sniffs SGB3 and SGB2 alike, and the fatal replay
+ * entry point rejects garbage and truncated input.
  */
 
 #include <gtest/gtest.h>
@@ -85,7 +87,7 @@ profilerConfig(const TraceParams &p)
 
 /** Drive one deterministic pseudo-random workload into the guest. */
 void
-driveTrace(vg::Guest &g, const TraceParams &p, int steps)
+driveTrace(vg::Guest &g, const TraceParams &p, int steps = 6000)
 {
     Rng rng(p.seed);
     const char *fns[] = {"alpha", "beta", "gamma", "delta",
@@ -1226,45 +1228,104 @@ TEST(DegradationLadder, NoReuseConfigSkipsStraightToClassification)
 }
 
 // ---------------------------------------------------------------------
-// Guest::sync() coverage and guest state round-trip
+// Round trips, the format sniff and fatal replay of bad input
 // ---------------------------------------------------------------------
 
-TEST(SyncBarrier, EventsPendingDispatchTracksBatching)
+/** Record one workload as an SGB3 trace. */
+std::string
+recordBinary(const TraceParams &p)
 {
-    vg::GuestConfig gc;
-    gc.batchEvents = true;
-    vg::Guest g("sync", gc);
-    core::SigilProfiler prof;
-    g.addTool(&prof);
-    g.enter("main");
-    g.write(vg::kHeapBase, 4);
-    EXPECT_TRUE(g.eventsPendingDispatch());
-    g.sync();
-    EXPECT_FALSE(g.eventsPendingDispatch());
-    g.write(vg::kHeapBase, 4);
-    g.leave();
-    g.finish(); // finish() syncs: tool reads are safe afterwards
-    EXPECT_FALSE(g.eventsPendingDispatch());
-    EXPECT_GT(prof.takeProfile().rows.size(), 0u);
+    vg::Guest g("trace_roundtrip");
+    std::ostringstream bos(std::ios::binary);
+    vg::BinaryTraceRecorder brec(bos);
+    g.addTool(&brec);
+    driveTrace(g, p);
+    return bos.str();
 }
 
-#ifndef NDEBUG
-TEST(SyncBarrierDeathTest, UnsyncedToolReadAssertsInDebugBuilds)
+TEST(BinaryTrace, RoiRoundTrips)
 {
-    EXPECT_DEATH(
-        {
-            vg::GuestConfig gc;
-            gc.batchEvents = true;
-            vg::Guest g("sync", gc);
-            core::SigilProfiler prof;
-            g.addTool(&prof);
-            g.enter("main");
-            g.write(vg::kHeapBase, 4);
-            (void)prof.aggregates(g.currentContext());
-        },
-        "events pending");
+    // ROI marks survive the trace: an roiOnly profiler sees identical
+    // windows live and from the replayed binary trace.
+    TraceParams p{2222, 0, 0, true, false, true};
+
+    vg::Guest g("trace_roundtrip");
+    core::SigilConfig scfg;
+    scfg.roiOnly = true;
+    core::SigilProfiler live(scfg);
+    std::ostringstream bos(std::ios::binary);
+    vg::BinaryTraceRecorder brec(bos);
+    g.addTool(&live);
+    g.addTool(&brec);
+    driveTrace(g, p);
+
+    std::ostringstream live_pos;
+    core::writeProfile(live_pos, live.takeProfile());
+
+    vg::Guest rg("trace_roundtrip");
+    core::SigilProfiler prof(scfg);
+    rg.addTool(&prof);
+    std::istringstream is(bos.str(), std::ios::binary);
+    vg::replayBinaryTrace(is, rg);
+    std::ostringstream pos;
+    core::writeProfile(pos, prof.takeProfile());
+
+    EXPECT_EQ(live_pos.str(), pos.str());
 }
-#endif
+
+TEST(BinaryTrace, FileSniffSelectsFormat)
+{
+    TraceParams p{4444, 0, 0, false, false, false};
+    std::string sgb3 = recordBinary(p);
+    std::string sgb2 = fixtures::sgb2FromSgb3(sgb3);
+
+    std::string dir = ::testing::TempDir();
+    std::string sgb2_path = dir + "/sniff_trace.sgb2";
+    std::string sgb3_path = dir + "/sniff_trace.sgb3";
+    std::ofstream(sgb2_path, std::ios::binary) << sgb2;
+    std::ofstream(sgb3_path, std::ios::binary) << sgb3;
+
+    auto replay_file = [](const std::string &path) {
+        vg::Guest g("trace_roundtrip");
+        core::SigilProfiler prof;
+        g.addTool(&prof);
+        EXPECT_GT(vg::replayTraceFile(path, g), 1000u);
+        std::ostringstream pos;
+        core::writeProfile(pos, prof.takeProfile());
+        return pos.str();
+    };
+    std::string from_sgb3 = replay_file(sgb3_path);
+    EXPECT_EQ(replay_file(sgb2_path), from_sgb3);
+    EXPECT_GT(from_sgb3.size(), 100u);
+    std::remove(sgb2_path.c_str());
+    std::remove(sgb3_path.c_str());
+}
+
+TEST(BinaryTraceDeath, RejectsGarbage)
+{
+    vg::Guest g("garbage");
+    std::istringstream is(std::string("not a trace at all"),
+                          std::ios::binary);
+    EXPECT_EXIT(vg::replayBinaryTrace(is, g),
+                ::testing::ExitedWithCode(1), "bad magic");
+}
+
+TEST(BinaryTraceDeath, RejectsTruncation)
+{
+    TraceParams p{5555, 0, 0, false, false, false};
+    std::string binary = recordBinary(p);
+    // A cut mid-block surfaces as a truncation or a corrupt record,
+    // never as a silent partial replay.
+    std::string truncated = binary.substr(0, binary.size() / 2);
+    vg::Guest g("truncated");
+    std::istringstream is(truncated, std::ios::binary);
+    EXPECT_EXIT(vg::replayBinaryTrace(is, g),
+                ::testing::ExitedWithCode(1), "binary trace");
+}
+
+// ---------------------------------------------------------------------
+// Guest state round-trip
+// ---------------------------------------------------------------------
 
 TEST(GuestState, SaveRestoreRoundTripsBitIdentically)
 {
