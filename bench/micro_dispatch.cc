@@ -20,6 +20,7 @@
 
 #include "cg/cg_tool.hh"
 #include "core/checkpoint.hh"
+#include "core/profile_query.hh"
 #include "core/sigil_profiler.hh"
 #include "server/client.hh"
 #include "server/server.hh"
@@ -453,20 +454,27 @@ BENCHMARK(BM_WideReplay)->UseRealTime();
 /**
  * One sigild instance shared by every BM_ServerQueryThroughput run:
  * the wide trace written to a file, loaded once into the catalog,
- * served over a Unix-domain socket by an 8-worker pool. Started on
- * first use and drained at process exit so the socket file is
+ * served over a Unix-domain socket by an 8-worker pool, plus the
+ * in-process renderings every answer must equal (the catalog's load
+ * recipe: a default profiler on a guest named like the entry). Started
+ * on first use and drained at process exit so the socket file is
  * unlinked.
  */
-const server::ProfileQueryServer &
-queryServerFixture(std::string &socket_path)
+struct QueryServerFixture
 {
-    struct Fixture
-    {
-        std::string socketPath;
-        server::ProfileQueryServer *srv = nullptr;
-    };
-    static Fixture fx = [] {
-        Fixture f;
+    std::string socketPath;
+    server::ProfileQueryServer *srv = nullptr;
+    std::string functionText;
+    std::string edgesText;
+    std::string summaryText;
+    std::string listText;
+};
+
+const QueryServerFixture &
+queryServerFixture()
+{
+    static QueryServerFixture fx = [] {
+        QueryServerFixture f;
         std::string stem =
             "/tmp/sigil_bench_server_" + std::to_string(::getpid());
         std::string trace_path = stem + ".trace";
@@ -493,22 +501,21 @@ queryServerFixture(std::string &socket_path)
                          ls.error.c_str());
             std::abort();
         }
+
+        std::istringstream is(wideTrace(), std::ios::binary);
+        vg::Guest g("bench");
+        core::SigilProfiler prof{core::SigilConfig{}};
+        g.addTool(&prof);
+        vg::replayBinaryTrace(is, g);
+        core::SigilProfile profile = prof.takeProfile();
+        f.functionText = core::functionQueryText(profile, "a");
+        f.edgesText = core::edgesQueryText(profile);
+        f.summaryText = core::summaryQueryText(profile);
+        f.listText = "bench\n";
+        std::atexit([] { fx.srv->stop(); });
         return f;
     }();
-    static const int cleanup = [] {
-        std::atexit([] {
-            // The fixture pointer is reachable through the static
-            // above; re-enter with a dummy string to fetch it.
-            std::string dummy;
-            const_cast<server::ProfileQueryServer &>(
-                queryServerFixture(dummy))
-                .stop();
-        });
-        return 0;
-    }();
-    (void)cleanup;
-    socket_path = fx.socketPath;
-    return *fx.srv;
+    return fx;
 }
 
 /**
@@ -518,15 +525,15 @@ queryServerFixture(std::string &socket_path)
  * connection per client per iteration. minibench has no Threads()
  * support, so the benchmark spawns its own client threads and runs on
  * real time; items/sec is end-to-end requests per second through
- * framing, dispatch, rendering, and the socket round-trip. The
- * failed_requests counter must stay 0 — a non-RespText answer under
- * plain load is a server bug, not noise.
+ * framing, dispatch, the catalog's stored answers, and the socket
+ * round-trip. The failed_requests counter counts answers that are not
+ * RespText or differ from the in-process rendering; it must stay 0 —
+ * under plain load either is a server bug, not noise.
  */
 void
 BM_ServerQueryThroughput(benchmark::State &state)
 {
-    std::string socket_path;
-    queryServerFixture(socket_path);
+    const QueryServerFixture &fx = queryServerFixture();
     const int clients = static_cast<int>(state.range(0));
     constexpr int kRequestsPerClient = 64;
     std::atomic<std::uint64_t> failures{0};
@@ -534,32 +541,36 @@ BM_ServerQueryThroughput(benchmark::State &state)
         std::vector<std::thread> pool;
         pool.reserve(static_cast<std::size_t>(clients));
         for (int c = 0; c < clients; ++c) {
-            pool.emplace_back([&socket_path, &failures] {
+            pool.emplace_back([&fx, &failures] {
                 server::QueryClient qc =
-                    server::QueryClient::connectUnix(socket_path);
+                    server::QueryClient::connectUnix(fx.socketPath);
                 if (!qc.valid()) {
                     failures.fetch_add(kRequestsPerClient);
                     return;
                 }
                 for (int i = 0; i < kRequestsPerClient; ++i) {
                     server::QueryResult r;
+                    const std::string *want = nullptr;
                     switch (i & 3) {
                     case 0:
                         r = qc.function("bench", "a");
+                        want = &fx.functionText;
                         break;
                     case 1:
                         r = qc.edges("bench");
+                        want = &fx.edgesText;
                         break;
                     case 2:
                         r = qc.summary("bench");
+                        want = &fx.summaryText;
                         break;
                     default:
                         r = qc.list();
+                        want = &fx.listText;
                         break;
                     }
-                    if (!r.ok)
+                    if (!r.ok || r.text != *want)
                         failures.fetch_add(1);
-                    benchmark::DoNotOptimize(r.text.size());
                 }
             });
         }

@@ -21,8 +21,9 @@
 # trace (parse-only and profiled end to end), and the
 # BM_ServerQueryThroughput sigild sweep (Arg = concurrent query
 # clients over the daemon's Unix-domain socket; items/sec is
-# end-to-end requests per second through framing, dispatch, catalog
-# rendering, and the socket round-trip). The JSON context carries a
+# end-to-end requests per second through framing, dispatch, the
+# catalog's stored answers, and the socket round-trip; each answer is
+# checked against the in-process rendering). The JSON context carries a
 # machine manifest ("num_cpus", "cpu_model", "kernel") and
 # compare_bench.py refuses a baseline recorded on different hardware.
 #

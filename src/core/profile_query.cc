@@ -7,6 +7,7 @@
 #include "core/profile_diff.hh"
 #include "core/profile_io.hh"
 #include "core/report.hh"
+#include "support/table.hh"
 
 namespace sigil::core {
 
@@ -34,18 +35,16 @@ void
 appendRowLine(std::string &out, const char *name,
               const CommAggregates &a)
 {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "  %-32s calls %llu iops %llu flops %llu "
-                  "read %llu write %llu uniq-in %llu uniq-out %llu\n",
-                  name, static_cast<unsigned long long>(a.calls),
-                  static_cast<unsigned long long>(a.iops),
-                  static_cast<unsigned long long>(a.flops),
-                  static_cast<unsigned long long>(a.readBytes),
-                  static_cast<unsigned long long>(a.writeBytes),
-                  static_cast<unsigned long long>(a.uniqueInputBytes),
-                  static_cast<unsigned long long>(a.uniqueOutputBytes));
-    out += buf;
+    appendf(out,
+            "  %-32s calls %llu iops %llu flops %llu "
+            "read %llu write %llu uniq-in %llu uniq-out %llu\n",
+            name, static_cast<unsigned long long>(a.calls),
+            static_cast<unsigned long long>(a.iops),
+            static_cast<unsigned long long>(a.flops),
+            static_cast<unsigned long long>(a.readBytes),
+            static_cast<unsigned long long>(a.writeBytes),
+            static_cast<unsigned long long>(a.uniqueInputBytes),
+            static_cast<unsigned long long>(a.uniqueOutputBytes));
 }
 
 } // namespace
@@ -63,11 +62,8 @@ functionQueryText(const SigilProfile &profile, const std::string &fn_name)
 {
     std::vector<const SigilRow *> rows = profile.findByFunction(fn_name);
     std::string out;
-    char head[160];
-    std::snprintf(head, sizeof(head), "function %s: %zu context%s\n",
-                  fn_name.c_str(), rows.size(),
-                  rows.size() == 1 ? "" : "s");
-    out += head;
+    appendf(out, "function %s: %zu context%s\n", fn_name.c_str(),
+            rows.size(), rows.size() == 1 ? "" : "s");
     if (rows.empty()) {
         out += "  (no context matches this function name)\n";
         return out;
@@ -92,33 +88,21 @@ std::string
 edgesQueryText(const SigilProfile &profile)
 {
     std::string out;
-    char head[96];
-    std::snprintf(head, sizeof(head), "edges %zu\n",
-                  profile.edges.size());
-    out += head;
+    appendf(out, "edges %zu\n", profile.edges.size());
     for (const CommEdge &e : profile.edges) {
-        char buf[256];
-        std::snprintf(buf, sizeof(buf),
-                      "  %s -> %s unique %llu nonunique %llu\n",
-                      contextName(profile, e.producer).c_str(),
-                      contextName(profile, e.consumer).c_str(),
-                      static_cast<unsigned long long>(e.uniqueBytes),
-                      static_cast<unsigned long long>(e.nonuniqueBytes));
-        out += buf;
+        appendf(out, "  %s -> %s unique %llu nonunique %llu\n",
+                contextName(profile, e.producer).c_str(),
+                contextName(profile, e.consumer).c_str(),
+                static_cast<unsigned long long>(e.uniqueBytes),
+                static_cast<unsigned long long>(e.nonuniqueBytes));
     }
     if (!profile.threadEdges.empty()) {
-        std::snprintf(head, sizeof(head), "thread-edges %zu\n",
-                      profile.threadEdges.size());
-        out += head;
+        appendf(out, "thread-edges %zu\n", profile.threadEdges.size());
         for (const ThreadCommEdge &e : profile.threadEdges) {
-            char buf[160];
-            std::snprintf(buf, sizeof(buf),
-                          "  t%u -> t%u unique %llu nonunique %llu\n",
-                          e.producer, e.consumer,
-                          static_cast<unsigned long long>(e.uniqueBytes),
-                          static_cast<unsigned long long>(
-                              e.nonuniqueBytes));
-            out += buf;
+            appendf(out, "  t%u -> t%u unique %llu nonunique %llu\n",
+                    e.producer, e.consumer,
+                    static_cast<unsigned long long>(e.uniqueBytes),
+                    static_cast<unsigned long long>(e.nonuniqueBytes));
         }
     }
     return out;
@@ -129,12 +113,10 @@ diffQueryText(const SigilProfile &lhs, const SigilProfile &rhs)
 {
     ProfileDiff diff = diffProfiles(lhs, rhs);
     std::string out;
-    char head[128];
-    std::snprintf(head, sizeof(head), "profiles %s: %zu mismatch%s\n",
-                  diff.identical() ? "identical" : "differ",
-                  diff.mismatches.size(),
-                  diff.mismatches.size() == 1 ? "" : "es");
-    out += head;
+    appendf(out, "profiles %s: %zu mismatch%s\n",
+            diff.identical() ? "identical" : "differ",
+            diff.mismatches.size(),
+            diff.mismatches.size() == 1 ? "" : "es");
     if (!diff.identical())
         out += diff.describe();
     return out;

@@ -1,15 +1,72 @@
 #include "server/catalog.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
+#include "cdfg/cdfg.hh"
+#include "cdfg/partitioner.hh"
 #include "core/profile_query.hh"
 #include "core/sigil_profiler.hh"
+#include "support/table.hh"
 #include "vg/guest.hh"
 #include "vg/trace_io.hh"
 
 namespace sigil::server {
+
+std::string
+partitionQueryText(const core::SigilProfile &profile)
+{
+    cdfg::Cdfg graph = cdfg::Cdfg::build(profile);
+    cdfg::PartitionResult parts = cdfg::Partitioner().partition(graph);
+    std::string out;
+    appendf(out,
+            "partition: %zu candidate%s, %.1f%% coverage, "
+            "%zu non-viable\n",
+            parts.candidates.size(),
+            parts.candidates.size() == 1 ? "" : "s",
+            100.0 * parts.coverage, parts.nonViable);
+    for (const cdfg::Candidate &c : parts.candidates) {
+        appendf(out,
+                "  %-32s S_be %.3f cover %.2f%% in %llu B "
+                "out %llu B\n",
+                c.displayName.c_str(), c.breakevenSpeedup,
+                100.0 * c.coverage,
+                static_cast<unsigned long long>(c.boundaryInBytes),
+                static_cast<unsigned long long>(c.boundaryOutBytes));
+    }
+    return out;
+}
+
+CatalogAnswers::CatalogAnswers(core::SigilProfile p)
+    : profile(std::move(p)),
+      profileText(core::profileQueryText(profile)),
+      summaryText(core::summaryQueryText(profile)),
+      edgesText(core::edgesQueryText(profile)),
+      partitionText(partitionQueryText(profile))
+{
+    for (const core::SigilRow &row : profile.rows) {
+        if (functionText.count(row.fnName) == 0)
+            functionText.emplace(
+                row.fnName, core::functionQueryText(profile, row.fnName));
+    }
+}
+
+const std::string *
+CatalogAnswers::function(const std::string &fn_name) const
+{
+    auto it = functionText.find(fn_name);
+    return it == functionText.end() ? nullptr : &it->second;
+}
+
+std::uint64_t
+CatalogAnswers::textBytes() const
+{
+    std::uint64_t bytes = profileText.size() + summaryText.size() +
+                          edgesText.size() + partitionText.size();
+    for (const auto &[fn, text] : functionText)
+        bytes += fn.size() + text.size();
+    return bytes;
+}
 
 ProfileCatalog::ProfileCatalog(std::shared_ptr<MemoryGovernor> governor)
     : governor_(std::move(governor))
@@ -49,13 +106,15 @@ ProfileCatalog::load(const std::string &name, const std::string &path)
         return status;
     }
 
+    // Rendering, like the replay, stays outside the lock.
     Entry entry;
     entry.name = name;
     entry.path = path;
-    entry.profile = std::make_shared<const core::SigilProfile>(
-        profiler.takeProfile());
+    entry.answers =
+        std::make_shared<const CatalogAnswers>(profiler.takeProfile());
     entry.replaySummary = report.summary();
-    entry.bytes = core::profileMemoryEstimate(*entry.profile);
+    entry.bytes = core::profileMemoryEstimate(entry.answers->profile) +
+                  entry.answers->textBytes();
 
     std::lock_guard<std::mutex> lock(mu_);
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
@@ -93,7 +152,7 @@ ProfileCatalog::unload(const std::string &name)
     return false;
 }
 
-std::shared_ptr<const core::SigilProfile>
+std::shared_ptr<const CatalogAnswers>
 ProfileCatalog::find(const std::string &name)
 {
     std::lock_guard<std::mutex> lock(mu_);
@@ -101,10 +160,21 @@ ProfileCatalog::find(const std::string &name)
         if (e.name == name) {
             e.lastUse = ++tick_;
             ++e.hits;
-            return e.profile;
+            return e.answers;
         }
     }
     return nullptr;
+}
+
+std::uint64_t
+ProfileCatalog::entryBytes(const std::string &name) const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const Entry &e : entries_) {
+        if (e.name == name)
+            return e.bytes;
+    }
+    return 0;
 }
 
 std::vector<std::string>
@@ -131,22 +201,15 @@ ProfileCatalog::statsText() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     std::string out;
-    char head[128];
-    std::snprintf(head, sizeof(head),
-                  "catalog: %zu trace%s, %llu eviction%s\n",
-                  entries_.size(), entries_.size() == 1 ? "" : "s",
-                  static_cast<unsigned long long>(evictions_),
-                  evictions_ == 1 ? "" : "s");
-    out += head;
+    appendf(out, "catalog: %zu trace%s, %llu eviction%s\n",
+            entries_.size(), entries_.size() == 1 ? "" : "s",
+            static_cast<unsigned long long>(evictions_),
+            evictions_ == 1 ? "" : "s");
     for (const Entry &e : entries_) {
-        char line[512];
-        std::snprintf(line, sizeof(line),
-                      "  %-16s %10llu B  %6llu hit%s  %s\n",
-                      e.name.c_str(),
-                      static_cast<unsigned long long>(e.bytes),
-                      static_cast<unsigned long long>(e.hits),
-                      e.hits == 1 ? "" : "s", e.replaySummary.c_str());
-        out += line;
+        appendf(out, "  %-16s %10llu B  %6llu hit%s  %s\n",
+                e.name.c_str(), static_cast<unsigned long long>(e.bytes),
+                static_cast<unsigned long long>(e.hits),
+                e.hits == 1 ? "" : "s", e.replaySummary.c_str());
     }
     if (governor_) {
         out += "  governor: " + governor_->describe() + "\n";

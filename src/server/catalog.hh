@@ -1,16 +1,22 @@
 /**
  * @file
- * Budget-governed in-memory catalog of loaded profiles.
+ * Budget-governed in-memory catalog of loaded profiles and their
+ * rendered answers.
  *
  * The catalog decouples the expensive part of the paper's pipeline
  * (replaying a trace through the full profiler stack) from the cheap
  * part (answering queries over the resulting aggregate profile): each
  * trace is replayed exactly once at load time — salvage policy, so
- * crash captures load too — and the immutable
- * SigilProfile then serves any number of concurrent readers without
- * locking beyond a catalog-map mutex.
+ * crash captures load too. The load then renders every whole-profile
+ * answer (profile, summary, edges, partition, and the function answer
+ * of each function name in the rows) with the canonical renderers,
+ * once, and publishes them with the profile as one immutable
+ * CatalogAnswers. Any number of concurrent readers then share it
+ * without locking beyond a catalog-map mutex; a request sends the
+ * stored bytes instead of rendering them again.
  *
- * Resident profiles are charged to the process MemoryGovernor under
+ * Resident entries — the profile's estimate plus the stored answer
+ * bytes — are charged to the process MemoryGovernor under
  * MemCategory::ProfileCatalog. When a load pushes the governor over
  * budget the catalog evicts least-recently-queried entries (never the
  * one being loaded) until the budget fits again — the same
@@ -25,6 +31,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/profile.hh"
@@ -32,6 +39,39 @@
 #include "vg/trace_error.hh"
 
 namespace sigil::server {
+
+/**
+ * hw/sw partition rendering (paper eq. 1 candidates) for one loaded
+ * profile. Lives in the server layer — not core/profile_query — so
+ * sigil_core does not grow a dependency on sigil_cdfg.
+ */
+std::string partitionQueryText(const core::SigilProfile &profile);
+
+/**
+ * One loaded trace: its profile and every answer that depends on the
+ * profile alone, rendered once at load by the canonical renderers.
+ * Immutable once published; requests that need more than one profile
+ * (diff) or a function name no row carries render from `profile`.
+ */
+struct CatalogAnswers
+{
+    core::SigilProfile profile;
+    std::string profileText;   ///< core::profileQueryText
+    std::string summaryText;   ///< core::summaryQueryText, default top_n
+    std::string edgesText;     ///< core::edgesQueryText
+    std::string partitionText; ///< server::partitionQueryText
+    /** core::functionQueryText per distinct SigilRow::fnName. */
+    std::unordered_map<std::string, std::string> functionText;
+
+    /** Render every answer of `p`. */
+    explicit CatalogAnswers(core::SigilProfile p);
+
+    /** Stored function answer; null when no row has that name. */
+    const std::string *function(const std::string &fn_name) const;
+
+    /** Bytes of stored answer text, function-name keys included. */
+    std::uint64_t textBytes() const;
+};
 
 /** Outcome of one load request. */
 struct LoadStatus
@@ -67,12 +107,17 @@ class ProfileCatalog
     bool unload(const std::string &name);
 
     /**
-     * Profile by name, bumping its LRU stamp; null when absent. The
-     * returned profile is immutable and outlives eviction (shared
+     * Answers by name, bumping the entry's LRU stamp; null when
+     * absent. They are immutable and outlive eviction (shared
      * ownership), so an in-flight query never races an unload.
      */
-    std::shared_ptr<const core::SigilProfile>
-    find(const std::string &name);
+    std::shared_ptr<const CatalogAnswers> find(const std::string &name);
+
+    /**
+     * Bytes charged to the governor for one entry (profile estimate
+     * plus stored answers); 0 when absent. Does not touch the LRU.
+     */
+    std::uint64_t entryBytes(const std::string &name) const;
 
     /** Loaded names, most recently used first. */
     std::vector<std::string> names() const;
@@ -88,7 +133,7 @@ class ProfileCatalog
     {
         std::string name;
         std::string path;
-        std::shared_ptr<const core::SigilProfile> profile;
+        std::shared_ptr<const CatalogAnswers> answers;
         std::string replaySummary;
         std::uint64_t bytes = 0;
         std::uint64_t lastUse = 0;

@@ -1,45 +1,33 @@
 #include "server/server.hh"
 
 #include <cstdio>
+#include <string_view>
 #include <utility>
 
-#include "cdfg/cdfg.hh"
-#include "cdfg/partitioner.hh"
 #include "core/profile_query.hh"
 #include "support/logging.hh"
 #include "support/serial.hh"
 
 namespace sigil::server {
 
-std::string
-partitionQueryText(const core::SigilProfile &profile)
+/**
+ * One response. A stored answer goes out as a view of the catalog's
+ * text, which `answers` keeps alive past an eviction or unload;
+ * anything rendered for this request lives in `text`.
+ */
+struct ProfileQueryServer::Reply
 {
-    cdfg::Cdfg graph = cdfg::Cdfg::build(profile);
-    cdfg::PartitionResult parts = cdfg::Partitioner().partition(graph);
-    std::string out;
-    char head[160];
-    std::snprintf(head, sizeof(head),
-                  "partition: %zu candidate%s, %.1f%% coverage, "
-                  "%zu non-viable\n",
-                  parts.candidates.size(),
-                  parts.candidates.size() == 1 ? "" : "s",
-                  100.0 * parts.coverage, parts.nonViable);
-    out += head;
-    for (const cdfg::Candidate &c : parts.candidates) {
-        char line[512];
-        std::snprintf(line, sizeof(line),
-                      "  %-32s S_be %.3f cover %.2f%% in %llu B "
-                      "out %llu B\n",
-                      c.displayName.c_str(), c.breakevenSpeedup,
-                      100.0 * c.coverage,
-                      static_cast<unsigned long long>(
-                          c.boundaryInBytes),
-                      static_cast<unsigned long long>(
-                          c.boundaryOutBytes));
-        out += line;
+    std::uint8_t op = 0;
+    std::string text;
+    std::shared_ptr<const CatalogAnswers> answers;
+    const std::string *stored = nullptr;
+
+    std::string_view
+    payload() const
+    {
+        return stored ? std::string_view(*stored) : std::string_view(text);
     }
-    return out;
-}
+};
 
 ProfileQueryServer::ProfileQueryServer(ServerConfig config)
     : config_(std::move(config))
@@ -239,16 +227,15 @@ ProfileQueryServer::serveConnection(net::Socket sock, int wd_id)
 
         if (watchdog_ && wd_id >= 0)
             watchdog_->busy(wd_id);
-        std::uint8_t resp_op = 0;
-        std::string resp_payload;
+        Reply reply;
         bool drain = false;
-        dispatch(op, payload, &resp_op, &resp_payload, &drain);
+        dispatch(op, payload, &reply, &drain);
         if (watchdog_ && wd_id >= 0)
             watchdog_->idle(wd_id);
 
         requests_.fetch_add(1, std::memory_order_relaxed);
         net::IoStatus sent =
-            net::sendFrame(sock, resp_op, resp_payload);
+            net::sendFrame(sock, reply.op, reply.payload());
         if (sent == net::IoStatus::Timeout)
             timeouts_.fetch_add(1, std::memory_order_relaxed);
         if (sent != net::IoStatus::Ok)
@@ -266,32 +253,37 @@ ProfileQueryServer::serveConnection(net::Socket sock, int wd_id)
 
 void
 ProfileQueryServer::dispatch(std::uint8_t op, const std::string &payload,
-                             std::uint8_t *resp_op,
-                             std::string *resp_payload, bool *drain)
+                             Reply *reply, bool *drain)
 {
     auto error = [&](ErrCode code, const std::string &msg) {
         ByteSink sink;
         sink.u8(static_cast<std::uint8_t>(code));
         sink.str(msg);
-        *resp_op = static_cast<std::uint8_t>(Op::RespError);
-        *resp_payload = sink.take();
+        reply->op = static_cast<std::uint8_t>(Op::RespError);
+        reply->text = sink.take();
         protoErrors_.fetch_add(1, std::memory_order_relaxed);
     };
     auto text = [&](std::string body) {
-        *resp_op = static_cast<std::uint8_t>(Op::RespText);
-        *resp_payload = std::move(body);
+        reply->op = static_cast<std::uint8_t>(Op::RespText);
+        reply->text = std::move(body);
     };
-    auto profileFor =
-        [&](const std::string &name,
-            std::shared_ptr<const core::SigilProfile> *out) {
-            *out = catalog_->find(name);
-            if (!*out) {
-                error(ErrCode::NotFound,
-                      "no loaded trace named '" + name + "'");
-                return false;
-            }
-            return true;
-        };
+    auto answersFor = [&](const std::string &name,
+                          std::shared_ptr<const CatalogAnswers> *out) {
+        *out = catalog_->find(name);
+        if (!*out) {
+            error(ErrCode::NotFound,
+                  "no loaded trace named '" + name + "'");
+            return false;
+        }
+        return true;
+    };
+    // Answer with text stored in `a`; the reply keeps `a` alive.
+    auto stored = [&](const std::shared_ptr<const CatalogAnswers> &a,
+                      const std::string &answer) {
+        reply->op = static_cast<std::uint8_t>(Op::RespText);
+        reply->answers = a;
+        reply->stored = &answer;
+    };
 
     ByteSource src(payload);
     switch (static_cast<Op>(op)) {
@@ -317,10 +309,10 @@ ProfileQueryServer::dispatch(std::uint8_t op, const std::string &payload,
         if (!src.atEnd())
             return error(ErrCode::BadRequest,
                          "profile expects (name)");
-        std::shared_ptr<const core::SigilProfile> p;
-        if (!profileFor(name, &p))
+        std::shared_ptr<const CatalogAnswers> a;
+        if (!answersFor(name, &a))
             return;
-        return text(core::profileQueryText(*p));
+        return stored(a, a->profileText);
     }
     case Op::Function: {
         std::string name = src.str();
@@ -328,29 +320,33 @@ ProfileQueryServer::dispatch(std::uint8_t op, const std::string &payload,
         if (!src.atEnd())
             return error(ErrCode::BadRequest,
                          "function expects (name, fn_name)");
-        std::shared_ptr<const core::SigilProfile> p;
-        if (!profileFor(name, &p))
+        std::shared_ptr<const CatalogAnswers> a;
+        if (!answersFor(name, &a))
             return;
-        return text(core::functionQueryText(*p, fn));
+        if (const std::string *known = a->function(fn))
+            return stored(a, *known);
+        // No row has this name: the renderer's short "no context
+        // matches" answer.
+        return text(core::functionQueryText(a->profile, fn));
     }
     case Op::Edges: {
         std::string name = src.str();
         if (!src.atEnd())
             return error(ErrCode::BadRequest, "edges expects (name)");
-        std::shared_ptr<const core::SigilProfile> p;
-        if (!profileFor(name, &p))
+        std::shared_ptr<const CatalogAnswers> a;
+        if (!answersFor(name, &a))
             return;
-        return text(core::edgesQueryText(*p));
+        return stored(a, a->edgesText);
     }
     case Op::Summary: {
         std::string name = src.str();
         if (!src.atEnd())
             return error(ErrCode::BadRequest,
                          "summary expects (name)");
-        std::shared_ptr<const core::SigilProfile> p;
-        if (!profileFor(name, &p))
+        std::shared_ptr<const CatalogAnswers> a;
+        if (!answersFor(name, &a))
             return;
-        return text(core::summaryQueryText(*p));
+        return stored(a, a->summaryText);
     }
     case Op::Diff: {
         std::string name_a = src.str();
@@ -358,20 +354,20 @@ ProfileQueryServer::dispatch(std::uint8_t op, const std::string &payload,
         if (!src.atEnd())
             return error(ErrCode::BadRequest,
                          "diff expects (name_a, name_b)");
-        std::shared_ptr<const core::SigilProfile> a, b;
-        if (!profileFor(name_a, &a) || !profileFor(name_b, &b))
+        std::shared_ptr<const CatalogAnswers> a, b;
+        if (!answersFor(name_a, &a) || !answersFor(name_b, &b))
             return;
-        return text(core::diffQueryText(*a, *b));
+        return text(core::diffQueryText(a->profile, b->profile));
     }
     case Op::Partition: {
         std::string name = src.str();
         if (!src.atEnd())
             return error(ErrCode::BadRequest,
                          "partition expects (name)");
-        std::shared_ptr<const core::SigilProfile> p;
-        if (!profileFor(name, &p))
+        std::shared_ptr<const CatalogAnswers> a;
+        if (!answersFor(name, &a))
             return;
-        return text(partitionQueryText(*p));
+        return stored(a, a->partitionText);
     }
     case Op::Load: {
         std::string name = src.str();

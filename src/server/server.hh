@@ -6,13 +6,13 @@
  * optionally) feeds accepted connections into a bounded queue drained
  * by a pool of worker threads. A worker owns one connection at a time
  * and runs its request→response loop: decode one CRC-framed request,
- * render the answer from the immutable catalog profile, send one
+ * look up the answer the catalog rendered at load (only diff, stats,
+ * list and unknown function names render per request), send one
  * response frame. Per-connection SO_RCVTIMEO/SO_SNDTIMEO deadlines
  * turn a stalled or malicious client into a closed connection instead
- * of a captured worker; the stall watchdog from the replay pipeline
- * monitors the workers themselves, so a wedged request (not a slow
- * client — a bug) is reported rather than silently eating a pool
- * slot.
+ * of a captured worker; a support/watchdog.hh stall watchdog monitors
+ * the workers themselves, so a wedged request (not a slow client — a
+ * bug) is reported rather than silently eating a pool slot.
  *
  * Shutdown (stop(), or the Op::Shutdown control request, or SIGTERM
  * in the sigild binary) is a drain: listeners stop accepting, queued
@@ -67,13 +67,6 @@ struct ServerConfig
     unsigned stallTimeoutMs = 30000;
 };
 
-/**
- * hw/sw partition rendering (paper eq. 1 candidates) for one loaded
- * profile. Lives in the server layer — not core/profile_query — so
- * sigil_core does not grow a dependency on sigil_cdfg.
- */
-std::string partitionQueryText(const core::SigilProfile &profile);
-
 class ProfileQueryServer
 {
   public:
@@ -115,17 +108,19 @@ class ProfileQueryServer
     std::string statsText() const;
 
   private:
+    /** One response: op plus owned or stored payload (server.cc). */
+    struct Reply;
+
     void acceptLoop(net::Listener *listener);
     void workerLoop(unsigned index);
     void serveConnection(net::Socket sock, int watchdogId);
 
     /**
-     * Decode + execute one request; fills the response (op, payload).
-     * Sets *drain when the request asked for shutdown.
+     * Decode + execute one request; fills the reply. Sets *drain when
+     * the request asked for shutdown.
      */
     void dispatch(std::uint8_t op, const std::string &payload,
-                  std::uint8_t *resp_op, std::string *resp_payload,
-                  bool *drain);
+                  Reply *reply, bool *drain);
 
     void requestDrain();
 

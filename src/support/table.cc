@@ -47,23 +47,50 @@ TextTable::render() const
     return out;
 }
 
+namespace {
+
+/** Append the formatted text to out; false on a format error. */
+bool
+vappendf(std::string &out, const char *fmt, va_list ap)
+{
+    va_list ap2;
+    va_copy(ap2, ap);
+    char buf[256];
+    int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
+    if (n >= 0 && static_cast<std::size_t>(n) < sizeof(buf)) {
+        out.append(buf, static_cast<std::size_t>(n));
+    } else if (n >= 0) {
+        std::size_t at = out.size();
+        out.resize(at + static_cast<std::size_t>(n));
+        // vsnprintf writes n chars plus the terminator, which lands
+        // on the string's own trailing null.
+        std::vsnprintf(out.data() + at, static_cast<std::size_t>(n) + 1,
+                       fmt, ap2);
+    }
+    va_end(ap2);
+    return n >= 0;
+}
+
+} // namespace
+
 std::string
 strformat(const char *fmt, ...)
 {
     va_list ap;
     va_start(ap, fmt);
-    va_list ap2;
-    va_copy(ap2, ap);
-    int n = std::vsnprintf(nullptr, 0, fmt, ap);
+    std::string out;
+    bool ok = vappendf(out, fmt, ap);
     va_end(ap);
-    if (n < 0) {
-        va_end(ap2);
-        return "<format error>";
-    }
-    std::string out(static_cast<std::size_t>(n), '\0');
-    std::vsnprintf(out.data(), out.size() + 1, fmt, ap2);
-    va_end(ap2);
-    return out;
+    return ok ? out : "<format error>";
+}
+
+void
+appendf(std::string &out, const char *fmt, ...)
+{
+    va_list ap;
+    va_start(ap, fmt);
+    vappendf(out, fmt, ap);
+    va_end(ap);
 }
 
 } // namespace sigil

@@ -2,6 +2,7 @@
  * @file
  * Minimal fixed-width text-table printer used by the benchmark harnesses
  * to render the paper's tables and figure series as aligned rows.
+ * Also the printf-style string helpers the renderers share.
  */
 
 #ifndef SIGIL_SUPPORT_TABLE_HH
@@ -42,6 +43,13 @@ class TextTable
 /** printf-style helper returning std::string. */
 std::string strformat(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/**
+ * printf-style append to out, with no length limit: a line that
+ * outgrows the stack buffer is formatted again straight into out.
+ */
+void appendf(std::string &out, const char *fmt, ...)
+    __attribute__((format(printf, 2, 3)));
 
 } // namespace sigil
 

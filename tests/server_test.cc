@@ -4,7 +4,9 @@
  *
  * The contract under test: the daemon is a transport, not an analysis
  * — every response must be byte-identical to the in-process rendering
- * over the same profile, under any client concurrency. Around that
+ * over the same profile, under any client concurrency, for every
+ * answer the catalog stored at load and after a reload replaced them;
+ * the renderers keep names of any length whole. Around that
  * differential core: a malformed-frame fuzz sweep (hand-built bad
  * frames, truncations, bad CRCs, oversized lengths, unknown ops — the
  * server answers with a structured error or drops the connection,
@@ -24,7 +26,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -35,6 +40,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "cdfg/cdfg.hh"
+#include "cdfg/partitioner.hh"
 #include "core/profile_query.hh"
 #include "core/sigil_profiler.hh"
 #include "server/catalog.hh"
@@ -46,6 +53,7 @@
 #include "support/rng.hh"
 #include "support/serial.hh"
 #include "support/socket.hh"
+#include "support/table.hh"
 #include "vg/guest.hh"
 #include "vg/trace_io.hh"
 
@@ -281,6 +289,234 @@ TEST(ServerDifferential, ConcurrentClientsBitIdenticalToInProcess)
 }
 
 // ---------------------------------------------------------------------------
+// Render-once answers: what the catalog stored at load is what the
+// renderers give, for every op and function name, and a reload
+// replaces every stored answer.
+// ---------------------------------------------------------------------------
+
+/**
+ * Ask the server every question about `name` from four concurrent
+ * clients and compare each answer with the in-process rendering of
+ * `p`: every op, every function name in the rows, an unknown function
+ * name, and the diff in both directions against `other` (loaded as
+ * `other_name`). Returns the failing cases, one entry per failure.
+ */
+std::vector<std::string>
+servedAnswerMismatches(ServerUnderTest &s, const std::string &name,
+                       const core::SigilProfile &p,
+                       const std::string &other_name,
+                       const core::SigilProfile &other)
+{
+    using Ask = std::function<server::QueryResult(server::QueryClient &)>;
+    struct Case
+    {
+        std::string what;
+        Ask ask;
+        std::string want;
+    };
+    std::vector<Case> cases = {
+        {"profile", [&](auto &qc) { return qc.profile(name); },
+         core::profileQueryText(p)},
+        {"summary", [&](auto &qc) { return qc.summary(name); },
+         core::summaryQueryText(p)},
+        {"edges", [&](auto &qc) { return qc.edges(name); },
+         core::edgesQueryText(p)},
+        {"partition", [&](auto &qc) { return qc.partition(name); },
+         server::partitionQueryText(p)},
+        {"diff", [&](auto &qc) { return qc.diff(name, other_name); },
+         core::diffQueryText(p, other)},
+        {"diff-reverse",
+         [&](auto &qc) { return qc.diff(other_name, name); },
+         core::diffQueryText(other, p)},
+    };
+    std::set<std::string> fns;
+    for (const core::SigilRow &row : p.rows)
+        fns.insert(row.fnName);
+    fns.insert("no-such-function");
+    for (const std::string &fn : fns)
+        cases.push_back({"function " + fn,
+                         [&name, fn](auto &qc) {
+                             return qc.function(name, fn);
+                         },
+                         core::functionQueryText(p, fn)});
+
+    std::mutex mu;
+    std::vector<std::string> failures;
+    std::vector<std::thread> clients;
+    for (int c = 0; c < 4; ++c) {
+        clients.emplace_back([&] {
+            server::QueryClient qc = s.client();
+            for (const Case &k : cases) {
+                server::QueryResult r =
+                    qc.valid() ? k.ask(qc) : server::QueryResult{};
+                if (!r.ok || r.text != k.want) {
+                    std::lock_guard<std::mutex> lock(mu);
+                    failures.push_back(name + ": " + k.what);
+                }
+            }
+        });
+    }
+    for (std::thread &t : clients)
+        t.join();
+    return failures;
+}
+
+TEST(ServerQuery, ServedAnswersEqualRenderersAndFollowReloads)
+{
+    QuietLogs quiet;
+    std::string t1 = recordTrace(tmpStem("answers") + "_1.trace", 7);
+    std::string t2 = recordTrace(tmpStem("answers") + "_2.trace", 9);
+    std::string t3 =
+        recordTrace(tmpStem("answers") + "_3.trace", 11, 6000);
+
+    ServerUnderTest s(baseConfig());
+    ASSERT_TRUE(s.started);
+    server::QueryClient qc = s.client();
+    ASSERT_TRUE(qc.valid());
+    ASSERT_TRUE(qc.load("a", t1).ok);
+    ASSERT_TRUE(qc.load("b", t2).ok);
+
+    core::SigilProfile pa = replayInProcess("a", t1);
+    core::SigilProfile pb = replayInProcess("b", t2);
+    EXPECT_EQ(servedAnswerMismatches(s, "a", pa, "b", pb),
+              std::vector<std::string>{});
+    EXPECT_EQ(servedAnswerMismatches(s, "b", pb, "a", pa),
+              std::vector<std::string>{});
+
+    // Reload "a" from a different trace: every answer about it, and
+    // every diff that involves it, must follow the new profile.
+    core::SigilProfile pa2 = replayInProcess("a", t3);
+    ASSERT_NE(core::profileQueryText(pa2), core::profileQueryText(pa));
+    ASSERT_TRUE(qc.load("a", t3).ok);
+    EXPECT_EQ(servedAnswerMismatches(s, "a", pa2, "b", pb),
+              std::vector<std::string>{});
+    EXPECT_EQ(servedAnswerMismatches(s, "b", pb, "a", pa2),
+              std::vector<std::string>{});
+
+    // After an unload every question about "a" is NotFound.
+    ASSERT_TRUE(qc.unload("a").ok);
+    const server::QueryResult gone[] = {
+        qc.profile("a"),        qc.summary("a"),
+        qc.edges("a"),          qc.partition("a"),
+        qc.function("a", "b"),  qc.function("a", "no-such-function"),
+        qc.diff("a", "b"),      qc.diff("b", "a"),
+    };
+    for (const server::QueryResult &r : gone) {
+        EXPECT_FALSE(r.ok);
+        EXPECT_EQ(r.code, server::ErrCode::NotFound) << r.error;
+    }
+    EXPECT_TRUE(qc.summary("b").ok);
+
+    std::remove(t1.c_str());
+    std::remove(t2.c_str());
+    std::remove(t3.c_str());
+}
+
+/**
+ * Names longer than any fixed line buffer: a 300-character function
+ * name called from two sites (display names "<name>(1)", "<name>(2)")
+ * feeding a 300-character consumer, both accelerator candidates. Every line of the function, edges
+ * and partition answers must carry each name in full, then the rest of
+ * its line.
+ */
+TEST(QueryRender, LongNamesRenderEveryLineInFull)
+{
+    const std::string producer(300, 'p');
+    const std::string consumer = "consume_" + std::string(292, 'c');
+    vg::Guest g("long");
+    core::SigilProfiler profiler{core::SigilConfig{}};
+    g.addTool(&profiler);
+    g.enter("main");
+    g.enter(producer);
+    g.iop(40000);
+    g.write(0x10000, 256);
+    g.leave();
+    g.enter(consumer);
+    g.read(0x10000, 256);
+    g.iop(20000);
+    g.write(0x20000, 64);
+    g.leave();
+    g.enter("wrapper");
+    g.enter(producer);
+    g.iop(40000);
+    g.write(0x30000, 64);
+    g.leave();
+    g.leave();
+    g.read(0x20000, 64);
+    g.read(0x30000, 64);
+    g.leave();
+    g.finish();
+    const core::SigilProfile p = profiler.takeProfile();
+
+    auto agg = [](const core::CommAggregates &a) {
+        return " calls " + std::to_string(a.calls) + " iops " +
+               std::to_string(a.iops) + " flops " +
+               std::to_string(a.flops) + " read " +
+               std::to_string(a.readBytes) + " write " +
+               std::to_string(a.writeBytes) + " uniq-in " +
+               std::to_string(a.uniqueInputBytes) + " uniq-out " +
+               std::to_string(a.uniqueOutputBytes) + "\n";
+    };
+    std::vector<const core::SigilRow *> rows = p.findByFunction(producer);
+    ASSERT_EQ(rows.size(), 2u);
+    std::string want_fn = "function " + producer + ": 2 contexts\n";
+    core::CommAggregates sum;
+    for (const core::SigilRow *row : rows) {
+        EXPECT_EQ(row->displayName.size(), 303u);
+        want_fn += "  " + row->displayName + agg(row->agg);
+        sum.calls += row->agg.calls;
+        sum.iops += row->agg.iops;
+        sum.flops += row->agg.flops;
+        sum.readBytes += row->agg.readBytes;
+        sum.writeBytes += row->agg.writeBytes;
+        sum.uniqueInputBytes += row->agg.uniqueInputBytes;
+        sum.uniqueOutputBytes += row->agg.uniqueOutputBytes;
+    }
+    want_fn += "  <total>" + std::string(32 - 7, ' ') + agg(sum);
+    EXPECT_EQ(core::functionQueryText(p, producer), want_fn);
+
+    auto nameOf = [&](vg::ContextId ctx) {
+        return ctx == core::kUninitProducer
+                   ? std::string("<uninit>")
+                   : p.rows[static_cast<std::size_t>(ctx)].displayName;
+    };
+    std::string want_edges =
+        "edges " + std::to_string(p.edges.size()) + "\n";
+    bool long_edge = false;
+    for (const core::CommEdge &e : p.edges) {
+        long_edge = long_edge || nameOf(e.producer).size() >= 300;
+        want_edges += "  " + nameOf(e.producer) + " -> " +
+                      nameOf(e.consumer) + " unique " +
+                      std::to_string(e.uniqueBytes) + " nonunique " +
+                      std::to_string(e.nonuniqueBytes) + "\n";
+    }
+    EXPECT_TRUE(long_edge);
+    EXPECT_TRUE(p.threadEdges.empty());
+    EXPECT_EQ(core::edgesQueryText(p), want_edges);
+
+    cdfg::PartitionResult parts =
+        cdfg::Partitioner().partition(cdfg::Cdfg::build(p));
+    std::string want_part = strformat(
+        "partition: %zu candidate%s, %.1f%% coverage, %zu non-viable\n",
+        parts.candidates.size(), parts.candidates.size() == 1 ? "" : "s",
+        100.0 * parts.coverage, parts.nonViable);
+    bool long_candidate = false;
+    for (const cdfg::Candidate &c : parts.candidates) {
+        long_candidate = long_candidate || c.displayName.size() >= 300;
+        want_part += "  " + c.displayName;
+        if (c.displayName.size() < 32)
+            want_part += std::string(32 - c.displayName.size(), ' ');
+        want_part += strformat(
+            " S_be %.3f cover %.2f%% in %llu B out %llu B\n",
+            c.breakevenSpeedup, 100.0 * c.coverage,
+            static_cast<unsigned long long>(c.boundaryInBytes),
+            static_cast<unsigned long long>(c.boundaryOutBytes));
+    }
+    EXPECT_TRUE(long_candidate);
+    EXPECT_EQ(server::partitionQueryText(p), want_part);
+}
+
+// ---------------------------------------------------------------------------
 // Malformed-frame fuzz: structured errors or dropped connections,
 // never a crash, and the server keeps serving afterwards.
 // ---------------------------------------------------------------------------
@@ -458,9 +694,11 @@ TEST(ServerCatalog, GovernedCatalogEvictsLeastRecentlyQueried)
     QuietLogs quiet;
     std::string trace = recordTrace(tmpStem("evict") + ".trace", 7);
 
-    // Measure one resident profile to size the budget.
-    core::SigilProfile probe = replayInProcess("probe", trace);
-    const std::size_t one = core::profileMemoryEstimate(probe);
+    // Measure what the catalog charges for one entry (profile plus
+    // stored answers) to size the budget.
+    server::ProfileCatalog probe(nullptr);
+    ASSERT_TRUE(probe.load("probe", trace).ok);
+    const std::size_t one = probe.entryBytes("probe");
     ASSERT_GT(one, 0u);
 
     // Budget fits two profiles but not three.
@@ -487,7 +725,7 @@ TEST(ServerCatalog, GovernedCatalogEvictsLeastRecentlyQueried)
 
     // An in-flight reader keeps an evicted profile alive (shared
     // ownership): grab t1, evict it by loading t4, keep reading.
-    std::shared_ptr<const core::SigilProfile> held =
+    std::shared_ptr<const server::CatalogAnswers> held =
         catalog.find("t1");
     ASSERT_NE(held, nullptr);
     EXPECT_NE(catalog.find("t3"), nullptr); // t1 newest -> t3 next? no:
@@ -497,7 +735,7 @@ TEST(ServerCatalog, GovernedCatalogEvictsLeastRecentlyQueried)
     server::LoadStatus fourth = catalog.load("t4", trace);
     ASSERT_TRUE(fourth.ok);
     EXPECT_GE(fourth.evicted, 1u);
-    const std::string text = core::summaryQueryText(*held);
+    const std::string text = core::summaryQueryText(held->profile);
     EXPECT_FALSE(text.empty());
 
     std::remove(trace.c_str());
