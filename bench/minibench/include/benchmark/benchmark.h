@@ -94,8 +94,14 @@ class State
         : max_(iters), args_(std::move(args))
     {}
 
+    /**
+     * The loop variable's type. The user-provided destructor makes it
+     * non-trivial, so GCC does not flag `_` as set but not used.
+     */
     struct Value
-    {};
+    {
+        ~Value() {}
+    };
 
     class iterator
     {

@@ -60,7 +60,7 @@ std::string summaryQueryText(const SigilProfile &profile,
 /**
  * Heap footprint estimate of a resident profile (rows, strings,
  * edges, objects, histograms) — the accounting unit the daemon's
- * governed catalog charges against its memory budget.
+ * catalog charges against its memory budget.
  */
 std::uint64_t profileMemoryEstimate(const SigilProfile &profile);
 

@@ -79,17 +79,6 @@ SigilProfiler::roi(bool active)
 }
 
 void
-SigilProfiler::attach(const vg::Guest &guest)
-{
-    Tool::attach(guest);
-    // The shared handle keeps the governor alive for this profiler's
-    // whole lifetime, so shadow_'s raw pointer into it cannot dangle
-    // even when the guest is torn down first.
-    governorHold_ = guest.governorShared();
-    shadow_.setGovernor(governorHold_.get());
-}
-
-void
 SigilProfiler::fnEnter(vg::ContextId ctx, vg::CallNum call)
 {
     if (collecting_)
@@ -841,10 +830,23 @@ SigilProfiler::restoreState(ByteSource &src)
         return false;
     }
 
-    collecting_ = src.u8() != 0;
-    degradationLevel_ = src.u8();
-    reuseEnabled_ = src.u8() != 0;
-    classifyEnabled_ = src.u8() != 0;
+    // Only states this config can reach: degrade() climbs to level 1
+    // only when re-use is on to shed, each level fixes both mode
+    // flags, and collection pauses only under roiOnly.
+    const std::uint8_t collecting = src.u8();
+    const std::uint8_t level = src.u8();
+    const std::uint8_t reuse = src.u8();
+    const std::uint8_t classify = src.u8();
+    if (level > 2 || (level == 1 && !config_.collectReuse) ||
+        reuse != (config_.collectReuse && level == 0 ? 1 : 0) ||
+        classify != (level < 2 ? 1 : 0) || collecting > 1 ||
+        (collecting == 0 && !config_.roiOnly)) {
+        return false;
+    }
+    collecting_ = collecting != 0;
+    degradationLevel_ = level;
+    reuseEnabled_ = reuse != 0;
+    classifyEnabled_ = classify != 0;
 
     std::uint64_t num_rows = src.varint();
     if (!src.ok() || num_rows > (std::uint64_t{1} << 32))

@@ -21,7 +21,6 @@
 #define SIGIL_CORE_SIGIL_PROFILER_HH
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -83,7 +82,6 @@ class SigilProfiler : public vg::Tool
     explicit SigilProfiler(const SigilConfig &config = SigilConfig{});
     ~SigilProfiler() override;
 
-    void attach(const vg::Guest &guest) override;
     void fnEnter(vg::ContextId ctx, vg::CallNum call) override;
     void fnLeave(vg::ContextId ctx, vg::CallNum call) override;
     void memRead(vg::Addr addr, unsigned size) override;
@@ -206,12 +204,6 @@ class SigilProfiler : public vg::Tool
 
     SigilConfig config_;
     shadow::ShadowMemory shadow_;
-    /**
-     * Keeps the attached guest's MemoryGovernor alive as long as this
-     * profiler (tools routinely outlive their guest in tests), so the
-     * raw governor pointer installed into shadow_ stays valid.
-     */
-    std::shared_ptr<sigil::MemoryGovernor> governorHold_;
 
     /** False while ROI-only collection is outside the ROI. */
     bool collecting_ = true;

@@ -68,19 +68,9 @@ CatalogAnswers::textBytes() const
     return bytes;
 }
 
-ProfileCatalog::ProfileCatalog(std::shared_ptr<MemoryGovernor> governor)
-    : governor_(std::move(governor))
+ProfileCatalog::ProfileCatalog(std::size_t budget_bytes)
+    : budget_(budget_bytes)
 {
-}
-
-ProfileCatalog::~ProfileCatalog()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (governor_) {
-        for (const Entry &e : entries_)
-            governor_->release(MemCategory::ProfileCatalog, e.bytes);
-    }
-    entries_.clear();
 }
 
 LoadStatus
@@ -119,15 +109,13 @@ ProfileCatalog::load(const std::string &name, const std::string &path)
     std::lock_guard<std::mutex> lock(mu_);
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
         if (it->name == name) {
-            if (governor_)
-                governor_->release(MemCategory::ProfileCatalog,
-                                   it->bytes);
+            liveBytes_ -= it->bytes;
             entries_.erase(it);
             break;
         }
     }
-    if (governor_)
-        governor_->charge(MemCategory::ProfileCatalog, entry.bytes);
+    liveBytes_ += entry.bytes;
+    peakBytes_ = std::max(peakBytes_, liveBytes_);
     entry.lastUse = ++tick_;
     status.summary = entry.replaySummary;
     entries_.push_back(std::move(entry));
@@ -142,9 +130,7 @@ ProfileCatalog::unload(const std::string &name)
     std::lock_guard<std::mutex> lock(mu_);
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
         if (it->name == name) {
-            if (governor_)
-                governor_->release(MemCategory::ProfileCatalog,
-                                   it->bytes);
+            liveBytes_ -= it->bytes;
             entries_.erase(it);
             return true;
         }
@@ -211,9 +197,9 @@ ProfileCatalog::statsText() const
                 static_cast<unsigned long long>(e.hits),
                 e.hits == 1 ? "" : "s", e.replaySummary.c_str());
     }
-    if (governor_) {
-        out += "  governor: " + governor_->describe() + "\n";
-    }
+    appendf(out, "  memory: live %llu B (peak %llu B, budget %zu B)\n",
+            static_cast<unsigned long long>(liveBytes_),
+            static_cast<unsigned long long>(peakBytes_), budget_);
     return out;
 }
 
@@ -234,10 +220,10 @@ ProfileCatalog::size() const
 std::size_t
 ProfileCatalog::evictOverBudgetLocked(const std::string &keep)
 {
-    if (!governor_)
+    if (budget_ == 0)
         return 0;
     std::size_t evicted = 0;
-    while (governor_->overBudget() && entries_.size() > 1) {
+    while (liveBytes_ > budget_ && entries_.size() > 1) {
         auto victim = entries_.end();
         for (auto it = entries_.begin(); it != entries_.end(); ++it) {
             if (it->name == keep)
@@ -248,7 +234,7 @@ ProfileCatalog::evictOverBudgetLocked(const std::string &keep)
         }
         if (victim == entries_.end())
             break;
-        governor_->release(MemCategory::ProfileCatalog, victim->bytes);
+        liveBytes_ -= victim->bytes;
         entries_.erase(victim);
         ++evicted;
         ++evictions_;

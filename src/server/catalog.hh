@@ -1,7 +1,7 @@
 /**
  * @file
- * Budget-governed in-memory catalog of loaded profiles and their
- * rendered answers.
+ * Budgeted in-memory catalog of loaded profiles and their rendered
+ * answers.
  *
  * The catalog decouples the expensive part of the paper's pipeline
  * (replaying a trace through the full profiler stack) from the cheap
@@ -15,13 +15,12 @@
  * without locking beyond a catalog-map mutex; a request sends the
  * stored bytes instead of rendering them again.
  *
- * Resident entries — the profile's estimate plus the stored answer
- * bytes — are charged to the process MemoryGovernor under
- * MemCategory::ProfileCatalog. When a load pushes the governor over
- * budget the catalog evicts least-recently-queried entries (never the
- * one being loaded) until the budget fits again — the same
- * shed-where-cheapest policy the shadow's chunk LRU applies, one
- * level up.
+ * Each resident entry is charged its profile's estimate plus its
+ * stored answer bytes against the catalog's byte budget. When a load
+ * pushes the live total over the budget the catalog evicts
+ * least-recently-queried entries (never the one being loaded) until
+ * it fits again — the LRU policy the shadow's chunk limit applies,
+ * one level up. A budget of 0 never evicts.
  */
 
 #ifndef SIGIL_SERVER_CATALOG_HH
@@ -35,7 +34,6 @@
 #include <vector>
 
 #include "core/profile.hh"
-#include "support/mem_governor.hh"
 #include "vg/trace_error.hh"
 
 namespace sigil::server {
@@ -88,9 +86,8 @@ struct LoadStatus
 class ProfileCatalog
 {
   public:
-    /** governor may be null (ungoverned catalog, never evicts). */
-    explicit ProfileCatalog(std::shared_ptr<MemoryGovernor> governor);
-    ~ProfileCatalog();
+    /** budget_bytes == 0: never evicts (live/peak are still kept). */
+    explicit ProfileCatalog(std::size_t budget_bytes);
 
     ProfileCatalog(const ProfileCatalog &) = delete;
     ProfileCatalog &operator=(const ProfileCatalog &) = delete;
@@ -114,15 +111,19 @@ class ProfileCatalog
     std::shared_ptr<const CatalogAnswers> find(const std::string &name);
 
     /**
-     * Bytes charged to the governor for one entry (profile estimate
-     * plus stored answers); 0 when absent. Does not touch the LRU.
+     * Bytes charged against the budget for one entry (profile
+     * estimate plus stored answers); 0 when absent. Does not touch
+     * the LRU.
      */
     std::uint64_t entryBytes(const std::string &name) const;
 
     /** Loaded names, most recently used first. */
     std::vector<std::string> names() const;
 
-    /** One line per entry: name, bytes, hits, replay summary. */
+    /**
+     * One line per entry (name, bytes, hits, replay summary), then
+     * "memory: live N B (peak N B, budget N B)".
+     */
     std::string statsText() const;
 
     std::uint64_t evictions() const;
@@ -140,13 +141,16 @@ class ProfileCatalog
         std::uint64_t hits = 0;
     };
 
-    /** Evict LRU entries until the governor fits; keeps `keep`. */
+    /** Evict LRU entries until the budget fits; keeps `keep`. */
     std::size_t evictOverBudgetLocked(const std::string &keep);
 
-    std::shared_ptr<MemoryGovernor> governor_;
+    const std::size_t budget_;
 
     mutable std::mutex mu_;
     std::vector<Entry> entries_;
+    /** Sum of entries_' bytes, and its high-water mark. */
+    std::uint64_t liveBytes_ = 0;
+    std::uint64_t peakBytes_ = 0;
     std::uint64_t tick_ = 0;
     std::uint64_t evictions_ = 0;
 };

@@ -34,9 +34,7 @@ ProfileQueryServer::ProfileQueryServer(ServerConfig config)
 {
     if (config_.threads == 0)
         config_.threads = 1;
-    governor_ =
-        std::make_shared<MemoryGovernor>(config_.memoryBudgetBytes);
-    catalog_ = std::make_unique<ProfileCatalog>(governor_);
+    catalog_ = std::make_unique<ProfileCatalog>(config_.memoryBudgetBytes);
 }
 
 ProfileQueryServer::~ProfileQueryServer()
@@ -158,17 +156,15 @@ ProfileQueryServer::workerLoop(unsigned index)
     if (watchdog_) {
         char name[32];
         std::snprintf(name, sizeof(name), "server-worker-%u", index);
-        wd_id = watchdog_->registerEntity(
-            name, Watchdog::StallAction::Degrade, [this] {
-                char diag[96];
-                std::snprintf(diag, sizeof(diag),
-                              "requests served %llu, proto errors %llu",
-                              static_cast<unsigned long long>(
-                                  requests_.load()),
-                              static_cast<unsigned long long>(
-                                  protoErrors_.load()));
-                return std::string(diag);
-            });
+        wd_id = watchdog_->registerEntity(name, [this] {
+            char diag[96];
+            std::snprintf(diag, sizeof(diag),
+                          "requests served %llu, proto errors %llu",
+                          static_cast<unsigned long long>(requests_.load()),
+                          static_cast<unsigned long long>(
+                              protoErrors_.load()));
+            return std::string(diag);
+        });
     }
     for (;;) {
         net::Socket sock;

@@ -60,7 +60,7 @@ struct ServerConfig
     /** Request-frame size cap (responses use kMaxResponseFrame). */
     std::uint32_t maxRequestFrame = kMaxRequestFrame;
 
-    /** Catalog memory budget, bytes; 0 = ungoverned (never evicts). */
+    /** Catalog memory budget, bytes; 0 = no budget (never evicts). */
     std::size_t memoryBudgetBytes = 0;
 
     /** Worker stall deadline for the watchdog; 0 disables it. */
@@ -125,7 +125,6 @@ class ProfileQueryServer
     void requestDrain();
 
     ServerConfig config_;
-    std::shared_ptr<MemoryGovernor> governor_;
     std::unique_ptr<ProfileCatalog> catalog_;
     std::unique_ptr<Watchdog> watchdog_;
 

@@ -98,21 +98,6 @@ ShadowMemory::chunkFor(std::uint64_t unit)
     if (it == directory_.end()) {
         if (maxChunks_ != 0 && directory_.size() >= maxChunks_)
             evictOldest();
-        if (governor_ != nullptr && enforceBudget_) {
-            // Budget enforcement, cheapest shedding first: evict LRU
-            // chunks until the new chunk's hot array fits. Only when
-            // nothing evictable remains does the pressure handler ask
-            // the owner to climb the degradation ladder — the process
-            // keeps running inside its budget either way.
-            while (!directory_.empty() &&
-                   governor_->overBudget(chunkHotBytes())) {
-                evictOldest();
-            }
-            if (governor_->overBudget(chunkHotBytes()) &&
-                pressureHandler_) {
-                pressureHandler_(1);
-            }
-        }
         if (allocFailureInjector_) {
             // Degradation ladder, rung 1: survive a failed chunk
             // allocation by evicting the least recently used chunk
@@ -156,15 +141,6 @@ ShadowMemory::chunkFor(std::uint64_t unit)
 void
 ShadowMemory::materializeCold(Chunk &chunk)
 {
-    if (governor_ != nullptr && enforceBudget_) {
-        // Make room for the cold array, but never by evicting the
-        // chunk it is being attached to (it was just touched, so it is
-        // at the recency tail unless it is the only chunk left).
-        while (directory_.size() > 1 && lruHead_ != &chunk &&
-               governor_->overBudget(chunkColdBytes())) {
-            evictOldest();
-        }
-    }
     chunk.cold.reset(allocateBlocks<ShadowCold>());
     // Blocks touched before the cold array existed need their cold
     // entries now; the rest are constructed on their first touch.
@@ -207,11 +183,7 @@ ShadowMemory::restoreLookup(std::uint64_t unit, bool want_cold)
         std::move(allocFailureInjector_);
     maxChunks_ = 0;
     allocFailureInjector_ = nullptr;
-    // Budget enforcement pauses too (the saved chunk set already
-    // respected the budget when it was written); accounting continues.
-    enforceBudget_ = false;
     ShadowRef ref = lookup(unit, want_cold);
-    enforceBudget_ = true;
     maxChunks_ = saved_max;
     allocFailureInjector_ = std::move(saved_injector);
     return ref;
@@ -356,7 +328,6 @@ ShadowMemory::forEachInChunk(std::uint64_t index,
 void
 ShadowMemory::restoreStats(const ShadowStats &stats)
 {
-    std::uint64_t charged = stats_.bytesLive;
     stats_ = stats;
     stats_.chunksLive = directory_.size();
     stats_.coldArraysLive = 0;
@@ -371,28 +342,6 @@ ShadowMemory::restoreStats(const ShadowStats &stats)
     stats_.bytesLive = live;
     if (stats_.bytesPeak < stats_.bytesLive)
         stats_.bytesPeak = stats_.bytesLive;
-    if (governor_ != nullptr) {
-        // Resynchronize the governor's lane with the recomputed live
-        // figure (the checkpoint's stats replace ours wholesale).
-        governor_->release(MemCategory::Shadow,
-                           static_cast<std::size_t>(charged));
-        governor_->charge(MemCategory::Shadow,
-                          static_cast<std::size_t>(stats_.bytesLive));
-    }
-}
-
-void
-ShadowMemory::setGovernor(MemoryGovernor *governor)
-{
-    if (governor_ == governor)
-        return;
-    if (governor_ != nullptr)
-        governor_->release(MemCategory::Shadow,
-                           static_cast<std::size_t>(stats_.bytesLive));
-    governor_ = governor;
-    if (governor_ != nullptr && stats_.bytesLive != 0)
-        governor_->charge(MemCategory::Shadow,
-                          static_cast<std::size_t>(stats_.bytesLive));
 }
 
 } // namespace sigil::shadow

@@ -49,7 +49,6 @@
 #include <unordered_map>
 
 #include "shadow/stamp_table.hh"
-#include "support/mem_governor.hh"
 #include "vg/types.hh"
 
 namespace sigil::shadow {
@@ -374,8 +373,7 @@ class ShadowMemory
      * Overwrite the cumulative statistics (checkpoint restore). The
      * live-chunk count, cold-array count, and live bytes are re-derived
      * from the directory and stamp table; the byte peak is clamped up
-     * to the re-derived live figure (pre-v3 checkpoints do not record
-     * it).
+     * to the re-derived live figure.
      */
     void restoreStats(const ShadowStats &stats);
 
@@ -401,18 +399,6 @@ class ShadowMemory
     {
         pressureHandler_ = std::move(handler);
     }
-
-    /**
-     * Attach the process-wide memory governor. From here on every
-     * shadow byte (hot arrays, cold arrays, stamp tables) is mirrored
-     * into the governor's Shadow lane, and — when the governor has a
-     * non-zero budget — chunk and cold-array growth evicts least
-     * recently used chunks until the new allocation fits, falling back
-     * to the pressure handler when nothing evictable remains. Bytes
-     * already live are charged at install time so the lane always
-     * equals stats().bytesLive.
-     */
-    void setGovernor(MemoryGovernor *governor);
 
     /**
      * Host bytes of the always-present part of one chunk: the hot unit
@@ -489,18 +475,12 @@ class ShadowMemory
         stats_.bytesLive += n;
         if (stats_.bytesLive > stats_.bytesPeak)
             stats_.bytesPeak = stats_.bytesLive;
-        if (governor_ != nullptr)
-            governor_->charge(MemCategory::Shadow,
-                              static_cast<std::size_t>(n));
     }
 
     void
     bytesSub(std::uint64_t n)
     {
         stats_.bytesLive -= n;
-        if (governor_ != nullptr)
-            governor_->release(MemCategory::Shadow,
-                               static_cast<std::size_t>(n));
     }
 
     /**
@@ -547,9 +527,6 @@ class ShadowMemory
     SweepFilter evictionFilter_ = SweepFilter::All;
     std::function<bool()> allocFailureInjector_;
     std::function<void(int)> pressureHandler_;
-    MemoryGovernor *governor_ = nullptr;
-    /** False only inside restoreLookup(): account, never evict. */
-    bool enforceBudget_ = true;
     StampTable stamps_;
     ShadowStats stats_;
 };

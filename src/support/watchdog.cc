@@ -43,7 +43,7 @@ Watchdog::~Watchdog()
 }
 
 int
-Watchdog::registerEntity(std::string name, StallAction action, DiagFn diag)
+Watchdog::registerEntity(std::string name, DiagFn diag)
 {
     std::lock_guard<std::mutex> lock(mu_);
     int id = count_.load(std::memory_order_relaxed);
@@ -51,7 +51,6 @@ Watchdog::registerEntity(std::string name, StallAction action, DiagFn diag)
         fatal("Watchdog: entity limit (%d) exceeded", kMaxEntities);
     auto entity = std::make_unique<Entity>();
     entity->name = std::move(name);
-    entity->action = action;
     entity->diag = std::move(diag);
     slots_[id] = std::move(entity);
     count_.store(id + 1, std::memory_order_release);
@@ -66,13 +65,6 @@ Watchdog::unregisterEntity(int id)
                  "unknown watchdog entity id");
     slots_[id]->live.store(false, std::memory_order_relaxed);
     slots_[id]->busyFlag.store(false, std::memory_order_relaxed);
-}
-
-void
-Watchdog::setStallHandler(StallHandler handler)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    handler_ = std::move(handler);
 }
 
 std::string
@@ -97,21 +89,14 @@ Watchdog::fire(Entity &e, std::unique_lock<std::mutex> &lock)
         report.diagnostics.emplace_back(other.name, other.diag());
     }
     lastMessage_ = report.message();
-    StallHandler handler = handler_;
+    std::string message = lastMessage_;
 
-    // Run the consequence without the lock: a Fail handler may never
-    // return (the default calls fatal()), and must not wedge
-    // registration or heartbeat queries if it blocks.
+    // Log without the lock: a slow log sink must not wedge
+    // registration or heartbeat queries.
     lock.unlock();
-    if (e.action == StallAction::Degrade) {
-        warn("%s", report.message().c_str());
-    } else if (handler) {
-        handler(report);
-    } else {
-        fatal("%s", report.message().c_str());
-    }
-    // Counted once the consequence has run, so a caller that sees the
-    // count also sees what the handler did.
+    warn("%s", message.c_str());
+    // Counted once the warning is out, so a caller that sees the
+    // count also sees the warning.
     stalls_.fetch_add(1, std::memory_order_release);
     lock.lock();
 }

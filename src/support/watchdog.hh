@@ -14,14 +14,12 @@
  *
  * On a stall the monitor assembles a structured StallReport — the
  * stalled entity, the deadline, and a diagnostic line from every
- * registered entity (queue depths, last sequence numbers) — and then
- * either invokes the stall handler (StallAction::Fail — the default
- * handler calls fatal(), failing the run with the report instead of
- * hanging) or logs the report and keeps running (StallAction::Degrade
- * — used by sigild's query workers, where one slow request must not
- * take the daemon down). A flagged entity re-arms as soon as its beat
- * counter moves again, so transient stalls are reported once, not once
- * per monitor tick.
+ * registered entity (sigild's: requests served, protocol errors) —
+ * logs it as a warning, records it for lastReportMessage() and counts
+ * it, and keeps running: one slow sigild request must not take the
+ * daemon down. A flagged entity re-arms as soon as its beat counter moves
+ * again, so transient stalls are reported once, not once per monitor
+ * tick.
  *
  * The monitor runs at a fraction of the deadline, so detection
  * latency is between one and roughly 1.25 deadlines. Heartbeats are
@@ -65,15 +63,9 @@ struct StallReport
 class Watchdog
 {
   public:
-    enum class StallAction {
-        Fail,    ///< invoke the stall handler (default: fatal())
-        Degrade, ///< warn and keep monitoring; the entity self-recovers
-    };
-
     /** Optional per-entity diagnostic snapshot, sampled on a stall.
      *  Called from the monitor thread: must only read atomics. */
     using DiagFn = std::function<std::string()>;
-    using StallHandler = std::function<void(const StallReport &)>;
 
     /** Entities stalled for longer than timeout_ms are reported. */
     explicit Watchdog(unsigned timeout_ms);
@@ -88,8 +80,7 @@ class Watchdog
      * Register a worker. Returns a handle for beat()/busy()/idle().
      * Thread-safe; entities are monitored until unregisterEntity().
      */
-    int registerEntity(std::string name, StallAction action,
-                       DiagFn diag = nullptr);
+    int registerEntity(std::string name, DiagFn diag = nullptr);
 
     /** Stop monitoring an entity (its thread is exiting). */
     void unregisterEntity(int id);
@@ -117,15 +108,9 @@ class Watchdog
     }
 
     /**
-     * Replace the Fail-action handler. The default calls fatal() with
-     * the report message. Runs on the monitor thread.
-     */
-    void setStallHandler(StallHandler handler);
-
-    /**
-     * Number of stalls detected so far (both actions), each counted
-     * after its warning or handler has run: the handler's effects
-     * happen before a load that sees its count.
+     * Number of stalls detected so far, each counted after its warning
+     * has been logged and its message recorded: a load that sees the
+     * count also sees both.
      */
     std::uint64_t stallsDetected() const
     {
@@ -139,7 +124,6 @@ class Watchdog
     struct Entity
     {
         std::string name;
-        StallAction action = StallAction::Fail;
         DiagFn diag;
         std::atomic<std::uint64_t> beats{0};
         std::atomic<bool> busyFlag{false};
@@ -165,7 +149,6 @@ class Watchdog
     /** Slots below this are registered; release-published so the
      *  monitor sees a fully-constructed Entity. */
     std::atomic<int> count_{0};
-    StallHandler handler_;
     std::string lastMessage_;
     std::atomic<std::uint64_t> stalls_{0};
     bool stop_ = false;

@@ -3,15 +3,12 @@
 #include <algorithm>
 
 #include "support/logging.hh"
-#include "support/mem_governor.hh"
 
 namespace sigil::vg {
 
 Guest::Guest(std::string program_name, const GuestConfig &config)
     : programName_(std::move(program_name)), config_(config),
-      contexts_(functions_, config.maxContextDepth),
-      governor_(
-          std::make_shared<sigil::MemoryGovernor>(config.memoryBudgetBytes))
+      contexts_(functions_, config.maxContextDepth)
 {
     inputFn_ = functions_.intern("*input*");
     threads_.push_back(ThreadCtx{{}, kStackBase});

@@ -21,7 +21,6 @@
 #define SIGIL_VG_GUEST_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,10 +30,6 @@
 #include "vg/function_registry.hh"
 #include "vg/tool.hh"
 #include "vg/types.hh"
-
-namespace sigil {
-class MemoryGovernor;
-} // namespace sigil
 
 namespace sigil::vg {
 
@@ -67,17 +62,6 @@ struct GuestConfig
      * 0 = unlimited.
      */
     unsigned maxContextDepth = 0;
-
-    /**
-     * Process-wide memory budget, in bytes, enforced by the guest's
-     * MemoryGovernor (support/mem_governor.hh). Accounted against it:
-     * shadow chunks (hot + cold + stamp tables). When an allocation
-     * would exceed the budget the shadow evicts least-recently-used
-     * chunks first and then escalates to the profiler's
-     * never-descending degradation ladder instead of OOM-ing. 0 (the
-     * default) disables enforcement; the governor still tracks usage.
-     */
-    std::size_t memoryBudgetBytes = 0;
 };
 
 /** The instrumented guest program. */
@@ -100,25 +84,6 @@ class Guest
 
     /** The configuration this guest was constructed with. */
     const GuestConfig &config() const { return config_; }
-
-    /**
-     * The guest's memory-budget governor. Always present: with
-     * memoryBudgetBytes == 0 it only tracks usage. Tools and replay
-     * sessions attached to this guest charge their footprints here.
-     */
-    sigil::MemoryGovernor *governor() const { return governor_.get(); }
-
-    /**
-     * Shared ownership of the governor. Tools routinely outlive the
-     * guest they were attached to (tests tear the guest down first),
-     * so a subsystem that must reach the governor from its own
-     * destructor — the profiler's shadow releasing its chunk charge —
-     * keeps this shared handle instead of the raw pointer.
-     */
-    std::shared_ptr<sigil::MemoryGovernor> governorShared() const
-    {
-        return governor_;
-    }
 
     FunctionRegistry &functions() { return functions_; }
     const FunctionRegistry &functions() const { return functions_; }
@@ -382,10 +347,6 @@ class Guest
     FunctionId inputFn_;
     bool roiActive_ = false;
     bool finished_ = false;
-
-    /** Shared so subsystems that outlive the guest (see
-     *  governorShared()) keep it alive. */
-    std::shared_ptr<sigil::MemoryGovernor> governor_;
 
     GuestCounters counters_;
 };

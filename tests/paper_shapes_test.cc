@@ -216,7 +216,8 @@ TEST(PaperShapes, FluidanimateComputeForcesShare)
 // loses only precision, not classified mass.
 TEST(PaperShapes, MemoryLimiterPreservesMass)
 {
-    auto run_dedup = [](std::size_t max_chunks) {
+    std::uint64_t chunks_peak = 0;
+    auto run_dedup = [&chunks_peak](std::size_t max_chunks) {
         const workloads::Workload *w = workloads::findWorkload("dedup");
         vg::Guest g(w->name);
         core::SigilConfig cfg;
@@ -225,11 +226,14 @@ TEST(PaperShapes, MemoryLimiterPreservesMass)
         g.addTool(&prof);
         w->run(g, workloads::Scale::SimSmall);
         g.finish();
+        chunks_peak = prof.shadowStats().chunksPeak;
         return prof.takeProfile();
     };
     core::SigilProfile unlimited = run_dedup(0);
     core::SigilProfile limited = run_dedup(8);
     EXPECT_GT(limited.shadowEvictions, 0u);
+    // The chunk limit bounds the shadow's footprint.
+    EXPECT_LE(chunks_peak, 8u);
     EXPECT_EQ(limited.totalReadBytes(), unlimited.totalReadBytes());
     // Unique counts may drift slightly (evicted reader state), but by
     // a negligible margin, as the paper reports for dedup.

@@ -11,7 +11,7 @@
  * frames, truncations, bad CRCs, oversized lengths, unknown ops — the
  * server answers with a structured error or drops the connection,
  * never crashes, and keeps serving), slow-client eviction via the
- * per-connection receive deadline, LRU eviction of a budget-governed
+ * per-connection receive deadline, LRU eviction of a budgeted
  * catalog, and the graceful drain (Op::Shutdown and stop() both
  * answer everything in flight before the workers exit). When the
  * build exports SIGIL_SIGILD_PATH the suite also drives the installed
@@ -49,7 +49,6 @@
 #include "server/protocol.hh"
 #include "server/server.hh"
 #include "support/logging.hh"
-#include "support/mem_governor.hh"
 #include "support/rng.hh"
 #include "support/serial.hh"
 #include "support/socket.hh"
@@ -686,7 +685,7 @@ TEST(ServerTimeout, SlowClientIsEvictedNotServed)
 }
 
 // ---------------------------------------------------------------------------
-// Budget-governed catalog eviction.
+// Budgeted catalog eviction.
 // ---------------------------------------------------------------------------
 
 TEST(ServerCatalog, GovernedCatalogEvictsLeastRecentlyQueried)
@@ -696,14 +695,14 @@ TEST(ServerCatalog, GovernedCatalogEvictsLeastRecentlyQueried)
 
     // Measure what the catalog charges for one entry (profile plus
     // stored answers) to size the budget.
-    server::ProfileCatalog probe(nullptr);
+    server::ProfileCatalog probe(0);
     ASSERT_TRUE(probe.load("probe", trace).ok);
     const std::size_t one = probe.entryBytes("probe");
     ASSERT_GT(one, 0u);
 
     // Budget fits two profiles but not three.
-    auto governor = std::make_shared<MemoryGovernor>(one * 5 / 2);
-    server::ProfileCatalog catalog(governor);
+    const std::size_t budget = one * 5 / 2;
+    server::ProfileCatalog catalog(budget);
     ASSERT_TRUE(catalog.load("t1", trace).ok);
     ASSERT_TRUE(catalog.load("t2", trace).ok);
     EXPECT_EQ(catalog.size(), 2u);
@@ -722,6 +721,18 @@ TEST(ServerCatalog, GovernedCatalogEvictsLeastRecentlyQueried)
     EXPECT_NE(catalog.find("t3"), nullptr);
     EXPECT_NE(catalog.find("t1"), nullptr);
     EXPECT_EQ(catalog.find("t2"), nullptr);
+
+    // Live bytes are the two residents; the peak held all three for
+    // the moment between t3's charge and t2's eviction. (Equal-length
+    // names over one trace charge equal bytes.)
+    const std::uint64_t t = catalog.entryBytes("t1");
+    ASSERT_EQ(catalog.entryBytes("t3"), t);
+    const std::string memory = "  memory: live " + std::to_string(2 * t) +
+                               " B (peak " + std::to_string(3 * t) +
+                               " B, budget " + std::to_string(budget) +
+                               " B)\n";
+    EXPECT_NE(catalog.statsText().find(memory), std::string::npos)
+        << catalog.statsText();
 
     // An in-flight reader keeps an evicted profile alive (shared
     // ownership): grab t1, evict it by loading t4, keep reading.
@@ -746,7 +757,7 @@ TEST(ServerCatalog, UngovernedCatalogNeverEvicts)
     QuietLogs quiet;
     std::string trace = recordTrace(tmpStem("ungov") + ".trace", 7,
                                     1000);
-    server::ProfileCatalog catalog(nullptr);
+    server::ProfileCatalog catalog(0);
     for (int i = 0; i < 6; ++i) {
         ASSERT_TRUE(
             catalog.load("t" + std::to_string(i), trace).ok);

@@ -26,6 +26,7 @@
 
 #include "core/profile_io.hh"
 #include "core/sigil_profiler.hh"
+#include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/serial.hh"
 #include "vg/guest.hh"
@@ -402,6 +403,103 @@ TEST(StampShadowProperty, RestoreRefusesMalformedReaderTable)
     EXPECT_FALSE(restores(with_call(first, std::uint64_t{1} << 40)));
     EXPECT_FALSE(restores(with_call(first, ~std::uint64_t{0})));
 }
+
+// A checkpoint with a ladder or ROI state the config cannot reach is
+// refused. ----------------------------------------------------------
+
+/** One tampered byte of the profiler body's ladder/ROI state. */
+struct LadderTamper
+{
+    const char *name;
+    bool collectReuse;
+    bool roiOnly;
+    /** Exhausted shadow allocations before the save (0 = none). */
+    int pressure;
+    /** Byte of the state: 0 collecting, 1 level, 2 re-use, 3 classify. */
+    int field;
+    std::uint8_t value;
+};
+
+void
+PrintTo(const LadderTamper &t, std::ostream *os)
+{
+    *os << t.name;
+}
+
+class RestoreLadderState : public ::testing::TestWithParam<LadderTamper>
+{
+};
+
+/** Swallows the degradation warnings the pressure phase logs. */
+void
+swallowLogs(LogLevel, const std::string &)
+{
+}
+
+TEST_P(RestoreLadderState, RefusesUnreachableState)
+{
+    const LadderTamper &t = GetParam();
+    core::SigilConfig cfg;
+    cfg.collectReuse = t.collectReuse;
+    cfg.roiOnly = t.roiOnly;
+    vg::Guest g("ladder");
+    core::SigilProfiler prof(cfg);
+    g.addTool(&prof);
+    const LogSink saved = setLogSink(&swallowLogs);
+    g.roiBegin();
+    g.enter("main");
+    g.write(vg::kHeapBase, 8);
+    g.read(vg::kHeapBase, 8);
+    if (t.pressure > 0) {
+        prof.shadowMemory().setAllocationFailureInjector(
+            [] { return true; });
+    }
+    for (int i = 1; i <= t.pressure; ++i)
+        g.read(vg::kHeapBase + (std::uint64_t{1} << (12 + i)), 8);
+    g.roiEnd(); // roiOnly: saved while collection is paused
+    setLogSink(saved);
+    ByteSink sink;
+    prof.saveState(sink);
+    const std::string body = sink.take();
+
+    // Body header: version, provenance varint, granularity, u64
+    // maxShadowChunks, four config bytes; the ladder/ROI state follows.
+    constexpr std::size_t kStateAt = 1 + 1 + 1 + 8 + 4;
+    ASSERT_GT(body.size(), kStateAt + 3);
+    const int level = prof.degradationLevel();
+    EXPECT_EQ(body[kStateAt], t.roiOnly ? 0 : 1);
+    EXPECT_EQ(body[kStateAt + 1], level);
+    EXPECT_EQ(body[kStateAt + 2], t.collectReuse && level == 0 ? 1 : 0);
+    EXPECT_EQ(body[kStateAt + 3], level < 2 ? 1 : 0);
+
+    auto restores = [&](const std::string &payload) {
+        core::SigilProfiler fresh(cfg);
+        ByteSource src(payload.data(), payload.size());
+        return fresh.restoreState(src) && src.ok();
+    };
+    ASSERT_TRUE(restores(body));
+    std::string bad = body;
+    ASSERT_NE(static_cast<std::uint8_t>(bad[kStateAt + t.field]), t.value);
+    bad[kStateAt + t.field] = static_cast<char>(t.value);
+    EXPECT_FALSE(restores(bad));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Tampered, RestoreLadderState,
+    ::testing::Values(
+        LadderTamper{"level_7", true, false, 0, 1, 7},
+        LadderTamper{"reuse_on_without_collect_reuse", false, false, 0, 2,
+                     1},
+        LadderTamper{"classify_off_at_level_0", true, false, 0, 3, 0},
+        LadderTamper{"paused_without_roi", true, false, 0, 0, 0},
+        LadderTamper{"level_1_without_collect_reuse", false, false, 0, 1,
+                     1},
+        LadderTamper{"reuse_on_at_level_1", true, true, 1, 2, 1},
+        LadderTamper{"classify_on_at_level_2", true, false, 2, 3, 1},
+        LadderTamper{"collecting_byte_2", true, true, 0, 0, 2}),
+    [](const ::testing::TestParamInfo<LadderTamper> &info) {
+        return std::string(info.param.name);
+    });
 
 } // namespace
 } // namespace sigil
