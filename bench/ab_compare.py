@@ -1,0 +1,160 @@
+#!/usr/bin/env python3
+"""Alternated A/B comparison of the watched micro_dispatch benchmarks.
+
+An absolute baseline (BENCH_dispatch.json) cannot gate a change on a
+host whose CPU speed drifts over time; a parent and a change run
+back to back can. This script builds micro_dispatch (Release) in two
+checkouts, runs the two binaries alternately for PAIRS pairs (the
+order flips every pair, so a drift favours neither side), and for each
+watched (benchmark, metric) of compare_bench.py takes the median over
+the pairs of change / base. compare_bench.py's threshold then judges
+that median paired ratio: a watched metric that got worse by more than
+the threshold, or that did not run on both sides, fails the run
+(exit 1).
+
+Usage:
+  bench/ab_compare.py [--filter REGEX] [--min-time 0.5]
+                      BASE_CHECKOUT CHANGE_CHECKOUT
+
+Each checkout is built into build-ab/ inside it. --filter narrows the
+run to a subset of the watched benchmarks (a --benchmark_filter
+regex), e.g. '^BM_ServerQueryThroughput/1/'.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from compare_bench import (THRESHOLD, WATCHED, entries,  # noqa: E402
+                           watched_metrics)
+
+# Ten pairs, as every gain claimed in EXPERIMENTS.md needs. Five let
+# identical decode code read -11%; ten still let an A/A run read -21%
+# on the server sweep ("One recv per frame"), so a flag is a prompt
+# for an A/A run, not a verdict.
+PAIRS = 10
+TARGET = "micro_dispatch"
+
+
+def paired_ratios(pairs):
+    """Per watched (name, metric): the list of change / base ratios,
+    one per (base_doc, change_doc) pair, and its direction. A key
+    missing from either side of any pair is left out and reported in
+    the second return value."""
+    ratios, directions, missing = {}, {}, set()
+    for base_doc, change_doc in pairs:
+        base = {(n, m): (d, v) for n, m, d, v
+                in watched_metrics(entries(base_doc, "base run"))}
+        change = {(n, m): (d, v) for n, m, d, v
+                  in watched_metrics(entries(change_doc, "change run"))}
+        for key in base.keys() ^ change.keys():
+            missing.add(key)
+        for key in base.keys() & change.keys():
+            (direction, bval), (_, cval) = base[key], change[key]
+            directions[key] = direction
+            ratios.setdefault(key, []).append(cval / bval if bval else 1.0)
+    for key in missing:
+        ratios.pop(key, None)
+    return {k: (directions[k], r) for k, r in ratios.items()}, missing
+
+
+def verdicts(ratios):
+    """One row per watched key: (name, metric, median ratio, pairs the
+    change won, pair count, regressed). The median ratio is judged as
+    compare_bench.py judges a fresh run against a baseline: a positive
+    'worse' delta beyond THRESHOLD is a regression."""
+    rows = []
+    for (name, metric), (direction, rs) in sorted(ratios.items()):
+        med = statistics.median(rs)
+        worse = -(med - 1.0) * direction
+        wins = sum(1 for r in rs if (r - 1.0) * direction > 0)
+        rows.append((name, metric, med, wins, len(rs), worse > THRESHOLD))
+    return rows
+
+
+def build(checkout):
+    build_dir = os.path.join(checkout, "build-ab")
+    if not os.path.isfile(os.path.join(build_dir, "CMakeCache.txt")):
+        subprocess.run(["cmake", "-S", checkout, "-B", build_dir,
+                        "-DCMAKE_BUILD_TYPE=Release"],
+                       stdout=sys.stderr, check=True)
+    jobs = str(min(4, os.cpu_count() or 1))
+    subprocess.run(["cmake", "--build", build_dir, "--target", TARGET,
+                    "-j", jobs], stdout=sys.stderr, check=True)
+    return os.path.join(build_dir, "bench", TARGET)
+
+
+def run_once(binary, bench_filter, min_time):
+    with tempfile.NamedTemporaryFile(suffix=".json") as out:
+        subprocess.run([binary, "--benchmark_filter=" + bench_filter,
+                        "--benchmark_min_time=%g" % min_time,
+                        "--benchmark_out=" + out.name,
+                        "--benchmark_out_format=json"],
+                       stdout=subprocess.DEVNULL, check=True)
+        with open(out.name) as f:
+            return json.load(f)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--filter", default=None,
+                    help="--benchmark_filter regex (default: every "
+                         "watched pattern)")
+    ap.add_argument("--min-time", type=float, default=0.5,
+                    help="--benchmark_min_time per benchmark (s)")
+    ap.add_argument("base")
+    ap.add_argument("change")
+    args = ap.parse_args()
+
+    binaries = {}
+    for side, checkout in (("base", args.base), ("change", args.change)):
+        try:
+            binaries[side] = build(os.path.abspath(checkout))
+        except (OSError, subprocess.CalledProcessError) as e:
+            sys.exit("error: building %s failed: %s" % (checkout, e))
+
+    bench_filter = args.filter or "|".join(p for p, _, _ in WATCHED)
+    pairs = []
+    for i in range(PAIRS):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        docs = {}
+        for side in order:
+            try:
+                docs[side] = run_once(binaries[side], bench_filter,
+                                      args.min_time)
+            except (OSError, ValueError,
+                    subprocess.CalledProcessError) as e:
+                sys.exit("error: %s run %d failed: %s" % (side, i + 1, e))
+        pairs.append((docs["base"], docs["change"]))
+        print("pair %d/%d done (%s first)" % (i + 1, PAIRS, order[0]),
+              file=sys.stderr)
+
+    ratios, missing = paired_ratios(pairs)
+    for name, metric in sorted(missing):
+        print("missing  %s [%s] — not on both sides of every pair"
+              % (name, metric))
+    if not ratios:
+        sys.exit("error: no watched metric ran on both sides")
+    rows = verdicts(ratios)
+    regressed = 0
+    for name, metric, med, wins, n, bad in rows:
+        regressed += bad
+        print("%-9s %s [%s]: median change/base %.4f (%+.1f%%), "
+              "change better in %d/%d pairs"
+              % ("REGRESSED" if bad else "ok", name, metric, med,
+                 (med - 1.0) * 100, wins, n))
+        print("          pair ratios: " + ", ".join(
+            "%.3f" % r for r in ratios[(name, metric)][1]))
+    print("\n%d metrics compared over %d pairs, %d missing, %d regressed "
+          "beyond %.0f%%" % (len(rows), PAIRS, len(missing),
+                             regressed, THRESHOLD * 100))
+    return 1 if regressed or missing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -54,6 +54,9 @@ WATCHED = [
     (r"^BM_ServerQueryThroughput/", "items_per_second", +1),
 ]
 
+# Relative regression of a watched metric that fails a comparison.
+THRESHOLD = 0.10
+
 
 def machine_mismatches(base_ctx, fresh_ctx):
     """Split manifest differences into hard (different machine) and
@@ -76,19 +79,25 @@ def load(path):
             doc = json.load(f)
     except (OSError, ValueError) as e:
         sys.exit(f"error: cannot load {path}: {e}")
+    return doc.get("context", {}), entries(doc, path)
+
+
+def entries(doc, source):
+    """Name -> entry of a google-benchmark JSON document, aggregate
+    rows skipped. Exits on a nameless entry or an empty document."""
     out = {}
     for i, b in enumerate(doc.get("benchmarks", [])):
         if b.get("run_type") == "aggregate":
             continue
         name = b.get("name")
         if not name:
-            sys.exit(f"error: {path}: benchmark entry #{i} has no "
+            sys.exit(f"error: {source}: benchmark entry #{i} has no "
                      "\"name\" field; the file is malformed or was "
                      "not produced by --benchmark_format=json")
         out[name] = b
     if not out:
-        sys.exit(f"error: {path} contains no benchmark entries")
-    return doc.get("context", {}), out
+        sys.exit(f"error: {source} contains no benchmark entries")
+    return out
 
 
 def watched_metrics(bench_map):
@@ -103,8 +112,9 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--check-only", action="store_true",
                     help="report deltas but do not fail on regressions")
-    ap.add_argument("--threshold", type=float, default=0.10,
-                    help="relative regression that fails (default 0.10)")
+    ap.add_argument("--threshold", type=float, default=THRESHOLD,
+                    help="relative regression that fails (default "
+                         f"{THRESHOLD})")
     ap.add_argument("--require", action="append", default=[],
                     metavar="REGEX",
                     help="fail (even under --check-only) when no "

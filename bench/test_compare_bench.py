@@ -12,6 +12,12 @@ diagnostics:
     KeyError traceback,
   - a self-compare still passes both modes.
 
+It also checks ab_compare.py's pairing and median logic on canned
+documents: ratios pair each base run with its change run, the median
+ratio (not the mean, not the best pair) is what the threshold judges,
+direction is honoured for lower-is-better metrics, and a benchmark
+missing from one side of a pair is reported, not compared.
+
 Registered as the ctest target bench_compare_missing_suite; runnable
 standalone: python3 bench/test_compare_bench.py
 """
@@ -55,6 +61,65 @@ def run(*argv):
         [sys.executable, COMPARE, *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     return proc.returncode, proc.stdout + proc.stderr
+
+
+def ab_compare_cases(check):
+    sys.path.insert(0, os.path.dirname(COMPARE))
+    import ab_compare
+
+    server = "BM_ServerQueryThroughput/1"
+    trace = "BM_TraceReplayThroughput"
+
+    def run_doc(rate, peak=None):
+        benches = [bench(server, items_per_second=rate)]
+        if peak is not None:
+            benches.append(bench(trace, items_per_second=1e6,
+                                 shadow_peak_bytes=peak))
+        return doc(benches)
+
+    # Five pairs; the host slows down over the run, so absolute rates
+    # fall, but every change run beats its own base run by 10%. One
+    # outlier pair (the change loses by half) moves a mean, not the
+    # median.
+    base_rates = [100.0, 90.0, 80.0, 70.0, 60.0]
+    change_rates = [110.0, 99.0, 40.0, 77.0, 66.0]
+    pairs = [(run_doc(b, peak=1000), run_doc(c, peak=p))
+             for b, c, p in zip(base_rates, change_rates,
+                                [900, 900, 1200, 800, 900])]
+    ratios, missing = ab_compare.paired_ratios(pairs)
+    key = (server, "items_per_second")
+    check("ab_compare pairs each base run with its change run",
+          not missing and key in ratios
+          and [round(r, 6) for r in ratios[key][1]]
+          == [1.1, 1.1, 0.5, 1.1, 1.1], ratios)
+    rows = {(n, m): (med, wins, n_pairs, bad)
+            for n, m, med, wins, n_pairs, bad
+            in ab_compare.verdicts(ratios)}
+    med, wins, n_pairs, bad = rows[key]
+    check("ab_compare judges the median paired ratio",
+          abs(med - 1.1) < 1e-9 and wins == 4 and n_pairs == 5
+          and not bad, rows[key])
+
+    # Lower is better for shadow_peak_bytes: a median ratio of 0.9 is
+    # a 10% gain, and 1.2 a 20% regression.
+    peak = (trace, "shadow_peak_bytes")
+    med, wins, _, bad = rows[peak]
+    check("ab_compare honours lower-is-better metrics",
+          abs(med - 0.9) < 1e-9 and wins == 4 and not bad, rows[peak])
+    worse = [(run_doc(100.0, peak=1000), run_doc(100.0, peak=1200))
+             for _ in range(5)]
+    rows = {(n, m): bad for n, m, _, _, _, bad in
+            ab_compare.verdicts(ab_compare.paired_ratios(worse)[0])}
+    check("ab_compare flags a median regression beyond the threshold",
+          rows[peak] and not rows[key], rows)
+
+    # A watched benchmark absent from one side of a pair is reported
+    # as missing and left out of the verdicts.
+    lopsided = [(run_doc(100.0, peak=1000), run_doc(100.0))] * 5
+    ratios, missing = ab_compare.paired_ratios(lopsided)
+    check("ab_compare reports a benchmark missing from one side",
+          peak in missing and peak not in ratios and key in ratios,
+          (ratios, missing))
 
 
 def main():
@@ -123,6 +188,8 @@ def main():
         base_agg = write(tmp, "base_agg.json", with_aggregate)
         rc, out = run(base_agg, fresh_full)
         check("nameless aggregate rows are skipped", rc == 0, out)
+
+    ab_compare_cases(check)
 
     if failures:
         print(f"\n{len(failures)} case(s) failed: {failures}")

@@ -1,6 +1,7 @@
 #include "server/client.hh"
 
 #include "support/serial.hh"
+#include "support/table.hh"
 
 namespace sigil::server {
 
@@ -31,7 +32,15 @@ QueryClient::request(std::uint8_t op, std::string_view payload)
         result.error = "not connected";
         return result;
     }
-    net::IoStatus sent = net::sendFrame(sock_, op, payload);
+    net::IoStatus sent = net::sendFrame(sock_, op, payload, kMaxRequestFrame);
+    if (sent == net::IoStatus::TooBig) {
+        // Refused before a byte went out: the connection stays usable.
+        result.code = ErrCode::BadFrame;
+        result.error = strformat(
+            "request frame of %zu bytes exceeds the cap of %u bytes",
+            payload.size() + 5, kMaxRequestFrame);
+        return result;
+    }
     if (sent != net::IoStatus::Ok) {
         result.error = std::string("send failed: ") +
                        net::ioStatusName(sent);

@@ -60,10 +60,18 @@ enum class ErrCode : std::uint8_t {
 /** Human-readable error-code name ("bad-frame", "not-found", ...). */
 const char *errCodeName(ErrCode code);
 
-/** Cap on request frames: control ops carry names/paths, never bulk. */
+/**
+ * Cap on request frames: control ops carry names/paths, never bulk.
+ * The client refuses a larger request without sending it; the server
+ * (ServerConfig::maxRequestFrame) refuses a larger length prefix.
+ */
 constexpr std::uint32_t kMaxRequestFrame = 1u << 16;
 
-/** Cap on response frames: a full profile of a large run is MBs. */
+/**
+ * Cap on response frames: a full profile of a large run is MBs. The
+ * server answers a larger reply with ErrCode::Internal; the client
+ * refuses a larger length prefix.
+ */
 constexpr std::uint32_t kMaxResponseFrame = 256u << 20;
 
 } // namespace sigil::server

@@ -7,6 +7,7 @@
 #include "core/profile_query.hh"
 #include "support/logging.hh"
 #include "support/serial.hh"
+#include "support/table.hh"
 
 namespace sigil::server {
 
@@ -190,9 +191,9 @@ void
 ProfileQueryServer::serveConnection(net::Socket sock, int wd_id)
 {
     sock.setTimeouts(config_.recvTimeoutMs, config_.sendTimeoutMs);
+    std::string payload; // reused: one allocation per connection
     for (;;) {
         std::uint8_t op = 0;
-        std::string payload;
         // Blocking for a request is idleness, not progress-stall: only
         // the dispatch below runs under the watchdog's busy window.
         net::FrameStatus st = net::recvFrame(sock, &op, &payload,
@@ -217,7 +218,7 @@ ProfileQueryServer::serveConnection(net::Socket sock, int wd_id)
                     net::frameStatusName(st));
             net::sendFrame(sock,
                            static_cast<std::uint8_t>(Op::RespError),
-                           err.bytes());
+                           err.bytes(), kMaxResponseFrame);
             break;
         }
 
@@ -230,8 +231,21 @@ ProfileQueryServer::serveConnection(net::Socket sock, int wd_id)
             watchdog_->idle(wd_id);
 
         requests_.fetch_add(1, std::memory_order_relaxed);
-        net::IoStatus sent =
-            net::sendFrame(sock, reply.op, reply.payload());
+        net::IoStatus sent = net::sendFrame(sock, reply.op, reply.payload(),
+                                            kMaxResponseFrame);
+        if (sent == net::IoStatus::TooBig) {
+            // Nothing was written, so the stream is still in sync:
+            // answer with the reason instead.
+            protoErrors_.fetch_add(1, std::memory_order_relaxed);
+            ByteSink err;
+            err.u8(static_cast<std::uint8_t>(ErrCode::Internal));
+            err.str(strformat(
+                "response frame of %zu bytes exceeds the cap of %u bytes",
+                reply.payload().size() + 5, kMaxResponseFrame));
+            sent = net::sendFrame(sock,
+                                  static_cast<std::uint8_t>(Op::RespError),
+                                  err.bytes(), kMaxResponseFrame);
+        }
         if (sent == net::IoStatus::Timeout)
             timeouts_.fetch_add(1, std::memory_order_relaxed);
         if (sent != net::IoStatus::Ok)

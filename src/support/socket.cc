@@ -1,5 +1,6 @@
 #include "support/socket.hh"
 
+#include <algorithm>
 #include <arpa/inet.h>
 #include <cerrno>
 #include <cstring>
@@ -47,6 +48,25 @@ setTimeoutOpt(int fd, int optname, int ms)
     ::setsockopt(fd, SOL_SOCKET, optname, &tv, sizeof(tv));
 }
 
+std::uint32_t
+loadLe32(const char *p)
+{
+    const auto *b = reinterpret_cast<const unsigned char *>(p);
+    return static_cast<std::uint32_t>(b[0]) |
+           static_cast<std::uint32_t>(b[1]) << 8 |
+           static_cast<std::uint32_t>(b[2]) << 16 |
+           static_cast<std::uint32_t>(b[3]) << 24;
+}
+
+void
+storeLe32(unsigned char *p, std::uint32_t v)
+{
+    p[0] = static_cast<unsigned char>(v);
+    p[1] = static_cast<unsigned char>(v >> 8);
+    p[2] = static_cast<unsigned char>(v >> 16);
+    p[3] = static_cast<unsigned char>(v >> 24);
+}
+
 } // namespace
 
 const char *
@@ -56,6 +76,7 @@ ioStatusName(IoStatus status)
     case IoStatus::Ok: return "ok";
     case IoStatus::Eof: return "eof";
     case IoStatus::Timeout: return "timeout";
+    case IoStatus::TooBig: return "too-big";
     case IoStatus::Error: return "error";
     }
     return "?";
@@ -72,14 +93,24 @@ Socket::setTimeouts(int recv_ms, int send_ms)
 }
 
 IoStatus
-Socket::readFully(void *buf, std::size_t n)
+Socket::fill(std::size_t n)
 {
-    char *p = static_cast<char *>(buf);
-    while (n > 0) {
-        ssize_t got = ::recv(fd_, p, n, 0);
+    if (tail_ - head_ >= n)
+        return IoStatus::Ok;
+    if (!buf_)
+        buf_ = std::make_unique_for_overwrite<char[]>(kReadBufferBytes);
+    if (head_ == tail_) {
+        head_ = tail_ = 0;
+    } else if (kReadBufferBytes - head_ < n) {
+        std::memmove(buf_.get(), buf_.get() + head_, tail_ - head_);
+        tail_ -= head_;
+        head_ = 0;
+    }
+    while (tail_ - head_ < n) {
+        ssize_t got =
+            ::recv(fd_, buf_.get() + tail_, kReadBufferBytes - tail_, 0);
         if (got > 0) {
-            p += got;
-            n -= static_cast<std::size_t>(got);
+            tail_ += static_cast<std::size_t>(got);
             continue;
         }
         if (got == 0)
@@ -89,6 +120,23 @@ Socket::readFully(void *buf, std::size_t n)
         if (errno == EAGAIN || errno == EWOULDBLOCK)
             return IoStatus::Timeout;
         return IoStatus::Error;
+    }
+    return IoStatus::Ok;
+}
+
+IoStatus
+Socket::readFully(void *buf, std::size_t n)
+{
+    char *p = static_cast<char *>(buf);
+    while (n > 0) {
+        IoStatus st = fill(1);
+        if (st != IoStatus::Ok)
+            return st;
+        std::size_t take = std::min(n, tail_ - head_);
+        std::memcpy(p, buf_.get() + head_, take);
+        head_ += take;
+        p += take;
+        n -= take;
     }
     return IoStatus::Ok;
 }
@@ -122,6 +170,7 @@ Socket::closeNow()
         ::close(fd_);
         fd_ = -1;
     }
+    head_ = tail_ = 0;
 }
 
 Socket
@@ -366,27 +415,22 @@ frameStatusName(FrameStatus status)
 }
 
 IoStatus
-sendFrame(Socket &sock, std::uint8_t op, std::string_view payload)
+sendFrame(Socket &sock, std::uint8_t op, std::string_view payload,
+          std::uint32_t max_len)
 {
-    std::uint32_t len =
-        static_cast<std::uint32_t>(1 + payload.size() + 4);
+    if (payload.size() + 5 > max_len)
+        return IoStatus::TooBig;
     std::uint32_t crc = crc32c(&op, 1);
     crc = crc32cExtend(crc, payload.data(), payload.size());
+    unsigned char b[4];
     std::string frame;
-    frame.reserve(4 + len);
-    char b[4];
-    b[0] = static_cast<char>(len);
-    b[1] = static_cast<char>(len >> 8);
-    b[2] = static_cast<char>(len >> 16);
-    b[3] = static_cast<char>(len >> 24);
-    frame.append(b, 4);
+    frame.reserve(4 + 1 + payload.size() + 4);
+    storeLe32(b, static_cast<std::uint32_t>(1 + payload.size() + 4));
+    frame.append(reinterpret_cast<const char *>(b), 4);
     frame.push_back(static_cast<char>(op));
-    frame.append(payload.data(), payload.size());
-    b[0] = static_cast<char>(crc);
-    b[1] = static_cast<char>(crc >> 8);
-    b[2] = static_cast<char>(crc >> 16);
-    b[3] = static_cast<char>(crc >> 24);
-    frame.append(b, 4);
+    frame.append(payload);
+    storeLe32(b, crc);
+    frame.append(reinterpret_cast<const char *>(b), 4);
     return sock.writeFully(frame.data(), frame.size());
 }
 
@@ -394,39 +438,50 @@ FrameStatus
 recvFrame(Socket &sock, std::uint8_t *op, std::string *payload,
           std::uint32_t max_len)
 {
-    unsigned char lenb[4];
-    IoStatus st = sock.readFully(lenb, 4);
+    IoStatus st = sock.fill(4);
     if (st == IoStatus::Eof)
         return FrameStatus::Eof;
     if (st == IoStatus::Timeout)
         return FrameStatus::Timeout;
     if (st != IoStatus::Ok)
         return FrameStatus::Error;
-    std::uint32_t len = static_cast<std::uint32_t>(lenb[0]) |
-                        static_cast<std::uint32_t>(lenb[1]) << 8 |
-                        static_cast<std::uint32_t>(lenb[2]) << 16 |
-                        static_cast<std::uint32_t>(lenb[3]) << 24;
+    std::uint32_t len = loadLe32(sock.buf_.get() + sock.head_);
     if (len < 5)
         return FrameStatus::Malformed;
     if (len > max_len)
         return FrameStatus::TooBig;
-    std::string body(len, '\0');
-    st = sock.readFully(body.data(), body.size());
-    if (st == IoStatus::Timeout)
-        return FrameStatus::Timeout;
-    if (st != IoStatus::Ok)
-        return FrameStatus::Error; // EOF mid-frame is a torn frame
-    const unsigned char *crcb =
-        reinterpret_cast<const unsigned char *>(body.data()) + len - 4;
-    std::uint32_t want = static_cast<std::uint32_t>(crcb[0]) |
-                         static_cast<std::uint32_t>(crcb[1]) << 8 |
-                         static_cast<std::uint32_t>(crcb[2]) << 16 |
-                         static_cast<std::uint32_t>(crcb[3]) << 24;
-    std::uint32_t got = crc32c(body.data(), len - 4);
+    sock.head_ += 4;
+
+    // The body streams through the read buffer, so a frame of any size
+    // is copied once, from the buffer into *payload. EOF mid-frame is
+    // a torn frame.
+    auto torn = [](IoStatus s) {
+        return s == IoStatus::Timeout ? FrameStatus::Timeout
+                                      : FrameStatus::Error;
+    };
+    if ((st = sock.fill(1)) != IoStatus::Ok)
+        return torn(st);
+    const auto code = static_cast<std::uint8_t>(sock.buf_[sock.head_++]);
+    std::uint32_t got = crc32c(&code, 1);
+    payload->clear();
+    payload->reserve(len - 5);
+    for (std::size_t left = len - 5; left > 0;) {
+        if ((st = sock.fill(1)) != IoStatus::Ok)
+            return torn(st);
+        const char *p = sock.buf_.get() + sock.head_;
+        std::size_t n = std::min(left, sock.buffered());
+        got = crc32cExtend(got, p, n);
+        payload->append(p, n);
+        sock.head_ += n;
+        left -= n;
+    }
+    if ((st = sock.fill(4)) != IoStatus::Ok)
+        return torn(st);
+    std::uint32_t want = loadLe32(sock.buf_.get() + sock.head_);
+    sock.head_ += 4;
     if (want != got)
         return FrameStatus::BadCrc;
-    *op = static_cast<std::uint8_t>(body[0]);
-    payload->assign(body, 1, len - 5);
+    *op = code;
     return FrameStatus::Ok;
 }
 

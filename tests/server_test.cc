@@ -48,6 +48,7 @@
 #include "server/client.hh"
 #include "server/protocol.hh"
 #include "server/server.hh"
+#include "support/crc32c.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/serial.hh"
@@ -411,6 +412,96 @@ TEST(ServerQuery, ServedAnswersEqualRenderersAndFollowReloads)
     std::remove(t3.c_str());
 }
 
+/** One request frame, built by hand: len | op | payload | crc. */
+std::string
+requestFrame(server::Op op, const std::string &payload)
+{
+    const std::uint32_t len =
+        static_cast<std::uint32_t>(1 + payload.size() + 4);
+    std::string body(1, static_cast<char>(op));
+    body += payload;
+    const std::uint32_t crc = crc32c(body.data(), body.size());
+    std::string frame;
+    for (int i = 0; i < 4; ++i)
+        frame.push_back(static_cast<char>(len >> (8 * i)));
+    frame += body;
+    for (int i = 0; i < 4; ++i)
+        frame.push_back(static_cast<char>(crc >> (8 * i)));
+    return frame;
+}
+
+/**
+ * A client that sends several requests before reading gets one answer
+ * per request, in request order: the server's read buffer may hold
+ * all three frames after its first recv.
+ */
+TEST(ServerQuery, RequestsSentInOneWriteAreAnsweredInOrder)
+{
+    QuietLogs quiet;
+    std::string t1 = recordTrace(tmpStem("batch") + ".trace", 7);
+    ServerUnderTest s(baseConfig());
+    ASSERT_TRUE(s.started);
+    ASSERT_TRUE(s.srv->catalog().load("t1", t1).ok);
+    core::SigilProfile p = replayInProcess("t1", t1);
+
+    ByteSink summary, fn, edges;
+    summary.str("t1");
+    fn.str("t1");
+    fn.str("a");
+    edges.str("t1");
+    const std::string wire =
+        requestFrame(server::Op::Summary, summary.bytes()) +
+        requestFrame(server::Op::Function, fn.bytes()) +
+        requestFrame(server::Op::Edges, edges.bytes());
+    const std::string want[] = {core::summaryQueryText(p),
+                                core::functionQueryText(p, "a"),
+                                core::edgesQueryText(p)};
+
+    server::QueryClient qc = s.client();
+    ASSERT_TRUE(qc.valid());
+    ASSERT_EQ(qc.socket().writeFully(wire.data(), wire.size()),
+              net::IoStatus::Ok);
+    for (const std::string &w : want) {
+        std::uint8_t op = 0;
+        std::string payload;
+        ASSERT_EQ(net::recvFrame(qc.socket(), &op, &payload,
+                                 server::kMaxResponseFrame),
+                  net::FrameStatus::Ok);
+        EXPECT_EQ(op, static_cast<std::uint8_t>(server::Op::RespText));
+        EXPECT_EQ(payload, w);
+    }
+    EXPECT_EQ(qc.socket().buffered(), 0u);
+    EXPECT_TRUE(qc.ping().ok);
+    EXPECT_EQ(s.srv->protocolErrors(), 0u);
+    std::remove(t1.c_str());
+}
+
+/**
+ * A request over kMaxRequestFrame is refused by the client before a
+ * byte is sent, so the connection stays usable and the server never
+ * sees a bad frame.
+ */
+TEST(ServerQuery, OversizedRequestFailsLocallyAndKeepsTheConnection)
+{
+    QuietLogs quiet;
+    std::string t1 = recordTrace(tmpStem("oversized") + ".trace", 7);
+    ServerUnderTest s(baseConfig());
+    ASSERT_TRUE(s.started);
+    ASSERT_TRUE(s.srv->catalog().load("t1", t1).ok);
+
+    server::QueryClient qc = s.client();
+    ASSERT_TRUE(qc.valid());
+    server::QueryResult r = qc.function("t1", std::string(70 * 1024, 'f'));
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.code, server::ErrCode::BadFrame);
+    EXPECT_NE(r.error.find("exceeds the cap"), std::string::npos)
+        << r.error;
+    EXPECT_TRUE(qc.valid());
+    EXPECT_TRUE(qc.ping().ok);
+    EXPECT_EQ(s.srv->protocolErrors(), 0u);
+    std::remove(t1.c_str());
+}
+
 /**
  * Names longer than any fixed line buffer: a 300-character function
  * name called from two sites (display names "<name>(1)", "<name>(2)")
@@ -583,7 +674,7 @@ TEST(ServerFuzz, MalformedFramesNeverKillTheServer)
         ASSERT_EQ(net::sendFrame(
                       sock,
                       static_cast<std::uint8_t>(server::Op::Ping),
-                      ""),
+                      "", server::kMaxRequestFrame),
                   net::IoStatus::Ok);
         // Hand-build a second ping whose CRC trailer is flipped.
         unsigned char frame[9] = {5, 0, 0, 0,
