@@ -13,7 +13,7 @@ the threshold, or that did not run on both sides, fails the run
 (exit 1).
 
 Usage:
-  bench/ab_compare.py [--filter REGEX] [--min-time 0.5]
+  bench/ab_compare.py [--filter REGEX] [--min-time 2]
                       BASE_CHECKOUT CHANGE_CHECKOUT
 
 Each checkout is built into build-ab/ inside it. --filter narrows the
@@ -105,7 +105,7 @@ def main():
     ap.add_argument("--filter", default=None,
                     help="--benchmark_filter regex (default: every "
                          "watched pattern)")
-    ap.add_argument("--min-time", type=float, default=0.5,
+    ap.add_argument("--min-time", type=float, default=2.0,
                     help="--benchmark_min_time per benchmark (s)")
     ap.add_argument("base")
     ap.add_argument("change")

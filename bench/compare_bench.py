@@ -50,7 +50,7 @@ WATCHED = [
     (r"^BM_TraceReplayThroughput$", "items_per_second", +1),
     (r"^BM_TraceReplayThroughput$", "shadow_peak_bytes", -1),
     (r"^BM_WideReplay/", "items_per_second", +1),
-    (r"^BM_ParallelDecode/", "items_per_second", +1),
+    (r"^BM_TraceDecode/", "items_per_second", +1),
     (r"^BM_ServerQueryThroughput/", "items_per_second", +1),
 ]
 

@@ -241,7 +241,7 @@ BENCHMARK(BM_TraceReplayProfiled)->Arg(0)->Arg(6);
  * each frame inline.
  */
 void
-BM_ParallelDecode(benchmark::State &state)
+BM_TraceDecode(benchmark::State &state)
 {
     const std::string &trace = recordedTrace();
     std::uint64_t events = 0;
@@ -257,14 +257,14 @@ BM_ParallelDecode(benchmark::State &state)
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations() * trace.size()));
 }
-BENCHMARK(BM_ParallelDecode)->UseRealTime();
+BENCHMARK(BM_TraceDecode)->UseRealTime();
 
 /**
  * The same decode end to end, feeding a Sigil profiler: shows how much
  * of the profiled pipeline the decode stage is.
  */
 void
-BM_ParallelDecodeProfiled(benchmark::State &state)
+BM_TraceDecodeProfiled(benchmark::State &state)
 {
     const std::string &trace = recordedTrace();
     for (auto _ : state) {
@@ -282,7 +282,7 @@ BM_ParallelDecodeProfiled(benchmark::State &state)
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations() * trace.size()));
 }
-BENCHMARK(BM_ParallelDecodeProfiled)->UseRealTime();
+BENCHMARK(BM_TraceDecodeProfiled)->UseRealTime();
 
 /**
  * Checkpointed replay smoke benchmark: the full trace + profiler replay

@@ -17,7 +17,7 @@
 #
 # BENCH_dispatch.json includes BM_WideReplay (profiled replay of a
 # wide-address workload, re-use tracking on), the
-# BM_ParallelDecode{,Profiled} serial frame decode of the recorded SGB3
+# BM_TraceDecode{,Profiled} serial frame decode of the recorded SGB3
 # trace (parse-only and profiled end to end), and the
 # BM_ServerQueryThroughput sigild sweep (Arg = concurrent query
 # clients over the daemon's Unix-domain socket; items/sec is

@@ -132,7 +132,7 @@ struct CommTables
  * program-wide breakdown. The reader stamp and its row are resolved
  * once; consecutive units with equal run state close with one counted
  * histogram add, which is exactly equal to one add per unit. A pending
- * run can only exist on a unit whose chunk has a cold array, so a null
+ * run can only exist on a unit whose cold block is built, so a null
  * cold is a no-op, as is the null reader stamp.
  */
 inline void
@@ -184,8 +184,9 @@ commFinalizeRuns(CommTables &t, const shadow::StampTable &st,
  * updated once, weighted by the run's covered width w; only the re-use
  * state is walked per unit. reader_id is the access's consumer
  * identity (a.call, a.ctx), interned once per access. c may be null
- * when the access does not need the cold records (the caller
- * materializes them exactly when re-use or line mode will touch them).
+ * when the access does not need the cold records (the caller builds
+ * them exactly when re-use or line mode will touch them, and the units
+ * of an unbuilt cold block hold no pending run).
  * seg_xfers (nullable) receives producer-segment → unique-byte
  * transfers; unique_bytes_this_access accumulates for per-object
  * attribution.
@@ -206,12 +207,11 @@ commReadRun(CommTables &t, const ClassifyEnv &env,
     };
 
     if (!a.collecting) {
-        // Outside the ROI: maintain shadow state only. Clear any
-        // pending run so pre-ROI reads never leak into ROI stats.
-        if (c != nullptr) {
-            for (std::size_t i = 0; i < n; ++i)
-                c[i].runReads = 0;
-        }
+        // Outside the ROI: maintain shadow state only. The read ends
+        // any pending run the way an overwrite does: a run built
+        // inside the ROI keeps its statistics, and the next ROI read
+        // of the unit starts a fresh run.
+        commFinalizeRuns(t, st, pair.reader, c, n);
         stamp_readers();
         return;
     }
@@ -294,10 +294,13 @@ commReadRun(CommTables &t, const ClassifyEnv &env,
     if (env.reuseEnabled) {
         // Stamp interning is injective, so id equality is exactly the
         // old (reader ctx, reader call) pair comparison. Re-use mode
-        // always resolves with want_cold, so c is non-null here.
+        // always resolves with want_cold, so c is non-null here. A
+        // unit with no pending run (its reader's last read fell
+        // outside the ROI) starts one now, not at tick 0.
         if (pair.reader == reader_id) {
             for (std::size_t i = 0; i < n; ++i) {
-                ++c[i].runReads;
+                if (c[i].runReads++ == 0)
+                    c[i].runFirstRead = a.tick;
                 c[i].runLastRead = a.tick;
             }
         } else {

@@ -223,9 +223,9 @@ SigilProfiler::classifyRead(vg::Addr addr, unsigned size, vg::ContextId ctx,
         return ClassifyEnv{reuseEnabled_, classifyEnabled_,
                            config_.collectEvents, config_.granularityShift};
     };
-    // One consumer identity per access, and one cold-materialization
+    // One consumer identity per access, and one cold-building
     // decision per access (so a mid-span fidelity flip cannot make the
-    // two walk paths materialize differently). The call number only
+    // two walk paths build differently). The call number only
     // matters for re-use run identity (consecutive-reader equality);
     // with re-use off, classification reads nothing but the reader's
     // context, so collapsing the call keeps the table at one entry
@@ -413,11 +413,11 @@ SigilProfiler::finish()
         flushSegment(state);
     // The end-of-run sweep only finalizes pending re-use runs and (in
     // line mode) folds per-unit access totals: both live in the cold
-    // record, so chunks that never materialized one are skipped whole.
+    // record, so blocks that never built one are skipped whole.
     // In line mode a read-then-overwritten unit has no recorded reader
-    // but a nonzero access total, so the sweep must visit every unit
-    // of a cold chunk; in byte mode units with no recorded reader have
-    // nothing pending and are skipped too.
+    // but a nonzero access total, so the sweep must visit every
+    // touched unit of a built cold block; in byte mode units with no
+    // recorded reader have nothing pending and are skipped too.
     const shadow::SweepFilter filter =
         config_.granularityShift > 0 ? shadow::SweepFilter::ColdChunks
                                      : shadow::SweepFilter::PendingRuns;

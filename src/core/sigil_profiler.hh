@@ -187,12 +187,12 @@ class SigilProfiler : public vg::Tool
     void degrade(int failed_attempts);
 
     /**
-     * Whether a read access must materialize the cold record of the
-     * units it touches: only re-use tracking and line-mode access
-     * totals ever write it. Writes never materialize cold (finalizing
-     * an overwritten run only touches a cold record that already
-     * exists). Computed once per access, before the shadow walk, so
-     * the reference and span paths materialize identically even when
+     * Whether a read access must build the cold records of the units
+     * it touches: only re-use tracking and line-mode access totals
+     * ever write them. Writes never build cold (finalizing an
+     * overwritten run only touches a cold block that is already
+     * built). Computed once per access, before the shadow walk, so
+     * the reference and span paths build identically even when
      * fidelity degrades mid-span.
      */
     bool

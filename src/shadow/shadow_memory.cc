@@ -39,6 +39,8 @@ constructBlockOf(T *array, std::size_t w)
 
 } // namespace
 
+const ShadowCold ShadowMemory::kUnbuiltCold[64] = {};
+
 ShadowMemory::ShadowMemory(const Config &config)
     : granularityShift_(config.granularityShift),
       maxChunks_(config.maxChunks)
@@ -141,38 +143,45 @@ ShadowMemory::chunkFor(std::uint64_t unit)
 void
 ShadowMemory::materializeCold(Chunk &chunk)
 {
+    // Allocation only: each block is constructed when a want_cold
+    // resolution first enters it (buildColdBlocks).
     chunk.cold.reset(allocateBlocks<ShadowCold>());
-    // Blocks touched before the cold array existed need their cold
-    // entries now; the rest are constructed on their first touch.
-    for (std::size_t w = 0; w < kTouchedWords; ++w) {
-        if (chunk.touched[w] != 0)
-            constructBlockOf(chunk.cold.get(), w);
-    }
     ++stats_.coldArraysLive;
     bytesAdd(chunkColdBytes());
 }
 
 void
-ShadowMemory::constructBlock(Chunk &chunk, std::size_t w)
+ShadowMemory::buildColdBlocks(Chunk &chunk, std::uint64_t blocks)
+{
+    if (!chunk.cold)
+        materializeCold(chunk);
+    chunk.coldBuilt |= blocks;
+    stats_.coldBlocksLive +=
+        static_cast<std::uint64_t>(std::popcount(blocks));
+    for (; blocks != 0; blocks &= blocks - 1) {
+        constructBlockOf(chunk.cold.get(),
+                         static_cast<std::size_t>(std::countr_zero(blocks)));
+    }
+}
+
+void
+ShadowMemory::constructHotBlock(Chunk &chunk, std::size_t w)
 {
     constructBlockOf(chunk.hot.get(), w);
-    if (chunk.cold)
-        constructBlockOf(chunk.cold.get(), w);
 }
 
 ShadowRef
 ShadowMemory::lookup(std::uint64_t unit, bool want_cold)
 {
     Chunk &chunk = chunkFor(unit);
-    if (want_cold && !chunk.cold)
-        materializeCold(chunk);
     std::size_t off = unit & (kChunkUnits - 1);
     std::uint64_t &word = chunk.touched[off >> 6];
     if (word == 0)
-        constructBlock(chunk, off >> 6);
+        constructHotBlock(chunk, off >> 6);
     word |= std::uint64_t{1} << (off & 63);
-    return ShadowRef{chunk.hot[off],
-                     chunk.cold ? &chunk.cold[off] : nullptr};
+    if (want_cold)
+        buildCold(chunk, std::uint64_t{1} << (off >> 6));
+    return ShadowRef{chunk.hot[off], coldAt(chunk, off)};
 }
 
 ShadowRef
@@ -196,40 +205,56 @@ ShadowMemory::find(std::uint64_t unit)
     auto it = directory_.find(index);
     if (it == directory_.end())
         return ShadowPtr{};
+    Chunk &chunk = it->second;
     std::size_t off = unit & (kChunkUnits - 1);
-    if (it->second.touched[off >> 6] == 0)
+    if (chunk.touched[off >> 6] == 0)
         return ShadowPtr{};
-    return ShadowPtr{&it->second.hot[off],
-                     it->second.cold ? &it->second.cold[off] : nullptr};
+    ShadowCold *cold = coldAt(chunk, off);
+    if (cold == nullptr && chunk.cold)
+        cold = unbuiltColdAt(off);
+    return ShadowPtr{&chunk.hot[off], cold};
 }
 
 void
 ShadowMemory::visitTouched(Chunk &chunk, const RunVisitor &visitor,
                            SweepFilter filter)
 {
-    if (filter != SweepFilter::All && !chunk.cold)
-        return;
+    // The filtered sweeps act only on cold state, so they scan the
+    // touched bits of built cold blocks alone: an unbuilt block holds
+    // no pending run and no access total.
+    std::uint64_t scan[kTouchedWords];
+    const std::uint64_t *touched = chunk.touched;
+    if (filter != SweepFilter::All) {
+        if (chunk.coldBuilt == 0)
+            return;
+        for (std::size_t i = 0; i < kTouchedWords; ++i)
+            scan[i] = (chunk.coldBuilt >> i) & 1 ? chunk.touched[i] : 0;
+        touched = scan;
+    }
     const bool pending_only = filter == SweepFilter::PendingRuns;
     auto emit = [&](std::size_t off, std::size_t n) {
-        visitor(Run{chunk.base + off, n, chunk.hot.get() + off,
-                    chunk.cold ? chunk.cold.get() + off : nullptr});
+        if (chunk.cold) {
+            splitByColdBlocks(chunk, off, n, true, visitor);
+            return;
+        }
+        visitor(Run{chunk.base + off, n, chunk.hot.get() + off, nullptr});
     };
     std::size_t w = 0;
-    std::uint64_t bits = chunk.touched[0];
+    std::uint64_t bits = touched[0];
     while (true) {
         // Start of the next touched run: the lowest set bit at or
         // after the scan position.
         while (bits == 0) {
             if (++w == kTouchedWords)
                 return;
-            bits = chunk.touched[w];
+            bits = touched[w];
         }
         const std::size_t first =
             (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
         // Its end: the lowest clear bit after the start.
-        std::uint64_t clear = ~chunk.touched[w] & (~0ull << (first & 63));
+        std::uint64_t clear = ~touched[w] & (~0ull << (first & 63));
         while (clear == 0 && ++w < kTouchedWords)
-            clear = ~chunk.touched[w];
+            clear = ~touched[w];
         const std::size_t end =
             w == kTouchedWords
                 ? kChunkUnits
@@ -254,7 +279,7 @@ ShadowMemory::visitTouched(Chunk &chunk, const RunVisitor &visitor,
         if (end == kChunkUnits)
             return;
         w = end >> 6;
-        bits = chunk.touched[w] & (~0ull << (end & 63));
+        bits = touched[w] & (~0ull << (end & 63));
     }
 }
 
@@ -308,6 +333,8 @@ ShadowMemory::evictChunkPtr(Chunk *victim)
     if (victim->cold) {
         bytesSub(chunkColdBytes());
         --stats_.coldArraysLive;
+        stats_.coldBlocksLive -=
+            static_cast<std::uint64_t>(std::popcount(victim->coldBuilt));
     }
     lruUnlink(victim);
     directory_.erase(victim->index);
@@ -331,12 +358,15 @@ ShadowMemory::restoreStats(const ShadowStats &stats)
     stats_ = stats;
     stats_.chunksLive = directory_.size();
     stats_.coldArraysLive = 0;
+    stats_.coldBlocksLive = 0;
     std::uint64_t live = stamps_.bytes();
     for (const auto &[index, chunk] : directory_) {
         live += chunkHotBytes();
         if (chunk.cold) {
             live += chunkColdBytes();
             ++stats_.coldArraysLive;
+            stats_.coldBlocksLive +=
+                static_cast<std::uint64_t>(std::popcount(chunk.coldBuilt));
         }
     }
     stats_.bytesLive = live;

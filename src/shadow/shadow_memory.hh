@@ -22,10 +22,18 @@
  *  - a *touched bitmap*: one bit per unit ever returned to a client, so
  *    end-of-run sweeps and eviction handlers visit only units whose
  *    state can differ from the default instead of all kChunkUnits.
- *    The bitmap is also the chunk's init map: both arrays are
- *    allocated uninitialized, and a 64-unit block (one bitmap word) is
- *    value-constructed the first time any unit in it is touched, so a
- *    chunk pays only for the blocks it uses.
+ *    The bitmap is also the hot array's init map: both arrays are
+ *    allocated uninitialized, and a 64-unit block (one bitmap word) of
+ *    hot entries is value-constructed the first time any unit in it is
+ *    touched, so a chunk pays only for the blocks it uses;
+ *  - a *cold-built mask*: one bit per 64-unit block whose cold entries
+ *    are constructed. Only want_cold resolutions (reads that track
+ *    re-use or line totals) build cold blocks, so a block that is only
+ *    written, or only read outside the region of interest, never pays
+ *    for its 2 KiB of cold state. An unbuilt cold block reads as all
+ *    zero: runs resolved without want_cold carry a null cold pointer
+ *    over it, the sweeps that act on pending runs skip it, and sweeps
+ *    of every touched unit and find() present it as zeros.
  *
  * Clients that walk a contiguous unit range should use span(), which
  * resolves each chunk once and yields chunk-clamped runs, instead of
@@ -43,6 +51,7 @@
 #define SIGIL_SHADOW_SHADOW_MEMORY_HH
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -88,9 +97,9 @@ struct ShadowCold
 
 /**
  * Reference to the shadow state of one unit. cold is null when the
- * unit's chunk has no cold array (it was never requested with
- * want_cold); clients that only need it opportunistically — finalizing
- * a pending run that can only exist if cold exists — check for null.
+ * unit's cold block was never built (no want_cold resolution entered
+ * it); clients that only need it opportunistically — finalizing a
+ * pending run that can only exist if cold exists — check for null.
  */
 struct ShadowRef
 {
@@ -118,9 +127,9 @@ enum class SweepFilter
 {
     /** Every touched unit. */
     All,
-    /** Only chunks that have a cold array (every touched unit in them). */
+    /** Every touched unit of a built cold block. */
     ColdChunks,
-    /** Only units with a recorded reader, in chunks with a cold array. */
+    /** Only units with a recorded reader, in built cold blocks. */
     PendingRuns,
 };
 
@@ -136,6 +145,9 @@ struct ShadowStats
 
     /** Chunks currently holding a (lazily allocated) cold array. */
     std::uint64_t coldArraysLive = 0;
+
+    /** 64-unit blocks of live chunks whose cold entries are built. */
+    std::uint64_t coldBlocksLive = 0;
 
     /**
      * Actual allocated shadow bytes, now and at the high-water mark:
@@ -183,9 +195,11 @@ class ShadowMemory
     /**
      * A contiguous run of shadow state inside one chunk: units
      * [firstUnit, firstUnit + count) map to hot[0..count), and to
-     * cold[0..count) when the chunk has a cold array (else cold is
-     * null). span() yields the chunk-clamped runs of an access; the
-     * sweeps yield maximal runs of units matching their filter.
+     * cold[0..count) when their cold blocks are built (else cold is
+     * null). span() yields the chunk-clamped runs of an access, split
+     * where the cold blocks switch between built and unbuilt unless
+     * want_cold built them all; the sweeps yield maximal runs of units
+     * matching their filter.
      */
     struct Run
     {
@@ -264,9 +278,10 @@ class ShadowMemory
     /**
      * Locate (creating if needed) the shadow state of a unit, marking
      * its chunk as most recently touched. May evict another chunk when
-     * a memory limit is configured. want_cold materializes the chunk's
-     * cold array if it is still absent; without it the returned cold
-     * pointer is null unless the array already exists.
+     * a memory limit is configured. want_cold builds the unit's cold
+     * block (materializing the chunk's cold array if it is still
+     * absent); without it the returned cold pointer is null unless the
+     * block is already built.
      */
     ShadowRef lookup(std::uint64_t unit, bool want_cold = false);
 
@@ -274,10 +289,12 @@ class ShadowMemory
      * Span-oriented lookup: visit the shadow state of every unit in
      * [first_unit, last_unit] as chunk-clamped contiguous runs,
      * resolving each chunk exactly once. Equivalent to calling
-     * lookup() per unit (same touch ordering, same evictions and cold
-     * materializations at chunk boundaries) without the per-unit
-     * directory and recency work. last_unit may be the very last unit
-     * of the address space.
+     * lookup() per unit (same touch ordering, same evictions, cold
+     * materializations and cold blocks built) without the per-unit
+     * directory and recency work. Without want_cold a chunk's run is
+     * further split where its cold blocks switch between built and
+     * unbuilt. last_unit may be the very last unit of the address
+     * space.
      *
      * The references inside a Run are valid only during the callback:
      * the next chunk resolution may evict the chunk that backed it.
@@ -291,29 +308,38 @@ class ShadowMemory
             // Single-unit access (the byte-mode common case): skip the
             // run clamping and range bitmap arithmetic entirely.
             Chunk &chunk = chunkFor(first_unit);
-            if (want_cold && !chunk.cold)
-                materializeCold(chunk);
             std::size_t off = first_unit & (kChunkUnits - 1);
             std::uint64_t &word = chunk.touched[off >> 6];
             if (word == 0)
-                constructBlock(chunk, off >> 6);
+                constructHotBlock(chunk, off >> 6);
             word |= std::uint64_t{1} << (off & 63);
+            if (want_cold)
+                buildCold(chunk, std::uint64_t{1} << (off >> 6));
             fn(Run{first_unit, 1, chunk.hot.get() + off,
-                   chunk.cold ? chunk.cold.get() + off : nullptr});
+                   coldAt(chunk, off)});
             return;
         }
         std::uint64_t u = first_unit;
         while (true) {
             Chunk &chunk = chunkFor(u);
-            if (want_cold && !chunk.cold)
-                materializeCold(chunk);
             std::size_t off = static_cast<std::size_t>(u - chunk.base);
             std::size_t n = static_cast<std::size_t>(
                 std::min<std::uint64_t>(last_unit - u + 1,
                                         kChunkUnits - off));
             markTouched(chunk, off, n);
-            fn(Run{u, n, chunk.hot.get() + off,
-                   chunk.cold ? chunk.cold.get() + off : nullptr});
+            const std::uint64_t blocks =
+                blockMask(off >> 6, (off + n - 1) >> 6);
+            if (want_cold)
+                buildCold(chunk, blocks);
+            // One run unless the blocks mix built and unbuilt cold
+            // state, which want_cold never leaves.
+            const std::uint64_t built = chunk.coldBuilt & blocks;
+            if (built == 0 || built == blocks) {
+                fn(Run{u, n, chunk.hot.get() + off,
+                       built != 0 ? chunk.cold.get() + off : nullptr});
+            } else {
+                splitByColdBlocks(chunk, off, n, false, fn);
+            }
             // Stop on the run that holds last_unit rather than testing
             // u <= last_unit after the step: u + n wraps to 0 when
             // last_unit is the top unit of the address space.
@@ -325,7 +351,9 @@ class ShadowMemory
 
     /**
      * Locate without creating or touching; null if the unit's chunk is
-     * absent or its block was never touched (never constructed).
+     * absent or its block was never touched (never constructed). In a
+     * chunk with a cold array, an unbuilt cold block is presented as
+     * read-only zeros.
      */
     ShadowPtr find(std::uint64_t unit);
 
@@ -342,7 +370,9 @@ class ShadowMemory
      * end-of-run sweep that finalizes pending re-use runs). Chunks are
      * visited in ascending base order so the sweep is deterministic
      * run-to-run; within a chunk only units matching the filter are
-     * visited.
+     * visited. Under SweepFilter::All the cold entries of an unbuilt
+     * block are read-only zeros (a write through them faults), and
+     * runs are split at the edges of such blocks.
      */
     void forEach(const RunVisitor &visitor,
                  SweepFilter filter = SweepFilter::All);
@@ -371,9 +401,9 @@ class ShadowMemory
 
     /**
      * Overwrite the cumulative statistics (checkpoint restore). The
-     * live-chunk count, cold-array count, and live bytes are re-derived
-     * from the directory and stamp table; the byte peak is clamped up
-     * to the re-derived live figure.
+     * live-chunk count, cold-array and built cold block counts, and
+     * live bytes are re-derived from the directory and stamp table;
+     * the byte peak is clamped up to the re-derived live figure.
      */
     void restoreStats(const ShadowStats &stats);
 
@@ -439,21 +469,108 @@ class ShadowMemory
         std::uint64_t index = 0;
         /** Blocks are constructed as the touched map marks them. */
         BlockArray<ShadowHot> hot;
-        /** Lazily allocated on the first want_cold resolution. */
+        /**
+         * Allocated on the first want_cold resolution; blocks are
+         * constructed as coldBuilt marks them.
+         */
         BlockArray<ShadowCold> cold;
         /**
          * Bit per unit: ever returned via lookup()/span(). A zero word
-         * means its 64-unit block of hot (and cold) entries has not
-         * been constructed yet.
+         * means its 64-unit block of hot entries has not been
+         * constructed yet.
          */
         std::uint64_t touched[kTouchedWords] = {};
+        /** Bit per 64-unit block: its cold entries are constructed. */
+        std::uint64_t coldBuilt = 0;
         /** Intrusive recency list; head = oldest, tail = newest. */
         Chunk *lruPrev = nullptr;
         Chunk *lruNext = nullptr;
     };
 
+    static_assert(kTouchedWords == 64,
+                  "Chunk::coldBuilt holds one bit per 64-unit block");
+
+    /**
+     * Zeros standing in for the cold entries of an unbuilt block where
+     * a sweep or find() must present them. Read-only.
+     */
+    static const ShadowCold kUnbuiltCold[64];
+
+    /** The kUnbuiltCold entry standing in for unit off of a chunk. */
+    static ShadowCold *
+    unbuiltColdAt(std::size_t off)
+    {
+        return const_cast<ShadowCold *>(kUnbuiltCold) + (off & 63);
+    }
+
     Chunk &chunkFor(std::uint64_t unit);
     void materializeCold(Chunk &chunk);
+
+    /** Mask of blocks first_w..last_w (inclusive, both < 64). */
+    static std::uint64_t
+    blockMask(std::size_t first_w, std::size_t last_w)
+    {
+        return (~0ull << first_w) & (~0ull >> (63 - last_w));
+    }
+
+    /**
+     * Build the cold entries of the masked blocks of a chunk that are
+     * not built yet, materializing its cold array first if needed.
+     */
+    void
+    buildCold(Chunk &chunk, std::uint64_t blocks)
+    {
+        if (std::uint64_t want = blocks & ~chunk.coldBuilt; want != 0)
+            buildColdBlocks(chunk, want);
+    }
+
+    void buildColdBlocks(Chunk &chunk, std::uint64_t blocks);
+
+    /** Cold entry of unit off of a chunk; null if its block is unbuilt. */
+    static ShadowCold *
+    coldAt(Chunk &chunk, std::size_t off)
+    {
+        return (chunk.coldBuilt >> (off >> 6)) & 1 ? chunk.cold.get() + off
+                                                    : nullptr;
+    }
+
+    /**
+     * Hand units [off, off + n) of a chunk to fn as runs split where
+     * its cold blocks switch between built and unbuilt. Over an
+     * unbuilt block cold is null, or, with zeros, points into
+     * kUnbuiltCold (then each unbuilt block is a run of its own).
+     */
+    template <typename Fn>
+    static void
+    splitByColdBlocks(Chunk &chunk, std::size_t off, std::size_t n,
+                      bool zeros, Fn &&fn)
+    {
+        const std::size_t end = off + n;
+        while (true) {
+            const std::size_t w = off >> 6;
+            const bool built = (chunk.coldBuilt >> w) & 1;
+            // Blocks from w on whose state differs from block w's.
+            const std::uint64_t flip =
+                (built ? ~chunk.coldBuilt : chunk.coldBuilt) >> w;
+            std::size_t stop =
+                flip == 0 ? kChunkUnits
+                          : (w + static_cast<std::size_t>(
+                                     std::countr_zero(flip)))
+                                << 6;
+            ShadowCold *cold = nullptr;
+            if (built) {
+                cold = chunk.cold.get() + off;
+            } else if (zeros) {
+                stop = (w + 1) << 6;
+                cold = unbuiltColdAt(off);
+            }
+            const std::size_t m = std::min(end, stop) - off;
+            fn(Run{chunk.base + off, m, chunk.hot.get() + off, cold});
+            off += m;
+            if (off == end)
+                return;
+        }
+    }
     void evictOldest();
     void evictChunkPtr(Chunk *chunk);
 
@@ -485,14 +602,14 @@ class ShadowMemory
 
     /**
      * Value-construct block w (units [64w, 64w + 64)) of the chunk's
-     * hot array, and of its cold array if it has one. Called on the
-     * block's touched word's 0 -> nonzero transition.
+     * hot array. Called on the block's touched word's 0 -> nonzero
+     * transition.
      */
-    static void constructBlock(Chunk &chunk, std::size_t w);
+    static void constructHotBlock(Chunk &chunk, std::size_t w);
 
     /**
      * Mark units [off, off + n) of a chunk as touched, constructing
-     * every block the range enters for the first time.
+     * every hot block the range enters for the first time.
      */
     static void
     markTouched(Chunk &chunk, std::size_t off, std::size_t n)
@@ -503,7 +620,7 @@ class ShadowMemory
         std::uint64_t tail = ~0ull >> (63 - ((off + n - 1) & 63));
         for (std::size_t w = first_word; w <= last_word; ++w) {
             if (chunk.touched[w] == 0)
-                constructBlock(chunk, w);
+                constructHotBlock(chunk, w);
         }
         if (first_word == last_word) {
             chunk.touched[first_word] |= head & tail;

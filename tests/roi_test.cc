@@ -105,6 +105,88 @@ TEST(Roi, RoiOnlyEventsCoverOnlyTheRegion)
 }
 
 /**
+ * A unit read once before the region and twice inside it: its re-use
+ * run starts at the first read inside the region, so the lifetime is
+ * the distance between the two region reads, not the distance from
+ * tick 0.
+ */
+TEST(Roi, RoiLifetimeStartsAtTheFirstRegionRead)
+{
+    vg::Guest g("t");
+    SigilConfig cfg;
+    cfg.roiOnly = true;
+    SigilProfiler prof(cfg);
+    g.addTool(&prof);
+
+    vg::Addr a = g.alloc(8);
+    g.enter("main");
+    g.write(a, 8);
+    g.iop(2000);
+    g.read(a, 8); // outside the region: no run
+    g.iop(3);
+    g.roiBegin();
+    const vg::Tick first = g.now();
+    g.read(a, 8);
+    g.iop(6);
+    const vg::Tick last = g.now();
+    g.read(a, 8);
+    g.roiEnd();
+    g.leave();
+    g.finish();
+
+    SigilProfile p = prof.takeProfile();
+    const SigilRow *main_row = p.findByDisplayName("main");
+    ASSERT_NE(main_row, nullptr);
+    ASSERT_GT(first, 2000u);
+    EXPECT_EQ(main_row->agg.reusedUnits, 8u);
+    EXPECT_EQ(main_row->agg.reuseReads, 8u);
+    EXPECT_EQ(main_row->agg.lifetimeSum, 8 * (last - first));
+}
+
+/**
+ * A re-use run built inside the region keeps its statistics when the
+ * region ends before anything else touches the unit: a later read by
+ * another function outside the region closes the run just as a later
+ * write does.
+ */
+TEST(Roi, RegionRunSurvivesAnOutOfRegionAccess)
+{
+    auto reused_after = [](bool write_after) {
+        vg::Guest g("t");
+        SigilConfig cfg;
+        cfg.roiOnly = true;
+        SigilProfiler prof(cfg);
+        g.addTool(&prof);
+        vg::Addr a = g.alloc(8);
+        g.enter("main");
+        g.enter("setup");
+        g.write(a, 8);
+        g.leave();
+        g.roiBegin();
+        g.enter("kernel");
+        g.read(a, 8);
+        g.iop(4);
+        g.read(a, 8);
+        g.leave();
+        g.roiEnd();
+        g.enter("teardown");
+        if (write_after)
+            g.write(a, 8);
+        else
+            g.read(a, 8);
+        g.leave();
+        g.leave();
+        g.finish();
+        SigilProfile p = prof.takeProfile();
+        const SigilRow *kernel = p.findByDisplayName("kernel");
+        return kernel == nullptr ? ~std::uint64_t{0}
+                                 : kernel->agg.reusedUnits;
+    };
+    EXPECT_EQ(reused_after(/*write_after=*/true), 8u);
+    EXPECT_EQ(reused_after(/*write_after=*/false), 8u);
+}
+
+/**
  * A region of interest entered late: every segment before it uses up a
  * seq, so the trace's seqs start high. The chain analyses give the same
  * results as on the trace renumbered from 1, and their seq index spans

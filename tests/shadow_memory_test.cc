@@ -3,7 +3,8 @@
  * Tests for the two-level shadow memory: lazy chunk creation, the
  * lookup cache, the span API, line granularity, the LRU memory limit,
  * the touched bitmap and touched-block init, stamp interning, lazy
- * cold arrays, byte accounting, and eviction callbacks.
+ * cold arrays, cold blocks built on first read, byte accounting, and
+ * eviction callbacks.
  */
 
 #include <gtest/gtest.h>
@@ -13,8 +14,11 @@
 #include <set>
 #include <vector>
 
+#include "core/sigil_profiler.hh"
 #include "shadow/shadow_memory.hh"
 #include "support/rng.hh"
+#include "support/serial.hh"
+#include "vg/guest.hh"
 
 namespace sigil::shadow {
 namespace {
@@ -124,6 +128,114 @@ TEST(ShadowMemory, LateColdArrayCoversEarlierTouchedBlocks)
     ASSERT_TRUE(early);
     ASSERT_NE(early.cold, nullptr);
     EXPECT_EQ(writerCtx(sm, ShadowRef{*early.hot, early.cold}), 1);
+}
+
+TEST(ShadowMemory, WrittenBlocksNeverBuildCold)
+{
+    // Writes resolve without want_cold: even in a chunk that holds a
+    // cold array, the blocks they enter stay unbuilt and their runs
+    // carry no cold pointer.
+    constexpr std::uint64_t kC = ShadowMemory::kChunkUnits;
+    ShadowMemory sm;
+    const StampId w = ctxId(sm, 1);
+    sm.lookup(kC - 1, /*want_cold=*/true); // chunk 0, block 63
+    EXPECT_EQ(sm.stats().coldArraysLive, 1u);
+    EXPECT_EQ(sm.stats().coldBlocksLive, 1u);
+    std::vector<std::pair<std::uint64_t, bool>> runs;
+    sm.span(0, kC + 200, false, [&](ShadowMemory::Run run) {
+        runs.push_back({run.firstUnit, run.cold != nullptr});
+        std::fill(run.hot, run.hot + run.count, ShadowHot{w, 0});
+    });
+    // Chunk 0 splits at its one built block; chunk 1 has no cold.
+    EXPECT_EQ(runs, (std::vector<std::pair<std::uint64_t, bool>>{
+                        {0, false}, {kC - 64, true}, {kC, false}}));
+    EXPECT_EQ(sm.lookup(8).cold, nullptr);
+    EXPECT_EQ(sm.stats().coldArraysLive, 1u);
+    EXPECT_EQ(sm.stats().coldBlocksLive, 1u);
+    // The cold sweeps skip the unbuilt blocks outright.
+    std::uint64_t swept = 0;
+    sm.forEach(perUnit([&](std::uint64_t, ShadowRef) { ++swept; }),
+               SweepFilter::ColdChunks);
+    EXPECT_EQ(swept, 64u);
+}
+
+TEST(ShadowMemory, ReadBuildsExactlyTheBlocksItEnters)
+{
+    constexpr std::uint64_t kC = ShadowMemory::kChunkUnits;
+    ShadowMemory::Config cfg;
+    cfg.maxChunks = 2;
+    ShadowMemory sm(cfg);
+    sm.span(0, 300, false, [](ShadowMemory::Run) {}); // blocks 0..4
+    EXPECT_EQ(sm.stats().coldBlocksLive, 0u);
+    // Units 60..130 enter blocks 0, 1 and 2 of chunk 0.
+    sm.span(60, 130, true, [](ShadowMemory::Run run) {
+        ASSERT_NE(run.cold, nullptr);
+        EXPECT_EQ(run.count, 71u);
+        for (std::size_t i = 0; i < run.count; ++i)
+            run.cold[i].runReads = 1;
+    });
+    EXPECT_EQ(sm.stats().coldBlocksLive, 3u);
+    sm.span(100, 110, true, [](ShadowMemory::Run) {}); // already built
+    EXPECT_EQ(sm.stats().coldBlocksLive, 3u);
+    // Built cold state survives; the built block's other units read 0.
+    EXPECT_EQ(sm.lookup(100).cold->runReads, 1u);
+    EXPECT_EQ(sm.lookup(140).cold->runReads, 0u);
+    EXPECT_EQ(sm.lookup(200).cold, nullptr);
+    // Crossing a chunk edge builds the last block of one chunk and
+    // the first of the next.
+    sm.span(kC - 5, kC + 2, true, [](ShadowMemory::Run run) {
+        ASSERT_NE(run.cold, nullptr);
+    });
+    EXPECT_EQ(sm.stats().coldBlocksLive, 5u);
+    EXPECT_EQ(sm.stats().coldArraysLive, 2u);
+    // Eviction releases the evicted chunk's built blocks.
+    sm.lookup(2 * kC); // evicts chunk 0 (4 built blocks)
+    EXPECT_EQ(sm.stats().coldBlocksLive, 1u);
+    EXPECT_EQ(sm.stats().coldArraysLive, 1u);
+}
+
+TEST(ShadowMemory, CheckpointWithUnbuiltBlocksResavesIdentically)
+{
+    // A run whose cold chunk has blocks that were only written: the
+    // checkpoint saves their cold entries as zeros, and the restored
+    // profiler re-saves the same bytes.
+    vg::Guest g("cold");
+    core::SigilProfiler prof;
+    g.addTool(&prof);
+    const vg::Addr a = g.alloc(1024);
+    g.enter("main");
+    g.enter("produce");
+    g.write(a, 1024);
+    g.leave();
+    g.enter("consume");
+    g.read(a + 200, 16);
+    g.read(a + 200, 16); // a pending re-use run
+    g.leave();
+
+    const ShadowStats st = prof.shadowStats();
+    EXPECT_EQ(st.coldArraysLive, 1u);
+    EXPECT_GE(st.coldBlocksLive, 1u);
+    EXPECT_LE(st.coldBlocksLive, 2u);
+
+    ByteSink sink;
+    g.saveState(sink);
+    const std::size_t body_off = sink.bytes().size();
+    prof.saveState(sink);
+    const std::string snapshot = sink.take();
+    // Saving reads the unbuilt blocks as zeros without building them.
+    EXPECT_EQ(prof.shadowStats().coldBlocksLive, st.coldBlocksLive);
+
+    vg::Guest g2("cold");
+    core::SigilProfiler prof2;
+    g2.addTool(&prof2);
+    ByteSource src(snapshot.data(), snapshot.size());
+    ASSERT_TRUE(g2.restoreState(src));
+    ASSERT_TRUE(prof2.restoreState(src));
+    ByteSink again;
+    prof2.saveState(again);
+    EXPECT_EQ(again.bytes(), snapshot.substr(body_off));
+    EXPECT_EQ(prof2.shadowStats().coldArraysLive, 1u);
+    EXPECT_EQ(prof2.shadowStats().bytesLive, st.bytesLive);
 }
 
 TEST(ShadowMemory, SpanEndsAtTopOfAddressSpace)
