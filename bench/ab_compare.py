@@ -4,13 +4,20 @@
 An absolute baseline (BENCH_dispatch.json) cannot gate a change on a
 host whose CPU speed drifts over time; a parent and a change run
 back to back can. This script builds micro_dispatch (Release) in two
-checkouts, runs the two binaries alternately for PAIRS pairs (the
-order flips every pair, so a drift favours neither side), and for each
-watched (benchmark, metric) of compare_bench.py takes the median over
-the pairs of change / base. compare_bench.py's threshold then judges
+checkouts and runs them for PAIRS pairs, and for each watched
+(benchmark, metric) of compare_bench.py takes the median over the
+pairs of change / base. compare_bench.py's threshold then judges
 that median paired ratio: a watched metric that got worse by more than
 the threshold, or that did not run on both sides, fails the run
 (exit 1).
+
+Each pair also runs the base binary a second time (the A/A leg), and
+the three runs rotate through the order base, change, base-again so
+that no run always goes first. The base-again / base ratios show what
+identical code reads on this host during this run: their median and
+interquartile range are printed next to each metric's change / base
+median, which is marked "within A/A spread" when it falls inside that
+range. The A/A leg informs; it does not change the verdict.
 
 Usage:
   bench/ab_compare.py [--filter REGEX] [--min-time 2]
@@ -35,8 +42,9 @@ from compare_bench import (THRESHOLD, WATCHED, entries,  # noqa: E402
 
 # Ten pairs, as every gain claimed in EXPERIMENTS.md needs. Five let
 # identical decode code read -11%; ten still let an A/A run read -21%
-# on the server sweep ("One recv per frame"), so a flag is a prompt
-# for an A/A run, not a verdict.
+# on the server sweep ("One recv per frame"), so every run now carries
+# its own A/A leg, and a flag inside the A/A spread is a prompt to
+# look again, not a verdict.
 PAIRS = 10
 TARGET = "micro_dispatch"
 
@@ -61,6 +69,19 @@ def paired_ratios(pairs):
     for key in missing:
         ratios.pop(key, None)
     return {k: (directions[k], r) for k, r in ratios.items()}, missing
+
+
+def aa_spread(aa_ratios, median_ratio):
+    """The A/A leg of one metric: (median base/base ratio, first
+    quartile, third quartile, whether median_ratio -- the metric's
+    change / base median -- lies inside [q1, q3]). Quartiles
+    interpolate linearly between order statistics."""
+    if len(aa_ratios) == 1:
+        q1 = med = q3 = aa_ratios[0]
+    else:
+        q1, med, q3 = statistics.quantiles(aa_ratios, n=4,
+                                           method="inclusive")
+    return med, q1, q3, q1 <= median_ratio <= q3
 
 
 def verdicts(ratios):
@@ -119,9 +140,11 @@ def main():
             sys.exit("error: building %s failed: %s" % (checkout, e))
 
     bench_filter = args.filter or "|".join(p for p, _, _ in WATCHED)
-    pairs = []
+    binaries["base-again"] = binaries["base"]
+    rotation = ("base", "change", "base-again")
+    pairs, aa_pairs = [], []
     for i in range(PAIRS):
-        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        order = rotation[i % 3:] + rotation[:i % 3]
         docs = {}
         for side in order:
             try:
@@ -131,10 +154,12 @@ def main():
                     subprocess.CalledProcessError) as e:
                 sys.exit("error: %s run %d failed: %s" % (side, i + 1, e))
         pairs.append((docs["base"], docs["change"]))
-        print("pair %d/%d done (%s first)" % (i + 1, PAIRS, order[0]),
+        aa_pairs.append((docs["base"], docs["base-again"]))
+        print("pair %d/%d done (%s)" % (i + 1, PAIRS, ", ".join(order)),
               file=sys.stderr)
 
     ratios, missing = paired_ratios(pairs)
+    aa_ratios, _ = paired_ratios(aa_pairs)
     for name, metric in sorted(missing):
         print("missing  %s [%s] — not on both sides of every pair"
               % (name, metric))
@@ -150,6 +175,12 @@ def main():
                  (med - 1.0) * 100, wins, n))
         print("          pair ratios: " + ", ".join(
             "%.3f" % r for r in ratios[(name, metric)][1]))
+        if (name, metric) in aa_ratios:
+            aa_med, q1, q3, within = aa_spread(
+                aa_ratios[(name, metric)][1], med)
+            print("          A/A base/base median %.4f, IQR [%.4f, %.4f]"
+                  "%s" % (aa_med, q1, q3,
+                          " -- within A/A spread" if within else ""))
     print("\n%d metrics compared over %d pairs, %d missing, %d regressed "
           "beyond %.0f%%" % (len(rows), PAIRS, len(missing),
                              regressed, THRESHOLD * 100))

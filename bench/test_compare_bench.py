@@ -15,8 +15,10 @@ diagnostics:
 It also checks ab_compare.py's pairing and median logic on canned
 documents: ratios pair each base run with its change run, the median
 ratio (not the mean, not the best pair) is what the threshold judges,
-direction is honoured for lower-is-better metrics, and a benchmark
-missing from one side of a pair is reported, not compared.
+direction is honoured for lower-is-better metrics, a benchmark
+missing from one side of a pair is reported, not compared, and the
+A/A leg's quartiles and "within A/A spread" mark are computed from
+the base/base ratios.
 
 Registered as the ctest target bench_compare_missing_suite; runnable
 standalone: python3 bench/test_compare_bench.py
@@ -120,6 +122,20 @@ def ab_compare_cases(check):
     check("ab_compare reports a benchmark missing from one side",
           peak in missing and peak not in ratios and key in ratios,
           (ratios, missing))
+
+    # The A/A leg: base-again / base ratios 0.96, 0.98, 1.00, 1.02,
+    # 1.04 have median 1.00 and inclusive quartiles 0.98 and 1.02. A
+    # change/base median of 1.01 lies inside that spread; 1.1 does not.
+    aa = [(run_doc(100.0), run_doc(r)) for r in (104, 96, 100, 102, 98)]
+    aa_ratios, _ = ab_compare.paired_ratios(aa)
+    spread = ab_compare.aa_spread(aa_ratios[key][1], 1.01)
+    check("ab_compare takes the A/A median and interquartile range",
+          all(abs(a - b) < 1e-9 for a, b in
+              zip(spread[:3], (1.0, 0.98, 1.02))) and spread[3], spread)
+    check("ab_compare marks a median outside the A/A spread",
+          not ab_compare.aa_spread(aa_ratios[key][1], 1.1)[3]
+          and ab_compare.aa_spread([1.05], 1.05)[1:] == (1.05, 1.05, True),
+          aa_ratios)
 
 
 def main():

@@ -56,17 +56,10 @@ struct AccessStamp
     bool collecting = true;
 };
 
-/**
- * Collection environment of the read kernel. The fidelity flags are
- * snapshots: fidelity degrades only from the shadow's pressure handler
- * inside a chunk resolution, never while a resolved chunk's units are
- * being classified, so a walk takes a fresh snapshot per resolved
- * chunk run (span walk) or per lookup (per-unit walk).
- */
+/** Collection environment of the read kernel (from the config). */
 struct ClassifyEnv
 {
-    bool reuseEnabled = true;
-    bool classifyEnabled = true;
+    bool collectReuse = true;
     bool collectEvents = false;
     unsigned granularityShift = 0;
 };
@@ -216,14 +209,6 @@ commReadRun(CommTables &t, const ClassifyEnv &env,
         return;
     }
 
-    if (!env.classifyEnabled) {
-        // Degradation level 2: raw byte totals continue, but per-class
-        // aggregation stops. Reader identity is still maintained so a
-        // later analysis of the shadow state remains coherent.
-        stamp_readers();
-        return;
-    }
-
     const shadow::WriterStamp &wr = st.writer(pair.writer);
     const bool ever_written = wr.ctx != vg::kInvalidContext;
     vg::ContextId producer = ever_written ? wr.ctx : kUninitProducer;
@@ -291,7 +276,7 @@ commReadRun(CommTables &t, const ClassifyEnv &env,
         (*seg_xfers)[wr.seq] += w;
     }
 
-    if (env.reuseEnabled) {
+    if (env.collectReuse) {
         // Stamp interning is injective, so id equality is exactly the
         // old (reader ctx, reader call) pair comparison. Re-use mode
         // always resolves with want_cold, so c is non-null here. A

@@ -18,10 +18,7 @@ SigilProfiler::SigilProfiler(const SigilConfig &config)
             closePendingRuns(run);
         },
         shadow::SweepFilter::PendingRuns);
-    shadow_.setPressureHandler(
-        [this](int failed_attempts) { degrade(failed_attempts); });
     collecting_ = !config_.roiOnly;
-    reuseEnabled_ = config_.collectReuse;
 }
 
 SigilProfiler::~SigilProfiler() = default;
@@ -29,7 +26,7 @@ SigilProfiler::~SigilProfiler() = default;
 void
 SigilProfiler::closePendingRuns(const shadow::ShadowMemory::Run &run)
 {
-    if (!reuseEnabled_ || run.cold == nullptr)
+    if (!config_.collectReuse || run.cold == nullptr)
         return;
     for (std::size_t i = 0; i < run.count;) {
         const shadow::StampId reader = run.hot[i].reader;
@@ -39,35 +36,6 @@ SigilProfiler::closePendingRuns(const shadow::ShadowMemory::Run &run)
         commFinalizeRuns(tables_, shadow_.stamps(), reader, run.cold + i,
                          j - i);
         i = j;
-    }
-}
-
-void
-SigilProfiler::degrade(int failed_attempts)
-{
-    if (degradationLevel_ == 0) {
-        degradationLevel_ = 1;
-        if (reuseEnabled_) {
-            // Close out every pending run before dropping the mode so
-            // the statistics collected so far keep their mass.
-            shadow_.forEach(
-                [this](const shadow::ShadowMemory::Run &run) {
-                    closePendingRuns(run);
-                },
-                shadow::SweepFilter::PendingRuns);
-            reuseEnabled_ = false;
-            warn("SigilProfiler: shadow allocation pressure "
-                 "(%d failed attempts) — dropping re-use tracking",
-                 failed_attempts);
-            return;
-        }
-    }
-    if (degradationLevel_ == 1) {
-        degradationLevel_ = 2;
-        classifyEnabled_ = false;
-        warn("SigilProfiler: shadow allocation pressure persists "
-             "(%d failed attempts) — dropping read classification",
-             failed_attempts);
     }
 }
 
@@ -217,28 +185,22 @@ SigilProfiler::classifyRead(vg::Addr addr, unsigned size, vg::ContextId ctx,
             (last_unit << shift) | ((std::uint64_t{1} << shift) - 1));
         return hi - lo + 1;
     };
-    // Fidelity degrades only inside a chunk resolution, so the flags
-    // are snapshotted once per resolved run (or per lookup).
-    auto env = [&] {
-        return ClassifyEnv{reuseEnabled_, classifyEnabled_,
-                           config_.collectEvents, config_.granularityShift};
-    };
-    // One consumer identity per access, and one cold-building
-    // decision per access (so a mid-span fidelity flip cannot make the
-    // two walk paths build differently). The call number only
-    // matters for re-use run identity (consecutive-reader equality);
-    // with re-use off, classification reads nothing but the reader's
+    const ClassifyEnv env{config_.collectReuse, config_.collectEvents,
+                          config_.granularityShift};
+    // One consumer identity per access. The call number only matters
+    // for re-use run identity (consecutive-reader equality); with
+    // re-use off, classification reads nothing but the reader's
     // context, so collapsing the call keeps the table at one entry
     // per context instead of one per dynamic call.
     const shadow::StampId rs = shadow_.internReader(
-        shadow::ReaderStamp{reuseEnabled_ ? call : 0, ctx});
+        shadow::ReaderStamp{config_.collectReuse ? call : 0, ctx});
     const bool want_cold = readWantsCold();
     if (config_.referenceShadowPath) {
         // Reference path: resolve the chunk and compute the covered
         // byte width from scratch for every unit.
         for (std::uint64_t u = first;; ++u) {
             shadow::ShadowRef s = shadow_.lookup(u, want_cold);
-            commReadRun(tables_, env(), shadow_.stamps(), &s.hot, s.cold,
+            commReadRun(tables_, env, shadow_.stamps(), &s.hot, s.cold,
                         1, covered(u, u), a, rs, &state.xfers,
                         unique_bytes);
             if (u == last)
@@ -248,7 +210,6 @@ SigilProfiler::classifyRead(vg::Addr addr, unsigned size, vg::ContextId ctx,
     }
     shadow_.span(first, last, want_cold,
                  [&](shadow::ShadowMemory::Run run) {
-        const ClassifyEnv run_env = env();
         // Split the chunk run into maximal runs of units sharing one
         // (writer, reader) stamp pair and classify each run once, in
         // unit order so edges keep their first-seen order.
@@ -259,7 +220,7 @@ SigilProfiler::classifyRead(vg::Addr addr, unsigned size, vg::ContextId ctx,
                    run.hot[j].reader == pair.reader) {
                 ++j;
             }
-            commReadRun(tables_, run_env, shadow_.stamps(), run.hot + i,
+            commReadRun(tables_, env, shadow_.stamps(), run.hot + i,
                         run.cold ? run.cold + i : nullptr, j - i,
                         covered(run.firstUnit + i, run.firstUnit + j - 1), a,
                         rs, &state.xfers, unique_bytes);
@@ -422,7 +383,7 @@ SigilProfiler::finish()
         config_.granularityShift > 0 ? shadow::SweepFilter::ColdChunks
                                      : shadow::SweepFilter::PendingRuns;
     const bool sweep_needed =
-        config_.granularityShift > 0 || reuseEnabled_;
+        config_.granularityShift > 0 || config_.collectReuse;
     if (!sweep_needed)
         return;
     shadow_.forEach(
@@ -657,10 +618,12 @@ SigilProfiler::saveState(ByteSink &sink)
     sink.u8(config_.roiOnly ? 1 : 0);
     sink.u8(config_.collectObjects ? 1 : 0);
 
+    // ROI state, then three mode bytes that are constants of the
+    // config: level 0, re-use as configured, classification on.
     sink.u8(collecting_ ? 1 : 0);
-    sink.u8(static_cast<std::uint8_t>(degradationLevel_));
-    sink.u8(reuseEnabled_ ? 1 : 0);
-    sink.u8(classifyEnabled_ ? 1 : 0);
+    sink.u8(0);
+    sink.u8(config_.collectReuse ? 1 : 0);
+    sink.u8(1);
 
     sink.varint(tables_.rows.size());
     for (const CommAggregates &a : tables_.rows)
@@ -744,7 +707,7 @@ SigilProfiler::saveState(ByteSink &sink)
     sink.u64(st.chunksLive);
     sink.u64(st.chunksPeak);
     sink.u64(st.evictions);
-    sink.u64(st.allocFailures);
+    sink.u64(0); // allocation-failure slot, always zero
 
     // Shadow body. The byte peak joins the stats (it is not derivable
     // from chunksPeak, because cold arrays are allocated lazily).
@@ -830,23 +793,19 @@ SigilProfiler::restoreState(ByteSource &src)
         return false;
     }
 
-    // Only states this config can reach: degrade() climbs to level 1
-    // only when re-use is on to shed, each level fixes both mode
-    // flags, and collection pauses only under roiOnly.
+    // Only states this config can reach: the mode bytes are exactly
+    // what saveState() writes, and collection pauses only under
+    // roiOnly.
     const std::uint8_t collecting = src.u8();
     const std::uint8_t level = src.u8();
     const std::uint8_t reuse = src.u8();
     const std::uint8_t classify = src.u8();
-    if (level > 2 || (level == 1 && !config_.collectReuse) ||
-        reuse != (config_.collectReuse && level == 0 ? 1 : 0) ||
-        classify != (level < 2 ? 1 : 0) || collecting > 1 ||
+    if (level != 0 || reuse != (config_.collectReuse ? 1 : 0) ||
+        classify != 1 || collecting > 1 ||
         (collecting == 0 && !config_.roiOnly)) {
         return false;
     }
     collecting_ = collecting != 0;
-    degradationLevel_ = level;
-    reuseEnabled_ = reuse != 0;
-    classifyEnabled_ = classify != 0;
 
     std::uint64_t num_rows = src.varint();
     if (!src.ok() || num_rows > (std::uint64_t{1} << 32))
@@ -984,7 +943,8 @@ SigilProfiler::restoreState(ByteSource &src)
     st.chunksLive = src.u64();
     st.chunksPeak = src.u64();
     st.evictions = src.u64();
-    st.allocFailures = src.u64();
+    if (src.u64() != 0) // allocation-failure slot
+        return false;
 
     st.bytesPeak = src.u64();
 
@@ -1048,6 +1008,13 @@ SigilProfiler::restoreState(ByteSource &src)
             std::uint64_t off = src.varint();
             std::uint64_t wid = src.varint();
             std::uint64_t rid = src.varint();
+            shadow::ShadowCold cold;
+            if (has_cold != 0) {
+                cold.runFirstRead = src.u64();
+                cold.runLastRead = src.u64();
+                cold.totalAccesses = src.u64();
+                cold.runReads = src.u32();
+            }
             if (!src.ok() ||
                 off >= shadow::ShadowMemory::kChunkUnits ||
                 wid > wcount || rid > rcount) {
@@ -1056,16 +1023,10 @@ SigilProfiler::restoreState(ByteSource &src)
             // Re-intern the resolved tuples rather than trusting the
             // saved ids, so the restore stays correct even if the saved
             // id space and ours ever disagree.
-            shadow::ShadowRef obj =
-                shadow_.restoreLookup(base + off, has_cold != 0);
-            obj.hot.writer = shadow_.internWriter(writers[wid]);
-            obj.hot.reader = shadow_.internReader(readers[rid]);
-            if (has_cold != 0) {
-                obj.cold->runFirstRead = src.u64();
-                obj.cold->runLastRead = src.u64();
-                obj.cold->totalAccesses = src.u64();
-                obj.cold->runReads = src.u32();
-            }
+            shadow::ShadowHot &hot = shadow_.restoreUnit(
+                base + off, has_cold != 0 ? &cold : nullptr);
+            hot.writer = shadow_.internWriter(writers[wid]);
+            hot.reader = shadow_.internReader(readers[rid]);
         }
     }
     shadow_.restoreStats(st);

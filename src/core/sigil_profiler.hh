@@ -117,23 +117,14 @@ class SigilProfiler : public vg::Tool
     bool restoreState(ByteSource &src);
     /// @}
 
-    /**
-     * Fidelity degradation under shadow allocation pressure (driven by
-     * ShadowMemory's pressure handler): 0 = full fidelity, 1 = re-use
-     * tracking dropped (pending runs are finalized first, so existing
-     * statistics keep their mass), 2 = read classification dropped
-     * (raw byte counts continue). The level only rises.
-     */
-    int degradationLevel() const { return degradationLevel_; }
-
     /** The event trace (empty unless collectEvents). */
     const EventTrace &events() const { return events_; }
 
     const shadow::ShadowMemory &shadowMemory() const { return shadow_; }
 
     /**
-     * Mutable shadow access for fault-injection harnesses (install an
-     * allocation-failure injector before driving the guest).
+     * Mutable shadow access for callers that probe unit state with
+     * the non-const ShadowMemory::find().
      */
     shadow::ShadowMemory &shadowMemory() { return shadow_; }
 
@@ -183,23 +174,18 @@ class SigilProfiler : public vg::Tool
     /** Resolve a predecessor through any skipped (empty) segments. */
     std::uint64_t resolvePred(std::uint64_t seq) const;
 
-    /** Shed fidelity one rung at a time (see degradationLevel()). */
-    void degrade(int failed_attempts);
-
     /**
      * Whether a read access must build the cold records of the units
      * it touches: only re-use tracking and line-mode access totals
      * ever write them. Writes never build cold (finalizing an
      * overwritten run only touches a cold block that is already
-     * built). Computed once per access, before the shadow walk, so
-     * the reference and span paths build identically even when
-     * fidelity degrades mid-span.
+     * built).
      */
     bool
     readWantsCold() const
     {
-        return collecting_ && classifyEnabled_ &&
-               (reuseEnabled_ || config_.granularityShift > 0);
+        return collecting_ &&
+               (config_.collectReuse || config_.granularityShift > 0);
     }
 
     SigilConfig config_;
@@ -207,15 +193,6 @@ class SigilProfiler : public vg::Tool
 
     /** False while ROI-only collection is outside the ROI. */
     bool collecting_ = true;
-
-    /** @name Degradation ladder state */
-    /// @{
-    int degradationLevel_ = 0;
-    /** config_.collectReuse until degradation level 1. */
-    bool reuseEnabled_ = true;
-    /** True until degradation level 2. */
-    bool classifyEnabled_ = true;
-    /// @}
 
     /** Aggregate rows, edges, breakdowns, object stats. */
     CommTables tables_;

@@ -100,26 +100,6 @@ ShadowMemory::chunkFor(std::uint64_t unit)
     if (it == directory_.end()) {
         if (maxChunks_ != 0 && directory_.size() >= maxChunks_)
             evictOldest();
-        if (allocFailureInjector_) {
-            // Degradation ladder, rung 1: survive a failed chunk
-            // allocation by evicting the least recently used chunk
-            // (losing only precision, like the memory-limit path) and
-            // retrying. Only when nothing evictable remains does the
-            // pressure handler ask the owner to degrade fidelity.
-            int failed = 0;
-            bool exhausted = false;
-            while (allocFailureInjector_()) {
-                ++failed;
-                ++stats_.allocFailures;
-                if (directory_.empty() || failed >= 8) {
-                    exhausted = true;
-                    break;
-                }
-                evictOldest();
-            }
-            if (exhausted && pressureHandler_)
-                pressureHandler_(failed);
-        }
         Chunk chunk;
         chunk.base = index << kChunkShift;
         chunk.index = index;
@@ -184,18 +164,26 @@ ShadowMemory::lookup(std::uint64_t unit, bool want_cold)
     return ShadowRef{chunk.hot[off], coldAt(chunk, off)};
 }
 
-ShadowRef
-ShadowMemory::restoreLookup(std::uint64_t unit, bool want_cold)
+ShadowHot &
+ShadowMemory::restoreUnit(std::uint64_t unit, const ShadowCold *cold)
 {
-    std::size_t saved_max = maxChunks_;
-    std::function<bool()> saved_injector =
-        std::move(allocFailureInjector_);
+    const std::size_t saved_max = maxChunks_;
     maxChunks_ = 0;
-    allocFailureInjector_ = nullptr;
-    ShadowRef ref = lookup(unit, want_cold);
+    ShadowHot &hot = lookup(unit).hot;
     maxChunks_ = saved_max;
-    allocFailureInjector_ = std::move(saved_injector);
-    return ref;
+    if (cold == nullptr)
+        return hot;
+    // lookup() left the unit's chunk in the one-entry cache.
+    Chunk &chunk = *lastChunk_;
+    if (!chunk.cold)
+        materializeCold(chunk);
+    if (cold->runFirstRead != 0 || cold->runLastRead != 0 ||
+        cold->totalAccesses != 0 || cold->runReads != 0) {
+        const std::size_t off = unit & (kChunkUnits - 1);
+        buildCold(chunk, std::uint64_t{1} << (off >> 6));
+        chunk.cold[off] = *cold;
+    }
+    return hot;
 }
 
 ShadowPtr

@@ -140,8 +140,6 @@ struct ShadowStats
     std::uint64_t chunksLive = 0;
     std::uint64_t chunksPeak = 0;
     std::uint64_t evictions = 0;
-    /** Injected (or real) chunk allocation failures survived. */
-    std::uint64_t allocFailures = 0;
 
     /** Chunks currently holding a (lazily allocated) cold array. */
     std::uint64_t coldArraysLive = 0;
@@ -358,12 +356,16 @@ class ShadowMemory
     ShadowPtr find(std::uint64_t unit);
 
     /**
-     * lookup() variant for checkpoint restore: never evicts and never
-     * consults the failure injector, so re-populating exactly the
-     * saved chunk set (which already respects the limit) cannot
-     * perturb it. Units must be restored in saved (recency) order.
+     * Checkpoint restore of one saved unit: touch it like lookup(),
+     * but never evict, so re-populating exactly the saved chunk set
+     * (which already respects the limit) cannot perturb it, and
+     * return its hot record. A non-null cold is the unit's saved cold
+     * record: the chunk gets its cold array, and the unit's block is
+     * built and the record stored only when the record is nonzero (an
+     * unbuilt block reads as zero). Units must be restored in saved
+     * (recency) order.
      */
-    ShadowRef restoreLookup(std::uint64_t unit, bool want_cold = false);
+    ShadowHot &restoreUnit(std::uint64_t unit, const ShadowCold *cold);
 
     /**
      * Visit every touched shadow object as maximal runs (used for the
@@ -406,29 +408,6 @@ class ShadowMemory
      * the byte peak is clamped up to the re-derived live figure.
      */
     void restoreStats(const ShadowStats &stats);
-
-    /**
-     * Fault injection: consulted before every new chunk allocation;
-     * returning true simulates the allocation failing. The shadow
-     * survives by evicting its least recently used chunk to make room
-     * and retrying (the paper's reclamation path under real memory
-     * pressure); if the injector keeps failing with nothing left to
-     * evict, the pressure handler is told how many attempts failed so
-     * the owning profiler can degrade collection fidelity, and the
-     * allocation then proceeds (the injector only simulates failure).
-     */
-    void
-    setAllocationFailureInjector(std::function<bool()> injector)
-    {
-        allocFailureInjector_ = std::move(injector);
-    }
-
-    /** Called when eviction could not satisfy an allocation. */
-    void
-    setPressureHandler(std::function<void(int failed_attempts)> handler)
-    {
-        pressureHandler_ = std::move(handler);
-    }
 
     /**
      * Host bytes of the always-present part of one chunk: the hot unit
@@ -642,8 +621,6 @@ class ShadowMemory
     Chunk *lruTail_ = nullptr;
     RunVisitor evictionHandler_;
     SweepFilter evictionFilter_ = SweepFilter::All;
-    std::function<bool()> allocFailureInjector_;
-    std::function<void(int)> pressureHandler_;
     StampTable stamps_;
     ShadowStats stats_;
 };

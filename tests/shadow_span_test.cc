@@ -4,13 +4,13 @@
  *
  * Replays randomized traces — mixed access sizes, unaligned addresses,
  * byte and line granularity, multiple threads, ROI windows, with and
- * without a shadow-memory limit, per-object attribution, and a
- * mid-trace fidelity degradation — through two SigilProfiler instances:
- * one on the span path and one on the retained per-unit reference path
- * (SigilConfig::referenceShadowPath). The serialized profiles
- * (aggregates, communication edges, thread edges, re-use breakdowns,
- * lifetime histograms, shadow stats, object rows, degradation level)
- * and event traces must be bitwise identical.
+ * without a shadow-memory limit (evicting while ROI collection is
+ * paused included), and per-object attribution — through two
+ * SigilProfiler instances: one on the span path and one on the
+ * retained per-unit reference path (SigilConfig::referenceShadowPath).
+ * The serialized profiles (aggregates, communication edges, thread
+ * edges, re-use breakdowns, lifetime histograms, shadow stats, object
+ * rows) and event traces must be bitwise identical.
  */
 
 #include <gtest/gtest.h>
@@ -36,12 +36,6 @@ struct TraceParams
     bool roiOnly;
     /** Per-object attribution over tagged allocations of the window. */
     bool collectObjects = false;
-    /**
-     * Inject two bursts of chunk-allocation failures, each exhausting
-     * the eviction retries: fidelity degrades to level 1 and then to
-     * level 2 in the middle of the trace.
-     */
-    bool injectFailures = false;
 };
 
 /** Drive one deterministic pseudo-random workload into the guest. */
@@ -152,14 +146,6 @@ runOnce(const TraceParams &p, bool reference_path, std::string &profile,
 
     vg::Guest g("shadow_span_diff");
     core::SigilProfiler prof(cfg);
-    if (p.injectFailures) {
-        prof.shadowMemory().setAllocationFailureInjector(
-            [calls = std::uint64_t{0}]() mutable {
-                ++calls;
-                return (calls >= 150 && calls < 158) ||
-                       (calls >= 350 && calls < 358);
-            });
-    }
     g.addTool(&prof);
     driveTrace(g, p);
 
@@ -171,7 +157,6 @@ runOnce(const TraceParams &p, bool reference_path, std::string &profile,
             << o.readBytes << ' ' << o.writeBytes << ' '
             << o.uniqueReadBytes << '\n';
     }
-    pos << "degradation " << prof.degradationLevel() << '\n';
     profile = pos.str();
     std::ostringstream eos;
     core::writeEvents(eos, prof.events());
@@ -196,9 +181,6 @@ TEST_P(ShadowSpanDifferential, SpanPathMatchesPerUnitReference)
     if (p.collectObjects) {
         EXPECT_NE(ref_profile.find("object obj"), std::string::npos);
     }
-    if (p.injectFailures) {
-        EXPECT_NE(ref_profile.find("degradation 2"), std::string::npos);
-    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -219,9 +201,10 @@ INSTANTIATE_TEST_SUITE_P(
         // Line mode, no re-use (line totals still collected).
         TraceParams{707, 6, 0, false, false, false},
         // Per-object unique bytes, summed per stamp-pair run.
-        TraceParams{808, 0, 0, true, true, false, true, false},
-        // Fidelity degrades mid-trace, inside a span.
-        TraceParams{909, 0, 0, true, true, false, false, true}),
+        TraceParams{808, 0, 0, true, true, false, true},
+        // Evictions while ROI collection is paused, with per-object
+        // attribution.
+        TraceParams{909, 0, 6, true, true, true, true}),
     [](const ::testing::TestParamInfo<TraceParams> &info) {
         const TraceParams &p = info.param;
         std::string name = "seed" + std::to_string(p.seed) + "_g" +
@@ -235,8 +218,6 @@ INSTANTIATE_TEST_SUITE_P(
             name += "_roi";
         if (p.collectObjects)
             name += "_objects";
-        if (p.injectFailures)
-            name += "_degrade";
         return name;
     });
 

@@ -26,7 +26,6 @@
 
 #include "core/profile_io.hh"
 #include "core/sigil_profiler.hh"
-#include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/serial.hh"
 #include "vg/guest.hh"
@@ -404,21 +403,24 @@ TEST(StampShadowProperty, RestoreRefusesMalformedReaderTable)
     EXPECT_FALSE(restores(with_call(first, ~std::uint64_t{0})));
 }
 
-// A checkpoint with a ladder or ROI state the config cannot reach is
+// A checkpoint with a mode or ROI state the config cannot reach is
 // refused. ----------------------------------------------------------
 
-/** One tampered byte of the profiler body's ladder/ROI state. */
+/** One tampered field of a profiler body's mode/ROI state. */
 struct LadderTamper
 {
     const char *name;
     bool collectReuse;
     bool roiOnly;
-    /** Exhausted shadow allocations before the save (0 = none). */
-    int pressure;
-    /** Byte of the state: 0 collecting, 1 level, 2 re-use, 3 classify. */
+    /**
+     * Byte of the state: 0 collecting, 1 level, 2 re-use, 3 classify;
+     * kFailureSlot is the low byte of the allocation-failure slot.
+     */
     int field;
     std::uint8_t value;
 };
+
+constexpr int kFailureSlot = 4;
 
 void
 PrintTo(const LadderTamper &t, std::ostream *os)
@@ -430,12 +432,6 @@ class RestoreLadderState : public ::testing::TestWithParam<LadderTamper>
 {
 };
 
-/** Swallows the degradation warnings the pressure phase logs. */
-void
-swallowLogs(LogLevel, const std::string &)
-{
-}
-
 TEST_P(RestoreLadderState, RefusesUnreachableState)
 {
     const LadderTamper &t = GetParam();
@@ -445,32 +441,38 @@ TEST_P(RestoreLadderState, RefusesUnreachableState)
     vg::Guest g("ladder");
     core::SigilProfiler prof(cfg);
     g.addTool(&prof);
-    const LogSink saved = setLogSink(&swallowLogs);
     g.roiBegin();
     g.enter("main");
     g.write(vg::kHeapBase, 8);
     g.read(vg::kHeapBase, 8);
-    if (t.pressure > 0) {
-        prof.shadowMemory().setAllocationFailureInjector(
-            [] { return true; });
-    }
-    for (int i = 1; i <= t.pressure; ++i)
-        g.read(vg::kHeapBase + (std::uint64_t{1} << (12 + i)), 8);
     g.roiEnd(); // roiOnly: saved while collection is paused
-    setLogSink(saved);
     ByteSink sink;
     prof.saveState(sink);
     const std::string body = sink.take();
 
     // Body header: version, provenance varint, granularity, u64
-    // maxShadowChunks, four config bytes; the ladder/ROI state follows.
+    // maxShadowChunks, four config bytes; the mode/ROI state follows,
+    // written as the only state a run reaches.
     constexpr std::size_t kStateAt = 1 + 1 + 1 + 8 + 4;
     ASSERT_GT(body.size(), kStateAt + 3);
-    const int level = prof.degradationLevel();
     EXPECT_EQ(body[kStateAt], t.roiOnly ? 0 : 1);
-    EXPECT_EQ(body[kStateAt + 1], level);
-    EXPECT_EQ(body[kStateAt + 2], t.collectReuse && level == 0 ? 1 : 0);
-    EXPECT_EQ(body[kStateAt + 3], level < 2 ? 1 : 0);
+    EXPECT_EQ(body[kStateAt + 1], 0);
+    EXPECT_EQ(body[kStateAt + 2], t.collectReuse ? 1 : 0);
+    EXPECT_EQ(body[kStateAt + 3], 1);
+
+    // The shadow stats: four counters, the allocation-failure slot
+    // (always zero), the byte peak.
+    const shadow::ShadowStats &st = prof.shadowStats();
+    ByteSink stats;
+    stats.u64(st.chunksAllocated);
+    stats.u64(st.chunksLive);
+    stats.u64(st.chunksPeak);
+    stats.u64(st.evictions);
+    stats.u64(0);
+    stats.u64(st.bytesPeak);
+    const std::size_t stats_at = body.find(stats.bytes());
+    ASSERT_NE(stats_at, std::string::npos);
+    ASSERT_EQ(body.find(stats.bytes(), stats_at + 1), std::string::npos);
 
     auto restores = [&](const std::string &payload) {
         core::SigilProfiler fresh(cfg);
@@ -478,25 +480,27 @@ TEST_P(RestoreLadderState, RefusesUnreachableState)
         return fresh.restoreState(src) && src.ok();
     };
     ASSERT_TRUE(restores(body));
+    const std::size_t at =
+        t.field == kFailureSlot ? stats_at + 4 * 8 : kStateAt + t.field;
     std::string bad = body;
-    ASSERT_NE(static_cast<std::uint8_t>(bad[kStateAt + t.field]), t.value);
-    bad[kStateAt + t.field] = static_cast<char>(t.value);
+    ASSERT_NE(static_cast<std::uint8_t>(bad[at]), t.value);
+    bad[at] = static_cast<char>(t.value);
     EXPECT_FALSE(restores(bad));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Tampered, RestoreLadderState,
     ::testing::Values(
-        LadderTamper{"level_7", true, false, 0, 1, 7},
-        LadderTamper{"reuse_on_without_collect_reuse", false, false, 0, 2,
-                     1},
-        LadderTamper{"classify_off_at_level_0", true, false, 0, 3, 0},
-        LadderTamper{"paused_without_roi", true, false, 0, 0, 0},
-        LadderTamper{"level_1_without_collect_reuse", false, false, 0, 1,
-                     1},
-        LadderTamper{"reuse_on_at_level_1", true, true, 1, 2, 1},
-        LadderTamper{"classify_on_at_level_2", true, false, 2, 3, 1},
-        LadderTamper{"collecting_byte_2", true, true, 0, 0, 2}),
+        LadderTamper{"level_7", true, false, 1, 7},
+        LadderTamper{"reuse_on_without_collect_reuse", false, false, 2, 1},
+        LadderTamper{"classify_off_at_level_0", true, false, 3, 0},
+        LadderTamper{"paused_without_roi", true, false, 0, 0},
+        LadderTamper{"level_1_without_collect_reuse", false, false, 1, 1},
+        LadderTamper{"reuse_on_at_level_1", true, true, 1, 1},
+        LadderTamper{"classify_on_at_level_2", true, false, 1, 2},
+        LadderTamper{"collecting_byte_2", true, true, 0, 2},
+        LadderTamper{"alloc_failures_nonzero", true, false, kFailureSlot,
+                     1}),
     [](const ::testing::TestParamInfo<LadderTamper> &info) {
         return std::string(info.param.name);
     });

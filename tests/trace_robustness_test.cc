@@ -11,8 +11,7 @@
  * offset and from any single corrupted block, the deterministic
  * fault-injection sweep ("never crash, always account") in both
  * framings, checkpoint/resume bit-identity across the shadow
- * configurations, the shadow-pressure degradation ladder, and the
- * structured line/offset error reporting of the profile and event
+ * configurations, and the structured line/offset error reporting of the profile and event
  * parsers. Also the binary round trips: ROI marks survive recording,
  * replayTraceFile() sniffs SGB3 and SGB2 alike, and the fatal replay
  * entry point rejects garbage and truncated input.
@@ -1124,107 +1123,6 @@ TEST(CheckpointResume2, MismatchedTraceOrConfigStartsFresh)
 
     std::remove(path.c_str());
     std::remove((path + ".prev").c_str());
-}
-
-// ---------------------------------------------------------------------
-// Shadow allocation pressure: evict-retry and the degradation ladder
-// ---------------------------------------------------------------------
-
-TEST(DegradationLadder, EvictRetryAbsorbsTransientFailures)
-{
-    vg::Guest g("degrade");
-    core::SigilConfig cfg;
-    cfg.collectReuse = true;
-    core::SigilProfiler prof(cfg);
-    g.addTool(&prof);
-
-    int countdown = 0;
-    prof.shadowMemory().setAllocationFailureInjector(
-        [&countdown]() { return countdown-- > 0; });
-
-    g.enter("main");
-    g.write(vg::kHeapBase, 8);
-    g.write(vg::kHeapBase + (1ull << 13), 8); // second chunk
-    countdown = 1; // next fresh chunk fails once, then succeeds
-    g.write(vg::kHeapBase + (1ull << 14), 8);
-    // One eviction absorbed the transient failure; fidelity intact.
-    EXPECT_EQ(prof.degradationLevel(), 0);
-    EXPECT_GE(prof.shadowMemory().stats().allocFailures, 1u);
-    EXPECT_GE(prof.shadowMemory().stats().evictions, 1u);
-    g.leave();
-    g.finish();
-}
-
-TEST(DegradationLadder, PersistentPressureShedsReuseThenClassification)
-{
-    QuietLogs quiet;
-    vg::Guest g("degrade");
-    core::SigilConfig cfg;
-    cfg.collectReuse = true;
-    core::SigilProfiler prof(cfg);
-    g.addTool(&prof);
-
-    g.enter("main");
-    vg::ContextId main_ctx = g.currentContext();
-    // Build up a pending re-use run before the pressure hits.
-    g.write(vg::kHeapBase, 8);
-    g.read(vg::kHeapBase, 8);
-    g.read(vg::kHeapBase, 8);
-    EXPECT_EQ(prof.degradationLevel(), 0);
-
-    prof.shadowMemory().setAllocationFailureInjector(
-        []() { return true; });
-
-    // First exhausted allocation: rung 1 — re-use tracking dropped,
-    // pending runs finalized first so their mass survives.
-    g.read(vg::kHeapBase + (1ull << 13), 8);
-    EXPECT_EQ(prof.degradationLevel(), 1);
-    // Eight one-byte units (default granularity) were re-read before
-    // the pressure hit; finalization must bank all of them.
-    EXPECT_EQ(prof.aggregates(main_ctx).reusedUnits, 8u);
-
-    // Second exhausted allocation: rung 2 — classification dropped.
-    g.read(vg::kHeapBase + (1ull << 14), 8);
-    EXPECT_EQ(prof.degradationLevel(), 2);
-
-    // Raw byte accounting still runs at rung 2.
-    std::uint64_t read_before = prof.aggregates(main_ctx).readBytes;
-    std::uint64_t classified_before =
-        prof.aggregates(main_ctx).uniqueLocalBytes +
-        prof.aggregates(main_ctx).nonuniqueLocalBytes +
-        prof.aggregates(main_ctx).uniqueInputBytes +
-        prof.aggregates(main_ctx).nonuniqueInputBytes;
-    g.read(vg::kHeapBase + (1ull << 15), 64);
-    EXPECT_EQ(prof.aggregates(main_ctx).readBytes, read_before + 64);
-    EXPECT_EQ(prof.aggregates(main_ctx).uniqueLocalBytes +
-                  prof.aggregates(main_ctx).nonuniqueLocalBytes +
-                  prof.aggregates(main_ctx).uniqueInputBytes +
-                  prof.aggregates(main_ctx).nonuniqueInputBytes,
-              classified_before);
-
-    // The ladder never descends.
-    g.leave();
-    g.finish();
-    EXPECT_EQ(prof.degradationLevel(), 2);
-    EXPECT_GE(prof.shadowMemory().stats().allocFailures, 2u);
-}
-
-TEST(DegradationLadder, NoReuseConfigSkipsStraightToClassification)
-{
-    QuietLogs quiet;
-    vg::Guest g("degrade");
-    core::SigilConfig cfg;
-    cfg.collectReuse = false;
-    core::SigilProfiler prof(cfg);
-    g.addTool(&prof);
-    prof.shadowMemory().setAllocationFailureInjector(
-        []() { return true; });
-    g.enter("main");
-    g.write(vg::kHeapBase, 8);
-    // With no re-use tracking to shed, rung 1 falls through to 2.
-    EXPECT_EQ(prof.degradationLevel(), 2);
-    g.leave();
-    g.finish();
 }
 
 // ---------------------------------------------------------------------
