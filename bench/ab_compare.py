@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Alternated A/B comparison of the watched micro_dispatch benchmarks.
+"""Alternated A/B comparison of the watched microbenchmarks.
 
-An absolute baseline (BENCH_dispatch.json) cannot gate a change on a
-host whose CPU speed drifts over time; a parent and a change run
-back to back can. This script builds micro_dispatch (Release) in two
-checkouts and runs them for PAIRS pairs, and for each watched
-(benchmark, metric) of compare_bench.py takes the median over the
-pairs of change / base. compare_bench.py's threshold then judges
-that median paired ratio: a watched metric that got worse by more than
-the threshold, or that did not run on both sides, fails the run
-(exit 1).
+An absolute baseline (BENCH_*.json) cannot gate a change on a host
+whose CPU speed drifts over time; a parent and a change run back to
+back can. This script builds both microbenchmark binaries,
+micro_dispatch and micro_shadow (Release), in two checkouts and runs
+them for PAIRS pairs; each run merges the two binaries' JSON into one
+document. For each watched (benchmark, metric) of compare_bench.py it
+takes the median over the pairs of change / base. compare_bench.py's
+threshold then judges that median paired ratio: a watched metric that
+got worse by more than the threshold, or that did not run on both
+sides, fails the run (exit 1). So does a watched pattern that matched
+no benchmark on either side, unless --filter leaves it out.
 
 Each pair also runs the base binary a second time (the A/A leg), and
 the three runs rotate through the order base, change, base-again so
@@ -31,6 +33,7 @@ regex), e.g. '^BM_ServerQueryThroughput/1/'.
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -46,7 +49,7 @@ from compare_bench import (THRESHOLD, WATCHED, entries,  # noqa: E402
 # its own A/A leg, and a flag inside the A/A spread is a prompt to
 # look again, not a verdict.
 PAIRS = 10
-TARGET = "micro_dispatch"
+TARGETS = ("micro_dispatch", "micro_shadow")
 
 
 def paired_ratios(pairs):
@@ -69,6 +72,24 @@ def paired_ratios(pairs):
     for key in missing:
         ratios.pop(key, None)
     return {k: (directions[k], r) for k, r in ratios.items()}, missing
+
+
+def absent_patterns(pairs, bench_filter=None):
+    """The watched (pattern, metric) pairs that matched no benchmark in
+    any document of either side. A pattern --filter leaves out is not
+    absent: it counts as selected when the filter regex matches the
+    pattern's literal name, its ^ and $ anchors stripped."""
+    seen = set()
+    for docs in pairs:
+        for i, d in enumerate(docs):
+            for name, metric, _, _ in watched_metrics(
+                    entries(d, "run %d" % i)):
+                seen.update((p, m) for p, m, _ in WATCHED
+                            if m == metric and re.search(p, name))
+    return [(p, m) for p, m, _ in WATCHED
+            if (p, m) not in seen
+            and (bench_filter is None
+                 or re.search(bench_filter, p.strip("^$")))]
 
 
 def aa_spread(aa_ratios, median_ratio):
@@ -99,26 +120,40 @@ def verdicts(ratios):
 
 
 def build(checkout):
+    """Build every TARGETS binary of a checkout; return their paths."""
     build_dir = os.path.join(checkout, "build-ab")
     if not os.path.isfile(os.path.join(build_dir, "CMakeCache.txt")):
         subprocess.run(["cmake", "-S", checkout, "-B", build_dir,
                         "-DCMAKE_BUILD_TYPE=Release"],
                        stdout=sys.stderr, check=True)
     jobs = str(min(4, os.cpu_count() or 1))
-    subprocess.run(["cmake", "--build", build_dir, "--target", TARGET,
+    subprocess.run(["cmake", "--build", build_dir, "--target", *TARGETS,
                     "-j", jobs], stdout=sys.stderr, check=True)
-    return os.path.join(build_dir, "bench", TARGET)
+    return [os.path.join(build_dir, "bench", t) for t in TARGETS]
 
 
-def run_once(binary, bench_filter, min_time):
-    with tempfile.NamedTemporaryFile(suffix=".json") as out:
-        subprocess.run([binary, "--benchmark_filter=" + bench_filter,
-                        "--benchmark_min_time=%g" % min_time,
-                        "--benchmark_out=" + out.name,
-                        "--benchmark_out_format=json"],
-                       stdout=subprocess.DEVNULL, check=True)
-        with open(out.name) as f:
-            return json.load(f)
+def merge_docs(docs):
+    """One google-benchmark document holding every benchmark of
+    `docs`, under the first document's context."""
+    merged = {"context": docs[0].get("context", {}), "benchmarks": []}
+    for d in docs:
+        merged["benchmarks"].extend(d.get("benchmarks", []))
+    return merged
+
+
+def run_once(binaries, bench_filter, min_time):
+    """Run each binary once; return their merged JSON document."""
+    docs = []
+    for binary in binaries:
+        with tempfile.NamedTemporaryFile(suffix=".json") as out:
+            subprocess.run([binary, "--benchmark_filter=" + bench_filter,
+                            "--benchmark_min_time=%g" % min_time,
+                            "--benchmark_out=" + out.name,
+                            "--benchmark_out_format=json"],
+                           stdout=subprocess.DEVNULL, check=True)
+            with open(out.name) as f:
+                docs.append(json.load(f))
+    return merge_docs(docs)
 
 
 def main():
@@ -163,6 +198,10 @@ def main():
     for name, metric in sorted(missing):
         print("missing  %s [%s] — not on both sides of every pair"
               % (name, metric))
+    absent = absent_patterns(pairs, args.filter)
+    for pattern, metric in absent:
+        print("missing  %s [%s] — matched no benchmark on either side"
+              % (pattern, metric))
     if not ratios:
         sys.exit("error: no watched metric ran on both sides")
     rows = verdicts(ratios)
@@ -182,9 +221,9 @@ def main():
                   "%s" % (aa_med, q1, q3,
                           " -- within A/A spread" if within else ""))
     print("\n%d metrics compared over %d pairs, %d missing, %d regressed "
-          "beyond %.0f%%" % (len(rows), PAIRS, len(missing),
+          "beyond %.0f%%" % (len(rows), PAIRS, len(missing) + len(absent),
                              regressed, THRESHOLD * 100))
-    return 1 if regressed or missing else 0
+    return 1 if regressed or missing or absent else 0
 
 
 if __name__ == "__main__":

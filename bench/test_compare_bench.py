@@ -16,9 +16,11 @@ It also checks ab_compare.py's pairing and median logic on canned
 documents: ratios pair each base run with its change run, the median
 ratio (not the mean, not the best pair) is what the threshold judges,
 direction is honoured for lower-is-better metrics, a benchmark
-missing from one side of a pair is reported, not compared, and the
+missing from one side of a pair is reported, not compared, the
 A/A leg's quartiles and "within A/A spread" mark are computed from
-the base/base ratios.
+the base/base ratios, the two binaries' documents merge into one, and
+a watched pattern no benchmark matched on either side is reported
+unless --filter leaves it out.
 
 Registered as the ctest target bench_compare_missing_suite; runnable
 standalone: python3 bench/test_compare_bench.py
@@ -136,6 +138,48 @@ def ab_compare_cases(check):
           not ab_compare.aa_spread(aa_ratios[key][1], 1.1)[3]
           and ab_compare.aa_spread([1.05], 1.05)[1:] == (1.05, 1.05, True),
           aa_ratios)
+
+    # Each side runs micro_dispatch and micro_shadow; their documents
+    # merge, so the micro_shadow metrics are compared too.
+    def side(rate):
+        return ab_compare.merge_docs([
+            doc([bench("BM_WideReplay/1", items_per_second=rate)]),
+            doc([bench(trace, items_per_second=rate,
+                       shadow_peak_bytes=1000),
+                 bench("BM_ShadowSpanStride/64", bytes_per_second=rate)]),
+        ])
+    merged = [(side(100.0), side(110.0))] * 3
+    ratios, missing = ab_compare.paired_ratios(merged)
+    check("ab_compare compares the merged micro_shadow metrics",
+          not missing and {(trace, "items_per_second"),
+                           (trace, "shadow_peak_bytes"),
+                           ("BM_ShadowSpanStride/64", "bytes_per_second"),
+                           ("BM_WideReplay/1", "items_per_second")}
+          <= ratios.keys(), ratios)
+
+    # Watched patterns that matched nothing on either side are absent,
+    # unless --filter leaves them out; the ones that ran are not.
+    absent = ab_compare.absent_patterns(merged)
+    check("ab_compare reports watched patterns absent from both sides",
+          ("^BM_ShadowPerUnitStride/", "bytes_per_second") in absent
+          and ("^BM_TraceDecode/", "items_per_second") in absent
+          and ("^BM_TraceReplayThroughput$", "items_per_second")
+          not in absent, absent)
+    filtered = ab_compare.absent_patterns(
+        merged, "^BM_WideReplay/|^BM_ShadowPerUnitStride/")
+    check("ab_compare skips absent patterns --filter leaves out",
+          filtered == [("^BM_ShadowPerUnitStride/", "bytes_per_second")],
+          filtered)
+    # Without micro_shadow's document, a filter that selects
+    # BM_TraceReplayThroughput reports both its metrics missing.
+    dispatch_only = doc([bench("BM_WideReplay/1", items_per_second=1.0)])
+    absent = ab_compare.absent_patterns(
+        [(dispatch_only, dispatch_only)],
+        "^BM_WideReplay/|^BM_TraceReplayThroughput$")
+    check("ab_compare reports micro_shadow benchmarks that did not run",
+          absent == [("^BM_TraceReplayThroughput$", "items_per_second"),
+                     ("^BM_TraceReplayThroughput$", "shadow_peak_bytes")],
+          absent)
 
 
 def main():

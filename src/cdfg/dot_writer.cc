@@ -28,7 +28,9 @@ nodeId(vg::ContextId ctx)
 {
     if (ctx == core::kUninitProducer)
         return "uninit";
-    return "n" + std::to_string(ctx);
+    std::string id = "n";
+    id += std::to_string(ctx);
+    return id;
 }
 
 bool

@@ -141,8 +141,11 @@ BoundsHistogram::binLabel(std::size_t i) const
 {
     if (i >= counts_.size())
         panic("BoundsHistogram::binLabel: bin out of range");
-    if (i == bounds_.size())
-        return ">" + std::to_string(bounds_.back());
+    if (i == bounds_.size()) {
+        std::string label = ">";
+        label += std::to_string(bounds_.back());
+        return label;
+    }
     std::uint64_t lo = i == 0 ? 0 : bounds_[i - 1] + 1;
     std::uint64_t hi = bounds_[i];
     if (lo == hi)

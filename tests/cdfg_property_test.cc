@@ -29,7 +29,9 @@ randomProfile(Rng &rng, std::size_t n_ctx, std::size_t n_edges)
                           : static_cast<vg::ContextId>(
                                 rng.nextBounded(i));
         r.fn = static_cast<vg::FunctionId>(i);
-        r.fnName = "f" + std::to_string(i);
+        std::string name = "f";
+        name += std::to_string(i);
+        r.fnName = std::move(name);
         r.displayName = r.fnName;
         r.path = r.fnName;
         r.agg.iops = 1 + rng.nextBounded(10000);

@@ -1,0 +1,482 @@
+/**
+ * @file
+ * The differential matrix: every way Sigil computes a profile must
+ * reproduce the per-unit reference walk byte for byte.
+ *
+ * Each config row runs the workload of tests/trace_fixtures.hh live
+ * with SigilConfig::referenceShadowPath set. That run's serialized
+ * profile (aggregates, edges, re-use, histograms, shadow stats, object
+ * rows) and event file are the row's answer; every other leg must
+ * match them:
+ *
+ *  - live: the span walk, with a BinaryTraceRecorder attached to the
+ *    same guest so the row's trace is recorded once; and a mid-stream
+ *    saveState / restoreState continuation whose save → restore → save
+ *    reproduces the same bytes;
+ *  - framings and entry points: the recorded SGB3 trace and its SGB2
+ *    transcoding, each replayed in memory, from a stream and from an
+ *    mmap'd file, with every ReplayReport counter equal across them;
+ *  - checkpointed replay through both entry points (SGB2 stream, SGB3
+ *    file): fresh, resumed, and with the newest checkpoint damaged so
+ *    resume falls back to "<path>.prev".
+ *
+ * The `_objects` rows run the live legs only: allocation tags are not
+ * part of the trace. The leg groups are separate parameterized tests
+ * over the one row table, so ctest runs them as separate processes;
+ * they keep the test IDs of the suites they replace (so
+ * ParallelDecodeDifferential names a decoder that is no longer
+ * parallel). 200 seeded random configurations run the span leg, and
+ * twelve of them the mid-stream checkpoint leg.
+ */
+
+#include <gtest/gtest.h>
+
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "core/checkpoint.hh"
+#include "support/serial.hh"
+#include "vg/guest.hh"
+#include "vg/trace_io.hh"
+
+#include "trace_fixtures.hh"
+
+namespace sigil {
+namespace {
+
+using namespace fixtures;
+
+/** Program name of the live guests, their traces and the replays. */
+constexpr const char *kProgram = "differential";
+
+/**
+ * Events per recorded block: large enough that LZ shrinks the SGB3
+ * image below its SGB2 transcoding, small enough that a checkpoint
+ * every three blocks fires several times per row.
+ */
+constexpr std::size_t kBlockEvents = 256;
+
+/** Steps of each config row's workload. */
+constexpr int kRowSteps = 6000;
+
+const TraceParams kRows[] = {
+    // Byte granularity, unlimited shadow, full collection.
+    {101, 0, 0, true, true, false},
+    // Byte granularity under a tight chunk limit (evictions).
+    {202, 0, 6, true, true, false},
+    // Line granularity, unlimited.
+    {303, 6, 0, true, true, false},
+    // Line granularity under a chunk limit.
+    {404, 6, 4, true, true, false},
+    // Baseline mode: no re-use tracking, no events.
+    {505, 0, 0, false, false, false},
+    // ROI-gated collection with re-use.
+    {606, 0, 0, true, false, true},
+    // Line mode, no re-use (line totals still collected).
+    {707, 6, 0, false, false, false},
+    // Per-object unique bytes, summed per stamp-pair run.
+    {808, 0, 0, true, true, false, true},
+    // Evictions while ROI collection is paused, with per-object
+    // attribution.
+    {909, 0, 6, true, true, true, true},
+};
+
+/** The rows whose trace carries the whole workload (no objects). */
+const std::vector<TraceParams> kTraceRows = [] {
+    std::vector<TraceParams> rows;
+    std::copy_if(std::begin(kRows), std::end(kRows),
+                 std::back_inserter(rows),
+                 [](const TraceParams &p) { return !p.collectObjects; });
+    return rows;
+}();
+
+std::string
+rowName(const ::testing::TestParamInfo<TraceParams> &info)
+{
+    const TraceParams &p = info.param;
+    std::string name = "seed" + std::to_string(p.seed) + "_g" +
+                       std::to_string(p.granularityShift) + "_max" +
+                       std::to_string(p.maxShadowChunks);
+    if (p.collectReuse)
+        name += "_reuse";
+    if (p.collectEvents)
+        name += "_events";
+    if (p.roiOnly)
+        name += "_roi";
+    if (p.collectObjects)
+        name += "_objects";
+    return name;
+}
+
+/** A live run's outputs, its recorded trace and its shadow evictions. */
+struct LiveRun
+{
+    Outputs out;
+    std::string sgb3;
+    std::uint64_t evictions = 0;
+};
+
+/**
+ * One uninterrupted live run, recording the trace as it goes. With
+ * `reference_path` set its outputs are the answer every leg matches.
+ */
+LiveRun
+runLive(const TraceParams &p, int steps, bool reference_path)
+{
+    vg::Guest g(kProgram);
+    core::SigilProfiler prof(profilerConfig(p, reference_path));
+    std::ostringstream os(std::ios::binary);
+    vg::BinaryTraceRecorder rec(os, kBlockEvents);
+    g.addTool(&prof);
+    g.addTool(&rec);
+    TraceDriver(p).drive(g, steps);
+    LiveRun run;
+    run.evictions = prof.shadowStats().evictions;
+    run.out = serialize(prof);
+    run.sgb3 = os.str();
+    return run;
+}
+
+void
+expectMatches(const Outputs &ref, const Outputs &got)
+{
+    EXPECT_EQ(ref.profile, got.profile);
+    EXPECT_EQ(ref.events, got.events);
+}
+
+/**
+ * Drive `cut` steps live on the span walk, then save the guest and the
+ * profiler (guest first: its save syncs, catching the profiler up),
+ * rebuild both from the snapshot and drive `tail` more steps. Expects
+ * the restored profiler to re-save its body byte for byte.
+ */
+Outputs
+runLiveWithCheckpoint(const TraceParams &p, int cut, int tail)
+{
+    TraceDriver driver(p);
+    std::string snapshot;
+    {
+        vg::Guest g(kProgram);
+        core::SigilProfiler prof(profilerConfig(p));
+        g.addTool(&prof);
+        driver.prologue(g);
+        driver.driveSegment(g, cut);
+        ByteSink sink;
+        g.saveState(sink);
+        prof.saveState(sink);
+        snapshot = sink.take();
+    }
+
+    vg::Guest g(kProgram);
+    core::SigilProfiler prof(profilerConfig(p));
+    g.addTool(&prof);
+    ByteSource src(snapshot.data(), snapshot.size());
+    EXPECT_TRUE(g.restoreState(src));
+    const std::size_t body_at = src.pos();
+    EXPECT_TRUE(prof.restoreState(src));
+    EXPECT_TRUE(src.ok());
+    ByteSink again;
+    prof.saveState(again);
+    EXPECT_EQ(again.bytes(), snapshot.substr(body_at));
+
+    driver.driveSegment(g, tail);
+    driver.epilogue(g);
+    return serialize(prof);
+}
+
+/** A temp path unique to the running test instance and `leg`. */
+std::string
+tempPath(const std::string &leg)
+{
+    const ::testing::TestInfo *t =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = std::string(t->test_suite_name()) + "." +
+                       t->name() + "." + leg;
+    std::replace(name.begin(), name.end(), '/', '_');
+    return ::testing::TempDir() + "sigil_" + std::to_string(getpid()) +
+           "_" + name;
+}
+
+/** Removes a file and its checkpoint siblings when the leg ends. */
+class TempFile
+{
+  public:
+    explicit TempFile(const std::string &leg) : path(tempPath(leg))
+    {
+        removeAll();
+    }
+    ~TempFile() { removeAll(); }
+    TempFile(const TempFile &) = delete;
+    TempFile &operator=(const TempFile &) = delete;
+
+    void
+    write(const std::string &bytes) const
+    {
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+        ASSERT_TRUE(os.good()) << path;
+    }
+
+    const std::string path;
+
+  private:
+    void
+    removeAll() const
+    {
+        for (const char *suffix : {"", ".prev", ".tmp"})
+            std::remove((path + suffix).c_str());
+    }
+};
+
+/**
+ * One config row: the reference answer and the trace recorded during
+ * the live span run, computed in SetUp for each leg group.
+ */
+class MatrixRow : public ::testing::TestWithParam<TraceParams>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        ref_ = runLive(GetParam(), kRowSteps, true).out;
+        span_ = runLive(GetParam(), kRowSteps, false);
+        // Guard against the vacuous pass.
+        ASSERT_GT(ref_.profile.size(), 100u);
+    }
+
+    /**
+     * Checkpointed replays of the row through one entry point:
+     * `replay(guest, profiler, config, stats)` must come out as the
+     * reference fresh, resumed from the newest checkpoint, and resumed
+     * from "<path>.prev" once the newest is damaged.
+     */
+    template <class Replay>
+    void
+    expectCheckpointedReplaysMatch(const std::string &leg, Replay replay)
+    {
+        QuietLogs quiet;
+        const TempFile ckpt(leg + ".sgcp");
+        auto run = [&](core::CheckpointStats &st) {
+            vg::Guest g(kProgram);
+            core::SigilProfiler prof(profilerConfig(GetParam()));
+            g.addTool(&prof);
+            core::CheckpointConfig cc;
+            cc.path = ckpt.path;
+            cc.intervalBlocks = 3;
+            vg::ReplayReport r = replay(g, prof, cc, &st);
+            EXPECT_TRUE(r.ok());
+            EXPECT_TRUE(r.sawTrailer);
+            EXPECT_EQ(r.eventsDelivered, r.totalEventsRecorded);
+            return serialize(prof);
+        };
+
+        core::CheckpointStats fresh;
+        expectMatches(ref_, run(fresh));
+        EXPECT_FALSE(fresh.resumed);
+        EXPECT_GE(fresh.checkpointsWritten, 2u);
+        EXPECT_GT(fresh.lastCheckpointBytes, 0u);
+
+        core::CheckpointStats resumed;
+        expectMatches(ref_, run(resumed));
+        EXPECT_TRUE(resumed.resumed);
+        EXPECT_GT(resumed.resumeBlocks, 0u);
+
+        // Damage the newest checkpoint: resume falls back to the
+        // older "<path>.prev".
+        std::string c;
+        {
+            std::ifstream in(ckpt.path, std::ios::binary);
+            c.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+        }
+        ASSERT_GT(c.size(), 16u);
+        c.resize(c.size() / 2);
+        ckpt.write(c);
+        core::CheckpointStats fallback;
+        expectMatches(ref_, run(fallback));
+        EXPECT_TRUE(fallback.resumed);
+        EXPECT_LT(fallback.resumeBlocks, resumed.resumeBlocks);
+    }
+
+    Outputs ref_;
+    LiveRun span_;
+};
+
+// Live legs, every row. ------------------------------------------------
+
+class ShadowSpanDifferential : public MatrixRow
+{};
+
+TEST_P(ShadowSpanDifferential, SpanPathMatchesPerUnitReference)
+{
+    const TraceParams &p = GetParam();
+    {
+        SCOPED_TRACE("live span walk");
+        expectMatches(ref_, span_.out);
+    }
+    if (p.collectObjects) {
+        EXPECT_NE(ref_.profile.find("object obj"), std::string::npos);
+    }
+    if (p.maxShadowChunks > 0) {
+        EXPECT_GT(span_.evictions, 0u);
+    }
+    SCOPED_TRACE("live mid-stream checkpoint");
+    expectMatches(ref_, runLiveWithCheckpoint(p, kRowSteps / 2,
+                                              kRowSteps - kRowSteps / 2));
+}
+
+INSTANTIATE_TEST_SUITE_P(Traces, ShadowSpanDifferential,
+                         ::testing::ValuesIn(kRows), rowName);
+
+// Replay legs, rows without objects. -----------------------------------
+
+class ParallelDecodeDifferential : public MatrixRow
+{};
+
+TEST_P(ParallelDecodeDifferential, ThreadsFormatsDispatchMatchReference)
+{
+    const std::string &sgb3 = span_.sgb3;
+    const std::string sgb2 = sgb2FromSgb3(sgb3);
+    // The compressed framing must engage on this workload: a smaller
+    // image and per-frame compression visible in the scan, or the
+    // SGB3 legs would only exercise stored-raw frames.
+    ASSERT_LT(sgb3.size(), sgb2.size());
+    bool any_compressed = false;
+    for (const vg::Sgb2BlockInfo &b : vg::scanSgb2Blocks(sgb3))
+        any_compressed |= b.compressed;
+    ASSERT_TRUE(any_compressed);
+
+    std::string first_report;
+    auto expect_replay_matches = [&](const std::string &leg, auto replay) {
+        SCOPED_TRACE(leg);
+        vg::Guest g(kProgram);
+        core::SigilProfiler prof(profilerConfig(GetParam()));
+        g.addTool(&prof);
+        const vg::ReplayReport r = replay(g);
+        EXPECT_TRUE(r.ok());
+        EXPECT_TRUE(r.sawTrailer);
+        EXPECT_EQ(r.eventsDelivered, r.totalEventsRecorded);
+        expectMatches(ref_, serialize(prof));
+        // Every counter of the report agrees across framings and entry
+        // points: toString() renders all of them.
+        if (first_report.empty())
+            first_report = r.toString();
+        EXPECT_EQ(r.toString(), first_report);
+    };
+    for (const std::string *trace : {&sgb3, &sgb2}) {
+        const std::string framing = trace->substr(0, 4);
+        const TempFile file("trace." + framing);
+        file.write(*trace);
+        vg::MappedTraceFile mapped(file.path);
+        ASSERT_TRUE(mapped.ok()) << mapped.errorDetail();
+        ASSERT_EQ(mapped.view(), *trace);
+
+        expect_replay_matches(framing + " in memory", [&](vg::Guest &g) {
+            vg::BinaryReplaySession s(std::string_view(*trace), g);
+            while (s.step()) {
+            }
+            return s.finish();
+        });
+        expect_replay_matches(framing + " stream", [&](vg::Guest &g) {
+            std::istringstream is(*trace, std::ios::binary);
+            return vg::replayBinaryTrace(is, g, vg::ReplayOptions{});
+        });
+        expect_replay_matches(framing + " file", [&](vg::Guest &g) {
+            return vg::replayTraceFile(file.path, g, vg::ReplayOptions{});
+        });
+    }
+}
+
+TEST_P(ParallelDecodeDifferential, FileCheckpointResumeOnCompressedTrace)
+{
+    const TempFile trace("trace.SGB3");
+    trace.write(span_.sgb3);
+    expectCheckpointedReplaysMatch(
+        "file", [&](vg::Guest &g, core::SigilProfiler &prof,
+                    const core::CheckpointConfig &cc,
+                    core::CheckpointStats *st) {
+            return core::replayFileWithCheckpoints(
+                trace.path, g, prof, vg::ReplayOptions{}, cc, st);
+        });
+}
+
+INSTANTIATE_TEST_SUITE_P(Configs, ParallelDecodeDifferential,
+                         ::testing::ValuesIn(kTraceRows), rowName);
+
+class CheckpointResume : public MatrixRow
+{};
+
+TEST_P(CheckpointResume, ResumedReplayIsBitIdentical)
+{
+    const std::string sgb2 = sgb2FromSgb3(span_.sgb3);
+    expectCheckpointedReplaysMatch(
+        "stream", [&](vg::Guest &g, core::SigilProfiler &prof,
+                      const core::CheckpointConfig &cc,
+                      core::CheckpointStats *st) {
+            std::istringstream is(sgb2, std::ios::binary);
+            return core::replayWithCheckpoints(
+                is, g, prof, vg::ReplayOptions{}, cc, st);
+        });
+}
+
+INSTANTIATE_TEST_SUITE_P(Configs, CheckpointResume,
+                         ::testing::ValuesIn(kTraceRows), rowName);
+
+// Seeded random configurations. ----------------------------------------
+
+/** Derive a randomized configuration from a stream's seed. */
+TraceParams
+randomParams(std::uint64_t seed)
+{
+    Rng rng(seed * 0x9e3779b97f4a7c15ull + 1);
+    TraceParams p{seed, 0, 0, false, false, false};
+    p.granularityShift = rng.nextBounded(2) ? 6 : 0;
+    const std::size_t limits[] = {0, 4, 8};
+    p.maxShadowChunks = limits[rng.nextBounded(3)];
+    p.collectReuse = rng.nextBounded(4) != 0;
+    p.collectEvents = rng.nextBounded(2) != 0;
+    p.roiOnly = rng.nextBounded(4) == 0;
+    return p;
+}
+
+TEST(StampShadowProperty, CompressedMatchesReferenceOn200Streams)
+{
+    int nontrivial = 0, limited = 0, evicting = 0;
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        const TraceParams p = randomParams(seed);
+        const Outputs ref = runLive(p, 400, true).out;
+        const LiveRun got = runLive(p, 400, false);
+        ASSERT_EQ(ref.profile, got.out.profile) << "seed " << seed;
+        ASSERT_EQ(ref.events, got.out.events) << "seed " << seed;
+        if (ref.profile.size() > 100)
+            ++nontrivial;
+        if (p.maxShadowChunks > 0) {
+            ++limited;
+            evicting += got.evictions > 0;
+        }
+    }
+    // Guard against the vacuous pass, and against a chunk limit that
+    // the short streams never reach.
+    EXPECT_GT(nontrivial, 150);
+    EXPECT_GT(evicting, limited / 2);
+}
+
+TEST(StampShadowProperty, V3CheckpointResumesBitIdentically)
+{
+    for (std::uint64_t seed = 301; seed <= 312; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const TraceParams p = randomParams(seed);
+        expectMatches(runLive(p, 800, true).out,
+                      runLiveWithCheckpoint(p, 400, 400));
+    }
+}
+
+} // namespace
+} // namespace sigil

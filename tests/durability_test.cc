@@ -32,25 +32,13 @@
 #include "vg/guest.hh"
 #include "vg/trace_io.hh"
 
+#include "trace_fixtures.hh"
+
 namespace sigil {
 namespace {
 
-/** Silence expected warnings (salvage resyncs on truncated tails). */
-class QuietLogs
-{
-  public:
-    QuietLogs() : saved_(setLogSink(&swallow)) {}
-    ~QuietLogs() { setLogSink(saved_); }
-
-  private:
-    static void
-    swallow(LogLevel level, const std::string &msg)
-    {
-        if (level == LogLevel::Panic || level == LogLevel::Fatal)
-            std::fprintf(stderr, "%s\n", msg.c_str());
-    }
-    LogSink saved_;
-};
+// Silences expected warnings (salvage resyncs on truncated tails).
+using fixtures::QuietLogs;
 
 /** Events per block: small, so a short run still spans many frames. */
 constexpr std::size_t kBlockEvents = 48;

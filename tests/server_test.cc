@@ -62,22 +62,8 @@
 namespace sigil {
 namespace {
 
-/** Silence expected warnings (evictions, protocol errors). */
-class QuietLogs
-{
-  public:
-    QuietLogs() : saved_(setLogSink(&swallow)) {}
-    ~QuietLogs() { setLogSink(saved_); }
-
-  private:
-    static void
-    swallow(LogLevel level, const std::string &msg)
-    {
-        if (level == LogLevel::Panic || level == LogLevel::Fatal)
-            std::fprintf(stderr, "%s\n", msg.c_str());
-    }
-    LogSink saved_;
-};
+// Silences expected warnings (evictions, protocol errors).
+using fixtures::QuietLogs;
 
 /** Unique /tmp stem per test to keep socket paths short and fresh. */
 std::string
@@ -850,8 +836,9 @@ TEST(ServerCatalog, UngovernedCatalogNeverEvicts)
                                     1000);
     server::ProfileCatalog catalog(0);
     for (int i = 0; i < 6; ++i) {
-        ASSERT_TRUE(
-            catalog.load("t" + std::to_string(i), trace).ok);
+        std::string id = "t";
+        id += std::to_string(i);
+        ASSERT_TRUE(catalog.load(id, trace).ok);
     }
     EXPECT_EQ(catalog.size(), 6u);
     EXPECT_EQ(catalog.evictions(), 0u);

@@ -10,11 +10,14 @@
  * hostile payloads), salvage recovery from truncation at every byte
  * offset and from any single corrupted block, the deterministic
  * fault-injection sweep ("never crash, always account") in both
- * framings, checkpoint/resume bit-identity across the shadow
- * configurations, and the structured line/offset error reporting of the profile and event
- * parsers. Also the binary round trips: ROI marks survive recording,
+ * framings, checkpoints that must not resume a different trace or
+ * configuration, the bounds-checked LZ block codec, and the structured
+ * line/offset error reporting of the profile and event parsers. Also
+ * the binary round trips: ROI marks survive recording,
  * replayTraceFile() sniffs SGB3 and SGB2 alike, and the fatal replay
- * entry point rejects garbage and truncated input.
+ * entry point rejects garbage and truncated input. Bit-identity of
+ * replay and checkpoint/resume across the shadow configurations is
+ * the differential matrix's (tests/differential_test.cc).
  */
 
 #include <gtest/gtest.h>
@@ -23,14 +26,13 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/checkpoint.hh"
 #include "core/profile_io.hh"
 #include "core/sigil_profiler.hh"
 #include "support/crc32c.hh"
-#include "support/logging.hh"
+#include "support/lz.hh"
 #include "support/rng.hh"
 #include "support/serial.hh"
 #include "vg/fault_injection.hh"
@@ -43,130 +45,6 @@ namespace sigil {
 namespace {
 
 using namespace fixtures;
-
-/** Silence expected warnings (salvage resyncs, frame unwinds). */
-class QuietLogs
-{
-  public:
-    QuietLogs() : saved_(setLogSink(&swallow)) {}
-    ~QuietLogs() { setLogSink(saved_); }
-
-  private:
-    static void
-    swallow(LogLevel level, const std::string &msg)
-    {
-        // Keep aborting paths diagnosable; only chatter is silenced.
-        if (level == LogLevel::Panic || level == LogLevel::Fatal)
-            std::fprintf(stderr, "%s\n", msg.c_str());
-    }
-    LogSink saved_;
-};
-
-struct TraceParams
-{
-    std::uint64_t seed;
-    unsigned granularityShift;
-    std::size_t maxShadowChunks;
-    bool collectReuse;
-    bool collectEvents;
-    bool roiOnly;
-};
-
-core::SigilConfig
-profilerConfig(const TraceParams &p)
-{
-    core::SigilConfig cfg;
-    cfg.granularityShift = p.granularityShift;
-    cfg.maxShadowChunks = p.maxShadowChunks;
-    cfg.collectReuse = p.collectReuse;
-    cfg.collectEvents = p.collectEvents;
-    cfg.roiOnly = p.roiOnly;
-    return cfg;
-}
-
-/** Drive one deterministic pseudo-random workload into the guest. */
-void
-driveTrace(vg::Guest &g, const TraceParams &p, int steps = 6000)
-{
-    Rng rng(p.seed);
-    const char *fns[] = {"alpha", "beta", "gamma", "delta",
-                         "epsilon", "zeta", "eta", "theta"};
-    vg::ThreadId threads[3] = {0, g.spawnThread(), g.spawnThread()};
-
-    g.enter("main");
-    if (p.roiOnly)
-        g.roiBegin();
-    bool in_roi = true;
-    for (int i = 0; i < steps; ++i) {
-        vg::Addr addr = vg::kHeapBase;
-        addr += (rng.nextBounded(8) == 0) ? rng.nextBounded(1 << 24)
-                                          : rng.nextBounded(1 << 16);
-        unsigned size;
-        switch (rng.nextBounded(8)) {
-        case 0:
-            size = 1000 + static_cast<unsigned>(rng.nextBounded(9000));
-            break;
-        case 1:
-        case 2:
-            size = 64 + static_cast<unsigned>(rng.nextBounded(192));
-            break;
-        default:
-            size = 1 + static_cast<unsigned>(rng.nextBounded(16));
-            break;
-        }
-
-        switch (rng.nextBounded(16)) {
-        case 0:
-            if (g.callDepth() < 6)
-                g.enter(fns[rng.nextBounded(8)]);
-            break;
-        case 1:
-            if (g.callDepth() > 1)
-                g.leave();
-            break;
-        case 2:
-            g.switchThread(threads[rng.nextBounded(3)]);
-            if (g.callDepth() == 0)
-                g.enter(fns[rng.nextBounded(8)]);
-            break;
-        case 3:
-            g.iop(1 + rng.nextBounded(100));
-            break;
-        case 4:
-            if (p.collectEvents && rng.nextBounded(4) == 0)
-                g.barrier();
-            break;
-        case 5:
-            if (p.roiOnly && rng.nextBounded(4) == 0) {
-                if (in_roi)
-                    g.roiEnd();
-                else
-                    g.roiBegin();
-                in_roi = !in_roi;
-            }
-            break;
-        case 6:
-        case 7:
-        case 8:
-        case 9:
-            if (g.callDepth() > 0)
-                g.write(addr, size);
-            break;
-        default:
-            if (g.callDepth() > 0)
-                g.read(addr, size);
-            break;
-        }
-        if (g.callDepth() > 0 && rng.nextBounded(32) == 0)
-            g.branch(rng.nextBounded(2) == 0);
-    }
-    for (vg::ThreadId t : threads) {
-        g.switchThread(t);
-        while (g.callDepth() > 0)
-            g.leave();
-    }
-    g.finish();
-}
 
 /** The framings replay reads: SGB3 as recorded, SGB2 transcoded. */
 enum class Framing
@@ -193,15 +71,14 @@ recordTrace(const TraceParams &p, Framing framing,
     std::ostringstream bos(std::ios::binary);
     vg::BinaryTraceRecorder rec(bos, block_events);
     g.addTool(&rec);
-    driveTrace(g, p, steps);
+    TraceDriver(p).drive(g, steps);
     return framing == Framing::SGB2 ? sgb2FromSgb3(bos.str()) : bos.str();
 }
 
 struct ReplayOutcome
 {
     vg::ReplayReport report;
-    std::string profile;
-    std::string events;
+    Outputs out;
 };
 
 /** Replay a binary trace into a fresh profiler; serialize results. */
@@ -218,14 +95,8 @@ replayBinary(const std::string &trace, const TraceParams &p,
     opts.policy = policy;
     ReplayOutcome out;
     out.report = vg::replayBinaryTrace(is, g, opts);
-    if (out.report.ok()) {
-        std::ostringstream pos;
-        core::writeProfile(pos, prof.takeProfile());
-        out.profile = pos.str();
-        std::ostringstream eos;
-        core::writeEvents(eos, prof.events());
-        out.events = eos.str();
-    }
+    if (out.report.ok())
+        out.out = serialize(prof);
     return out;
 }
 
@@ -313,17 +184,17 @@ TEST(Sgb2Format, TranscodedSgb2ReplaysLikeItsSgb3Source)
     EXPECT_TRUE(o3.report.cleanShutdown);
     EXPECT_FALSE(o3.report.sawCorruption());
     EXPECT_EQ(o3.report.eventsDelivered, o3.report.totalEventsRecorded);
-    EXPECT_EQ(o2.profile, o3.profile);
-    EXPECT_EQ(o2.events, o3.events);
-    EXPECT_GT(o3.profile.size(), 100u);
+    EXPECT_EQ(o2.out.profile, o3.out.profile);
+    EXPECT_EQ(o2.out.events, o3.out.events);
+    EXPECT_GT(o3.out.profile.size(), 100u);
     // Every ReplayReport counter matches too: toString() renders all
     // of them.
     EXPECT_EQ(o2.report.toString(), o3.report.toString());
 
     // The frame scan sees the same frames in both framings, with the
     // trailer's event total in the end frame, the last of the file.
-    // (This random workload barely compresses; ParallelDecodeDifferential
-    // covers compressed frames.)
+    // (The differential matrix replays both framings of every shadow
+    // configuration against the live reference walk.)
     std::vector<vg::Sgb2BlockInfo> b3 = vg::scanSgb2Blocks(sgb3);
     std::vector<vg::Sgb2BlockInfo> b2 = vg::scanSgb2Blocks(sgb2);
     ASSERT_GE(b3.size(), 5u);
@@ -612,6 +483,118 @@ TEST(AdversarialInput, UnknownOpcodeIsContained)
               salvage.totalEventsRecorded);
 }
 
+TEST(MappedTrace, MissingFileReportsError)
+{
+    vg::MappedTraceFile mapped("/nonexistent/sigil/trace/file");
+    EXPECT_FALSE(mapped.ok());
+    EXPECT_FALSE(mapped.errorDetail().empty());
+}
+
+// ---------------------------------------------------------------------
+// LZ block codec
+// ---------------------------------------------------------------------
+
+std::string
+lzRoundTrip(const std::string &src, bool *stored = nullptr)
+{
+    std::vector<char> comp(lzCompressBound(src.size()));
+    std::size_t n = lzCompress(src.data(), src.size(), comp.data(),
+                               comp.size());
+    if (stored)
+        *stored = n == 0;
+    if (n == 0)
+        return src; // caller stores raw, as the SGB3 writer does
+    std::string out(src.size(), '\0');
+    EXPECT_TRUE(lzDecompress(comp.data(), n, out.data(), out.size()));
+    return out;
+}
+
+TEST(LzCodec, RoundTripsRepresentativePayloads)
+{
+    Rng rng(0x51);
+    std::vector<std::string> inputs;
+    inputs.emplace_back();                      // empty
+    inputs.emplace_back("x");                   // single byte
+    inputs.emplace_back(std::string(100000, '\0')); // long run
+    {
+        std::string rep;
+        for (int i = 0; i < 5000; ++i)
+            rep += "\x01\x82\x33\x07";          // event-record shaped
+        inputs.push_back(rep);
+    }
+    {
+        std::string rnd(4096, '\0');
+        for (char &c : rnd)
+            c = static_cast<char>(rng.nextBounded(256));
+        inputs.push_back(rnd);                  // incompressible
+    }
+    for (const std::string &src : inputs) {
+        SCOPED_TRACE("input size " + std::to_string(src.size()));
+        EXPECT_EQ(lzRoundTrip(src), src);
+    }
+
+    // Compressible payloads must actually shrink under the SGB3
+    // writer's "store only if smaller" cap...
+    const std::string &runs = inputs[2];
+    std::vector<char> comp(runs.size());
+    std::size_t n = lzCompress(runs.data(), runs.size(), comp.data(),
+                               runs.size() - 1);
+    ASSERT_GT(n, 0u);
+    EXPECT_LT(n, runs.size() / 10);
+    // ...and random bytes must fall back to stored-raw.
+    const std::string &rnd = inputs.back();
+    EXPECT_EQ(lzCompress(rnd.data(), rnd.size(), comp.data(),
+                         rnd.size() - 1),
+              0u);
+}
+
+TEST(LzCodec, DecompressRejectsTruncatedStreams)
+{
+    std::string src;
+    Rng rng(0x52);
+    for (int i = 0; i < 2000; ++i)
+        src.push_back(static_cast<char>(
+            rng.nextBounded(4) ? 'a' + rng.nextBounded(4)
+                               : rng.nextBounded(256)));
+    std::vector<char> comp(lzCompressBound(src.size()));
+    std::size_t n = lzCompress(src.data(), src.size(), comp.data(),
+                               comp.size());
+    ASSERT_GT(n, 0u);
+
+    std::string out(src.size(), '\0');
+    ASSERT_TRUE(lzDecompress(comp.data(), n, out.data(), out.size()));
+    ASSERT_EQ(out, src);
+    // Every proper prefix must be rejected: the stream either cuts a
+    // sequence mid-way or ends before producing rawLen bytes.
+    for (std::size_t cut = 0; cut < n; ++cut)
+        EXPECT_FALSE(
+            lzDecompress(comp.data(), cut, out.data(), out.size()))
+            << "cut at " << cut;
+    // Wrong rawLen in either direction is rejected too.
+    std::string small(src.size() - 1, '\0');
+    EXPECT_FALSE(
+        lzDecompress(comp.data(), n, small.data(), small.size()));
+    std::string big(src.size() + 1, '\0');
+    EXPECT_FALSE(lzDecompress(comp.data(), n, big.data(), big.size()));
+}
+
+TEST(LzCodec, DecompressNeverCrashesOnGarbage)
+{
+    Rng rng(0x53);
+    for (int i = 0; i < 256; ++i) {
+        std::size_t len = 1 + rng.nextBounded(512);
+        std::vector<char> junk(len);
+        for (char &c : junk)
+            c = static_cast<char>(rng.nextBounded(256));
+        std::size_t raw = 1 + rng.nextBounded(2048);
+        std::vector<char> out(raw);
+        // Bounds-checked: may fail or "succeed" with garbage content,
+        // but must never read or write out of range (ASan-verified in
+        // the sanitizer test runs).
+        (void)lzDecompress(junk.data(), junk.size(), out.data(), raw);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Salvage recovery
 // ---------------------------------------------------------------------
@@ -683,7 +666,7 @@ TEST(SalvageRecovery, AnySingleCorruptBlockIsSkippedPrecisely)
             ASSERT_EQ(salvage.report.errors.size(), 1u);
             EXPECT_EQ(salvage.report.errors[0].cause,
                       vg::TraceErrorCause::PayloadCrc);
-            EXPECT_FALSE(salvage.profile.empty());
+            EXPECT_FALSE(salvage.out.profile.empty());
         }
     }
 }
@@ -742,7 +725,7 @@ TEST(SalvageRecovery, DuplicatedBlockIsDroppedAsStale)
     EXPECT_EQ(o.report.eventsDelivered, total);
     EXPECT_EQ(o.report.eventsSkipped, 0u);
     // The duplicate is dropped without touching the analysis.
-    EXPECT_EQ(o.profile, ref.profile);
+    EXPECT_EQ(o.out.profile, ref.out.profile);
 }
 
 TEST(SalvageRecovery, ReorderedBlocksAreAccounted)
@@ -855,16 +838,16 @@ TEST(ProfileIo, ParserReportsLineAndOffset)
     ReplayOutcome o = replayBinary(recordTrace(p, Framing::SGB3,
                                                4096),
                                    p, vg::ReplayPolicy::Strict);
-    ASSERT_FALSE(o.profile.empty());
-    ASSERT_FALSE(o.events.empty());
+    ASSERT_FALSE(o.out.profile.empty());
+    ASSERT_FALSE(o.out.events.empty());
 
     {
-        std::istringstream is(o.profile);
+        std::istringstream is(o.out.profile);
         vg::TraceError e;
         EXPECT_TRUE(core::tryReadProfile(is, e).has_value());
     }
     {
-        std::istringstream is(o.events);
+        std::istringstream is(o.out.events);
         vg::TraceError e;
         EXPECT_TRUE(core::tryReadEvents(is, e).has_value());
     }
@@ -873,7 +856,7 @@ TEST(ProfileIo, ParserReportsLineAndOffset)
     // exact line, its byte offset, and the offending token.
     std::vector<std::string> lines;
     {
-        std::istringstream is(o.profile);
+        std::istringstream is(o.out.profile);
         std::string line;
         while (std::getline(is, line))
             lines.push_back(line);
@@ -907,7 +890,7 @@ TEST(ProfileIo, ParserReportsLineAndOffset)
 
     // A profile missing its end marker is flagged as truncated.
     {
-        std::string cut = o.profile.substr(0, o.profile.rfind("end"));
+        std::string cut = o.out.profile.substr(0, o.out.profile.rfind("end"));
         std::istringstream is(cut);
         vg::TraceError e;
         EXPECT_FALSE(core::tryReadProfile(is, e).has_value());
@@ -926,103 +909,6 @@ TEST(ProfileIo, ParserReportsLineAndOffset)
 // ---------------------------------------------------------------------
 // Checkpoint / resume
 // ---------------------------------------------------------------------
-
-class CheckpointResume : public ::testing::TestWithParam<TraceParams>
-{};
-
-TEST_P(CheckpointResume, ResumedReplayIsBitIdentical)
-{
-    const TraceParams &p = GetParam();
-    std::string trace = recordTrace(p, Framing::SGB2, 64);
-    ReplayOutcome ref = replayBinary(trace, p, vg::ReplayPolicy::Strict);
-    ASSERT_TRUE(ref.report.sawTrailer);
-
-    std::string path =
-        ::testing::TempDir() + "/ckpt_" + std::to_string(p.seed);
-    std::remove(path.c_str());
-    std::remove((path + ".prev").c_str());
-    std::remove((path + ".tmp").c_str());
-
-    auto run = [&](core::CheckpointStats &st) {
-        QuietLogs quiet;
-        vg::Guest g("robust");
-        core::SigilProfiler prof(profilerConfig(p));
-        g.addTool(&prof);
-        std::istringstream is(trace, std::ios::binary);
-        core::CheckpointConfig cc;
-        cc.path = path;
-        cc.intervalBlocks = 3;
-        vg::ReplayReport r = core::replayWithCheckpoints(
-            is, g, prof, vg::ReplayOptions{}, cc, &st);
-        EXPECT_TRUE(r.ok());
-        EXPECT_TRUE(r.sawTrailer);
-        EXPECT_EQ(r.eventsDelivered, r.totalEventsRecorded);
-        std::ostringstream pos, eos;
-        core::writeProfile(pos, prof.takeProfile());
-        core::writeEvents(eos, prof.events());
-        return std::make_pair(pos.str(), eos.str());
-    };
-
-    // Fresh run: periodic checkpoints, same result as a plain replay.
-    core::CheckpointStats st1;
-    auto out1 = run(st1);
-    EXPECT_FALSE(st1.resumed);
-    EXPECT_GE(st1.checkpointsWritten, 2u);
-    EXPECT_GT(st1.lastCheckpointBytes, 0u);
-    EXPECT_EQ(out1.first, ref.profile);
-    EXPECT_EQ(out1.second, ref.events);
-
-    // Second run resumes from the last mid-stream checkpoint and must
-    // be bit-identical to the uninterrupted replay.
-    core::CheckpointStats st2;
-    auto out2 = run(st2);
-    EXPECT_TRUE(st2.resumed);
-    EXPECT_GT(st2.resumeBlocks, 0u);
-    EXPECT_EQ(out2.first, ref.profile);
-    EXPECT_EQ(out2.second, ref.events);
-
-    // Damage the newest checkpoint: resume falls back to <path>.prev.
-    {
-        std::ifstream in(path, std::ios::binary);
-        std::string c((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-        in.close();
-        ASSERT_GT(c.size(), 16u);
-        c.resize(c.size() / 2);
-        std::ofstream(path, std::ios::binary | std::ios::trunc) << c;
-    }
-    core::CheckpointStats st3;
-    auto out3 = run(st3);
-    EXPECT_TRUE(st3.resumed);
-    EXPECT_EQ(out3.first, ref.profile);
-    EXPECT_EQ(out3.second, ref.events);
-
-    std::remove(path.c_str());
-    std::remove((path + ".prev").c_str());
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Configs, CheckpointResume,
-    ::testing::Values(TraceParams{101, 0, 0, true, true, false},
-                      TraceParams{202, 0, 6, true, true, false},
-                      TraceParams{303, 6, 0, true, true, false},
-                      TraceParams{404, 6, 4, true, true, false},
-                      TraceParams{505, 0, 0, false, false, false},
-                      TraceParams{606, 0, 0, true, false, true},
-                      TraceParams{707, 6, 0, false, false, false}),
-    [](const ::testing::TestParamInfo<TraceParams> &info) {
-        const TraceParams &p = info.param;
-        std::string name = "seed" + std::to_string(p.seed) + "_g" +
-                           std::to_string(p.granularityShift) + "_max" +
-                           std::to_string(p.maxShadowChunks);
-        if (p.collectReuse)
-            name += "_reuse";
-        if (p.collectEvents)
-            name += "_events";
-        if (p.roiOnly)
-            name += "_roi";
-        return name;
-    });
 
 TEST(CheckpointResume2, MismatchedTraceOrConfigStartsFresh)
 {
@@ -1062,7 +948,7 @@ TEST(CheckpointResume2, MismatchedTraceOrConfigStartsFresh)
     EXPECT_FALSE(st2.resumed);
     EXPECT_EQ(fresh_b,
               replayBinary(trace_b, pb, vg::ReplayPolicy::Strict)
-                  .profile);
+                  .out.profile);
 
     // A checkpoint written under one profiler configuration must not
     // resume a replay under another.
@@ -1077,7 +963,7 @@ TEST(CheckpointResume2, MismatchedTraceOrConfigStartsFresh)
     EXPECT_FALSE(st4.resumed);
     EXPECT_EQ(coarse,
               replayBinary(trace_a, pa_coarse, vg::ReplayPolicy::Strict)
-                  .profile);
+                  .out.profile);
 
     // A profiler body with any version byte other than 3 must not
     // resume either: re-seal a valid checkpoint around each foreign
@@ -1104,7 +990,7 @@ TEST(CheckpointResume2, MismatchedTraceOrConfigStartsFresh)
     const std::size_t body_at = kEnvelope + src.pos();
     ASSERT_EQ(static_cast<unsigned char>(file[body_at]), 3u);
     const std::string fresh_a =
-        replayBinary(trace_a, pa, vg::ReplayPolicy::Strict).profile;
+        replayBinary(trace_a, pa, vg::ReplayPolicy::Strict).out.profile;
     for (unsigned version : {1u, 2u, 4u, 0xffu}) {
         SCOPED_TRACE("profiler body version " + std::to_string(version));
         std::string bad = file;
@@ -1129,18 +1015,6 @@ TEST(CheckpointResume2, MismatchedTraceOrConfigStartsFresh)
 // Round trips, the format sniff and fatal replay of bad input
 // ---------------------------------------------------------------------
 
-/** Record one workload as an SGB3 trace. */
-std::string
-recordBinary(const TraceParams &p)
-{
-    vg::Guest g("trace_roundtrip");
-    std::ostringstream bos(std::ios::binary);
-    vg::BinaryTraceRecorder brec(bos);
-    g.addTool(&brec);
-    driveTrace(g, p);
-    return bos.str();
-}
-
 TEST(BinaryTrace, RoiRoundTrips)
 {
     // ROI marks survive the trace: an roiOnly profiler sees identical
@@ -1155,7 +1029,7 @@ TEST(BinaryTrace, RoiRoundTrips)
     vg::BinaryTraceRecorder brec(bos);
     g.addTool(&live);
     g.addTool(&brec);
-    driveTrace(g, p);
+    TraceDriver(p).drive(g, 6000);
 
     std::ostringstream live_pos;
     core::writeProfile(live_pos, live.takeProfile());
@@ -1174,7 +1048,9 @@ TEST(BinaryTrace, RoiRoundTrips)
 TEST(BinaryTrace, FileSniffSelectsFormat)
 {
     TraceParams p{4444, 0, 0, false, false, false};
-    std::string sgb3 = recordBinary(p);
+    std::string sgb3 = recordTrace(p, Framing::SGB3,
+                                   vg::BinaryTraceRecorder::kBlockEvents,
+                                   6000);
     std::string sgb2 = fixtures::sgb2FromSgb3(sgb3);
 
     std::string dir = ::testing::TempDir();
@@ -1211,7 +1087,8 @@ TEST(BinaryTraceDeath, RejectsGarbage)
 TEST(BinaryTraceDeath, RejectsTruncation)
 {
     TraceParams p{5555, 0, 0, false, false, false};
-    std::string binary = recordBinary(p);
+    std::string binary = recordTrace(
+        p, Framing::SGB3, vg::BinaryTraceRecorder::kBlockEvents, 6000);
     // A cut mid-block surfaces as a truncation or a corrupt record,
     // never as a silent partial replay.
     std::string truncated = binary.substr(0, binary.size() / 2);
