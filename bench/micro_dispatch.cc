@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include "cg/cg_tool.hh"
@@ -428,16 +429,28 @@ wideTrace()
     return trace;
 }
 
+/** Minor page faults this process has taken so far. */
+long
+minorFaults()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return ru.ru_minflt;
+}
+
 /**
  * Profiled replay of the wide workload: the trace into a
  * full-fidelity (re-use mode) Sigil profiler. Real time, like the
- * recorded baselines of this benchmark.
+ * recorded baselines of this benchmark. minor_faults counts the pages
+ * the kernel had to map in per replay: shadow arrays that land on
+ * pages an earlier replay already made resident cost none.
  */
 void
 BM_WideReplay(benchmark::State &state)
 {
     const std::string &trace = wideTrace();
     core::SigilConfig cfg; // defaults: re-use tracking on
+    const long faults_before = minorFaults();
     for (auto _ : state) {
         std::istringstream is(trace, std::ios::binary);
         vg::Guest g("bench");
@@ -448,6 +461,9 @@ BM_WideReplay(benchmark::State &state)
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             kWideWorkloadIters);
+    state.counters["minor_faults"] =
+        static_cast<double>(minorFaults() - faults_before) /
+        static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_WideReplay)->UseRealTime();
 

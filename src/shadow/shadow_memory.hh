@@ -22,8 +22,9 @@
  *  - a *touched bitmap*: one bit per unit ever returned to a client, so
  *    end-of-run sweeps and eviction handlers visit only units whose
  *    state can differ from the default instead of all kChunkUnits.
- *    The bitmap is also the hot array's init map: both arrays are
- *    allocated uninitialized, and a 64-unit block (one bitmap word) of
+ *    The bitmap is also the hot array's init map: both arrays come
+ *    uninitialized from a process-wide slot pool that reuses slots in
+ *    the order it carved them, and a 64-unit block (one bitmap word) of
  *    hot entries is value-constructed the first time any unit in it is
  *    touched, so a chunk pays only for the blocks it uses;
  *  - a *cold-built mask*: one bit per 64-unit block whose cold entries
@@ -434,13 +435,17 @@ class ShadowMemory
     std::uint64_t peakBytes() const { return stats_.bytesPeak; }
 
   private:
-    /** Frees raw storage from allocateBlocks() (no destructors run). */
-    struct RawDelete
+    /**
+     * Returns a chunk array to the process-wide slot pool it came from
+     * (no destructors run).
+     */
+    struct SlotRelease
     {
-        void operator()(void *p) const { ::operator delete(p); }
+        void operator()(ShadowHot *p) const;
+        void operator()(ShadowCold *p) const;
     };
     template <typename T>
-    using BlockArray = std::unique_ptr<T[], RawDelete>;
+    using BlockArray = std::unique_ptr<T[], SlotRelease>;
 
     struct Chunk
     {

@@ -100,19 +100,7 @@ const std::vector<TraceParams> kTraceRows = [] {
 std::string
 rowName(const ::testing::TestParamInfo<TraceParams> &info)
 {
-    const TraceParams &p = info.param;
-    std::string name = "seed" + std::to_string(p.seed) + "_g" +
-                       std::to_string(p.granularityShift) + "_max" +
-                       std::to_string(p.maxShadowChunks);
-    if (p.collectReuse)
-        name += "_reuse";
-    if (p.collectEvents)
-        name += "_events";
-    if (p.roiOnly)
-        name += "_roi";
-    if (p.collectObjects)
-        name += "_objects";
-    return name;
+    return paramsName(info.param);
 }
 
 /** A live run's outputs, its recorded trace and its shadow evictions. */

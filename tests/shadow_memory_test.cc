@@ -3,15 +3,21 @@
  * Tests for the two-level shadow memory: lazy chunk creation, the
  * lookup cache, the span API, line granularity, the LRU memory limit,
  * the touched bitmap and touched-block init, stamp interning, lazy
- * cold arrays, cold blocks built on first read, byte accounting, and
- * eviction callbacks.
+ * cold arrays, cold blocks built on first read, byte accounting,
+ * eviction callbacks, and the slot pool the chunk arrays come from.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
+#include <thread>
 #include <vector>
 
 #include "core/sigil_profiler.hh"
@@ -19,6 +25,9 @@
 #include "support/rng.hh"
 #include "support/serial.hh"
 #include "vg/guest.hh"
+#include "vg/trace_io.hh"
+
+#include "trace_fixtures.hh"
 
 namespace sigil::shadow {
 namespace {
@@ -61,6 +70,16 @@ bool
 everWritten(const ShadowRef &o)
 {
     return o.hot.writer != 0;
+}
+
+/** This process's resident set size in bytes (0 if unreadable). */
+std::uint64_t
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    std::uint64_t size_pages = 0, resident_pages = 0;
+    statm >> size_pages >> resident_pages;
+    return resident_pages * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
 }
 
 TEST(ShadowMemory, LookupCreatesChunkOnDemand)
@@ -686,6 +705,179 @@ TEST(ShadowMemory, HugeGranularityRejected)
     ShadowMemory::Config cfg;
     cfg.granularityShift = 16;
     EXPECT_EXIT(ShadowMemory sm(cfg), ::testing::ExitedWithCode(1), "");
+}
+
+// Slot pool. ---------------------------------------------------------
+
+/** The unit `off` units into chunk c. */
+std::uint64_t
+unitIn(std::uint64_t c, std::uint64_t off = 7)
+{
+    return c * ShadowMemory::kChunkUnits + off;
+}
+
+TEST(ShadowSlotPool, SequentialLifetimesGetIdenticalArrays)
+{
+    // Chunks created out of address order, half of them with cold
+    // state, so both size classes are handed out.
+    const std::uint64_t order[] = {5, 0, 17, 3, 1000, 2, 64, 9};
+    auto touch = [&](ShadowMemory &sm) {
+        for (std::uint64_t c : order)
+            sm.lookup(unitIn(c), c % 2 == 1);
+    };
+    std::vector<ShadowPtr> first;
+    {
+        ShadowMemory sm;
+        touch(sm);
+        for (std::uint64_t c : order)
+            first.push_back(sm.find(unitIn(c)));
+    }
+    ShadowMemory sm;
+    touch(sm);
+    for (std::size_t i = 0; i < std::size(order); ++i) {
+        const ShadowPtr p = sm.find(unitIn(order[i]));
+        ASSERT_TRUE(p);
+        EXPECT_EQ(p.hot, first[i].hot) << "chunk " << order[i];
+        EXPECT_EQ(p.cold, first[i].cold) << "chunk " << order[i];
+        EXPECT_EQ(p.cold != nullptr, order[i] % 2 == 1);
+    }
+}
+
+TEST(ShadowSlotPool, ChunkAfterEvictionTakesLowestFreeSlot)
+{
+    // Arrays are handed out lowest free slot first, so with no release
+    // in between the slots of a, b, c, d ascend in that order.
+    auto a = std::make_unique<ShadowMemory>();
+    a->lookup(unitIn(0), true);
+    a->lookup(unitIn(1), true);
+    const ShadowPtr a0 = a->find(unitIn(0));
+    const ShadowPtr a1 = a->find(unitIn(1));
+
+    ShadowMemory::Config cfg;
+    cfg.maxChunks = 2;
+    ShadowMemory b(cfg);
+    b.lookup(unitIn(10), true);
+    b.lookup(unitIn(11), true);
+    const ShadowPtr b10 = b.find(unitIn(10));
+
+    // Free a's two slots, then evict chunk 10: three slots are free.
+    a.reset();
+    b.lookup(unitIn(12), true);
+    EXPECT_EQ(b.stats().evictions, 1u);
+    ShadowPtr p = b.find(unitIn(12));
+    EXPECT_EQ(p.hot, a0.hot);
+    EXPECT_EQ(p.cold, a0.cold);
+    // Evicts chunk 11; a's second slot is now the lowest free one.
+    b.lookup(unitIn(13), true);
+    p = b.find(unitIn(13));
+    EXPECT_EQ(p.hot, a1.hot);
+    EXPECT_EQ(p.cold, a1.cold);
+    // Evicts chunk 12: its slot (a's first) is the lowest free again.
+    b.lookup(unitIn(14), true);
+    p = b.find(unitIn(14));
+    EXPECT_EQ(p.hot, a0.hot);
+    EXPECT_NE(p.hot, b10.hot);
+}
+
+TEST(ShadowSlotPool, ReusedSlotIsPoisonedUntilConstructed)
+{
+#ifndef __SANITIZE_ADDRESS__
+    GTEST_SKIP() << "checks AddressSanitizer poisoning";
+#else
+    ShadowHot *first = nullptr;
+    {
+        ShadowMemory sm;
+        sm.lookup(0);
+        sm.lookup(64); // constructs hot block 1
+        first = sm.find(0).hot;
+    }
+    ShadowMemory sm;
+    sm.lookup(0);
+    ShadowHot *hot = sm.find(0).hot;
+    ASSERT_EQ(hot, first);
+    // Block 1 of the reused slot was constructed in the first lifetime
+    // but not in this one.
+    EXPECT_DEATH(
+        {
+            volatile StampId w = hot[64].writer;
+            (void)w;
+        },
+        "use-after-poison");
+#endif
+}
+
+/** Record the differential suites' workload at a size that churns chunks. */
+std::string
+recordPoolTrace(const fixtures::TraceParams &p, int steps)
+{
+    std::ostringstream os(std::ios::binary);
+    vg::Guest g("pool");
+    vg::BinaryTraceRecorder rec(os);
+    g.addTool(&rec);
+    fixtures::TraceDriver(p).drive(g, steps);
+    return os.str();
+}
+
+/** Replay a trace into a fresh guest and profiler. */
+fixtures::Outputs
+replayPoolTrace(const std::string &trace, const fixtures::TraceParams &p,
+                std::uint64_t *rss_after = nullptr)
+{
+    std::istringstream is(trace, std::ios::binary);
+    vg::Guest g("pool");
+    core::SigilProfiler prof(fixtures::profilerConfig(p));
+    g.addTool(&prof);
+    vg::replayBinaryTrace(is, g);
+    if (rss_after != nullptr)
+        *rss_after = residentBytes();
+    return fixtures::serialize(prof);
+}
+
+const fixtures::TraceParams kPoolParams{41, 0, 0, true, true, false};
+
+TEST(ShadowSlotPool, RepeatedReplaysKeepResidentMemoryFlat)
+{
+    // Each replay creates its chunks in the same order, so it gets the
+    // slots and pages of the one before. The shadow footprint here is
+    // ~28 MB; with arrays from the general heap the resident set grew
+    // by ~12 MB from the second replay to the third. What is left is
+    // heap noise of a few pages.
+#ifdef __SANITIZE_ADDRESS__
+    GTEST_SKIP() << "AddressSanitizer quarantines freed heap blocks, so "
+                    "the resident set grows across replays regardless";
+#endif
+    constexpr std::uint64_t kSlackBytes = std::uint64_t{1} << 20;
+    const std::string trace = recordPoolTrace(kPoolParams, 40000);
+    std::uint64_t rss[3] = {};
+    std::string profile;
+    for (std::uint64_t &r : rss) {
+        const fixtures::Outputs out = replayPoolTrace(trace, kPoolParams, &r);
+        if (profile.empty())
+            profile = out.profile;
+        EXPECT_EQ(out.profile, profile);
+    }
+    ASSERT_GT(rss[1], 0u) << "no resident set size in /proc/self/statm";
+    EXPECT_LE(rss[2], rss[1] + kSlackBytes)
+        << "first " << rss[0] << " B, second " << rss[1] << " B, third "
+        << rss[2] << " B";
+}
+
+TEST(ShadowSlotPool, ConcurrentReplaysMatchSerial)
+{
+    const std::string trace = recordPoolTrace(kPoolParams, 6000);
+    const fixtures::Outputs serial = replayPoolTrace(trace, kPoolParams);
+    ASSERT_GT(serial.profile.size(), 100u);
+    std::vector<fixtures::Outputs> got(4);
+    std::vector<std::thread> threads;
+    for (fixtures::Outputs &out : got)
+        threads.emplace_back(
+            [&] { out = replayPoolTrace(trace, kPoolParams); });
+    for (std::thread &t : threads)
+        t.join();
+    for (const fixtures::Outputs &out : got) {
+        EXPECT_EQ(out.profile, serial.profile);
+        EXPECT_EQ(out.events, serial.events);
+    }
 }
 
 /** Property: shadow memory behaves like a plain map of unit → object. */

@@ -3,8 +3,9 @@
  * Shared trace fixtures for the differential and ingestion suites.
  *
  * One pseudo-random workload generator (TraceDriver) with its
- * parameters and profiler configuration, the serializer every suite
- * compares through, and byte-level frame builders.
+ * parameters, their row name and profiler configuration, the
+ * serializer every suite compares through, and byte-level frame
+ * builders.
  *
  * The recorder writes SGB3 only, but replay still reads the
  * uncompressed SGB2 framing of earlier releases. The frame helpers
@@ -21,6 +22,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <ostream>
 #include <sstream>
 #include <string>
 
@@ -46,6 +48,37 @@ struct TraceParams
     /** Tag a run of allocations over the hot window (per-object rows). */
     bool collectObjects = false;
 };
+
+/**
+ * A config's row name: seed, granularity and chunk limit, then each
+ * collection flag that is set.
+ */
+inline std::string
+paramsName(const TraceParams &p)
+{
+    std::string name = "seed" + std::to_string(p.seed) + "_g" +
+                       std::to_string(p.granularityShift) + "_max" +
+                       std::to_string(p.maxShadowChunks);
+    if (p.collectReuse)
+        name += "_reuse";
+    if (p.collectEvents)
+        name += "_events";
+    if (p.roiOnly)
+        name += "_roi";
+    if (p.collectObjects)
+        name += "_objects";
+    return name;
+}
+
+/**
+ * gtest prints a parameter as its row name, so test listings (and the
+ * ctest IDs built from them) carry no byte dump of the struct.
+ */
+inline void
+PrintTo(const TraceParams &p, std::ostream *os)
+{
+    *os << paramsName(p);
+}
 
 inline core::SigilConfig
 profilerConfig(const TraceParams &p, bool reference_path = false)
