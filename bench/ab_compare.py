@@ -7,11 +7,7 @@ back can. This script builds both microbenchmark binaries,
 micro_dispatch and micro_shadow (Release), in two checkouts and runs
 them for PAIRS pairs; each run merges the two binaries' JSON into one
 document. For each watched (benchmark, metric) of compare_bench.py it
-takes the median over the pairs of change / base. compare_bench.py's
-threshold then judges that median paired ratio: a watched metric that
-got worse by more than the threshold, or that did not run on both
-sides, fails the run (exit 1). So does a watched pattern that matched
-no benchmark on either side, unless --filter leaves it out.
+takes the median over the pairs of change / base.
 
 Each pair also runs the base binary a second time (the A/A leg), and
 the three runs rotate through the order base, change, base-again so
@@ -19,7 +15,14 @@ that no run always goes first. The base-again / base ratios show what
 identical code reads on this host during this run: their median and
 interquartile range are printed next to each metric's change / base
 median, which is marked "within A/A spread" when it falls inside that
-range. The A/A leg informs; it does not change the verdict.
+range.
+
+A watched metric is REGRESSED when its median paired ratio is worse
+than compare_bench.py's threshold and also lies outside its A/A
+interquartile range; a metric with no A/A ratios is judged by the
+threshold alone. A regressed metric, or one that did not run on both
+sides, fails the run (exit 1). So does a watched pattern that matched
+no benchmark on either side, unless --filter leaves it out.
 
 Usage:
   bench/ab_compare.py [--filter REGEX] [--min-time 2]
@@ -45,9 +48,8 @@ from compare_bench import (THRESHOLD, WATCHED, entries,  # noqa: E402
 
 # Ten pairs, as every gain claimed in EXPERIMENTS.md needs. Five let
 # identical decode code read -11%; ten still let an A/A run read -21%
-# on the server sweep ("One recv per frame"), so every run now carries
-# its own A/A leg, and a flag inside the A/A spread is a prompt to
-# look again, not a verdict.
+# on the server sweep ("One recv per frame"), so every run carries its
+# own A/A leg, and a median inside the A/A spread is not a regression.
 PAIRS = 10
 TARGETS = ("micro_dispatch", "micro_shadow")
 
@@ -105,18 +107,63 @@ def aa_spread(aa_ratios, median_ratio):
     return med, q1, q3, q1 <= median_ratio <= q3
 
 
-def verdicts(ratios):
+def verdicts(ratios, aa_ratios=None):
     """One row per watched key: (name, metric, median ratio, pairs the
-    change won, pair count, regressed). The median ratio is judged as
-    compare_bench.py judges a fresh run against a baseline: a positive
-    'worse' delta beyond THRESHOLD is a regression."""
+    change won, pair count, A/A spread, regressed). The median ratio
+    is judged as compare_bench.py judges a fresh run against a
+    baseline, a positive 'worse' delta beyond THRESHOLD, and must also
+    lie outside the key's A/A interquartile range: identical code that
+    reads as far apart on this host is no evidence against the change.
+    The A/A spread is aa_spread()'s tuple, or None for a key without
+    A/A ratios, which the threshold alone judges."""
     rows = []
     for (name, metric), (direction, rs) in sorted(ratios.items()):
         med = statistics.median(rs)
         worse = -(med - 1.0) * direction
         wins = sum(1 for r in rs if (r - 1.0) * direction > 0)
-        rows.append((name, metric, med, wins, len(rs), worse > THRESHOLD))
+        spread = None
+        if aa_ratios and (name, metric) in aa_ratios:
+            spread = aa_spread(aa_ratios[(name, metric)][1], med)
+        bad = worse > THRESHOLD and not (spread and spread[3])
+        rows.append((name, metric, med, wins, len(rs), spread, bad))
     return rows
+
+
+def report(pairs, aa_pairs, bench_filter=None):
+    """Print the verdicts on (base, change) `pairs` with the A/A leg of
+    (base, base-again) `aa_pairs`; return the exit status: 1 when a
+    metric regressed, missed a side of a pair or matched nothing."""
+    ratios, missing = paired_ratios(pairs)
+    aa_ratios, _ = paired_ratios(aa_pairs)
+    for name, metric in sorted(missing):
+        print("missing  %s [%s] — not on both sides of every pair"
+              % (name, metric))
+    absent = absent_patterns(pairs, bench_filter)
+    for pattern, metric in absent:
+        print("missing  %s [%s] — matched no benchmark on either side"
+              % (pattern, metric))
+    if not ratios:
+        sys.exit("error: no watched metric ran on both sides")
+    rows = verdicts(ratios, aa_ratios)
+    regressed = 0
+    for name, metric, med, wins, n, spread, bad in rows:
+        regressed += bad
+        print("%-9s %s [%s]: median change/base %.4f (%+.1f%%), "
+              "change better in %d/%d pairs"
+              % ("REGRESSED" if bad else "ok", name, metric, med,
+                 (med - 1.0) * 100, wins, n))
+        print("          pair ratios: " + ", ".join(
+            "%.3f" % r for r in ratios[(name, metric)][1]))
+        if spread is not None:
+            aa_med, q1, q3, within = spread
+            print("          A/A base/base median %.4f, IQR [%.4f, %.4f]"
+                  "%s" % (aa_med, q1, q3,
+                          " -- within A/A spread" if within else ""))
+    print("\n%d metrics compared over %d pairs, %d missing, %d regressed "
+          "beyond %.0f%% and outside the A/A spread"
+          % (len(rows), len(pairs), len(missing) + len(absent), regressed,
+             THRESHOLD * 100))
+    return 1 if regressed or missing or absent else 0
 
 
 def build(checkout):
@@ -193,37 +240,7 @@ def main():
         print("pair %d/%d done (%s)" % (i + 1, PAIRS, ", ".join(order)),
               file=sys.stderr)
 
-    ratios, missing = paired_ratios(pairs)
-    aa_ratios, _ = paired_ratios(aa_pairs)
-    for name, metric in sorted(missing):
-        print("missing  %s [%s] — not on both sides of every pair"
-              % (name, metric))
-    absent = absent_patterns(pairs, args.filter)
-    for pattern, metric in absent:
-        print("missing  %s [%s] — matched no benchmark on either side"
-              % (pattern, metric))
-    if not ratios:
-        sys.exit("error: no watched metric ran on both sides")
-    rows = verdicts(ratios)
-    regressed = 0
-    for name, metric, med, wins, n, bad in rows:
-        regressed += bad
-        print("%-9s %s [%s]: median change/base %.4f (%+.1f%%), "
-              "change better in %d/%d pairs"
-              % ("REGRESSED" if bad else "ok", name, metric, med,
-                 (med - 1.0) * 100, wins, n))
-        print("          pair ratios: " + ", ".join(
-            "%.3f" % r for r in ratios[(name, metric)][1]))
-        if (name, metric) in aa_ratios:
-            aa_med, q1, q3, within = aa_spread(
-                aa_ratios[(name, metric)][1], med)
-            print("          A/A base/base median %.4f, IQR [%.4f, %.4f]"
-                  "%s" % (aa_med, q1, q3,
-                          " -- within A/A spread" if within else ""))
-    print("\n%d metrics compared over %d pairs, %d missing, %d regressed "
-          "beyond %.0f%%" % (len(rows), PAIRS, len(missing) + len(absent),
-                             regressed, THRESHOLD * 100))
-    return 1 if regressed or missing or absent else 0
+    return report(pairs, aa_pairs, args.filter)
 
 
 if __name__ == "__main__":

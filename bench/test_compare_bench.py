@@ -18,14 +18,19 @@ ratio (not the mean, not the best pair) is what the threshold judges,
 direction is honoured for lower-is-better metrics, a benchmark
 missing from one side of a pair is reported, not compared, the
 A/A leg's quartiles and "within A/A spread" mark are computed from
-the base/base ratios, the two binaries' documents merge into one, and
-a watched pattern no benchmark matched on either side is reported
-unless --filter leaves it out.
+the base/base ratios, a regression beyond the threshold is flagged
+only outside that spread (by the threshold alone without A/A ratios),
+the report exits 1 on a regression or on a missing or absent metric,
+the two binaries' documents merge into one, and a watched pattern no
+benchmark matched on either side is reported unless --filter leaves
+it out.
 
 Registered as the ctest target bench_compare_missing_suite; runnable
 standalone: python3 bench/test_compare_bench.py
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -97,7 +102,7 @@ def ab_compare_cases(check):
           and [round(r, 6) for r in ratios[key][1]]
           == [1.1, 1.1, 0.5, 1.1, 1.1], ratios)
     rows = {(n, m): (med, wins, n_pairs, bad)
-            for n, m, med, wins, n_pairs, bad
+            for n, m, med, wins, n_pairs, _, bad
             in ab_compare.verdicts(ratios)}
     med, wins, n_pairs, bad = rows[key]
     check("ab_compare judges the median paired ratio",
@@ -112,7 +117,7 @@ def ab_compare_cases(check):
           abs(med - 0.9) < 1e-9 and wins == 4 and not bad, rows[peak])
     worse = [(run_doc(100.0, peak=1000), run_doc(100.0, peak=1200))
              for _ in range(5)]
-    rows = {(n, m): bad for n, m, _, _, _, bad in
+    rows = {(n, m): bad for n, m, _, _, _, _, bad in
             ab_compare.verdicts(ab_compare.paired_ratios(worse)[0])}
     check("ab_compare flags a median regression beyond the threshold",
           rows[peak] and not rows[key], rows)
@@ -138,6 +143,59 @@ def ab_compare_cases(check):
           not ab_compare.aa_spread(aa_ratios[key][1], 1.1)[3]
           and ab_compare.aa_spread([1.05], 1.05)[1:] == (1.05, 1.05, True),
           aa_ratios)
+
+    # The verdict: a median worse than the threshold regresses only
+    # outside the A/A interquartile range. Both metrics below read 20%
+    # worse (server rate 100 -> 80, shadow peak 1000 -> 1200). The
+    # server's A/A ratios 0.6 .. 1.4 (IQR [0.7, 1.3]) hold 0.8; the
+    # peak's, all 1.0, do not hold 1.2.
+    regress = [(run_doc(100.0, peak=1000), run_doc(80.0, peak=1200))
+               for _ in range(5)]
+    noisy = [(run_doc(100.0, peak=1000), run_doc(r, peak=1000))
+             for r in (60.0, 70.0, 100.0, 130.0, 140.0)]
+    ratios = ab_compare.paired_ratios(regress)[0]
+    aa_ratios = ab_compare.paired_ratios(noisy)[0]
+    rows = {(n, m): (spread, bad) for n, m, _, _, _, spread, bad
+            in ab_compare.verdicts(ratios, aa_ratios)}
+    check("ab_compare flags a regression outside the A/A spread",
+          rows[peak][1] and not rows[peak][0][3], rows[peak])
+    check("ab_compare passes a regression inside the A/A spread",
+          not rows[key][1] and rows[key][0][3], rows[key])
+    rows = {(n, m): (spread, bad) for n, m, _, _, _, spread, bad
+            in ab_compare.verdicts(ratios, {})}
+    check("ab_compare judges a metric without A/A ratios by the "
+          "threshold alone",
+          rows[key] == (None, True) and rows[peak] == (None, True), rows)
+
+    def report(pairs, aa_pairs, bench_filter):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = ab_compare.report(pairs, aa_pairs, bench_filter)
+        return rc, out.getvalue()
+
+    selected = "^BM_ServerQueryThroughput/|^BM_TraceReplayThroughput$"
+    rc, out = report(regress, noisy, selected)
+    server_lines = out[out.index("ok        " + server):]
+    check("ab_compare report exits 1 on a regression outside the A/A "
+          "spread",
+          rc == 1 and "REGRESSED BM_TraceReplayThroughput "
+          "[shadow_peak_bytes]" in out and "1 regressed" in out, out)
+    check("ab_compare report prints 'within A/A spread' and passes "
+          "the metric inside it",
+          "within A/A spread" in server_lines.split("\n")[2], out)
+    rc, out = report([(run_doc(100.0, peak=1000),
+                       run_doc(80.0, peak=1000))] * 5, noisy, selected)
+    check("ab_compare report exits 0 when every regression is inside "
+          "the A/A spread", rc == 0 and "REGRESSED" not in out, out)
+    rc, out = report(lopsided, lopsided, selected)
+    check("ab_compare report exits 1 on a metric missing from a side",
+          rc == 1 and "missing  BM_TraceReplayThroughput "
+          "[shadow_peak_bytes]" in out, out)
+    rc, out = report(noisy, noisy, None)
+    check("ab_compare report exits 1 on a watched pattern absent from "
+          "both sides",
+          rc == 1 and "missing  ^BM_WideReplay/ [items_per_second]"
+          in out and "REGRESSED" not in out, out)
 
     # Each side runs micro_dispatch and micro_shadow; their documents
     # merge, so the micro_shadow metrics are compared too.

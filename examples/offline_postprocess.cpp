@@ -194,12 +194,11 @@ main(int argc, char **argv)
     }
 
     // Phase 3: replay the raw trace into a different profiler mode.
-    // replayTraceFile() maps the file and sniffs its framing, so the
-    // same call also reads an SGB2 trace recorded by an earlier
-    // release. Salvage mode tolerates a damaged file (a crash
-    // mid-recording, a bad sector) and the report says exactly what
-    // was recovered and whether the trace ends in a clean-shutdown
-    // trailer.
+    // replayTraceFile() maps the file and decodes it in place; a
+    // trace in a format of an earlier release fails as bad magic.
+    // Salvage mode tolerates a damaged file (a crash mid-recording, a
+    // bad sector) and the report says exactly what was recovered and
+    // whether the trace ends in a clean-shutdown trailer.
     {
         vg::Guest guest(w->name);
         core::SigilConfig cfg;

@@ -187,7 +187,7 @@ snapshotRestores(const std::string &payload, const TraceBinding &binding,
  * Shared core: checkpointed replay directly over a byte view (an
  * mmap'd file or a slurped stream). The binding hashes the raw stored
  * bytes, so it is identical whether the trace arrived as a stream, a
- * mapping, or a compressed (SGB3) file.
+ * mapping, or a file of compressed frames.
  */
 vg::ReplayReport
 replayViewWithCheckpoints(std::string_view data, vg::Guest &guest,

@@ -6,7 +6,7 @@
  * preemption, a crash in unrelated code — and restarting a multi-hour
  * analysis from the beginning wastes the "collect once, analyze many"
  * economics the trace format is built around. The checkpoint layer
- * drives an SGB2 or SGB3 replay through BinaryReplaySession and, every
+ * drives an SGB3 replay through BinaryReplaySession and, every
  * N event blocks, snapshots the complete replay state to a file:
  *
  *   - the guest (function registry, context tree, call stacks, virtual
@@ -27,7 +27,7 @@
  *
  * Restored replays are bit-identical to uninterrupted ones: the
  * profiler restores shadow chunks in LRU order (reproducing future
- * eviction decisions) and the framed formats reset their address-delta
+ * eviction decisions) and the trace format resets its address-delta
  * chain at every block boundary (so decoding resumes cleanly mid-stream).
  */
 
@@ -71,7 +71,7 @@ struct CheckpointStats
 };
 
 /**
- * Replay an SGB2 or SGB3 trace with periodic checkpoints.
+ * Replay an SGB3 trace with periodic checkpoints.
  *
  * The guest must be freshly constructed with the profiler attached.
  * If config.path holds a checkpoint that matches this trace and

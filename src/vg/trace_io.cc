@@ -25,12 +25,12 @@ namespace sigil::vg {
 
 namespace {
 
-constexpr char kSgb2Magic[4] = {'S', 'G', 'B', '2'};
-constexpr char kSgb3Magic[4] = {'S', 'G', 'B', '3'};
-/** The unframed format of early releases; rejected with a named error. */
-constexpr char kSgb1Magic[4] = {'S', 'G', 'B', '1'};
+/** The SGB3 file magic (docs/FORMATS.md §3.1). */
+constexpr char kMagic[4] = {'S', 'G', 'B', '3'};
+/** Formats of earlier releases; rejected with a named error. */
+constexpr const char *kLegacyMagics[] = {"SGB1", "SGB2"};
 
-/** @name Frame tags (SGB2 and SGB3) */
+/** @name Frame tags */
 /// @{
 constexpr std::uint8_t kTagEnd = 0x00;
 constexpr std::uint8_t kTagFunctions = 0x01;
@@ -39,49 +39,31 @@ constexpr std::uint8_t kTagEvents = 0x02;
  * Clean-shutdown trailer: written by finish() immediately before the
  * end frame, payload = varint total event count. Its presence proves
  * the recorder reached finish() and flushed everything; a salvaged
- * file without it is a crash capture (docs/FORMATS.md §3.3). Readers
+ * file without it is a crash capture (docs/FORMATS.md §3.2). Readers
  * predating this tag skip it as an unknown-but-valid frame.
  */
 constexpr std::uint8_t kTagShutdown = 0x03;
 /// @}
 
 /**
- * SGB2 frame sync bytes. Resynchronization scans for this pattern and
- * then validates the header CRC, so the bytes only need to be unlikely,
- * not impossible, inside payload data; the non-ASCII guards keep them
- * from colliding with text or with the file magic.
+ * Frame sync bytes. Resynchronization scans for this pattern and then
+ * validates the header CRC, so the bytes only need to be unlikely, not
+ * impossible, inside payload data; the non-ASCII guards keep them from
+ * colliding with text or with the file magic.
  */
-constexpr unsigned char kFrameSync[4] = {0xa7, 'S', 'B', 0xb2};
+constexpr unsigned char kFrameSync[4] = {0xa7, 'S', 'B', 0xb3};
 
 /**
- * SGB3 frame sync bytes: distinct from SGB2 so resynchronization in
- * one flavour can never lock onto a frame of the other.
+ * Smallest possible frame: sync + tag + 4 one-byte varints + flags +
+ * one-byte raw length + 2 CRCs.
  */
-constexpr unsigned char kFrameSync3[4] = {0xa7, 'S', 'B', 0xb3};
+constexpr std::size_t kMinFrameBytes = 4 + 1 + 4 + 1 + 1 + 8;
 
-/** Smallest possible frame: sync + tag + 4 one-byte varints + 2 CRCs. */
-constexpr std::size_t kMinFrameBytes = 4 + 1 + 4 + 8;
-
-/** SGB3 adds a flags byte and the uncompressed-length varint. */
-constexpr std::size_t kMinFrameBytes3 = 4 + 1 + 4 + 1 + 1 + 8;
-
-/** SGB3 header flags: payload stored LZ-compressed (support/lz.hh). */
+/** Frame header flags: payload stored LZ-compressed (support/lz.hh). */
 constexpr std::uint8_t kFrameFlagCompressed = 0x01;
 
 /** Payloads below this are never worth a compression attempt. */
 constexpr std::size_t kMinCompressBytes = 32;
-
-inline const unsigned char *
-frameSync(bool sgb3)
-{
-    return sgb3 ? kFrameSync3 : kFrameSync;
-}
-
-inline std::size_t
-minFrameBytes(bool sgb3)
-{
-    return sgb3 ? kMinFrameBytes3 : kMinFrameBytes;
-}
 
 /** Sanity caps rejecting absurd values decoded from corrupt input. */
 constexpr std::uint64_t kMaxPayloadLen = std::uint64_t{1} << 26;
@@ -89,7 +71,7 @@ constexpr std::uint64_t kMaxNameLen = std::uint64_t{1} << 20;
 constexpr std::uint64_t kMaxAccessSize = std::uint64_t{1} << 30;
 constexpr std::uint64_t kMaxThreads = std::uint64_t{1} << 16;
 
-/** @name Binary event opcodes (shared by SGB2 and SGB3) */
+/** @name Binary event opcodes */
 /// @{
 constexpr std::uint8_t kOpRead = 1;
 constexpr std::uint8_t kOpWrite = 2;
@@ -490,7 +472,7 @@ struct ReplayCtx
     }
 };
 
-/** @name SGB2/SGB3 frame header parsing */
+/** @name Frame header parsing */
 /// @{
 
 struct FrameHeader
@@ -502,29 +484,28 @@ struct FrameHeader
     std::uint64_t payloadLen = 0; ///< stored (possibly compressed) bytes
     std::uint32_t payloadCrc = 0;
     std::size_t headerLen = 0; ///< sync through headerCrc, inclusive
-    /** SGB3 only: payload is LZ-compressed (frame flags bit 0). */
+    /** Payload is LZ-compressed (frame flags bit 0). */
     bool compressed = false;
-    /** Uncompressed payload length; equals payloadLen for SGB2. */
+    /** Uncompressed payload length. */
     std::uint64_t rawLen = 0;
 };
 
 /**
- * Try to parse and validate a frame header at data[off], in SGB2 or
- * (when `sgb3`) SGB3 layout. Fails (nullopt) on missing sync bytes,
- * malformed or overlong varints, implausible field values, unknown
- * SGB3 frame flags, or a header-CRC mismatch — all without reading
- * past the buffer, so it is safe to probe arbitrary offsets during
- * resynchronization.
+ * Try to parse and validate a frame header at data[off]. Fails
+ * (nullopt) on missing sync bytes, malformed or overlong varints,
+ * implausible field values, unknown frame flags, or a header-CRC
+ * mismatch — all without reading past the buffer, so it is safe to
+ * probe arbitrary offsets during resynchronization.
  */
 std::optional<FrameHeader>
-parseFrameAt(std::string_view data, std::size_t off, bool sgb3)
+parseFrameAt(std::string_view data, std::size_t off)
 {
-    if (off + minFrameBytes(sgb3) > data.size())
+    if (off + kMinFrameBytes > data.size())
         return std::nullopt;
     const unsigned char *p =
         reinterpret_cast<const unsigned char *>(data.data()) + off;
     std::size_t avail = data.size() - off;
-    if (std::memcmp(p, frameSync(sgb3), 4) != 0)
+    if (std::memcmp(p, kFrameSync, 4) != 0)
         return std::nullopt;
 
     std::size_t pos = 4;
@@ -550,24 +531,20 @@ parseFrameAt(std::string_view data, std::size_t off, bool sgb3)
         !varint(h.eventCount) || !varint(h.payloadLen)) {
         return std::nullopt;
     }
-    if (sgb3) {
-        if (pos >= avail)
-            return std::nullopt;
-        std::uint8_t flags = p[pos++];
-        if (flags & ~kFrameFlagCompressed)
-            return std::nullopt;
-        h.compressed = flags & kFrameFlagCompressed;
-        if (!varint(h.rawLen))
-            return std::nullopt;
-        // An uncompressed frame must store exactly its raw bytes; a
-        // compressed one must actually be smaller, or the writer would
-        // have stored it raw.
-        if (h.compressed ? h.payloadLen >= h.rawLen
-                         : h.payloadLen != h.rawLen) {
-            return std::nullopt;
-        }
-    } else {
-        h.rawLen = h.payloadLen;
+    if (pos >= avail)
+        return std::nullopt;
+    std::uint8_t flags = p[pos++];
+    if (flags & ~kFrameFlagCompressed)
+        return std::nullopt;
+    h.compressed = flags & kFrameFlagCompressed;
+    if (!varint(h.rawLen))
+        return std::nullopt;
+    // An uncompressed frame must store exactly its raw bytes; a
+    // compressed one must actually be smaller, or the writer would
+    // have stored it raw.
+    if (h.compressed ? h.payloadLen >= h.rawLen
+                     : h.payloadLen != h.rawLen) {
+        return std::nullopt;
     }
     if (pos + 8 > avail)
         return std::nullopt;
@@ -592,18 +569,17 @@ parseFrameAt(std::string_view data, std::size_t off, bool sgb3)
 
 /** Next offset >= from holding a valid frame header; npos if none. */
 std::size_t
-findNextFrame(std::string_view data, std::size_t from, bool sgb3)
+findNextFrame(std::string_view data, std::size_t from)
 {
-    const std::size_t min_frame = minFrameBytes(sgb3);
-    while (from + min_frame <= data.size()) {
+    while (from + kMinFrameBytes <= data.size()) {
         const void *hit =
-            std::memchr(data.data() + from, frameSync(sgb3)[0],
-                        data.size() - from - (min_frame - 1));
+            std::memchr(data.data() + from, kFrameSync[0],
+                        data.size() - from - (kMinFrameBytes - 1));
         if (hit == nullptr)
             return std::string_view::npos;
         from = static_cast<std::size_t>(static_cast<const char *>(hit) -
                                         data.data());
-        if (parseFrameAt(data, from, sgb3))
+        if (parseFrameAt(data, from))
             return from;
         ++from;
     }
@@ -618,7 +594,7 @@ findNextFrame(std::string_view data, std::size_t from, bool sgb3)
 /**
  * Everything about one frame that can be computed from the raw bytes
  * alone, independent of replay state: the payload-CRC verdict, the
- * decompressed image (SGB3), the syntactically decoded events or
+ * decompressed image, the syntactically decoded events or
  * function records, and the first syntactic error if the payload is
  * malformed. Events before `error` are exactly those the serial
  * decoder would have delivered before raising it.
@@ -713,7 +689,7 @@ void
 BinaryTraceRecorder::attach(const Guest &guest)
 {
     Tool::attach(guest);
-    std::string header(kSgb3Magic, 4);
+    std::string header(kMagic, 4);
     putVarint(header, 1); // version
     const std::string &name = guest.programName();
     putVarint(header, name.size());
@@ -759,7 +735,7 @@ BinaryTraceRecorder::writeFrame(std::uint8_t tag, std::string_view payload,
         }
     }
     std::string hdr;
-    hdr.append(reinterpret_cast<const char *>(kFrameSync3), 4);
+    hdr.append(reinterpret_cast<const char *>(kFrameSync), 4);
     hdr.push_back(static_cast<char>(tag));
     putVarint(hdr, blockSeq_++);
     putVarint(hdr, first_event);
@@ -928,7 +904,6 @@ struct BinaryReplaySession::Impl
     std::size_t pos = 0;       ///< offset of the next frame
     std::uint64_t streamPos = 0; ///< next expected event sequence
     std::uint64_t eventBlocks = 0;
-    bool sgb3 = false;
     bool done = false;
     bool finished = false;
 
@@ -964,10 +939,7 @@ struct BinaryReplaySession::Impl
     void
     start()
     {
-        if (data.size() >= 4 &&
-            (std::memcmp(data.data(), kSgb2Magic, 4) == 0 ||
-             std::memcmp(data.data(), kSgb3Magic, 4) == 0)) {
-            sgb3 = data[3] == '3';
+        if (data.size() >= 4 && std::memcmp(data.data(), kMagic, 4) == 0) {
             // Preamble: version + program name (informational).
             Cursor c(data.data() + 4, data.size() - 4, 4, -1,
                      TraceErrorCause::Truncated);
@@ -989,21 +961,18 @@ struct BinaryReplaySession::Impl
         TraceError e;
         e.cause = TraceErrorCause::BadMagic;
         e.byteOffset = 0;
-        e.detail = data.size() >= 4 &&
-                           std::memcmp(data.data(), kSgb1Magic, 4) == 0
-                       ? "SGB1 is a legacy trace format this reader no "
-                         "longer supports; re-record the trace"
-                       : "not an SGB2/SGB3 sigil trace";
+        e.detail = "not an SGB3 sigil trace";
+        for (const char *legacy : kLegacyMagics) {
+            if (data.size() >= 4 && std::memcmp(data.data(), legacy, 4) == 0)
+                e.detail = std::string(legacy) +
+                           " is a legacy trace format this reader no "
+                           "longer supports; re-record the trace";
+        }
         fail(std::move(e));
         // Salvage can still mine a damaged preamble for valid frames:
-        // every frame is self-describing. With the magic gone, let the
-        // first valid frame of either flavour pick the framing.
-        if (salvage()) {
-            std::size_t p2 = findNextFrame(data, 0, false);
-            std::size_t p3 = findNextFrame(data, 0, true);
-            sgb3 = p3 < p2; // npos compares greater than any hit
+        // every frame is self-describing.
+        if (salvage())
             resyncFrom(0);
-        }
     }
 
     /**
@@ -1013,7 +982,7 @@ struct BinaryReplaySession::Impl
     void
     resyncFrom(std::size_t from)
     {
-        std::size_t np = findNextFrame(data, from, sgb3);
+        std::size_t np = findNextFrame(data, from);
         if (np == std::string_view::npos) {
             report.bytesSkipped += data.size() - pos;
             report.truncated = true;
@@ -1061,15 +1030,14 @@ struct BinaryReplaySession::Impl
             return false;
         }
 
-        std::optional<FrameHeader> h = parseFrameAt(data, pos, sgb3);
+        std::optional<FrameHeader> h = parseFrameAt(data, pos);
         if (!h) {
             TraceError e;
             e.byteOffset = pos;
-            if (data.size() - pos < minFrameBytes(sgb3)) {
+            if (data.size() - pos < kMinFrameBytes) {
                 e.cause = TraceErrorCause::Truncated;
                 e.detail = "stream ends inside a frame";
-            } else if (std::memcmp(data.data() + pos, frameSync(sgb3),
-                                   4) == 0) {
+            } else if (std::memcmp(data.data() + pos, kFrameSync, 4) == 0) {
                 e.cause = TraceErrorCause::HeaderCrc;
                 e.detail = "frame header failed validation";
             } else {
@@ -1690,26 +1658,16 @@ replayTraceFile(const std::string &path, Guest &guest,
     return session.finish();
 }
 
-std::vector<Sgb2BlockInfo>
-scanSgb2Blocks(std::string_view trace)
+std::vector<FrameInfo>
+scanFrames(std::string_view trace)
 {
-    std::vector<Sgb2BlockInfo> blocks;
-    bool sgb3 = trace.size() >= 4 &&
-                std::memcmp(trace.data(), kSgb3Magic, 4) == 0;
-    if (!sgb3 && !(trace.size() >= 4 &&
-                   std::memcmp(trace.data(), kSgb2Magic, 4) == 0)) {
-        // Headerless fragment: let the first valid frame of either
-        // flavour pick the framing, as salvage replay does.
-        std::size_t p2 = findNextFrame(trace, 0, false);
-        std::size_t p3 = findNextFrame(trace, 0, true);
-        sgb3 = p3 < p2;
-    }
+    std::vector<FrameInfo> frames;
     std::size_t pos = 0;
     for (;;) {
-        pos = findNextFrame(trace, pos, sgb3);
+        pos = findNextFrame(trace, pos);
         if (pos == std::string_view::npos)
             break;
-        std::optional<FrameHeader> h = parseFrameAt(trace, pos, sgb3);
+        std::optional<FrameHeader> h = parseFrameAt(trace, pos);
         std::uint64_t frame_len = h->headerLen + h->payloadLen;
         if (pos + frame_len > trace.size()) {
             // Torn frame: the header is intact but the stored payload
@@ -1721,20 +1679,21 @@ scanSgb2Blocks(std::string_view trace)
             ++pos;
             continue;
         }
-        Sgb2BlockInfo info;
+        FrameInfo info;
         info.offset = pos;
         info.length = frame_len;
+        info.payloadLen = h->payloadLen;
         info.tag = h->tag;
         info.firstEventSeq = h->firstEventSeq;
         info.eventCount = h->eventCount;
         info.compressed = h->compressed;
         info.rawLen = h->rawLen;
-        blocks.push_back(info);
+        frames.push_back(info);
         pos += static_cast<std::size_t>(info.length);
         if (pos >= trace.size())
             break;
     }
-    return blocks;
+    return frames;
 }
 
 } // namespace sigil::vg

@@ -13,12 +13,12 @@
  *
  * replayBinaryTrace()/replayTraceFile() drive a fresh Guest — with any
  * set of analysis tools attached — through exactly the same event
- * sequence. They read SGB3 and the uncompressed "SGB2" framing that
- * earlier releases wrote. The ReplayOptions overloads add fault
- * tolerance: under ReplayPolicy::Salvage a damaged region is skipped,
- * the reader resynchronizes on the next valid block header, guest
- * state is reconciled, and the loss is quantified in the returned
- * ReplayReport instead of killing the process. This is the paper's
+ * sequence. They read SGB3 only; the unframed SGB1 and uncompressed
+ * SGB2 formats of earlier releases fail as bad magic. The ReplayOptions
+ * overloads add fault tolerance: under ReplayPolicy::Salvage a damaged
+ * region is skipped, the reader resynchronizes on the next valid block
+ * header, guest state is reconciled, and the loss is quantified in the
+ * returned ReplayReport instead of killing the process. This is the paper's
  * "collect once" model taken to its limit: one expensive instrumented
  * run can feed any number of later analyses, so the recorded trace is
  * the artifact that must survive.
@@ -173,11 +173,11 @@ class DurableTraceWriter
 };
 
 /**
- * Replay a binary trace (SGB2 or SGB3, sniffed from the magic) into a
- * guest. The guest must be freshly constructed; attach analysis tools
- * before calling. Calls guest.finish() at the trace's end. fatal() on
- * malformed input; any other magic (a text trace or the legacy unframed
- * format included) fails as TraceErrorCause::BadMagic.
+ * Replay a binary SGB3 trace into a guest. The guest must be freshly
+ * constructed; attach analysis tools before calling. Calls
+ * guest.finish() at the trace's end. fatal() on malformed input; any
+ * other magic (a text trace or the legacy SGB1 and SGB2 formats
+ * included) fails as TraceErrorCause::BadMagic.
  */
 std::uint64_t replayBinaryTrace(std::istream &is, Guest &guest);
 
@@ -236,12 +236,12 @@ ReplayReport replayTraceFile(const std::string &path, Guest &guest,
                              const ReplayOptions &options);
 
 /**
- * Incremental SGB2/SGB3 replay: processes the trace one frame at a
+ * Incremental SGB3 replay: processes the trace one frame at a
  * time so a driver can interleave work between blocks — the
  * checkpoint layer uses this to snapshot replay state at block
  * boundaries and to resume a replay mid-stream.
  *
- * Each step() CRC-verifies, decompresses (SGB3) and decodes one frame
+ * Each step() CRC-verifies, decompresses and decodes one frame
  * inline, then delivers its events in stream order (DESIGN.md §4.5).
  */
 class BinaryReplaySession
@@ -309,26 +309,26 @@ class BinaryReplaySession
     std::unique_ptr<Impl> impl_;
 };
 
-/** One SGB2/SGB3 frame located in a trace buffer (fault-injection aid). */
-struct Sgb2BlockInfo
+/** One frame located in a trace buffer. */
+struct FrameInfo
 {
     std::uint64_t offset = 0; ///< absolute offset of the sync bytes
     std::uint64_t length = 0; ///< frame header + stored payload bytes
     std::uint8_t tag = 0;
     std::uint64_t firstEventSeq = 0;
     std::uint64_t eventCount = 0;
-    bool compressed = false;  ///< SGB3 frame stored LZ-compressed
-    std::uint64_t rawLen = 0; ///< uncompressed payload bytes (SGB3)
+    bool compressed = false;      ///< payload stored LZ-compressed
+    std::uint64_t payloadLen = 0; ///< stored payload bytes
+    std::uint64_t rawLen = 0;     ///< uncompressed payload bytes
 };
 
 /**
- * Locate every valid SGB2/SGB3 frame in a trace image (the flavour is
- * sniffed from the file magic; a magic-less buffer is scanned as
- * SGB2). Used by the fault-injection harness to aim corruption at
- * specific blocks and by tests to reason about frame layout; returns
- * an empty vector for input without framed blocks.
+ * Locate every valid, fully framed frame in a trace image, from its
+ * first frame header on (a preamble, damaged or not, is skipped). Used
+ * by tests to aim corruption at specific frames and to reason about
+ * frame layout; returns an empty vector for input without frames.
  */
-std::vector<Sgb2BlockInfo> scanSgb2Blocks(std::string_view trace);
+std::vector<FrameInfo> scanFrames(std::string_view trace);
 
 } // namespace sigil::vg
 

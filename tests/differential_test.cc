@@ -13,12 +13,12 @@
  *    same guest so the row's trace is recorded once; and a mid-stream
  *    saveState / restoreState continuation whose save → restore → save
  *    reproduces the same bytes;
- *  - framings and entry points: the recorded SGB3 trace and its SGB2
- *    transcoding, each replayed in memory, from a stream and from an
- *    mmap'd file, with every ReplayReport counter equal across them;
- *  - checkpointed replay through both entry points (SGB2 stream, SGB3
- *    file): fresh, resumed, and with the newest checkpoint damaged so
- *    resume falls back to "<path>.prev".
+ *  - entry points: the recorded trace replayed in memory, from a stream
+ *    and from an mmap'd file, with every ReplayReport counter equal
+ *    across them;
+ *  - checkpointed replay through both entry points (stream and file):
+ *    fresh, resumed, and with the newest checkpoint damaged so resume
+ *    falls back to "<path>.prev".
  *
  * The `_objects` rows run the live legs only: allocation tags are not
  * part of the trace. The leg groups are separate parameterized tests
@@ -57,9 +57,9 @@ using namespace fixtures;
 constexpr const char *kProgram = "differential";
 
 /**
- * Events per recorded block: large enough that LZ shrinks the SGB3
- * image below its SGB2 transcoding, small enough that a checkpoint
- * every three blocks fires several times per row.
+ * Events per recorded block: large enough that LZ shrinks the stored
+ * payloads below their raw bytes, small enough that a checkpoint every
+ * three blocks fires several times per row.
  */
 constexpr std::size_t kBlockEvents = 256;
 
@@ -330,16 +330,26 @@ class ParallelDecodeDifferential : public MatrixRow
 
 TEST_P(ParallelDecodeDifferential, ThreadsFormatsDispatchMatchReference)
 {
-    const std::string &sgb3 = span_.sgb3;
-    const std::string sgb2 = sgb2FromSgb3(sgb3);
-    // The compressed framing must engage on this workload: a smaller
-    // image and per-frame compression visible in the scan, or the
-    // SGB3 legs would only exercise stored-raw frames.
-    ASSERT_LT(sgb3.size(), sgb2.size());
+    const std::string &trace = span_.sgb3;
+    // Compression must engage on this workload: fewer stored payload
+    // bytes than raw ones, and compressed frames visible in the scan,
+    // or the legs would only exercise stored-raw frames.
+    const std::vector<vg::FrameInfo> frames = vg::scanFrames(trace);
+    std::uint64_t stored = 0, raw = 0, events = 0;
     bool any_compressed = false;
-    for (const vg::Sgb2BlockInfo &b : vg::scanSgb2Blocks(sgb3))
-        any_compressed |= b.compressed;
+    for (const vg::FrameInfo &f : frames) {
+        stored += f.payloadLen;
+        raw += f.rawLen;
+        events += f.eventCount;
+        any_compressed |= f.compressed;
+    }
+    ASSERT_LT(stored, raw);
     ASSERT_TRUE(any_compressed);
+    // The scan sees every frame: the end frame is the last of the file
+    // and carries the total of the events frames counted.
+    ASSERT_GE(frames.size(), 5u);
+    EXPECT_EQ(frames.back().tag, kTagEnd);
+    EXPECT_EQ(frames.back().firstEventSeq, events);
 
     std::string first_report;
     auto expect_replay_matches = [&](const std::string &leg, auto replay) {
@@ -350,36 +360,36 @@ TEST_P(ParallelDecodeDifferential, ThreadsFormatsDispatchMatchReference)
         const vg::ReplayReport r = replay(g);
         EXPECT_TRUE(r.ok());
         EXPECT_TRUE(r.sawTrailer);
+        EXPECT_TRUE(r.cleanShutdown);
+        EXPECT_FALSE(r.sawCorruption());
+        EXPECT_EQ(r.totalEventsRecorded, events);
         EXPECT_EQ(r.eventsDelivered, r.totalEventsRecorded);
         expectMatches(ref_, serialize(prof));
-        // Every counter of the report agrees across framings and entry
-        // points: toString() renders all of them.
+        // Every counter of the report agrees across entry points:
+        // toString() renders all of them.
         if (first_report.empty())
             first_report = r.toString();
         EXPECT_EQ(r.toString(), first_report);
     };
-    for (const std::string *trace : {&sgb3, &sgb2}) {
-        const std::string framing = trace->substr(0, 4);
-        const TempFile file("trace." + framing);
-        file.write(*trace);
-        vg::MappedTraceFile mapped(file.path);
-        ASSERT_TRUE(mapped.ok()) << mapped.errorDetail();
-        ASSERT_EQ(mapped.view(), *trace);
+    const TempFile file("trace.SGB3");
+    file.write(trace);
+    vg::MappedTraceFile mapped(file.path);
+    ASSERT_TRUE(mapped.ok()) << mapped.errorDetail();
+    ASSERT_EQ(mapped.view(), trace);
 
-        expect_replay_matches(framing + " in memory", [&](vg::Guest &g) {
-            vg::BinaryReplaySession s(std::string_view(*trace), g);
-            while (s.step()) {
-            }
-            return s.finish();
-        });
-        expect_replay_matches(framing + " stream", [&](vg::Guest &g) {
-            std::istringstream is(*trace, std::ios::binary);
-            return vg::replayBinaryTrace(is, g, vg::ReplayOptions{});
-        });
-        expect_replay_matches(framing + " file", [&](vg::Guest &g) {
-            return vg::replayTraceFile(file.path, g, vg::ReplayOptions{});
-        });
-    }
+    expect_replay_matches("in memory", [&](vg::Guest &g) {
+        vg::BinaryReplaySession s(std::string_view(trace), g);
+        while (s.step()) {
+        }
+        return s.finish();
+    });
+    expect_replay_matches("stream", [&](vg::Guest &g) {
+        std::istringstream is(trace, std::ios::binary);
+        return vg::replayBinaryTrace(is, g, vg::ReplayOptions{});
+    });
+    expect_replay_matches("file", [&](vg::Guest &g) {
+        return vg::replayTraceFile(file.path, g, vg::ReplayOptions{});
+    });
 }
 
 TEST_P(ParallelDecodeDifferential, FileCheckpointResumeOnCompressedTrace)
@@ -403,12 +413,11 @@ class CheckpointResume : public MatrixRow
 
 TEST_P(CheckpointResume, ResumedReplayIsBitIdentical)
 {
-    const std::string sgb2 = sgb2FromSgb3(span_.sgb3);
     expectCheckpointedReplaysMatch(
         "stream", [&](vg::Guest &g, core::SigilProfiler &prof,
                       const core::CheckpointConfig &cc,
                       core::CheckpointStats *st) {
-            std::istringstream is(sgb2, std::ios::binary);
+            std::istringstream is(span_.sgb3, std::ios::binary);
             return core::replayWithCheckpoints(
                 is, g, prof, vg::ReplayOptions{}, cc, st);
         });

@@ -125,7 +125,7 @@ std::uint64_t
 fullyFramedEvents(const std::string &trace)
 {
     std::uint64_t total = 0;
-    for (const vg::Sgb2BlockInfo &b : vg::scanSgb2Blocks(trace)) {
+    for (const vg::FrameInfo &b : vg::scanFrames(trace)) {
         if (b.tag == 0x02)
             total += b.eventCount;
     }
@@ -296,7 +296,7 @@ TEST(ReplayReportRender, ToStringAndStreamOperator)
     // match toString() byte for byte. Cut at the shutdown frame so the
     // truncation actually removes the clean-shutdown evidence.
     std::size_t cut = trace.size() - 40;
-    for (const vg::Sgb2BlockInfo &b : vg::scanSgb2Blocks(trace)) {
+    for (const vg::FrameInfo &b : vg::scanFrames(trace)) {
         if (b.tag == 0x03) {
             cut = static_cast<std::size_t>(b.offset);
             break;

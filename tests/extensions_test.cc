@@ -345,7 +345,7 @@ TEST(TraceIo, RecorderCountsEvents)
     EXPECT_EQ(recorder.eventsWritten(), 6u);
     EXPECT_EQ(ss.str().compare(0, 4, "SGB3"), 0);
     // The trailer's end frame carries the same total.
-    std::vector<vg::Sgb2BlockInfo> frames = vg::scanSgb2Blocks(ss.str());
+    std::vector<vg::FrameInfo> frames = vg::scanFrames(ss.str());
     ASSERT_FALSE(frames.empty());
     EXPECT_EQ(frames.back().tag, 0x00);
     EXPECT_EQ(frames.back().firstEventSeq, 6u);

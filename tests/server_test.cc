@@ -113,22 +113,17 @@ driveWorkload(vg::Guest &g, std::uint64_t seed, int iters)
     g.finish();
 }
 
-/**
- * Record one seeded workload as a trace file; returns path. The file
- * holds the recorder's SGB3, or with `sgb2` the SGB2 framing of
- * earlier releases transcoded from it.
- */
+/** Record one seeded workload as a trace file; returns path. */
 std::string
 recordTrace(const std::string &path, std::uint64_t seed,
-            int iters = 4000, bool sgb2 = false)
+            int iters = 4000)
 {
     std::ostringstream os(std::ios::binary);
     vg::Guest g("record");
     vg::BinaryTraceRecorder rec(os);
     g.addTool(&rec);
     driveWorkload(g, seed, iters);
-    std::ofstream(path, std::ios::binary)
-        << (sgb2 ? fixtures::sgb2FromSgb3(os.str()) : os.str());
+    std::ofstream(path, std::ios::binary) << os.str();
     return path;
 }
 
@@ -199,11 +194,8 @@ baseConfig()
 TEST(ServerDifferential, ConcurrentClientsBitIdenticalToInProcess)
 {
     QuietLogs quiet;
-    // The catalog serves both framings it can load: t1 is SGB3, t2 the
-    // SGB2 framing of earlier releases.
     std::string t1 = recordTrace(tmpStem("soak") + "_1.trace", 7);
-    std::string t2 =
-        recordTrace(tmpStem("soak") + "_2.trace", 9, 4000, true);
+    std::string t2 = recordTrace(tmpStem("soak") + "_2.trace", 9);
 
     ServerUnderTest s(baseConfig());
     ASSERT_TRUE(s.started);

@@ -2,20 +2,17 @@
  * @file
  * Robustness suite for the hardened trace-ingestion path.
  *
- * Exercises the ingestion contract end to end: the recorded SGB3
- * framing and the SGB2 framing of earlier releases (transcoded from the
- * same recording, tests/trace_fixtures.hh) replay identically, legacy
- * SGB1 and text traces fail cleanly as bad magic, bounds-checked
- * decoding of adversarial bytes (including CRC-valid frames with
- * hostile payloads), salvage recovery from truncation at every byte
- * offset and from any single corrupted block, the deterministic
- * fault-injection sweep ("never crash, always account") in both
- * framings, checkpoints that must not resume a different trace or
- * configuration, the bounds-checked LZ block codec, and the structured
- * line/offset error reporting of the profile and event parsers. Also
- * the binary round trips: ROI marks survive recording,
- * replayTraceFile() sniffs SGB3 and SGB2 alike, and the fatal replay
- * entry point rejects garbage and truncated input. Bit-identity of
+ * Exercises the ingestion contract end to end: legacy SGB1, SGB2 and
+ * text traces fail cleanly as bad magic, bounds-checked decoding of
+ * adversarial bytes (including CRC-valid frames with hostile
+ * payloads), salvage recovery from truncation at every byte offset
+ * and from any single corrupted block, the deterministic
+ * fault-injection sweep ("never crash, always account",
+ * tests/fault_plan.hh), checkpoints that must not resume a different
+ * trace or configuration, the bounds-checked LZ block codec, and the
+ * structured line/offset error reporting of the profile and event
+ * parsers. Also the binary round trip of ROI marks, and the fatal
+ * replay entry point rejecting garbage and truncated input. Bit-identity of
  * replay and checkpoint/resume across the shadow configurations is
  * the differential matrix's (tests/differential_test.cc).
  */
@@ -35,10 +32,10 @@
 #include "support/lz.hh"
 #include "support/rng.hh"
 #include "support/serial.hh"
-#include "vg/fault_injection.hh"
 #include "vg/guest.hh"
 #include "vg/trace_io.hh"
 
+#include "fault_plan.hh"
 #include "trace_fixtures.hh"
 
 namespace sigil {
@@ -46,33 +43,17 @@ namespace {
 
 using namespace fixtures;
 
-/** The framings replay reads: SGB3 as recorded, SGB2 transcoded. */
-enum class Framing
-{
-    SGB2,
-    SGB3,
-};
-
-/** The framings the salvage and fault-injection suites sweep. */
-constexpr Framing kFramedFormats[] = {Framing::SGB2, Framing::SGB3};
-
+/** Record the workload as an SGB3 trace. */
 std::string
-formatName(Framing framing)
-{
-    return framing == Framing::SGB3 ? "SGB3" : "SGB2";
-}
-
-/** Record the workload as an SGB3 trace, transcoded when asked. */
-std::string
-recordTrace(const TraceParams &p, Framing framing,
-            std::size_t block_events, int steps = 1500)
+recordTrace(const TraceParams &p, std::size_t block_events,
+            int steps = 1500)
 {
     vg::Guest g("robust");
     std::ostringstream bos(std::ios::binary);
     vg::BinaryTraceRecorder rec(bos, block_events);
     g.addTool(&rec);
     TraceDriver(p).drive(g, steps);
-    return framing == Framing::SGB2 ? sgb2FromSgb3(bos.str()) : bos.str();
+    return bos.str();
 }
 
 struct ReplayOutcome
@@ -100,12 +81,12 @@ replayBinary(const std::string &trace, const TraceParams &p,
     return out;
 }
 
-/** Total recorded events per the trailer frame of an SGB2 image. */
+/** Total recorded events per the trailer frame of a trace image. */
 std::uint64_t
 recordedTotal(const std::string &trace)
 {
     // The end frame is the last frame of tag 0x00.
-    std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(trace);
+    std::vector<vg::FrameInfo> blocks = vg::scanFrames(trace);
     EXPECT_FALSE(blocks.empty());
     for (auto it = blocks.rbegin(); it != blocks.rend(); ++it) {
         if (it->tag == 0x00)
@@ -166,52 +147,8 @@ replayRaw(const std::string &trace, vg::ReplayPolicy policy)
 }
 
 // ---------------------------------------------------------------------
-// SGB2 compatibility and legacy inputs
+// Legacy inputs
 // ---------------------------------------------------------------------
-
-TEST(Sgb2Format, TranscodedSgb2ReplaysLikeItsSgb3Source)
-{
-    TraceParams p{11, 0, 0, true, true, false};
-    const std::string sgb3 = recordTrace(p, Framing::SGB3, 128);
-    const std::string sgb2 = sgb2FromSgb3(sgb3);
-    ASSERT_EQ(sgb3.compare(0, 4, "SGB3"), 0);
-    ASSERT_EQ(sgb2.compare(0, 4, "SGB2"), 0);
-
-    ReplayOutcome o3 = replayBinary(sgb3, p, vg::ReplayPolicy::Strict);
-    ReplayOutcome o2 = replayBinary(sgb2, p, vg::ReplayPolicy::Strict);
-    EXPECT_TRUE(o3.report.ok());
-    EXPECT_TRUE(o3.report.sawTrailer);
-    EXPECT_TRUE(o3.report.cleanShutdown);
-    EXPECT_FALSE(o3.report.sawCorruption());
-    EXPECT_EQ(o3.report.eventsDelivered, o3.report.totalEventsRecorded);
-    EXPECT_EQ(o2.out.profile, o3.out.profile);
-    EXPECT_EQ(o2.out.events, o3.out.events);
-    EXPECT_GT(o3.out.profile.size(), 100u);
-    // Every ReplayReport counter matches too: toString() renders all
-    // of them.
-    EXPECT_EQ(o2.report.toString(), o3.report.toString());
-
-    // The frame scan sees the same frames in both framings, with the
-    // trailer's event total in the end frame, the last of the file.
-    // (The differential matrix replays both framings of every shadow
-    // configuration against the live reference walk.)
-    std::vector<vg::Sgb2BlockInfo> b3 = vg::scanSgb2Blocks(sgb3);
-    std::vector<vg::Sgb2BlockInfo> b2 = vg::scanSgb2Blocks(sgb2);
-    ASSERT_GE(b3.size(), 5u);
-    ASSERT_EQ(b2.size(), b3.size());
-    EXPECT_EQ(b3.back().tag, kTagEnd);
-    EXPECT_EQ(b3.back().firstEventSeq, o3.report.totalEventsRecorded);
-    std::uint64_t counted = 0;
-    for (std::size_t i = 0; i < b3.size(); ++i) {
-        EXPECT_EQ(b2[i].tag, b3[i].tag);
-        EXPECT_EQ(b2[i].firstEventSeq, b3[i].firstEventSeq);
-        EXPECT_EQ(b2[i].eventCount, b3[i].eventCount);
-        EXPECT_EQ(b2[i].rawLen, b3[i].rawLen);
-        EXPECT_FALSE(b2[i].compressed);
-        counted += b3[i].eventCount;
-    }
-    EXPECT_EQ(counted, o3.report.totalEventsRecorded);
-}
 
 /** A well-formed trace in the unframed SGB1 format of early releases. */
 std::string
@@ -229,6 +166,31 @@ legacySgb1Trace()
     t += static_cast<char>(kOpLeave);
     t += '\x00'; // end
     return t;
+}
+
+/**
+ * A well-formed trace in the SGB2 format of earlier releases: the
+ * preamble under the SGB2 magic, then one CRC-valid event frame (enter
+ * function 0, leave) under the SGB2 sync bytes, whose header has no
+ * flags byte and no raw length.
+ */
+std::string
+legacySgb2Trace()
+{
+    std::string t = tracePreamble("robust", "SGB2");
+    std::string payload;
+    payload += static_cast<char>(kOpEnter);
+    putVarint(payload, 0);
+    payload += static_cast<char>(kOpLeave);
+    std::string f = "\xa7SB\xb2";
+    f.push_back(static_cast<char>(kTagEvents));
+    putVarint(f, 0); // block sequence
+    putVarint(f, 0); // first event sequence
+    putVarint(f, 2); // event count
+    putVarint(f, payload.size());
+    putU32le(f, crc32c(payload.data(), payload.size()));
+    putU32le(f, crc32c(f.data(), f.size()));
+    return t + f + payload;
 }
 
 /** A well-formed trace in the text format of early releases. */
@@ -252,28 +214,44 @@ replayBothEntries(const std::string &trace, vg::ReplayPolicy policy)
     return reports;
 }
 
-TEST(LegacyInput, Sgb1TraceFailsAsBadMagic)
+/**
+ * A trace in a legacy binary format fails at offset 0 as bad magic,
+ * with a detail naming the format as legacy, through the stream and
+ * the file entry points; salvage finds no frame it reads and delivers
+ * nothing.
+ */
+void
+expectRejectedAsLegacy(const std::string &trace, const std::string &format)
 {
-    const std::string sgb1 = legacySgb1Trace();
     for (const vg::ReplayReport &r :
-         replayBothEntries(sgb1, vg::ReplayPolicy::Strict)) {
+         replayBothEntries(trace, vg::ReplayPolicy::Strict)) {
         ASSERT_TRUE(r.error.has_value());
         EXPECT_EQ(r.error->cause, vg::TraceErrorCause::BadMagic);
         EXPECT_EQ(r.error->byteOffset, 0u);
-        EXPECT_NE(r.error->detail.find("SGB1"), std::string::npos)
+        EXPECT_NE(r.error->detail.find(format), std::string::npos)
             << r.error->detail;
         EXPECT_NE(r.error->detail.find("legacy"), std::string::npos)
             << r.error->detail;
         EXPECT_EQ(r.eventsDelivered, 0u);
     }
     for (const vg::ReplayReport &r :
-         replayBothEntries(sgb1, vg::ReplayPolicy::Salvage)) {
+         replayBothEntries(trace, vg::ReplayPolicy::Salvage)) {
         EXPECT_EQ(r.eventsDelivered, 0u);
         EXPECT_TRUE(r.truncated);
         EXPECT_FALSE(r.sawTrailer);
         ASSERT_FALSE(r.errors.empty());
         EXPECT_EQ(r.errors[0].cause, vg::TraceErrorCause::BadMagic);
     }
+}
+
+TEST(LegacyInput, Sgb1TraceFailsAsBadMagic)
+{
+    expectRejectedAsLegacy(legacySgb1Trace(), "SGB1");
+}
+
+TEST(LegacyInput, Sgb2TraceFailsAsBadMagic)
+{
+    expectRejectedAsLegacy(legacySgb2Trace(), "SGB2");
 }
 
 TEST(LegacyInput, TextTraceFailsAsBadMagic)
@@ -293,16 +271,28 @@ TEST(LegacyInput, TextTraceFailsAsBadMagic)
     }
 }
 
-TEST(LegacyInputDeathTest, FatalReplayTraceFileNamesSgb1)
+/** The fatal replayTraceFile() exits naming the legacy format. */
+void
+expectFatalNamesLegacy(const std::string &trace, const std::string &format)
 {
-    // The text-trace case of the fatal entry point is
-    // TraceIo.ReplayRejectsGarbage.
-    const std::string path = ::testing::TempDir() + "/legacy.sgb1";
-    std::ofstream(path, std::ios::binary) << legacySgb1Trace();
+    const std::string path = ::testing::TempDir() + "/legacy." + format;
+    std::ofstream(path, std::ios::binary) << trace;
     vg::Guest g("robust");
     EXPECT_EXIT(vg::replayTraceFile(path, g), ::testing::ExitedWithCode(1),
-                "bad magic.*SGB1 is a legacy trace format");
+                "bad magic.*" + format + " is a legacy trace format");
     std::remove(path.c_str());
+}
+
+// The text-trace case of the fatal entry point is
+// TraceIo.ReplayRejectsGarbage.
+TEST(LegacyInputDeathTest, FatalReplayTraceFileNamesSgb1)
+{
+    expectFatalNamesLegacy(legacySgb1Trace(), "SGB1");
+}
+
+TEST(LegacyInputDeathTest, FatalReplayTraceFileNamesSgb2)
+{
+    expectFatalNamesLegacy(legacySgb2Trace(), "SGB2");
 }
 
 // ---------------------------------------------------------------------
@@ -311,7 +301,7 @@ TEST(LegacyInputDeathTest, FatalReplayTraceFileNamesSgb1)
 
 TEST(AdversarialInput, UnterminatedPreambleVarintIsContained)
 {
-    std::string bad = "SGB2";
+    std::string bad = "SGB3";
     bad.append(12, '\x80'); // a varint that never terminates
     for (vg::ReplayPolicy policy :
          {vg::ReplayPolicy::Strict, vg::ReplayPolicy::Salvage}) {
@@ -328,7 +318,7 @@ TEST(AdversarialInput, UnterminatedPreambleVarintIsContained)
 
 TEST(AdversarialInput, AbsurdNameLengthIsRejected)
 {
-    std::string bad = "SGB2";
+    std::string bad = "SGB3";
     putVarint(bad, 1);
     putVarint(bad, std::uint64_t{1} << 40); // name "length"
     bad.append(64, 'x');
@@ -346,10 +336,9 @@ TEST(AdversarialInput, RandomGarbageNeverCrashesAnyParser)
         junk.reserve(len);
         for (std::size_t j = 0; j < len; ++j)
             junk.push_back(static_cast<char>(rng.nextBounded(256)));
-        // Half the buffers masquerade as SGB2 or SGB3 to reach the
-        // frame layer.
+        // Half the buffers masquerade as SGB3 to reach the frame layer.
         if (i % 2 == 0 && junk.size() > 4)
-            junk.replace(0, 4, i % 4 == 0 ? "SGB2" : "SGB3");
+            junk.replace(0, 4, "SGB3");
         for (vg::ReplayPolicy policy :
              {vg::ReplayPolicy::Strict, vg::ReplayPolicy::Salvage}) {
             QuietLogs quiet;
@@ -427,12 +416,12 @@ TEST(AdversarialInput, WrappingAccessRecordIsABadRecord)
     // An SGB3 events block: a 16-byte read ending exactly at byte
     // 2^64 - 1 (valid), then a 16-byte read 8 bytes higher, whose range
     // would wrap past the top of the address space.
-    std::string t = tracePreamble("robust", "SGB3");
+    std::string t = tracePreamble("robust");
     std::string fns;
     putVarint(fns, 0);
     putVarint(fns, 4);
     fns += "main";
-    t += makeFrame3(kTagFunctions, 0, 0, 0, fns);
+    t += makeFrame(kTagFunctions, 0, 0, 0, fns);
 
     std::string events;
     events.push_back(static_cast<char>(kOpEnter));
@@ -445,10 +434,10 @@ TEST(AdversarialInput, WrappingAccessRecordIsABadRecord)
     putVarint(events, zigzag(8)); // 0xfff...f8
     putVarint(events, 16);
     events.push_back(static_cast<char>(kOpLeave));
-    const std::string frame = makeFrame3(kTagEvents, 1, 0, 4, events);
+    const std::string frame = makeFrame(kTagEvents, 1, 0, 4, events);
     const std::size_t payload_at = t.size() + frame.size() - events.size();
     t += frame;
-    t += makeFrame3(kTagEnd, 2, 4, 0, {});
+    t += makeFrame(kTagEnd, 2, 4, 0, {});
 
     vg::ReplayReport strict = replayRaw(t, vg::ReplayPolicy::Strict);
     ASSERT_TRUE(strict.error.has_value());
@@ -601,114 +590,105 @@ TEST(LzCodec, DecompressNeverCrashesOnGarbage)
 
 TEST(SalvageRecovery, TruncationAtEveryOffsetNeverCrashes)
 {
-    for (Framing format : kFramedFormats) {
-        SCOPED_TRACE(formatName(format));
-        TraceParams p{33, 0, 0, true, false, false};
-        std::string trace = recordTrace(p, format, 32, 250);
-        std::uint64_t total = recordedTotal(trace);
-        ASSERT_GT(total, 100u);
+    TraceParams p{33, 0, 0, true, false, false};
+    std::string trace = recordTrace(p, 32, 250);
+    std::uint64_t total = recordedTotal(trace);
+    ASSERT_GT(total, 100u);
 
-        for (std::size_t cut = 0; cut < trace.size(); ++cut) {
-            SCOPED_TRACE("cut at " + std::to_string(cut));
-            std::string t = trace.substr(0, cut);
-            QuietLogs quiet;
-            vg::Guest g("robust");
-            std::istringstream is(t, std::ios::binary);
-            vg::ReplayOptions opts;
-            opts.policy = vg::ReplayPolicy::Salvage;
-            vg::ReplayReport r = vg::replayBinaryTrace(is, g, opts);
-            EXPECT_TRUE(r.truncated || r.sawTrailer);
-            EXPECT_LE(r.eventsDelivered, total);
-            if (r.sawTrailer && !r.truncated) {
-                EXPECT_EQ(r.eventsDelivered + r.eventsSkipped, total);
-            }
+    for (std::size_t cut = 0; cut < trace.size(); ++cut) {
+        SCOPED_TRACE("cut at " + std::to_string(cut));
+        std::string t = trace.substr(0, cut);
+        QuietLogs quiet;
+        vg::Guest g("robust");
+        std::istringstream is(t, std::ios::binary);
+        vg::ReplayOptions opts;
+        opts.policy = vg::ReplayPolicy::Salvage;
+        vg::ReplayReport r = vg::replayBinaryTrace(is, g, opts);
+        EXPECT_TRUE(r.truncated || r.sawTrailer);
+        EXPECT_LE(r.eventsDelivered, total);
+        if (r.sawTrailer && !r.truncated) {
+            EXPECT_EQ(r.eventsDelivered + r.eventsSkipped, total);
         }
     }
 }
 
 TEST(SalvageRecovery, AnySingleCorruptBlockIsSkippedPrecisely)
 {
-    for (Framing format : kFramedFormats) {
-        SCOPED_TRACE(formatName(format));
-        TraceParams p{44, 0, 0, true, false, false};
-        std::string trace = recordTrace(p, format, 64);
-        std::uint64_t total = recordedTotal(trace);
-        std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(trace);
+    TraceParams p{44, 0, 0, true, false, false};
+    std::string trace = recordTrace(p, 64);
+    std::uint64_t total = recordedTotal(trace);
+    std::vector<vg::FrameInfo> blocks = vg::scanFrames(trace);
 
-        for (std::size_t vi = 0; vi < blocks.size(); ++vi) {
-            const vg::Sgb2BlockInfo &victim = blocks[vi];
-            if (victim.tag != kTagEvents)
-                continue;
-            SCOPED_TRACE("victim block " + std::to_string(vi));
-            std::string bad = trace;
-            // Flip the last payload byte: header stays valid, payload
-            // CRC must catch the damage before any event is dispatched.
-            bad[victim.offset + victim.length - 1] ^= 0x01;
+    for (std::size_t vi = 0; vi < blocks.size(); ++vi) {
+        const vg::FrameInfo &victim = blocks[vi];
+        if (victim.tag != kTagEvents)
+            continue;
+        SCOPED_TRACE("victim block " + std::to_string(vi));
+        std::string bad = trace;
+        // Flip the last payload byte: header stays valid, payload
+        // CRC must catch the damage before any event is dispatched.
+        bad[victim.offset + victim.length - 1] ^= 0x01;
 
-            vg::ReplayReport strict =
-                replayRaw(bad, vg::ReplayPolicy::Strict);
-            ASSERT_TRUE(strict.error.has_value());
-            EXPECT_EQ(strict.error->cause,
-                      vg::TraceErrorCause::PayloadCrc);
-            EXPECT_EQ(strict.error->byteOffset, victim.offset);
-            EXPECT_EQ(strict.error->blockIndex,
-                      static_cast<std::int64_t>(vi));
+        vg::ReplayReport strict =
+            replayRaw(bad, vg::ReplayPolicy::Strict);
+        ASSERT_TRUE(strict.error.has_value());
+        EXPECT_EQ(strict.error->cause,
+                  vg::TraceErrorCause::PayloadCrc);
+        EXPECT_EQ(strict.error->byteOffset, victim.offset);
+        EXPECT_EQ(strict.error->blockIndex,
+                  static_cast<std::int64_t>(vi));
 
-            ReplayOutcome salvage =
-                replayBinary(bad, p, vg::ReplayPolicy::Salvage);
-            EXPECT_TRUE(salvage.report.ok());
-            EXPECT_TRUE(salvage.report.sawTrailer);
-            EXPECT_EQ(salvage.report.blocksSkipped, 1u);
-            EXPECT_EQ(salvage.report.eventsSkipped, victim.eventCount);
-            EXPECT_EQ(salvage.report.eventsDelivered +
-                          salvage.report.eventsSkipped,
-                      total);
-            ASSERT_EQ(salvage.report.errors.size(), 1u);
-            EXPECT_EQ(salvage.report.errors[0].cause,
-                      vg::TraceErrorCause::PayloadCrc);
-            EXPECT_FALSE(salvage.out.profile.empty());
-        }
+        ReplayOutcome salvage =
+            replayBinary(bad, p, vg::ReplayPolicy::Salvage);
+        EXPECT_TRUE(salvage.report.ok());
+        EXPECT_TRUE(salvage.report.sawTrailer);
+        EXPECT_EQ(salvage.report.blocksSkipped, 1u);
+        EXPECT_EQ(salvage.report.eventsSkipped, victim.eventCount);
+        EXPECT_EQ(salvage.report.eventsDelivered +
+                      salvage.report.eventsSkipped,
+                  total);
+        ASSERT_EQ(salvage.report.errors.size(), 1u);
+        EXPECT_EQ(salvage.report.errors[0].cause,
+                  vg::TraceErrorCause::PayloadCrc);
+        EXPECT_FALSE(salvage.out.profile.empty());
     }
 }
 
 TEST(SalvageRecovery, DamagedHeaderResynchronizesOnNextFrame)
 {
-    for (Framing format : kFramedFormats) {
-        SCOPED_TRACE(formatName(format));
-        TraceParams p{45, 0, 0, true, false, false};
-        std::string trace = recordTrace(p, format, 64);
-        std::uint64_t total = recordedTotal(trace);
-        std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(trace);
-        std::size_t vi = 0;
-        for (std::size_t i = 2; i < blocks.size() - 1; ++i)
-            if (blocks[i].tag == kTagEvents) {
-                vi = i;
-                break;
-            }
-        ASSERT_GT(vi, 0u);
+    TraceParams p{45, 0, 0, true, false, false};
+    std::string trace = recordTrace(p, 64);
+    std::uint64_t total = recordedTotal(trace);
+    std::vector<vg::FrameInfo> blocks = vg::scanFrames(trace);
+    std::size_t vi = 0;
+    for (std::size_t i = 2; i < blocks.size() - 1; ++i)
+        if (blocks[i].tag == kTagEvents) {
+            vi = i;
+            break;
+        }
+    ASSERT_GT(vi, 0u);
 
-        std::string bad = trace;
-        bad[blocks[vi].offset + 5] ^= 0x40; // inside the frame header
+    std::string bad = trace;
+    bad[blocks[vi].offset + 5] ^= 0x40; // inside the frame header
 
-        vg::ReplayReport r = replayRaw(bad, vg::ReplayPolicy::Salvage);
-        EXPECT_TRUE(r.ok());
-        EXPECT_TRUE(r.sawTrailer);
-        EXPECT_GE(r.resyncs, 1u);
-        EXPECT_EQ(r.eventsDelivered + r.eventsSkipped, total);
-        EXPECT_EQ(r.eventsSkipped, blocks[vi].eventCount);
-    }
+    vg::ReplayReport r = replayRaw(bad, vg::ReplayPolicy::Salvage);
+    EXPECT_TRUE(r.ok());
+    EXPECT_TRUE(r.sawTrailer);
+    EXPECT_GE(r.resyncs, 1u);
+    EXPECT_EQ(r.eventsDelivered + r.eventsSkipped, total);
+    EXPECT_EQ(r.eventsSkipped, blocks[vi].eventCount);
 }
 
 TEST(SalvageRecovery, DuplicatedBlockIsDroppedAsStale)
 {
     TraceParams p{55, 0, 0, true, false, false};
-    std::string trace = recordTrace(p, Framing::SGB3, 64);
+    std::string trace = recordTrace(p, 64);
     std::uint64_t total = recordedTotal(trace);
     ReplayOutcome ref = replayBinary(trace, p, vg::ReplayPolicy::Strict);
 
-    std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(trace);
-    const vg::Sgb2BlockInfo *victim = nullptr;
-    for (const vg::Sgb2BlockInfo &b : blocks)
+    std::vector<vg::FrameInfo> blocks = vg::scanFrames(trace);
+    const vg::FrameInfo *victim = nullptr;
+    for (const vg::FrameInfo &b : blocks)
         if (b.tag == kTagEvents && b.firstEventSeq > 0) {
             victim = &b;
             break;
@@ -731,12 +711,12 @@ TEST(SalvageRecovery, DuplicatedBlockIsDroppedAsStale)
 TEST(SalvageRecovery, ReorderedBlocksAreAccounted)
 {
     TraceParams p{56, 0, 0, true, false, false};
-    std::string trace = recordTrace(p, Framing::SGB3, 64);
+    std::string trace = recordTrace(p, 64);
     std::uint64_t total = recordedTotal(trace);
-    std::vector<vg::Sgb2BlockInfo> blocks = vg::scanSgb2Blocks(trace);
+    std::vector<vg::FrameInfo> blocks = vg::scanFrames(trace);
 
     // Swap two adjacent event frames.
-    const vg::Sgb2BlockInfo *a = nullptr, *b = nullptr;
+    const vg::FrameInfo *a = nullptr, *b = nullptr;
     for (std::size_t i = 0; i + 1 < blocks.size(); ++i)
         if (blocks[i].tag == kTagEvents &&
             blocks[i + 1].tag == kTagEvents &&
@@ -770,7 +750,7 @@ TEST(SalvageRecovery, ReorderedBlocksAreAccounted)
 TEST(FaultInjection, PlansAreDeterministic)
 {
     for (std::uint64_t seed = 1; seed <= 32; ++seed) {
-        vg::FaultPlan plan = vg::FaultPlan::fromSeed(seed);
+        FaultPlan plan = FaultPlan::fromSeed(seed);
         std::string a(2048, 'A'), b(2048, 'A');
         std::string da = plan.apply(a);
         std::string db = plan.apply(b);
@@ -782,50 +762,47 @@ TEST(FaultInjection, PlansAreDeterministic)
 
 TEST(FaultInjection, TwoHundredSeedSweepNeverCrashesAlwaysAccounts)
 {
-    for (Framing format : kFramedFormats) {
-        SCOPED_TRACE(formatName(format));
-        TraceParams p{66, 0, 0, true, false, false};
-        std::string pristine = recordTrace(p, format, 64, 800);
-        std::uint64_t total = recordedTotal(pristine);
-        int bounded = 0;
+    TraceParams p{66, 0, 0, true, false, false};
+    std::string pristine = recordTrace(p, 64, 800);
+    std::uint64_t total = recordedTotal(pristine);
+    int bounded = 0;
 
-        for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-            vg::FaultPlan plan = vg::FaultPlan::fromSeed(seed);
-            std::string t = pristine;
-            std::string what = plan.apply(t);
-            SCOPED_TRACE("seed " + std::to_string(seed) + ": " + what);
-            QuietLogs quiet;
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        FaultPlan plan = FaultPlan::fromSeed(seed);
+        std::string t = pristine;
+        std::string what = plan.apply(t);
+        SCOPED_TRACE("seed " + std::to_string(seed) + ": " + what);
+        QuietLogs quiet;
 
-            // Salvage: never crash, and whenever the trailer survives
-            // the loss accounting must sum to the recorded total.
-            vg::Guest g("robust");
-            core::SigilProfiler prof(profilerConfig(p));
-            g.addTool(&prof);
-            std::istringstream is(t, std::ios::binary);
-            vg::ReplayOptions opts;
-            opts.policy = vg::ReplayPolicy::Salvage;
-            vg::ReplayReport r = vg::replayBinaryTrace(is, g, opts);
-            EXPECT_TRUE(r.sawTrailer || r.truncated);
-            EXPECT_LE(r.eventsDelivered, total);
-            if (r.sawTrailer && !r.truncated) {
-                EXPECT_EQ(r.eventsDelivered + r.eventsSkipped, total);
-                ++bounded;
-            }
-
-            // Strict: never crash; a stopping error carries a position
-            // inside the input.
-            vg::Guest g2("robust");
-            std::istringstream is2(t, std::ios::binary);
-            vg::ReplayReport r2 =
-                vg::replayBinaryTrace(is2, g2, vg::ReplayOptions{});
-            if (r2.error.has_value()) {
-                EXPECT_LE(r2.error->byteOffset, t.size());
-            }
+        // Salvage: never crash, and whenever the trailer survives
+        // the loss accounting must sum to the recorded total.
+        vg::Guest g("robust");
+        core::SigilProfiler prof(profilerConfig(p));
+        g.addTool(&prof);
+        std::istringstream is(t, std::ios::binary);
+        vg::ReplayOptions opts;
+        opts.policy = vg::ReplayPolicy::Salvage;
+        vg::ReplayReport r = vg::replayBinaryTrace(is, g, opts);
+        EXPECT_TRUE(r.sawTrailer || r.truncated);
+        EXPECT_LE(r.eventsDelivered, total);
+        if (r.sawTrailer && !r.truncated) {
+            EXPECT_EQ(r.eventsDelivered + r.eventsSkipped, total);
+            ++bounded;
         }
-        // Most corruptions leave the trailer reachable, so the sweep
-        // really does exercise the accounting path.
-        EXPECT_GT(bounded, 100);
+
+        // Strict: never crash; a stopping error carries a position
+        // inside the input.
+        vg::Guest g2("robust");
+        std::istringstream is2(t, std::ios::binary);
+        vg::ReplayReport r2 =
+            vg::replayBinaryTrace(is2, g2, vg::ReplayOptions{});
+        if (r2.error.has_value()) {
+            EXPECT_LE(r2.error->byteOffset, t.size());
+        }
     }
+    // Most corruptions leave the trailer reachable, so the sweep
+    // really does exercise the accounting path.
+    EXPECT_GT(bounded, 100);
 }
 
 // ---------------------------------------------------------------------
@@ -835,9 +812,8 @@ TEST(FaultInjection, TwoHundredSeedSweepNeverCrashesAlwaysAccounts)
 TEST(ProfileIo, ParserReportsLineAndOffset)
 {
     TraceParams p{88, 0, 0, true, true, false};
-    ReplayOutcome o = replayBinary(recordTrace(p, Framing::SGB3,
-                                               4096),
-                                   p, vg::ReplayPolicy::Strict);
+    ReplayOutcome o = replayBinary(recordTrace(p, 4096), p,
+                                   vg::ReplayPolicy::Strict);
     ASSERT_FALSE(o.out.profile.empty());
     ASSERT_FALSE(o.out.events.empty());
 
@@ -914,8 +890,8 @@ TEST(CheckpointResume2, MismatchedTraceOrConfigStartsFresh)
 {
     TraceParams pa{121, 0, 0, true, false, false};
     TraceParams pb{122, 0, 0, true, false, false};
-    std::string trace_a = recordTrace(pa, Framing::SGB3, 64);
-    std::string trace_b = recordTrace(pb, Framing::SGB3, 64);
+    std::string trace_a = recordTrace(pa, 64);
+    std::string trace_b = recordTrace(pb, 64);
     std::string path = ::testing::TempDir() + "/ckpt_mismatch";
     std::remove(path.c_str());
     std::remove((path + ".prev").c_str());
@@ -1012,13 +988,14 @@ TEST(CheckpointResume2, MismatchedTraceOrConfigStartsFresh)
 }
 
 // ---------------------------------------------------------------------
-// Round trips, the format sniff and fatal replay of bad input
+// Round trips and fatal replay of bad input
 // ---------------------------------------------------------------------
 
 TEST(BinaryTrace, RoiRoundTrips)
 {
     // ROI marks survive the trace: an roiOnly profiler sees identical
-    // windows live and from the replayed binary trace.
+    // windows live and from the replayed binary trace, through the
+    // fatal stream and file entry points alike.
     TraceParams p{2222, 0, 0, true, false, true};
 
     vg::Guest g("trace_roundtrip");
@@ -1038,41 +1015,22 @@ TEST(BinaryTrace, RoiRoundTrips)
     core::SigilProfiler prof(scfg);
     rg.addTool(&prof);
     std::istringstream is(bos.str(), std::ios::binary);
-    vg::replayBinaryTrace(is, rg);
+    const std::uint64_t events = vg::replayBinaryTrace(is, rg);
+    EXPECT_EQ(events, brec.eventsWritten());
     std::ostringstream pos;
     core::writeProfile(pos, prof.takeProfile());
-
     EXPECT_EQ(live_pos.str(), pos.str());
-}
 
-TEST(BinaryTrace, FileSniffSelectsFormat)
-{
-    TraceParams p{4444, 0, 0, false, false, false};
-    std::string sgb3 = recordTrace(p, Framing::SGB3,
-                                   vg::BinaryTraceRecorder::kBlockEvents,
-                                   6000);
-    std::string sgb2 = fixtures::sgb2FromSgb3(sgb3);
-
-    std::string dir = ::testing::TempDir();
-    std::string sgb2_path = dir + "/sniff_trace.sgb2";
-    std::string sgb3_path = dir + "/sniff_trace.sgb3";
-    std::ofstream(sgb2_path, std::ios::binary) << sgb2;
-    std::ofstream(sgb3_path, std::ios::binary) << sgb3;
-
-    auto replay_file = [](const std::string &path) {
-        vg::Guest g("trace_roundtrip");
-        core::SigilProfiler prof;
-        g.addTool(&prof);
-        EXPECT_GT(vg::replayTraceFile(path, g), 1000u);
-        std::ostringstream pos;
-        core::writeProfile(pos, prof.takeProfile());
-        return pos.str();
-    };
-    std::string from_sgb3 = replay_file(sgb3_path);
-    EXPECT_EQ(replay_file(sgb2_path), from_sgb3);
-    EXPECT_GT(from_sgb3.size(), 100u);
-    std::remove(sgb2_path.c_str());
-    std::remove(sgb3_path.c_str());
+    const std::string path = ::testing::TempDir() + "/roi_round_trip.trace";
+    std::ofstream(path, std::ios::binary) << bos.str();
+    vg::Guest fg("trace_roundtrip");
+    core::SigilProfiler file_prof(scfg);
+    fg.addTool(&file_prof);
+    EXPECT_EQ(vg::replayTraceFile(path, fg), events);
+    std::ostringstream file_pos;
+    core::writeProfile(file_pos, file_prof.takeProfile());
+    EXPECT_EQ(live_pos.str(), file_pos.str());
+    std::remove(path.c_str());
 }
 
 TEST(BinaryTraceDeath, RejectsGarbage)
@@ -1087,8 +1045,8 @@ TEST(BinaryTraceDeath, RejectsGarbage)
 TEST(BinaryTraceDeath, RejectsTruncation)
 {
     TraceParams p{5555, 0, 0, false, false, false};
-    std::string binary = recordTrace(
-        p, Framing::SGB3, vg::BinaryTraceRecorder::kBlockEvents, 6000);
+    std::string binary =
+        recordTrace(p, vg::BinaryTraceRecorder::kBlockEvents, 6000);
     // A cut mid-block surfaces as a truncation or a corrupt record,
     // never as a silent partial replay.
     std::string truncated = binary.substr(0, binary.size() / 2);
