@@ -8,10 +8,12 @@
 #ifndef SIGIL_BENCH_BENCH_COMMON_HH
 #define SIGIL_BENCH_BENCH_COMMON_HH
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cg/cg_tool.hh"
 #include "core/sigil_profiler.hh"
@@ -93,6 +95,27 @@ bestSeconds(const workloads::Workload &w, workloads::Scale scale,
         RunOutput r = runWorkload(w, scale, mode);
         if (r.seconds < best)
             best = r.seconds;
+    }
+    return best;
+}
+
+/**
+ * Best-of-rounds wall time of several modes, run in interleaved
+ * rounds: each round runs every mode once, in the order given, and each
+ * mode keeps its best time. A slow phase of the host then hits every
+ * mode of a round instead of one mode's back-to-back burst, so the
+ * ratios between the modes' bests stay comparable.
+ */
+inline std::vector<double>
+bestSecondsInterleaved(const workloads::Workload &w, workloads::Scale scale,
+                       const std::vector<Mode> &modes, int rounds)
+{
+    std::vector<double> best(modes.size(), 1e300);
+    for (int r = 0; r < rounds; ++r) {
+        for (std::size_t i = 0; i < modes.size(); ++i) {
+            best[i] =
+                std::min(best[i], runWorkload(w, scale, modes[i]).seconds);
+        }
     }
     return best;
 }

@@ -10,6 +10,11 @@
  * shape must hold: Sigil is substantially slower than Callgrind, which
  * is slower than native, with the gap roughly consistent across
  * benchmarks.
+ *
+ * Each benchmark's three modes run in interleaved rounds (native,
+ * Callgrind, Sigil, then again) and each keeps its best of
+ * kRounds runs, so a slow phase of the host cannot inflate the native
+ * baseline alone.
  */
 
 #include "bench_common.hh"
@@ -17,6 +22,9 @@
 
 using namespace sigil;
 using namespace sigil::bench;
+
+/** Interleaved rounds per benchmark. */
+constexpr int kRounds = 5;
 
 int
 main()
@@ -30,12 +38,10 @@ main()
     double cg_sum = 0, sigil_sum = 0;
     int n = 0;
     for (const workloads::Workload &w : workloads::parsecWorkloads()) {
-        double native =
-            bestSeconds(w, workloads::Scale::SimSmall, Mode::Native, 5);
-        double cg =
-            bestSeconds(w, workloads::Scale::SimSmall, Mode::Callgrind);
-        double sigil =
-            bestSeconds(w, workloads::Scale::SimSmall, Mode::Sigil);
+        const std::vector<double> best = bestSecondsInterleaved(
+            w, workloads::Scale::SimSmall,
+            {Mode::Native, Mode::Callgrind, Mode::Sigil}, kRounds);
+        const double native = best[0], cg = best[1], sigil = best[2];
         double cg_x = cg / native;
         double sigil_x = sigil / native;
         cg_sum += cg_x;

@@ -254,25 +254,6 @@ BM_TraceReplayThroughput(benchmark::State &state)
 }
 BENCHMARK(BM_TraceReplayThroughput);
 
-/** Same replay on the retained per-unit reference shadow path. */
-void
-BM_TraceReplayThroughputReference(benchmark::State &state)
-{
-    const RecordedTrace &trace = throughputTrace();
-    core::SigilConfig cfg;
-    cfg.referenceShadowPath = true;
-    for (auto _ : state) {
-        std::istringstream in(trace.bytes, std::ios::binary);
-        vg::Guest g2("bench");
-        core::SigilProfiler prof(cfg);
-        g2.addTool(&prof);
-        benchmark::DoNotOptimize(vg::replayBinaryTrace(in, g2));
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() * trace.events));
-}
-BENCHMARK(BM_TraceReplayThroughputReference);
-
 /** Sequential byte stream through the cache sim (last-line filter). */
 void
 BM_CacheSimSequential(benchmark::State &state)

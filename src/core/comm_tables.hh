@@ -7,12 +7,14 @@
  * There is one kernel set, and it works on runs: commReadRun classifies
  * a read of n consecutive units sharing one (writer, reader) stamp
  * pair, and commFinalizeRuns closes the pending re-use runs of n units
- * sharing one reader stamp. SigilProfiler calls them from both of its
- * shadow walks: the span-oriented hot path splits each resolved chunk
- * run into maximal stamp-pair runs, and the per-unit reference path
- * calls them with n = 1 per lookup(). The two walks thus share one
- * implementation of the classification and differ only in how they
- * reach and group the shadow records.
+ * sharing one reader stamp. SigilProfiler's shadow walk splits each
+ * chunk run that ShadowMemory::span() resolves into maximal stamp-pair
+ * runs. The test-side reference profiler (tests/reference_profiler.hh)
+ * calls the kernels with n = 1 per unit of its own std::map shadow.
+ * The two share the classification and nothing of the shadow layout,
+ * so the differential matrix compares how each reaches, groups and
+ * evicts the shadow records. A fault in a kernel shows in both: the
+ * brute-force oracles check the kernels through both tools.
  *
  * Edges are kept in first-seen order: the edge vectors are appended on
  * first occurrence and the key → index maps locate them afterwards,

@@ -110,19 +110,6 @@ SigilProfiler::memWrite(vg::Addr addr, unsigned size)
     // One producer identity per access: intern it once, stamp the id.
     const shadow::StampId ws = shadow_.internWriter(
         shadow::WriterStamp{seq, ctx, currentTid_});
-    if (config_.referenceShadowPath) {
-        // Reference path: resolve the chunk once per unit. The loop
-        // exits on the last unit itself: ++u wraps when that is the
-        // top unit of the address space.
-        for (std::uint64_t u = first;; ++u) {
-            shadow::ShadowRef s = shadow_.lookup(u);
-            closePendingRuns(shadow::ShadowMemory::Run{u, 1, &s.hot, s.cold});
-            s.hot = shadow::ShadowHot{ws, 0};
-            if (u == last)
-                break;
-        }
-        return;
-    }
     shadow_.span(first, last, /*want_cold=*/false,
                  [&](shadow::ShadowMemory::Run run) {
         // Close pending runs before the overwrite clobbers their
@@ -194,21 +181,7 @@ SigilProfiler::classifyRead(vg::Addr addr, unsigned size, vg::ContextId ctx,
     // per context instead of one per dynamic call.
     const shadow::StampId rs = shadow_.internReader(
         shadow::ReaderStamp{config_.collectReuse ? call : 0, ctx});
-    const bool want_cold = readWantsCold();
-    if (config_.referenceShadowPath) {
-        // Reference path: resolve the chunk and compute the covered
-        // byte width from scratch for every unit.
-        for (std::uint64_t u = first;; ++u) {
-            shadow::ShadowRef s = shadow_.lookup(u, want_cold);
-            commReadRun(tables_, env, shadow_.stamps(), &s.hot, s.cold,
-                        1, covered(u, u), a, rs, &state.xfers,
-                        unique_bytes);
-            if (u == last)
-                break;
-        }
-        return unique_bytes;
-    }
-    shadow_.span(first, last, want_cold,
+    shadow_.span(first, last, readWantsCold(),
                  [&](shadow::ShadowMemory::Run run) {
         // Split the chunk run into maximal runs of units sharing one
         // (writer, reader) stamp pair and classify each run once, in
@@ -609,8 +582,7 @@ SigilProfiler::saveState(ByteSink &sink)
     sink.varint(1);
 
     // Config echo: a checkpoint is only meaningful for the identical
-    // collection configuration (referenceShadowPath is excluded — the
-    // two shadow walks are bit-identical by contract).
+    // collection configuration.
     sink.u8(static_cast<std::uint8_t>(config_.granularityShift));
     sink.u64(config_.maxShadowChunks);
     sink.u8(config_.collectReuse ? 1 : 0);

@@ -15,6 +15,9 @@
  * The classification itself lives in the kernels of
  * core/comm_tables.hh; the profiler feeds them one access at a time,
  * split into runs of units that share a (writer, reader) stamp pair.
+ * Its one shadow walk is ShadowMemory::span(). The tests hold it to a
+ * reference profiler (tests/reference_profiler.hh) that keeps its own
+ * std::map shadow and calls the same kernels one unit at a time.
  */
 
 #ifndef SIGIL_CORE_SIGIL_PROFILER_HH
@@ -64,15 +67,6 @@ struct SigilConfig
      * (per-data-structure communication).
      */
     bool collectObjects = false;
-
-    /**
-     * Use the retained per-unit shadow walk (one ShadowMemory::lookup
-     * per unit) instead of the span-oriented hot path. The two paths
-     * produce bitwise-identical profiles; this one exists as the
-     * reference implementation for differential testing and as the
-     * baseline for the span-path microbenchmarks.
-     */
-    bool referenceShadowPath = false;
 };
 
 /** The Sigil communication profiler. */

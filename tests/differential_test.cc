@@ -1,16 +1,19 @@
 /**
  * @file
  * The differential matrix: every way Sigil computes a profile must
- * reproduce the per-unit reference walk byte for byte.
+ * reproduce the reference profiler byte for byte.
  *
  * Each config row runs the workload of tests/trace_fixtures.hh live
- * with SigilConfig::referenceShadowPath set. That run's serialized
- * profile (aggregates, edges, re-use, histograms, shadow stats, object
- * rows) and event file are the row's answer; every other leg must
- * match them:
+ * into one guest that carries three tools: the ReferenceProfiler of
+ * tests/reference_profiler.hh, the SigilProfiler under test and a
+ * BinaryTraceRecorder. The reference's serialized profile (aggregates,
+ * edges, re-use, histograms, the `shadow` row, object rows) and event
+ * file are the row's answer. The reference keeps its shadow in a
+ * std::map and shares no shadow layout with the profiler, so a fault
+ * in ShadowMemory (eviction included) cannot hide in both. Every other
+ * leg must match the answer:
  *
- *  - live: the span walk, with a BinaryTraceRecorder attached to the
- *    same guest so the row's trace is recorded once; and a mid-stream
+ *  - live: the profiler in the same guest, and a mid-stream
  *    saveState / restoreState continuation whose save → restore → save
  *    reproduces the same bytes;
  *  - entry points: the recorded trace replayed in memory, from a stream
@@ -25,8 +28,9 @@
  * over the one row table, so ctest runs them as separate processes;
  * they keep the test IDs of the suites they replace (so
  * ParallelDecodeDifferential names a decoder that is no longer
- * parallel). 200 seeded random configurations run the span leg, and
- * twelve of them the mid-stream checkpoint leg.
+ * parallel, and SpanPathMatchesPerUnitReference a reference that is no
+ * longer a walk of the profiler). 200 seeded random configurations run
+ * the live leg, and twelve of them the mid-stream checkpoint leg.
  */
 
 #include <gtest/gtest.h>
@@ -46,6 +50,7 @@
 #include "vg/guest.hh"
 #include "vg/trace_io.hh"
 
+#include "reference_profiler.hh"
 #include "trace_fixtures.hh"
 
 namespace sigil {
@@ -103,32 +108,36 @@ rowName(const ::testing::TestParamInfo<TraceParams> &info)
     return paramsName(info.param);
 }
 
-/** A live run's outputs, its recorded trace and its shadow evictions. */
+/**
+ * One uninterrupted live run: the reference's outputs (the answer), the
+ * profiler's, the trace recorded in the same guest and the profiler's
+ * shadow evictions.
+ */
 struct LiveRun
 {
+    Outputs ref;
     Outputs out;
     std::string sgb3;
     std::uint64_t evictions = 0;
 };
 
-/**
- * One uninterrupted live run, recording the trace as it goes. With
- * `reference_path` set its outputs are the answer every leg matches.
- */
 LiveRun
-runLive(const TraceParams &p, int steps, bool reference_path)
+runLive(const TraceParams &p, int steps)
 {
     vg::Guest g(kProgram);
-    core::SigilProfiler prof(profilerConfig(p, reference_path));
+    ReferenceProfiler ref(profilerConfig(p));
+    core::SigilProfiler prof(profilerConfig(p));
     std::ostringstream os(std::ios::binary);
     vg::BinaryTraceRecorder rec(os, kBlockEvents);
+    g.addTool(&ref);
     g.addTool(&prof);
     g.addTool(&rec);
     TraceDriver(p).drive(g, steps);
     LiveRun run;
-    run.evictions = prof.shadowStats().evictions;
+    run.ref = serialize(ref);
     run.out = serialize(prof);
     run.sgb3 = os.str();
+    run.evictions = prof.shadowStats().evictions;
     return run;
 }
 
@@ -140,7 +149,7 @@ expectMatches(const Outputs &ref, const Outputs &got)
 }
 
 /**
- * Drive `cut` steps live on the span walk, then save the guest and the
+ * Drive `cut` steps live into the profiler, then save the guest and the
  * profiler (guest first: its save syncs, catching the profiler up),
  * rebuild both from the snapshot and drive `tail` more steps. Expects
  * the restored profiler to re-save its body byte for byte.
@@ -224,8 +233,9 @@ class TempFile
 };
 
 /**
- * One config row: the reference answer and the trace recorded during
- * the live span run, computed in SetUp for each leg group.
+ * One config row: the reference answer, the live profiler's outputs
+ * and the recorded trace, all from one drive in SetUp for each leg
+ * group.
  */
 class MatrixRow : public ::testing::TestWithParam<TraceParams>
 {
@@ -233,10 +243,9 @@ class MatrixRow : public ::testing::TestWithParam<TraceParams>
     void
     SetUp() override
     {
-        ref_ = runLive(GetParam(), kRowSteps, true).out;
-        span_ = runLive(GetParam(), kRowSteps, false);
+        live_ = runLive(GetParam(), kRowSteps);
         // Guard against the vacuous pass.
-        ASSERT_GT(ref_.profile.size(), 100u);
+        ASSERT_GT(live_.ref.profile.size(), 100u);
     }
 
     /**
@@ -266,13 +275,13 @@ class MatrixRow : public ::testing::TestWithParam<TraceParams>
         };
 
         core::CheckpointStats fresh;
-        expectMatches(ref_, run(fresh));
+        expectMatches(live_.ref, run(fresh));
         EXPECT_FALSE(fresh.resumed);
         EXPECT_GE(fresh.checkpointsWritten, 2u);
         EXPECT_GT(fresh.lastCheckpointBytes, 0u);
 
         core::CheckpointStats resumed;
-        expectMatches(ref_, run(resumed));
+        expectMatches(live_.ref, run(resumed));
         EXPECT_TRUE(resumed.resumed);
         EXPECT_GT(resumed.resumeBlocks, 0u);
 
@@ -288,13 +297,12 @@ class MatrixRow : public ::testing::TestWithParam<TraceParams>
         c.resize(c.size() / 2);
         ckpt.write(c);
         core::CheckpointStats fallback;
-        expectMatches(ref_, run(fallback));
+        expectMatches(live_.ref, run(fallback));
         EXPECT_TRUE(fallback.resumed);
         EXPECT_LT(fallback.resumeBlocks, resumed.resumeBlocks);
     }
 
-    Outputs ref_;
-    LiveRun span_;
+    LiveRun live_;
 };
 
 // Live legs, every row. ------------------------------------------------
@@ -306,17 +314,17 @@ TEST_P(ShadowSpanDifferential, SpanPathMatchesPerUnitReference)
 {
     const TraceParams &p = GetParam();
     {
-        SCOPED_TRACE("live span walk");
-        expectMatches(ref_, span_.out);
+        SCOPED_TRACE("live profiler");
+        expectMatches(live_.ref, live_.out);
     }
     if (p.collectObjects) {
-        EXPECT_NE(ref_.profile.find("object obj"), std::string::npos);
+        EXPECT_NE(live_.ref.profile.find("object obj"), std::string::npos);
     }
     if (p.maxShadowChunks > 0) {
-        EXPECT_GT(span_.evictions, 0u);
+        EXPECT_GT(live_.evictions, 0u);
     }
     SCOPED_TRACE("live mid-stream checkpoint");
-    expectMatches(ref_, runLiveWithCheckpoint(p, kRowSteps / 2,
+    expectMatches(live_.ref, runLiveWithCheckpoint(p, kRowSteps / 2,
                                               kRowSteps - kRowSteps / 2));
 }
 
@@ -330,7 +338,7 @@ class ParallelDecodeDifferential : public MatrixRow
 
 TEST_P(ParallelDecodeDifferential, ThreadsFormatsDispatchMatchReference)
 {
-    const std::string &trace = span_.sgb3;
+    const std::string &trace = live_.sgb3;
     // Compression must engage on this workload: fewer stored payload
     // bytes than raw ones, and compressed frames visible in the scan,
     // or the legs would only exercise stored-raw frames.
@@ -364,7 +372,7 @@ TEST_P(ParallelDecodeDifferential, ThreadsFormatsDispatchMatchReference)
         EXPECT_FALSE(r.sawCorruption());
         EXPECT_EQ(r.totalEventsRecorded, events);
         EXPECT_EQ(r.eventsDelivered, r.totalEventsRecorded);
-        expectMatches(ref_, serialize(prof));
+        expectMatches(live_.ref, serialize(prof));
         // Every counter of the report agrees across entry points:
         // toString() renders all of them.
         if (first_report.empty())
@@ -395,7 +403,7 @@ TEST_P(ParallelDecodeDifferential, ThreadsFormatsDispatchMatchReference)
 TEST_P(ParallelDecodeDifferential, FileCheckpointResumeOnCompressedTrace)
 {
     const TempFile trace("trace.SGB3");
-    trace.write(span_.sgb3);
+    trace.write(live_.sgb3);
     expectCheckpointedReplaysMatch(
         "file", [&](vg::Guest &g, core::SigilProfiler &prof,
                     const core::CheckpointConfig &cc,
@@ -417,7 +425,7 @@ TEST_P(CheckpointResume, ResumedReplayIsBitIdentical)
         "stream", [&](vg::Guest &g, core::SigilProfiler &prof,
                       const core::CheckpointConfig &cc,
                       core::CheckpointStats *st) {
-            std::istringstream is(span_.sgb3, std::ios::binary);
+            std::istringstream is(live_.sgb3, std::ios::binary);
             return core::replayWithCheckpoints(
                 is, g, prof, vg::ReplayOptions{}, cc, st);
         });
@@ -448,11 +456,10 @@ TEST(StampShadowProperty, CompressedMatchesReferenceOn200Streams)
     int nontrivial = 0, limited = 0, evicting = 0;
     for (std::uint64_t seed = 1; seed <= 200; ++seed) {
         const TraceParams p = randomParams(seed);
-        const Outputs ref = runLive(p, 400, true).out;
-        const LiveRun got = runLive(p, 400, false);
-        ASSERT_EQ(ref.profile, got.out.profile) << "seed " << seed;
-        ASSERT_EQ(ref.events, got.out.events) << "seed " << seed;
-        if (ref.profile.size() > 100)
+        const LiveRun got = runLive(p, 400);
+        ASSERT_EQ(got.ref.profile, got.out.profile) << "seed " << seed;
+        ASSERT_EQ(got.ref.events, got.out.events) << "seed " << seed;
+        if (got.ref.profile.size() > 100)
             ++nontrivial;
         if (p.maxShadowChunks > 0) {
             ++limited;
@@ -470,7 +477,7 @@ TEST(StampShadowProperty, V3CheckpointResumesBitIdentically)
     for (std::uint64_t seed = 301; seed <= 312; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         const TraceParams p = randomParams(seed);
-        expectMatches(runLive(p, 800, true).out,
+        expectMatches(runLive(p, 800).ref,
                       runLiveWithCheckpoint(p, 400, 400));
     }
 }

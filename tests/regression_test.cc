@@ -20,6 +20,8 @@
 #include "vg/traced.hh"
 #include "workloads/workload.hh"
 
+#include "reference_profiler.hh"
+
 namespace sigil {
 namespace {
 
@@ -138,8 +140,9 @@ TEST(Syscalls, DedupUsesReadAndWrite)
 }
 
 /**
- * Line-granularity classification oracle: replay a random trace both
- * through the line-mode profiler and a brute-force per-line model.
+ * Line-granularity classification oracle: replay a random trace through
+ * the line-mode profiler, the line-mode reference profiler (the
+ * differential matrix's answer) and a brute-force per-line model.
  */
 class LineModeOracle : public ::testing::TestWithParam<std::uint64_t>
 {};
@@ -151,7 +154,9 @@ TEST_P(LineModeOracle, MatchesBruteForcePerLine)
     cfg.granularityShift = 6;
     cfg.collectReuse = false;
     core::SigilProfiler prof(cfg);
+    fixtures::ReferenceProfiler ref(cfg);
     g.addTool(&prof);
+    g.addTool(&ref);
 
     struct LineState
     {
@@ -212,15 +217,19 @@ TEST_P(LineModeOracle, MatchesBruteForcePerLine)
         g.leave();
     g.finish();
 
-    core::SigilProfile p = prof.takeProfile();
-    for (const core::SigilRow &row : p.rows) {
-        EXPECT_EQ(row.agg.uniqueInputBytes,
-                  unique_in.count(row.ctx) ? unique_in[row.ctx] : 0u)
-            << row.path;
-        EXPECT_EQ(row.agg.uniqueLocalBytes,
-                  unique_local.count(row.ctx) ? unique_local[row.ctx]
-                                              : 0u)
-            << row.path;
+    for (const auto &[tool, p] :
+         {std::pair{"profiler", prof.takeProfile()},
+          std::pair{"reference", ref.takeProfile()}}) {
+        SCOPED_TRACE(tool);
+        for (const core::SigilRow &row : p.rows) {
+            EXPECT_EQ(row.agg.uniqueInputBytes,
+                      unique_in.count(row.ctx) ? unique_in[row.ctx] : 0u)
+                << row.path;
+            EXPECT_EQ(row.agg.uniqueLocalBytes,
+                      unique_local.count(row.ctx) ? unique_local[row.ctx]
+                                                  : 0u)
+                << row.path;
+        }
     }
 }
 

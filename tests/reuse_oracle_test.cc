@@ -1,7 +1,8 @@
 /**
  * @file
- * Property test: the profiler's re-use run accounting (counts,
- * lifetimes, and the Figure-8 breakdown) against a brute-force model.
+ * Property test: the re-use run accounting (counts, lifetimes, and the
+ * Figure-8 breakdown) of the profiler and of the reference profiler
+ * (the differential matrix's answer) against a brute-force model.
  *
  * Runs are per (unit, reader context, reader call): a run ends when a
  * different context or call reads the unit, when the unit is
@@ -17,6 +18,8 @@
 #include "core/sigil_profiler.hh"
 #include "support/rng.hh"
 #include "vg/guest.hh"
+
+#include "reference_profiler.hh"
 
 namespace sigil::core {
 namespace {
@@ -47,7 +50,9 @@ TEST_P(ReuseOracle, RunAccountingMatchesBruteForce)
     SigilConfig cfg;
     cfg.collectReuse = true;
     SigilProfiler prof(cfg);
+    fixtures::ReferenceProfiler ref(cfg);
     g.addTool(&prof);
+    g.addTool(&ref);
 
     std::map<std::uint64_t, OracleRun> runs;
     std::map<vg::ContextId, OracleReuse> agg;
@@ -132,21 +137,26 @@ TEST_P(ReuseOracle, RunAccountingMatchesBruteForce)
         finalize(run);
     }
 
-    SigilProfile p = prof.takeProfile();
-    for (const SigilRow &row : p.rows) {
-        OracleReuse expect =
-            agg.count(row.ctx) ? agg[row.ctx] : OracleReuse{};
-        EXPECT_EQ(row.agg.reusedUnits, expect.reusedUnits) << row.path;
-        EXPECT_EQ(row.agg.reuseReads, expect.reuseReads) << row.path;
-        EXPECT_EQ(row.agg.lifetimeSum, expect.lifetimeSum) << row.path;
-        // The histogram's total mass matches the per-row run count.
-        EXPECT_EQ(row.agg.lifetimeHist.totalCount(), expect.reusedUnits)
-            << row.path;
-    }
-    for (int b = 0; b < 3; ++b) {
-        EXPECT_EQ(p.unitReuseBreakdown.binCount(static_cast<std::size_t>(b)),
-                  breakdown[b])
-            << "bin " << b;
+    for (const auto &[tool, p] :
+         {std::pair{"profiler", prof.takeProfile()},
+          std::pair{"reference", ref.takeProfile()}}) {
+        SCOPED_TRACE(tool);
+        for (const SigilRow &row : p.rows) {
+            OracleReuse expect =
+                agg.count(row.ctx) ? agg[row.ctx] : OracleReuse{};
+            EXPECT_EQ(row.agg.reusedUnits, expect.reusedUnits) << row.path;
+            EXPECT_EQ(row.agg.reuseReads, expect.reuseReads) << row.path;
+            EXPECT_EQ(row.agg.lifetimeSum, expect.lifetimeSum) << row.path;
+            // The histogram's total mass matches the per-row run count.
+            EXPECT_EQ(row.agg.lifetimeHist.totalCount(), expect.reusedUnits)
+                << row.path;
+        }
+        for (int b = 0; b < 3; ++b) {
+            EXPECT_EQ(
+                p.unitReuseBreakdown.binCount(static_cast<std::size_t>(b)),
+                breakdown[b])
+                << "bin " << b;
+        }
     }
 }
 

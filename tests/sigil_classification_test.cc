@@ -13,6 +13,8 @@
 #include "core/sigil_profiler.hh"
 #include "vg/traced.hh"
 
+#include "reference_profiler.hh"
+
 namespace sigil::core {
 namespace {
 
@@ -472,9 +474,10 @@ TEST(MemoryLimit, EvictionPreservesAggregateMass)
 
 /**
  * An access that ends exactly at byte 2^64 - 1 is valid. It must be
- * shadowed and classified like any other access — by the span walk and
- * by the per-unit reference walk, in byte and in line mode — rather
- * than wrapping around to unit 0 (or never ending).
+ * shadowed and classified like any other access — by the profiler and
+ * by the reference profiler, in byte and in line mode — rather than
+ * wrapping around to unit 0 (or never ending). The Bool axis selects
+ * the tool checked: the profiler (false) or the reference (true).
  */
 class TopOfAddressSpace
     : public ::testing::TestWithParam<std::tuple<bool, unsigned>>
@@ -482,14 +485,16 @@ class TopOfAddressSpace
 
 TEST_P(TopOfAddressSpace, ExactTopAccessClassifiesEdge)
 {
+    const bool check_reference = std::get<0>(GetParam());
     SigilConfig cfg;
     cfg.collectReuse = true;
     cfg.collectEvents = true;
-    cfg.referenceShadowPath = std::get<0>(GetParam());
     cfg.granularityShift = std::get<1>(GetParam());
     vg::Guest g("top");
     SigilProfiler prof(cfg);
+    fixtures::ReferenceProfiler ref(cfg);
     g.addTool(&prof);
+    g.addTool(&ref);
 
     const vg::Addr top16 = 0xFFFFFFFFFFFFFFF0ull;
     g.enter("main");
@@ -503,7 +508,7 @@ TEST_P(TopOfAddressSpace, ExactTopAccessClassifiesEdge)
     g.leave();
     g.finish();
 
-    SigilProfile p = prof.takeProfile();
+    SigilProfile p = check_reference ? ref.takeProfile() : prof.takeProfile();
     const SigilRow *f = p.findByDisplayName("f");
     const SigilRow *c = p.findByDisplayName("g");
     ASSERT_NE(f, nullptr);
@@ -518,7 +523,9 @@ TEST_P(TopOfAddressSpace, ExactTopAccessClassifiesEdge)
     EXPECT_EQ(p.edges[0].uniqueBytes, 16u);
     EXPECT_EQ(p.edges[0].nonuniqueBytes, 8u);
     // Nothing landed at the bottom of the address space.
-    EXPECT_FALSE(prof.shadowMemory().find(0));
+    if (!check_reference) {
+        EXPECT_FALSE(prof.shadowMemory().find(0));
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -5,9 +5,10 @@
  *
  * A random guest trace (random call nesting, 1-64 B reads and writes
  * over a small address pool straddling a shadow chunk boundary) is
- * replayed through the profiler while a plain std::map
- * per byte tracks last writer and last reader. The oracle classifies
- * every read independently; the aggregates must match exactly.
+ * replayed through the profiler and the reference profiler (the
+ * differential matrix's answer) while a plain std::map per byte tracks
+ * last writer and last reader. The oracle classifies every read
+ * independently; both tools' aggregates must match it exactly.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,8 @@
 #include "core/sigil_profiler.hh"
 #include "support/rng.hh"
 #include "vg/guest.hh"
+
+#include "reference_profiler.hh"
 
 namespace sigil::core {
 namespace {
@@ -48,7 +51,9 @@ TEST_P(SigilOracle, AggregatesMatchBruteForce)
     cfg.collectReuse = (GetParam() & 1) != 0;
     cfg.collectEvents = (GetParam() & 2) != 0;
     SigilProfiler prof(cfg);
+    fixtures::ReferenceProfiler ref(cfg);
     g.addTool(&prof);
+    g.addTool(&ref);
 
     std::map<std::uint64_t, OracleState> shadow;
     std::map<vg::ContextId, OracleAgg> agg;
@@ -113,36 +118,41 @@ TEST_P(SigilOracle, AggregatesMatchBruteForce)
         g.leave();
     g.finish();
 
-    SigilProfile p = prof.takeProfile();
-    for (const SigilRow &row : p.rows) {
-        OracleAgg expect = agg.count(row.ctx) ? agg[row.ctx] : OracleAgg{};
-        EXPECT_EQ(row.agg.uniqueLocalBytes, expect.uniqueLocal)
-            << row.path;
-        EXPECT_EQ(row.agg.nonuniqueLocalBytes, expect.nonuniqueLocal)
-            << row.path;
-        EXPECT_EQ(row.agg.uniqueInputBytes, expect.uniqueInput)
-            << row.path;
-        EXPECT_EQ(row.agg.nonuniqueInputBytes, expect.nonuniqueInput)
-            << row.path;
-        EXPECT_EQ(row.agg.uniqueOutputBytes, expect.uniqueOutput)
-            << row.path;
-        EXPECT_EQ(row.agg.nonuniqueOutputBytes, expect.nonuniqueOutput)
-            << row.path;
-    }
+    for (const auto &[tool, p] :
+         {std::pair{"profiler", prof.takeProfile()},
+          std::pair{"reference", ref.takeProfile()}}) {
+        SCOPED_TRACE(tool);
+        for (const SigilRow &row : p.rows) {
+            OracleAgg expect =
+                agg.count(row.ctx) ? agg[row.ctx] : OracleAgg{};
+            EXPECT_EQ(row.agg.uniqueLocalBytes, expect.uniqueLocal)
+                << row.path;
+            EXPECT_EQ(row.agg.nonuniqueLocalBytes, expect.nonuniqueLocal)
+                << row.path;
+            EXPECT_EQ(row.agg.uniqueInputBytes, expect.uniqueInput)
+                << row.path;
+            EXPECT_EQ(row.agg.nonuniqueInputBytes, expect.nonuniqueInput)
+                << row.path;
+            EXPECT_EQ(row.agg.uniqueOutputBytes, expect.uniqueOutput)
+                << row.path;
+            EXPECT_EQ(row.agg.nonuniqueOutputBytes, expect.nonuniqueOutput)
+                << row.path;
+        }
 
-    // Cross-invariants: edge mass equals non-local input mass.
-    std::uint64_t edge_unique = 0, edge_nonunique = 0;
-    for (const CommEdge &e : p.edges) {
-        edge_unique += e.uniqueBytes;
-        edge_nonunique += e.nonuniqueBytes;
+        // Cross-invariants: edge mass equals non-local input mass.
+        std::uint64_t edge_unique = 0, edge_nonunique = 0;
+        for (const CommEdge &e : p.edges) {
+            edge_unique += e.uniqueBytes;
+            edge_nonunique += e.nonuniqueBytes;
+        }
+        std::uint64_t in_unique = 0, in_nonunique = 0;
+        for (const SigilRow &row : p.rows) {
+            in_unique += row.agg.uniqueInputBytes;
+            in_nonunique += row.agg.nonuniqueInputBytes;
+        }
+        EXPECT_EQ(edge_unique, in_unique);
+        EXPECT_EQ(edge_nonunique, in_nonunique);
     }
-    std::uint64_t in_unique = 0, in_nonunique = 0;
-    for (const SigilRow &row : p.rows) {
-        in_unique += row.agg.uniqueInputBytes;
-        in_nonunique += row.agg.nonuniqueInputBytes;
-    }
-    EXPECT_EQ(edge_unique, in_unique);
-    EXPECT_EQ(edge_nonunique, in_nonunique);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SigilOracle,

@@ -74,7 +74,7 @@ PrintTo(const TraceParams &p, std::ostream *os)
 }
 
 inline core::SigilConfig
-profilerConfig(const TraceParams &p, bool reference_path = false)
+profilerConfig(const TraceParams &p)
 {
     core::SigilConfig cfg;
     cfg.granularityShift = p.granularityShift;
@@ -83,7 +83,6 @@ profilerConfig(const TraceParams &p, bool reference_path = false)
     cfg.collectEvents = p.collectEvents;
     cfg.roiOnly = p.roiOnly;
     cfg.collectObjects = p.collectObjects;
-    cfg.referenceShadowPath = reference_path;
     return cfg;
 }
 
@@ -238,8 +237,10 @@ struct Outputs
     std::string events;
 };
 
-inline Outputs
-serialize(core::SigilProfiler &prof)
+/** Serialize a SigilProfiler or a ReferenceProfiler. */
+template <typename Profiler>
+Outputs
+serialize(const Profiler &prof)
 {
     std::ostringstream pos;
     const core::SigilProfile profile = prof.takeProfile();
