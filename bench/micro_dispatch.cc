@@ -438,12 +438,26 @@ minorFaults()
     return ru.ru_minflt;
 }
 
+/** This process's resident set in MiB, from /proc/self/statm. */
+double
+residentMiB()
+{
+    std::ifstream statm("/proc/self/statm");
+    std::uint64_t size_pages = 0, resident_pages = 0;
+    statm >> size_pages >> resident_pages;
+    return static_cast<double>(resident_pages) *
+           static_cast<double>(::sysconf(_SC_PAGESIZE)) / (1 << 20);
+}
+
 /**
  * Profiled replay of the wide workload: the trace into a
  * full-fidelity (re-use mode) Sigil profiler. Real time, like the
  * recorded baselines of this benchmark. minor_faults counts the pages
  * the kernel had to map in per replay: shadow arrays that land on
  * pages an earlier replay already made resident cost none.
+ * resident_mib (the process's resident set with a replay's shadow
+ * still live) and shadow_runs_peak (the replay's peak count of re-use
+ * run records) come from one more replay after the timed loop.
  */
 void
 BM_WideReplay(benchmark::State &state)
@@ -464,6 +478,14 @@ BM_WideReplay(benchmark::State &state)
     state.counters["minor_faults"] =
         static_cast<double>(minorFaults() - faults_before) /
         static_cast<double>(state.iterations());
+    std::istringstream is(trace, std::ios::binary);
+    vg::Guest g("bench");
+    core::SigilProfiler prof(cfg);
+    g.addTool(&prof);
+    vg::replayBinaryTrace(is, g);
+    state.counters["resident_mib"] = residentMiB();
+    state.counters["shadow_runs_peak"] =
+        static_cast<double>(prof.shadowStats().runsPeak);
 }
 BENCHMARK(BM_WideReplay)->UseRealTime();
 

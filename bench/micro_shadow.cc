@@ -95,7 +95,7 @@ BM_ShadowPerUnitStride(benchmark::State &state)
         std::uint64_t first = sm.unitOf(addr);
         std::uint64_t last = sm.lastUnitOf(addr, size);
         for (std::uint64_t u = first; u <= last; ++u)
-            sm.lookup(u).hot.writer = ws;
+            sm.lookup(u).writer = ws;
         addr = (addr + size) & (window - 1);
     }
     benchmark::DoNotOptimize(sm.stats().chunksAllocated);

@@ -4,17 +4,20 @@
  *
  * The paper's per-byte classification (local vs. input/output, unique
  * vs. non-unique, re-use runs) as free functions over a CommTables.
- * There is one kernel set, and it works on runs: commReadRun classifies
- * a read of n consecutive units sharing one (writer, reader) stamp
- * pair, and commFinalizeRuns closes the pending re-use runs of n units
- * sharing one reader stamp. SigilProfiler's shadow walk splits each
- * chunk run that ShadowMemory::span() resolves into maximal stamp-pair
- * runs. The test-side reference profiler (tests/reference_profiler.hh)
- * calls the kernels with n = 1 per unit of its own std::map shadow.
- * The two share the classification and nothing of the shadow layout,
- * so the differential matrix compares how each reaches, groups and
- * evicts the shadow records. A fault in a kernel shows in both: the
- * brute-force oracles check the kernels through both tools.
+ * commClassifyRead classifies the bytes of a read by one (writer,
+ * reader) stamp pair; it is the one kernel the profiler and the
+ * test-side reference profiler (tests/reference_profiler.hh) share.
+ *
+ * The re-use kernels work against the shadow's RunTable: commReadRun
+ * classifies a read of the units of one chunk run that
+ * ShadowMemory::span() resolves, once per maximal run of units sharing
+ * one stamp pair, and moves each group of them that names one re-use
+ * run to its next run; commFinalizeRuns closes a group's share of a
+ * pending run. The reference keeps a per-unit re-use record of its
+ * own in a std::map shadow, so the differential matrix compares the
+ * run table against a re-use rule that shares no layout with it. A
+ * fault in commClassifyRead shows in both: the brute-force oracles
+ * check it through both tools.
  *
  * Edges are kept in first-seen order: the edge vectors are appended on
  * first occurrence and the key → index maps locate them afterwards,
@@ -63,7 +66,6 @@ struct ClassifyEnv
 {
     bool collectReuse = true;
     bool collectEvents = false;
-    unsigned granularityShift = 0;
 };
 
 /** The profiler's communication tables. */
@@ -121,100 +123,71 @@ struct CommTables
 };
 
 /**
- * Close the pending re-use runs of n consecutive units whose hot
- * records all carry the reader stamp `reader`, folding each run's
- * lifetime into that reader's statistics and its read count into the
- * program-wide breakdown. The reader stamp and its row are resolved
- * once; consecutive units with equal run state close with one counted
- * histogram add, which is exactly equal to one add per unit. A pending
- * run can only exist on a unit whose cold block is built, so a null
- * cold is a no-op, as is the null reader stamp.
+ * Fold k units' share of a closed re-use run into its reader's
+ * statistics and its read count into the program-wide breakdown, with
+ * one counted add each (exactly equal to k adds). A run that is
+ * already closed (no reads), or whose reader stamp has no context,
+ * folds nothing.
  */
 inline void
-commFinalizeRuns(CommTables &t, const shadow::StampTable &st,
-                 shadow::StampId reader, shadow::ShadowCold *c,
-                 std::size_t n)
+commFoldRun(CommTables &t, const shadow::StampTable &st,
+            const shadow::ReuseRun &run, std::uint64_t k)
 {
-    if (reader == 0 || c == nullptr)
+    if (run.reads == 0)
         return;
-    const shadow::ReaderStamp &rd = st.reader(reader);
+    const shadow::ReaderStamp &rd = st.reader(run.reader);
     if (rd.ctx == vg::kInvalidContext)
         return;
-    // Resolved lazily: a reader whose runs were never re-read must not
-    // grow the row table.
-    CommAggregates *r = nullptr;
-    for (std::size_t i = 0; i < n;) {
-        const shadow::ShadowCold head = c[i];
-        std::size_t j = i + 1;
-        while (j < n && c[j].runReads == head.runReads &&
-               c[j].runFirstRead == head.runFirstRead &&
-               c[j].runLastRead == head.runLastRead) {
-            ++j;
-        }
-        if (head.runReads != 0) {
-            const std::uint64_t k = j - i;
-            const std::uint64_t reuse = head.runReads - 1;
-            t.unitReuseBreakdown.add(reuse, k);
-            if (reuse >= 1) {
-                if (r == nullptr)
-                    r = &t.row(rd.ctx);
-                r->reusedUnits += k;
-                r->reuseReads += reuse * k;
-                std::uint64_t lifetime =
-                    head.runLastRead - head.runFirstRead;
-                r->lifetimeSum += lifetime * k;
-                r->lifetimeHist.add(lifetime, k);
-            }
-        }
-        for (; i < j; ++i)
-            c[i].runReads = 0;
+    const std::uint64_t reuse = run.reads - 1;
+    t.unitReuseBreakdown.add(reuse, k);
+    if (reuse >= 1) {
+        // Only a re-read run grows the row table.
+        CommAggregates &r = t.row(rd.ctx);
+        r.reusedUnits += k;
+        r.reuseReads += reuse * k;
+        const std::uint64_t lifetime = run.lastRead - run.firstRead;
+        r.lifetimeSum += lifetime * k;
+        r.lifetimeHist.add(lifetime, k);
     }
 }
 
 /**
- * Classify one read of w bytes against a run of n consecutive units
- * that all carry the same (writer, reader) stamp pair, and update their
- * shadow state. Every classification input is a function of that pair
- * and of the access, so the byte counters, edges and transfers are
- * updated once, weighted by the run's covered width w; only the re-use
- * state is walked per unit. reader_id is the access's consumer
- * identity (a.call, a.ctx), interned once per access. c may be null
- * when the access does not need the cold records (the caller builds
- * them exactly when re-use or line mode will touch them, and the units
- * of an unbuilt cold block hold no pending run).
- * seg_xfers (nullable) receives producer-segment → unique-byte
- * transfers; unique_bytes_this_access accumulates for per-object
- * attribution.
+ * Close the pending re-use run of n units whose hot records all carry
+ * reader field v: fold their share of it and take them out of it. A
+ * plain reader stamp (no pending run) is a no-op.
  */
 inline void
-commReadRun(CommTables &t, const ClassifyEnv &env,
-            const shadow::StampTable &st, shadow::ShadowHot *s,
-            shadow::ShadowCold *c, std::size_t n, std::uint64_t w,
-            const AccessStamp &a, shadow::StampId reader_id,
-            std::unordered_map<std::uint64_t, std::uint64_t> *seg_xfers,
-            std::uint64_t &unique_bytes_this_access)
+commFinalizeRuns(CommTables &t, const shadow::StampTable &st,
+                 shadow::RunTable &runs, shadow::StampId v, std::size_t n)
 {
-    const shadow::ShadowHot pair = s[0];
-    // All n units share the writer stamp, so recording the new reader
-    // is an 8-byte word fill.
-    auto stamp_readers = [&] {
-        std::fill(s, s + n, shadow::ShadowHot{pair.writer, reader_id});
-    };
-
-    if (!a.collecting) {
-        // Outside the ROI: maintain shadow state only. The read ends
-        // any pending run the way an overwrite does: a run built
-        // inside the ROI keeps its statistics, and the next ROI read
-        // of the unit starts a fresh run.
-        commFinalizeRuns(t, st, pair.reader, c, n);
-        stamp_readers();
+    if (!shadow::RunTable::isRun(v))
         return;
-    }
+    commFoldRun(t, st, runs.at(v), n);
+    runs.release(v, n);
+}
 
-    const shadow::WriterStamp &wr = st.writer(pair.writer);
+/**
+ * Classify w bytes of a read by the access a from units whose producer
+ * stamp is `writer` and whose last consumer stamp is `reader`: the
+ * byte counters, edges, thread edges and segment transfers. Every
+ * input is a function of that pair and of the access, so a run of
+ * units sharing the pair is classified once, weighted by its covered
+ * width w. seg_xfers (nullable) receives producer-segment →
+ * unique-byte transfers; unique_bytes_this_access accumulates for
+ * per-object attribution.
+ */
+inline void
+commClassifyRead(CommTables &t, const ClassifyEnv &env,
+                 const shadow::StampTable &st, shadow::StampId writer,
+                 shadow::StampId reader, std::uint64_t w,
+                 const AccessStamp &a,
+                 std::unordered_map<std::uint64_t, std::uint64_t> *seg_xfers,
+                 std::uint64_t &unique_bytes_this_access)
+{
+    const shadow::WriterStamp &wr = st.writer(writer);
     const bool ever_written = wr.ctx != vg::kInvalidContext;
     vg::ContextId producer = ever_written ? wr.ctx : kUninitProducer;
-    bool unique = st.reader(pair.reader).ctx != a.ctx;
+    bool unique = st.reader(reader).ctx != a.ctx;
     bool local = producer == a.ctx;
 
     if (unique)
@@ -222,17 +195,17 @@ commReadRun(CommTables &t, const ClassifyEnv &env,
     if (local) {
         // row() may grow rows, so the reader row is re-fetched after
         // any call that can resize it rather than cached across them.
-        CommAggregates &reader = t.row(a.ctx);
+        CommAggregates &row = t.row(a.ctx);
         if (unique)
-            reader.uniqueLocalBytes += w;
+            row.uniqueLocalBytes += w;
         else
-            reader.nonuniqueLocalBytes += w;
+            row.nonuniqueLocalBytes += w;
     } else {
-        CommAggregates &reader = t.row(a.ctx);
+        CommAggregates &row = t.row(a.ctx);
         if (unique)
-            reader.uniqueInputBytes += w;
+            row.uniqueInputBytes += w;
         else
-            reader.nonuniqueInputBytes += w;
+            row.nonuniqueInputBytes += w;
         if (producer >= 0) {
             CommAggregates &prod = t.row(producer);
             if (unique)
@@ -256,11 +229,11 @@ commReadRun(CommTables &t, const ClassifyEnv &env,
     // Orthogonal to the local/input axis — two threads executing the
     // same function still communicate through memory.
     if (ever_written && wr.thread != a.tid) {
-        CommAggregates &reader = t.row(a.ctx);
+        CommAggregates &row = t.row(a.ctx);
         if (unique)
-            reader.uniqueInterThreadBytes += w;
+            row.uniqueInterThreadBytes += w;
         else
-            reader.nonuniqueInterThreadBytes += w;
+            row.nonuniqueInterThreadBytes += w;
         std::uint64_t tkey = CommTables::threadEdgeKey(wr.thread, a.tid);
         auto [tit, tin] =
             t.threadEdgeIndex.try_emplace(tkey, t.threadEdges.size());
@@ -277,37 +250,78 @@ commReadRun(CommTables &t, const ClassifyEnv &env,
         wr.seq != a.segSeq) {
         (*seg_xfers)[wr.seq] += w;
     }
+}
 
-    if (env.collectReuse) {
-        // Stamp interning is injective, so id equality is exactly the
-        // old (reader ctx, reader call) pair comparison. Re-use mode
-        // always resolves with want_cold, so c is non-null here. A
-        // unit with no pending run (its reader's last read fell
-        // outside the ROI) starts one now, not at tick 0.
-        if (pair.reader == reader_id) {
-            for (std::size_t i = 0; i < n; ++i) {
-                if (c[i].runReads++ == 0)
-                    c[i].runFirstRead = a.tick;
-                c[i].runLastRead = a.tick;
-            }
-        } else {
-            commFinalizeRuns(t, st, pair.reader, c, n);
-            for (std::size_t i = 0; i < n; ++i) {
-                c[i].runReads = 1;
-                c[i].runFirstRead = a.tick;
-                c[i].runLastRead = a.tick;
-            }
-        }
-    }
-
-    // Per-unit access totals only feed the line-granularity re-use
-    // breakdown, so byte-mode reads skip the cold record entirely
-    // unless they are tracking a re-use run.
-    if (env.granularityShift > 0) {
+/**
+ * Classify one read against n consecutive units of one chunk and move
+ * each group of them that names one re-use run to its next run. The
+ * units are split into maximal runs sharing one (writer, reader) stamp
+ * pair, each classified once, in unit order so edges keep their
+ * first-seen order; units naming different runs of one reader share
+ * the pair. covered(i, j) is the width in bytes of the read over units
+ * i..j (inclusive). reader_id is the access's consumer stamp (a.call,
+ * a.ctx), interned once per access. totals (nullable) are the units'
+ * line-mode access totals.
+ *
+ * Outside the ROI the read only ends the units' pending runs, the way
+ * an overwrite does: a run built inside the ROI keeps its statistics,
+ * and the next ROI read starts a fresh run. Inside it, a read by a
+ * run's own reader extends the run; any other read closes it and
+ * starts one of its own (so does a read of a unit with no pending
+ * run, which starts at this read, not at tick 0).
+ */
+template <typename Covered>
+void
+commReadRun(CommTables &t, const ClassifyEnv &env,
+            const shadow::StampTable &st, shadow::RunTable &runs,
+            shadow::ShadowHot *s, std::uint64_t *totals, std::size_t n,
+            Covered &&covered, const AccessStamp &a,
+            shadow::StampId reader_id,
+            std::unordered_map<std::uint64_t, std::uint64_t> *seg_xfers,
+            std::uint64_t &unique_bytes_this_access)
+{
+    if (a.collecting && totals != nullptr) {
         for (std::size_t i = 0; i < n; ++i)
-            ++c[i].totalAccesses;
+            ++totals[i];
     }
-    stamp_readers();
+    for (std::size_t i = 0; i < n;) {
+        const shadow::StampId writer = s[i].writer;
+        const shadow::StampId reader = runs.readerOf(s[i].reader);
+        std::size_t j = i;
+        if (!env.collectReuse) {
+            // No runs exist: the units just record the new reader.
+            while (j < n && s[j].writer == writer && s[j].reader == reader)
+                s[j++].reader = reader_id;
+        } else {
+            // Every group of the stamp-pair run names a run of the same
+            // reader, so whether the read extends it is known once.
+            const bool extends = a.collecting && reader == reader_id;
+            do {
+                const shadow::StampId v = s[j].reader;
+                std::size_t k = j + 1;
+                while (k < n && s[k].writer == writer && s[k].reader == v)
+                    ++k;
+                shadow::StampId next = reader_id;
+                if (extends && shadow::RunTable::isRun(v)) {
+                    next = runs.extend(v, a.tick, k - j);
+                } else {
+                    commFinalizeRuns(t, st, runs, v, k - j);
+                    if (a.collecting)
+                        next = runs.start(reader_id, a.tick, k - j);
+                }
+                // The group shares the writer stamp, so recording its
+                // new reader field is an 8-byte word fill.
+                std::fill(s + j, s + k, shadow::ShadowHot{writer, next});
+                j = k;
+            } while (j < n && s[j].writer == writer &&
+                     runs.readerOf(s[j].reader) == reader);
+        }
+        if (a.collecting) {
+            commClassifyRead(t, env, st, writer, reader, covered(i, j - 1),
+                             a, seg_xfers, unique_bytes_this_access);
+        }
+        i = j;
+    }
 }
 
 } // namespace sigil::core

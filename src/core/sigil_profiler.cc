@@ -1,6 +1,8 @@
 #include "sigil_profiler.hh"
 
 #include <algorithm>
+#include <map>
+#include <tuple>
 
 #include "support/logging.hh"
 
@@ -16,8 +18,7 @@ SigilProfiler::SigilProfiler(const SigilConfig &config)
     shadow_.setEvictionHandler(
         [this](const shadow::ShadowMemory::Run &run) {
             closePendingRuns(run);
-        },
-        shadow::SweepFilter::PendingRuns);
+        });
     collecting_ = !config_.roiOnly;
 }
 
@@ -26,14 +27,14 @@ SigilProfiler::~SigilProfiler() = default;
 void
 SigilProfiler::closePendingRuns(const shadow::ShadowMemory::Run &run)
 {
-    if (!config_.collectReuse || run.cold == nullptr)
+    if (!config_.collectReuse)
         return;
     for (std::size_t i = 0; i < run.count;) {
         const shadow::StampId reader = run.hot[i].reader;
         std::size_t j = i + 1;
         while (j < run.count && run.hot[j].reader == reader)
             ++j;
-        commFinalizeRuns(tables_, shadow_.stamps(), reader, run.cold + i,
+        commFinalizeRuns(tables_, shadow_.stamps(), shadow_.runs(), reader,
                          j - i);
         i = j;
     }
@@ -113,7 +114,7 @@ SigilProfiler::memWrite(vg::Addr addr, unsigned size)
     shadow_.span(first, last, /*want_cold=*/false,
                  [&](shadow::ShadowMemory::Run run) {
         // Close pending runs before the overwrite clobbers their
-        // reader identity, one group of equal reader stamps at a time.
+        // reader identity, one group of equal reader fields at a time.
         closePendingRuns(run);
         // The stamp overwrite itself is a plain 8-byte word fill.
         std::fill(run.hot, run.hot + run.count, shadow::ShadowHot{ws, 0});
@@ -172,8 +173,7 @@ SigilProfiler::classifyRead(vg::Addr addr, unsigned size, vg::ContextId ctx,
             (last_unit << shift) | ((std::uint64_t{1} << shift) - 1));
         return hi - lo + 1;
     };
-    const ClassifyEnv env{config_.collectReuse, config_.collectEvents,
-                          config_.granularityShift};
+    const ClassifyEnv env{config_.collectReuse, config_.collectEvents};
     // One consumer identity per access. The call number only matters
     // for re-use run identity (consecutive-reader equality); with
     // re-use off, classification reads nothing but the reader's
@@ -183,22 +183,12 @@ SigilProfiler::classifyRead(vg::Addr addr, unsigned size, vg::ContextId ctx,
         shadow::ReaderStamp{config_.collectReuse ? call : 0, ctx});
     shadow_.span(first, last, readWantsCold(),
                  [&](shadow::ShadowMemory::Run run) {
-        // Split the chunk run into maximal runs of units sharing one
-        // (writer, reader) stamp pair and classify each run once, in
-        // unit order so edges keep their first-seen order.
-        for (std::size_t i = 0; i < run.count;) {
-            const shadow::ShadowHot pair = run.hot[i];
-            std::size_t j = i + 1;
-            while (j < run.count && run.hot[j].writer == pair.writer &&
-                   run.hot[j].reader == pair.reader) {
-                ++j;
-            }
-            commReadRun(tables_, env, shadow_.stamps(), run.hot + i,
-                        run.cold ? run.cold + i : nullptr, j - i,
-                        covered(run.firstUnit + i, run.firstUnit + j - 1), a,
-                        rs, &state.xfers, unique_bytes);
-            i = j;
-        }
+        commReadRun(tables_, env, shadow_.stamps(), shadow_.runs(), run.hot,
+                    run.totals, run.count,
+                    [&](std::size_t i, std::size_t j) {
+                        return covered(run.firstUnit + i, run.firstUnit + j);
+                    },
+                    a, rs, &state.xfers, unique_bytes);
     });
     return unique_bytes;
 }
@@ -345,38 +335,32 @@ SigilProfiler::finish()
 {
     for (SegState &state : segStates_)
         flushSegment(state);
-    // The end-of-run sweep only finalizes pending re-use runs and (in
-    // line mode) folds per-unit access totals: both live in the cold
-    // record, so blocks that never built one are skipped whole.
-    // In line mode a read-then-overwritten unit has no recorded reader
-    // but a nonzero access total, so the sweep must visit every
-    // touched unit of a built cold block; in byte mode units with no
-    // recorded reader have nothing pending and are skipped too.
-    const shadow::SweepFilter filter =
-        config_.granularityShift > 0 ? shadow::SweepFilter::ColdChunks
-                                     : shadow::SweepFilter::PendingRuns;
-    const bool sweep_needed =
-        config_.granularityShift > 0 || config_.collectReuse;
-    if (!sweep_needed)
+    // Pending re-use runs are folded record by record, each weighted
+    // by the units that name it, and then closed: the units keep their
+    // reader, with no run pending.
+    if (config_.collectReuse) {
+        shadow_.runs().forEachLive([this](shadow::ReuseRun &run) {
+            commFoldRun(tables_, shadow_.stamps(), run, run.units);
+            run.reads = 0;
+        });
+    }
+    if (config_.granularityShift == 0)
         return;
-    shadow_.forEach(
-        [this](const shadow::ShadowMemory::Run &run) {
-            closePendingRuns(run);
-            if (config_.granularityShift == 0 || run.cold == nullptr)
-                return;
-            // Fold each group of equal access totals with one counted
-            // add.
-            for (std::size_t i = 0; i < run.count;) {
-                const std::uint64_t total = run.cold[i].totalAccesses;
-                std::size_t j = i + 1;
-                while (j < run.count && run.cold[j].totalAccesses == total)
-                    ++j;
-                if (total > 0)
-                    tables_.lineReuseBreakdown.add(total - 1, j - i);
-                i = j;
-            }
-        },
-        filter);
+    // Line mode folds each group of equal access totals with one
+    // counted add.
+    shadow_.forEach([this](const shadow::ShadowMemory::Run &run) {
+        if (run.totals == nullptr)
+            return;
+        for (std::size_t i = 0; i < run.count;) {
+            const std::uint64_t total = run.totals[i];
+            std::size_t j = i + 1;
+            while (j < run.count && run.totals[j] == total)
+                ++j;
+            if (total > 0)
+                tables_.lineReuseBreakdown.add(total - 1, j - i);
+            i = j;
+        }
+    });
 }
 
 const CommAggregates &
@@ -674,7 +658,7 @@ SigilProfiler::saveState(ByteSink &sink)
     for (std::uint64_t seq : barrierPreds_)
         sink.u64(seq);
 
-    const shadow::ShadowStats &st = shadow_.stats();
+    const shadow::ShadowStats st = shadow_.stats();
     sink.u64(st.chunksAllocated);
     sink.u64(st.chunksLive);
     sink.u64(st.chunksPeak);
@@ -682,7 +666,7 @@ SigilProfiler::saveState(ByteSink &sink)
     sink.u64(0); // allocation-failure slot, always zero
 
     // Shadow body. The byte peak joins the stats (it is not derivable
-    // from chunksPeak, because cold arrays are allocated lazily).
+    // from chunksPeak, because cold arrays are charged lazily).
     sink.u64(st.bytesPeak);
 
     // The FULL stamp table, in id order — including tuples whose only
@@ -709,8 +693,10 @@ SigilProfiler::saveState(ByteSink &sink)
 
     // Chunk groups, least recently used chunk first: restoring in
     // this order reproduces the recency list, hence every future
-    // eviction decision. Each group carries its cold-presence flag so
-    // the restore re-materializes exactly the saved cold arrays.
+    // eviction decision. Each group carries its cold flag so the
+    // restore charges exactly the saved cold arrays. A unit's cold
+    // record is its run expanded: a unit with no pending run (or a
+    // closed one) saves zero ticks.
     struct ChunkHead
     {
         std::uint64_t index;
@@ -722,6 +708,7 @@ SigilProfiler::saveState(ByteSink &sink)
         [&](std::uint64_t index, bool has_cold, std::uint64_t units) {
             heads.push_back(ChunkHead{index, has_cold, units});
         });
+    const shadow::RunTable &runs = shadow_.runs();
     sink.varint(heads.size());
     for (const ChunkHead &head : heads) {
         sink.varint(head.index);
@@ -732,15 +719,19 @@ SigilProfiler::saveState(ByteSink &sink)
         shadow_.forEachInChunk(
             head.index, [&](const shadow::ShadowMemory::Run &run) {
                 for (std::size_t i = 0; i < run.count; ++i) {
+                    const shadow::StampId v = run.hot[i].reader;
                     sink.varint(run.firstUnit + i - base);
                     sink.varint(run.hot[i].writer);
-                    sink.varint(run.hot[i].reader);
-                    if (head.hasCold) {
-                        sink.u64(run.cold[i].runFirstRead);
-                        sink.u64(run.cold[i].runLastRead);
-                        sink.u64(run.cold[i].totalAccesses);
-                        sink.u32(run.cold[i].runReads);
-                    }
+                    sink.varint(runs.readerOf(v));
+                    if (!head.hasCold)
+                        continue;
+                    shadow::ReuseRun pending;
+                    if (shadow::RunTable::isRun(v) && runs.at(v).reads != 0)
+                        pending = runs.at(v);
+                    sink.u64(pending.firstRead);
+                    sink.u64(pending.lastRead);
+                    sink.u64(run.totals ? run.totals[i] : 0);
+                    sink.u32(pending.reads);
                 }
             });
     }
@@ -966,6 +957,11 @@ SigilProfiler::restoreState(ByteSource &src)
     std::uint64_t num_chunks = src.varint();
     if (!src.ok() || num_chunks > (std::uint64_t{1} << 28))
         return false;
+    // Saved units with equal pending runs name one restored record.
+    using RunKey = std::tuple<shadow::StampId, std::uint32_t, vg::Tick,
+                              vg::Tick>;
+    std::map<RunKey, shadow::StampId> restored_runs;
+    shadow::RunTable &runs = shadow_.runs();
     for (std::uint64_t c = 0; c < num_chunks; ++c) {
         std::uint64_t index = src.varint();
         std::uint8_t has_cold = src.u8();
@@ -980,25 +976,48 @@ SigilProfiler::restoreState(ByteSource &src)
             std::uint64_t off = src.varint();
             std::uint64_t wid = src.varint();
             std::uint64_t rid = src.varint();
-            shadow::ShadowCold cold;
+            vg::Tick first_read = 0;
+            vg::Tick last_read = 0;
+            std::uint64_t total = 0;
+            std::uint32_t reads = 0;
             if (has_cold != 0) {
-                cold.runFirstRead = src.u64();
-                cold.runLastRead = src.u64();
-                cold.totalAccesses = src.u64();
-                cold.runReads = src.u32();
+                first_read = src.u64();
+                last_read = src.u64();
+                total = src.u64();
+                reads = src.u32();
             }
+            // Only line mode keeps access totals, and only re-use
+            // tracking keeps runs.
             if (!src.ok() ||
                 off >= shadow::ShadowMemory::kChunkUnits ||
-                wid > wcount || rid > rcount) {
+                wid > wcount || rid > rcount ||
+                (total != 0 && config_.granularityShift == 0) ||
+                (reads != 0 && !config_.collectReuse)) {
                 return false;
             }
             // Re-intern the resolved tuples rather than trusting the
             // saved ids, so the restore stays correct even if the saved
             // id space and ours ever disagree.
-            shadow::ShadowHot &hot = shadow_.restoreUnit(
-                base + off, has_cold != 0 ? &cold : nullptr);
-            hot.writer = shadow_.internWriter(writers[wid]);
-            hot.reader = shadow_.internReader(readers[rid]);
+            const shadow::ShadowMemory::Run run =
+                shadow_.restoreUnit(base + off, has_cold != 0);
+            run.hot->writer = shadow_.internWriter(writers[wid]);
+            const shadow::StampId reader = shadow_.internReader(readers[rid]);
+            run.hot->reader = reader;
+            if (run.totals != nullptr)
+                *run.totals = total;
+            // A record with no reads has no pending run; its ticks are
+            // ignored (older writers left stale ones there).
+            if (reads == 0)
+                continue;
+            auto [it, inserted] = restored_runs.try_emplace(
+                RunKey{reader, reads, first_read, last_read}, 0);
+            if (inserted) {
+                it->second = runs.add(
+                    shadow::ReuseRun{reader, reads, first_read, last_read, 1});
+            } else {
+                ++runs.at(it->second).units;
+            }
+            run.hot->reader = it->second;
         }
     }
     shadow_.restoreStats(st);

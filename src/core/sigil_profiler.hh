@@ -123,12 +123,12 @@ class SigilProfiler : public vg::Tool
     shadow::ShadowMemory &shadowMemory() { return shadow_; }
 
     /** Shadow allocation statistics. */
-    const shadow::ShadowStats &shadowStats() const { return shadow_.stats(); }
+    shadow::ShadowStats shadowStats() const { return shadow_.stats(); }
 
     /** Peak host bytes of shadow state. */
     std::uint64_t shadowPeakBytes() const
     {
-        return shadow_.stats().peakBytes();
+        return shadow_.peakBytes();
     }
 
     const SigilConfig &config() const { return config_; }
@@ -153,8 +153,8 @@ class SigilProfiler : public vg::Tool
 
     /**
      * Close the pending re-use runs of a shadow run (no-op unless
-     * re-use tracking is on and the run has cold records), one group of
-     * equal reader stamps at a time.
+     * re-use tracking is on), one group of equal reader fields at a
+     * time.
      */
     void closePendingRuns(const shadow::ShadowMemory::Run &run);
 
@@ -169,11 +169,9 @@ class SigilProfiler : public vg::Tool
     std::uint64_t resolvePred(std::uint64_t seq) const;
 
     /**
-     * Whether a read access must build the cold records of the units
-     * it touches: only re-use tracking and line-mode access totals
-     * ever write them. Writes never build cold (finalizing an
-     * overwritten run only touches a cold block that is already
-     * built).
+     * Whether a read access charges the chunks it enters a cold array:
+     * only reads that track re-use runs or line-mode access totals do.
+     * Writes never do.
      */
     bool
     readWantsCold() const

@@ -110,12 +110,12 @@ class SlotPool
     std::size_t firstFreeWord_ = 0;
 };
 
-/** The pool of chunk arrays of T. */
-template <typename T>
+/** The pool of chunk hot arrays. */
 SlotPool &
-poolFor()
+hotPool()
 {
-    constexpr std::size_t bytes = ShadowMemory::kChunkUnits * sizeof(T);
+    constexpr std::size_t bytes =
+        ShadowMemory::kChunkUnits * sizeof(ShadowHot);
     static_assert(bytes % 4096 == 0 && kRegionBytes % bytes == 0,
                   "chunk arrays are whole pages that tile a region");
     // Never destroyed: a ShadowMemory with static storage duration may
@@ -124,43 +124,12 @@ poolFor()
     return *pool;
 }
 
-/**
- * Uninitialized storage for one chunk's worth of T, from its slot
- * pool. Under AddressSanitizer the whole array starts poisoned and
- * each block is unpoisoned as it is constructed, so any read of
- * never-constructed shadow state is reported.
- */
-template <typename T>
-T *
-allocateBlocks()
-{
-    return static_cast<T *>(poolFor<T>().acquire());
-}
-
-/** Value-construct block w (64 entries) of an allocateBlocks() array. */
-template <typename T>
-void
-constructBlockOf(T *array, std::size_t w)
-{
-    T *block = array + (w << 6);
-    ASAN_UNPOISON_MEMORY_REGION(block, 64 * sizeof(T));
-    std::uninitialized_value_construct_n(block, 64);
-}
-
 } // namespace
-
-const ShadowCold ShadowMemory::kUnbuiltCold[64] = {};
 
 void
 ShadowMemory::SlotRelease::operator()(ShadowHot *p) const
 {
-    poolFor<ShadowHot>().release(p);
-}
-
-void
-ShadowMemory::SlotRelease::operator()(ShadowCold *p) const
-{
-    poolFor<ShadowCold>().release(p);
+    hotPool().release(p);
 }
 
 ShadowMemory::ShadowMemory(const Config &config)
@@ -175,11 +144,9 @@ ShadowMemory::ShadowMemory(const Config &config)
 }
 
 void
-ShadowMemory::setEvictionHandler(RunVisitor handler,
-                                 SweepFilter filter)
+ShadowMemory::setEvictionHandler(RunVisitor handler)
 {
     evictionHandler_ = std::move(handler);
-    evictionFilter_ = filter;
 }
 
 void
@@ -225,7 +192,11 @@ ShadowMemory::chunkFor(std::uint64_t unit)
         Chunk chunk;
         chunk.base = index << kChunkShift;
         chunk.index = index;
-        chunk.hot.reset(allocateBlocks<ShadowHot>());
+        // Uninitialized, from the slot pool. Under AddressSanitizer the
+        // array starts poisoned and each block is unpoisoned as it is
+        // constructed, so any read of never-constructed state is
+        // reported.
+        chunk.hot.reset(static_cast<ShadowHot *>(hotPool().acquire()));
         it = directory_.emplace(index, std::move(chunk)).first;
         lruAppend(&it->second);
         ++stats_.chunksAllocated;
@@ -243,112 +214,60 @@ ShadowMemory::chunkFor(std::uint64_t unit)
 }
 
 void
-ShadowMemory::materializeCold(Chunk &chunk)
+ShadowMemory::chargeCold(Chunk &chunk)
 {
-    // Allocation only: each block is constructed when a want_cold
-    // resolution first enters it (buildColdBlocks).
-    chunk.cold.reset(allocateBlocks<ShadowCold>());
+    chunk.hasCold = true;
+    if (granularityShift_ > 0)
+        chunk.totals.reset(new std::uint64_t[kChunkUnits]());
     ++stats_.coldArraysLive;
     bytesAdd(chunkColdBytes());
 }
 
 void
-ShadowMemory::buildColdBlocks(Chunk &chunk, std::uint64_t blocks)
-{
-    if (!chunk.cold)
-        materializeCold(chunk);
-    chunk.coldBuilt |= blocks;
-    stats_.coldBlocksLive +=
-        static_cast<std::uint64_t>(std::popcount(blocks));
-    for (; blocks != 0; blocks &= blocks - 1) {
-        constructBlockOf(chunk.cold.get(),
-                         static_cast<std::size_t>(std::countr_zero(blocks)));
-    }
-}
-
-void
 ShadowMemory::constructHotBlock(Chunk &chunk, std::size_t w)
 {
-    constructBlockOf(chunk.hot.get(), w);
-}
-
-ShadowRef
-ShadowMemory::lookup(std::uint64_t unit, bool want_cold)
-{
-    Chunk &chunk = chunkFor(unit);
-    std::size_t off = unit & (kChunkUnits - 1);
-    std::uint64_t &word = chunk.touched[off >> 6];
-    if (word == 0)
-        constructHotBlock(chunk, off >> 6);
-    word |= std::uint64_t{1} << (off & 63);
-    if (want_cold)
-        buildCold(chunk, std::uint64_t{1} << (off >> 6));
-    return ShadowRef{chunk.hot[off], coldAt(chunk, off)};
+    ShadowHot *block = chunk.hot.get() + (w << 6);
+    ASAN_UNPOISON_MEMORY_REGION(block, 64 * sizeof(ShadowHot));
+    std::uninitialized_value_construct_n(block, 64);
 }
 
 ShadowHot &
-ShadowMemory::restoreUnit(std::uint64_t unit, const ShadowCold *cold)
+ShadowMemory::lookup(std::uint64_t unit, bool want_cold)
+{
+    ShadowHot *hot = nullptr;
+    span(unit, unit, want_cold, [&](const Run &run) { hot = run.hot; });
+    return *hot;
+}
+
+ShadowMemory::Run
+ShadowMemory::restoreUnit(std::uint64_t unit, bool has_cold)
 {
     const std::size_t saved_max = maxChunks_;
     maxChunks_ = 0;
-    ShadowHot &hot = lookup(unit).hot;
+    Run out{};
+    span(unit, unit, has_cold, [&](const Run &run) { out = run; });
     maxChunks_ = saved_max;
-    if (cold == nullptr)
-        return hot;
-    // lookup() left the unit's chunk in the one-entry cache.
-    Chunk &chunk = *lastChunk_;
-    if (!chunk.cold)
-        materializeCold(chunk);
-    if (cold->runFirstRead != 0 || cold->runLastRead != 0 ||
-        cold->totalAccesses != 0 || cold->runReads != 0) {
-        const std::size_t off = unit & (kChunkUnits - 1);
-        buildCold(chunk, std::uint64_t{1} << (off >> 6));
-        chunk.cold[off] = *cold;
-    }
-    return hot;
+    return out;
 }
 
-ShadowPtr
+ShadowHot *
 ShadowMemory::find(std::uint64_t unit)
 {
     std::uint64_t index = unit >> kChunkShift;
     auto it = directory_.find(index);
     if (it == directory_.end())
-        return ShadowPtr{};
+        return nullptr;
     Chunk &chunk = it->second;
     std::size_t off = unit & (kChunkUnits - 1);
     if (chunk.touched[off >> 6] == 0)
-        return ShadowPtr{};
-    ShadowCold *cold = coldAt(chunk, off);
-    if (cold == nullptr && chunk.cold)
-        cold = unbuiltColdAt(off);
-    return ShadowPtr{&chunk.hot[off], cold};
+        return nullptr;
+    return &chunk.hot[off];
 }
 
 void
-ShadowMemory::visitTouched(Chunk &chunk, const RunVisitor &visitor,
-                           SweepFilter filter)
+ShadowMemory::visitTouched(Chunk &chunk, const RunVisitor &visitor)
 {
-    // The filtered sweeps act only on cold state, so they scan the
-    // touched bits of built cold blocks alone: an unbuilt block holds
-    // no pending run and no access total.
-    std::uint64_t scan[kTouchedWords];
     const std::uint64_t *touched = chunk.touched;
-    if (filter != SweepFilter::All) {
-        if (chunk.coldBuilt == 0)
-            return;
-        for (std::size_t i = 0; i < kTouchedWords; ++i)
-            scan[i] = (chunk.coldBuilt >> i) & 1 ? chunk.touched[i] : 0;
-        touched = scan;
-    }
-    const bool pending_only = filter == SweepFilter::PendingRuns;
-    auto emit = [&](std::size_t off, std::size_t n) {
-        if (chunk.cold) {
-            splitByColdBlocks(chunk, off, n, true, visitor);
-            return;
-        }
-        visitor(Run{chunk.base + off, n, chunk.hot.get() + off, nullptr});
-    };
     std::size_t w = 0;
     std::uint64_t bits = touched[0];
     while (true) {
@@ -369,23 +288,7 @@ ShadowMemory::visitTouched(Chunk &chunk, const RunVisitor &visitor,
             w == kTouchedWords
                 ? kChunkUnits
                 : (w << 6) + static_cast<std::size_t>(std::countr_zero(clear));
-        if (!pending_only) {
-            emit(first, end - first);
-        } else {
-            // Split at units with no recorded reader: they hold no
-            // pending run.
-            std::size_t i = first;
-            while (i < end) {
-                while (i < end && chunk.hot[i].reader == 0)
-                    ++i;
-                std::size_t j = i;
-                while (j < end && chunk.hot[j].reader != 0)
-                    ++j;
-                if (j > i)
-                    emit(i, j - i);
-                i = j;
-            }
-        }
+        visitor(runAt(chunk, first, end - first));
         if (end == kChunkUnits)
             return;
         w = end >> 6;
@@ -394,7 +297,7 @@ ShadowMemory::visitTouched(Chunk &chunk, const RunVisitor &visitor,
 }
 
 void
-ShadowMemory::forEach(const RunVisitor &visitor, SweepFilter filter)
+ShadowMemory::forEach(const RunVisitor &visitor)
 {
     std::vector<Chunk *> chunks;
     chunks.reserve(directory_.size());
@@ -405,7 +308,7 @@ ShadowMemory::forEach(const RunVisitor &visitor, SweepFilter filter)
                   return a->base < b->base;
               });
     for (Chunk *chunk : chunks)
-        visitTouched(*chunk, visitor, filter);
+        visitTouched(*chunk, visitor);
 }
 
 void
@@ -419,7 +322,7 @@ ShadowMemory::forEachChunkInRecencyOrder(
         for (std::size_t w = 0; w < kTouchedWords; ++w)
             touched += static_cast<std::uint64_t>(
                 std::popcount(chunk->touched[w]));
-        fn(chunk->index, chunk->cold != nullptr, touched);
+        fn(chunk->index, chunk->hasCold, touched);
     }
 }
 
@@ -435,16 +338,14 @@ void
 ShadowMemory::evictChunkPtr(Chunk *victim)
 {
     if (evictionHandler_)
-        visitTouched(*victim, evictionHandler_, evictionFilter_);
+        visitTouched(*victim, evictionHandler_);
     // The lookup cache may point into the evicted chunk.
     lastChunk_ = nullptr;
     lastChunkIndex_ = ~0ull;
     bytesSub(chunkHotBytes());
-    if (victim->cold) {
+    if (victim->hasCold) {
         bytesSub(chunkColdBytes());
         --stats_.coldArraysLive;
-        stats_.coldBlocksLive -=
-            static_cast<std::uint64_t>(std::popcount(victim->coldBuilt));
     }
     lruUnlink(victim);
     directory_.erase(victim->index);
@@ -459,7 +360,7 @@ ShadowMemory::forEachInChunk(std::uint64_t index,
     auto it = directory_.find(index);
     if (it == directory_.end())
         return;
-    visitTouched(it->second, visitor, SweepFilter::All);
+    visitTouched(it->second, visitor);
 }
 
 void
@@ -468,15 +369,12 @@ ShadowMemory::restoreStats(const ShadowStats &stats)
     stats_ = stats;
     stats_.chunksLive = directory_.size();
     stats_.coldArraysLive = 0;
-    stats_.coldBlocksLive = 0;
     std::uint64_t live = stamps_.bytes();
     for (const auto &[index, chunk] : directory_) {
         live += chunkHotBytes();
-        if (chunk.cold) {
+        if (chunk.hasCold) {
             live += chunkColdBytes();
             ++stats_.coldArraysLive;
-            stats_.coldBlocksLive +=
-                static_cast<std::uint64_t>(std::popcount(chunk.coldBuilt));
         }
     }
     stats_.bytesLive = live;

@@ -10,31 +10,29 @@
  * chunks of shadow objects. Chunks are created the first time their
  * address range is touched.
  *
- * Per chunk the state is stored as a structure-of-arrays split:
- *  - a *hot* array (ShadowHot): two 32-bit stamp ids per unit — the
- *    interned producer and last-consumer identities (see
- *    stamp_table.hh). Every traced access reads or writes this record;
+ * Per chunk the state is stored as:
+ *  - a *hot* array (ShadowHot): two 32-bit ids per unit — the interned
+ *    producer stamp and either the last consumer's stamp or the id of
+ *    the unit's pending re-use run (see stamp_table.hh and
+ *    run_table.hh). Every traced access reads or writes this record;
  *    at 8 bytes per unit a contiguous span write is a word fill.
- *  - a *cold* array (ShadowCold): re-use run state and line-mode access
- *    totals. The array is allocated lazily, per chunk, the first time a
- *    client asks for it (want_cold) — baseline-mode runs never pay for
- *    it at all;
  *  - a *touched bitmap*: one bit per unit ever returned to a client, so
  *    end-of-run sweeps and eviction handlers visit only units whose
  *    state can differ from the default instead of all kChunkUnits.
- *    The bitmap is also the hot array's init map: both arrays come
+ *    The bitmap is also the hot array's init map: the array comes
  *    uninitialized from a process-wide slot pool that reuses slots in
  *    the order it carved them, and a 64-unit block (one bitmap word) of
  *    hot entries is value-constructed the first time any unit in it is
  *    touched, so a chunk pays only for the blocks it uses;
- *  - a *cold-built mask*: one bit per 64-unit block whose cold entries
- *    are constructed. Only want_cold resolutions (reads that track
- *    re-use or line totals) build cold blocks, so a block that is only
- *    written, or only read outside the region of interest, never pays
- *    for its 2 KiB of cold state. An unbuilt cold block reads as all
- *    zero: runs resolved without want_cold carry a null cold pointer
- *    over it, the sweeps that act on pending runs skip it, and sweeps
- *    of every touched unit and find() present it as zeros.
+ *  - in line-granularity mode only, an *access-total* array: one u64
+ *    per unit, allocated on the chunk's first read that tracks re-use
+ *    or line totals.
+ *
+ * The re-use runs themselves live in one RunTable per shadow, one
+ * record per run however many units name it. The `shadow` row keeps
+ * charging a chunk a per-unit cold array (chunkColdBytes()) from that
+ * first read on: the row is a charging model of the paper's per-unit
+ * layout, not a count of resident bytes.
  *
  * Clients that walk a contiguous unit range should use span(), which
  * resolves each chunk once and yields chunk-clamped runs, instead of
@@ -52,13 +50,14 @@
 #define SIGIL_SHADOW_SHADOW_MEMORY_HH
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <unordered_map>
 
+#include "shadow/run_table.hh"
 #include "shadow/stamp_table.hh"
+#include "support/logging.hh"
 #include "vg/types.hh"
 
 namespace sigil::shadow {
@@ -68,70 +67,14 @@ namespace sigil::shadow {
  * stamp-compressed: the interned identity of the producer (last
  * writer) and of the last consumer (last reader, with its call
  * number). Id 0 is the null stamp, so a zero record means "never
- * written, never read" and `reader != 0` means a consumer identity is
- * recorded.
+ * written, never read". While the unit has a pending re-use run,
+ * `reader` holds the run's id instead (RunTable::isRun), and the run's
+ * record holds the reader stamp.
  */
 struct ShadowHot
 {
     StampId writer = 0;
     StampId reader = 0;
-};
-
-/**
- * Cold shadow state of one shadowed unit: the current re-use run (how
- * many times the last reader has read this unit and the first/last
- * access timestamps of that run) and the line-granularity access
- * total. Only re-use / line mode touches this record, so it lives in a
- * side array that is not even allocated until such a client asks for
- * it.
- */
-struct ShadowCold
-{
-    /** Timestamp of the run's first and most recent read. */
-    vg::Tick runFirstRead = 0;
-    vg::Tick runLastRead = 0;
-    /** Line-granularity mode: total accesses to this unit, ever. */
-    std::uint64_t totalAccesses = 0;
-    /** Reads by the last reader in the current re-use run. */
-    std::uint32_t runReads = 0;
-};
-
-/**
- * Reference to the shadow state of one unit. cold is null when the
- * unit's cold block was never built (no want_cold resolution entered
- * it); clients that only need it opportunistically — finalizing a
- * pending run that can only exist if cold exists — check for null.
- */
-struct ShadowRef
-{
-    ShadowHot &hot;
-    ShadowCold *cold;
-};
-
-/** Nullable variant of ShadowRef (find() result). */
-struct ShadowPtr
-{
-    ShadowHot *hot = nullptr;
-    ShadowCold *cold = nullptr;
-
-    explicit operator bool() const { return hot != nullptr; }
-};
-
-/**
- * Which touched units a sweep visits. Sweeps whose visitor is a no-op
- * on some units (finalizing re-use runs never does anything to a unit
- * with no recorded reader, or in a chunk with no cold array) pass a
- * filter so the bit-scan loop skips them without a call through
- * std::function.
- */
-enum class SweepFilter
-{
-    /** Every touched unit. */
-    All,
-    /** Every touched unit of a built cold block. */
-    ColdChunks,
-    /** Only units with a recorded reader, in built cold blocks. */
-    PendingRuns,
 };
 
 /** Allocation / eviction statistics (drives the memory-usage figure). */
@@ -142,18 +85,20 @@ struct ShadowStats
     std::uint64_t chunksPeak = 0;
     std::uint64_t evictions = 0;
 
-    /** Chunks currently holding a (lazily allocated) cold array. */
+    /** Live chunks charged a cold array (chunkColdBytes()). */
     std::uint64_t coldArraysLive = 0;
 
-    /** 64-unit blocks of live chunks whose cold entries are built. */
-    std::uint64_t coldBlocksLive = 0;
+    /** Re-use run records, now and at the high-water mark. */
+    std::uint64_t runsLive = 0;
+    std::uint64_t runsPeak = 0;
 
     /**
-     * Actual allocated shadow bytes, now and at the high-water mark:
-     * hot arrays + touched bitmaps of live chunks, cold arrays where
-     * present, plus the stamp table's accounting share. Replaces the
-     * old `chunksPeak * chunk_bytes` approximation, which over-counted
-     * chunks that never materialized a cold array.
+     * Charged shadow bytes, now and at the high-water mark: the hot
+     * array and touched bitmap of every live chunk, a per-unit cold
+     * array (chunkColdBytes()) for every chunk charged one, plus the
+     * stamp table's accounting share. This is a charging model of the
+     * paper's per-unit layout: re-use runs are stored once per run and
+     * hot blocks are built on first touch, so the process holds less.
      */
     std::uint64_t bytesLive = 0;
     std::uint64_t bytesPeak = 0;
@@ -193,37 +138,31 @@ class ShadowMemory
 
     /**
      * A contiguous run of shadow state inside one chunk: units
-     * [firstUnit, firstUnit + count) map to hot[0..count), and to
-     * cold[0..count) when their cold blocks are built (else cold is
-     * null). span() yields the chunk-clamped runs of an access, split
-     * where the cold blocks switch between built and unbuilt unless
-     * want_cold built them all; the sweeps yield maximal runs of units
-     * matching their filter.
+     * [firstUnit, firstUnit + count) map to hot[0..count), and in line
+     * mode to totals[0..count) once the chunk has its access totals
+     * (else totals is null). span() yields the chunk-clamped runs of an
+     * access; the sweeps yield maximal runs of touched units.
      */
     struct Run
     {
         std::uint64_t firstUnit;
         std::size_t count;
         ShadowHot *hot;
-        ShadowCold *cold;
+        std::uint64_t *totals;
     };
 
     /**
-     * Sweep visitor: called with each maximal run of touched units
-     * (matching the sweep's filter) of a chunk, in ascending unit
-     * order. The run's pointers are valid only during the call.
+     * Sweep visitor: called with each maximal run of touched units of
+     * a chunk, in ascending unit order. The run's pointers are valid
+     * only during the call.
      */
     using RunVisitor = std::function<void(const Run &run)>;
 
     /**
      * Install the eviction handler, called with the touched runs of a
-     * chunk about to be evicted. The filter restricts which touched
-     * units the runs cover; a handler that only finalizes pending
-     * re-use runs passes SweepFilter::PendingRuns so eviction skips
-     * the (typically vast) majority of units it would no-op on.
+     * chunk about to be evicted.
      */
-    void setEvictionHandler(RunVisitor handler,
-                            SweepFilter filter = SweepFilter::All);
+    void setEvictionHandler(RunVisitor handler);
 
     /** Unit index covering a guest address. */
     std::uint64_t
@@ -268,32 +207,37 @@ class ShadowMemory
         StampId id = stamps_.internReader(s);
         if (std::uint64_t after = stamps_.bytes(); after != before)
             bytesAdd(after - before);
+        // A hot reader field tells a stamp from a run id by the tag.
+        if (RunTable::isRun(id))
+            fatal("shadow: reader stamp id %u reaches the run tag", id);
         return id;
     }
 
     const StampTable &stamps() const { return stamps_; }
     /// @}
 
+    /** The pending re-use runs the hot reader fields name. */
+    RunTable &runs() { return runs_; }
+    const RunTable &runs() const { return runs_; }
+
     /**
      * Locate (creating if needed) the shadow state of a unit, marking
      * its chunk as most recently touched. May evict another chunk when
-     * a memory limit is configured. want_cold builds the unit's cold
-     * block (materializing the chunk's cold array if it is still
-     * absent); without it the returned cold pointer is null unless the
-     * block is already built.
+     * a memory limit is configured. want_cold charges the chunk its
+     * cold array if it has none yet (see span()).
      */
-    ShadowRef lookup(std::uint64_t unit, bool want_cold = false);
+    ShadowHot &lookup(std::uint64_t unit, bool want_cold = false);
 
     /**
      * Span-oriented lookup: visit the shadow state of every unit in
      * [first_unit, last_unit] as chunk-clamped contiguous runs,
      * resolving each chunk exactly once. Equivalent to calling
-     * lookup() per unit (same touch ordering, same evictions, cold
-     * materializations and cold blocks built) without the per-unit
-     * directory and recency work. Without want_cold a chunk's run is
-     * further split where its cold blocks switch between built and
-     * unbuilt. last_unit may be the very last unit of the address
-     * space.
+     * lookup() per unit (same touch ordering, same evictions and cold
+     * charges) without the per-unit directory and recency work.
+     * want_cold marks a read that tracks re-use runs or line totals:
+     * it charges each chunk it enters a cold array on the first such
+     * read, and in line mode allocates the chunk's access totals.
+     * last_unit may be the very last unit of the address space.
      *
      * The references inside a Run are valid only during the callback:
      * the next chunk resolution may evict the chunk that backed it.
@@ -312,10 +256,9 @@ class ShadowMemory
             if (word == 0)
                 constructHotBlock(chunk, off >> 6);
             word |= std::uint64_t{1} << (off & 63);
-            if (want_cold)
-                buildCold(chunk, std::uint64_t{1} << (off >> 6));
-            fn(Run{first_unit, 1, chunk.hot.get() + off,
-                   coldAt(chunk, off)});
+            if (want_cold && !chunk.hasCold)
+                chargeCold(chunk);
+            fn(runAt(chunk, off, 1));
             return;
         }
         std::uint64_t u = first_unit;
@@ -326,19 +269,9 @@ class ShadowMemory
                 std::min<std::uint64_t>(last_unit - u + 1,
                                         kChunkUnits - off));
             markTouched(chunk, off, n);
-            const std::uint64_t blocks =
-                blockMask(off >> 6, (off + n - 1) >> 6);
-            if (want_cold)
-                buildCold(chunk, blocks);
-            // One run unless the blocks mix built and unbuilt cold
-            // state, which want_cold never leaves.
-            const std::uint64_t built = chunk.coldBuilt & blocks;
-            if (built == 0 || built == blocks) {
-                fn(Run{u, n, chunk.hot.get() + off,
-                       built != 0 ? chunk.cold.get() + off : nullptr});
-            } else {
-                splitByColdBlocks(chunk, off, n, false, fn);
-            }
+            if (want_cold && !chunk.hasCold)
+                chargeCold(chunk);
+            fn(runAt(chunk, off, n));
             // Stop on the run that holds last_unit rather than testing
             // u <= last_unit after the step: u + n wraps to 0 when
             // last_unit is the top unit of the address space.
@@ -350,35 +283,26 @@ class ShadowMemory
 
     /**
      * Locate without creating or touching; null if the unit's chunk is
-     * absent or its block was never touched (never constructed). In a
-     * chunk with a cold array, an unbuilt cold block is presented as
-     * read-only zeros.
+     * absent or its block was never touched (never constructed).
      */
-    ShadowPtr find(std::uint64_t unit);
+    ShadowHot *find(std::uint64_t unit);
 
     /**
      * Checkpoint restore of one saved unit: touch it like lookup(),
      * but never evict, so re-populating exactly the saved chunk set
      * (which already respects the limit) cannot perturb it, and
-     * return its hot record. A non-null cold is the unit's saved cold
-     * record: the chunk gets its cold array, and the unit's block is
-     * built and the record stored only when the record is nonzero (an
-     * unbuilt block reads as zero). Units must be restored in saved
-     * (recency) order.
+     * return its one-unit run. has_cold charges the chunk its cold
+     * array (and in line mode allocates its access totals). Units must
+     * be restored in saved (recency) order.
      */
-    ShadowHot &restoreUnit(std::uint64_t unit, const ShadowCold *cold);
+    Run restoreUnit(std::uint64_t unit, bool has_cold);
 
     /**
-     * Visit every touched shadow object as maximal runs (used for the
-     * end-of-run sweep that finalizes pending re-use runs). Chunks are
+     * Visit every touched shadow object as maximal runs. Chunks are
      * visited in ascending base order so the sweep is deterministic
-     * run-to-run; within a chunk only units matching the filter are
-     * visited. Under SweepFilter::All the cold entries of an unbuilt
-     * block are read-only zeros (a write through them faults), and
-     * runs are split at the edges of such blocks.
+     * run-to-run.
      */
-    void forEach(const RunVisitor &visitor,
-                 SweepFilter filter = SweepFilter::All);
+    void forEach(const RunVisitor &visitor);
 
     /**
      * Visit the live chunks in recency order (least recently touched
@@ -400,13 +324,22 @@ class ShadowMemory
      */
     void forEachInChunk(std::uint64_t index, const RunVisitor &visitor);
 
-    const ShadowStats &stats() const { return stats_; }
+    /** Statistics, with the run table's record counts. */
+    ShadowStats
+    stats() const
+    {
+        ShadowStats s = stats_;
+        s.runsLive = runs_.live();
+        s.runsPeak = runs_.peak();
+        return s;
+    }
 
     /**
      * Overwrite the cumulative statistics (checkpoint restore). The
-     * live-chunk count, cold-array and built cold block counts, and
-     * live bytes are re-derived from the directory and stamp table;
-     * the byte peak is clamped up to the re-derived live figure.
+     * live-chunk count, cold-array count and live bytes are re-derived
+     * from the directory and stamp table, and the run counts from the
+     * run table; the byte peak is clamped up to the re-derived live
+     * figure.
      */
     void restoreStats(const ShadowStats &stats);
 
@@ -421,11 +354,16 @@ class ShadowMemory
                kTouchedWords * sizeof(std::uint64_t);
     }
 
-    /** Host bytes of one chunk's lazily allocated cold array. */
+    /**
+     * Bytes charged for one chunk's cold array: the paper's per-unit
+     * re-use record (first and last read tick, line access total, read
+     * count; 32 bytes padded). A charge, not an allocation: runs live
+     * in the RunTable.
+     */
     static constexpr std::size_t
     chunkColdBytes()
     {
-        return kChunkUnits * sizeof(ShadowCold);
+        return kChunkUnits * 32;
     }
 
     /** Current host bytes held (chunks + stamp table share). */
@@ -436,125 +374,48 @@ class ShadowMemory
 
   private:
     /**
-     * Returns a chunk array to the process-wide slot pool it came from
+     * Returns a hot array to the process-wide slot pool it came from
      * (no destructors run).
      */
     struct SlotRelease
     {
         void operator()(ShadowHot *p) const;
-        void operator()(ShadowCold *p) const;
     };
-    template <typename T>
-    using BlockArray = std::unique_ptr<T[], SlotRelease>;
 
     struct Chunk
     {
         std::uint64_t base = 0; // first unit index covered
         std::uint64_t index = 0;
         /** Blocks are constructed as the touched map marks them. */
-        BlockArray<ShadowHot> hot;
-        /**
-         * Allocated on the first want_cold resolution; blocks are
-         * constructed as coldBuilt marks them.
-         */
-        BlockArray<ShadowCold> cold;
+        std::unique_ptr<ShadowHot[], SlotRelease> hot;
+        /** Line mode: per-unit access totals, from the cold charge on. */
+        std::unique_ptr<std::uint64_t[]> totals;
         /**
          * Bit per unit: ever returned via lookup()/span(). A zero word
          * means its 64-unit block of hot entries has not been
          * constructed yet.
          */
         std::uint64_t touched[kTouchedWords] = {};
-        /** Bit per 64-unit block: its cold entries are constructed. */
-        std::uint64_t coldBuilt = 0;
+        /** Charged a cold array (chunkColdBytes()). */
+        bool hasCold = false;
         /** Intrusive recency list; head = oldest, tail = newest. */
         Chunk *lruPrev = nullptr;
         Chunk *lruNext = nullptr;
     };
 
-    static_assert(kTouchedWords == 64,
-                  "Chunk::coldBuilt holds one bit per 64-unit block");
-
-    /**
-     * Zeros standing in for the cold entries of an unbuilt block where
-     * a sweep or find() must present them. Read-only.
-     */
-    static const ShadowCold kUnbuiltCold[64];
-
-    /** The kUnbuiltCold entry standing in for unit off of a chunk. */
-    static ShadowCold *
-    unbuiltColdAt(std::size_t off)
-    {
-        return const_cast<ShadowCold *>(kUnbuiltCold) + (off & 63);
-    }
-
     Chunk &chunkFor(std::uint64_t unit);
-    void materializeCold(Chunk &chunk);
 
-    /** Mask of blocks first_w..last_w (inclusive, both < 64). */
-    static std::uint64_t
-    blockMask(std::size_t first_w, std::size_t last_w)
+    /** Charge a chunk its cold array; line mode allocates its totals. */
+    void chargeCold(Chunk &chunk);
+
+    /** Units [off, off + n) of a chunk as a Run. */
+    static Run
+    runAt(Chunk &chunk, std::size_t off, std::size_t n)
     {
-        return (~0ull << first_w) & (~0ull >> (63 - last_w));
+        return Run{chunk.base + off, n, chunk.hot.get() + off,
+                   chunk.totals ? chunk.totals.get() + off : nullptr};
     }
 
-    /**
-     * Build the cold entries of the masked blocks of a chunk that are
-     * not built yet, materializing its cold array first if needed.
-     */
-    void
-    buildCold(Chunk &chunk, std::uint64_t blocks)
-    {
-        if (std::uint64_t want = blocks & ~chunk.coldBuilt; want != 0)
-            buildColdBlocks(chunk, want);
-    }
-
-    void buildColdBlocks(Chunk &chunk, std::uint64_t blocks);
-
-    /** Cold entry of unit off of a chunk; null if its block is unbuilt. */
-    static ShadowCold *
-    coldAt(Chunk &chunk, std::size_t off)
-    {
-        return (chunk.coldBuilt >> (off >> 6)) & 1 ? chunk.cold.get() + off
-                                                    : nullptr;
-    }
-
-    /**
-     * Hand units [off, off + n) of a chunk to fn as runs split where
-     * its cold blocks switch between built and unbuilt. Over an
-     * unbuilt block cold is null, or, with zeros, points into
-     * kUnbuiltCold (then each unbuilt block is a run of its own).
-     */
-    template <typename Fn>
-    static void
-    splitByColdBlocks(Chunk &chunk, std::size_t off, std::size_t n,
-                      bool zeros, Fn &&fn)
-    {
-        const std::size_t end = off + n;
-        while (true) {
-            const std::size_t w = off >> 6;
-            const bool built = (chunk.coldBuilt >> w) & 1;
-            // Blocks from w on whose state differs from block w's.
-            const std::uint64_t flip =
-                (built ? ~chunk.coldBuilt : chunk.coldBuilt) >> w;
-            std::size_t stop =
-                flip == 0 ? kChunkUnits
-                          : (w + static_cast<std::size_t>(
-                                     std::countr_zero(flip)))
-                                << 6;
-            ShadowCold *cold = nullptr;
-            if (built) {
-                cold = chunk.cold.get() + off;
-            } else if (zeros) {
-                stop = (w + 1) << 6;
-                cold = unbuiltColdAt(off);
-            }
-            const std::size_t m = std::min(end, stop) - off;
-            fn(Run{chunk.base + off, m, chunk.hot.get() + off, cold});
-            off += m;
-            if (off == end)
-                return;
-        }
-    }
     void evictOldest();
     void evictChunkPtr(Chunk *chunk);
 
@@ -565,10 +426,9 @@ class ShadowMemory
      * The single owner of the touched-bit scan: every sweep — the
      * ascending walk, the per-chunk checkpoint walk, and the eviction
      * handler pass — visits a chunk's touched units through here, as
-     * maximal runs of consecutive touched units matching the filter.
+     * maximal runs of consecutive touched units.
      */
-    static void visitTouched(Chunk &chunk, const RunVisitor &visitor,
-                             SweepFilter filter);
+    static void visitTouched(Chunk &chunk, const RunVisitor &visitor);
 
     void
     bytesAdd(std::uint64_t n)
@@ -625,8 +485,8 @@ class ShadowMemory
     Chunk *lruHead_ = nullptr;
     Chunk *lruTail_ = nullptr;
     RunVisitor evictionHandler_;
-    SweepFilter evictionFilter_ = SweepFilter::All;
     StampTable stamps_;
+    RunTable runs_;
     ShadowStats stats_;
 };
 

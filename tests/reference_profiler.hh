@@ -4,13 +4,16 @@
  *
  * A vg::Tool that computes SigilProfiler's profile and event file the
  * plain way, sharing no shadow layout with it. Its shadow is a std::map
- * from unit to a (ShadowHot, ShadowCold) record, walked one unit at a
- * time in ascending order. Its memory limit is a chunk-id LRU that
- * mirrors SigilConfig::maxShadowChunks. It classifies by calling the
- * core/comm_tables.hh kernels with n = 1, keeps its own event-segment
- * bookkeeping, and states the `shadow` row's charging rule itself
- * (liveBytes()). It uses the shadow record structs, StampTable and the
- * ShadowMemory constants, and never constructs a shadow::ShadowMemory.
+ * from unit to a record of its own: the (writer, reader) stamp pair
+ * and the unit's re-use run, walked one unit at a time in ascending
+ * order. Its memory limit is a chunk-id LRU that mirrors
+ * SigilConfig::maxShadowChunks. It classifies bytes with the shared
+ * core::commClassifyRead kernel, one unit at a time, and keeps the
+ * per-unit re-use rule (extend, close and fold a run), its own
+ * event-segment bookkeeping, and the `shadow` row's charging rule
+ * (liveBytes()) itself. It uses ShadowHot, StampTable and the
+ * ShadowMemory constants, and never constructs a shadow::ShadowMemory
+ * or a shadow::RunTable.
  *
  * Attach it to the same guest as the profiler under test: both see one
  * event stream, and serialize() renders either.
@@ -94,8 +97,7 @@ class ReferenceProfiler : public vg::Tool
             t.open ? t.segment.seq : 0, ctx, currentTid_});
         notePeak();
         walk(addr, size, false, [&](std::uint64_t, Unit &unit) {
-            core::commFinalizeRuns(tables_, stamps_, unit.hot.reader,
-                                   &unit.cold, 1);
+            closeRun(unit);
             unit.hot = shadow::ShadowHot{ws, 0};
         });
     }
@@ -119,8 +121,7 @@ class ReferenceProfiler : public vg::Tool
             a.segSeq = t.open ? t.segment.seq : 0;
             a.collecting = collecting_;
             const core::ClassifyEnv env{config_.collectReuse,
-                                        config_.collectEvents,
-                                        config_.granularityShift};
+                                        config_.collectEvents};
             const shadow::StampId rs = stamps_.internReader(
                 shadow::ReaderStamp{config_.collectReuse ? a.call : 0, ctx});
             notePeak();
@@ -137,9 +138,7 @@ class ReferenceProfiler : public vg::Tool
                 const std::uint64_t hi = std::min<std::uint64_t>(
                     addr + (size - 1),
                     (u << shift) | ((std::uint64_t{1} << shift) - 1));
-                core::commReadRun(tables_, env, stamps_, &unit.hot,
-                                  &unit.cold, 1, hi - lo + 1, a, rs,
-                                  &t.xfers, unique);
+                readUnit(unit, env, hi - lo + 1, a, rs, t, unique);
             });
         }
         if (collecting_ && config_.collectObjects) {
@@ -213,10 +212,9 @@ class ReferenceProfiler : public vg::Tool
         // Pending runs are finalized and line totals folded, unit by
         // unit.
         for (auto &[u, unit] : units_) {
-            core::commFinalizeRuns(tables_, stamps_, unit.hot.reader,
-                                   &unit.cold, 1);
-            if (config_.granularityShift > 0 && unit.cold.totalAccesses > 0)
-                tables_.lineReuseBreakdown.add(unit.cold.totalAccesses - 1);
+            closeRun(unit);
+            if (config_.granularityShift > 0 && unit.totalAccesses > 0)
+                tables_.lineReuseBreakdown.add(unit.totalAccesses - 1);
         }
     }
 
@@ -277,8 +275,15 @@ class ReferenceProfiler : public vg::Tool
     /** The shadow record of one unit. */
     struct Unit
     {
+        /** Producer and last consumer stamps. */
         shadow::ShadowHot hot;
-        shadow::ShadowCold cold;
+        /** Reads by hot.reader in its pending run; 0 when none. */
+        std::uint32_t runReads = 0;
+        /** Timestamps of the pending run's first and last read. */
+        vg::Tick runFirstRead = 0;
+        vg::Tick runLastRead = 0;
+        /** Line mode: reads of the unit inside the ROI, ever. */
+        std::uint64_t totalAccesses = 0;
     };
 
     /** A live chunk: its LRU position and whether it holds cold state. */
@@ -300,6 +305,61 @@ class ReferenceProfiler : public vg::Tool
     };
 
     Thread &thread() { return threads_[currentTid_]; }
+
+    /**
+     * End the unit's pending re-use run: its read count goes to the
+     * program-wide breakdown, and a re-read run to its reader's row,
+     * unless the reader ran outside any function.
+     */
+    void
+    closeRun(Unit &unit)
+    {
+        const vg::ContextId ctx = stamps_.reader(unit.hot.reader).ctx;
+        if (unit.runReads != 0 && ctx != vg::kInvalidContext) {
+            const std::uint64_t reuse = unit.runReads - 1;
+            tables_.unitReuseBreakdown.add(reuse);
+            if (reuse >= 1) {
+                core::CommAggregates &row = tables_.row(ctx);
+                ++row.reusedUnits;
+                row.reuseReads += reuse;
+                const std::uint64_t lifetime =
+                    unit.runLastRead - unit.runFirstRead;
+                row.lifetimeSum += lifetime;
+                row.lifetimeHist.add(lifetime);
+            }
+        }
+        unit.runReads = 0;
+    }
+
+    /**
+     * One unit's share (w bytes) of a read by reader stamp rs: classify
+     * the bytes inside the ROI, then extend the unit's run if rs
+     * already holds one on it, else close it and start one.
+     */
+    void
+    readUnit(Unit &unit, const core::ClassifyEnv &env, std::uint64_t w,
+             const core::AccessStamp &a, shadow::StampId rs, Thread &t,
+             std::uint64_t &unique)
+    {
+        if (!a.collecting) {
+            closeRun(unit);
+            unit.hot.reader = rs;
+            return;
+        }
+        core::commClassifyRead(tables_, env, stamps_, unit.hot.writer,
+                               unit.hot.reader, w, a, &t.xfers, unique);
+        if (env.collectReuse) {
+            if (unit.hot.reader != rs || unit.runReads == 0) {
+                closeRun(unit);
+                unit.runFirstRead = a.tick;
+            }
+            ++unit.runReads;
+            unit.runLastRead = a.tick;
+        }
+        if (config_.granularityShift > 0)
+            ++unit.totalAccesses;
+        unit.hot.reader = rs;
+    }
 
     core::ObjectTraffic &
     objectOf(vg::Addr addr)
@@ -393,8 +453,7 @@ class ReferenceProfiler : public vg::Tool
         const std::uint64_t id = victim->first;
         auto it = units_.lower_bound(id << kChunkShift);
         while (it != units_.end() && it->first >> kChunkShift == id) {
-            core::commFinalizeRuns(tables_, stamps_, it->second.hot.reader,
-                                   &it->second.cold, 1);
+            closeRun(it->second);
             it = units_.erase(it);
         }
         coldChunks_ -= victim->second.cold ? 1 : 0;

@@ -2,9 +2,10 @@
  * @file
  * Tests for the two-level shadow memory: lazy chunk creation, the
  * lookup cache, the span API, line granularity, the LRU memory limit,
- * the touched bitmap and touched-block init, stamp interning, lazy
- * cold arrays, cold blocks built on first read, byte accounting,
- * eviction callbacks, and the slot pool the chunk arrays come from.
+ * the touched bitmap and touched-block init, stamp interning, the lazy
+ * cold charge and line-mode access totals, byte accounting, eviction
+ * callbacks, the slot pool the hot arrays come from, and the run
+ * table of pending re-use runs.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +28,7 @@
 #include "vg/guest.hh"
 #include "vg/trace_io.hh"
 
+#include "reference_profiler.hh"
 #include "trace_fixtures.hh"
 
 namespace sigil::shadow {
@@ -52,24 +54,22 @@ ShadowMemory::RunVisitor
 perUnit(Fn fn)
 {
     return [fn](const ShadowMemory::Run &run) mutable {
-        for (std::size_t i = 0; i < run.count; ++i) {
-            fn(run.firstUnit + i,
-               ShadowRef{run.hot[i], run.cold ? run.cold + i : nullptr});
-        }
+        for (std::size_t i = 0; i < run.count; ++i)
+            fn(run.firstUnit + i, run.hot[i]);
     };
 }
 
 /** The writer context recorded for a unit (kInvalidContext if never). */
 vg::ContextId
-writerCtx(const ShadowMemory &sm, const ShadowRef &o)
+writerCtx(const ShadowMemory &sm, const ShadowHot &o)
 {
-    return sm.stamps().writer(o.hot.writer).ctx;
+    return sm.stamps().writer(o.writer).ctx;
 }
 
 bool
-everWritten(const ShadowRef &o)
+everWritten(const ShadowHot &o)
 {
-    return o.hot.writer != 0;
+    return o.writer != 0;
 }
 
 /** This process's resident set size in bytes (0 if unreadable). */
@@ -86,7 +86,7 @@ TEST(ShadowMemory, LookupCreatesChunkOnDemand)
 {
     ShadowMemory sm;
     EXPECT_EQ(sm.stats().chunksLive, 0u);
-    ShadowRef o = sm.lookup(100);
+    ShadowHot &o = sm.lookup(100);
     EXPECT_FALSE(everWritten(o));
     EXPECT_EQ(sm.stats().chunksLive, 1u);
     EXPECT_EQ(sm.stats().chunksAllocated, 1u);
@@ -95,11 +95,11 @@ TEST(ShadowMemory, LookupCreatesChunkOnDemand)
 TEST(ShadowMemory, FindDoesNotCreate)
 {
     ShadowMemory sm;
-    EXPECT_FALSE(sm.find(100));
-    sm.lookup(100).hot.writer = ctxId(sm, 3);
-    ShadowPtr o = sm.find(100);
-    ASSERT_TRUE(o);
-    EXPECT_EQ(sm.stamps().writer(o.hot->writer).ctx, 3);
+    EXPECT_EQ(sm.find(100), nullptr);
+    sm.lookup(100).writer = ctxId(sm, 3);
+    ShadowHot *o = sm.find(100);
+    ASSERT_NE(o, nullptr);
+    EXPECT_EQ(sm.stamps().writer(o->writer).ctx, 3);
     EXPECT_EQ(sm.stats().chunksLive, 1u);
 }
 
@@ -110,152 +110,81 @@ TEST(ShadowMemory, FindOfUntouchedBlockIsNull)
     // resident chunk.
     ShadowMemory sm;
     sm.lookup(100); // block 1 (units 64..127) of chunk 0
-    EXPECT_TRUE(sm.find(100));
-    ShadowPtr neighbour = sm.find(101); // same block: constructed, zero
-    ASSERT_TRUE(neighbour);
-    EXPECT_EQ(neighbour.hot->writer, 0u);
-    EXPECT_EQ(neighbour.hot->reader, 0u);
-    EXPECT_FALSE(sm.find(0));   // block 0: never touched
-    EXPECT_FALSE(sm.find(200)); // block 3: never touched
+    EXPECT_NE(sm.find(100), nullptr);
+    ShadowHot *neighbour = sm.find(101); // same block: constructed, zero
+    ASSERT_NE(neighbour, nullptr);
+    EXPECT_EQ(neighbour->writer, 0u);
+    EXPECT_EQ(neighbour->reader, 0u);
+    EXPECT_EQ(sm.find(0), nullptr);   // block 0: never touched
+    EXPECT_EQ(sm.find(200), nullptr); // block 3: never touched
     EXPECT_EQ(sm.stats().chunksLive, 1u);
     sm.lookup(5);
-    ShadowPtr now = sm.find(0);
-    ASSERT_TRUE(now);
-    EXPECT_EQ(now.hot->writer, 0u);
+    ShadowHot *now = sm.find(0);
+    ASSERT_NE(now, nullptr);
+    EXPECT_EQ(now->writer, 0u);
 }
 
-TEST(ShadowMemory, LateColdArrayCoversEarlierTouchedBlocks)
+TEST(ShadowMemory, WritesNeverChargeCold)
 {
-    // A cold array materialized after some blocks were touched must
-    // construct their cold entries too (a sweep visits them).
-    ShadowMemory sm;
-    sm.lookup(3).hot.writer = ctxId(sm, 1);
-    sm.lookup(700);
-    ShadowRef c = sm.lookup(4000, /*want_cold=*/true);
-    ASSERT_NE(c.cold, nullptr);
-    std::uint64_t visited = 0;
-    sm.forEach(perUnit([&](std::uint64_t, const ShadowRef &o) {
-        ASSERT_NE(o.cold, nullptr);
-        EXPECT_EQ(o.cold->runReads, 0u);
-        EXPECT_EQ(o.cold->runFirstRead, 0u);
-        EXPECT_EQ(o.cold->runLastRead, 0u);
-        EXPECT_EQ(o.cold->totalAccesses, 0u);
-        ++visited;
-    }));
-    EXPECT_EQ(visited, 3u);
-    ShadowPtr early = sm.find(3);
-    ASSERT_TRUE(early);
-    ASSERT_NE(early.cold, nullptr);
-    EXPECT_EQ(writerCtx(sm, ShadowRef{*early.hot, early.cold}), 1);
-}
-
-TEST(ShadowMemory, WrittenBlocksNeverBuildCold)
-{
-    // Writes resolve without want_cold: even in a chunk that holds a
-    // cold array, the blocks they enter stay unbuilt and their runs
-    // carry no cold pointer.
+    // Writes resolve without want_cold: they charge no cold array and
+    // byte mode never hands out access totals. The first read that
+    // wants cold state charges its chunk once.
     constexpr std::uint64_t kC = ShadowMemory::kChunkUnits;
     ShadowMemory sm;
     const StampId w = ctxId(sm, 1);
-    sm.lookup(kC - 1, /*want_cold=*/true); // chunk 0, block 63
-    EXPECT_EQ(sm.stats().coldArraysLive, 1u);
-    EXPECT_EQ(sm.stats().coldBlocksLive, 1u);
-    std::vector<std::pair<std::uint64_t, bool>> runs;
     sm.span(0, kC + 200, false, [&](ShadowMemory::Run run) {
-        runs.push_back({run.firstUnit, run.cold != nullptr});
+        EXPECT_EQ(run.totals, nullptr);
         std::fill(run.hot, run.hot + run.count, ShadowHot{w, 0});
     });
-    // Chunk 0 splits at its one built block; chunk 1 has no cold.
-    EXPECT_EQ(runs, (std::vector<std::pair<std::uint64_t, bool>>{
-                        {0, false}, {kC - 64, true}, {kC, false}}));
-    EXPECT_EQ(sm.lookup(8).cold, nullptr);
-    EXPECT_EQ(sm.stats().coldArraysLive, 1u);
-    EXPECT_EQ(sm.stats().coldBlocksLive, 1u);
-    // The cold sweeps skip the unbuilt blocks outright.
-    std::uint64_t swept = 0;
-    sm.forEach(perUnit([&](std::uint64_t, ShadowRef) { ++swept; }),
-               SweepFilter::ColdChunks);
-    EXPECT_EQ(swept, 64u);
+    EXPECT_EQ(sm.stats().coldArraysLive, 0u);
+    EXPECT_EQ(sm.liveBytes(),
+              2 * ShadowMemory::chunkHotBytes() + sm.stamps().bytes());
+    sm.span(kC - 5, kC + 2, true, [](ShadowMemory::Run run) {
+        EXPECT_EQ(run.totals, nullptr);
+    });
+    sm.span(10, 20, true, [](ShadowMemory::Run) {});
+    EXPECT_EQ(sm.stats().coldArraysLive, 2u);
+    EXPECT_EQ(sm.liveBytes(), 2 * ShadowMemory::chunkHotBytes() +
+                                  2 * ShadowMemory::chunkColdBytes() +
+                                  sm.stamps().bytes());
+    EXPECT_EQ(sm.stats().runsLive, 0u);
 }
 
-TEST(ShadowMemory, ReadBuildsExactlyTheBlocksItEnters)
+TEST(ShadowMemory, LineTotalsComeWithTheColdCharge)
 {
+    // In line mode the cold charge also allocates the chunk's access
+    // totals, zeroed; eviction releases both.
     constexpr std::uint64_t kC = ShadowMemory::kChunkUnits;
     ShadowMemory::Config cfg;
+    cfg.granularityShift = 6;
     cfg.maxChunks = 2;
     ShadowMemory sm(cfg);
-    sm.span(0, 300, false, [](ShadowMemory::Run) {}); // blocks 0..4
-    EXPECT_EQ(sm.stats().coldBlocksLive, 0u);
-    // Units 60..130 enter blocks 0, 1 and 2 of chunk 0.
+    sm.span(0, 300, false, [](ShadowMemory::Run run) {
+        EXPECT_EQ(run.totals, nullptr);
+    });
     sm.span(60, 130, true, [](ShadowMemory::Run run) {
-        ASSERT_NE(run.cold, nullptr);
+        ASSERT_NE(run.totals, nullptr);
         EXPECT_EQ(run.count, 71u);
-        for (std::size_t i = 0; i < run.count; ++i)
-            run.cold[i].runReads = 1;
+        for (std::size_t i = 0; i < run.count; ++i) {
+            EXPECT_EQ(run.totals[i], 0u);
+            run.totals[i] = 3;
+        }
     });
-    EXPECT_EQ(sm.stats().coldBlocksLive, 3u);
-    sm.span(100, 110, true, [](ShadowMemory::Run) {}); // already built
-    EXPECT_EQ(sm.stats().coldBlocksLive, 3u);
-    // Built cold state survives; the built block's other units read 0.
-    EXPECT_EQ(sm.lookup(100).cold->runReads, 1u);
-    EXPECT_EQ(sm.lookup(140).cold->runReads, 0u);
-    EXPECT_EQ(sm.lookup(200).cold, nullptr);
-    // Crossing a chunk edge builds the last block of one chunk and
-    // the first of the next.
+    // Later runs of the chunk see the totals, written or not.
+    sm.span(0, 300, false, [](ShadowMemory::Run run) {
+        ASSERT_NE(run.totals, nullptr);
+        EXPECT_EQ(run.totals[0], 0u);
+        EXPECT_EQ(run.totals[100], 3u);
+    });
     sm.span(kC - 5, kC + 2, true, [](ShadowMemory::Run run) {
-        ASSERT_NE(run.cold, nullptr);
+        ASSERT_NE(run.totals, nullptr);
     });
-    EXPECT_EQ(sm.stats().coldBlocksLive, 5u);
     EXPECT_EQ(sm.stats().coldArraysLive, 2u);
-    // Eviction releases the evicted chunk's built blocks.
-    sm.lookup(2 * kC); // evicts chunk 0 (4 built blocks)
-    EXPECT_EQ(sm.stats().coldBlocksLive, 1u);
+    sm.lookup(2 * kC); // evicts chunk 0
     EXPECT_EQ(sm.stats().coldArraysLive, 1u);
-}
-
-TEST(ShadowMemory, CheckpointWithUnbuiltBlocksResavesIdentically)
-{
-    // A run whose cold chunk has blocks that were only written: the
-    // checkpoint saves their cold entries as zeros, the restore builds
-    // only the blocks holding a nonzero record, and the restored
-    // profiler re-saves the same bytes.
-    vg::Guest g("cold");
-    core::SigilProfiler prof;
-    g.addTool(&prof);
-    const vg::Addr a = g.alloc(1024);
-    g.enter("main");
-    g.enter("produce");
-    g.write(a, 1024);
-    g.leave();
-    g.enter("consume");
-    g.read(a + 200, 16);
-    g.read(a + 200, 16); // a pending re-use run
-    g.leave();
-
-    const ShadowStats st = prof.shadowStats();
-    EXPECT_EQ(st.coldArraysLive, 1u);
-    EXPECT_EQ(st.coldBlocksLive, 1u); // allocations are 64-byte aligned
-
-    ByteSink sink;
-    g.saveState(sink);
-    const std::size_t body_off = sink.bytes().size();
-    prof.saveState(sink);
-    const std::string snapshot = sink.take();
-    // Saving reads the unbuilt blocks as zeros without building them.
-    EXPECT_EQ(prof.shadowStats().coldBlocksLive, st.coldBlocksLive);
-
-    vg::Guest g2("cold");
-    core::SigilProfiler prof2;
-    g2.addTool(&prof2);
-    ByteSource src(snapshot.data(), snapshot.size());
-    ASSERT_TRUE(g2.restoreState(src));
-    ASSERT_TRUE(prof2.restoreState(src));
-    ByteSink again;
-    prof2.saveState(again);
-    EXPECT_EQ(again.bytes(), snapshot.substr(body_off));
-    EXPECT_EQ(prof2.shadowStats().coldArraysLive, 1u);
-    EXPECT_EQ(prof2.shadowStats().coldBlocksLive, 1u);
-    EXPECT_EQ(prof2.shadowStats().bytesLive, st.bytesLive);
+    sm.span(0, 0, false, [](ShadowMemory::Run run) {
+        EXPECT_EQ(run.totals, nullptr); // recreated, uncharged
+    });
 }
 
 TEST(ShadowMemory, SpanEndsAtTopOfAddressSpace)
@@ -276,14 +205,14 @@ TEST(ShadowMemory, SpanEndsAtTopOfAddressSpace)
     EXPECT_EQ(units, top - first + 1);
     EXPECT_EQ(next, 0u); // one past the top unit
     EXPECT_EQ(sm.stats().chunksLive, 2u);
-    EXPECT_TRUE(sm.find(top));
-    EXPECT_FALSE(sm.find(0));
+    EXPECT_NE(sm.find(top), nullptr);
+    EXPECT_EQ(sm.find(0), nullptr);
 }
 
 TEST(ShadowMemory, StatePersistsAcrossLookups)
 {
     ShadowMemory sm;
-    sm.lookup(5).hot.writer = ctxId(sm, 42);
+    sm.lookup(5).writer = ctxId(sm, 42);
     sm.lookup(1 << 20); // different chunk, invalidates lookup cache
     EXPECT_EQ(writerCtx(sm, sm.lookup(5)), 42);
 }
@@ -361,22 +290,20 @@ TEST(ShadowMemory, PeakTracksHighWater)
 TEST(ShadowMemory, ColdArrayIsLazyAndAccounted)
 {
     ShadowMemory sm;
-    ShadowRef o = sm.lookup(100);
-    EXPECT_EQ(o.cold, nullptr);
+    sm.lookup(100);
     EXPECT_EQ(sm.stats().coldArraysLive, 0u);
     EXPECT_EQ(sm.liveBytes(), ShadowMemory::chunkHotBytes());
 
-    ShadowRef c = sm.lookup(100, /*want_cold=*/true);
-    ASSERT_NE(c.cold, nullptr);
-    c.cold->runReads = 5;
+    sm.lookup(100, /*want_cold=*/true);
     EXPECT_EQ(sm.stats().coldArraysLive, 1u);
     EXPECT_EQ(sm.liveBytes(), ShadowMemory::chunkHotBytes() +
                                   ShadowMemory::chunkColdBytes());
 
-    // Once materialized, plain lookups see the same array.
-    ShadowRef again = sm.lookup(100);
-    ASSERT_NE(again.cold, nullptr);
-    EXPECT_EQ(again.cold->runReads, 5u);
+    // A chunk is charged once, whichever unit asks.
+    sm.lookup(3000, /*want_cold=*/true);
+    EXPECT_EQ(sm.stats().coldArraysLive, 1u);
+    EXPECT_EQ(sm.liveBytes(), ShadowMemory::chunkHotBytes() +
+                                  ShadowMemory::chunkColdBytes());
 
     // A second chunk without want_cold stays hot-only.
     sm.lookup(ShadowMemory::kChunkUnits * 9);
@@ -403,15 +330,15 @@ TEST(ShadowMemory, LimitEvictsLeastRecentlyTouched)
     ShadowMemory::Config cfg;
     cfg.maxChunks = 2;
     ShadowMemory sm(cfg);
-    sm.lookup(0 * ShadowMemory::kChunkUnits).hot.writer = ctxId(sm, 10);
-    sm.lookup(1 * ShadowMemory::kChunkUnits).hot.writer = ctxId(sm, 11);
+    sm.lookup(0 * ShadowMemory::kChunkUnits).writer = ctxId(sm, 10);
+    sm.lookup(1 * ShadowMemory::kChunkUnits).writer = ctxId(sm, 11);
     sm.lookup(0 * ShadowMemory::kChunkUnits); // touch chunk 0 again
     sm.lookup(2 * ShadowMemory::kChunkUnits); // evicts chunk 1
     EXPECT_EQ(sm.stats().evictions, 1u);
     EXPECT_EQ(sm.stats().chunksLive, 2u);
     // Chunk 0 survived with its state; chunk 1's state is gone.
-    EXPECT_EQ(sm.stamps().writer(sm.find(0).hot->writer).ctx, 10);
-    EXPECT_FALSE(sm.find(ShadowMemory::kChunkUnits));
+    EXPECT_EQ(sm.stamps().writer(sm.find(0)->writer).ctx, 10);
+    EXPECT_EQ(sm.find(ShadowMemory::kChunkUnits), nullptr);
 }
 
 TEST(ShadowMemory, EvictionReleasesBytes)
@@ -439,18 +366,18 @@ TEST(ShadowMemory, LruOrderSurvivesManyInterleavedTouches)
     cfg.maxChunks = 4;
     ShadowMemory sm(cfg);
     std::vector<std::uint64_t> evicted;
-    sm.setEvictionHandler(perUnit([&](std::uint64_t unit, ShadowRef) {
+    sm.setEvictionHandler(perUnit([&](std::uint64_t unit, ShadowHot &) {
         evicted.push_back(unit / kC);
     }));
     const StampId w = ctxId(sm, 1);
     for (std::uint64_t c = 0; c < 4; ++c)
-        sm.lookup(c * kC).hot.writer = w; // LRU order 0,1,2,3
+        sm.lookup(c * kC).writer = w; // LRU order 0,1,2,3
     sm.lookup(1 * kC);                    // order 0,2,3,1
     sm.lookup(0 * kC);                    // order 2,3,1,0
-    sm.lookup(4 * kC).hot.writer = w;     // evicts 2
-    sm.lookup(5 * kC).hot.writer = w;     // evicts 3
-    sm.lookup(6 * kC).hot.writer = w;     // evicts 1
-    sm.lookup(7 * kC).hot.writer = w;     // evicts 0
+    sm.lookup(4 * kC).writer = w;     // evicts 2
+    sm.lookup(5 * kC).writer = w;     // evicts 3
+    sm.lookup(6 * kC).writer = w;     // evicts 1
+    sm.lookup(7 * kC).writer = w;     // evicts 0
     EXPECT_EQ(evicted, (std::vector<std::uint64_t>{2, 3, 1, 0}));
     EXPECT_EQ(sm.stats().evictions, 4u);
 }
@@ -461,52 +388,14 @@ TEST(ShadowMemory, EvictionHandlerSeesOnlyTouchedUnits)
     cfg.maxChunks = 2;
     ShadowMemory sm(cfg);
     std::set<std::uint64_t> evicted_units;
-    sm.setEvictionHandler(perUnit([&](std::uint64_t unit, ShadowRef) {
+    sm.setEvictionHandler(perUnit([&](std::uint64_t unit, ShadowHot &) {
         evicted_units.insert(unit);
     }));
-    sm.lookup(7).hot.writer = ctxId(sm, 1);
+    sm.lookup(7).writer = ctxId(sm, 1);
     sm.lookup(9); // touched but never written — still reported
-    sm.lookup(ShadowMemory::kChunkUnits + 3).hot.writer = ctxId(sm, 1);
+    sm.lookup(ShadowMemory::kChunkUnits + 3).writer = ctxId(sm, 1);
     sm.lookup(2 * ShadowMemory::kChunkUnits); // evicts the oldest chunk
     EXPECT_EQ(evicted_units, (std::set<std::uint64_t>{7, 9}));
-}
-
-TEST(ShadowMemory, SweepFiltersSkipColdlessChunksAndIdleUnits)
-{
-    ShadowMemory::Config cfg;
-    cfg.maxChunks = 2;
-    ShadowMemory sm(cfg);
-    std::vector<std::uint64_t> evicted_units;
-    sm.setEvictionHandler(
-        perUnit([&](std::uint64_t unit, ShadowRef) {
-            evicted_units.push_back(unit);
-        }),
-        SweepFilter::PendingRuns);
-    // Chunk 0: no cold array — its eviction must visit nothing.
-    sm.lookup(7).hot.writer = ctxId(sm, 1);
-    sm.lookup(ShadowMemory::kChunkUnits);
-    sm.lookup(2 * ShadowMemory::kChunkUnits); // evicts chunk 0
-    EXPECT_TRUE(evicted_units.empty());
-
-    // Chunk 1 gains a cold array; only its reader-holding unit is
-    // reported under PendingRuns.
-    ShadowRef o = sm.lookup(ShadowMemory::kChunkUnits + 4,
-                            /*want_cold=*/true);
-    o.hot.reader = 1;
-    sm.lookup(ShadowMemory::kChunkUnits + 9); // touched, no reader
-    sm.lookup(2 * ShadowMemory::kChunkUnits); // chunk 1 becomes LRU
-    sm.lookup(3 * ShadowMemory::kChunkUnits); // evicts chunk 1
-    EXPECT_EQ(evicted_units,
-              (std::vector<std::uint64_t>{ShadowMemory::kChunkUnits + 4}));
-
-    // ColdChunks: every touched unit of cold chunks, reader or not.
-    std::vector<std::uint64_t> swept;
-    sm.lookup(5 * ShadowMemory::kChunkUnits + 1, /*want_cold=*/true);
-    sm.forEach(perUnit([&](std::uint64_t unit,
-                   ShadowRef) { swept.push_back(unit); }),
-               SweepFilter::ColdChunks);
-    EXPECT_EQ(swept, (std::vector<std::uint64_t>{
-                         5 * ShadowMemory::kChunkUnits + 1}));
 }
 
 TEST(ShadowMemory, SweepsYieldMaximalTouchedRuns)
@@ -528,22 +417,6 @@ TEST(ShadowMemory, SweepsYieldMaximalTouchedRuns)
     });
     EXPECT_EQ(runs, (std::vector<std::pair<std::uint64_t, std::size_t>>{
                         {0, 1}, {60, 71}, {132, 1}, {kC - 5, 5}, {kC, 3}}));
-
-    // PendingRuns splits touched runs at units with no recorded
-    // reader.
-    ShadowMemory sc;
-    sc.span(10, 19, true, [](ShadowMemory::Run run) {
-        for (std::size_t i = 0; i < run.count; ++i)
-            run.hot[i].reader = (i == 3 || i == 4) ? 0 : 1;
-    });
-    runs.clear();
-    sc.forEach(
-        [&](const ShadowMemory::Run &run) {
-            runs.push_back({run.firstUnit, run.count});
-        },
-        SweepFilter::PendingRuns);
-    EXPECT_EQ(runs, (std::vector<std::pair<std::uint64_t, std::size_t>>{
-                        {10, 3}, {15, 5}}));
 }
 
 TEST(ShadowMemory, EvictedChunkRecreatedFresh)
@@ -551,10 +424,10 @@ TEST(ShadowMemory, EvictedChunkRecreatedFresh)
     ShadowMemory::Config cfg;
     cfg.maxChunks = 2;
     ShadowMemory sm(cfg);
-    sm.lookup(0).hot.writer = ctxId(sm, 99);
+    sm.lookup(0).writer = ctxId(sm, 99);
     sm.lookup(ShadowMemory::kChunkUnits);
     sm.lookup(2 * ShadowMemory::kChunkUnits); // evicts chunk of unit 0
-    ShadowRef o = sm.lookup(0);               // recreated
+    ShadowHot &o = sm.lookup(0);              // recreated
     EXPECT_FALSE(everWritten(o));
     EXPECT_EQ(sm.stats().chunksAllocated, 4u);
 }
@@ -562,12 +435,12 @@ TEST(ShadowMemory, EvictedChunkRecreatedFresh)
 TEST(ShadowMemory, ForEachVisitsOnlyTouchedUnits)
 {
     ShadowMemory sm;
-    sm.lookup(1).hot.writer = ctxId(sm, 1);
-    sm.lookup(ShadowMemory::kChunkUnits + 2).hot.writer = ctxId(sm, 2);
+    sm.lookup(1).writer = ctxId(sm, 1);
+    sm.lookup(ShadowMemory::kChunkUnits + 2).writer = ctxId(sm, 2);
     sm.lookup(ShadowMemory::kChunkUnits + 5); // touched, default state
     std::vector<std::uint64_t> seen;
     int written = 0;
-    sm.forEach(perUnit([&](std::uint64_t unit, ShadowRef o) {
+    sm.forEach(perUnit([&](std::uint64_t unit, ShadowHot &o) {
         seen.push_back(unit);
         if (everWritten(o))
             ++written;
@@ -585,9 +458,9 @@ TEST(ShadowMemory, ForEachIsSortedByBaseRegardlessOfCreationOrder)
     // Create chunks in scrambled order; the sweep must be ascending.
     const StampId w = ctxId(sm, 1);
     for (std::uint64_t c : {9ull, 2ull, 31ull, 0ull, 17ull, 5ull})
-        sm.lookup(c * kC + 1).hot.writer = w;
+        sm.lookup(c * kC + 1).writer = w;
     std::vector<std::uint64_t> order;
-    sm.forEach(perUnit([&](std::uint64_t unit, ShadowRef) {
+    sm.forEach(perUnit([&](std::uint64_t unit, ShadowHot &) {
         order.push_back(unit);
     }));
     std::vector<std::uint64_t> expect{1,          2 * kC + 1,  5 * kC + 1,
@@ -604,7 +477,7 @@ TEST(ShadowMemory, SpanYieldsChunkClampedRuns)
     std::vector<std::pair<std::uint64_t, std::size_t>> runs;
     sm.span(kC - 3, 2 * kC + 4, false, [&](ShadowMemory::Run run) {
         runs.push_back({run.firstUnit, run.count});
-        EXPECT_EQ(run.cold, nullptr); // never requested
+        EXPECT_EQ(run.totals, nullptr); // byte mode
         std::fill(run.hot, run.hot + run.count, ShadowHot{w, 0});
     });
     ASSERT_EQ(runs.size(), 3u);
@@ -617,7 +490,7 @@ TEST(ShadowMemory, SpanYieldsChunkClampedRuns)
     EXPECT_TRUE(everWritten(sm.lookup(kC - 3)));
     EXPECT_TRUE(everWritten(sm.lookup(2 * kC + 4)));
     std::size_t visited = 0;
-    sm.forEach(perUnit([&](std::uint64_t, ShadowRef) { ++visited; }));
+    sm.forEach(perUnit([&](std::uint64_t, ShadowHot &) { ++visited; }));
     // 3 + 4096 + 5 span units, plus unit kC-4 touched by the probe
     // lookup above (the other two probes hit already-touched units).
     EXPECT_EQ(visited, 3 + kC + 5 + 1);
@@ -639,15 +512,15 @@ TEST(ShadowMemory, SpanMatchesPerUnitLookup)
             std::fill(run.hot, run.hot + run.count, ShadowHot{wa, 0});
         });
         for (std::uint64_t u = first; u <= last; ++u)
-            b.lookup(u).hot.writer = wb;
+            b.lookup(u).writer = wb;
     }
     EXPECT_EQ(a.stats().chunksAllocated, b.stats().chunksAllocated);
     EXPECT_EQ(a.liveBytes(), b.liveBytes());
     std::vector<std::pair<std::uint64_t, vg::ContextId>> va, vb;
-    a.forEach(perUnit([&](std::uint64_t u, ShadowRef o) {
+    a.forEach(perUnit([&](std::uint64_t u, ShadowHot &o) {
         va.push_back({u, writerCtx(a, o)});
     }));
-    b.forEach(perUnit([&](std::uint64_t u, ShadowRef o) {
+    b.forEach(perUnit([&](std::uint64_t u, ShadowHot &o) {
         vb.push_back({u, writerCtx(b, o)});
     }));
     EXPECT_EQ(va, vb);
@@ -662,9 +535,9 @@ TEST(ShadowMemory, SpanAndPerUnitEvictIdentically)
     ShadowMemory a(cfg), b(cfg);
     std::vector<std::uint64_t> ea, eb;
     a.setEvictionHandler(
-        perUnit([&](std::uint64_t u, ShadowRef) { ea.push_back(u); }));
+        perUnit([&](std::uint64_t u, ShadowHot &) { ea.push_back(u); }));
     b.setEvictionHandler(
-        perUnit([&](std::uint64_t u, ShadowRef) { eb.push_back(u); }));
+        perUnit([&](std::uint64_t u, ShadowHot &) { eb.push_back(u); }));
     sigil::Rng rng(13);
     const StampId wa = ctxId(a, 1);
     const StampId wb = ctxId(b, 1);
@@ -675,7 +548,7 @@ TEST(ShadowMemory, SpanAndPerUnitEvictIdentically)
             std::fill(run.hot, run.hot + run.count, ShadowHot{wa, 0});
         });
         for (std::uint64_t u = first; u <= last; ++u)
-            b.lookup(u).hot.writer = wb;
+            b.lookup(u).writer = wb;
     }
     EXPECT_EQ(a.stats().evictions, b.stats().evictions);
     EXPECT_EQ(ea, eb);
@@ -688,9 +561,9 @@ TEST(ShadowMemory, ChunkByteFormulas)
               ShadowMemory::kChunkUnits * sizeof(ShadowHot) +
                   ShadowMemory::kChunkUnits / 8);
     EXPECT_EQ(sizeof(ShadowHot), 8u);
-    // Cold: the full per-unit re-use record.
+    // Cold: the charge of the paper's per-unit re-use record, 32 B.
     EXPECT_EQ(ShadowMemory::chunkColdBytes(),
-              ShadowMemory::kChunkUnits * sizeof(ShadowCold));
+              ShadowMemory::kChunkUnits * 32);
 }
 
 TEST(ShadowMemory, LimitOfOneIsRejected)
@@ -718,14 +591,14 @@ unitIn(std::uint64_t c, std::uint64_t off = 7)
 
 TEST(ShadowSlotPool, SequentialLifetimesGetIdenticalArrays)
 {
-    // Chunks created out of address order, half of them with cold
-    // state, so both size classes are handed out.
+    // Chunks created out of address order, half of them charged cold
+    // state: the cold charge allocates nothing from the pool.
     const std::uint64_t order[] = {5, 0, 17, 3, 1000, 2, 64, 9};
     auto touch = [&](ShadowMemory &sm) {
         for (std::uint64_t c : order)
             sm.lookup(unitIn(c), c % 2 == 1);
     };
-    std::vector<ShadowPtr> first;
+    std::vector<ShadowHot *> first;
     {
         ShadowMemory sm;
         touch(sm);
@@ -735,11 +608,9 @@ TEST(ShadowSlotPool, SequentialLifetimesGetIdenticalArrays)
     ShadowMemory sm;
     touch(sm);
     for (std::size_t i = 0; i < std::size(order); ++i) {
-        const ShadowPtr p = sm.find(unitIn(order[i]));
-        ASSERT_TRUE(p);
-        EXPECT_EQ(p.hot, first[i].hot) << "chunk " << order[i];
-        EXPECT_EQ(p.cold, first[i].cold) << "chunk " << order[i];
-        EXPECT_EQ(p.cold != nullptr, order[i] % 2 == 1);
+        ShadowHot *p = sm.find(unitIn(order[i]));
+        ASSERT_NE(p, nullptr);
+        EXPECT_EQ(p, first[i]) << "chunk " << order[i];
     }
 }
 
@@ -750,33 +621,28 @@ TEST(ShadowSlotPool, ChunkAfterEvictionTakesLowestFreeSlot)
     auto a = std::make_unique<ShadowMemory>();
     a->lookup(unitIn(0), true);
     a->lookup(unitIn(1), true);
-    const ShadowPtr a0 = a->find(unitIn(0));
-    const ShadowPtr a1 = a->find(unitIn(1));
+    ShadowHot *const a0 = a->find(unitIn(0));
+    ShadowHot *const a1 = a->find(unitIn(1));
 
     ShadowMemory::Config cfg;
     cfg.maxChunks = 2;
     ShadowMemory b(cfg);
     b.lookup(unitIn(10), true);
     b.lookup(unitIn(11), true);
-    const ShadowPtr b10 = b.find(unitIn(10));
+    ShadowHot *const b10 = b.find(unitIn(10));
 
     // Free a's two slots, then evict chunk 10: three slots are free.
     a.reset();
     b.lookup(unitIn(12), true);
     EXPECT_EQ(b.stats().evictions, 1u);
-    ShadowPtr p = b.find(unitIn(12));
-    EXPECT_EQ(p.hot, a0.hot);
-    EXPECT_EQ(p.cold, a0.cold);
+    EXPECT_EQ(b.find(unitIn(12)), a0);
     // Evicts chunk 11; a's second slot is now the lowest free one.
     b.lookup(unitIn(13), true);
-    p = b.find(unitIn(13));
-    EXPECT_EQ(p.hot, a1.hot);
-    EXPECT_EQ(p.cold, a1.cold);
+    EXPECT_EQ(b.find(unitIn(13)), a1);
     // Evicts chunk 12: its slot (a's first) is the lowest free again.
     b.lookup(unitIn(14), true);
-    p = b.find(unitIn(14));
-    EXPECT_EQ(p.hot, a0.hot);
-    EXPECT_NE(p.hot, b10.hot);
+    EXPECT_EQ(b.find(unitIn(14)), a0);
+    EXPECT_NE(b.find(unitIn(14)), b10);
 }
 
 TEST(ShadowSlotPool, ReusedSlotIsPoisonedUntilConstructed)
@@ -789,11 +655,11 @@ TEST(ShadowSlotPool, ReusedSlotIsPoisonedUntilConstructed)
         ShadowMemory sm;
         sm.lookup(0);
         sm.lookup(64); // constructs hot block 1
-        first = sm.find(0).hot;
+        first = sm.find(0);
     }
     ShadowMemory sm;
     sm.lookup(0);
-    ShadowHot *hot = sm.find(0).hot;
+    ShadowHot *hot = sm.find(0);
     ASSERT_EQ(hot, first);
     // Block 1 of the reused slot was constructed in the first lifetime
     // but not in this one.
@@ -894,11 +760,11 @@ TEST_P(ShadowOracle, MatchesMapSemantics)
         if (rng.next() & 1) {
             vg::ContextId ctx =
                 static_cast<vg::ContextId>(rng.nextBounded(100));
-            sm.lookup(unit).hot.writer = ctxId(sm, ctx);
+            sm.lookup(unit).writer = ctxId(sm, ctx);
             oracle[unit] = ctx;
         } else {
             auto it = oracle.find(unit);
-            ShadowRef o = sm.lookup(unit);
+            ShadowHot &o = sm.lookup(unit);
             if (it == oracle.end())
                 EXPECT_FALSE(everWritten(o)) << "unit " << unit;
             else
@@ -974,6 +840,411 @@ TEST_P(StampTableProperty, ReaderIdsMatchFirstInternMap)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StampTableProperty,
                          ::testing::Values(3, 5, 8, 13));
+
+// Run table. --------------------------------------------------------
+
+TEST(ShadowRunTable, RereadOfAWholeRunExtendsItInPlace)
+{
+    RunTable t;
+    const StampId r = t.start(5, 100, 10);
+    EXPECT_TRUE(RunTable::isRun(r));
+    EXPECT_EQ(t.readerOf(r), 5u);
+    EXPECT_EQ(t.extend(r, 107, 10), r);
+    const ReuseRun &run = t.at(r);
+    EXPECT_EQ(run.reads, 2u);
+    EXPECT_EQ(run.firstRead, 100u);
+    EXPECT_EQ(run.lastRead, 107u);
+    EXPECT_EQ(run.units, 10u);
+    EXPECT_EQ(t.live(), 1u);
+    EXPECT_EQ(t.peak(), 1u);
+    // A plain stamp names itself.
+    EXPECT_FALSE(RunTable::isRun(5));
+    EXPECT_EQ(t.readerOf(5), 5u);
+}
+
+TEST(ShadowRunTable, PartialRereadSplitsOffARecord)
+{
+    RunTable t;
+    const StampId r = t.start(5, 100, 10);
+    const StampId s = t.extend(r, 107, 4);
+    ASSERT_NE(s, r);
+    EXPECT_EQ(t.at(r).units, 6u);
+    EXPECT_EQ(t.at(r).reads, 1u);
+    EXPECT_EQ(t.at(s).reads, 2u);
+    EXPECT_EQ(t.at(s).firstRead, 100u);
+    EXPECT_EQ(t.at(s).lastRead, 107u);
+    EXPECT_EQ(t.at(s).units, 4u);
+    EXPECT_EQ(t.live(), 2u);
+    // The rest of r, re-read by the same access, is all of r now: it
+    // is extended in place and reaches the state of s, but the two
+    // records stay apart.
+    EXPECT_EQ(t.extend(r, 107, 6), r);
+    EXPECT_EQ(t.at(r).reads, 2u);
+    EXPECT_EQ(t.at(r).firstRead, 100u);
+    EXPECT_EQ(t.at(r).units, 6u);
+    EXPECT_EQ(t.at(s).units, 4u);
+    EXPECT_EQ(t.live(), 2u);
+    EXPECT_EQ(t.peak(), 2u);
+}
+
+TEST(ShadowRunTable, RecordIsFreedAtZeroUnits)
+{
+    RunTable t;
+    const StampId r = t.start(5, 100, 12);
+    t.release(r, 4);
+    EXPECT_EQ(t.live(), 1u);
+    EXPECT_EQ(t.at(r).units, 8u);
+    t.release(r, 8);
+    EXPECT_EQ(t.live(), 0u);
+    std::size_t visited = 0;
+    t.forEachLive([&](ReuseRun &) { ++visited; });
+    EXPECT_EQ(visited, 0u);
+    // The freed record is the next one handed out; every start makes
+    // a record of its own.
+    EXPECT_EQ(t.start(7, 200, 1), r);
+    EXPECT_NE(t.start(7, 200, 1), r);
+    EXPECT_EQ(t.live(), 2u);
+    EXPECT_EQ(t.peak(), 2u);
+}
+
+TEST(ShadowRunTable, ReaderStampsStayBelowTheTag)
+{
+    // The tag is the top bit of a 32-bit hot reader field; interning
+    // 2^31 reader stamps is out of reach of a test, so check the
+    // constants the fatal check in ShadowMemory::internReader uses.
+    EXPECT_EQ(RunTable::kRunTag, StampId{1} << 31);
+    EXPECT_TRUE(RunTable::isRun(RunTable::kRunTag));
+    EXPECT_FALSE(RunTable::isRun(RunTable::kRunTag - 1));
+}
+
+/** A guest, its default profiler (re-use on) and a chunk limit. */
+struct RunGuest
+{
+    explicit RunGuest(std::size_t max_chunks = 0)
+        : prof([&] {
+              core::SigilConfig cfg;
+              cfg.maxShadowChunks = max_chunks;
+              return cfg;
+          }())
+    {
+        g.addTool(&prof);
+    }
+
+    const RunTable &runs() const { return prof.shadowMemory().runs(); }
+
+    vg::Guest g{"runs"};
+    core::SigilProfiler prof;
+};
+
+TEST(ShadowRunTable, EvictionFoldsExactlyItsChunksUnits)
+{
+    // One run over 64 units, 32 on each side of a chunk edge. Evicting
+    // the first chunk folds its 32 units and keeps the run for the
+    // other 32.
+    constexpr vg::Addr kEdge = vg::kHeapBase + ShadowMemory::kChunkUnits;
+    RunGuest rg(2);
+    vg::Guest &g = rg.g;
+    g.enter("main");
+    g.enter("produce");
+    g.write(kEdge - 32, 64);
+    g.leave();
+    g.enter("consume");
+    const vg::ContextId consume = g.currentContext();
+    g.read(kEdge - 32, 64); // one record per chunk
+    g.read(kEdge - 32, 64); // extends both in place
+    ASSERT_EQ(rg.runs().live(), 2u);
+    EXPECT_EQ(rg.prof.aggregates(consume).reusedUnits, 0u);
+
+    g.write(kEdge + 2 * ShadowMemory::kChunkUnits, 1); // evicts the first
+    EXPECT_EQ(rg.prof.shadowStats().evictions, 1u);
+    EXPECT_EQ(rg.prof.aggregates(consume).reusedUnits, 32u);
+    EXPECT_EQ(rg.prof.aggregates(consume).reuseReads, 32u);
+    ASSERT_EQ(rg.runs().live(), 1u);
+    std::uint64_t units = 0;
+    rg.prof.shadowMemory().runs().forEachLive(
+        [&](ReuseRun &r) { units += r.units; });
+    EXPECT_EQ(units, 32u);
+
+    g.write(kEdge + 3 * ShadowMemory::kChunkUnits, 1); // evicts the second
+    EXPECT_EQ(rg.prof.aggregates(consume).reusedUnits, 64u);
+    EXPECT_EQ(rg.runs().live(), 0u);
+    g.leave();
+    g.leave();
+    g.finish();
+    EXPECT_EQ(rg.prof.aggregates(consume).reusedUnits, 64u);
+    EXPECT_EQ(rg.prof.shadowStats().runsPeak, 2u);
+}
+
+TEST(ShadowRunTable, ReadThatEvictsItsOwnChunksMatchesTheReference)
+{
+    // Under a 2-chunk limit a read over chunks B, C and D evicts B,
+    // which it touched first, while it is still running: the eviction
+    // folds and frees B's share of the runs the read made there, and
+    // the read goes on to make runs in D. Nothing of B's records may
+    // leak into D's.
+    constexpr vg::Addr kChunk = ShadowMemory::kChunkUnits;
+    const vg::Addr b = vg::kHeapBase;
+    core::SigilConfig cfg;
+    cfg.maxShadowChunks = 2;
+    vg::Guest g("evict");
+    fixtures::ReferenceProfiler ref(cfg);
+    core::SigilProfiler prof(cfg);
+    g.addTool(&ref);
+    g.addTool(&prof);
+    g.enter("main");
+    g.read(b, 2 * kChunk);
+    g.write(b, 100);
+    g.read(b, 3 * kChunk);
+    g.read(b + 2 * kChunk + 100, 200); // splits a record of D
+    g.read(b + kChunk, 2 * kChunk);
+    g.read(b, 3 * kChunk);
+    g.enter("other");
+    g.read(b + 50, 3 * kChunk);
+    g.leave();
+    g.read(b + kChunk / 2, 2 * kChunk);
+    g.leave();
+    g.finish();
+    EXPECT_GT(prof.shadowStats().evictions, 0u);
+    const fixtures::Outputs want = fixtures::serialize(ref);
+    const fixtures::Outputs got = fixtures::serialize(prof);
+    EXPECT_EQ(got.profile, want.profile);
+    EXPECT_EQ(got.events, want.events);
+}
+
+TEST(ShadowRunTable, FinishFoldsLiveRecordsLikeTheReference)
+{
+    // finish() folds each live record once, weighted by its units; the
+    // reference closes unit by unit. Both must render the same bytes.
+    for (const fixtures::TraceParams &p :
+         {fixtures::TraceParams{61, 0, 0, true, true, false},
+          fixtures::TraceParams{62, 6, 0, true, false, false},
+          fixtures::TraceParams{63, 0, 0, true, false, true}}) {
+        vg::Guest g("finish");
+        fixtures::ReferenceProfiler ref(fixtures::profilerConfig(p));
+        core::SigilProfiler prof(fixtures::profilerConfig(p));
+        g.addTool(&ref);
+        g.addTool(&prof);
+        fixtures::TraceDriver driver(p);
+        driver.prologue(g);
+        driver.driveSegment(g, 4000);
+        const std::uint64_t live = prof.shadowStats().runsLive;
+        EXPECT_GT(live, 0u) << fixtures::paramsName(p);
+        driver.epilogue(g);
+        // Closed records stay until their units leave.
+        EXPECT_EQ(prof.shadowStats().runsLive, live);
+        const fixtures::Outputs want = fixtures::serialize(ref);
+        const fixtures::Outputs got = fixtures::serialize(prof);
+        EXPECT_EQ(got.profile, want.profile) << fixtures::paramsName(p);
+        EXPECT_EQ(got.events, want.events) << fixtures::paramsName(p);
+    }
+}
+
+TEST(ShadowRunTable, BaselineModeCreatesNoRecords)
+{
+    // With re-use off, hot reader fields only ever hold plain stamps,
+    // in byte mode and in line mode.
+    for (unsigned shift : {0u, 6u}) {
+        const fixtures::TraceParams p{64, shift, 0, false, true, false};
+        vg::Guest g("baseline");
+        core::SigilProfiler prof(fixtures::profilerConfig(p));
+        g.addTool(&prof);
+        fixtures::TraceDriver(p).drive(g, 3000);
+        EXPECT_EQ(prof.shadowStats().runsPeak, 0u) << shift;
+        EXPECT_GT(prof.shadowStats().chunksPeak, 0u);
+    }
+}
+
+/** The profiler body of a checkpoint of rg (the guest's part dropped). */
+std::string
+profilerBody(RunGuest &rg)
+{
+    ByteSink sink;
+    rg.prof.saveState(sink);
+    return sink.take();
+}
+
+/** Restore a guest snapshot plus a profiler body into rg. */
+void
+restoreInto(RunGuest &rg, const std::string &guest_state,
+            const std::string &body)
+{
+    const std::string all = guest_state + body;
+    ByteSource src(all.data(), all.size());
+    ASSERT_TRUE(rg.g.restoreState(src));
+    ASSERT_TRUE(rg.prof.restoreState(src));
+    ASSERT_TRUE(src.ok());
+    ASSERT_EQ(src.pos(), all.size());
+}
+
+std::string
+guestState(vg::Guest &g)
+{
+    ByteSink sink;
+    g.saveState(sink);
+    return sink.take();
+}
+
+TEST(ShadowRunTable, RestoreMergesEqualRecords)
+{
+    // The checkpoint writes one record per unit; the restore gives
+    // every group of equal records one run again.
+    RunGuest rg;
+    vg::Guest &g = rg.g;
+    g.enter("main");
+    g.enter("produce");
+    g.write(vg::kHeapBase, 300);
+    g.leave();
+    g.enter("consume");
+    g.read(vg::kHeapBase, 300);
+    g.read(vg::kHeapBase + 100, 50); // splits the run in three
+    g.read(vg::kHeapBase + ShadowMemory::kChunkUnits, 8);
+    EXPECT_EQ(rg.runs().live(), 3u);
+    const std::string gs = guestState(g);
+    const std::string body = profilerBody(rg);
+
+    RunGuest back;
+    restoreInto(back, gs, body);
+    EXPECT_EQ(back.runs().live(), 3u);
+    std::map<std::uint32_t, std::uint64_t> units_by_reads;
+    back.prof.shadowMemory().runs().forEachLive(
+        [&](ReuseRun &r) { units_by_reads[r.reads] += r.units; });
+    EXPECT_EQ(units_by_reads,
+              (std::map<std::uint32_t, std::uint64_t>{{1, 258}, {2, 50}}));
+    EXPECT_EQ(profilerBody(back), body);
+    EXPECT_EQ(back.prof.shadowStats().runsPeak, 3u);
+}
+
+TEST(ShadowRunTable, StaleTicksOfIdleRecordsRestoreAndResaveAsZero)
+{
+    // Earlier writers left the ticks of a closed run in the record of
+    // a unit with no pending run (runReads == 0). Such a body must
+    // restore, resume like an uninterrupted run, and re-save with zero
+    // ticks.
+    const vg::Addr a = vg::kHeapBase;
+    auto part1 = [&](vg::Guest &g) {
+        g.enter("main");
+        g.enter("produce");
+        g.write(a, 48);
+        g.leave();
+        g.enter("consume");
+        g.read(a, 48);
+        g.read(a, 16); // units 0..15: reads 2; 16..47: reads 1
+        g.leave();
+        g.enter("produce");
+        g.write(a + 32, 16); // closes the run of units 32..47
+        g.leave();
+    };
+    auto part2 = [&](vg::Guest &g) {
+        g.enter("consume");
+        g.read(a, 48);
+        g.read(a + 8, 32);
+        g.leave();
+        g.leave();
+        g.finish();
+    };
+
+    RunGuest whole;
+    part1(whole.g);
+    part2(whole.g);
+    const fixtures::Outputs want = fixtures::serialize(whole.prof);
+
+    RunGuest first;
+    part1(first.g);
+    const std::string gs = guestState(first.g);
+    const std::string body = profilerBody(first);
+
+    // The body ends with the one chunk's unit group: a chunk count,
+    // the chunk index, the cold flag and a unit count, then per unit
+    // three one-byte varints (offset, writer, reader) and the cold
+    // record: u64 first tick, u64 last tick, u64 access total and u32
+    // read count.
+    constexpr std::size_t kUnits = 48, kRecord = 3 + 8 + 8 + 8 + 4;
+    const std::size_t group = body.size() - (4 + kUnits * kRecord);
+    {
+        ByteSource head(body.data() + group, 4);
+        ASSERT_EQ(head.varint(), 1u);
+        ASSERT_EQ(head.varint(), vg::kHeapBase >> ShadowMemory::kChunkShift);
+        ASSERT_EQ(head.u8(), 1u);
+        ASSERT_EQ(head.varint(), kUnits);
+    }
+    std::string stale = body;
+    std::size_t idle = 0;
+    for (std::size_t u = 0; u < kUnits; ++u) {
+        const std::size_t rec = group + 4 + u * kRecord;
+        ByteSource src(body.data() + rec, kRecord);
+        ASSERT_EQ(src.varint(), u);
+        src.varint();
+        src.varint();
+        const std::uint64_t first_read = src.u64();
+        const std::uint64_t last_read = src.u64();
+        src.u64();
+        const std::uint32_t reads = src.u32();
+        if (reads != 0) {
+            EXPECT_NE(first_read, 0u);
+            continue;
+        }
+        EXPECT_EQ(first_read, 0u);
+        EXPECT_EQ(last_read, 0u);
+        // What the older writer kept: the ticks of the closed run.
+        ByteSink ticks;
+        ticks.u64(7);
+        ticks.u64(9);
+        stale.replace(rec + 3, 16, ticks.bytes());
+        ++idle;
+    }
+    ASSERT_EQ(idle, 16u);
+    ASSERT_NE(stale, body);
+
+    RunGuest resumed;
+    restoreInto(resumed, gs, stale);
+    EXPECT_EQ(profilerBody(resumed), body); // zero ticks again
+    // Save -> restore -> save is byte-stable.
+    RunGuest again;
+    restoreInto(again, gs, profilerBody(resumed));
+    EXPECT_EQ(profilerBody(again), body);
+
+    part2(resumed.g);
+    const fixtures::Outputs got = fixtures::serialize(resumed.prof);
+    EXPECT_EQ(got.profile, want.profile);
+    EXPECT_EQ(got.events, want.events);
+}
+
+TEST(ShadowRunTable, RunsScaleWithReadsNotUnits)
+{
+    // A wide random re-use stream: reads of 32..255 B at random
+    // offsets of a 64 KiB window, by a few calls that come back, with
+    // some overwrites. Per-unit records would number in the tens of
+    // thousands; the run table holds about one per read (records never
+    // merge, so one read over several records keeps them apart).
+    RunGuest rg;
+    vg::Guest &g = rg.g;
+    sigil::Rng rng(29);
+    g.enter("main");
+    std::uint64_t reads = 0;
+    for (int i = 0; i < 6000; ++i) {
+        if (rng.nextBounded(64) == 0) {
+            g.leave();
+            g.enter(rng.nextBounded(2) == 0 ? "f" : "main");
+        }
+        const vg::Addr addr = vg::kHeapBase + rng.nextBounded(1 << 16);
+        const unsigned size = 32 + static_cast<unsigned>(rng.nextBounded(224));
+        if (rng.nextBounded(8) == 0) {
+            g.write(addr, size);
+        } else {
+            g.read(addr, size);
+            ++reads;
+        }
+    }
+    std::uint64_t units = 0;
+    rg.prof.shadowMemory().runs().forEachLive(
+        [&](ReuseRun &r) { units += r.units; });
+    const ShadowStats st = rg.prof.shadowStats();
+    EXPECT_GT(units, 40000u);
+    EXPECT_LE(st.runsPeak, 2 * reads);
+    EXPECT_LT(st.runsLive * 5, units);
+    g.leave();
+    g.finish();
+}
 
 } // namespace
 } // namespace sigil::shadow
