@@ -24,6 +24,12 @@ threshold alone. A regressed metric, or one that did not run on both
 sides, fails the run (exit 1). So does a watched pattern that matched
 no benchmark on either side, unless --filter leaves it out.
 
+A metric whose median is worse than its whole A/A interquartile range
+but inside the threshold is marked "worse" instead of "ok": the change
+lost by more than identical code varies on this host, yet by less than
+the gate allows. It does not fail the run, but a criterion of "no
+slower than the A/A spread" is not met by it.
+
 Usage:
   bench/ab_compare.py [--filter REGEX] [--min-time 2]
                       BASE_CHECKOUT CHANGE_CHECKOUT
@@ -129,6 +135,20 @@ def verdicts(ratios, aa_ratios=None):
     return rows
 
 
+def label(direction, med, spread, bad):
+    """The printed verdict of one verdicts() row: 'REGRESSED'; 'worse'
+    when its median is worse than the whole A/A interquartile range
+    (below q1 where higher is better, above q3 where lower is) but
+    inside the threshold; else 'ok'."""
+    if bad:
+        return "REGRESSED"
+    if spread is not None and not spread[3]:
+        _, q1, q3, _ = spread
+        if (med < q1) if direction > 0 else (med > q3):
+            return "worse"
+    return "ok"
+
+
 def report(pairs, aa_pairs, bench_filter=None):
     """Print the verdicts on (base, change) `pairs` with the A/A leg of
     (base, base-again) `aa_pairs`; return the exit status: 1 when a
@@ -145,24 +165,30 @@ def report(pairs, aa_pairs, bench_filter=None):
     if not ratios:
         sys.exit("error: no watched metric ran on both sides")
     rows = verdicts(ratios, aa_ratios)
-    regressed = 0
+    regressed = worse = 0
     for name, metric, med, wins, n, spread, bad in rows:
-        regressed += bad
+        verdict = label(ratios[(name, metric)][0], med, spread, bad)
+        regressed += verdict == "REGRESSED"
+        worse += verdict == "worse"
         print("%-9s %s [%s]: median change/base %.4f (%+.1f%%), "
               "change better in %d/%d pairs"
-              % ("REGRESSED" if bad else "ok", name, metric, med,
-                 (med - 1.0) * 100, wins, n))
+              % (verdict, name, metric, med, (med - 1.0) * 100, wins, n))
         print("          pair ratios: " + ", ".join(
             "%.3f" % r for r in ratios[(name, metric)][1]))
         if spread is not None:
             aa_med, q1, q3, within = spread
+            note = ""
+            if within:
+                note = " -- within A/A spread"
+            elif verdict == "worse":
+                note = " -- change worse than the whole A/A spread"
             print("          A/A base/base median %.4f, IQR [%.4f, %.4f]"
-                  "%s" % (aa_med, q1, q3,
-                          " -- within A/A spread" if within else ""))
+                  "%s" % (aa_med, q1, q3, note))
     print("\n%d metrics compared over %d pairs, %d missing, %d regressed "
-          "beyond %.0f%% and outside the A/A spread"
+          "beyond %.0f%% and outside the A/A spread, %d worse than the "
+          "A/A spread but inside %.0f%%"
           % (len(rows), len(pairs), len(missing) + len(absent), regressed,
-             THRESHOLD * 100))
+             THRESHOLD * 100, worse, THRESHOLD * 100))
     return 1 if regressed or missing or absent else 0
 
 

@@ -10,10 +10,12 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/resource.h>
@@ -28,6 +30,7 @@
 #include "support/rng.hh"
 #include "vg/guest.hh"
 #include "vg/trace_io.hh"
+#include "workloads/workload.hh"
 
 using namespace sigil;
 
@@ -488,6 +491,82 @@ BM_WideReplay(benchmark::State &state)
         static_cast<double>(prof.shadowStats().runsPeak);
 }
 BENCHMARK(BM_WideReplay)->UseRealTime();
+
+/** The bundled programs whose replay BM_WorkloadReplay times. */
+const char *const kReplayPrograms[] = {"canneal", "dedup", "facesim",
+                                       "vips"};
+
+/** A bundled program's SimSmall run, recorded once as a trace. */
+const std::string &
+programTrace(int index)
+{
+    static std::string traces[std::size(kReplayPrograms)];
+    std::string &trace = traces[index];
+    if (trace.empty()) {
+        std::ostringstream os(std::ios::binary);
+        vg::Guest g(kReplayPrograms[index]);
+        vg::BinaryTraceRecorder rec(os);
+        g.addTool(&rec);
+        workloads::findWorkload(kReplayPrograms[index])
+            ->run(g, workloads::Scale::SimSmall);
+        g.finish();
+        trace = os.str();
+    }
+    return trace;
+}
+
+/**
+ * Profiled replay of one bundled program's SimSmall trace with re-use
+ * tracking and event collection on: the replay phase of one program in
+ * perfbench's replay_analyze, which reports only statistics over the
+ * programs. Items are the replayed trace events; event_records is the
+ * event file's length. minor_faults counts the pages the kernel
+ * mapped in per replay, read around the timed loop as in
+ * BM_WideReplay. Registered as BM_WorkloadReplay/<program>.
+ */
+template <int Index>
+void
+BM_WorkloadReplay(benchmark::State &state)
+{
+    const std::string &trace = programTrace(Index);
+    core::SigilConfig cfg;
+    cfg.collectReuse = true;
+    cfg.collectEvents = true;
+    std::uint64_t events = 0;
+    std::size_t records = 0;
+    const long faults_before = minorFaults();
+    for (auto _ : state) {
+        std::istringstream is(trace, std::ios::binary);
+        vg::Guest g(kReplayPrograms[Index]);
+        core::SigilProfiler prof(cfg);
+        g.addTool(&prof);
+        events = vg::replayBinaryTrace(is, g);
+        records = prof.events().size();
+        benchmark::DoNotOptimize(records);
+    }
+    state.counters["minor_faults"] =
+        static_cast<double>(minorFaults() - faults_before) /
+        static_cast<double>(state.iterations());
+    state.counters["event_records"] = static_cast<double>(records);
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * events));
+}
+
+template <int... Index>
+bool
+registerWorkloadReplays(std::integer_sequence<int, Index...>)
+{
+    (benchmark::internal::RegisterBenchmark(
+         new benchmark::internal::Benchmark(
+             std::string("BM_WorkloadReplay/") + kReplayPrograms[Index],
+             BM_WorkloadReplay<Index>))
+         ->UseRealTime(),
+     ...);
+    return true;
+}
+
+const bool kWorkloadReplaysRegistered = registerWorkloadReplays(
+    std::make_integer_sequence<int, std::size(kReplayPrograms)>{});
 
 /**
  * One sigild instance shared by every BM_ServerQueryThroughput run:

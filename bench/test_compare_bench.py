@@ -20,7 +20,9 @@ missing from one side of a pair is reported, not compared, the
 A/A leg's quartiles and "within A/A spread" mark are computed from
 the base/base ratios, a regression beyond the threshold is flagged
 only outside that spread (by the threshold alone without A/A ratios),
-the report exits 1 on a regression or on a missing or absent metric,
+a loss beyond the whole spread but inside the threshold is marked
+"worse" rather than "ok" without failing the run, the report exits 1
+on a regression or on a missing or absent metric,
 the two binaries' documents merge into one, and a watched pattern no
 benchmark matched on either side is reported unless --filter leaves
 it out.
@@ -187,6 +189,32 @@ def ab_compare_cases(check):
                        run_doc(80.0, peak=1000))] * 5, noisy, selected)
     check("ab_compare report exits 0 when every regression is inside "
           "the A/A spread", rc == 0 and "REGRESSED" not in out, out)
+    # A median worse than the whole A/A interquartile range but inside
+    # the threshold: the server rate 100 -> 95 (-5%) against A/A ratios
+    # 0.98 .. 1.02 (IQR [0.99, 1.01]), and the shadow peak 1000 -> 1050
+    # (+5%, lower is better) against A/A ratios all 1.0. Both are
+    # marked "worse", not "ok", and the run still passes; the trace
+    # rate, equal on both sides, stays "ok".
+    slower = [(run_doc(100.0, peak=1000), run_doc(95.0, peak=1050))
+              for _ in range(5)]
+    steady = [(run_doc(100.0, peak=1000), run_doc(r, peak=1000))
+              for r in (98.0, 99.0, 100.0, 101.0, 102.0)]
+    rc, out = report(slower, steady, selected)
+    check("ab_compare report marks a loss beyond the whole A/A spread "
+          "but inside the threshold 'worse', not 'ok', and exits 0",
+          rc == 0 and "worse     " + server in out
+          and "worse     BM_TraceReplayThroughput [shadow_peak_bytes]"
+          in out
+          and "ok        BM_TraceReplayThroughput [items_per_second]"
+          in out
+          and "worse than the whole A/A spread" in out
+          and "2 worse than the A/A spread" in out, out)
+    # A gain beyond the whole A/A spread stays "ok".
+    rc, out = report([(run_doc(100.0), run_doc(105.0))] * 5, steady,
+                     "^BM_ServerQueryThroughput/")
+    check("ab_compare report keeps a gain beyond the A/A spread 'ok'",
+          rc == 0 and "ok        " + server in out
+          and "worse" not in out.split("\n\n")[0], out)
     rc, out = report(lopsided, lopsided, selected)
     check("ab_compare report exits 1 on a metric missing from a side",
           rc == 1 and "missing  BM_TraceReplayThroughput "

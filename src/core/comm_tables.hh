@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "core/comm_stats.hh"
+#include "core/event_trace.hh"
 #include "shadow/shadow_memory.hh"
 #include "vg/types.hh"
 
@@ -173,15 +174,14 @@ commFinalizeRuns(CommTables &t, const shadow::StampTable &st,
  * input is a function of that pair and of the access, so a run of
  * units sharing the pair is classified once, weighted by its covered
  * width w. seg_xfers (nullable) receives producer-segment →
- * unique-byte transfers; unique_bytes_this_access accumulates for
- * per-object attribution.
+ * unique-byte transfers, appended in arrival order;
+ * unique_bytes_this_access accumulates for per-object attribution.
  */
 inline void
 commClassifyRead(CommTables &t, const ClassifyEnv &env,
                  const shadow::StampTable &st, shadow::StampId writer,
                  shadow::StampId reader, std::uint64_t w,
-                 const AccessStamp &a,
-                 std::unordered_map<std::uint64_t, std::uint64_t> *seg_xfers,
+                 const AccessStamp &a, XferList *seg_xfers,
                  std::uint64_t &unique_bytes_this_access)
 {
     const shadow::WriterStamp &wr = st.writer(writer);
@@ -248,7 +248,7 @@ commClassifyRead(CommTables &t, const ClassifyEnv &env,
 
     if (env.collectEvents && unique && ever_written && a.segSeq != 0 &&
         wr.seq != a.segSeq) {
-        (*seg_xfers)[wr.seq] += w;
+        seg_xfers->add(wr.seq, w);
     }
 }
 
@@ -276,8 +276,7 @@ commReadRun(CommTables &t, const ClassifyEnv &env,
             const shadow::StampTable &st, shadow::RunTable &runs,
             shadow::ShadowHot *s, std::uint64_t *totals, std::size_t n,
             Covered &&covered, const AccessStamp &a,
-            shadow::StampId reader_id,
-            std::unordered_map<std::uint64_t, std::uint64_t> *seg_xfers,
+            shadow::StampId reader_id, XferList *seg_xfers,
             std::uint64_t &unique_bytes_this_access)
 {
     if (a.collecting && totals != nullptr) {

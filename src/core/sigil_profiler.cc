@@ -292,7 +292,7 @@ SigilProfiler::startSegment(SegState &state, vg::ContextId ctx,
         for (std::uint64_t pred : barrierPreds_) {
             std::uint64_t resolved = resolvePred(pred);
             if (resolved != state.segment.predSeq && resolved != 0)
-                state.xfers.try_emplace(resolved, 0);
+                state.xfers.add(resolved, 0);
         }
         state.barrierPending = false;
     }
@@ -307,13 +307,11 @@ SigilProfiler::flushSegment(SegState &state)
     bool has_work = segment.iops || segment.flops || segment.reads ||
                     segment.writes;
     if (collecting_ && (has_work || !state.xfers.empty())) {
-        // Emit incoming transfers in source order: the hash map's
-        // iteration order is not part of the observable state, and a
+        // Emit incoming transfers in source order, one per source:
+        // arrival order is not part of the observable state, and a
         // checkpoint restore would otherwise reorder the X records.
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> ordered(
-            state.xfers.begin(), state.xfers.end());
-        std::sort(ordered.begin(), ordered.end());
-        for (const auto &[src, bytes] : ordered) {
+        state.xfers.merge();
+        for (const auto &[src, bytes] : state.xfers.entries()) {
             XferEvent x;
             x.srcSeq = resolvePred(src);
             x.dstSeq = segment.seq;
@@ -624,17 +622,16 @@ SigilProfiler::saveState(ByteSink &sink)
     sink.u64(nextSeq_);
 
     sink.varint(segStates_.size());
-    for (const SegState &s : segStates_) {
+    for (SegState &s : segStates_) {
         sink.u8(s.open ? 1 : 0);
         putComputeEvent(sink, s.segment);
-        // Canonical order: unordered_map iteration depends on insertion
-        // history, which a restore does not replay. Sorting makes the
-        // body a pure function of the logical state.
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> xfers(
-            s.xfers.begin(), s.xfers.end());
-        std::sort(xfers.begin(), xfers.end());
-        sink.varint(xfers.size());
-        for (const auto &[src_seq, bytes] : xfers) {
+        // Canonical order: the list's arrival order depends on the
+        // access history, which a restore does not replay. Merging
+        // (which the flush does anyway) makes the body a pure function
+        // of the logical state: one pair per source, ascending.
+        s.xfers.merge();
+        sink.varint(s.xfers.entries().size());
+        for (const auto &[src_seq, bytes] : s.xfers.entries()) {
             sink.u64(src_seq);
             sink.u64(bytes);
         }
@@ -833,7 +830,6 @@ SigilProfiler::restoreState(ByteSource &src)
     if (!src.ok() || num_records > (std::uint64_t{1} << 32))
         return false;
     events_.records.clear();
-    events_.records.reserve(static_cast<std::size_t>(num_records));
     for (std::uint64_t i = 0; i < num_records; ++i) {
         if (src.u8() == 0) {
             ComputeEvent c;
@@ -859,10 +855,15 @@ SigilProfiler::restoreState(ByteSource &src)
         std::uint64_t num_xfers = src.varint();
         if (!src.ok() || num_xfers > (std::uint64_t{1} << 32))
             return false;
+        // saveState() lists each source once, ascending.
+        std::uint64_t prev_src = 0;
         for (std::uint64_t i = 0; i < num_xfers; ++i) {
             std::uint64_t src_seq = src.u64();
             std::uint64_t bytes = src.u64();
-            s.xfers.emplace(src_seq, bytes);
+            if (!src.ok() || (i != 0 && src_seq <= prev_src))
+                return false;
+            s.xfers.add(src_seq, bytes);
+            prev_src = src_seq;
         }
         std::uint64_t num_frames = src.varint();
         if (!src.ok() || num_frames > (std::uint64_t{1} << 24))
@@ -925,6 +926,23 @@ SigilProfiler::restoreState(ByteSource &src)
         w.seq = src.u64();
         w.ctx = static_cast<vg::ContextId>(src.u32());
         w.thread = src.u32();
+        // The stamp table indexes writers by seq, or by thread and
+        // context: a seq must be one this run numbered and keep one
+        // identity, a thread one the profiler switched to, and both
+        // must lie in the restored guest's numbering (when the
+        // profiler is attached to one).
+        if (!src.ok() || w.ctx < vg::kInvalidContext || w.seq >= nextSeq_ ||
+            w.seq > (std::uint64_t{1} << 32) ||
+            w.thread >= segStates_.size() ||
+            !shadow_.stamps().writerFits(w)) {
+            return false;
+        }
+        if (guest_ != nullptr &&
+            (w.thread >= guest_->numThreads() ||
+             (w.ctx >= 0 && static_cast<std::size_t>(w.ctx) >=
+                                guest_->contexts().size()))) {
+            return false;
+        }
         shadow_.internWriter(w);
     }
     std::uint64_t rcount = src.varint();

@@ -24,7 +24,6 @@
 #define SIGIL_CORE_SIGIL_PROFILER_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "support/serial.hh"
@@ -200,7 +199,7 @@ class SigilProfiler : public vg::Tool
         bool open = false;
         ComputeEvent segment;
         /** Producer segment → unique bytes consumed by the segment. */
-        std::unordered_map<std::uint64_t, std::uint64_t> xfers;
+        XferList xfers;
         /** Last segment of each active frame on this thread. */
         std::vector<std::uint64_t> frameLastSeq;
         /** The thread must pick up barrier ordering edges. */

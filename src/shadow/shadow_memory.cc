@@ -1,114 +1,16 @@
 #include "shadow_memory.hh"
 
-#include <sys/mman.h>
-
 #include <bit>
-#include <iterator>
-#include <map>
-#include <mutex>
-#include <new>
 #include <vector>
 
 #include <sanitizer/asan_interface.h>
 
 #include "support/logging.hh"
+#include "support/slot_pool.hh"
 
 namespace sigil::shadow {
 
 namespace {
-
-/** Size of the anonymous mappings a SlotPool carves into slots. */
-constexpr std::size_t kRegionBytes = std::size_t{2} << 20;
-
-/**
- * Process-wide pool of chunk arrays of one size. Slots are carved
- * from kRegionBytes anonymous mappings (regions) and numbered in the
- * order they were carved: region sequence, then offset in the region.
- * acquire() always hands out the lowest-numbered free slot, so a
- * replay that creates chunks in the same order as the one before it
- * gets the same slots and touches the same pages again, and repeated
- * replays in one process keep the resident set of the first. (Raw
- * address order would not do: later mappings usually sit lower.)
- * Regions are kept for the life of the process. Thread-safe.
- */
-class SlotPool
-{
-  public:
-    explicit SlotPool(std::size_t slot_bytes)
-        : slotBytes_(slot_bytes), slotsPerRegion_(kRegionBytes / slot_bytes)
-    {
-    }
-
-    /**
-     * The lowest-numbered free slot, poisoned under AddressSanitizer:
-     * its contents are garbage until the caller constructs them.
-     */
-    void *
-    acquire()
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        while (firstFreeWord_ < free_.size() && free_[firstFreeWord_] == 0)
-            ++firstFreeWord_;
-        if (firstFreeWord_ == free_.size())
-            carveRegion();
-        std::uint64_t &word = free_[firstFreeWord_];
-        const std::size_t slot =
-            firstFreeWord_ * 64 +
-            static_cast<std::size_t>(std::countr_zero(word));
-        word &= word - 1;
-        char *p = regions_[slot / slotsPerRegion_] +
-                  slot % slotsPerRegion_ * slotBytes_;
-        ASAN_POISON_MEMORY_REGION(p, slotBytes_);
-        return p;
-    }
-
-    /** Return a slot from acquire(); no destructors run. */
-    void
-    release(void *slot_ptr)
-    {
-        ASAN_POISON_MEMORY_REGION(slot_ptr, slotBytes_);
-        const char *p = static_cast<const char *>(slot_ptr);
-        std::lock_guard<std::mutex> lock(mu_);
-        // The region holding p: the last one based at or below it.
-        auto it = std::prev(regionSeq_.upper_bound(p));
-        const std::size_t slot =
-            it->second * slotsPerRegion_ +
-            static_cast<std::size_t>(p - it->first) / slotBytes_;
-        free_[slot / 64] |= std::uint64_t{1} << (slot % 64);
-        firstFreeWord_ = std::min(firstFreeWord_, slot / 64);
-    }
-
-  private:
-    /** Map a new region and mark its slots free. */
-    void
-    carveRegion()
-    {
-        void *base = ::mmap(nullptr, kRegionBytes, PROT_READ | PROT_WRITE,
-                            MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-        if (base == MAP_FAILED)
-            throw std::bad_alloc();
-        const std::size_t first = regions_.size() * slotsPerRegion_;
-        regions_.push_back(static_cast<char *>(base));
-        regionSeq_.emplace(regions_.back(), regions_.size() - 1);
-        const std::size_t end = first + slotsPerRegion_;
-        free_.resize((end + 63) / 64, 0);
-        for (std::size_t s = first; s < end; ++s)
-            free_[s / 64] |= std::uint64_t{1} << (s % 64);
-        firstFreeWord_ = first / 64;
-    }
-
-    const std::size_t slotBytes_;
-    const std::size_t slotsPerRegion_;
-    std::mutex mu_;
-    /** Region bases in carve order. */
-    std::vector<char *> regions_;
-    /** Region base -> carve sequence number, for release(). */
-    std::map<const char *, std::size_t> regionSeq_;
-    /** Bit per slot in carve order, set while the slot is free. */
-    std::vector<std::uint64_t> free_;
-    /** No word below this one has a free bit. */
-    std::size_t firstFreeWord_ = 0;
-};
 
 /** The pool of chunk hot arrays. */
 SlotPool &
@@ -116,7 +18,7 @@ hotPool()
 {
     constexpr std::size_t bytes =
         ShadowMemory::kChunkUnits * sizeof(ShadowHot);
-    static_assert(bytes % 4096 == 0 && kRegionBytes % bytes == 0,
+    static_assert(bytes % 4096 == 0 && SlotPool::kRegionBytes % bytes == 0,
                   "chunk arrays are whole pages that tile a region");
     // Never destroyed: a ShadowMemory with static storage duration may
     // release its arrays after exit-time destructors have run.

@@ -6,39 +6,43 @@
 
 namespace sigil::shadow {
 
-namespace {
-
-/** splitmix64 finalizer; mixes each field into the running hash. */
-inline std::uint64_t
-mix(std::uint64_t h, std::uint64_t v)
-{
-    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    h ^= h >> 30;
-    h *= 0xbf58476d1ce4e5b9ull;
-    h ^= h >> 27;
-    return h;
-}
-
-} // namespace
-
-std::size_t
-StampTable::WriterHash::operator()(const WriterStamp &s) const
-{
-    std::uint64_t h = mix(0, s.seq);
-    h = mix(h, (static_cast<std::uint64_t>(
-                    static_cast<std::uint32_t>(s.ctx))
-                << 32) |
-                   s.thread);
-    return static_cast<std::size_t>(h);
-}
-
 StampTable::StampTable()
 {
     // Reserved null entries: id 0 is the default (never written /
     // never read) state, so a zero-filled hot array needs no fixup.
     writers_.push_back(WriterStamp{});
-    writerIndex_.emplace(WriterStamp{}, 0);
     readers_.push_back(ReaderStamp{});
+}
+
+StampId &
+StampTable::writerSlot(const WriterStamp &s)
+{
+    if (s.ctx < vg::kInvalidContext)
+        panic("StampTable: writer context %d out of range", s.ctx);
+    std::size_t i = static_cast<std::size_t>(s.seq);
+    std::vector<StampId> *index = &writerBySeq_;
+    if (s.seq == 0) {
+        if (s.thread >= writerByThreadCtx_.size())
+            writerByThreadCtx_.resize(static_cast<std::size_t>(s.thread) + 1);
+        index = &writerByThreadCtx_[s.thread];
+        i = static_cast<std::size_t>(s.ctx + 1);
+    }
+    // Seqs ascend like call numbers, so resize's geometric growth keeps
+    // the cost per new segment amortized constant.
+    if (i >= index->size())
+        index->resize(i + 1, 0);
+    return (*index)[i];
+}
+
+bool
+StampTable::writerFits(const WriterStamp &s) const
+{
+    if (s.ctx < vg::kInvalidContext)
+        return false;
+    if (s.seq == 0 || s.seq >= writerBySeq_.size())
+        return true;
+    const StampId id = writerBySeq_[static_cast<std::size_t>(s.seq)];
+    return id == 0 || writers_[id] == s;
 }
 
 StampId
@@ -46,19 +50,24 @@ StampTable::internWriter(const WriterStamp &s)
 {
     if (s == lastWriter_)
         return lastWriterId_;
-    auto [it, inserted] =
-        writerIndex_.try_emplace(s, static_cast<StampId>(writers_.size()));
-    if (inserted) {
+    StampId &slot = writerSlot(s);
+    if (slot == 0 && !(s == WriterStamp{})) {
         if (writers_.size() >
             std::numeric_limits<StampId>::max()) {
             fatal("StampTable: writer stamp ids exhausted (%zu entries)",
                   writers_.size());
         }
+        slot = static_cast<StampId>(writers_.size());
         writers_.push_back(s);
+    } else if (!(writers_[slot] == s)) {
+        panic("StampTable: segment %llu written under (ctx %d, thread %u) "
+              "and (ctx %d, thread %u)",
+              static_cast<unsigned long long>(s.seq), writers_[slot].ctx,
+              writers_[slot].thread, s.ctx, s.thread);
     }
     lastWriter_ = s;
-    lastWriterId_ = it->second;
-    return it->second;
+    lastWriterId_ = slot;
+    return slot;
 }
 
 StampId &

@@ -22,10 +22,15 @@
  * the same tuple sequence assign identical ids (the property a
  * checkpoint restore relies on to reproduce the saved table).
  *
- * Reader stamps need no hash index. A dynamic call runs in exactly one
- * context and the guest numbers calls densely from 1, so a stamp with
- * call != 0 is found by its call number; a stamp with call == 0 (re-use
- * off) is found by its context. Both indexes are plain id vectors.
+ * Neither side needs a hash index; every index is a plain id vector.
+ * A dynamic call runs in exactly one context and the guest numbers
+ * calls densely from 1, so a reader stamp with call != 0 is found by
+ * its call number; one with call == 0 (re-use off) by its context.
+ * Likewise an event segment runs in one context on one thread and the
+ * profiler numbers segments densely from 1, so a writer stamp with
+ * seq != 0 is found by its seq; one with seq == 0 (no open segment)
+ * by its thread, which the guest numbers densely from 0, then its
+ * context.
  */
 
 #ifndef SIGIL_SHADOW_STAMP_TABLE_HH
@@ -33,7 +38,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "vg/types.hh"
@@ -56,7 +60,11 @@ using StampId = std::uint32_t;
  */
 struct WriterStamp
 {
-    /** Event-trace segment that produced the value (0 = none). */
+    /**
+     * Event-trace segment that produced the value (0 = none). A
+     * nonzero seq determines ctx and thread (one segment, one context
+     * on one thread).
+     */
     std::uint64_t seq = 0;
     vg::ContextId ctx = vg::kInvalidContext;
     vg::ThreadId thread = 0;
@@ -93,8 +101,9 @@ struct ReaderStamp
 };
 
 /**
- * The interning table: dense id → tuple; hash writer tuple → id;
- * reader call number (or, for call 0, context) → id.
+ * The interning table: dense id → tuple; writer seq (or, for seq 0,
+ * thread and context) → id; reader call number (or, for call 0,
+ * context) → id.
  */
 class StampTable
 {
@@ -111,6 +120,14 @@ class StampTable
      * and a call already interned keeps the context it had.
      */
     bool readerFits(const ReaderStamp &s) const;
+
+    /**
+     * Whether s may be interned (internWriter() panics on a seq
+     * interned under a second identity): its context is real or
+     * kInvalidContext, and a seq already interned keeps the context
+     * and thread it had.
+     */
+    bool writerFits(const WriterStamp &s) const;
 
     /** Resolve an id back to its tuple. */
     const WriterStamp &
@@ -136,9 +153,9 @@ class StampTable
      * the same entries report the same figure regardless of load
      * factors or index layout — a requirement for a resumed run to
      * report the same shadowPeakBytes as an uninterrupted one. The
-     * share is a model, not a measurement of either index (the reader
-     * index is a dense vector): the figure is part of every rendered
-     * profile, so it changes only with the profile format.
+     * share is a model, not a measurement of either index (both are
+     * dense vectors): the figure is part of every rendered profile, so
+     * it changes only with the profile format.
      */
     static constexpr std::size_t kIndexShareBytes = 24;
 
@@ -152,20 +169,19 @@ class StampTable
     }
 
   private:
-    struct WriterHash
-    {
-        std::size_t operator()(const WriterStamp &s) const;
-    };
-
     /**
-     * Index slot of a reader stamp (0 = not interned yet, except for
-     * the null stamp, whose id is 0), grown to cover it.
+     * Index slot of a stamp (0 = not interned yet, except for the null
+     * stamp, whose id is 0), grown to cover it.
      */
+    StampId &writerSlot(const WriterStamp &s);
     StampId &readerSlot(const ReaderStamp &s);
 
     std::vector<WriterStamp> writers_;
     std::vector<ReaderStamp> readers_;
-    std::unordered_map<WriterStamp, StampId, WriterHash> writerIndex_;
+    /** Ids of writer stamps with seq != 0, indexed by seq. */
+    std::vector<StampId> writerBySeq_;
+    /** Ids of writer stamps with seq == 0, indexed by thread, ctx + 1. */
+    std::vector<std::vector<StampId>> writerByThreadCtx_;
     /** Ids of reader stamps with call != 0, indexed by call. */
     std::vector<StampId> readerByCall_;
     /** Ids of reader stamps with call == 0, indexed by ctx + 1. */

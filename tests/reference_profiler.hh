@@ -10,8 +10,9 @@
  * SigilConfig::maxShadowChunks. It classifies bytes with the shared
  * core::commClassifyRead kernel, one unit at a time, and keeps the
  * per-unit re-use rule (extend, close and fold a run), its own
- * event-segment bookkeeping, and the `shadow` row's charging rule
- * (liveBytes()) itself. It uses ShadowHot, StampTable and the
+ * event-segment bookkeeping (a segment's transfers go to a std::map,
+ * not to the profiler's flat core::XferList), and the `shadow` row's
+ * charging rule (liveBytes()) itself. It uses ShadowHot, StampTable and the
  * ShadowMemory constants, and never constructs a shadow::ShadowMemory
  * or a shadow::RunTable.
  *
@@ -25,7 +26,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -299,7 +299,7 @@ class ReferenceProfiler : public vg::Tool
         bool open = false;
         core::ComputeEvent segment;
         /** Producer segment → unique bytes consumed by the segment. */
-        std::unordered_map<std::uint64_t, std::uint64_t> xfers;
+        std::map<std::uint64_t, std::uint64_t> xfers;
         std::vector<std::uint64_t> frameLastSeq;
         bool barrierPending = false;
     };
@@ -347,7 +347,10 @@ class ReferenceProfiler : public vg::Tool
             return;
         }
         core::commClassifyRead(tables_, env, stamps_, unit.hot.writer,
-                               unit.hot.reader, w, a, &t.xfers, unique);
+                               unit.hot.reader, w, a, &classified_, unique);
+        for (const auto &[src, bytes] : classified_.entries())
+            t.xfers[src] += bytes;
+        classified_.clear();
         if (env.collectReuse) {
             if (unit.hot.reader != rs || unit.runReads == 0) {
                 closeRun(unit);
@@ -512,9 +515,7 @@ class ReferenceProfiler : public vg::Tool
         const core::ComputeEvent &s = t.segment;
         const bool work = s.iops || s.flops || s.reads || s.writes;
         if (collecting_ && (work || !t.xfers.empty())) {
-            const std::map<std::uint64_t, std::uint64_t> sorted(
-                t.xfers.begin(), t.xfers.end());
-            for (const auto &[src, bytes] : sorted) {
+            for (const auto &[src, bytes] : t.xfers) {
                 events_.records.push_back(core::EventRecord::makeXfer(
                     core::XferEvent{resolve(src), s.seq, bytes}));
             }
@@ -554,6 +555,11 @@ class ReferenceProfiler : public vg::Tool
     core::EventTrace events_;
     std::uint64_t nextSeq_ = 1;
     std::vector<Thread> threads_{1};
+    /**
+     * The kernel's output for one unit: at most one transfer, moved
+     * into the thread's std::map at once.
+     */
+    core::XferList classified_;
     vg::ThreadId currentTid_ = 0;
     /** Skipped segment → the predecessor it forwards to. */
     std::map<std::uint64_t, std::uint64_t> skipped_;

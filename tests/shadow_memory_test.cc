@@ -19,6 +19,7 @@
 #include <set>
 #include <sstream>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/sigil_profiler.hh"
@@ -838,8 +839,87 @@ TEST_P(StampTableProperty, ReaderIdsMatchFirstInternMap)
     }
 }
 
+/**
+ * Writer stamp ids against a first-intern std::map: a random stream of
+ * writes on four threads, each writing inside its open event segment
+ * (one context on one thread; seqs numbered densely from 1 across the
+ * threads) while events are on, and with seq 0 under any context while
+ * they are off. Events turn off and on again, now and then a write
+ * re-interns the stamp of an older segment or the null stamp, and
+ * halfway the table is rebuilt the way a checkpoint restore does it.
+ */
+TEST_P(StampTableProperty, WriterIdsMatchFirstInternMap)
+{
+    sigil::Rng rng(GetParam());
+    auto table = std::make_unique<StampTable>();
+    std::map<std::tuple<std::uint64_t, vg::ContextId, vg::ThreadId>, StampId>
+        oracle;
+    oracle[{0, vg::kInvalidContext, 0}] = 0;
+    std::vector<WriterStamp> segments{WriterStamp{}}; // indexed by seq
+    std::vector<std::uint64_t> open(4, 0);            // per thread
+    bool events = true;
+    const int steps = 20000;
+    for (int i = 0; i < steps; ++i) {
+        if (i == steps / 2) {
+            auto copy = std::make_unique<StampTable>();
+            for (std::size_t id = 1; id < table->writerCount(); ++id)
+                EXPECT_EQ(copy->internWriter(table->writer(id)), id);
+            EXPECT_EQ(copy->bytes(), table->bytes());
+            table = std::move(copy);
+        }
+        if (rng.nextBounded(500) == 0)
+            events = !events;
+        const auto tid = static_cast<vg::ThreadId>(rng.nextBounded(4));
+        const auto ctx = static_cast<vg::ContextId>(rng.nextBounded(40));
+        WriterStamp s;
+        if (rng.nextBounded(50) == 0) {
+            s = WriterStamp{}; // an access outside any function
+        } else if (!events) {
+            s = WriterStamp{0, ctx, tid};
+        } else if (segments.size() > 1 && rng.nextBounded(20) == 0) {
+            s = segments[1 + rng.nextBounded(segments.size() - 1)];
+        } else {
+            if (open[tid] == 0 || rng.nextBounded(8) == 0) {
+                open[tid] = segments.size();
+                segments.push_back(WriterStamp{open[tid], ctx, tid});
+            }
+            s = segments[open[tid]];
+        }
+        ASSERT_TRUE(table->writerFits(s));
+        auto [it, inserted] = oracle.try_emplace(
+            std::make_tuple(s.seq, s.ctx, s.thread),
+            static_cast<StampId>(oracle.size()));
+        (void)inserted;
+        ASSERT_EQ(table->internWriter(s), it->second)
+            << "step " << i << " seq " << s.seq << " ctx " << s.ctx
+            << " thread " << s.thread;
+    }
+    EXPECT_EQ(table->writerCount(), oracle.size());
+    for (const auto &[key, id] : oracle) {
+        EXPECT_EQ(table->writer(id).seq, std::get<0>(key));
+        EXPECT_EQ(table->writer(id).ctx, std::get<1>(key));
+        EXPECT_EQ(table->writer(id).thread, std::get<2>(key));
+    }
+    EXPECT_EQ(table->bytes(),
+              (oracle.size() - 1) *
+                  (sizeof(WriterStamp) + StampTable::kIndexShareBytes));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, StampTableProperty,
                          ::testing::Values(3, 5, 8, 13));
+
+TEST(StampTableDeathTest, SeqInternedUnderTwoIdentitiesPanics)
+{
+    StampTable t;
+    EXPECT_NE(t.internWriter(WriterStamp{5, 1, 0}), 0u);
+    // Another context, or another thread, for the same segment.
+    EXPECT_FALSE(t.writerFits(WriterStamp{5, 2, 0}));
+    EXPECT_FALSE(t.writerFits(WriterStamp{5, 1, 1}));
+    EXPECT_TRUE(t.writerFits(WriterStamp{5, 1, 0}));
+    EXPECT_TRUE(t.writerFits(WriterStamp{6, 2, 1}));
+    EXPECT_DEATH(t.internWriter(WriterStamp{5, 2, 0}), "segment 5");
+    EXPECT_DEATH(t.internWriter(WriterStamp{5, 1, 1}), "segment 5");
+}
 
 // Run table. --------------------------------------------------------
 

@@ -3,8 +3,8 @@
  * Unit tests of the stamp-interned shadow memory's checkpoint body.
  *
  * Interned stamp tuples outlive the evicted chunks that referenced
- * them, and restore refuses a body whose reader table or mode/ROI
- * state no run can reach. The property that the compressed span walk
+ * them, and restore refuses a body whose writer or reader table or
+ * mode/ROI state no run can reach. The property that the compressed span walk
  * matches the per-unit reference walk, and that mid-stream checkpoints
  * resume bit-identically, is part of the differential matrix
  * (tests/differential_test.cc).
@@ -128,6 +128,83 @@ TEST(StampShadowProperty, RestoreRefusesMalformedReaderTable)
     // A call number the reader index cannot be sized for.
     EXPECT_FALSE(restores(with_call(first, std::uint64_t{1} << 40)));
     EXPECT_FALSE(restores(with_call(first, ~std::uint64_t{0})));
+}
+
+// A checkpoint with a malformed writer table is refused. -------------
+
+TEST(StampShadowProperty, RestoreRefusesMalformedWriterTable)
+{
+    core::SigilConfig cfg;
+    cfg.collectEvents = true;
+    vg::Guest g("writers");
+    core::SigilProfiler prof(cfg);
+    g.addTool(&prof);
+    vg::Addr a = g.alloc(64);
+    g.enter("main");
+    for (int i = 0; i < 4; ++i) {
+        g.enter(i % 2 == 0 ? "f" : "g");
+        g.write(a + 8 * i, 8);
+        g.leave();
+    }
+    g.read(a, 32);
+    g.leave();
+    g.finish();
+    ByteSink sink;
+    prof.saveState(sink);
+    const std::string body = sink.take();
+
+    // Locate the writer table's entries (u64 seq, u32 ctx, u32 thread
+    // each) in the body, and two segments of different contexts.
+    const shadow::StampTable &stamps = prof.shadowMemory().stamps();
+    ByteSink entries;
+    std::size_t first = 0, other = 0;
+    for (std::size_t i = 1; i < stamps.writerCount(); ++i) {
+        const shadow::WriterStamp &w = stamps.writer(i);
+        entries.u64(w.seq);
+        entries.u32(static_cast<std::uint32_t>(w.ctx));
+        entries.u32(w.thread);
+        if (w.seq == 0)
+            continue;
+        if (first == 0)
+            first = i;
+        else if (other == 0 && w.ctx != stamps.writer(first).ctx)
+            other = i;
+    }
+    ASSERT_NE(other, 0u);
+    const std::size_t at = body.find(entries.bytes());
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_EQ(body.find(entries.bytes(), at + 1), std::string::npos);
+    auto entry_at = [&](std::size_t i) { return at + (i - 1) * 16; };
+    auto with_seq = [&](std::size_t i, std::uint64_t seq) {
+        std::string bad = body;
+        ByteSink v;
+        v.u64(seq);
+        bad.replace(entry_at(i), 8, v.bytes());
+        return bad;
+    };
+    auto with_thread = [&](std::size_t i, std::uint32_t thread) {
+        std::string bad = body;
+        ByteSink v;
+        v.u32(thread);
+        bad.replace(entry_at(i) + 12, 4, v.bytes());
+        return bad;
+    };
+    auto restores = [&](const std::string &payload) {
+        core::SigilProfiler fresh(cfg);
+        ByteSource src(payload.data(), payload.size());
+        return fresh.restoreState(src) && src.ok();
+    };
+
+    ASSERT_TRUE(restores(body));
+    // One segment listed under two contexts.
+    EXPECT_FALSE(restores(with_seq(other, stamps.writer(first).seq)));
+    // A seq the saving run had not numbered, and one the seq index cannot
+    // be sized for.
+    EXPECT_FALSE(restores(with_seq(first, std::uint64_t{1} << 20)));
+    EXPECT_FALSE(restores(with_seq(first, ~std::uint64_t{0})));
+    // A thread the saving run never switched to.
+    EXPECT_FALSE(restores(with_thread(first, 1)));
+    EXPECT_FALSE(restores(with_thread(first, ~std::uint32_t{0})));
 }
 
 // A checkpoint with a mode or ROI state the config cannot reach is

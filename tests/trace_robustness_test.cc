@@ -203,7 +203,11 @@ replayBothEntries(const std::string &trace, vg::ReplayPolicy policy)
 {
     std::vector<vg::ReplayReport> reports;
     reports.push_back(replayRaw(trace, policy));
-    std::string path = ::testing::TempDir() + "/legacy_input.trace";
+    // One file per test: ctest runs the LegacyInput tests in parallel.
+    std::string path =
+        ::testing::TempDir() + "/legacy_input_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".trace";
     std::ofstream(path, std::ios::binary) << trace;
     QuietLogs quiet;
     vg::Guest g("robust");
