@@ -492,7 +492,10 @@ BM_WideReplay(benchmark::State &state)
 }
 BENCHMARK(BM_WideReplay)->UseRealTime();
 
-/** The bundled programs whose replay BM_WorkloadReplay times. */
+/**
+ * The bundled programs whose replay BM_WorkloadReplay and whose live
+ * collection BM_WorkloadLive time.
+ */
 const char *const kReplayPrograms[] = {"canneal", "dedup", "facesim",
                                        "vips"};
 
@@ -552,9 +555,45 @@ BM_WorkloadReplay(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations() * events));
 }
 
+/**
+ * Live collection of one bundled program at SimSmall with perfbench's
+ * live_collect tools attached: the cache simulator (CgTool), the Sigil
+ * profiler in baseline mode (no re-use tracking) and the trace
+ * recorder writing into memory. The live counterpart of
+ * BM_WorkloadReplay, for timing a live-path change program by program.
+ * Items are the retired events. Registered as
+ * BM_WorkloadLive/<program>.
+ */
+template <int Index>
+void
+BM_WorkloadLive(benchmark::State &state)
+{
+    const workloads::Workload *w =
+        workloads::findWorkload(kReplayPrograms[Index]);
+    core::SigilConfig cfg;
+    cfg.collectReuse = false;
+    std::uint64_t events = 0;
+    for (auto _ : state) {
+        std::ostringstream os(std::ios::binary);
+        vg::Guest g(kReplayPrograms[Index]);
+        cg::CgTool cg;
+        core::SigilProfiler prof(cfg);
+        vg::BinaryTraceRecorder rec(os);
+        g.addTool(&cg);
+        g.addTool(&prof);
+        g.addTool(&rec);
+        w->run(g, workloads::Scale::SimSmall);
+        g.finish();
+        events = rec.eventsWritten();
+        benchmark::DoNotOptimize(events);
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * events));
+}
+
 template <int... Index>
 bool
-registerWorkloadReplays(std::integer_sequence<int, Index...>)
+registerWorkloadBenchmarks(std::integer_sequence<int, Index...>)
 {
     (benchmark::internal::RegisterBenchmark(
          new benchmark::internal::Benchmark(
@@ -562,10 +601,16 @@ registerWorkloadReplays(std::integer_sequence<int, Index...>)
              BM_WorkloadReplay<Index>))
          ->UseRealTime(),
      ...);
+    (benchmark::internal::RegisterBenchmark(
+         new benchmark::internal::Benchmark(
+             std::string("BM_WorkloadLive/") + kReplayPrograms[Index],
+             BM_WorkloadLive<Index>))
+         ->UseRealTime(),
+     ...);
     return true;
 }
 
-const bool kWorkloadReplaysRegistered = registerWorkloadReplays(
+const bool kWorkloadBenchmarksRegistered = registerWorkloadBenchmarks(
     std::make_integer_sequence<int, std::size(kReplayPrograms)>{});
 
 /**

@@ -32,10 +32,12 @@ CacheLevel::CacheLevel(const CacheConfig &config)
         fatal("cache size must be a multiple of line size * associativity");
     numSets_ = lines / assoc_;
     setShift_ = log2Exact(numSets_, "set count");
-    tags_.assign(lines, 0);
-    valid_.assign(lines, 0);
-    dirty_.assign(lines, 0);
-    lru_.assign(lines, 0);
+    // A line number is an address shifted right by lineShift_, so a tag
+    // has at most 64 - lineShift_ - setShift_ bits; two spare bits keep
+    // `tag << 1 | dirty` clear of kInvalid for every address.
+    if (lineShift_ + setShift_ < 2)
+        fatal("cache line size times set count must be at least 4 bytes");
+    sets_.assign(lines, kInvalid);
 }
 
 bool
@@ -44,37 +46,31 @@ CacheLevel::accessLine(std::uint64_t line_number, bool is_write)
     ++accesses_;
     wroteBack_ = false;
     std::uint64_t set = line_number & (numSets_ - 1);
-    std::uint64_t tag = line_number >> setShift_;
-    std::size_t base = static_cast<std::size_t>(set) * assoc_;
+    std::uint64_t key = (line_number >> setShift_) << 1;
+    std::uint64_t dirty = is_write ? 1 : 0;
+    std::uint64_t *ways = sets_.data() + set * assoc_;
 
-    // Search for a hit and track the LRU victim in one pass; an invalid
-    // way is always the preferred victim.
-    std::size_t victim = base;
-    std::uint64_t oldest = ~0ull;
-    for (std::size_t w = 0; w < assoc_; ++w) {
-        std::size_t idx = base + w;
-        if (valid_[idx] && tags_[idx] == tag) {
-            lru_[idx] = ++stamp_;
-            if (is_write)
-                dirty_[idx] = 1;
+    for (unsigned w = 0; w < assoc_; ++w) {
+        std::uint64_t e = ways[w];
+        if ((e & ~std::uint64_t{1}) == key) {
+            // Hit: rotate the entry to the front, keeping its dirty bit.
+            for (unsigned i = w; i > 0; --i)
+                ways[i] = ways[i - 1];
+            ways[0] = e | dirty;
             return true;
-        }
-        std::uint64_t rank = valid_[idx] ? lru_[idx] : 0;
-        if (rank < oldest) {
-            oldest = rank;
-            victim = idx;
         }
     }
     ++misses_;
-    if (valid_[victim] && dirty_[victim]) {
+    // Miss: the last way is the LRU line (or an invalid way).
+    std::uint64_t victim = ways[assoc_ - 1];
+    if (victim != kInvalid && (victim & 1) != 0) {
         ++writeBacks_;
         wroteBack_ = true;
-        writeBackLine_ = (tags_[victim] << setShift_) | set;
+        writeBackLine_ = ((victim >> 1) << setShift_) | set;
     }
-    tags_[victim] = tag;
-    valid_[victim] = 1;
-    dirty_[victim] = is_write ? 1 : 0;
-    lru_[victim] = ++stamp_;
+    for (unsigned i = assoc_ - 1; i > 0; --i)
+        ways[i] = ways[i - 1];
+    ways[0] = key | dirty;
     return false;
 }
 

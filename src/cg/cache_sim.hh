@@ -26,17 +26,30 @@ struct CacheConfig
     unsigned lineBytes;
 };
 
-/** One set-associative LRU cache level with write-back accounting. */
+/**
+ * One set-associative LRU cache level with write-back accounting.
+ *
+ * Each set is one packed array of `assoc` entries in recency order,
+ * most recently used first. An entry is `tag << 1 | dirty`; kInvalid
+ * (all ones) marks a way that holds no line, and invalid ways only
+ * ever sit behind the valid ones. A hit moves its entry to the front;
+ * a miss drops the last entry (the least recently used line, or an
+ * invalid way while the set is not yet full) and inserts at the front.
+ * That is true LRU: the order of the array is the order of the last
+ * touches, so the victim is the same line the timestamp rule (invalid
+ * ways first, then the oldest stamp) picks.
+ */
 class CacheLevel
 {
   public:
     explicit CacheLevel(const CacheConfig &config);
 
     /**
-     * Access one line; returns true on hit. Updates LRU state and the
-     * line's dirty bit when is_write is set. On a miss that evicts a
-     * dirty line, a write-back is counted and the victim's line number
-     * is retrievable via lastWriteBackLine() until the next access.
+     * Access one line (an address shifted right by log2(lineBytes()));
+     * returns true on hit. Updates LRU state and the line's dirty bit
+     * when is_write is set. On a miss that evicts a dirty line, a
+     * write-back is counted and the victim's line number is
+     * retrievable via lastWriteBackLine() until the next access.
      */
     bool accessLine(std::uint64_t line_number, bool is_write = false);
 
@@ -67,15 +80,12 @@ class CacheLevel
     unsigned assoc_;
     std::uint64_t numSets_;
     unsigned setShift_;
-    /** tags_[set * assoc + way]; lru_ rank parallel to it. */
-    std::vector<std::uint64_t> tags_;
-    std::vector<std::uint8_t> valid_;
-    std::vector<std::uint8_t> dirty_;
-    std::vector<std::uint64_t> lru_;
+    static constexpr std::uint64_t kInvalid = ~std::uint64_t{0};
+    /** sets_[set * assoc + rank]: `tag << 1 | dirty`, MRU first. */
+    std::vector<std::uint64_t> sets_;
     bool wroteBack_ = false;
     std::uint64_t writeBackLine_ = 0;
     std::uint64_t writeBacks_ = 0;
-    std::uint64_t stamp_ = 0;
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;
 };

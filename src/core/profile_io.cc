@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <concepts>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string_view>
@@ -88,24 +89,47 @@ struct LineCtx
 };
 
 /**
- * Buffered text writer for the profile and event files: integers are
- * formatted with std::to_chars into a string, which goes to the stream
- * in pieces of about 64 KiB. The output is byte-identical to streaming
- * the same values into a default-formatted std::ostream.
+ * Buffered text writer for the profile and event files: records are
+ * formatted through a raw cursor into a fixed 64 KiB array, which goes
+ * to the stream whenever a record might not fit. The output is
+ * byte-identical to streaming the same values into a default-formatted
+ * std::ostream.
+ *
+ * Every record starts with record(), the one room check it pays: it
+ * frees kRecordBytes, more than the fixed part of any record takes
+ * (the widest, a profile row, holds 18 numbers, a tag and tabs).
+ * Literal tags, chars and integers then go in unchecked. Names are the
+ * only unbounded fields: name() makes its own room and leaves
+ * kRecordBytes free behind it for the rest of the record. A record
+ * with a bin per histogram bin pays one check per bin.
  */
 class TextWriter
 {
   public:
-    explicit TextWriter(std::ostream &os) : os_(os)
+    explicit TextWriter(std::ostream &os) : os_(os) {}
+
+    /** The cursor points into this object's own buffer. */
+    TextWriter(const TextWriter &) = delete;
+    TextWriter &operator=(const TextWriter &) = delete;
+
+    /** Open a record: make room for its fixed part. */
+    TextWriter &
+    record()
     {
-        buf_.reserve(kFlushBytes + 256);
+        if (room() < kRecordBytes)
+            flush();
+        return *this;
     }
 
+    /** A literal tag or separator. */
+    template <std::size_t N>
+        requires(N <= 32)
     TextWriter &
-    operator<<(std::string_view s)
+    operator<<(const char (&s)[N])
     {
-        buf_.append(s);
-        return spill();
+        std::memcpy(cur_, s, N - 1);
+        cur_ += N - 1;
+        return *this;
     }
 
     /**
@@ -116,8 +140,8 @@ class TextWriter
     TextWriter &
     operator<<(C c)
     {
-        buf_.push_back(c);
-        return spill();
+        *cur_++ = c;
+        return *this;
     }
 
     /** Char-sized integers stream as characters, so they are excluded. */
@@ -126,63 +150,83 @@ class TextWriter
     TextWriter &
     operator<<(T v)
     {
-        char tmp[24];
-        auto [end, ec] = std::to_chars(tmp, tmp + sizeof(tmp), v);
-        (void)ec; // 24 chars hold any 64-bit decimal
-        buf_.append(tmp, end);
-        return spill();
+        // kNumberBytes hold any 64-bit decimal, sign included.
+        cur_ = std::to_chars(cur_, cur_ + kNumberBytes, v).ptr;
+        return *this;
+    }
+
+    /**
+     * A function, path or program name, with tabs and newlines turned
+     * into spaces so it stays one field. Leaves kRecordBytes of room.
+     */
+    TextWriter &
+    name(std::string_view s)
+    {
+        while (s.size() + kRecordBytes > room()) {
+            if (cur_ != buf_) {
+                flush();
+                continue;
+            }
+            // Longer than an empty buffer holds: send it in pieces.
+            const std::size_t n = kBufBytes - kRecordBytes;
+            putName(s.substr(0, n));
+            s.remove_prefix(n);
+            flush();
+        }
+        putName(s);
+        return *this;
     }
 
     /** Write out everything still buffered. */
     void
     flush()
     {
-        os_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
-        buf_.clear();
+        os_.write(buf_, cur_ - buf_);
+        cur_ = buf_;
     }
 
   private:
-    static constexpr std::size_t kFlushBytes = 64 * 1024;
+    static constexpr std::size_t kBufBytes = 64 * 1024;
+    static constexpr std::size_t kNumberBytes = 20;
+    static constexpr std::size_t kRecordBytes = 512;
 
-    TextWriter &
-    spill()
+    std::size_t room() const
     {
-        if (buf_.size() >= kFlushBytes)
-            flush();
-        return *this;
+        return static_cast<std::size_t>(buf_ + kBufBytes - cur_);
+    }
+
+    void
+    putName(std::string_view s)
+    {
+        for (char c : s)
+            *cur_++ = (c == '\t' || c == '\n') ? ' ' : c;
     }
 
     std::ostream &os_;
-    std::string buf_;
+    char *cur_ = buf_;
+    /** Last, so an overrun runs into the object's end. */
+    char buf_[kBufBytes];
 };
 
 template <typename T>
 concept TextWritable = requires(TextWriter &w, T v) { w << v; };
 static_assert(TextWritable<char> && TextWritable<std::uint64_t> &&
                   TextWritable<std::int32_t> &&
-                  TextWritable<std::string_view>,
+                  TextWritable<const char (&)[5]>,
               "TextWriter renders the profile's field types");
 static_assert(!TextWritable<bool> && !TextWritable<double> &&
-                  !TextWritable<float> && !TextWritable<std::uint8_t>,
-              "TextWriter must not render a type as a raw char");
+                  !TextWritable<float> && !TextWritable<std::uint8_t> &&
+                  !TextWritable<std::string_view>,
+              "TextWriter must not render a type as a raw char, nor an "
+              "unbounded string without its room check");
 
-std::string
-sanitize(const std::string &name)
-{
-    std::string out = name;
-    for (char &c : out) {
-        if (c == '\t' || c == '\n')
-            c = ' ';
-    }
-    return out;
-}
-
+template <std::size_t N>
 void
-writeBounds(TextWriter &os, const char *tag, const BoundsHistogram &h)
+writeBounds(TextWriter &os, const char (&tag)[N], const BoundsHistogram &h)
 {
-    os << "breakdown\t" << tag;
+    os.record() << "breakdown\t" << tag;
     for (std::size_t i = 0; i < h.numBins(); ++i)
-        os << '\t' << h.binCount(i);
+        os.record() << '\t' << h.binCount(i);
     os << '\n';
 }
 
@@ -192,48 +236,53 @@ void
 writeProfile(std::ostream &out, const SigilProfile &profile)
 {
     TextWriter os(out);
-    os << "sigil-profile\t1\n";
-    os << "program\t" << sanitize(profile.program) << '\n';
-    os << "granularity\t" << profile.granularityShift << '\n';
-    os << "shadow\t" << profile.shadowPeakBytes << '\t'
-       << profile.shadowEvictions << '\n';
+    os.record() << "sigil-profile\t1\n";
+    os.record() << "program\t";
+    os.name(profile.program) << '\n';
+    os.record() << "granularity\t" << profile.granularityShift << '\n';
+    os.record() << "shadow\t" << profile.shadowPeakBytes << '\t'
+                << profile.shadowEvictions << '\n';
 
     for (const SigilRow &r : profile.rows) {
         const CommAggregates &a = r.agg;
-        os << "row\t" << r.ctx << '\t' << r.parent << '\t'
-           << sanitize(r.fnName) << '\t' << sanitize(r.displayName) << '\t'
-           << sanitize(r.path) << '\t' << a.calls << '\t' << a.iops << '\t'
-           << a.flops << '\t' << a.readBytes << '\t' << a.writeBytes
-           << '\t' << a.uniqueLocalBytes << '\t' << a.nonuniqueLocalBytes
-           << '\t' << a.uniqueInputBytes << '\t' << a.nonuniqueInputBytes
-           << '\t' << a.uniqueOutputBytes << '\t'
-           << a.nonuniqueOutputBytes << '\t' << a.reusedUnits << '\t'
-           << a.reuseReads << '\t' << a.lifetimeSum << '\t'
-           << a.uniqueInterThreadBytes << '\t'
-           << a.nonuniqueInterThreadBytes << '\n';
+        os.record() << "row\t" << r.ctx << '\t' << r.parent << '\t';
+        os.name(r.fnName) << '\t';
+        os.name(r.displayName) << '\t';
+        os.name(r.path) << '\t' << a.calls << '\t' << a.iops << '\t'
+                        << a.flops << '\t' << a.readBytes << '\t'
+                        << a.writeBytes << '\t' << a.uniqueLocalBytes << '\t'
+                        << a.nonuniqueLocalBytes << '\t'
+                        << a.uniqueInputBytes << '\t'
+                        << a.nonuniqueInputBytes << '\t'
+                        << a.uniqueOutputBytes << '\t'
+                        << a.nonuniqueOutputBytes << '\t' << a.reusedUnits
+                        << '\t' << a.reuseReads << '\t' << a.lifetimeSum
+                        << '\t' << a.uniqueInterThreadBytes << '\t'
+                        << a.nonuniqueInterThreadBytes << '\n';
         const LinearHistogram &h = a.lifetimeHist;
         if (h.totalCount() > 0) {
-            os << "hist\t" << r.ctx << '\t' << h.binWidth() << '\t'
-               << h.overflowCount() << '\t' << h.totalValue() << '\t'
-               << h.maxValue() << '\t' << h.numBins();
+            os.record() << "hist\t" << r.ctx << '\t' << h.binWidth() << '\t'
+                        << h.overflowCount() << '\t' << h.totalValue()
+                        << '\t' << h.maxValue() << '\t' << h.numBins();
             for (std::size_t i = 0; i < h.numBins(); ++i)
-                os << '\t' << h.binCount(i);
+                os.record() << '\t' << h.binCount(i);
             os << '\n';
         }
     }
 
     for (const CommEdge &e : profile.edges) {
-        os << "edge\t" << e.producer << '\t' << e.consumer << '\t'
-           << e.uniqueBytes << '\t' << e.nonuniqueBytes << '\n';
+        os.record() << "edge\t" << e.producer << '\t' << e.consumer << '\t'
+                    << e.uniqueBytes << '\t' << e.nonuniqueBytes << '\n';
     }
     for (const ThreadCommEdge &e : profile.threadEdges) {
-        os << "tedge\t" << e.producer << '\t' << e.consumer << '\t'
-           << e.uniqueBytes << '\t' << e.nonuniqueBytes << '\n';
+        os.record() << "tedge\t" << e.producer << '\t' << e.consumer
+                    << '\t' << e.uniqueBytes << '\t' << e.nonuniqueBytes
+                    << '\n';
     }
 
     writeBounds(os, "unit", profile.unitReuseBreakdown);
     writeBounds(os, "line", profile.lineReuseBreakdown);
-    os << "end\n";
+    os.record() << "end\n";
     os.flush();
 }
 
@@ -455,20 +504,21 @@ void
 writeEvents(std::ostream &out, const EventTrace &events)
 {
     TextWriter os(out);
-    os << "sigil-events\t1\n";
+    os.record() << "sigil-events\t1\n";
     for (const EventRecord &r : events.records) {
         if (r.kind == EventRecord::Kind::Compute) {
             const ComputeEvent &c = r.compute;
-            os << "C\t" << c.seq << '\t' << c.predSeq << '\t' << c.ctx
-               << '\t' << c.call << '\t' << c.iops << '\t' << c.flops
-               << '\t' << c.reads << '\t' << c.writes << '\n';
+            os.record() << "C\t" << c.seq << '\t' << c.predSeq << '\t'
+                        << c.ctx << '\t' << c.call << '\t' << c.iops << '\t'
+                        << c.flops << '\t' << c.reads << '\t' << c.writes
+                        << '\n';
         } else {
             const XferEvent &x = r.xfer;
-            os << "X\t" << x.srcSeq << '\t' << x.dstSeq << '\t' << x.bytes
-               << '\n';
+            os.record() << "X\t" << x.srcSeq << '\t' << x.dstSeq << '\t'
+                        << x.bytes << '\n';
         }
     }
-    os << "end\n";
+    os.record() << "end\n";
     os.flush();
 }
 

@@ -52,20 +52,10 @@ Guest::leave()
         tool->fnLeave(f.ctx, f.call);
 }
 
-ContextId
-Guest::currentContext() const
+void
+Guest::emptyStack(const char *query)
 {
-    if (thread().frames.empty())
-        panic("Guest::currentContext with empty call stack");
-    return thread().frames.back().ctx;
-}
-
-CallNum
-Guest::currentCall() const
-{
-    if (thread().frames.empty())
-        panic("Guest::currentCall with empty call stack");
-    return thread().frames.back().call;
+    panic("Guest::%s with empty call stack", query);
 }
 
 Addr

@@ -105,10 +105,24 @@ class Guest
     void leave();
 
     /** Context of the innermost active frame. */
-    ContextId currentContext() const;
+    ContextId
+    currentContext() const
+    {
+        const ThreadCtx &t = thread();
+        if (t.frames.empty()) [[unlikely]]
+            emptyStack("currentContext");
+        return t.frames.back().ctx;
+    }
 
     /** Call number of the innermost active frame. */
-    CallNum currentCall() const;
+    CallNum
+    currentCall() const
+    {
+        const ThreadCtx &t = thread();
+        if (t.frames.empty()) [[unlikely]]
+            emptyStack("currentCall");
+        return t.frames.back().call;
+    }
 
     /**
      * Call number the next enter() assigns. Calls are numbered densely
@@ -330,6 +344,10 @@ class Guest
      */
     [[noreturn, gnu::cold, gnu::noinline]] void
     rejectAccess(const char *kind, Addr addr, unsigned size) const;
+
+    /** Panic on a frame query with no active frame (out of line). */
+    [[noreturn, gnu::cold, gnu::noinline]] static void
+    emptyStack(const char *query);
 
     std::string programName_;
     GuestConfig config_;

@@ -86,23 +86,39 @@ constexpr std::uint8_t kOpRoiBegin = 10;
 constexpr std::uint8_t kOpRoiEnd = 11;
 /// @}
 
-void
-putVarint(std::string &out, std::uint64_t v)
+/**
+ * Widest event encoding: an op's opcode byte plus two 10-byte varints.
+ * An access takes at most 1 + 10 + 5 bytes, an enter or a thread switch
+ * 1 + 5, every other event one byte.
+ */
+constexpr std::size_t kMaxEventBytes = 1 + 10 + 10;
+
+/**
+ * Widest frame header: sync, tag, four 10-byte varints, flags, the
+ * raw-length varint and two CRCs.
+ */
+constexpr std::size_t kMaxFrameHeaderBytes = 4 + 1 + 4 * 10 + 1 + 10 + 8;
+
+/** Encode v as a LEB128 varint at p; returns the end of the encoding. */
+inline char *
+putVarint(char *p, std::uint64_t v)
 {
     while (v >= 0x80) {
-        out.push_back(static_cast<char>(v | 0x80));
+        *p++ = static_cast<char>(v | 0x80);
         v >>= 7;
     }
-    out.push_back(static_cast<char>(v));
+    *p++ = static_cast<char>(v);
+    return p;
 }
 
-void
-putU32le(std::string &out, std::uint32_t v)
+inline char *
+putU32le(char *p, std::uint32_t v)
 {
-    out.push_back(static_cast<char>(v));
-    out.push_back(static_cast<char>(v >> 8));
-    out.push_back(static_cast<char>(v >> 16));
-    out.push_back(static_cast<char>(v >> 24));
+    p[0] = static_cast<char>(v);
+    p[1] = static_cast<char>(v >> 8);
+    p[2] = static_cast<char>(v >> 16);
+    p[3] = static_cast<char>(v >> 24);
+    return p + 4;
 }
 
 std::uint64_t
@@ -683,18 +699,30 @@ BinaryTraceRecorder::BinaryTraceRecorder(std::ostream &os,
 {
     if (maxBlockEvents_ == 0)
         fatal("binary trace: block size must be at least 1 event");
+    if (maxBlockEvents_ > kMaxPayloadLen / kMaxEventBytes)
+        fatal("binary trace: %zu events per block can exceed the %llu-byte "
+              "payload cap",
+              maxBlockEvents_,
+              static_cast<unsigned long long>(kMaxPayloadLen));
+    // Sized once for a block of worst-case events: the event count that
+    // closes a block is the only capacity check an event pays.
+    block_ = std::make_unique_for_overwrite<char[]>(maxBlockEvents_ *
+                                                    kMaxEventBytes);
+    cur_ = block_.get();
 }
 
 void
 BinaryTraceRecorder::attach(const Guest &guest)
 {
     Tool::attach(guest);
-    std::string header(kMagic, 4);
-    putVarint(header, 1); // version
     const std::string &name = guest.programName();
-    putVarint(header, name.size());
-    header += name;
-    os_.write(header.data(), static_cast<std::streamsize>(header.size()));
+    char fields[10 + 10];
+    char *p = putVarint(fields, 1); // version
+    p = putVarint(p, name.size());
+    std::string preamble(kMagic, 4);
+    preamble.append(fields, p);
+    preamble += name;
+    os_.write(preamble.data(), static_cast<std::streamsize>(preamble.size()));
 }
 
 void
@@ -708,10 +736,12 @@ BinaryTraceRecorder::ensureFunction(FunctionId fn)
     emitted_[idx] = true;
     // Bare records accumulate into one function-block payload, framed
     // by flushBlock() ahead of the events that reference them.
-    putVarint(pendingFns_,
-              static_cast<std::uint64_t>(static_cast<std::uint32_t>(fn)));
     const std::string &name = guest_->functions().name(fn);
-    putVarint(pendingFns_, name.size());
+    char rec[10 + 10];
+    char *p = putVarint(
+        rec, static_cast<std::uint64_t>(static_cast<std::uint32_t>(fn)));
+    p = putVarint(p, name.size());
+    pendingFns_.append(rec, p);
     pendingFns_ += name;
 }
 
@@ -720,31 +750,41 @@ BinaryTraceRecorder::writeFrame(std::uint8_t tag, std::string_view payload,
                                 std::uint64_t first_event,
                                 std::uint64_t event_count)
 {
+    // The stored payload goes right after kMaxFrameHeaderBytes of room;
+    // the header, built once the stored length is known, is copied into
+    // the room just before it, so header and payload leave in one write.
+    if (frame_.size() < kMaxFrameHeaderBytes + payload.size())
+        frame_.resize(kMaxFrameHeaderBytes + payload.size());
+    char *stored = frame_.data() + kMaxFrameHeaderBytes;
     const std::uint64_t raw_len = payload.size();
-    bool compressed = false;
+    std::size_t stored_len = 0;
     if (payload.size() >= kMinCompressBytes) {
         // Cap at size-1: a frame is stored compressed only when that
         // actually saves bytes, so replay can reject any compressed
         // frame whose payload is not smaller than its raw length.
-        comp_.resize(payload.size() - 1);
-        std::size_t n = lzCompress(payload.data(), payload.size(),
-                                   comp_.data(), comp_.size());
-        if (n != 0) {
-            compressed = true;
-            payload = std::string_view(comp_.data(), n);
-        }
+        stored_len = lzCompress(payload.data(), payload.size(), stored,
+                                payload.size() - 1);
     }
-    std::string hdr;
-    hdr.append(reinterpret_cast<const char *>(kFrameSync), 4);
-    hdr.push_back(static_cast<char>(tag));
-    putVarint(hdr, blockSeq_++);
-    putVarint(hdr, first_event);
-    putVarint(hdr, event_count);
-    putVarint(hdr, payload.size());
-    hdr.push_back(static_cast<char>(compressed ? kFrameFlagCompressed : 0));
-    putVarint(hdr, raw_len);
-    putU32le(hdr, crc32c(payload.data(), payload.size()));
-    putU32le(hdr, crc32c(hdr.data(), hdr.size()));
+    const bool compressed = stored_len != 0;
+    if (!compressed) {
+        std::memcpy(stored, payload.data(), payload.size());
+        stored_len = payload.size();
+    }
+    char hdr[kMaxFrameHeaderBytes];
+    std::memcpy(hdr, kFrameSync, 4);
+    char *p = hdr + 4;
+    *p++ = static_cast<char>(tag);
+    p = putVarint(p, blockSeq_++);
+    p = putVarint(p, first_event);
+    p = putVarint(p, event_count);
+    p = putVarint(p, stored_len);
+    *p++ = static_cast<char>(compressed ? kFrameFlagCompressed : 0);
+    p = putVarint(p, raw_len);
+    p = putU32le(p, crc32c(stored, stored_len));
+    p = putU32le(p, crc32c(hdr, static_cast<std::size_t>(p - hdr)));
+    const std::size_t hdr_len = static_cast<std::size_t>(p - hdr);
+    char *frame = stored - hdr_len;
+    std::memcpy(frame, hdr, hdr_len);
     // Publish the frame with a single stream write. Split header and
     // payload writes open a window — one write(2) retired, the other
     // not — where a crash leaves a valid frame header whose payload
@@ -752,8 +792,7 @@ BinaryTraceRecorder::writeFrame(std::uint8_t tag, std::string_view payload,
     // but any reader that trusts a validated header over-counts. One
     // write narrows the torn-frame window to what the kernel itself
     // can tear.
-    hdr.append(payload.data(), payload.size());
-    os_.write(hdr.data(), static_cast<std::streamsize>(hdr.size()));
+    os_.write(frame, static_cast<std::streamsize>(hdr_len + stored_len));
 }
 
 void
@@ -766,18 +805,26 @@ BinaryTraceRecorder::flushBlock()
     }
     if (blockEvents_ == 0)
         return;
-    writeFrame(kTagEvents, block_, first_event, blockEvents_);
+    writeFrame(kTagEvents, std::string_view(block_.get(), cur_),
+               first_event, blockEvents_);
     // Each block must decode independently (salvage can drop any
     // predecessor), so the address delta chain restarts here.
     prevAddr_ = 0;
-    block_.clear();
+    cur_ = block_.get();
     blockEvents_ = 0;
 }
 
 void
 BinaryTraceRecorder::event(std::uint8_t opcode)
 {
-    block_.push_back(static_cast<char>(opcode));
+    *cur_ = static_cast<char>(opcode);
+    endEvent(cur_ + 1);
+}
+
+void
+BinaryTraceRecorder::endEvent(char *end)
+{
+    cur_ = end;
     ++events_;
     if (++blockEvents_ >= maxBlockEvents_)
         flushBlock();
@@ -786,13 +833,12 @@ BinaryTraceRecorder::event(std::uint8_t opcode)
 void
 BinaryTraceRecorder::access(std::uint8_t opcode, Addr addr, unsigned size)
 {
-    block_.push_back(static_cast<char>(opcode));
-    putVarint(block_, zigzag(static_cast<std::int64_t>(addr - prevAddr_)));
-    putVarint(block_, size);
+    char *p = cur_;
+    *p++ = static_cast<char>(opcode);
+    p = putVarint(p, zigzag(static_cast<std::int64_t>(addr - prevAddr_)));
+    p = putVarint(p, size);
     prevAddr_ = addr;
-    ++events_;
-    if (++blockEvents_ >= maxBlockEvents_)
-        flushBlock();
+    endEvent(p);
 }
 
 void
@@ -801,12 +847,11 @@ BinaryTraceRecorder::fnEnter(ContextId ctx, CallNum call)
     (void)call;
     FunctionId fn = guest_->contexts().function(ctx);
     ensureFunction(fn);
-    block_.push_back(static_cast<char>(kOpEnter));
-    putVarint(block_,
-              static_cast<std::uint64_t>(static_cast<std::uint32_t>(fn)));
-    ++events_;
-    if (++blockEvents_ >= maxBlockEvents_)
-        flushBlock();
+    char *p = cur_;
+    *p++ = static_cast<char>(kOpEnter);
+    p = putVarint(p,
+                  static_cast<std::uint64_t>(static_cast<std::uint32_t>(fn)));
+    endEvent(p);
 }
 
 void
@@ -832,12 +877,11 @@ BinaryTraceRecorder::memWrite(Addr addr, unsigned size)
 void
 BinaryTraceRecorder::op(std::uint64_t iops, std::uint64_t flops)
 {
-    block_.push_back(static_cast<char>(kOpOp));
-    putVarint(block_, iops);
-    putVarint(block_, flops);
-    ++events_;
-    if (++blockEvents_ >= maxBlockEvents_)
-        flushBlock();
+    char *p = cur_;
+    *p++ = static_cast<char>(kOpOp);
+    p = putVarint(p, iops);
+    p = putVarint(p, flops);
+    endEvent(p);
 }
 
 void
@@ -849,11 +893,10 @@ BinaryTraceRecorder::branch(bool taken)
 void
 BinaryTraceRecorder::threadSwitch(ThreadId tid)
 {
-    block_.push_back(static_cast<char>(kOpThreadSwitch));
-    putVarint(block_, tid);
-    ++events_;
-    if (++blockEvents_ >= maxBlockEvents_)
-        flushBlock();
+    char *p = cur_;
+    *p++ = static_cast<char>(kOpThreadSwitch);
+    p = putVarint(p, tid);
+    endEvent(p);
 }
 
 void
@@ -879,9 +922,9 @@ BinaryTraceRecorder::finish()
     // reached finish() and flushed everything, so a salvageable file
     // without it is a crash capture. A killed process never gets
     // here, which is exactly the signal.
-    std::string shutdown;
-    putVarint(shutdown, events_);
-    writeFrame(kTagShutdown, shutdown, events_, 0);
+    char shutdown[10];
+    const char *end = putVarint(shutdown, events_);
+    writeFrame(kTagShutdown, std::string_view(shutdown, end), events_, 0);
     // The end frame doubles as the trailer: firstEventSeq is the total
     // event count, giving salvage replays the ground truth for their
     // skipped-vs-delivered accounting.

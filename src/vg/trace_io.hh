@@ -97,15 +97,20 @@ class BinaryTraceRecorder : public Tool
     void ensureFunction(FunctionId fn);
     void access(std::uint8_t opcode, Addr addr, unsigned size);
     void event(std::uint8_t opcode);
+    /** Close the event encoded up to end; frames a full block. */
+    void endEvent(char *end);
     void flushBlock();
     void writeFrame(std::uint8_t tag, std::string_view payload,
                     std::uint64_t first_event, std::uint64_t event_count);
 
     std::ostream &os_;
     std::size_t maxBlockEvents_;
-    std::string block_;      ///< encoded events of the open block
+    /** Encoded events of the open block, sized for the worst case. */
+    std::unique_ptr<char[]> block_;
+    char *cur_;              ///< end of the open block's events
     std::string pendingFns_; ///< fn records to emit before the block
-    std::string comp_;       ///< compression scratch buffer
+    /** Reused frame buffer: header room, then the stored payload. */
+    std::vector<char> frame_;
     std::size_t blockEvents_ = 0;
     std::uint64_t blockSeq_ = 0; ///< frames written
     std::uint64_t prevAddr_ = 0;

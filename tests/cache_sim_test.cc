@@ -5,11 +5,24 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "cg/branch_sim.hh"
 #include "cg/cache_sim.hh"
 #include "support/rng.hh"
 
 namespace sigil::cg {
+
+/** Name a geometry in failure messages instead of dumping its bytes. */
+void
+PrintTo(const CacheConfig &c, std::ostream *os)
+{
+    *os << c.sizeBytes << " B, " << c.associativity << "-way, "
+        << c.lineBytes << " B lines";
+}
+
 namespace {
 
 TEST(CacheLevel, ColdMissesThenHits)
@@ -141,6 +154,128 @@ TEST(CacheLevel, WriteHitDirtiesLine)
     l.accessLine(3, false); // evicts 1
     EXPECT_EQ(l.writeBacks(), 1u);
 }
+
+/**
+ * Test-side reference level with the timestamp rule of the earlier
+ * parallel-array layout: a stamp per way bumped on every touch, and a
+ * miss fills the first invalid way, else the way with the oldest
+ * stamp (lowest index on ties).
+ */
+class StampLevel
+{
+  public:
+    explicit StampLevel(const CacheConfig &c)
+        : assoc_(c.associativity),
+          sets_(c.sizeBytes / c.lineBytes / c.associativity),
+          ways_(sets_ * assoc_)
+    {}
+
+    struct Outcome
+    {
+        bool hit;
+        bool wroteBack;
+        std::uint64_t writeBackLine;
+    };
+
+    Outcome
+    access(std::uint64_t line, bool is_write)
+    {
+        const std::uint64_t set = line % sets_;
+        const std::uint64_t tag = line / sets_;
+        Way *ways = &ways_[set * assoc_];
+        Way *victim = nullptr;
+        for (unsigned w = 0; w < assoc_; ++w) {
+            Way &way = ways[w];
+            if (way.valid && way.tag == tag) {
+                way.stamp = ++stamp_;
+                way.dirty = way.dirty || is_write;
+                return {true, false, 0};
+            }
+            if (victim == nullptr ||
+                (victim->valid &&
+                 (!way.valid || way.stamp < victim->stamp)))
+                victim = &way;
+        }
+        Outcome out{false, victim->valid && victim->dirty, 0};
+        if (out.wroteBack)
+            out.writeBackLine = victim->tag * sets_ + set;
+        *victim = Way{tag, ++stamp_, true, is_write};
+        return out;
+    }
+
+  private:
+    struct Way
+    {
+        std::uint64_t tag = 0;
+        std::uint64_t stamp = 0;
+        bool valid = false;
+        bool dirty = false;
+    };
+
+    unsigned assoc_;
+    std::uint64_t sets_;
+    std::vector<Way> ways_;
+    std::uint64_t stamp_ = 0;
+};
+
+class LruOracle : public ::testing::TestWithParam<CacheConfig>
+{};
+
+TEST_P(LruOracle, EveryAccessMatchesTheTimestampRule)
+{
+    const CacheConfig geom = GetParam();
+    for (std::uint64_t seed : {1, 2, 3}) {
+        CacheLevel level(geom);
+        StampLevel ref(geom);
+        sigil::Rng rng(seed);
+        const std::uint64_t sets = level.numSets();
+        // A few hot sets, each cycling through twice its ways, so hits,
+        // LRU evictions and dirty victims all recur; plus scattered
+        // lines over the whole address space.
+        std::vector<std::uint64_t> hot(16);
+        for (std::uint64_t &h : hot)
+            h = rng.nextBounded(sets);
+        std::uint64_t hits = 0, write_backs = 0;
+        for (int i = 0; i < 100000; ++i) {
+            std::uint64_t line;
+            if (rng.nextBounded(4) != 0)
+                line = hot[rng.nextBounded(hot.size())] +
+                       sets * rng.nextBounded(2 * geom.associativity);
+            else
+                line = rng.next() >> 6;
+            const bool is_write = rng.nextBounded(3) == 0;
+            const StampLevel::Outcome want = ref.access(line, is_write);
+            ASSERT_EQ(level.accessLine(line, is_write), want.hit)
+                << "seed " << seed << " access " << i;
+            ASSERT_EQ(level.lastAccessWroteBack(), want.wroteBack)
+                << "seed " << seed << " access " << i;
+            if (want.wroteBack) {
+                ASSERT_EQ(level.lastWriteBackLine(), want.writeBackLine)
+                    << "seed " << seed << " access " << i;
+            }
+            hits += want.hit;
+            write_backs += want.wroteBack;
+        }
+        EXPECT_EQ(level.accesses(), 100000u);
+        EXPECT_EQ(level.misses(), 100000u - hits);
+        EXPECT_EQ(level.writeBacks(), write_backs);
+        // The stream must exercise every path it is meant to check.
+        EXPECT_GT(hits, 0u);
+        EXPECT_GT(write_backs, 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, LruOracle,
+    ::testing::Values(CacheConfig{512, 1, 64},            // direct-mapped
+                      CacheConfig{512, 2, 64},            // 2-way, 4 sets
+                      CacheConfig{32 * 1024, 8, 64},      // D1
+                      CacheConfig{8 * 1024 * 1024, 16, 64} // LL
+                      ),
+    [](const ::testing::TestParamInfo<CacheConfig> &info) {
+        return std::to_string(info.param.sizeBytes) + "B_" +
+               std::to_string(info.param.associativity) + "way";
+    });
 
 TEST(CacheSim, D1WriteBacksReachLl)
 {

@@ -437,6 +437,34 @@ TEST(ProfileIo, BufferedProfileMatchesIostreamRendering)
         writeProfile(os, p);
         ASSERT_EQ(os.str(), refProfile(p)) << "profile " << i;
     }
+    // Names longer than the writer's 64 KiB buffer or ending near its
+    // end, and a histogram line of thousands of bins, so records and
+    // names straddle every flush point.
+    for (int i = 0; i < 20; ++i) {
+        SigilProfile p = randomProfile(rng);
+        for (SigilRow &r : p.rows) {
+            for (std::string *name : {&r.fnName, &r.displayName, &r.path}) {
+                const std::size_t len = rng.nextBounded(4) == 0
+                                            ? 60000 + rng.nextBounded(150000)
+                                            : rng.nextBounded(3000);
+                *name = std::string(len, 'n');
+                for (int k = 0; k < 8 && len > 0; ++k)
+                    (*name)[rng.nextBounded(len)] = k % 2 ? '\t' : '\n';
+            }
+        }
+        if (!p.rows.empty()) {
+            LinearHistogram h(3);
+            std::vector<std::uint64_t> bins(5000);
+            for (std::uint64_t &b : bins)
+                b = edgyU64(rng);
+            bins.back() = 1;
+            h.restore(std::move(bins), 2, edgyU64(rng), edgyU64(rng));
+            p.rows.back().agg.lifetimeHist = std::move(h);
+        }
+        std::ostringstream os;
+        writeProfile(os, p);
+        ASSERT_EQ(os.str(), refProfile(p)) << "long-name profile " << i;
+    }
     // And a real one.
     SigilProfile real = makeProfile();
     std::ostringstream os;

@@ -11,8 +11,10 @@
  * tests/fault_plan.hh), checkpoints that must not resume a different
  * trace or configuration, the bounds-checked LZ block codec, and the
  * structured line/offset error reporting of the profile and event
- * parsers. Also the binary round trip of ROI marks, and the fatal
- * replay entry point rejecting garbage and truncated input. Bit-identity of
+ * parsers. Also the binary round trip of ROI marks, the recorder's
+ * bytes at every event's widest encoding against a per-byte string
+ * encoder, and the fatal replay entry point rejecting garbage and
+ * truncated input. Bit-identity of
  * replay and checkpoint/resume across the shadow configurations is
  * the differential matrix's (tests/differential_test.cc).
  */
@@ -21,6 +23,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -1035,6 +1038,311 @@ TEST(BinaryTrace, RoiRoundTrips)
     core::writeProfile(file_pos, file_prof.takeProfile());
     EXPECT_EQ(live_pos.str(), file_pos.str());
     std::remove(path.c_str());
+}
+
+/**
+ * Test-side copy of the recorder's encoder as it was written with one
+ * std::string push_back per byte: the byte-for-byte reference for the
+ * raw-cursor encoder. Attached beside a BinaryTraceRecorder (or fed
+ * the same direct calls), it must produce the same file.
+ */
+class StringRecorder : public vg::Tool
+{
+  public:
+    StringRecorder(std::string &out, std::size_t block_events)
+        : out_(out), maxBlockEvents_(block_events)
+    {}
+
+    void
+    attach(const vg::Guest &guest) override
+    {
+        Tool::attach(guest);
+        out_ += tracePreamble(guest.programName());
+    }
+    void
+    fnEnter(vg::ContextId ctx, vg::CallNum) override
+    {
+        const vg::FunctionId fn = guest_->contexts().function(ctx);
+        const auto id = static_cast<std::uint32_t>(fn);
+        if (emitted_.insert(fn).second) {
+            putVarint(pendingFns_, id);
+            const std::string &name = guest_->functions().name(fn);
+            putVarint(pendingFns_, name.size());
+            pendingFns_ += name;
+        }
+        block_.push_back(6);
+        putVarint(block_, id);
+        endEvent();
+    }
+    void fnLeave(vg::ContextId, vg::CallNum) override { event(7); }
+    void memRead(vg::Addr a, unsigned size) override { access(1, a, size); }
+    void memWrite(vg::Addr a, unsigned size) override { access(2, a, size); }
+    void
+    op(std::uint64_t iops, std::uint64_t flops) override
+    {
+        block_.push_back(3);
+        putVarint(block_, iops);
+        putVarint(block_, flops);
+        endEvent();
+    }
+    void branch(bool taken) override { event(taken ? 4 : 5); }
+    void
+    threadSwitch(vg::ThreadId tid) override
+    {
+        block_.push_back(8);
+        putVarint(block_, tid);
+        endEvent();
+    }
+    void barrier() override { event(9); }
+    void roi(bool active) override { event(active ? 10 : 11); }
+    void
+    finish() override
+    {
+        flush();
+        std::string shutdown;
+        putVarint(shutdown, events_);
+        frame(0x03, shutdown, events_, 0);
+        frame(kTagEnd, {}, events_, 0);
+    }
+
+  private:
+    void
+    event(char opcode)
+    {
+        block_.push_back(opcode);
+        endEvent();
+    }
+    void
+    access(char opcode, vg::Addr addr, unsigned size)
+    {
+        block_.push_back(opcode);
+        putVarint(block_, zigzag(static_cast<std::int64_t>(addr - prev_)));
+        putVarint(block_, size);
+        prev_ = addr;
+        endEvent();
+    }
+    void
+    endEvent()
+    {
+        ++events_;
+        if (++blockEvents_ >= maxBlockEvents_)
+            flush();
+    }
+    void
+    flush()
+    {
+        const std::uint64_t first = events_ - blockEvents_;
+        if (!pendingFns_.empty()) {
+            frame(kTagFunctions, pendingFns_, first, 0);
+            pendingFns_.clear();
+        }
+        if (blockEvents_ == 0)
+            return;
+        frame(kTagEvents, block_, first, blockEvents_);
+        prev_ = 0;
+        block_.clear();
+        blockEvents_ = 0;
+    }
+    void
+    frame(std::uint8_t tag, std::string payload, std::uint64_t first,
+          std::uint64_t count)
+    {
+        const std::size_t raw_len = payload.size();
+        bool compressed = false;
+        if (payload.size() >= 32) {
+            std::string comp(payload.size() - 1, '\0');
+            const std::size_t n = lzCompress(payload.data(), payload.size(),
+                                             comp.data(), comp.size());
+            if (n != 0) {
+                compressed = true;
+                payload = comp.substr(0, n);
+            }
+        }
+        std::string f = "\xa7SB\xb3";
+        f.push_back(static_cast<char>(tag));
+        putVarint(f, seq_++);
+        putVarint(f, first);
+        putVarint(f, count);
+        putVarint(f, payload.size());
+        f.push_back(compressed ? 1 : 0);
+        putVarint(f, raw_len);
+        putU32le(f, crc32c(payload.data(), payload.size()));
+        putU32le(f, crc32c(f.data(), f.size()));
+        out_ += f + payload;
+    }
+
+    std::string &out_;
+    std::size_t maxBlockEvents_;
+    std::string block_;
+    std::string pendingFns_;
+    std::set<vg::FunctionId> emitted_;
+    std::size_t blockEvents_ = 0;
+    std::uint64_t seq_ = 0;
+    std::uint64_t prev_ = 0;
+    std::uint64_t events_ = 0;
+};
+
+/** One delivered event, as a replay hands it to a tool. */
+struct SeenEvent
+{
+    char kind;
+    std::uint64_t a;
+    std::uint64_t b;
+    std::string name;
+
+    bool operator==(const SeenEvent &) const = default;
+};
+
+/** Logs every event it is handed, enters by function name. */
+class EventLog : public vg::Tool
+{
+  public:
+    void
+    fnEnter(vg::ContextId ctx, vg::CallNum) override
+    {
+        const vg::FunctionId fn = guest_->contexts().function(ctx);
+        seen.push_back({'E', 0, 0, guest_->functions().name(fn)});
+    }
+    void
+    memRead(vg::Addr a, unsigned size) override
+    {
+        seen.push_back({'R', a, size, {}});
+    }
+    void
+    memWrite(vg::Addr a, unsigned size) override
+    {
+        seen.push_back({'W', a, size, {}});
+    }
+    void
+    op(std::uint64_t iops, std::uint64_t flops) override
+    {
+        seen.push_back({'O', iops, flops, {}});
+    }
+    void
+    threadSwitch(vg::ThreadId tid) override
+    {
+        seen.push_back({'T', tid, 0, {}});
+    }
+
+    std::vector<SeenEvent> seen;
+};
+
+class RecorderWidth : public ::testing::TestWithParam<std::size_t>
+{};
+
+TEST_P(RecorderWidth, WidestEventsFillWholeBlocksByteIdentically)
+{
+    // Every event at its widest encoding: 21-byte ops, accesses whose
+    // zig-zag delta takes 10 bytes and whose size 2^30 takes 5, a
+    // thread switch to the last thread id replay accepts, and an enter
+    // of a function id past 2^14 (3 bytes). Whole blocks of them must
+    // stay inside the recorder's worst-case block buffer (an overrun
+    // fails under AddressSanitizer) and leave the same bytes as the
+    // string encoder.
+    const std::size_t block_events = GetParam();
+    QuietLogs quiet; // both guests finish with the enters still open
+    constexpr vg::Addr kLo = vg::kHeapBase;
+    constexpr vg::Addr kHi = vg::Addr{1} << 63;
+    constexpr unsigned kSize = 1u << 30;
+    constexpr vg::ThreadId kLastThread = (1u << 16) - 1;
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+
+    vg::Guest g("wide");
+    vg::FunctionId big = 0;
+    for (int i = 0; i < 20000; ++i)
+        big = g.fn("f" + std::to_string(i));
+    ASSERT_GE(big, 1 << 14);
+    std::ostringstream bos(std::ios::binary);
+    vg::BinaryTraceRecorder rec(bos, block_events);
+    std::string want;
+    StringRecorder ref(want, block_events);
+    g.addTool(&rec);
+    g.addTool(&ref);
+
+    // One cycle of six events; an access at kHi after a reset chain or
+    // after kLo, and one at kLo after kHi, each take a 10-byte delta.
+    std::vector<SeenEvent> expect;
+    const std::size_t total = 3 * block_events;
+    for (std::size_t i = 0; i < total; ++i) {
+        switch (i % 6) {
+          case 0:
+            g.enter(big);
+            expect.push_back({'E', 0, 0, "f19999"});
+            break;
+          case 1:
+            for (vg::Tool *t : {static_cast<vg::Tool *>(&rec),
+                                static_cast<vg::Tool *>(&ref)})
+                t->op(kMax, kMax);
+            // Replay retires an op's iops and flops separately.
+            expect.push_back({'O', kMax, 0, {}});
+            expect.push_back({'O', 0, kMax, {}});
+            break;
+          case 2:
+            rec.memRead(kHi, kSize);
+            ref.memRead(kHi, kSize);
+            expect.push_back({'R', kHi, kSize, {}});
+            break;
+          case 3:
+            rec.memWrite(kLo, kSize);
+            ref.memWrite(kLo, kSize);
+            expect.push_back({'W', kLo, kSize, {}});
+            break;
+          case 4:
+            rec.threadSwitch(kLastThread);
+            ref.threadSwitch(kLastThread);
+            expect.push_back({'T', kLastThread, 0, {}});
+            break;
+          case 5:
+            rec.threadSwitch(0);
+            ref.threadSwitch(0);
+            expect.push_back({'T', 0, 0, {}});
+            break;
+        }
+    }
+    EXPECT_EQ(rec.eventsWritten(), total);
+    g.finish();
+    ASSERT_EQ(bos.str(), want);
+
+    vg::Guest rg("wide");
+    EventLog log;
+    rg.addTool(&log);
+    std::istringstream is(bos.str(), std::ios::binary);
+    EXPECT_EQ(vg::replayBinaryTrace(is, rg), expect.size());
+    EXPECT_TRUE(log.seen == expect);
+}
+
+INSTANTIATE_TEST_SUITE_P(BlockEvents, RecorderWidth,
+                         ::testing::Values(1, 7, 4096));
+
+TEST(RecorderEncoding, FixtureStreamsMatchTheStringEncoder)
+{
+    // The generator's mixed streams, through a spread of block sizes.
+    for (std::size_t block_events : {1, 7, 512, 4096}) {
+        for (const TraceParams &p :
+             {TraceParams{11, 0, 0, false, true, false},
+              TraceParams{12, 3, 0, true, false, true},
+              TraceParams{13, 0, 4, true, true, false}}) {
+            vg::Guest g("fixture");
+            std::ostringstream bos(std::ios::binary);
+            vg::BinaryTraceRecorder rec(bos, block_events);
+            std::string want;
+            StringRecorder ref(want, block_events);
+            g.addTool(&rec);
+            g.addTool(&ref);
+            TraceDriver(p).drive(g, 4000);
+            EXPECT_EQ(bos.str(), want)
+                << paramsName(p) << " block_events " << block_events;
+        }
+    }
+}
+
+TEST(BinaryTraceDeath, RejectsBlocksThatCanPassThePayloadCap)
+{
+    // Replay refuses a frame whose raw payload passes 64 MiB, so a block
+    // size whose worst case could pass it is refused up front.
+    std::ostringstream os(std::ios::binary);
+    EXPECT_EXIT(vg::BinaryTraceRecorder(os, std::size_t{1} << 22),
+                ::testing::ExitedWithCode(1), "payload cap");
 }
 
 TEST(BinaryTraceDeath, RejectsGarbage)
